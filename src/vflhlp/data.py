@@ -332,6 +332,13 @@ def _parse_num_column(path, rows, name: str) -> np.ndarray:
             raise DataError(
                 f"{path}:{i + 2}: field {name!r}: {row[name]!r} is not a number"
             ) from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        # one nan or inf would turn the whole min-max scaled column to nan
+        i = int(bad[0])
+        raise DataError(
+            f"{path}:{i + 2}: field {name!r}: {rows[i][name]!r} is not a finite number"
+        )
     return out
 
 

@@ -28,7 +28,14 @@ import numpy as np
 from .data import AlignedBatch, VerticalDataset, sample_aligned_batches
 from .errors import ConfigError, SchemaError, TrainingError, UndefinedMetricError
 from .metrics import auc
-from .nn import Mlp, TabularEncoder, bce_with_logits, make_optimizer, sigmoid
+from .nn import (
+    Mlp,
+    ParamLayout,
+    TabularEncoder,
+    bce_with_logits,
+    make_optimizer,
+    sigmoid,
+)
 from .nn.layers import EncoderSpec
 from .rng import stream
 from .sup_pretrain import ActivePretrained, SupConfig, pretrain_active
@@ -276,6 +283,7 @@ class PartyNode:
         self.party_id = party_id
         self.encoder = encoder
         self.optimizer = make_optimizer(optimizer)
+        self._layouts = {"encoder": encoder.layout}
         self._tape = None
 
     def forward(self, batch: AlignedBatch, round_index: int) -> RepresentationMsg:
@@ -285,7 +293,8 @@ class PartyNode:
         self._tape = tape
         return RepresentationMsg(round_index, self.party_id, rep)
 
-    def backward(self, msg: GradientMsg) -> dict[str, np.ndarray]:
+    def backward(self, msg: GradientMsg) -> np.ndarray:
+        """The encoder's flat parameter gradient for this round's reply."""
         if self._tape is None:
             raise TrainingError(f"party {self.party_id}: backward before forward")
         if msg.party_id != self.party_id:
@@ -294,14 +303,22 @@ class PartyNode:
             )
         bundle = self.encoder.backward(self._tape, msg.values)
         self._tape = None
-        return bundle.param_grads
+        return bundle.flat
 
-    def apply_update(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        self.optimizer.step(self.encoder.params(), grads, lr)
+    def apply_update(self, grad: np.ndarray, lr: float) -> None:
+        self.optimizer.step(
+            {"encoder": self.encoder.theta}, {"encoder": grad}, lr, self._layouts
+        )
 
 
 class ServerNode:
-    """Label owner's head plus the anchors and rates for a training run."""
+    """Label owner's head plus the anchors and rates for a training run.
+
+    encoder_anchor is the active party's pre-trained encoder as one flat
+    vector (its `theta`); head_anchor holds the pre-trained head's
+    "weight" [out, rep_dim of party 1] and "bias". Both are flattened once
+    here, in the order of the head entries that `head_active` selects.
+    """
 
     def __init__(
         self,
@@ -311,7 +328,7 @@ class ServerNode:
         eta1: float,
         eta2: float,
         optimizer: str = "adam",
-        encoder_anchor: dict[str, np.ndarray] | None = None,
+        encoder_anchor: np.ndarray | None = None,
         head_anchor: dict[str, np.ndarray] | None = None,
     ):
         self.head = head
@@ -329,14 +346,28 @@ class ServerNode:
         self.eta1 = eta1
         self.eta2 = eta2
         self.optimizer = make_optimizer(optimizer)
-        self.encoder_anchor = encoder_anchor
-        self.head_anchor = head_anchor
-
-    def head_active_slice(self) -> dict[str, np.ndarray]:
-        """Columns of the head weight that act on party 1's block, plus bias."""
+        self._layouts = {"head": head.layout}
+        # entries of head.theta that act on party 1's block: its weight
+        # columns, then the bias
+        out_dim, in_dim = head.layers[0].weights.shape
         sl = self.rep_slices[1]
-        return {"weight": self.head.layers[0].weights[:, sl],
-                "bias": self.head.layers[0].bias}
+        columns = np.arange(out_dim)[:, None] * in_dim + np.arange(sl.start, sl.stop)
+        self.head_active = np.concatenate(
+            [columns.ravel(), out_dim * in_dim + np.arange(out_dim)]
+        )
+        self.anchors: dict[str, np.ndarray] | None = None
+        if encoder_anchor is not None and head_anchor is not None:
+            self.anchors = {
+                "encoder": np.array(encoder_anchor, dtype=np.float64).ravel(),
+                "head": ParamLayout(
+                    {"weight": columns.shape, "bias": (out_dim,)}
+                ).flatten(head_anchor),
+            }
+
+    def apply_update(self, grad: np.ndarray) -> None:
+        self.optimizer.step(
+            {"head": self.head.theta}, {"head": grad}, self.eta1, self._layouts
+        )
 
 
 @dataclass
@@ -367,7 +398,7 @@ def run_round(
     if not mode.is_federated:
         raise ConfigError(f"mode {mode.value} does not run the split protocol")
     constrained = mode.uses_constraint
-    if constrained and (server.encoder_anchor is None or server.head_anchor is None):
+    if constrained and server.anchors is None:
         raise TrainingError(
             f"mode {mode.value} needs pre-trained anchors for the active party"
         )
@@ -380,43 +411,40 @@ def run_round(
     h = np.concatenate([reps[k] for k in sorted(parties)], axis=1)
     logits, head_tape = server.head.forward(h)
     loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels)
-    head_layer_grads, dh = server.head.backward(head_tape, dlogits[:, None])
-    head_grads = server.head.grads_dict(head_layer_grads)
+    head_grad, dh = server.head.backward(head_tape, dlogits[:, None])
 
     loss_cons = 0.0
-    enc_cons_grads = None
     if constrained:
-        enc_value, enc_cons_grads = constraint_loss(
-            parties[1].encoder.params(), server.encoder_anchor
+        loss_cons, cons_grads = constraint_loss(
+            {
+                "encoder": parties[1].encoder.theta,
+                "head": server.head.theta[server.head_active],
+            },
+            server.anchors,
         )
-        head_value, head_cons_grads = constraint_loss(
-            server.head_active_slice(), server.head_anchor
-        )
-        loss_cons = enc_value + head_value
-        sl = server.rep_slices[1]
-        head_grads["0.weight"][:, sl] += server.beta * head_cons_grads["weight"]
-        head_grads["0.bias"] += server.beta * head_cons_grads["bias"]
+        head_grad[server.head_active] += server.beta * cons_grads["head"]
     loss = total_loss(loss_vfl, loss_cons, server.beta if constrained else 0.0)
 
     collected: dict[str, np.ndarray] | None = None
     if collect_grads:
-        collected = {f"head.{n}": g.copy() for n, g in head_grads.items()}
+        collected = {
+            f"head.{n}": g.copy() for n, g in server.head.grads_dict(head_grad).items()
+        }
 
     if apply_updates:
-        server.optimizer.step(server.head.params(), head_grads, server.eta1)
+        server.apply_update(head_grad)
 
     for k in sorted(parties):
         gmsg = GradientMsg(round_index, k, dh[:, server.rep_slices[k]])
         transport.record(gmsg)
-        grads = parties[k].backward(gmsg)
+        grad = parties[k].backward(gmsg)
         if constrained and k == 1:
-            for name in grads:
-                grads[name] = grads[name] + server.beta * enc_cons_grads[name]
+            grad = grad + server.beta * cons_grads["encoder"]
         if collect_grads:
-            for name, g in grads.items():
+            for name, g in parties[k].encoder.grads_dict(grad).items():
                 collected[f"party{k}.{name}"] = g.copy()
         if apply_updates:
-            parties[k].apply_update(grads, server.eta2)
+            parties[k].apply_update(grad, server.eta2)
 
     stats = RoundStats(
         loss=loss, loss_vfl=loss_vfl, loss_cons=loss_cons, batch_size=batch.n
@@ -570,16 +598,11 @@ def train_downstream(
     encoder_anchor = head_anchor = None
     if mode.uses_constraint:
         active = pretrained.active
-        encoder_anchor = {n: p.copy() for n, p in active.encoder_params.items()}
+        encoder_anchor = active.build_encoder().theta
         head_anchor = {
-            "weight": active.head_params["0.weight"].copy(),
-            "bias": active.head_params["0.bias"].copy(),
+            "weight": active.head_params["0.weight"],
+            "bias": active.head_params["0.bias"],
         }
-        if head_anchor["weight"].shape != (1, rep_dims[1]):
-            raise SchemaError(
-                f"active head anchor has shape {head_anchor['weight'].shape}, "
-                f"expected (1, {rep_dims[1]})"
-            )
     server = ServerNode(
         head,
         rep_dims,

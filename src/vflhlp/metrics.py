@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UndefinedMetricError
+from .errors import TrainingError, UndefinedMetricError
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -13,7 +13,8 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
     pair with exactly 0.5, the same convention as counting pairs directly.
     O(n log n); exact in float64 for any realistic n.
 
-    Raises UndefinedMetricError when labels contain a single class.
+    Raises UndefinedMetricError when labels contain a single class, and
+    TrainingError when a score is not finite (the scoring model diverged).
     """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -23,8 +24,8 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
             f"{labels.shape} and {scores.shape}"
         )
     if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
-    if not np.isin(labels, (0.0, 1.0)).all():
+        raise TrainingError("scores must be finite; the model has diverged")
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         raise ValueError("labels must be 0 or 1")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos

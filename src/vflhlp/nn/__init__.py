@@ -4,6 +4,7 @@ from .layers import (
     EncoderSpec,
     GradBundle,
     Mlp,
+    ParamLayout,
     TabularEncoder,
     glorot_uniform,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "EncoderSpec",
     "GradBundle",
     "Mlp",
+    "ParamLayout",
     "SgdOptimizer",
     "TabularEncoder",
     "bce_with_logits",

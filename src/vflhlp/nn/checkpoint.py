@@ -12,16 +12,20 @@ Layout (all integers little-endian):
         raw  C-order little-endian data
 
 Two checkpoints with equal tensors and metadata are byte-identical, which
-is what the reproducibility criteria compare. The zip-based numpy formats
+is what the reproducibility criteria compare. A file that does not parse
+exactly (cut short, an unknown dtype code, trailing bytes) is a DataError. The zip-based numpy formats
 embed timestamps, so they are not used here.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from ..errors import DataError
 
 MAGIC = b"TBCKPT01"
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8")}
@@ -51,13 +55,28 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; a truncated or corrupt file raises DataError naming it."""
     buf = Path(path).read_bytes()
+    try:
+        return _parse(buf, path)
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint: {exc}") from None
+
+
+def _parse(buf: bytes, path) -> tuple[dict[str, np.ndarray], dict]:
+    def need(nbytes: int, what: str) -> None:
+        if off + nbytes > len(buf):
+            raise DataError(f"{path}: {what} cut short")
+
     if buf[:8] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+        raise DataError(f"{path}: not a checkpoint file")
     off = 8
     (meta_len,) = struct.unpack_from("<I", buf, off)
     off += 4
+    need(meta_len, "metadata")
     meta = json.loads(buf[off : off + meta_len].decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint metadata is not a JSON object")
     off += meta_len
     (count,) = struct.unpack_from("<I", buf, off)
     off += 4
@@ -65,17 +84,21 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", buf, off)
         off += 2
+        need(name_len, "tensor name")
         name = buf[off : off + name_len].decode("utf-8")
         off += name_len
         code, ndim = struct.unpack_from("<BB", buf, off)
         off += 2
+        if code not in _DTYPES:
+            raise DataError(f"{path}: tensor {name!r} has unknown dtype code {code}")
         shape = struct.unpack_from(f"<{ndim}I", buf, off)
         off += 4 * ndim
         dtype = _DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(buf[off : off + nbytes], dtype=dtype).reshape(shape)
-        off += nbytes
-        tensors[name] = arr.copy()  # detach from the read-only buffer
+        n_items = math.prod(shape)
+        need(n_items * dtype.itemsize, f"tensor {name!r}")
+        arr = np.frombuffer(buf, dtype=dtype, count=n_items, offset=off)
+        off += n_items * dtype.itemsize
+        tensors[name] = arr.reshape(shape).copy()  # detach from the read-only buffer
     if off != len(buf):
-        raise ValueError(f"{path}: trailing bytes after last tensor")
+        raise DataError(f"{path}: trailing bytes after last tensor")
     return tensors, meta

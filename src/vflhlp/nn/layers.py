@@ -5,9 +5,18 @@ gradients of the forward passes. No autograd framework: training here has
 to agree with finite differences to ~1e-4 relative error and the split
 protocol has to agree with a centralized reference to 1e-10, so the
 arithmetic is kept explicit and deterministic.
+
+Each model (an encoder or an Mlp head) keeps all of its parameters in one
+contiguous float64 vector, `theta`. The per-tensor arrays (`params()`,
+`EmbeddingTable.tables`, `DenseLayer.weights` and `.bias`) are views into
+it, so an optimizer step, a finite check or a copy is one vector operation.
+Write into those views in place (`arr[...] = ...`); rebinding one detaches
+it from the model.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +36,75 @@ def _as_f64(x, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise SchemaError(f"{name} must be 2-d, got shape {arr.shape}")
     return arr
+
+
+class ParamLayout:
+    """Names, shapes and offsets of the tensors packed into one flat vector."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.names = list(shapes)
+        self.shapes = [tuple(shape) for shape in shapes.values()]
+        self.starts = [0]
+        for shape in self.shapes:
+            self.starts.append(self.starts[-1] + math.prod(shape))
+        self.size = self.starts[-1]
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into `vec`, which must have `size` entries."""
+        return {
+            name: vec[a:b].reshape(shape)
+            for name, shape, a, b in zip(
+                self.names, self.shapes, self.starts, self.starts[1:]
+            )
+        }
+
+    def flatten(self, values: dict[str, np.ndarray]) -> np.ndarray:
+        """Pack named arrays into one vector; names and shapes must match exactly."""
+        missing = sorted(set(self.names) - set(values))
+        extra = sorted(set(values) - set(self.names))
+        if missing or extra:
+            raise SchemaError(
+                f"parameter name mismatch: missing {missing}, unexpected {extra}"
+            )
+        parts = []
+        for name, shape in zip(self.names, self.shapes):
+            arr = np.asarray(values[name], dtype=np.float64)
+            if arr.shape != shape:
+                raise SchemaError(
+                    f"parameter {name!r} has shape {arr.shape}, expected {shape}"
+                )
+            parts.append(arr.ravel())
+        return np.concatenate(parts)
+
+    def name_at(self, index: int) -> str:
+        """Name of the tensor that holds flat entry `index`."""
+        return self.names[bisect.bisect_right(self.starts, index) - 1]
+
+
+class FlatParams:
+    """Parameters as named views into one float64 vector, `theta`.
+
+    Subclasses set `theta`, `layout` and `_views` (the named views).
+    """
+
+    theta: np.ndarray
+    layout: ParamLayout
+    _views: dict[str, np.ndarray]
+
+    def params(self) -> dict[str, np.ndarray]:
+        """Live parameter arrays; writing into them writes into the model."""
+        return dict(self._views)
+
+    def params_copy(self) -> dict[str, np.ndarray]:
+        return self.layout.views(self.theta.copy())
+
+    def set_params(self, values: dict[str, np.ndarray]) -> None:
+        """Overwrite parameters in place; names and shapes must match exactly."""
+        self.theta[...] = self.layout.flatten(values)
+
+    def grads_dict(self, grad: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into a flat gradient laid out like `theta`."""
+        return self.layout.views(grad)
 
 
 class DenseLayer:
@@ -52,6 +130,14 @@ class DenseLayer:
         w = glorot_uniform(rng, out_dim, in_dim)
         b = np.zeros(out_dim, dtype=np.float64)
         return cls(w, b, activation)
+
+    def bind(self, buf: np.ndarray) -> None:
+        """Copy weights then bias into `buf` and keep them there as views."""
+        n = self.weights.size
+        buf[:n] = self.weights.ravel()
+        buf[n:] = self.bias
+        self.weights = buf[:n].reshape(self.weights.shape)
+        self.bias = buf[n:]
 
     @property
     def in_dim(self) -> int:
@@ -94,7 +180,7 @@ class MlpTape:
     preacts: list[np.ndarray]
 
 
-class Mlp:
+class Mlp(FlatParams):
     """Stack of dense layers; hidden layers relu, final layer identity by default."""
 
     def __init__(self, layers: list[DenseLayer]):
@@ -106,6 +192,23 @@ class Mlp:
                     f"layer dims do not chain: {a.out_dim} -> {b.in_dim}"
                 )
         self.layers = layers
+        shapes = {}
+        for i, layer in enumerate(layers):
+            shapes[f"{i}.weight"] = layer.weights.shape
+            shapes[f"{i}.bias"] = layer.bias.shape
+        self.layout = ParamLayout(shapes)
+        # (weight start, bias start, end) of each layer in theta
+        st = self.layout.starts
+        self._spans = [(st[2 * i], st[2 * i + 1], st[2 * i + 2])
+                       for i in range(len(layers))]
+        self.bind(np.empty(self.layout.size))
+
+    def bind(self, buf: np.ndarray) -> None:
+        """Copy the parameters into `buf` and keep them there; `buf` becomes theta."""
+        for layer, (a, _, b) in zip(self.layers, self._spans):
+            layer.bind(buf[a:b])
+        self.theta = buf
+        self._views = self.layout.views(buf)
 
     @classmethod
     def init(
@@ -143,42 +246,34 @@ class Mlp:
         return out, MlpTape(inputs, preacts)
 
     def backward(
-        self, tape: MlpTape, upstream: np.ndarray
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Return (per-layer (dW, db) list, gradient w.r.t. the input)."""
+        self, tape: MlpTape, upstream: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return (flat parameter gradient laid out like theta, input gradient).
+
+        The gradient is written into `out` when given, else into a new vector.
+        """
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != tape.preacts[-1].shape:
             raise SchemaError(
                 f"upstream shape {upstream.shape} does not match output "
                 f"{tape.preacts[-1].shape}"
             )
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
+        grad = np.empty(self.layout.size) if out is None else out
         d = upstream
         for i in range(len(self.layers) - 1, -1, -1):
             dw, db, d = self.layers[i].backward(tape.inputs[i], tape.preacts[i], d)
-            grads[i] = (dw, db)
-        return grads, d
-
-    def params(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays keyed '<i>.weight' / '<i>.bias'."""
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            out[f"{i}.weight"] = layer.weights
-            out[f"{i}.bias"] = layer.bias
-        return out
-
-    def grads_dict(
-        self, layer_grads: list[tuple[np.ndarray, np.ndarray]]
-    ) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, (dw, db) in enumerate(layer_grads):
-            out[f"{i}.weight"] = dw
-            out[f"{i}.bias"] = db
-        return out
+            a, m, b = self._spans[i]
+            grad[a:m] = dw.ravel()
+            grad[m:b] = db
+        return grad, d
 
 
 class EmbeddingTable:
-    """Per-field embedding matrices; row 0 of every table is the unseen bucket."""
+    """Per-field embedding matrices fused into one [sum of cardinalities, dim] block.
+
+    Row 0 of every field's table is the unseen bucket; `tables` holds one
+    view into the block per field.
+    """
 
     def __init__(self, tables: dict[str, np.ndarray]):
         if not tables:
@@ -186,8 +281,27 @@ class EmbeddingTable:
         dims = {t.shape[1] for t in tables.values()}
         if len(dims) != 1:
             raise SchemaError(f"embedding dims differ across fields: {sorted(dims)}")
-        self.tables = {k: np.asarray(v, dtype=np.float64) for k, v in tables.items()}
         self.embed_dim = next(iter(dims))
+        self.field_names = list(tables)
+        cards = [t.shape[0] for t in tables.values()]
+        self.cards = np.array(cards, dtype=np.uint64)
+        self.offsets = np.cumsum([0, *cards[:-1]]).astype(np.int64)
+        self._bind_block(
+            np.concatenate([np.asarray(t, dtype=np.float64) for t in tables.values()])
+        )
+
+    def _bind_block(self, block: np.ndarray) -> None:
+        self.block = block
+        self.tables = {
+            name: block[a : a + int(card)]
+            for name, a, card in zip(self.field_names, self.offsets, self.cards)
+        }
+
+    def bind(self, buf: np.ndarray) -> None:
+        """Copy the block into the flat `buf` and keep it there."""
+        block = buf.reshape(self.block.shape)
+        block[...] = self.block
+        self._bind_block(block)
 
     @classmethod
     def init(
@@ -204,62 +318,64 @@ class EmbeddingTable:
         return cls(tables)
 
     @property
-    def field_names(self) -> list[str]:
-        return list(self.tables.keys())
-
-    @property
     def out_dim(self) -> int:
-        return len(self.tables) * self.embed_dim
+        return len(self.field_names) * self.embed_dim
 
-    def _clean_indices(self, cat: np.ndarray) -> np.ndarray:
+    def lookup(self, cat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gather per-field rows: ([n, n_fields * embed_dim], block rows [n, n_fields]).
+
+        Out-of-range and negative indices fall into the field's unseen bucket.
+        The returned block rows are what `backward` takes.
+        """
         cat = np.asarray(cat)
-        if cat.ndim != 2 or cat.shape[1] != len(self.tables):
+        if cat.ndim != 2 or cat.shape[1] != len(self.field_names):
             raise SchemaError(
-                f"categorical batch must be [n, {len(self.tables)}], got {cat.shape}"
+                f"categorical batch must be [n, {len(self.field_names)}], got {cat.shape}"
             )
-        cat = cat.astype(np.int64, copy=True)
-        # out-of-range indices fall into the reserved unseen bucket
-        for j, table in enumerate(self.tables.values()):
-            col = cat[:, j]
-            bad = (col < 0) | (col >= table.shape[0])
-            if bad.any():
-                col[bad] = 0
-        return cat
+        idx = cat.astype(np.int64, copy=False)
+        # as unsigned, negative indices are huge, so one comparison catches both ends
+        bad = idx.view(np.uint64) >= self.cards
+        rows = np.where(bad, 0, idx) + self.offsets
+        return self.block[rows].reshape(cat.shape[0], self.out_dim), rows
 
-    def lookup(self, cat: np.ndarray) -> np.ndarray:
-        """Gather and concatenate per-field rows: [n, n_fields * embed_dim]."""
-        idx = self._clean_indices(cat)
-        parts = [table[idx[:, j]] for j, table in enumerate(self.tables.values())]
-        return np.concatenate(parts, axis=1)
+    def backward(
+        self, rows: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Scatter-add the upstream gradient into a zeroed block-shaped gradient.
 
-    def backward(self, cat: np.ndarray, upstream: np.ndarray) -> dict[str, np.ndarray]:
-        """Scatter-add the upstream gradient back into per-table grads."""
-        idx = self._clean_indices(cat)
-        if upstream.shape != (idx.shape[0], self.out_dim):
+        `out`, when given, is overwritten; duplicate rows accumulate.
+        """
+        if upstream.shape != (rows.shape[0], self.out_dim):
             raise SchemaError(
                 f"embedding upstream must be [n, {self.out_dim}], got {upstream.shape}"
             )
-        grads = {}
-        for j, (name, table) in enumerate(self.tables.items()):
-            g = np.zeros_like(table)
-            sl = upstream[:, j * self.embed_dim : (j + 1) * self.embed_dim]
-            np.add.at(g, idx[:, j], sl)
-            grads[name] = g
-        return grads
+        if out is None:
+            out = np.zeros_like(self.block)
+        else:
+            out.fill(0.0)
+        np.add.at(out, rows.ravel(), upstream.reshape(-1, self.embed_dim))
+        return out
 
 
 @dataclass
 class EncoderTape:
-    cat: np.ndarray | None
+    rows: np.ndarray | None  # embedding block rows, already cleaned
     mlp_tape: MlpTape
 
 
 @dataclass
 class GradBundle:
-    """All parameter gradients plus the gradient w.r.t. the mlp input row."""
+    """An encoder's parameter gradient as one vector laid out like its theta,
+    plus the gradient w.r.t. the mlp input row."""
 
-    param_grads: dict[str, np.ndarray]
+    flat: np.ndarray
     input_grads: np.ndarray
+    layout: ParamLayout
+
+    @property
+    def param_grads(self) -> dict[str, np.ndarray]:
+        """Named views into `flat`."""
+        return self.layout.views(self.flat)
 
 
 @dataclass(frozen=True)
@@ -319,13 +435,28 @@ class EncoderSpec:
         return TabularEncoder(embed, Mlp(layers), self)
 
 
-class TabularEncoder:
-    """Embedding tables (optional) feeding an Mlp; one per party."""
+class TabularEncoder(FlatParams):
+    """Embedding tables (optional) feeding an Mlp; one per party.
+
+    theta holds the fused embedding block first, then each dense layer's
+    weight and bias.
+    """
 
     def __init__(self, embed: EmbeddingTable | None, mlp: Mlp, spec: EncoderSpec):
         self.embed = embed
         self.mlp = mlp
         self.spec = spec
+        self.embed_size = 0 if embed is None else embed.block.size
+        self.theta = np.empty(self.embed_size + mlp.layout.size)
+        shapes = {}
+        if embed is not None:
+            embed.bind(self.theta[: self.embed_size])
+            shapes = {f"embed.{n}": t.shape for n, t in embed.tables.items()}
+        mlp.bind(self.theta[self.embed_size :])
+        for name, shape in zip(mlp.layout.names, mlp.layout.shapes):
+            shapes[f"mlp.{name}"] = shape
+        self.layout = ParamLayout(shapes)
+        self._views = self.layout.views(self.theta)
 
     @property
     def rep_dim(self) -> int:
@@ -334,14 +465,14 @@ class TabularEncoder:
     def forward(self, cat: np.ndarray | None, num: np.ndarray | None):
         """Embed + concat + mlp. Returns (representation, tape)."""
         parts = []
-        cat_arr = None
+        rows = None
         n = None
         if self.embed is not None:
             if cat is None:
                 raise SchemaError("encoder has embeddings but got no categorical batch")
-            cat_arr = np.asarray(cat)
-            parts.append(self.embed.lookup(cat_arr))
-            n = cat_arr.shape[0]
+            emb, rows = self.embed.lookup(cat)
+            parts.append(emb)
+            n = rows.shape[0]
         if self.spec.num_fields:
             if num is None:
                 raise SchemaError("encoder expects numerical features but got none")
@@ -356,44 +487,17 @@ class TabularEncoder:
             parts.append(num)
         x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         out, mlp_tape = self.mlp.forward(x)
-        return out, EncoderTape(cat_arr, mlp_tape)
+        return out, EncoderTape(rows, mlp_tape)
 
     def backward(self, tape: EncoderTape, upstream: np.ndarray) -> GradBundle:
-        layer_grads, dx = self.mlp.backward(tape.mlp_tape, upstream)
-        grads = {f"mlp.{k}": v for k, v in self.mlp.grads_dict(layer_grads).items()}
+        """Gradient laid out like theta, as a new vector plus named views."""
+        grad = np.empty(self.layout.size)
+        e = self.embed_size
+        _, dx = self.mlp.backward(tape.mlp_tape, upstream, out=grad[e:])
         if self.embed is not None:
-            e_dim = self.embed.out_dim
-            emb_grads = self.embed.backward(tape.cat, dx[:, :e_dim])
-            for name, g in emb_grads.items():
-                grads[f"embed.{name}"] = g
-        return GradBundle(param_grads=grads, input_grads=dx)
-
-    def params(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays; mutating them mutates the encoder."""
-        out: dict[str, np.ndarray] = {}
-        if self.embed is not None:
-            for name, table in self.embed.tables.items():
-                out[f"embed.{name}"] = table
-        for k, v in self.mlp.params().items():
-            out[f"mlp.{k}"] = v
-        return out
-
-    def params_copy(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params().items()}
-
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite parameters in place; names and shapes must match exactly."""
-        current = self.params()
-        missing = sorted(set(current) - set(values))
-        extra = sorted(set(values) - set(current))
-        if missing or extra:
-            raise SchemaError(
-                f"parameter name mismatch: missing {missing}, unexpected {extra}"
+            self.embed.backward(
+                tape.rows,
+                dx[:, : self.embed.out_dim],
+                out=grad[:e].reshape(self.embed.block.shape),
             )
-        for name, arr in current.items():
-            new = np.asarray(values[name], dtype=np.float64)
-            if new.shape != arr.shape:
-                raise SchemaError(
-                    f"parameter {name!r} has shape {new.shape}, expected {arr.shape}"
-                )
-            arr[...] = new
+        return GradBundle(flat=grad, input_grads=dx, layout=self.layout)

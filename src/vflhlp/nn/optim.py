@@ -2,18 +2,27 @@
 
 Optimizers mutate the parameter arrays in place. State is keyed by
 parameter name so the same optimizer instance can be checkpointed and the
-update sequence replayed bit-for-bit.
+update sequence replayed bit-for-bit. An entry may be a model's whole flat
+parameter vector; pass its ParamLayout in `layouts` so a non-finite
+gradient is reported by the tensor that holds it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import TrainingError
+from .layers import ParamLayout
 
 
-def _check_finite(grads: dict[str, np.ndarray]) -> None:
+def _check_finite(
+    grads: dict[str, np.ndarray], layouts: dict[str, ParamLayout] | None
+) -> None:
     for name, g in grads.items():
         if not np.isfinite(g).all():
+            layout = (layouts or {}).get(name)
+            if layout is not None:
+                first = int(np.flatnonzero(~np.isfinite(g))[0])
+                name = f"{name}.{layout.name_at(first)}"
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
 
 
@@ -21,9 +30,13 @@ class SgdOptimizer:
     """theta <- theta - lr * grad. Stateless."""
 
     def step(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float
+        self,
+        params: dict[str, np.ndarray],
+        grads: dict[str, np.ndarray],
+        lr: float,
+        layouts: dict[str, ParamLayout] | None = None,
     ) -> None:
-        _check_finite(grads)
+        _check_finite(grads, layouts)
         for name, p in params.items():
             p -= lr * grads[name]
 
@@ -40,9 +53,13 @@ class AdamOptimizer:
         self.v: dict[str, np.ndarray] = {}
 
     def step(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float
+        self,
+        params: dict[str, np.ndarray],
+        grads: dict[str, np.ndarray],
+        lr: float,
+        layouts: dict[str, ParamLayout] | None = None,
     ) -> None:
-        _check_finite(grads)
+        _check_finite(grads, layouts)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t

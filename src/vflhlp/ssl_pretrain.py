@@ -243,8 +243,8 @@ def pretrain_passive(
     corrupt_rng = stream(seed, "ssl", k, "corruption")
     probe_rng = stream(seed, "ssl", k, "probe")
     optimizer = make_optimizer(cfg.optimizer)
-    params = {f"enc.{n}": p for n, p in encoder.params().items()}
-    params.update({f"proj.{n}": p for n, p in projection.params().items()})
+    params = {"enc": encoder.theta, "proj": projection.theta}
+    layouts = {"enc": encoder.layout, "proj": projection.layout}
 
     def batch_ranges(epoch: int) -> list[np.ndarray]:
         perm = stream(seed, "ssl", k, "shuffle", epoch).permutation(view.n)
@@ -266,16 +266,8 @@ def pretrain_passive(
             pg_corr, dr_corr = projection.backward(ptape_corr, result.grad_z_tilde)
             eb_clean = encoder.backward(tape_clean, dr_clean)
             eb_corr = encoder.backward(tape_corr, dr_corr)
-            grads: dict[str, np.ndarray] = {}
-            for name, g in encoder.params().items():
-                grads[f"enc.{name}"] = (
-                    eb_clean.param_grads[name] + eb_corr.param_grads[name]
-                )
-            pgd_clean = projection.grads_dict(pg_clean)
-            pgd_corr = projection.grads_dict(pg_corr)
-            for name in pgd_clean:
-                grads[f"proj.{name}"] = pgd_clean[name] + pgd_corr[name]
-            optimizer.step(params, grads, cfg.learning_rate)
+            grads = {"enc": eb_clean.flat + eb_corr.flat, "proj": pg_clean + pg_corr}
+            optimizer.step(params, grads, cfg.learning_rate, layouts)
         return result.loss
 
     def epoch_pass(epoch: int, rng, update: bool) -> float:

@@ -53,7 +53,7 @@ class ActivePretrained:
     def build_head(self) -> Mlp:
         w = self.head_params["0.weight"]
         b = self.head_params["0.bias"]
-        return Mlp([DenseLayer(w.copy(), b.copy(), "identity")])
+        return Mlp([DenseLayer(w, b, "identity")])  # Mlp copies into its own theta
 
 
 def pretrain_active(
@@ -79,8 +79,8 @@ def pretrain_active(
     encoder = spec.build(stream(seed, "sup", "init-encoder"))
     head = Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1])
     optimizer = make_optimizer(cfg.optimizer)
-    params = {f"enc.{n}": p for n, p in encoder.params().items()}
-    params.update({f"head.{n}": p for n, p in head.params().items()})
+    params = {"enc": encoder.theta, "head": head.theta}
+    layouts = {"enc": encoder.layout, "head": head.layout}
 
     n_val = int(round(cfg.val_fraction * view.n))
     perm = stream(seed, "sup", "val-split").permutation(view.n)
@@ -104,13 +104,11 @@ def pretrain_active(
             rep, enc_tape = encoder.forward(view.cat[rows], view.num[rows])
             logits, head_tape = head.forward(rep)
             loss, dlogits = bce_with_logits(logits[:, 0], labels[rows])
-            head_layer_grads, drep = head.backward(head_tape, dlogits[:, None])
-            enc_bundle = encoder.backward(enc_tape, drep)
-            grads = {f"enc.{n}": g for n, g in enc_bundle.param_grads.items()}
-            grads.update(
-                {f"head.{n}": g for n, g in head.grads_dict(head_layer_grads).items()}
+            head_grad, drep = head.backward(head_tape, dlogits[:, None])
+            enc_grad = encoder.backward(enc_tape, drep).flat
+            optimizer.step(
+                params, {"enc": enc_grad, "head": head_grad}, cfg.learning_rate, layouts
             )
-            optimizer.step(params, grads, cfg.learning_rate)
             total += loss * rows.size
             count += rows.size
         trace.append(total / count)
@@ -122,8 +120,7 @@ def pretrain_active(
             except UndefinedMetricError:
                 score = None
             if score is not None and (best is None or score > best[0]):
-                best = (score, epoch, encoder.params_copy(),
-                        {n: p.copy() for n, p in head.params().items()})
+                best = (score, epoch, encoder.params_copy(), head.params_copy())
 
     if best is not None:
         val_score, best_epoch, enc_params, head_params = best
@@ -133,7 +130,7 @@ def pretrain_active(
         val_score = None
         best_epoch = cfg.epochs
         enc_params = encoder.params_copy()
-        head_params = {n: p.copy() for n, p in head.params().items()}
+        head_params = head.params_copy()
         degenerate = cfg.epochs > 0 and val_rows.size > 0
     return ActivePretrained(
         spec=spec,

@@ -128,7 +128,7 @@ def _random_federation(index: int):
     rep_dims = {k: specs[k].rep_dim for k in specs}
     head = Mlp.init(stream(index, "acceptance", "head"), [sum(rep_dims.values()), 1])
     anchor_rng = stream(index, "acceptance", "anchor")
-    enc_anchor = specs[1].build(anchor_rng).params_copy()
+    enc_anchor = specs[1].build(anchor_rng).theta
     head_anchor = {
         "weight": anchor_rng.standard_normal((1, specs[1].rep_dim)),
         "bias": anchor_rng.standard_normal(1),

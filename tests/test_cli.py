@@ -3,6 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vflhlp.cli import main
@@ -169,6 +170,21 @@ def test_eval_without_checkpoints_fails(cfg_path, out):
     assert run("eval", "--config", cfg_path, "--out", out) == 4
 
 
+def test_truncated_checkpoints_are_data_errors(trained_out, cfg_path, capsys):
+    final = trained_out / "train" / "seed7" / "count20" / "vflhlp" / "final.ckpt"
+    final.write_bytes(final.read_bytes()[:-5])
+    capsys.readouterr()
+    assert run("eval", "--config", cfg_path, "--out", trained_out) == 3
+    assert "final.ckpt" in capsys.readouterr().err
+
+    active = trained_out / "checkpoints" / "seed7" / "active.ckpt"
+    active.write_bytes(active.read_bytes()[:10])  # cut inside the header
+    assert run("train", "--config", cfg_path, "--out", trained_out,
+               "--mode", "vflhlp") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "active.ckpt" in err
+
+
 # ------------------------------------------------------------------ grid
 
 
@@ -190,6 +206,32 @@ def test_grid_writes_tables_and_is_deterministic(cfg_path, tmp_path):
     assert "bayes oracle ceiling" in summary
     assert (out1 / "grid" / "seed7" / "count40" / "vflhlp.ckpt").exists()
     assert (out1 / "grid" / "seed7" / "local_a.ckpt").exists()
+
+
+def test_grid_records_a_diverged_cell_and_carries_on(tmp_path, capsys):
+    # beta = 1e300 blows the active party's weights up in the one update;
+    # the gradients were still finite, so only the scores show it
+    raw = {
+        **TINY,
+        "downstream": {**TINY["downstream"], "epochs": 1, "batch_size": 64},
+        "grid": {**TINY["grid"], "modes": ["vflhlp", "vanilla_vfl"],
+                 "beta_sweep": [1e300, 0.1]},
+    }
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "g"
+    with np.errstate(all="ignore"):
+        assert run("grid", "--config", cfg, "--out", out) == 4
+    assert "2 grid cells failed" in capsys.readouterr().err
+    rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1], r[3], r[4]) for r in rows] == [
+        (mode, count, beta, status)
+        for count in ("20", "40")
+        for mode, beta, status in (("vflhlp", "1e+300", "failed"),
+                                   ("vflhlp", "0.1", "ok"),
+                                   ("vanilla_vfl", "0.0", "ok"))
+    ]
+    assert all("TrainingError: scores must be finite" in r[6] for r in rows[::3])
 
 
 def test_grid_respects_seed_flag(cfg_path, tmp_path):

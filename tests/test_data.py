@@ -183,6 +183,9 @@ def test_load_csv_roundtrip(tmp_path):
 
 
 def test_load_csv_error_messages_carry_line_numbers(tmp_path):
+    good = tmp_path / "good.csv"
+    _write_csv(good, _sample_rows())
+    _, enc = load_csv(good, _schema(), "id", "label")
     dup = tmp_path / "dup.csv"
     _write_csv(dup, ["1,0,red,0.5,tri,1.0", "1,1,blue,0.25,box,2.0"])
     with pytest.raises(DataError, match=r":3: duplicate"):
@@ -192,6 +195,14 @@ def test_load_csv_error_messages_carry_line_numbers(tmp_path):
     _write_csv(bad_num, ["1,0,red,0.5,tri,1.0", "2,1,blue,oops,box,2.0"])
     with pytest.raises(DataError, match=r":3:.*x1"):
         load_csv(bad_num, _schema(), "id", "label")
+
+    for raw in ("nan", "inf", "-Infinity"):
+        non_finite = tmp_path / "nonfinite.csv"
+        _write_csv(non_finite, ["1,0,red,0.5,tri,1.0", f"2,1,blue,{raw},box,2.0"])
+        with pytest.raises(DataError, match=r":3:.*x1.*not a finite number"):
+            load_csv(non_finite, _schema(), "id", "label")
+        with pytest.raises(DataError, match=r":3:.*x1.*not a finite number"):
+            transform_csv(non_finite, _schema(), enc, "id", "label")
 
     bad_label = tmp_path / "badlabel.csv"
     _write_csv(bad_label, ["1,0,red,0.5,tri,1.0", "2,7,blue,0.2,box,2.0"])

@@ -197,7 +197,7 @@ def test_round_gradients_match_fd_unconstrained(tiny_bundle, specs3):
 
 def test_round_gradients_match_fd_with_constraint(tiny_bundle, specs3, pretrained):
     train, batch = _round_batch(tiny_bundle, count=12)
-    anchors = {n: p.copy() for n, p in pretrained.active.encoder_params.items()}
+    anchors = pretrained.active.build_encoder().theta
     head_anchor = {
         "weight": pretrained.active.head_params["0.weight"].copy(),
         "bias": pretrained.active.head_params["0.bias"].copy(),
@@ -237,7 +237,7 @@ def test_first_round_constraint_is_zero_when_started_at_anchors(
     tiny_bundle, specs3, pretrained
 ):
     train, batch = _round_batch(tiny_bundle, count=20)
-    anchors = {n: p.copy() for n, p in pretrained.active.encoder_params.items()}
+    anchors = pretrained.active.build_encoder().theta
     head_anchor = {
         "weight": pretrained.active.head_params["0.weight"].copy(),
         "bias": pretrained.active.head_params["0.bias"].copy(),

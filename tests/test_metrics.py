@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vflhlp.errors import UndefinedMetricError
+from vflhlp.errors import TrainingError, UndefinedMetricError
 from vflhlp.metrics import auc
 from vflhlp.rng import stream
 
@@ -68,7 +68,9 @@ def test_auc_single_class_is_undefined():
 def test_auc_rejects_bad_inputs():
     with pytest.raises(ValueError):
         auc(np.array([0, 1, 2]), np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(TrainingError):  # a diverged model, not a caller's bug
         auc(np.array([0, 1]), np.array([0.5, np.nan]))
+    with pytest.raises(TrainingError):
+        auc(np.array([0, 1]), np.array([-np.inf, 0.5]))
     with pytest.raises(ValueError):
         auc(np.array([0, 1]), np.zeros(3))

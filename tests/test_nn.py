@@ -7,7 +7,7 @@ trusts the implementation to check itself.
 import numpy as np
 import pytest
 
-from vflhlp.errors import SchemaError, TrainingError
+from vflhlp.errors import DataError, SchemaError, TrainingError
 from vflhlp.nn import (
     AdamOptimizer,
     DenseLayer,
@@ -158,7 +158,7 @@ def test_glorot_bounds():
 
 def test_embedding_row0_reserved_and_out_of_range_mapped():
     table = EmbeddingTable.init(stream(2, "emb"), [("f", 5)], embed_dim=4)
-    vecs = table.lookup(np.array([[0], [1], [4], [5], [-1], [99]], dtype=np.int64))
+    vecs, _ = table.lookup(np.array([[0], [1], [4], [5], [-1], [99]], dtype=np.int64))
     row0 = table.tables["f"][0]
     assert np.array_equal(vecs[0, :4], row0)
     assert np.array_equal(vecs[3, :4], row0)  # == cardinality
@@ -173,7 +173,9 @@ def test_embedding_backward_matches_onehot_matmul():
     table = EmbeddingTable.init(rng, [("a", 4), ("b", 3)], embed_dim=2)
     cat = np.array([[1, 2], [3, 0], [1, 1]], dtype=np.int64)
     up = rng.standard_normal((3, 4))
-    grads = table.backward(cat, up)
+    _, rows = table.lookup(cat)
+    block = table.backward(rows, up)
+    grads = {"a": block[:4], "b": block[4:]}
     onehot_a = np.zeros((3, 4))
     onehot_a[np.arange(3), cat[:, 0]] = 1.0
     onehot_b = np.zeros((3, 3))
@@ -187,6 +189,40 @@ def test_embedding_init_range():
     t = table.tables["f"]
     assert np.abs(t).max() <= 0.05
     assert t.shape == (100, 8)
+
+
+def test_fused_embedding_matches_per_field_reference():
+    # the fused block gathers and scatter-adds exactly like one table per field
+    rng = stream(16, "emb-fused")
+    cards = [("a", 4), ("b", 1), ("c", 6)]
+    table = EmbeddingTable.init(rng, cards, embed_dim=3)
+    per_field = {name: table.tables[name].copy() for name, _ in cards}
+    # negative, == cardinality, far out of range, and repeated indices
+    cat = np.array(
+        [[1, 0, 5], [-3, 2, 5], [3, -1, 6], [1, 0, 99], [4, 0, 0], [1, 7, 5]],
+        dtype=np.int64,
+    )
+    up = rng.standard_normal((cat.shape[0], 9))
+
+    ref_vecs, ref_grads = [], {}
+    for j, (name, card) in enumerate(cards):
+        col = cat[:, j].copy()
+        col[(col < 0) | (col >= card)] = 0
+        ref_vecs.append(per_field[name][col])
+        g = np.zeros((card, 3))
+        for i, row in enumerate(col):
+            g[row] += up[i, 3 * j : 3 * j + 3]
+        ref_grads[name] = g
+
+    vecs, rows = table.lookup(cat)
+    np.testing.assert_array_equal(vecs, np.concatenate(ref_vecs, axis=1))
+    block = table.backward(rows, up)
+    assert block.shape == (11, 3)
+    np.testing.assert_array_equal(block[:4], ref_grads["a"])
+    np.testing.assert_array_equal(block[4:5], ref_grads["b"])
+    np.testing.assert_array_equal(block[5:], ref_grads["c"])
+    # duplicates accumulate: field a's row 1 is hit three times
+    np.testing.assert_array_equal(block[1], up[0, :3] + up[3, :3] + up[5, :3])
 
 
 # -------------------------------------------------------------------- encoder
@@ -245,6 +281,86 @@ def test_build_empty_then_set_params_reproduces_encoder():
     a, _ = enc.forward(cat, num)
     b, _ = clone.forward(cat, num)
     assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------- flat parameters
+
+def _all_views(enc: TabularEncoder) -> dict[str, np.ndarray]:
+    """Every named array an encoder exposes, keyed by its params() name."""
+    views = {f"embed.{n}": t for n, t in enc.embed.tables.items()}
+    for i, layer in enumerate(enc.mlp.layers):
+        views[f"mlp.{i}.weight"] = layer.weights
+        views[f"mlp.{i}.bias"] = layer.bias
+    return views
+
+
+def test_flat_theta_writes_show_through_every_view():
+    spec = small_spec(n_cat=2, n_num=2, cardinality=5, embed_dim=3, hidden=(6, 4))
+    enc = spec.build(stream(30, "flat"))
+    params = enc.params()
+    assert set(params) == set(_all_views(enc))
+    assert sum(p.size for p in params.values()) == enc.theta.size
+    for name, arr in list(params.items()) + list(_all_views(enc).items()):
+        assert np.shares_memory(arr, enc.theta), name
+
+    # set_params writes through
+    values = {n: np.full(p.shape, i + 1.0) for i, (n, p) in enumerate(params.items())}
+    enc.set_params(values)
+    for source in (enc.params(), _all_views(enc)):
+        for name, arr in source.items():
+            np.testing.assert_array_equal(arr, values[name])
+    np.testing.assert_array_equal(enc.theta, enc.layout.flatten(values))
+
+    # an optimizer step on the flat entry writes through
+    grad = stream(30, "grad").standard_normal(enc.theta.size)
+    expected = {n: v - 0.5 * g for (n, v), g in
+                zip(values.items(), enc.grads_dict(grad).values())}
+    SgdOptimizer().step({"encoder": enc.theta}, {"encoder": grad}, lr=0.5)
+    for source in (enc.params(), _all_views(enc)):
+        for name, arr in source.items():
+            np.testing.assert_array_equal(arr, expected[name])
+    cat, num = draw_encoder_inputs(stream(30, "in"), spec, 4)
+    clone = spec.build_empty()
+    clone.set_params(expected)
+    np.testing.assert_array_equal(enc.forward(cat, num)[0], clone.forward(cat, num)[0])
+
+
+def test_mlp_inside_encoder_shares_the_encoder_theta():
+    enc = small_spec().build(stream(31, "flat-mlp"))
+    assert np.shares_memory(enc.mlp.theta, enc.theta)
+    enc.mlp.theta[:] = 2.0
+    assert (enc.theta[enc.embed_size:] == 2.0).all()
+
+
+@pytest.mark.parametrize("make", [SgdOptimizer, AdamOptimizer])
+def test_flat_step_is_bitwise_equal_to_per_tensor_steps(make):
+    mlp = Mlp.init(stream(32, "flat-opt"), [5, 7, 3])
+    theta0 = mlp.theta.copy()
+    reference = {n: p.copy() for n, p in mlp.params().items()}
+    flat_opt, ref_opt = make(), make()
+    rng = stream(32, "grads")
+    for _ in range(3):
+        grad = rng.standard_normal(mlp.theta.size) * 10.0 ** rng.integers(-6, 3)
+        flat_opt.step({"m": mlp.theta}, {"m": grad}, lr=0.01)
+        ref_opt.step(reference, mlp.grads_dict(grad), lr=0.01)
+    assert not np.array_equal(mlp.theta, theta0)
+    for name, arr in mlp.params().items():
+        assert arr.tobytes() == reference[name].tobytes(), name
+
+
+def test_non_finite_flat_gradient_names_the_tensor():
+    enc = small_spec(n_cat=1, n_num=2, hidden=(8,)).build(stream(33, "nan"))
+    for opt in (SgdOptimizer(), AdamOptimizer()):
+        for bad in ("mlp.0.weight", "embed.c0"):
+            grad = np.zeros(enc.theta.size)
+            enc.grads_dict(grad)[bad].flat[1] = np.nan
+            with pytest.raises(TrainingError, match=rf"'encoder\.{bad}'"):
+                opt.step({"encoder": enc.theta}, {"encoder": grad}, 0.1,
+                         {"encoder": enc.layout})
+    # without a layout the flat entry is still named
+    with pytest.raises(TrainingError, match="'encoder'"):
+        SgdOptimizer().step({"encoder": enc.theta},
+                            {"encoder": np.full(enc.theta.size, np.inf)}, 0.1)
 
 
 # --------------------------------------------------------------------- losses
@@ -436,3 +552,30 @@ def test_checkpoint_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(Exception):
         save_checkpoint(tmp_path / "f32.ckpt",
                         {"a": np.zeros(2, dtype=np.float32)}, {})
+
+
+def test_checkpoint_corruption_is_always_a_data_error(tmp_path):
+    # every truncation and a seeded sample of single-byte flips either loads
+    # or raises DataError naming the file; nothing else escapes
+    p = tmp_path / "small.ckpt"
+    save_checkpoint(
+        p,
+        {"w": np.arange(6.0).reshape(2, 3), "ids": np.array([3, 1], dtype=np.int64)},
+        {"stage": "fuzz", "seed": 1},
+    )
+    raw = p.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    for cut in range(len(raw)):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(DataError, match="bad.ckpt"):
+            load_checkpoint(bad)
+    rng = stream(34, "ckpt-fuzz")
+    for _ in range(400):
+        flipped = bytearray(raw)
+        at = int(rng.integers(len(raw)))
+        flipped[at] ^= int(rng.integers(1, 256))
+        bad.write_bytes(bytes(flipped))
+        try:
+            load_checkpoint(bad)
+        except DataError as exc:
+            assert "bad.ckpt" in str(exc)

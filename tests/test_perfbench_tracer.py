@@ -1,0 +1,52 @@
+"""The benchmark's tracer still finds every entry point it wraps.
+
+perfbench/tracer.py wraps named functions and methods of the package. A
+rename, or a path that stops going through one of them, should fail here
+rather than in a traced benchmark run. Only reads perfbench/.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import vflhlp.cli  # noqa: F401  (loads every module whose bindings get patched)
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_installs_and_uninstalls_every_entry_point():
+    tracer = _load_tracer()
+    functions = {}
+    for module, attr in tracer.FUNCTIONS:
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert callable(fn), f"{module}.{attr} is gone"
+        functions[(module, attr)] = fn
+    methods = {}
+    for module, cls_name, meth in tracer.METHODS:
+        cls = getattr(importlib.import_module(module), cls_name, None)
+        assert cls is not None, f"{module}.{cls_name} is gone"
+        assert meth in vars(cls), f"{module}.{cls_name}.{meth} is not defined there"
+        methods[(module, cls_name, meth)] = vars(cls)[meth]
+
+    t = tracer.Tracer("guard")
+    t.install()  # raises if any binding of a traced function is left unwrapped
+    try:
+        losses = importlib.import_module("vflhlp.nn.losses")
+        assert losses.bce_with_logits is not functions[("vflhlp.nn.losses", "bce_with_logits")]
+        losses.bce_with_logits(np.zeros(3), np.array([0.0, 1.0, 1.0]))
+        assert t.names[t.name[-1]] == "nn.bce_with_logits"
+    finally:
+        t.uninstall()
+
+    for (module, attr), fn in functions.items():
+        assert getattr(importlib.import_module(module), attr) is fn
+    for (module, cls_name, meth), fn in methods.items():
+        assert vars(getattr(importlib.import_module(module), cls_name))[meth] is fn
