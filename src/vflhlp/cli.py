@@ -22,14 +22,9 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_hash, encoder_specs, load_config
-from .data import DatasetBundle, load_bundle, save_bundle
+from .data import DatasetBundle, load_bundle, read_manifest, save_bundle
 from .errors import ConfigError, DataError, TrainingError
-from .evaluation import (
-    build_bundle,
-    evaluate_mode,
-    run_grid,
-    write_grid_outputs,
-)
+from .evaluation import build_bundle, evaluate_mode, flatten_trained, run_grid
 from .federated import (
     PretrainedWeights,
     TrainedFederation,
@@ -64,15 +59,24 @@ def _ckpt_dir(out: Path, seed: int) -> Path:
     return out / "checkpoints" / f"seed{seed}"
 
 
+def _cache_is_current(cache: Path, chash: str, seed: int) -> bool:
+    """True if `cache` holds a dataset built from this config and seed."""
+    manifest_path = cache / "manifest.json"
+    if not manifest_path.exists():
+        return False
+    meta = read_manifest(manifest_path).get("meta")
+    return (
+        isinstance(meta, dict)
+        and meta.get("config_hash") == chash
+        and meta.get("seed") == seed
+    )
+
+
 def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> DatasetBundle:
     """Load the cached dataset if it matches this config, else build it."""
     cache = _cache_dir(out, seed)
-    chash = config_hash(cfg)
-    if (cache / "manifest.json").exists():
-        bundle, manifest = load_bundle(cache)
-        meta = manifest.get("meta", {})
-        if meta.get("config_hash") == chash and meta.get("seed") == seed:
-            return bundle
+    if _cache_is_current(cache, config_hash(cfg), seed):
+        return load_bundle(cache)[0]
     return build_bundle(cfg, seed)
 
 
@@ -80,13 +84,9 @@ def cmd_prepare(cfg: RunConfig, out: Path) -> int:
     chash = config_hash(cfg)
     for seed in cfg.grid.seeds:
         cache = _cache_dir(out, seed)
-        manifest_path = cache / "manifest.json"
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
-            meta = manifest.get("meta", {})
-            if meta.get("config_hash") == chash and meta.get("seed") == seed:
-                print(f"seed {seed}: cache up to date at {cache}")
-                continue
+        if _cache_is_current(cache, chash, seed):
+            print(f"seed {seed}: cache up to date at {cache}")
+            continue
         bundle = build_bundle(cfg, seed)
         save_bundle(cache, bundle, meta={"config_hash": chash, "seed": seed})
         dims = {
@@ -233,10 +233,9 @@ def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
                 with (run_dir / "history.jsonl").open("w") as fh:
                     for entry in trained.history:
                         fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                tensors = _flatten(trained)
                 save_checkpoint(
                     run_dir / "final.ckpt",
-                    tensors,
+                    flatten_trained(trained),
                     {
                         "stage": "downstream",
                         "mode": mode.value,
@@ -269,23 +268,6 @@ def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
                     f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}"
                 )
     return 0
-
-
-def _flatten(trained: TrainedFederation | TrainedLocal) -> dict[str, np.ndarray]:
-    if isinstance(trained, TrainedLocal):
-        tensors = {
-            f"party1.encoder.{n}": p
-            for n, p in trained.model.encoder_params.items()
-        }
-        tensors.update({f"head.{n}": p for n, p in trained.model.head_params.items()})
-        return tensors
-    tensors = {}
-    for k, encoder in trained.encoders.items():
-        for n, p in encoder.params().items():
-            tensors[f"party{k}.encoder.{n}"] = p
-    for n, p in trained.head.params().items():
-        tensors[f"head.{n}"] = p
-    return tensors
 
 
 def _rebuild(specs, tensors: dict[str, np.ndarray], mode: TrainMode):
@@ -355,7 +337,6 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
 
 def cmd_grid(cfg: RunConfig, out: Path) -> int:
     result = run_grid(cfg, out_dir=out, log=lambda msg: print(msg, flush=True))
-    write_grid_outputs(result, out)
     print(result.render_text(), end="")
     if not result.all_ok():
         failed = [c for c in result.cells if c.status == "failed"]

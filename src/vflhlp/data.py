@@ -745,21 +745,54 @@ def save_bundle(cache_dir, bundle: DatasetBundle, meta: dict | None = None) -> N
     )
 
 
+def read_manifest(path) -> dict:
+    """Parse a cache's manifest.json; DataError naming the file if it is not a JSON object."""
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest is not a JSON object")
+    return manifest
+
+
+def _load_array(path: Path) -> np.ndarray:
+    try:
+        return np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataError(f"{path}: unreadable array: {exc}") from None
+
+
 def load_bundle(cache_dir) -> tuple[DatasetBundle, dict]:
-    """Load a cached bundle; returns (bundle, manifest)."""
+    """Load a cached bundle; returns (bundle, manifest).
+
+    A missing, truncated or corrupt file, or a manifest without the keys
+    and arrays it should list, raises DataError naming the file.
+    """
     cache_dir = Path(cache_dir)
     manifest_path = cache_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{cache_dir}: no manifest.json, not a dataset cache")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(manifest_path)
     if manifest.get("format_version") != _CACHE_VERSION:
         raise DataError(
             f"{cache_dir}: cache format {manifest.get('format_version')!r} "
             f"is not supported"
         )
+    try:
+        return _bundle_from_cache(cache_dir, manifest), manifest
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise DataError(
+            f"{manifest_path}: malformed manifest: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _bundle_from_cache(cache_dir: Path, manifest: dict) -> DatasetBundle:
     arrays = {
-        name: np.load(cache_dir / f"{name}.npy", allow_pickle=False)
-        for name in manifest["arrays"]
+        name: _load_array(cache_dir / f"{name}.npy") for name in manifest["arrays"]
     }
     schema = FeatureSchema(
         tuple(
@@ -801,7 +834,6 @@ def load_bundle(cache_dir) -> tuple[DatasetBundle, dict]:
     parts = None
     if manifest["has_oracle"]:
         parts = {k: arrays[f"test_logit_party{k}"] for k in range(1, k_parties + 1)}
-    bundle = DatasetBundle(
+    return DatasetBundle(
         train=train, validation=validation, test=test, test_logit_parts=parts
     )
-    return bundle, manifest

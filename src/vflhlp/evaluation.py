@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -315,6 +316,33 @@ def _cell_tag(mode: str, beta: float, sweep: bool) -> str:
     return f"{mode}_b{beta:g}" if sweep else mode
 
 
+def train_local_a(cfg: RunConfig, seed: int) -> tuple[TrainedLocal, float]:
+    """Train and score one seed's local_a cell from scratch.
+
+    local_a depends on neither pre-training nor the aligned count, so
+    run_grid runs this in a worker process while it trains the seed's other
+    cells. The job builds its own dataset from the config, so a freshly
+    spawned worker needs nothing else from the parent process.
+    """
+    bundle = build_bundle(cfg, seed)
+    specs = encoder_specs(bundle.train, cfg.model)
+    dcfg = replace(cfg.downstream, seed=seed, beta=0.0)
+    trained = train_downstream(bundle.train, specs, TrainMode.LOCAL_A, None, dcfg)
+    return trained, evaluate_mode(trained, bundle.test)
+
+
+def _spare_cpus() -> int:
+    """CPUs available to this process, less the one the grid itself uses."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus - 1)
+
+
+_CELL_ERRORS = (ConfigError, DataError, TrainingError, UndefinedMetricError)
+
+
 def run_grid(
     cfg: RunConfig, out_dir: Path | None = None, log=None
 ) -> GridResult:
@@ -323,7 +351,16 @@ def run_grid(
     Returns a GridResult with one cell per (mode, aligned_count, seed, beta).
     Modes that do not use the constraint always run with beta = 0; modes
     that do use the configured beta, or every value of grid.beta_sweep.
+
+    Each seed's local_a cell trains in a worker process (train_local_a)
+    while this process pre-trains and trains the federated cells; its
+    result is filled into its serial position at the end of the seed, so
+    the outputs do not depend on the number of workers.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     say = log or (lambda msg: None)
     chash = config_hash(cfg)
     modes = [TrainMode.parse(m) for m in cfg.grid.modes]
@@ -331,89 +368,95 @@ def run_grid(
     need_active = any(m.uses_constraint for m in modes) or cfg.downstream.warm_start_active
     need_passive = any(m.warm_starts_passive for m in modes)
 
-    cells: list[CellResult] = []
+    cells: list[CellResult | None] = []  # None marks a local_a cell not yet back
     ssl_traces: dict[str, list[float]] = {}
     active_val: dict[str, float | None] = {}
     oracle: dict[str, float] = {}
 
-    for seed in cfg.grid.seeds:
-        say(f"seed {seed}: building dataset")
-        bundle = build_bundle(cfg, seed)
-        specs = encoder_specs(bundle.train, cfg.model)
-        pre = pretrain_for_seed(cfg, bundle, seed, need_active, need_passive)
-        for k, trace in pre.ssl_traces.items():
-            ssl_traces[f"seed{seed}/party{k}"] = trace
-        if need_active:
-            active_val[f"seed{seed}"] = pre.active_val_auc
-        if cfg.grid.include_oracle and bundle.test.bayes_scores is not None:
-            oracle[f"seed{seed}"] = auc(bundle.test.labels, bundle.test.bayes_scores)
+    pool = None
+    local_a_jobs = {}
+    try:
+        if TrainMode.LOCAL_A in modes:
+            workers = min(_spare_cpus(), len(cfg.grid.seeds))
+            # spawn, not fork: forking a process that may run threads
+            # (BLAS, a caller's) can deadlock the child
+            pool = ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+            )
+            local_a_jobs = {
+                seed: pool.submit(train_local_a, cfg, seed) for seed in cfg.grid.seeds
+            }
+        for seed in cfg.grid.seeds:
+            say(f"seed {seed}: building dataset")
+            bundle = build_bundle(cfg, seed)
+            specs = encoder_specs(bundle.train, cfg.model)
+            pre = pretrain_for_seed(cfg, bundle, seed, need_active, need_passive)
+            for k, trace in pre.ssl_traces.items():
+                ssl_traces[f"seed{seed}/party{k}"] = trace
+            if need_active:
+                active_val[f"seed{seed}"] = pre.active_val_auc
+            if cfg.grid.include_oracle and bundle.test.bayes_scores is not None:
+                oracle[f"seed{seed}"] = auc(bundle.test.labels, bundle.test.bayes_scores)
 
-        local_a_cache: tuple[TrainedLocal, float] | None = None
-        for count in cfg.grid.aligned_counts:
-            view = bundle.train.with_aligned_count(count)
-            for mode in modes:
-                if mode.uses_constraint:
-                    betas = sweep or (cfg.downstream.beta,)
-                else:
-                    betas = (0.0,)
-                for beta in betas:
-                    dcfg = replace(cfg.downstream, seed=seed, beta=beta)
-                    say(
-                        f"seed {seed}: n_al={count} mode={mode.value} beta={beta:g}"
-                    )
-                    try:
+            local_a_slots: list[tuple[int, int]] = []  # (index in cells, count)
+            for count in cfg.grid.aligned_counts:
+                view = bundle.train.with_aligned_count(count)
+                for mode in modes:
+                    if mode.uses_constraint:
+                        betas = sweep or (cfg.downstream.beta,)
+                    else:
+                        betas = (0.0,)
+                    for beta in betas:
+                        say(
+                            f"seed {seed}: n_al={count} mode={mode.value} beta={beta:g}"
+                        )
                         if mode is TrainMode.LOCAL_A:
-                            # independent of the aligned count; train once per seed
-                            if local_a_cache is None:
-                                trained = train_downstream(
-                                    view, specs, mode, pre.weights, dcfg
-                                )
-                                score = evaluate_mode(trained, bundle.test)
-                                local_a_cache = (trained, score)
-                            trained, score = local_a_cache
-                        else:
+                            local_a_slots.append((len(cells), count))
+                            cells.append(None)
+                            continue
+                        dcfg = replace(cfg.downstream, seed=seed, beta=beta)
+                        try:
                             trained = train_downstream(
                                 view, specs, mode, pre.weights, dcfg
                             )
-                            report = audit_transport(
-                                trained.transport, bundle.train
-                            )
+                            report = audit_transport(trained.transport, bundle.train)
                             if not report.ok:
                                 raise TrainingError(
                                     "transport audit failed: "
                                     + "; ".join(report.violations)
                                 )
                             score = evaluate_mode(trained, bundle.test)
-                        cells.append(
-                            CellResult(
-                                mode=mode.value,
-                                aligned_count=count,
-                                seed=seed,
-                                beta=beta,
-                                status="ok",
-                                test_auc=score,
-                                error=None,
-                                history=trained.history,
-                            )
-                        )
+                        except _CELL_ERRORS as exc:
+                            cells.append(_failed_cell(mode, count, seed, beta, exc))
+                            continue
+                        cells.append(_ok_cell(mode, count, seed, beta, trained, score))
                         if out_dir is not None:
                             _write_cell_checkpoint(
                                 out_dir, seed, count, mode, beta, bool(sweep),
                                 trained, chash,
                             )
-                    except (ConfigError, DataError, TrainingError,
-                            UndefinedMetricError) as exc:
-                        cells.append(
-                            CellResult(
-                                mode=mode.value,
-                                aligned_count=count,
-                                seed=seed,
-                                beta=beta,
-                                status="failed",
-                                test_auc=None,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        )
+
+            if not local_a_slots:
+                continue
+            try:
+                trained, score = local_a_jobs[seed].result()
+            except BrokenProcessPool as exc:
+                raise TrainingError(
+                    f"the worker training local_a for seed {seed} died: {exc}"
+                ) from exc
+            except _CELL_ERRORS as exc:
+                for i, count in local_a_slots:
+                    cells[i] = _failed_cell(TrainMode.LOCAL_A, count, seed, 0.0, exc)
+                continue
+            for i, count in local_a_slots:
+                cells[i] = _ok_cell(TrainMode.LOCAL_A, count, seed, 0.0, trained, score)
+            if out_dir is not None:
+                _write_cell_checkpoint(
+                    out_dir, seed, 0, TrainMode.LOCAL_A, 0.0, bool(sweep), trained, chash
+                )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     result = GridResult(
         config_hash=chash,
@@ -432,9 +475,35 @@ def run_grid(
     return result
 
 
-def _flatten_trained(
+def _ok_cell(mode, count, seed, beta, trained, score) -> CellResult:
+    return CellResult(
+        mode=mode.value,
+        aligned_count=count,
+        seed=seed,
+        beta=beta,
+        status="ok",
+        test_auc=score,
+        error=None,
+        history=trained.history,
+    )
+
+
+def _failed_cell(mode, count, seed, beta, exc: Exception) -> CellResult:
+    return CellResult(
+        mode=mode.value,
+        aligned_count=count,
+        seed=seed,
+        beta=beta,
+        status="failed",
+        test_auc=None,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def flatten_trained(
     trained: TrainedFederation | TrainedLocal,
 ) -> dict[str, np.ndarray]:
+    """Checkpoint tensors of a downstream model, keyed "party{k}.encoder.*" and "head.*"."""
     if isinstance(trained, TrainedLocal):
         tensors = {
             f"party1.encoder.{n}": p for n, p in trained.model.encoder_params.items()
@@ -458,9 +527,7 @@ def _write_cell_checkpoint(
     cell_dir = Path(out_dir) / "grid" / f"seed{seed}"
     name = _cell_tag(mode.value, beta, sweep)
     if mode is TrainMode.LOCAL_A:
-        path = cell_dir / f"{name}.ckpt"
-        if path.exists():
-            return  # one per seed; counts share it
+        path = cell_dir / f"{name}.ckpt"  # one per seed; counts share it
     else:
         path = cell_dir / f"count{count}" / f"{name}.ckpt"
     meta = {
@@ -471,7 +538,7 @@ def _write_cell_checkpoint(
         "beta": beta,
         "config_hash": chash,
     }
-    save_checkpoint(path, _flatten_trained(trained), meta)
+    save_checkpoint(path, flatten_trained(trained), meta)
 
 
 def write_grid_outputs(result: GridResult, out_dir: Path) -> None:

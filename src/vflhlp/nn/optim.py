@@ -66,8 +66,11 @@ class AdamOptimizer:
         c2 = 1.0 - b2**self.t
         for name, p in params.items():
             g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
+            m = self.m.get(name)
+            if m is None:
+                m = self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
+            v = self.v[name]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2

@@ -185,6 +185,26 @@ def test_truncated_checkpoints_are_data_errors(trained_out, cfg_path, capsys):
     assert "data error" in err and "active.ckpt" in err
 
 
+def test_corrupt_dataset_cache_is_a_data_error(cfg_path, out, capsys):
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    cache = out / "cache" / "seed7"
+    num = cache / "party1_num.npy"
+    raw = num.read_bytes()
+    num.write_bytes(raw[: len(raw) // 2])
+    capsys.readouterr()
+    assert run("eval", "--config", cfg_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "party1_num.npy" in err
+
+    num.write_bytes(raw)
+    manifest = cache / "manifest.json"
+    manifest.write_text(manifest.read_text()[:-40])
+    for command in ("eval", "prepare"):
+        assert run(command, "--config", cfg_path, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "manifest.json" in err
+
+
 # ------------------------------------------------------------------ grid
 
 

@@ -353,6 +353,43 @@ def test_bundle_cache_rejects_unknown_format(tmp_path, tiny_bundle):
         load_bundle(tmp_path / "nowhere")
 
 
+def test_bundle_cache_corruption_is_a_data_error_naming_the_file(tmp_path, tiny_bundle):
+    d = tmp_path / "cache"
+    save_bundle(d, tiny_bundle)
+    num = d / "party1_num.npy"
+    raw = num.read_bytes()
+    for cut in (len(raw) // 2, 40, 0):  # in the data, in the header, empty
+        num.write_bytes(raw[:cut])
+        with pytest.raises(DataError, match="party1_num.npy"):
+            load_bundle(d)
+    num.unlink()
+    with pytest.raises(DataError, match="party1_num.npy"):
+        load_bundle(d)
+    num.write_bytes(raw)
+
+    manifest_path = d / "manifest.json"
+    text = manifest_path.read_text()
+    for garbled in (text[: len(text) // 2], "[1, 2]", "\xff\xfe"):
+        manifest_path.write_text(garbled)
+        with pytest.raises(DataError, match="manifest.json"):
+            load_bundle(d)
+    for key in ("arrays", "schema", "k_parties", "aligned_count", "has_oracle"):
+        manifest = json.loads(text)
+        del manifest[key]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="manifest.json"):
+            load_bundle(d)
+    manifest = json.loads(text)
+    manifest["arrays"].remove("labels")
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="labels"):
+        load_bundle(d)
+    manifest["schema"][0]["kind"] = "ordinal"  # a ConfigError from Field
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="manifest.json"):
+        load_bundle(d)
+
+
 def test_schema_validation():
     with pytest.raises(ConfigError, match="duplicate"):
         FeatureSchema((Field("a", "numerical", 1), Field("a", "numerical", 2)))

@@ -481,6 +481,16 @@ def test_adam_state_is_per_parameter_name():
     assert "b" in opt.m and opt.m["b"][0] == pytest.approx(0.1)
 
 
+def test_adam_state_arrays_are_allocated_once():
+    p = np.array([1.0, -2.0])
+    opt = AdamOptimizer()
+    opt.step({"p": p}, {"p": np.array([0.5, 0.25])}, lr=0.1)
+    m, v = opt.m["p"], opt.v["p"]
+    opt.step({"p": p}, {"p": np.array([-0.5, 1.0])}, lr=0.1)
+    assert opt.m["p"] is m and opt.v["p"] is v
+    np.testing.assert_allclose(m, [0.9 * 0.05 - 0.05, 0.9 * 0.025 + 0.1], rtol=1e-12)
+
+
 def test_optimizers_reject_non_finite_grads():
     p = np.array([1.0])
     with pytest.raises(TrainingError):
