@@ -18,26 +18,23 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, config_hash, encoder_specs, load_config
-from .data import DatasetBundle, load_bundle, read_manifest, save_bundle
+from .data import DatasetBundle, load_bundle, read_json_object, save_bundle
 from .errors import ConfigError, DataError, TrainingError
-from .evaluation import build_bundle, evaluate_mode, flatten_trained, run_grid
-from .federated import (
-    PretrainedWeights,
-    TrainedFederation,
-    TrainedLocal,
-    TrainMode,
-    TransportLog,
-    audit_transport,
-    train_downstream,
+from .evaluation import (
+    build_bundle,
+    evaluate_mode,
+    load_pretrained,
+    pretrain_for_seed,
+    rebuild_trained,
+    run_cell,
+    run_grid,
+    save_cell_checkpoint,
+    save_pretrained,
 )
-from .nn import Mlp, load_checkpoint, save_checkpoint
-from .nn.layers import DenseLayer
-from .sup_pretrain import ActivePretrained, pretrain_active
-from .ssl_pretrain import pretrain_passive
+from .federated import TrainMode
+from .nn import load_checkpoint
 
 ENV_OUT = "VFLHLP_OUT"
 
@@ -64,7 +61,7 @@ def _cache_is_current(cache: Path, chash: str, seed: int) -> bool:
     manifest_path = cache / "manifest.json"
     if not manifest_path.exists():
         return False
-    meta = read_manifest(manifest_path).get("meta")
+    meta = read_json_object(manifest_path).get("meta")
     return (
         isinstance(meta, dict)
         and meta.get("config_hash") == chash
@@ -101,99 +98,19 @@ def cmd_pretrain(cfg: RunConfig, out: Path, passive_only: bool) -> int:
     chash = config_hash(cfg)
     for seed in cfg.grid.seeds:
         bundle = _bundle_for(cfg, out, seed)
-        specs = encoder_specs(bundle.train, cfg.model)
-        ckpts = _ckpt_dir(out, seed)
+        pre = pretrain_for_seed(
+            cfg, bundle, seed, need_active=not passive_only, need_passive=True
+        )
+        save_pretrained(_ckpt_dir(out, seed), pre, seed, chash)
         if not passive_only:
-            active = pretrain_active(
-                bundle.train.parties[1],
-                bundle.train.labels,
-                specs[1],
-                cfg.supervised,
-                seed,
-            )
-            tensors = {f"encoder.{n}": p for n, p in active.encoder_params.items()}
-            tensors.update({f"head.{n}": p for n, p in active.head_params.items()})
-            save_checkpoint(
-                ckpts / "active.ckpt",
-                tensors,
-                {
-                    "stage": "active-pretrain",
-                    "party": 1,
-                    "seed": seed,
-                    "config_hash": chash,
-                    "best_epoch": active.best_epoch,
-                    "val_auc": active.val_auc,
-                    "degenerate_validation": active.degenerate_validation,
-                },
-            )
-            val = "n/a" if active.val_auc is None else f"{active.val_auc:.4f}"
+            val = "n/a" if pre.active_val_auc is None else f"{pre.active_val_auc:.4f}"
             print(f"seed {seed}: active party pre-trained, val AUC {val}")
-        for k in sorted(bundle.train.parties):
-            if k == 1:
-                continue
-            encoder, trace = pretrain_passive(
-                bundle.train.parties[k], specs[k], cfg.ssl, seed
-            )
-            tensors = {f"encoder.{n}": p for n, p in encoder.params().items()}
-            save_checkpoint(
-                ckpts / f"passive{k}.ckpt",
-                tensors,
-                {
-                    "stage": "ssl-pretrain",
-                    "party": k,
-                    "seed": seed,
-                    "config_hash": chash,
-                    "loss_trace": trace,
-                },
-            )
+        for k, trace in pre.ssl_traces.items():
             print(
                 f"seed {seed}: party {k} contrastive loss "
                 f"{trace[0]:.4f} -> {trace[-1]:.4f} over {len(trace) - 1} epochs"
             )
     return 0
-
-
-def _split_prefixed(
-    tensors: dict[str, np.ndarray], prefix: str
-) -> dict[str, np.ndarray]:
-    plen = len(prefix)
-    return {n[plen:]: p for n, p in tensors.items() if n.startswith(prefix)}
-
-
-def _load_pretrained(
-    out: Path, seed: int, specs, mode: TrainMode, warm_start_active: bool
-) -> PretrainedWeights:
-    ckpts = _ckpt_dir(out, seed)
-    weights = PretrainedWeights()
-    if mode.uses_constraint or warm_start_active:
-        path = ckpts / "active.ckpt"
-        if not path.exists():
-            raise TrainingError(
-                f"mode {mode.value} needs {path} for the active party (party 1); "
-                f"run `vflhlp pretrain` first"
-            )
-        tensors, meta = load_checkpoint(path)
-        weights.active = ActivePretrained(
-            spec=specs[1],
-            encoder_params=_split_prefixed(tensors, "encoder."),
-            head_params=_split_prefixed(tensors, "head."),
-            best_epoch=meta.get("best_epoch", 0),
-            val_auc=meta.get("val_auc"),
-            degenerate_validation=meta.get("degenerate_validation", False),
-        )
-    if mode.warm_starts_passive:
-        for k in sorted(specs):
-            if k == 1:
-                continue
-            path = ckpts / f"passive{k}.ckpt"
-            if not path.exists():
-                raise TrainingError(
-                    f"mode {mode.value} needs {path} for passive party {k}; "
-                    f"run `vflhlp pretrain` first"
-                )
-            tensors, _ = load_checkpoint(path)
-            weights.passive[k] = _split_prefixed(tensors, "encoder.")
-    return weights
 
 
 def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
@@ -202,54 +119,32 @@ def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
     for seed in cfg.grid.seeds:
         bundle = _bundle_for(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
-        local_a_cache = None
         for name in mode_names:
             mode = TrainMode.parse(name)
-            pretrained = _load_pretrained(
-                out, seed, specs, mode, cfg.downstream.warm_start_active
+            pretrained = load_pretrained(
+                _ckpt_dir(out, seed), specs, mode, cfg.downstream.warm_start_active
             )
+            beta = cfg.downstream.beta if mode.uses_constraint else 0.0
+            dcfg = replace(cfg.downstream, seed=seed, beta=beta)
+            cell = None
             for count in cfg.grid.aligned_counts:
-                view = bundle.train.with_aligned_count(count)
-                dcfg = replace(cfg.downstream, seed=seed)
-                if not mode.uses_constraint:
-                    dcfg = replace(dcfg, beta=0.0)
-                if mode is TrainMode.LOCAL_A:
-                    if local_a_cache is None:
-                        local_a_cache = train_downstream(
-                            view, specs, mode, pretrained, dcfg
-                        )
-                    trained = local_a_cache
-                    audit = None
-                else:
-                    trained = train_downstream(view, specs, mode, pretrained, dcfg)
-                    audit = audit_transport(trained.transport, bundle.train)
-                    if not audit.ok:
-                        raise TrainingError(
-                            "transport audit failed: " + "; ".join(audit.violations)
-                        )
-                score = evaluate_mode(trained, bundle.test)
+                if cell is None or mode.is_federated:  # local_a ignores the count
+                    cell_bundle = replace(bundle, train=bundle.train.with_aligned_count(count))
+                    cell = run_cell(cell_bundle, specs, mode, pretrained, dcfg)
+                trained, score, audit = cell
                 run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
                 run_dir.mkdir(parents=True, exist_ok=True)
                 with (run_dir / "history.jsonl").open("w") as fh:
                     for entry in trained.history:
                         fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                save_checkpoint(
-                    run_dir / "final.ckpt",
-                    flatten_trained(trained),
-                    {
-                        "stage": "downstream",
-                        "mode": mode.value,
-                        "seed": seed,
-                        "aligned_count": count,
-                        "beta": dcfg.beta,
-                        "config_hash": chash,
-                    },
+                save_cell_checkpoint(
+                    run_dir / "final.ckpt", trained, seed, count, beta, chash
                 )
                 result = {
                     "mode": mode.value,
                     "seed": seed,
                     "aligned_count": count,
-                    "beta": dcfg.beta,
+                    "beta": beta,
                     "test_auc": score,
                     "config_hash": chash,
                     "audit": None
@@ -270,31 +165,6 @@ def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
     return 0
 
 
-def _rebuild(specs, tensors: dict[str, np.ndarray], mode: TrainMode):
-    if mode is TrainMode.LOCAL_A:
-        model = ActivePretrained(
-            spec=specs[1],
-            encoder_params=_split_prefixed(tensors, "party1.encoder."),
-            head_params=_split_prefixed(tensors, "head."),
-            best_epoch=0,
-            val_auc=None,
-            degenerate_validation=False,
-        )
-        return TrainedLocal(mode=mode, model=model, history=[])
-    encoders = {}
-    for k, spec in specs.items():
-        encoder = spec.build_empty()
-        encoder.set_params(_split_prefixed(tensors, f"party{k}.encoder."))
-        encoders[k] = encoder
-    head_params = _split_prefixed(tensors, "head.")
-    head = Mlp(
-        [DenseLayer(head_params["0.weight"], head_params["0.bias"], "identity")]
-    )
-    return TrainedFederation(
-        mode=mode, encoders=encoders, head=head, history=[], transport=TransportLog()
-    )
-
-
 def cmd_eval(cfg: RunConfig, out: Path) -> int:
     any_found = False
     for seed in cfg.grid.seeds:
@@ -308,12 +178,12 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
                     continue
                 any_found = True
                 tensors, meta = load_checkpoint(ckpt)
-                trained = _rebuild(specs, tensors, TrainMode.parse(meta["mode"]))
+                trained = rebuild_trained(specs, tensors, TrainMode.parse(meta["mode"]))
                 score = evaluate_mode(trained, bundle.test)
                 recorded = None
                 result_path = run_dir / "result.json"
                 if result_path.exists():
-                    recorded = json.loads(result_path.read_text()).get("test_auc")
+                    recorded = read_json_object(result_path).get("test_auc")
                 (run_dir / "eval.json").write_text(
                     json.dumps(
                         {

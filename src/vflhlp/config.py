@@ -40,7 +40,6 @@ class ModelConfig:
 class CsvDataConfig:
     train_path: str = ""
     test_path: str = ""
-    validation_path: str | None = None
     id_column: str = "id"
     label_column: str = "label"
     k_parties: int = 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,11 +177,6 @@ class VerticalDataset:
         ids = np.asarray(ids, dtype=np.int64)
         return replace(self, aligned_pool=ids, aligned_count=int(ids.shape[0]))
 
-    def unaligned_ids(self, party: int) -> np.ndarray:
-        """Party's local IDs outside the full aligned pool."""
-        mask = np.isin(self.parties[party].ids, self.aligned_pool, invert=True)
-        return self.parties[party].ids[mask]
-
     def labels_for(self, ids: np.ndarray) -> np.ndarray:
         rows = self.parties[1].rows_for(ids)
         return self.labels[rows]
@@ -211,13 +206,10 @@ class AlignedBatch:
 
 @dataclass
 class DatasetBundle:
-    """A training dataset plus fully aligned validation and test splits."""
+    """A training dataset plus a fully aligned test split."""
 
     train: VerticalDataset
-    validation: AlignedSplit | None
     test: AlignedSplit
-    # per-party logit contributions on test rows, synthetic data only
-    test_logit_parts: dict[int, np.ndarray] | None = None
 
 
 def sample_aligned_batches(
@@ -534,7 +526,7 @@ class SynthConfig:
     k_parties: int = 3
     n_local: int = 5000
     aligned_pool: int = 800
-    n_validation: int = 1000
+    n_validation: int = 1000  # rows drawn and set aside, so the test rows stay put
     n_test: int = 2000
     num_fields_per_party: tuple[int, ...] = (5, 5, 5)
     cat_fields_per_party: tuple[int, ...] = (2, 2, 2)
@@ -623,8 +615,7 @@ def synth_generate(cfg: SynthConfig, seed: int) -> DatasetBundle:
     for k in range(1, K + 1):
         extra[k] = assign[off : off + per_party_extra]
         off += per_party_extra
-    val_rows = assign[off : off + cfg.n_validation]
-    off += cfg.n_validation
+    off += cfg.n_validation  # reserved rows: drawn, never used
     test_rows = assign[off : off + cfg.n_test]
 
     schema = cfg.schema()
@@ -661,8 +652,6 @@ def synth_generate(cfg: SynthConfig, seed: int) -> DatasetBundle:
             bayes_scores=posterior[order],
         )
 
-    validation = make_split(val_rows)
-    test = make_split(test_rows)
     train = VerticalDataset(
         schema=schema,
         parties=parties,
@@ -670,27 +659,13 @@ def synth_generate(cfg: SynthConfig, seed: int) -> DatasetBundle:
         aligned_pool=pool.astype(np.int64),
         aligned_count=cfg.aligned_pool,
     )
-    test_order = np.sort(test_rows)
-    parts = {k: logit_parts[test_order, k - 1] for k in range(1, K + 1)}
-    return DatasetBundle(
-        train=train, validation=validation, test=test, test_logit_parts=parts
-    )
+    return DatasetBundle(train=train, test=make_split(test_rows))
 
 
 # ---------------------------------------------------------------------------
 # dataset cache
 
 _CACHE_VERSION = 1
-
-
-def _split_arrays(tag: str, split: AlignedSplit, k_parties: int) -> dict[str, np.ndarray]:
-    out = {f"{tag}_ids": split.ids, f"{tag}_labels": split.labels}
-    for k in range(1, k_parties + 1):
-        out[f"{tag}_party{k}_cat"] = split.cat[k]
-        out[f"{tag}_party{k}_num"] = split.num[k]
-    if split.bayes_scores is not None:
-        out[f"{tag}_bayes"] = split.bayes_scores
-    return out
 
 
 def save_bundle(cache_dir, bundle: DatasetBundle, meta: dict | None = None) -> None:
@@ -706,20 +681,20 @@ def save_bundle(cache_dir, bundle: DatasetBundle, meta: dict | None = None) -> N
         arrays[f"party{k}_ids"] = view.ids
         arrays[f"party{k}_cat"] = view.cat
         arrays[f"party{k}_num"] = view.num
-    if bundle.validation is not None:
-        arrays.update(_split_arrays("val", bundle.validation, train.k_parties))
-    arrays.update(_split_arrays("test", bundle.test, train.k_parties))
-    if bundle.test_logit_parts is not None:
-        for k, part in bundle.test_logit_parts.items():
-            arrays[f"test_logit_party{k}"] = part
+    test = bundle.test
+    arrays["test_ids"] = test.ids
+    arrays["test_labels"] = test.labels
+    for k in range(1, train.k_parties + 1):
+        arrays[f"test_party{k}_cat"] = test.cat[k]
+        arrays[f"test_party{k}_num"] = test.num[k]
+    if test.bayes_scores is not None:
+        arrays["test_bayes"] = test.bayes_scores
     for name, arr in sorted(arrays.items()):
         np.save(cache_dir / f"{name}.npy", arr, allow_pickle=False)
     manifest = {
         "format_version": _CACHE_VERSION,
         "k_parties": train.k_parties,
         "aligned_count": train.aligned_count,
-        "has_validation": bundle.validation is not None,
-        "has_oracle": bundle.test_logit_parts is not None,
         "arrays": sorted(arrays),
         "schema": [
             {
@@ -745,16 +720,16 @@ def save_bundle(cache_dir, bundle: DatasetBundle, meta: dict | None = None) -> N
     )
 
 
-def read_manifest(path) -> dict:
-    """Parse a cache's manifest.json; DataError naming the file if it is not a JSON object."""
+def read_json_object(path) -> dict:
+    """Parse a JSON object from a file; DataError naming the file if it is not one."""
     path = Path(path)
     try:
-        manifest = json.loads(path.read_text())
+        obj = json.loads(path.read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: unreadable manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path}: manifest is not a JSON object")
-    return manifest
+        raise DataError(f"{path}: unreadable JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return obj
 
 
 def _load_array(path: Path) -> np.ndarray:
@@ -774,7 +749,7 @@ def load_bundle(cache_dir) -> tuple[DatasetBundle, dict]:
     manifest_path = cache_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{cache_dir}: no manifest.json, not a dataset cache")
-    manifest = read_manifest(manifest_path)
+    manifest = read_json_object(manifest_path)
     if manifest.get("format_version") != _CACHE_VERSION:
         raise DataError(
             f"{cache_dir}: cache format {manifest.get('format_version')!r} "
@@ -819,21 +794,11 @@ def _bundle_from_cache(cache_dir: Path, manifest: dict) -> DatasetBundle:
         aligned_pool=arrays["aligned_pool"],
         aligned_count=manifest["aligned_count"],
     )
-
-    def read_split(tag: str) -> AlignedSplit:
-        return AlignedSplit(
-            ids=arrays[f"{tag}_ids"],
-            cat={k: arrays[f"{tag}_party{k}_cat"] for k in range(1, k_parties + 1)},
-            num={k: arrays[f"{tag}_party{k}_num"] for k in range(1, k_parties + 1)},
-            labels=arrays[f"{tag}_labels"],
-            bayes_scores=arrays.get(f"{tag}_bayes"),
-        )
-
-    validation = read_split("val") if manifest["has_validation"] else None
-    test = read_split("test")
-    parts = None
-    if manifest["has_oracle"]:
-        parts = {k: arrays[f"test_logit_party{k}"] for k in range(1, k_parties + 1)}
-    return DatasetBundle(
-        train=train, validation=validation, test=test, test_logit_parts=parts
+    test = AlignedSplit(
+        ids=arrays["test_ids"],
+        cat={k: arrays[f"test_party{k}_cat"] for k in range(1, k_parties + 1)},
+        num={k: arrays[f"test_party{k}_num"] for k in range(1, k_parties + 1)},
+        labels=arrays["test_labels"],
+        bayes_scores=arrays.get("test_bayes"),
     )
+    return DatasetBundle(train=train, test=test)

@@ -5,6 +5,9 @@ the pre-trained weights are computed once and shared across every aligned
 count, which is sound because aligned subsets are nested prefixes of one
 pool and local pre-training never looks at alignment. Cell failures are
 recorded, not raised, so one diverging cell cannot take down a sweep.
+
+`run_cell`, which `train` runs too, and the tensor names of every
+checkpoint the pipeline writes also live here.
 """
 from __future__ import annotations
 
@@ -30,18 +33,22 @@ from .data import (
 )
 from .errors import ConfigError, DataError, TrainingError, UndefinedMetricError
 from .federated import (
+    AuditReport,
+    DownstreamConfig,
     PretrainedWeights,
     TrainedFederation,
     TrainedLocal,
     TrainMode,
+    TransportLog,
     audit_transport,
     federated_predict,
     train_downstream,
 )
 from .metrics import auc
-from .nn import save_checkpoint
+from .nn import Mlp, load_checkpoint, save_checkpoint
+from .nn.layers import DenseLayer, EncoderSpec
 from .ssl_pretrain import pretrain_passive
-from .sup_pretrain import local_predict, pretrain_active
+from .sup_pretrain import ActivePretrained, local_predict, pretrain_active
 
 
 def evaluate_mode(
@@ -67,13 +74,7 @@ def build_bundle(cfg: RunConfig, seed: int) -> DatasetBundle:
     ds = vertical_partition(train_table, schema, c.k_parties, c.aligned_pool, seed)
     test_table = transform_csv(c.test_path, schema, encoder, c.id_column, c.label_column)
     test = split_from_table(test_table, schema, c.k_parties)
-    validation = None
-    if c.validation_path:
-        val_table = transform_csv(
-            c.validation_path, schema, encoder, c.id_column, c.label_column
-        )
-        validation = split_from_table(val_table, schema, c.k_parties)
-    return DatasetBundle(train=ds, validation=validation, test=test)
+    return DatasetBundle(train=ds, test=test)
 
 
 @dataclass
@@ -316,6 +317,29 @@ def _cell_tag(mode: str, beta: float, sweep: bool) -> str:
     return f"{mode}_b{beta:g}" if sweep else mode
 
 
+def run_cell(
+    bundle: DatasetBundle,
+    specs: dict[int, EncoderSpec],
+    mode: TrainMode,
+    pretrained: PretrainedWeights | None,
+    dcfg: DownstreamConfig,
+) -> tuple[TrainedFederation | TrainedLocal, float, AuditReport | None]:
+    """Train one cell on bundle.train's aligned rows and score it on bundle.test.
+
+    A federated cell's transport log is audited first, and a payload that
+    copies a raw column or the labels raises TrainingError. local_a sends
+    nothing, so its audit is None. `train` and `grid` both run every cell
+    through here.
+    """
+    trained = train_downstream(bundle.train, specs, mode, pretrained, dcfg)
+    audit = None
+    if mode.is_federated:
+        audit = audit_transport(trained.transport, bundle.train)
+        if not audit.ok:
+            raise TrainingError("transport audit failed: " + "; ".join(audit.violations))
+    return trained, evaluate_mode(trained, bundle.test), audit
+
+
 def train_local_a(cfg: RunConfig, seed: int) -> tuple[TrainedLocal, float]:
     """Train and score one seed's local_a cell from scratch.
 
@@ -327,8 +351,8 @@ def train_local_a(cfg: RunConfig, seed: int) -> tuple[TrainedLocal, float]:
     bundle = build_bundle(cfg, seed)
     specs = encoder_specs(bundle.train, cfg.model)
     dcfg = replace(cfg.downstream, seed=seed, beta=0.0)
-    trained = train_downstream(bundle.train, specs, TrainMode.LOCAL_A, None, dcfg)
-    return trained, evaluate_mode(trained, bundle.test)
+    trained, score, _ = run_cell(bundle, specs, TrainMode.LOCAL_A, None, dcfg)
+    return trained, score
 
 
 def _spare_cpus() -> int:
@@ -400,7 +424,7 @@ def run_grid(
 
             local_a_slots: list[tuple[int, int]] = []  # (index in cells, count)
             for count in cfg.grid.aligned_counts:
-                view = bundle.train.with_aligned_count(count)
+                cell_bundle = replace(bundle, train=bundle.train.with_aligned_count(count))
                 for mode in modes:
                     if mode.uses_constraint:
                         betas = sweep or (cfg.downstream.beta,)
@@ -416,16 +440,9 @@ def run_grid(
                             continue
                         dcfg = replace(cfg.downstream, seed=seed, beta=beta)
                         try:
-                            trained = train_downstream(
-                                view, specs, mode, pre.weights, dcfg
+                            trained, score, _ = run_cell(
+                                cell_bundle, specs, mode, pre.weights, dcfg
                             )
-                            report = audit_transport(trained.transport, bundle.train)
-                            if not report.ok:
-                                raise TrainingError(
-                                    "transport audit failed: "
-                                    + "; ".join(report.violations)
-                                )
-                            score = evaluate_mode(trained, bundle.test)
                         except _CELL_ERRORS as exc:
                             cells.append(_failed_cell(mode, count, seed, beta, exc))
                             continue
@@ -521,24 +538,125 @@ def flatten_trained(
     return tensors
 
 
-def _write_cell_checkpoint(
-    out_dir: Path, seed, count, mode, beta, sweep, trained, chash
-) -> None:
-    cell_dir = Path(out_dir) / "grid" / f"seed{seed}"
-    name = _cell_tag(mode.value, beta, sweep)
+def _strip_prefix(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    plen = len(prefix)
+    return {n[plen:]: p for n, p in tensors.items() if n.startswith(prefix)}
+
+
+def rebuild_trained(
+    specs: dict[int, EncoderSpec], tensors: dict[str, np.ndarray], mode: TrainMode
+) -> TrainedFederation | TrainedLocal:
+    """The inverse of flatten_trained: a scorable model, without history or transport."""
     if mode is TrainMode.LOCAL_A:
-        path = cell_dir / f"{name}.ckpt"  # one per seed; counts share it
-    else:
-        path = cell_dir / f"count{count}" / f"{name}.ckpt"
+        model = ActivePretrained(
+            spec=specs[1],
+            encoder_params=_strip_prefix(tensors, "party1.encoder."),
+            head_params=_strip_prefix(tensors, "head."),
+            best_epoch=0,
+            val_auc=None,
+            degenerate_validation=False,
+        )
+        return TrainedLocal(mode=mode, model=model, history=[])
+    encoders = {}
+    for k, spec in specs.items():
+        encoders[k] = spec.build_empty()
+        encoders[k].set_params(_strip_prefix(tensors, f"party{k}.encoder."))
+    head_params = _strip_prefix(tensors, "head.")
+    head = Mlp(
+        [DenseLayer(head_params["0.weight"], head_params["0.bias"], "identity")]
+    )
+    return TrainedFederation(
+        mode=mode, encoders=encoders, head=head, history=[], transport=TransportLog()
+    )
+
+
+def save_cell_checkpoint(
+    path: Path, trained: TrainedFederation | TrainedLocal, seed, count, beta, chash
+) -> None:
+    """Write a downstream model with the metadata that `train` and `grid` both give it."""
     meta = {
         "stage": "downstream",
-        "mode": mode.value,
+        "mode": trained.mode.value,
         "seed": seed,
-        "aligned_count": 0 if mode is TrainMode.LOCAL_A else count,
+        "aligned_count": count,
         "beta": beta,
         "config_hash": chash,
     }
     save_checkpoint(path, flatten_trained(trained), meta)
+
+
+def _write_cell_checkpoint(
+    out_dir: Path, seed, count, mode, beta, sweep, trained, chash
+) -> None:
+    cell_dir = Path(out_dir) / "grid" / f"seed{seed}"
+    if mode.is_federated:  # local_a has one per seed, written with count 0
+        cell_dir = cell_dir / f"count{count}"
+    path = cell_dir / f"{_cell_tag(mode.value, beta, sweep)}.ckpt"
+    save_cell_checkpoint(path, trained, seed, count, beta, chash)
+
+
+def save_pretrained(ckpt_dir: Path, pre: SeedPretraining, seed: int, chash: str) -> None:
+    """Write one seed's pre-trained weights as the `pretrain` command leaves them.
+
+    active.ckpt holds "encoder.*" and "head.*"; passive{k}.ckpt holds "encoder.*".
+    """
+    active = pre.weights.active
+    if active is not None:
+        tensors = {f"encoder.{n}": p for n, p in active.encoder_params.items()}
+        tensors.update({f"head.{n}": p for n, p in active.head_params.items()})
+        meta = {
+            "stage": "active-pretrain",
+            "party": 1,
+            "seed": seed,
+            "config_hash": chash,
+            "best_epoch": active.best_epoch,
+            "val_auc": active.val_auc,
+            "degenerate_validation": active.degenerate_validation,
+        }
+        save_checkpoint(Path(ckpt_dir) / "active.ckpt", tensors, meta)
+    for k, params in pre.weights.passive.items():
+        meta = {
+            "stage": "ssl-pretrain",
+            "party": k,
+            "seed": seed,
+            "config_hash": chash,
+            "loss_trace": pre.ssl_traces[k],
+        }
+        tensors = {f"encoder.{n}": p for n, p in params.items()}
+        save_checkpoint(Path(ckpt_dir) / f"passive{k}.ckpt", tensors, meta)
+
+
+def load_pretrained(
+    ckpt_dir: Path,
+    specs: dict[int, EncoderSpec],
+    mode: TrainMode,
+    warm_start_active: bool,
+) -> PretrainedWeights:
+    """Read the pre-trained weights `mode` needs from what save_pretrained wrote."""
+    parties = [1] if mode.uses_constraint or warm_start_active else []
+    if mode.warm_starts_passive:
+        parties += [k for k in sorted(specs) if k != 1]
+    weights = PretrainedWeights()
+    for k in parties:
+        path = Path(ckpt_dir) / ("active.ckpt" if k == 1 else f"passive{k}.ckpt")
+        if not path.exists():
+            raise TrainingError(
+                f"mode {mode.value} needs {path} for party {k}; "
+                f"run `vflhlp pretrain` first"
+            )
+        tensors, meta = load_checkpoint(path)
+        if k > 1:
+            weights.passive[k] = _strip_prefix(tensors, "encoder.")
+            continue
+        weights.active = ActivePretrained(
+            spec=specs[1],
+            encoder_params=_strip_prefix(tensors, "encoder."),
+            head_params=_strip_prefix(tensors, "head."),
+            best_epoch=meta.get("best_epoch", 0),
+            val_auc=meta.get("val_auc"),
+            degenerate_validation=meta.get("degenerate_validation", False),
+        )
+    return weights
 
 
 def write_grid_outputs(result: GridResult, out_dir: Path) -> None:

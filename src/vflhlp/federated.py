@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,14 +73,12 @@ class TrainMode(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# messages, wire format, transport log
+# messages and the transport log
 
 DIR_TO_SERVER = 0
 DIR_TO_PARTY = 1
 KIND_REPRESENTATION = 1
 KIND_GRADIENT = 2
-
-_HEADER = struct.Struct("<IBBBII")  # round, direction, party, kind, rows, cols
 
 
 @dataclass(frozen=True)
@@ -96,39 +93,6 @@ class GradientMsg:
     round_index: int
     party_id: int
     values: np.ndarray  # [batch, rep_dim] float64
-
-
-def encode_message(msg: RepresentationMsg | GradientMsg) -> bytes:
-    """Fixed little-endian header + row-major float64 payload."""
-    if isinstance(msg, RepresentationMsg):
-        direction, kind = DIR_TO_SERVER, KIND_REPRESENTATION
-    elif isinstance(msg, GradientMsg):
-        direction, kind = DIR_TO_PARTY, KIND_GRADIENT
-    else:
-        raise TypeError(f"cannot encode {type(msg)!r}")
-    values = np.ascontiguousarray(msg.values, dtype="<f8")
-    if values.ndim != 2:
-        raise SchemaError(f"message payload must be 2-d, got shape {values.shape}")
-    header = _HEADER.pack(
-        msg.round_index, direction, msg.party_id, kind, *values.shape
-    )
-    return header + values.tobytes(order="C")
-
-
-def decode_message(buf: bytes) -> RepresentationMsg | GradientMsg:
-    if len(buf) < _HEADER.size:
-        raise ValueError("message too short for header")
-    round_index, direction, party_id, kind, rows, cols = _HEADER.unpack_from(buf)
-    expected = _HEADER.size + rows * cols * 8
-    if len(buf) != expected:
-        raise ValueError(f"message length {len(buf)} does not match header ({expected})")
-    values = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
-    values = values.astype(np.float64)  # own, writable copy
-    if kind == KIND_REPRESENTATION and direction == DIR_TO_SERVER:
-        return RepresentationMsg(round_index, party_id, values)
-    if kind == KIND_GRADIENT and direction == DIR_TO_PARTY:
-        return GradientMsg(round_index, party_id, values)
-    raise ValueError(f"inconsistent kind/direction bytes: {kind}/{direction}")
 
 
 def content_hash(values: np.ndarray) -> str:
@@ -386,14 +350,16 @@ def run_round(
     round_index: int,
     transport: TransportLog,
     apply_updates: bool = True,
-    collect_grads: bool = False,
-) -> tuple[RoundStats, dict[str, np.ndarray] | None]:
+) -> tuple[RoundStats, dict[str, np.ndarray]]:
     """One synchronized round of split training.
 
     Gradients for the head and for every representation block are computed
     from the pre-update head weights; the head then steps with eta1 and the
-    parties with eta2. With apply_updates=False this is a pure gradient
-    evaluation, which is what the finite-difference checks drive.
+    parties with eta2. Returns the round's stats and the flat gradient of
+    the total loss for each model, keyed "head" and "party{k}" (split one
+    by name with the model's `grads_dict`). With apply_updates=False this
+    is a pure gradient evaluation, which is what the finite-difference
+    checks drive.
     """
     if not mode.is_federated:
         raise ConfigError(f"mode {mode.value} does not run the split protocol")
@@ -425,12 +391,7 @@ def run_round(
         head_grad[server.head_active] += server.beta * cons_grads["head"]
     loss = total_loss(loss_vfl, loss_cons, server.beta if constrained else 0.0)
 
-    collected: dict[str, np.ndarray] | None = None
-    if collect_grads:
-        collected = {
-            f"head.{n}": g.copy() for n, g in server.head.grads_dict(head_grad).items()
-        }
-
+    grads = {"head": head_grad}
     if apply_updates:
         server.apply_update(head_grad)
 
@@ -440,16 +401,14 @@ def run_round(
         grad = parties[k].backward(gmsg)
         if constrained and k == 1:
             grad = grad + server.beta * cons_grads["encoder"]
-        if collect_grads:
-            for name, g in parties[k].encoder.grads_dict(grad).items():
-                collected[f"party{k}.{name}"] = g.copy()
+        grads[f"party{k}"] = grad
         if apply_updates:
             parties[k].apply_update(grad, server.eta2)
 
     stats = RoundStats(
         loss=loss, loss_vfl=loss_vfl, loss_cons=loss_cons, batch_size=batch.n
     )
-    return stats, collected
+    return stats, grads
 
 
 def federated_predict(

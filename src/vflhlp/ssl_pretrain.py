@@ -55,10 +55,6 @@ class CorruptionModel:
             num_values.append(np.sort(view.num[:, j]))
         return cls(rate, cat_values, cat_probs, num_values)
 
-    @property
-    def n_features(self) -> int:
-        return len(self.cat_values) + len(self.num_values)
-
 
 def corrupt(
     cat: np.ndarray,

@@ -112,12 +112,21 @@ def build_federation(ds: VerticalDataset, specs, beta: float, seed: int,
     return parties, server
 
 
+def split_round_grads(flat, parties, server) -> dict[str, np.ndarray]:
+    """run_round's flat gradients as "head.<name>" and "party<k>.<name>" arrays."""
+    grads = {f"head.{n}": g for n, g in server.head.grads_dict(flat["head"]).items()}
+    for k, node in parties.items():
+        for n, g in node.encoder.grads_dict(flat[f"party{k}"]).items():
+            grads[f"party{k}.{n}"] = g
+    return grads
+
+
 def round_loss_setup(parties, server, batch: AlignedBatch, mode: TrainMode):
     """Closures for finite-difference checks over one federated round.
 
     Returns (loss_fn, grads_fn, params) where params holds the live
-    arrays of every encoder and the head, named the way run_round
-    names collected gradients.
+    arrays of every encoder and the head, named the way
+    split_round_grads names run_round's gradients.
     """
     params: dict[str, np.ndarray] = {}
     for name, arr in server.head.params().items():
@@ -132,8 +141,8 @@ def round_loss_setup(parties, server, batch: AlignedBatch, mode: TrainMode):
         return stats.loss
 
     def grads_fn() -> dict[str, np.ndarray]:
-        _, grads = run_round(parties, server, batch, mode, 0, TransportLog(),
-                             apply_updates=False, collect_grads=True)
-        return grads
+        _, flat = run_round(parties, server, batch, mode, 0, TransportLog(),
+                            apply_updates=False)
+        return split_round_grads(flat, parties, server)
 
     return loss_fn, grads_fn, params

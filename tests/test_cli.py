@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from vflhlp.cli import main
+from vflhlp.data import load_bundle
+from vflhlp.nn import load_checkpoint
 
 ALL_MODES = ["local_a", "vanilla_vfl", "vflhlp", "vflhlp_a", "vflhlp_p"]
 
@@ -183,6 +185,73 @@ def test_truncated_checkpoints_are_data_errors(trained_out, cfg_path, capsys):
                "--mode", "vflhlp") == 3
     err = capsys.readouterr().err
     assert "data error" in err and "active.ckpt" in err
+
+
+def test_truncated_result_json_is_a_data_error(trained_out, cfg_path, capsys):
+    result = trained_out / "train" / "seed7" / "count20" / "vflhlp" / "result.json"
+    result.write_bytes(result.read_bytes()[:10])
+    capsys.readouterr()
+    assert run("eval", "--config", cfg_path, "--out", trained_out) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "result.json" in err
+
+
+def test_train_and_grid_give_the_same_cells(trained_out, cfg_path, tmp_path):
+    grid_out = tmp_path / "g"
+    assert run("grid", "--config", cfg_path, "--out", grid_out) == 0
+    grid_auc = {
+        (c["mode"], c["aligned_count"]): c["test_auc"]
+        for c in json.loads((grid_out / "results.json").read_text())["cells"]
+    }
+    grid_dir = grid_out / "grid" / "seed7"
+    for count in (20, 40):
+        for mode in ALL_MODES:
+            run_dir = trained_out / "train" / "seed7" / f"count{count}" / mode
+            result = json.loads((run_dir / "result.json").read_text())
+            assert result["test_auc"] == grid_auc[(mode, count)], (mode, count)
+            final = run_dir / "final.ckpt"
+            if mode != "local_a":
+                grid_ckpt = grid_dir / f"count{count}" / f"{mode}.ckpt"
+                assert final.read_bytes() == grid_ckpt.read_bytes(), (mode, count)
+                continue
+            # the grid writes local_a once per seed, with aligned_count 0
+            tensors, meta = load_checkpoint(final)
+            grid_tensors, grid_meta = load_checkpoint(grid_dir / "local_a.ckpt")
+            assert sorted(tensors) == sorted(grid_tensors)
+            for name, t in tensors.items():
+                np.testing.assert_array_equal(t, grid_tensors[name])
+            assert (meta["aligned_count"], grid_meta["aligned_count"]) == (count, 0)
+
+
+def test_a_cache_in_the_older_layout_still_loads(cfg_path, out, capsys):
+    # caches once also held a validation split and per-party test logits
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    cache = out / "cache" / "seed7"
+    fresh, _ = load_bundle(cache)
+    manifest = json.loads((cache / "manifest.json").read_text())
+    old = {"val_ids": np.arange(60), "val_labels": np.zeros(60),
+           "val_bayes": np.full(60, 0.5)}
+    for k in (1, 2, 3):
+        old[f"val_party{k}_cat"] = np.zeros((60, 2 if k == 1 else 0), np.int64)
+        old[f"val_party{k}_num"] = np.zeros((60, 1 if k == 1 else 3))
+        old[f"test_logit_party{k}"] = np.zeros(150)
+    for name, arr in old.items():
+        np.save(cache / f"{name}.npy", arr, allow_pickle=False)
+    manifest["arrays"] = sorted(manifest["arrays"] + list(old))
+    manifest.update(has_validation=True, has_oracle=True)
+    (cache / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    before = tree_digest(cache)
+
+    loaded, _ = load_bundle(cache)
+    np.testing.assert_array_equal(loaded.test.bayes_scores, fresh.test.bayes_scores)
+    for k in (1, 2, 3):
+        np.testing.assert_array_equal(loaded.train.parties[k].num,
+                                      fresh.train.parties[k].num)
+        np.testing.assert_array_equal(loaded.test.cat[k], fresh.test.cat[k])
+    capsys.readouterr()
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    assert "up to date" in capsys.readouterr().out
+    assert tree_digest(cache) == before
 
 
 def test_corrupt_dataset_cache_is_a_data_error(cfg_path, out, capsys):

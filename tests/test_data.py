@@ -37,7 +37,8 @@ def test_synth_party_id_intersection_is_exactly_the_pool(tiny_bundle):
 
 def test_synth_unaligned_ids_are_private_to_each_party(tiny_bundle):
     train = tiny_bundle.train
-    pools = [set(train.unaligned_ids(k).tolist()) for k in (1, 2, 3)]
+    pools = [set(np.setdiff1d(train.parties[k].ids, train.aligned_pool).tolist())
+             for k in (1, 2, 3)]
     for i in range(3):
         assert not pools[i] & set(train.aligned_pool.tolist())
         for j in range(i + 1, 3):
@@ -72,13 +73,6 @@ def test_synth_is_deterministic():
     np.testing.assert_array_equal(a.train.aligned_pool, b.train.aligned_pool)
     np.testing.assert_array_equal(a.test.labels, b.test.labels)
     assert not np.array_equal(a.test.labels, c.test.labels)
-
-
-def test_synth_oracle_scores_match_logit_parts(tiny_bundle):
-    parts = tiny_bundle.test_logit_parts
-    total = sum(parts[k] for k in parts)
-    scores = 1.0 / (1.0 + np.exp(-total))
-    np.testing.assert_allclose(scores, tiny_bundle.test.bayes_scores, atol=1e-12)
 
 
 def test_synth_label_noise_extremes():
@@ -323,11 +317,6 @@ def test_bundle_cache_roundtrip(tmp_path, tiny_bundle):
     np.testing.assert_array_equal(loaded.test.labels, tiny_bundle.test.labels)
     np.testing.assert_array_equal(loaded.test.bayes_scores,
                                   tiny_bundle.test.bayes_scores)
-    np.testing.assert_array_equal(loaded.validation.num[2],
-                                  tiny_bundle.validation.num[2])
-    for k in (1, 2, 3):
-        np.testing.assert_array_equal(loaded.test_logit_parts[k],
-                                      tiny_bundle.test_logit_parts[k])
 
 
 def test_bundle_cache_is_byte_deterministic(tmp_path, tiny_bundle):
@@ -373,7 +362,7 @@ def test_bundle_cache_corruption_is_a_data_error_naming_the_file(tmp_path, tiny_
         manifest_path.write_text(garbled)
         with pytest.raises(DataError, match="manifest.json"):
             load_bundle(d)
-    for key in ("arrays", "schema", "k_parties", "aligned_count", "has_oracle"):
+    for key in ("arrays", "schema", "k_parties", "aligned_count"):
         manifest = json.loads(text)
         del manifest[key]
         manifest_path.write_text(json.dumps(manifest))

@@ -21,8 +21,6 @@ from vflhlp.federated import (
     audit_transport,
     constraint_loss,
     content_hash,
-    decode_message,
-    encode_message,
     federated_predict,
     run_round,
     total_loss,
@@ -33,7 +31,7 @@ from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import SslConfig, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active
 
-from conftest import build_federation, round_loss_setup, small_spec
+from conftest import build_federation, round_loss_setup, small_spec, split_round_grads
 
 
 @pytest.fixture(scope="module")
@@ -61,43 +59,6 @@ def pretrained(tiny_bundle, specs3):
 
 
 # ------------------------------------------------------------------ messages
-
-def test_message_roundtrip_both_kinds():
-    values = stream(40, "wire").standard_normal((5, 3))
-    up = RepresentationMsg(7, 2, values)
-    down = GradientMsg(9, 3, values * 2)
-    for msg in (up, down):
-        out = decode_message(encode_message(msg))
-        assert type(out) is type(msg)
-        assert out.round_index == msg.round_index
-        assert out.party_id == msg.party_id
-        np.testing.assert_array_equal(out.values, msg.values)
-        assert out.values.flags.writeable
-
-
-def test_message_header_is_fifteen_bytes():
-    msg = RepresentationMsg(0, 1, np.zeros((2, 4)))
-    buf = encode_message(msg)
-    assert len(buf) == 15 + 2 * 4 * 8
-
-
-def test_decode_rejects_corrupt_buffers():
-    buf = encode_message(RepresentationMsg(0, 1, np.ones((2, 2))))
-    with pytest.raises(ValueError):
-        decode_message(buf[:10])
-    with pytest.raises(ValueError):
-        decode_message(buf + b"\x00" * 8)
-    # flip the kind byte to an inconsistent value
-    bad = bytearray(buf)
-    bad[6] = 2  # gradient kind on a to-server message
-    with pytest.raises(ValueError):
-        decode_message(bytes(bad))
-
-
-def test_encode_rejects_non_2d_payload():
-    with pytest.raises(SchemaError):
-        encode_message(RepresentationMsg(0, 1, np.zeros(4)))
-
 
 def test_content_hash_ignores_memory_layout():
     a = np.arange(12, dtype=np.float64).reshape(3, 4)
@@ -215,9 +176,10 @@ def test_round_gradients_match_fd_with_constraint(tiny_bundle, specs3, pretraine
 def test_round_collected_grad_names(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=10)
     parties, server = build_federation(train, specs3, beta=0.0, seed=4)
-    _, grads = run_round(parties, server, batch, TrainMode.VANILLA_VFL, 0,
-                         TransportLog(), apply_updates=False, collect_grads=True)
-    names = set(grads)
+    _, flat = run_round(parties, server, batch, TrainMode.VANILLA_VFL, 0,
+                        TransportLog(), apply_updates=False)
+    assert set(flat) == {"head", "party1", "party2", "party3"}
+    names = set(split_round_grads(flat, parties, server))
     assert "head.0.weight" in names and "head.0.bias" in names
     for k in (1, 2, 3):
         assert f"party{k}.mlp.0.weight" in names

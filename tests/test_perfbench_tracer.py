@@ -6,11 +6,17 @@ rather than in a traced benchmark run. Only reads perfbench/.
 """
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import vflhlp.cli  # noqa: F401  (loads every module whose bindings get patched)
+from vflhlp import evaluation
+from vflhlp.config import encoder_specs, parse_config
+from vflhlp.federated import TrainMode
+
+from test_cli import TINY
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -50,3 +56,35 @@ def test_tracer_resolves_installs_and_uninstalls_every_entry_point():
         assert getattr(importlib.import_module(module), attr) is fn
     for (module, cls_name, meth), fn in methods.items():
         assert vars(getattr(importlib.import_module(module), cls_name))[meth] is fn
+
+
+def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
+    # the per-layer metrics split train_downstream by federated/local and
+    # pretrain_active by batch size, from positional arguments
+    tracer = _load_tracer()
+    cfg = parse_config(TINY)
+    assert cfg.supervised.batch_size != cfg.downstream.batch_size
+    bundle = evaluation.build_bundle(cfg, 7)
+    specs = encoder_specs(bundle.train, cfg.model)
+    view = replace(bundle, train=bundle.train.with_aligned_count(20))
+    dcfg = replace(cfg.downstream, seed=7, beta=0.0)
+
+    t = tracer.Tracer("tags")
+    t.install()
+    try:
+        pre = evaluation.pretrain_for_seed(cfg, bundle, 7, need_active=True,
+                                           need_passive=False)
+        evaluation.run_cell(view, specs, TrainMode.VANILLA_VFL, pre.weights, dcfg)
+        evaluation.run_cell(view, specs, TrainMode.LOCAL_A, None, dcfg)
+    finally:
+        t.uninstall()
+
+    def tags(span):
+        nid = t.names.index(span)
+        return [tag for n, tag in zip(t.name, t.tag) if n == nid]
+
+    assert tags("evaluation.pretrain_for_seed") == [0]
+    assert tags("federated.train_downstream") == [1, 0]
+    assert tags("sup_pretrain.pretrain_active") == [
+        cfg.supervised.batch_size, cfg.downstream.batch_size
+    ]
