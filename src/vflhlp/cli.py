@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, config_hash, encoder_specs, load_config
 from .data import DatasetBundle, load_bundle, read_json_object, save_bundle
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, SchemaError, TrainingError
 from .evaluation import (
     build_bundle,
     evaluate_mode,
@@ -178,7 +178,14 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
                     continue
                 any_found = True
                 tensors, meta = load_checkpoint(ckpt)
-                trained = rebuild_trained(specs, tensors, TrainMode.parse(meta["mode"]))
+                try:
+                    mode = TrainMode.parse(meta["mode"])
+                    trained = rebuild_trained(specs, tensors, mode)
+                except (KeyError, ConfigError, SchemaError) as exc:
+                    raise DataError(
+                        f"{ckpt}: not a downstream checkpoint for this config: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from None
                 score = evaluate_mode(trained, bundle.test)
                 recorded = None
                 result_path = run_dir / "result.json"

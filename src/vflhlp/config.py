@@ -18,6 +18,7 @@ from .data import Field, FeatureSchema, SynthConfig, VerticalDataset
 from .errors import ConfigError
 from .federated import DownstreamConfig, TrainMode
 from .nn.layers import EncoderSpec
+from .nn.optim import OPTIMIZERS
 from .ssl_pretrain import SslConfig
 from .sup_pretrain import SupConfig
 
@@ -138,15 +139,36 @@ def _build(cls, data: dict, section: str, tuple_keys: tuple[str, ...] = (),
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key in tuple_keys and isinstance(value, list):
             value = tuple(value)
+        if not _type_ok(value, defaults[key]):
+            raise ConfigError(
+                f"{section}.{key}: expected {type(defaults[key]).__name__}, "
+                f"got {type(value).__name__} {value!r}"
+            )
+        if key == "optimizer" and value not in OPTIMIZERS:
+            raise ConfigError(
+                f"{section}.optimizer: unknown optimizer {value!r}; "
+                f"expected one of {list(OPTIMIZERS)}"
+            )
         kwargs[key] = value
     try:
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{section}: {exc}") from None
+
+
+def _type_ok(value, default) -> bool:
+    """Is `value` of the type of a field's default? An int passes for a float;
+    a bool passes only for a bool."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def _parse_fields(raw: list, section: str) -> tuple[Field, ...]:

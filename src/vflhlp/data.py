@@ -766,9 +766,14 @@ def load_bundle(cache_dir) -> tuple[DatasetBundle, dict]:
 
 
 def _bundle_from_cache(cache_dir: Path, manifest: dict) -> DatasetBundle:
-    arrays = {
-        name: _load_array(cache_dir / f"{name}.npy") for name in manifest["arrays"]
-    }
+    listed = set(manifest["arrays"])
+
+    def load(name: str) -> np.ndarray:
+        # only what the bundle is built from; an older cache lists more
+        if name not in listed:
+            raise KeyError(name)
+        return _load_array(cache_dir / f"{name}.npy")
+
     schema = FeatureSchema(
         tuple(
             Field(f["name"], f["kind"], f["party"], cardinality=f["cardinality"])
@@ -781,24 +786,24 @@ def _bundle_from_cache(cache_dir: Path, manifest: dict) -> DatasetBundle:
         cf, nf = schema.party_fields(k)
         parties[k] = PartyView(
             party_id=k,
-            ids=arrays[f"party{k}_ids"],
-            cat=arrays[f"party{k}_cat"],
-            num=arrays[f"party{k}_num"],
+            ids=load(f"party{k}_ids"),
+            cat=load(f"party{k}_cat"),
+            num=load(f"party{k}_num"),
             cat_fields=cf,
             num_fields=nf,
         )
     train = VerticalDataset(
         schema=schema,
         parties=parties,
-        labels=arrays["labels"],
-        aligned_pool=arrays["aligned_pool"],
+        labels=load("labels"),
+        aligned_pool=load("aligned_pool"),
         aligned_count=manifest["aligned_count"],
     )
     test = AlignedSplit(
-        ids=arrays["test_ids"],
-        cat={k: arrays[f"test_party{k}_cat"] for k in range(1, k_parties + 1)},
-        num={k: arrays[f"test_party{k}_num"] for k in range(1, k_parties + 1)},
-        labels=arrays["test_labels"],
-        bayes_scores=arrays.get("test_bayes"),
+        ids=load("test_ids"),
+        cat={k: load(f"test_party{k}_cat") for k in range(1, k_parties + 1)},
+        num={k: load(f"test_party{k}_num") for k in range(1, k_parties + 1)},
+        labels=load("test_labels"),
+        bayes_scores=load("test_bayes") if "test_bayes" in listed else None,
     )
     return DatasetBundle(train=train, test=test)

@@ -37,7 +37,6 @@ from .federated import (
     DownstreamConfig,
     PretrainedWeights,
     TrainedFederation,
-    TrainedLocal,
     TrainMode,
     TransportLog,
     audit_transport,
@@ -46,21 +45,14 @@ from .federated import (
 )
 from .metrics import auc
 from .nn import Mlp, load_checkpoint, save_checkpoint
-from .nn.layers import DenseLayer, EncoderSpec
+from .nn.layers import EncoderSpec
 from .ssl_pretrain import pretrain_passive
-from .sup_pretrain import ActivePretrained, local_predict, pretrain_active
+from .sup_pretrain import ActivePretrained, pretrain_active
 
 
-def evaluate_mode(
-    trained: TrainedFederation | TrainedLocal, test: AlignedSplit
-) -> float:
+def evaluate_mode(trained: TrainedFederation, test: AlignedSplit) -> float:
     """Test AUC of a trained model on a fully aligned split."""
-    if isinstance(trained, TrainedLocal):
-        scores = local_predict(trained.model, test.cat[1], test.num[1])
-    elif isinstance(trained, TrainedFederation):
-        scores = federated_predict(trained.encoders, trained.head, test.cat, test.num)
-    else:
-        raise TypeError(f"cannot evaluate {type(trained)!r}")
+    scores = federated_predict(trained.encoders, trained.head, test.cat, test.num)
     return auc(test.labels, scores)
 
 
@@ -323,7 +315,7 @@ def run_cell(
     mode: TrainMode,
     pretrained: PretrainedWeights | None,
     dcfg: DownstreamConfig,
-) -> tuple[TrainedFederation | TrainedLocal, float, AuditReport | None]:
+) -> tuple[TrainedFederation, float, AuditReport | None]:
     """Train one cell on bundle.train's aligned rows and score it on bundle.test.
 
     A federated cell's transport log is audited first, and a payload that
@@ -340,7 +332,7 @@ def run_cell(
     return trained, evaluate_mode(trained, bundle.test), audit
 
 
-def train_local_a(cfg: RunConfig, seed: int) -> tuple[TrainedLocal, float]:
+def train_local_a(cfg: RunConfig, seed: int) -> tuple[TrainedFederation, float]:
     """Train and score one seed's local_a cell from scratch.
 
     local_a depends on neither pre-training nor the aligned count, so
@@ -517,18 +509,8 @@ def _failed_cell(mode, count, seed, beta, exc: Exception) -> CellResult:
     )
 
 
-def flatten_trained(
-    trained: TrainedFederation | TrainedLocal,
-) -> dict[str, np.ndarray]:
+def flatten_trained(trained: TrainedFederation) -> dict[str, np.ndarray]:
     """Checkpoint tensors of a downstream model, keyed "party{k}.encoder.*" and "head.*"."""
-    if isinstance(trained, TrainedLocal):
-        tensors = {
-            f"party1.encoder.{n}": p for n, p in trained.model.encoder_params.items()
-        }
-        tensors.update(
-            {f"head.{n}": p for n, p in trained.model.head_params.items()}
-        )
-        return tensors
     tensors = {}
     for k, encoder in trained.encoders.items():
         for n, p in encoder.params().items():
@@ -545,33 +527,25 @@ def _strip_prefix(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.n
 
 def rebuild_trained(
     specs: dict[int, EncoderSpec], tensors: dict[str, np.ndarray], mode: TrainMode
-) -> TrainedFederation | TrainedLocal:
-    """The inverse of flatten_trained: a scorable model, without history or transport."""
-    if mode is TrainMode.LOCAL_A:
-        model = ActivePretrained(
-            spec=specs[1],
-            encoder_params=_strip_prefix(tensors, "party1.encoder."),
-            head_params=_strip_prefix(tensors, "head."),
-            best_epoch=0,
-            val_auc=None,
-            degenerate_validation=False,
-        )
-        return TrainedLocal(mode=mode, model=model, history=[])
+) -> TrainedFederation:
+    """The inverse of flatten_trained: a scorable model, without history or transport.
+
+    A missing, extra or misshapen tensor raises SchemaError.
+    """
+    party_ids = sorted(specs) if mode.is_federated else [1]
     encoders = {}
-    for k, spec in specs.items():
-        encoders[k] = spec.build_empty()
+    for k in party_ids:
+        encoders[k] = specs[k].build_empty()
         encoders[k].set_params(_strip_prefix(tensors, f"party{k}.encoder."))
-    head_params = _strip_prefix(tensors, "head.")
-    head = Mlp(
-        [DenseLayer(head_params["0.weight"], head_params["0.bias"], "identity")]
-    )
+    head = Mlp([sum(specs[k].rep_dim for k in party_ids), 1])
+    head.set_params(_strip_prefix(tensors, "head."))
     return TrainedFederation(
         mode=mode, encoders=encoders, head=head, history=[], transport=TransportLog()
     )
 
 
 def save_cell_checkpoint(
-    path: Path, trained: TrainedFederation | TrainedLocal, seed, count, beta, chash
+    path: Path, trained: TrainedFederation, seed, count, beta, chash
 ) -> None:
     """Write a downstream model with the metadata that `train` and `grid` both give it."""
     meta = {

@@ -461,18 +461,13 @@ class PretrainedWeights:
 
 @dataclass
 class TrainedFederation:
+    """A trained downstream model; local_a's has party 1's encoder only."""
+
     mode: TrainMode
     encoders: dict[int, TabularEncoder]
     head: Mlp
     history: list[dict]
     transport: TransportLog
-
-
-@dataclass
-class TrainedLocal:
-    mode: TrainMode
-    model: ActivePretrained
-    history: list[dict]
 
 
 def _require_pretrained(
@@ -500,7 +495,7 @@ def train_downstream(
     mode: TrainMode,
     pretrained: PretrainedWeights | None,
     cfg: DownstreamConfig,
-) -> TrainedFederation | TrainedLocal:
+) -> TrainedFederation:
     """Train one mode on the active aligned set and return the final weights.
 
     Every encoder is first drawn fresh from its init stream and then
@@ -525,7 +520,13 @@ def train_downstream(
              "val_auc": None}
             for i, loss in enumerate(model.loss_trace)
         ]
-        return TrainedLocal(mode=mode, model=model, history=history)
+        return TrainedFederation(
+            mode=mode,
+            encoders={1: model.build_encoder()},
+            head=model.build_head(),
+            history=history,
+            transport=TransportLog(),
+        )
 
     party_ids = sorted(ds.parties)
     if set(specs) != set(party_ids):

@@ -6,12 +6,13 @@ to agree with finite differences to ~1e-4 relative error and the split
 protocol has to agree with a centralized reference to 1e-10, so the
 arithmetic is kept explicit and deterministic.
 
-Each model (an encoder or an Mlp head) keeps all of its parameters in one
-contiguous float64 vector, `theta`. The per-tensor arrays (`params()`,
-`EmbeddingTable.tables`, `DenseLayer.weights` and `.bias`) are views into
-it, so an optimizer step, a finite check or a copy is one vector operation.
-Write into those views in place (`arr[...] = ...`); rebinding one detaches
-it from the model.
+A model (an encoder or an Mlp head) is its shape plus one float64 vector,
+`theta`: `Mlp(dims, theta)` and `TabularEncoder(spec, theta)` lay their
+per-tensor arrays (`params()`, `EmbeddingTable.tables`, `DenseLayer.weights`
+and `.bias`) over the vector they are given, or over a new zero vector. So
+an optimizer step, a finite check or a copy is one vector operation, and a
+model pickles as (shape, theta). Write into those views in place
+(`arr[...] = ...`); rebinding one detaches it from the model.
 """
 from __future__ import annotations
 
@@ -22,9 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SchemaError
-
-ACTIVATIONS = ("relu", "identity")
-
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -84,12 +82,23 @@ class ParamLayout:
 class FlatParams:
     """Parameters as named views into one float64 vector, `theta`.
 
-    Subclasses set `theta`, `layout` and `_views` (the named views).
+    Subclasses set `layout`, then call `_lay_over` to set `theta` and `_views`.
     """
 
     theta: np.ndarray
     layout: ParamLayout
     _views: dict[str, np.ndarray]
+
+    def _lay_over(self, theta: np.ndarray | None) -> None:
+        if theta is None:
+            theta = np.zeros(self.layout.size)
+        elif theta.shape != (self.layout.size,) or theta.dtype != np.float64:
+            raise SchemaError(
+                f"theta must be float64 of shape ({self.layout.size},), "
+                f"got {theta.dtype} {theta.shape}"
+            )
+        self.theta = theta
+        self._views = self.layout.views(theta)
 
     def params(self) -> dict[str, np.ndarray]:
         """Live parameter arrays; writing into them writes into the model."""
@@ -108,51 +117,22 @@ class FlatParams:
 
 
 class DenseLayer:
-    """Affine map plus an elementwise activation ('relu' or 'identity')."""
+    """Affine map plus an elementwise activation ('relu' or 'identity').
+
+    It holds the weight and bias arrays it is given, which an Mlp lays over
+    its theta.
+    """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
-        if activation not in ACTIVATIONS:
-            raise SchemaError(f"unknown activation {activation!r}")
-        weights = np.asarray(weights, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        if weights.ndim != 2 or bias.shape != (weights.shape[0],):
-            raise SchemaError(
-                f"bad dense shapes: weights {weights.shape}, bias {bias.shape}"
-            )
         self.weights = weights
         self.bias = bias
         self.activation = activation
 
-    @classmethod
-    def init(
-        cls, rng: np.random.Generator, in_dim: int, out_dim: int, activation: str
-    ) -> "DenseLayer":
-        w = glorot_uniform(rng, out_dim, in_dim)
-        b = np.zeros(out_dim, dtype=np.float64)
-        return cls(w, b, activation)
-
-    def bind(self, buf: np.ndarray) -> None:
-        """Copy weights then bias into `buf` and keep them there as views."""
-        n = self.weights.size
-        buf[:n] = self.weights.ravel()
-        buf[n:] = self.bias
-        self.weights = buf[:n].reshape(self.weights.shape)
-        self.bias = buf[n:]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (activated output, pre-activation)."""
-        if x.shape[1] != self.in_dim:
-            raise SchemaError(
-                f"dense layer expects input dim {self.in_dim}, got {x.shape[1]}"
-            )
+        in_dim = self.weights.shape[1]
+        if x.shape[1] != in_dim:
+            raise SchemaError(f"dense layer expects input dim {in_dim}, got {x.shape[1]}")
         z = x @ self.weights.T + self.bias
         if self.activation == "relu":
             return np.maximum(z, 0.0), z
@@ -180,60 +160,61 @@ class MlpTape:
     preacts: list[np.ndarray]
 
 
-class Mlp(FlatParams):
-    """Stack of dense layers; hidden layers relu, final layer identity by default."""
+def _mlp_shapes(dims: list[int]) -> dict[str, tuple[int, ...]]:
+    if len(dims) < 2:
+        raise SchemaError("dims must list at least input and output size")
+    shapes = {}
+    for i, (din, dout) in enumerate(zip(dims, dims[1:])):
+        shapes[f"{i}.weight"] = (dout, din)
+        shapes[f"{i}.bias"] = (dout,)
+    return shapes
 
-    def __init__(self, layers: list[DenseLayer]):
-        if not layers:
-            raise SchemaError("Mlp needs at least one layer")
-        for a, b in zip(layers, layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise SchemaError(
-                    f"layer dims do not chain: {a.out_dim} -> {b.in_dim}"
-                )
-        self.layers = layers
-        shapes = {}
-        for i, layer in enumerate(layers):
-            shapes[f"{i}.weight"] = layer.weights.shape
-            shapes[f"{i}.bias"] = layer.bias.shape
-        self.layout = ParamLayout(shapes)
+
+class Mlp(FlatParams):
+    """Dense layers over one flat vector for a dim chain [in, h1, ..., out].
+
+    Hidden layers are relu, the last is identity. Without `theta` the
+    parameters start at zero.
+    """
+
+    def __init__(self, dims: list[int], theta: np.ndarray | None = None):
+        self.dims = list(dims)
+        self.layout = ParamLayout(_mlp_shapes(self.dims))
+        self._lay_over(theta)
+        n = len(self.dims) - 1
+        self.layers = [
+            DenseLayer(
+                self._views[f"{i}.weight"],
+                self._views[f"{i}.bias"],
+                "identity" if i == n - 1 else "relu",
+            )
+            for i in range(n)
+        ]
         # (weight start, bias start, end) of each layer in theta
         st = self.layout.starts
-        self._spans = [(st[2 * i], st[2 * i + 1], st[2 * i + 2])
-                       for i in range(len(layers))]
-        self.bind(np.empty(self.layout.size))
+        self._spans = [(st[2 * i], st[2 * i + 1], st[2 * i + 2]) for i in range(n)]
 
-    def bind(self, buf: np.ndarray) -> None:
-        """Copy the parameters into `buf` and keep them there; `buf` becomes theta."""
-        for layer, (a, _, b) in zip(self.layers, self._spans):
-            layer.bind(buf[a:b])
-        self.theta = buf
-        self._views = self.layout.views(buf)
+    def __reduce__(self):
+        return Mlp, (self.dims, self.theta)
 
     @classmethod
     def init(
-        cls,
-        rng: np.random.Generator,
-        dims: list[int],
-        hidden_activation: str = "relu",
-        final_activation: str = "identity",
+        cls, rng: np.random.Generator, dims: list[int], theta: np.ndarray | None = None
     ) -> "Mlp":
-        """Build from a dim chain [in, h1, ..., out] with Glorot uniform weights."""
-        if len(dims) < 2:
-            raise SchemaError("dims must list at least input and output size")
-        layers = []
-        for i, (din, dout) in enumerate(zip(dims, dims[1:])):
-            act = final_activation if i == len(dims) - 2 else hidden_activation
-            layers.append(DenseLayer.init(rng, din, dout, act))
-        return cls(layers)
+        """Glorot uniform weights, layer by layer, and zero biases."""
+        mlp = cls(dims, theta)
+        for layer in mlp.layers:
+            layer.weights[...] = glorot_uniform(rng, *layer.weights.shape)
+            layer.bias[...] = 0.0
+        return mlp
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.dims[0]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.dims[-1]
 
     def forward(self, x) -> tuple[np.ndarray, MlpTape]:
         x = _as_f64(x, "mlp input")
@@ -275,33 +256,30 @@ class EmbeddingTable:
     view into the block per field.
     """
 
-    def __init__(self, tables: dict[str, np.ndarray]):
-        if not tables:
+    def __init__(
+        self,
+        cardinalities: list[tuple[str, int]],
+        embed_dim: int,
+        block: np.ndarray | None = None,
+    ):
+        """Lay the tables over `block` (any contiguous float64 array with
+        sum(cardinalities) * embed_dim entries), or over a new zero block."""
+        if not cardinalities:
             raise SchemaError("EmbeddingTable needs at least one field")
-        dims = {t.shape[1] for t in tables.values()}
-        if len(dims) != 1:
-            raise SchemaError(f"embedding dims differ across fields: {sorted(dims)}")
-        self.embed_dim = next(iter(dims))
-        self.field_names = list(tables)
-        cards = [t.shape[0] for t in tables.values()]
+        for name, card in cardinalities:
+            if card < 1:
+                raise SchemaError(f"field {name!r} has cardinality {card}")
+        self.embed_dim = embed_dim
+        self.field_names = [name for name, _ in cardinalities]
+        cards = [card for _, card in cardinalities]
         self.cards = np.array(cards, dtype=np.uint64)
         self.offsets = np.cumsum([0, *cards[:-1]]).astype(np.int64)
-        self._bind_block(
-            np.concatenate([np.asarray(t, dtype=np.float64) for t in tables.values()])
-        )
-
-    def _bind_block(self, block: np.ndarray) -> None:
-        self.block = block
+        shape = (sum(cards), embed_dim)
+        self.block = np.zeros(shape) if block is None else block.reshape(shape)
         self.tables = {
-            name: block[a : a + int(card)]
-            for name, a, card in zip(self.field_names, self.offsets, self.cards)
+            name: self.block[a : a + card]
+            for name, a, card in zip(self.field_names, self.offsets, cards)
         }
-
-    def bind(self, buf: np.ndarray) -> None:
-        """Copy the block into the flat `buf` and keep it there."""
-        block = buf.reshape(self.block.shape)
-        block[...] = self.block
-        self._bind_block(block)
 
     @classmethod
     def init(
@@ -309,13 +287,13 @@ class EmbeddingTable:
         rng: np.random.Generator,
         cardinalities: list[tuple[str, int]],
         embed_dim: int,
+        block: np.ndarray | None = None,
     ) -> "EmbeddingTable":
-        tables = {}
-        for name, card in cardinalities:
-            if card < 1:
-                raise SchemaError(f"field {name!r} has cardinality {card}")
-            tables[name] = rng.uniform(-0.05, 0.05, size=(card, embed_dim))
-        return cls(tables)
+        """Uniform(-0.05, 0.05) rows, one field's table after the other."""
+        table = cls(cardinalities, embed_dim, block)
+        for t in table.tables.values():
+            t[...] = rng.uniform(-0.05, 0.05, size=t.shape)
+        return table
 
     @property
     def out_dim(self) -> int:
@@ -407,32 +385,15 @@ class EncoderSpec:
 
     def build(self, rng: np.random.Generator) -> "TabularEncoder":
         """Draw a fresh encoder; embeddings first, then mlp, in one stream."""
-        embed = None
-        if self.cat_fields:
-            embed = EmbeddingTable.init(rng, list(self.cat_fields), self.embed_dim)
-        mlp = Mlp.init(rng, [self.input_dim, *self.hidden])
-        return TabularEncoder(embed, mlp, self)
+        enc = TabularEncoder(self)
+        if enc.embed is not None:
+            EmbeddingTable.init(rng, list(self.cat_fields), self.embed_dim, enc.embed.block)
+        Mlp.init(rng, enc.mlp.dims, enc.mlp.theta)
+        return enc
 
     def build_empty(self) -> "TabularEncoder":
         """All-zero encoder, for loading saved parameters into."""
-        embed = None
-        if self.cat_fields:
-            embed = EmbeddingTable(
-                {
-                    name: np.zeros((card, self.embed_dim))
-                    for name, card in self.cat_fields
-                }
-            )
-        dims = [self.input_dim, *self.hidden]
-        layers = [
-            DenseLayer(
-                np.zeros((dout, din)),
-                np.zeros(dout),
-                "identity" if i == len(dims) - 2 else "relu",
-            )
-            for i, (din, dout) in enumerate(zip(dims, dims[1:]))
-        ]
-        return TabularEncoder(embed, Mlp(layers), self)
+        return TabularEncoder(self)
 
 
 class TabularEncoder(FlatParams):
@@ -442,21 +403,24 @@ class TabularEncoder(FlatParams):
     weight and bias.
     """
 
-    def __init__(self, embed: EmbeddingTable | None, mlp: Mlp, spec: EncoderSpec):
-        self.embed = embed
-        self.mlp = mlp
+    def __init__(self, spec: EncoderSpec, theta: np.ndarray | None = None):
         self.spec = spec
-        self.embed_size = 0 if embed is None else embed.block.size
-        self.theta = np.empty(self.embed_size + mlp.layout.size)
-        shapes = {}
-        if embed is not None:
-            embed.bind(self.theta[: self.embed_size])
-            shapes = {f"embed.{n}": t.shape for n, t in embed.tables.items()}
-        mlp.bind(self.theta[self.embed_size :])
-        for name, shape in zip(mlp.layout.names, mlp.layout.shapes):
+        dims = [spec.input_dim, *spec.hidden]
+        shapes = {f"embed.{n}": (card, spec.embed_dim) for n, card in spec.cat_fields}
+        for name, shape in _mlp_shapes(dims).items():
             shapes[f"mlp.{name}"] = shape
         self.layout = ParamLayout(shapes)
-        self._views = self.layout.views(self.theta)
+        self._lay_over(theta)
+        e = self.embed_size = sum(card for _, card in spec.cat_fields) * spec.embed_dim
+        self.embed = None
+        if spec.cat_fields:
+            self.embed = EmbeddingTable(
+                list(spec.cat_fields), spec.embed_dim, self.theta[:e]
+            )
+        self.mlp = Mlp(dims, self.theta[e:])
+
+    def __reduce__(self):
+        return TabularEncoder, (self.spec, self.theta)
 
     @property
     def rep_dim(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import ConfigError, TrainingError
 from .layers import ParamLayout
 
 
@@ -78,9 +78,10 @@ class AdamOptimizer:
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
+OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
+
+
 def make_optimizer(name: str) -> SgdOptimizer | AdamOptimizer:
-    if name == "sgd":
-        return SgdOptimizer()
-    if name == "adam":
-        return AdamOptimizer()
-    raise ValueError(f"unknown optimizer {name!r}")
+    if name not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {name!r}; expected one of {list(OPTIMIZERS)}")
+    return OPTIMIZERS[name]()

@@ -15,7 +15,7 @@ from .data import PartyView
 from .errors import ConfigError, DataError, TrainingError, UndefinedMetricError
 from .metrics import auc
 from .nn import Mlp, TabularEncoder, bce_with_logits, make_optimizer, sigmoid
-from .nn.layers import DenseLayer, EncoderSpec
+from .nn.layers import EncoderSpec
 from .rng import stream
 
 
@@ -51,9 +51,9 @@ class ActivePretrained:
         return enc
 
     def build_head(self) -> Mlp:
-        w = self.head_params["0.weight"]
-        b = self.head_params["0.bias"]
-        return Mlp([DenseLayer(w, b, "identity")])  # Mlp copies into its own theta
+        head = Mlp([self.spec.rep_dim, 1])
+        head.set_params(self.head_params)
+        return head
 
 
 def pretrain_active(

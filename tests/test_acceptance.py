@@ -190,10 +190,7 @@ def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
     for k, node in parties.items():
         clones[k] = specs[k].build_empty()
         clones[k].set_params(node.encoder.params_copy())
-    head_clone = server.head.__class__(
-        [type(layer)(layer.weights.copy(), layer.bias.copy(), layer.activation)
-         for layer in server.head.layers]
-    )
+    head_clone = server.head.__class__(server.head.dims, server.head.theta.copy())
     mono = Monolith(clones, head_clone, eta1=2e-3, eta2=1e-3)
 
     log = TransportLog()

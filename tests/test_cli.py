@@ -8,7 +8,7 @@ import pytest
 
 from vflhlp.cli import main
 from vflhlp.data import load_bundle
-from vflhlp.nn import load_checkpoint
+from vflhlp.nn import load_checkpoint, save_checkpoint
 
 ALL_MODES = ["local_a", "vanilla_vfl", "vflhlp", "vflhlp_a", "vflhlp_p"]
 
@@ -196,6 +196,24 @@ def test_truncated_result_json_is_a_data_error(trained_out, cfg_path, capsys):
     assert "data error" in err and "result.json" in err
 
 
+@pytest.mark.parametrize("damage", ["no mode", "unknown mode", "no head weight"])
+def test_eval_on_a_bad_checkpoint_is_a_data_error(cfg_path, out, capsys, damage):
+    assert run("train", "--config", cfg_path, "--out", out, "--mode", "local_a") == 0
+    ckpt = out / "train" / "seed7" / "count20" / "local_a" / "final.ckpt"
+    tensors, meta = load_checkpoint(ckpt)
+    if damage == "no mode":
+        del meta["mode"]
+    elif damage == "unknown mode":
+        meta["mode"] = "warp-drive"
+    else:
+        del tensors["head.0.weight"]
+    save_checkpoint(ckpt, tensors, meta)
+    capsys.readouterr()
+    assert run("eval", "--config", cfg_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(ckpt) in err
+
+
 def test_train_and_grid_give_the_same_cells(trained_out, cfg_path, tmp_path):
     grid_out = tmp_path / "g"
     assert run("grid", "--config", cfg_path, "--out", grid_out) == 0
@@ -240,6 +258,7 @@ def test_a_cache_in_the_older_layout_still_loads(cfg_path, out, capsys):
     manifest["arrays"] = sorted(manifest["arrays"] + list(old))
     manifest.update(has_validation=True, has_oracle=True)
     (cache / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (cache / "val_ids.npy").unlink()  # listed but unused, so never read
     before = tree_digest(cache)
 
     loaded, _ = load_bundle(cache)
@@ -341,6 +360,21 @@ def test_output_dir_env_var_is_used(cfg_path, tmp_path, monkeypatch):
 
 
 # ------------------------------------------------------------------ errors
+
+
+@pytest.mark.parametrize("command, overrides, fragment", [
+    ("pretrain", {"supervised": {"optimizer": "rmsprop"}}, "supervised.optimizer"),
+    ("grid", {"supervised": {"optimizer": "rmsprop"}}, "supervised.optimizer"),
+    ("train", {"downstream": {"epochs": "ten"}}, "downstream.epochs"),
+], ids=["pretrain-optimizer", "grid-optimizer", "train-epochs"])
+def test_bad_config_values_use_exit_code_two(tmp_path, out, capsys, command,
+                                             overrides, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {**TINY, **{k: {**TINY[k], **v} for k, v in overrides.items()}}))
+    assert run(command, "--config", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
 
 
 def test_usage_and_config_errors_use_exit_code_two(cfg_path, tmp_path, capsys):

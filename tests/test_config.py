@@ -86,6 +86,37 @@ def test_strict_parsing_rejects(raw, fragment):
         parse_config(raw)
 
 
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        ({"downstream": {"epochs": "ten"}}, "downstream.epochs: expected int, got str"),
+        ({"downstream": {"epochs": 2.0}}, "downstream.epochs: expected int"),
+        ({"supervised": {"batch_size": True}}, "supervised.batch_size: expected int"),
+        ({"ssl": {"temperature": False}}, "ssl.temperature: expected float"),
+        ({"grid": {"include_oracle": 1}}, "grid.include_oracle: expected bool"),
+        ({"grid": {"seeds": 3}}, "grid.seeds: expected tuple"),
+        ({"data": {"synth": {"cardinality": "8"}}}, "data.synth.cardinality"),
+        ({"supervised": {"optimizer": "rmsprop"}}, "supervised.optimizer: unknown"),
+        ({"ssl": {"optimizer": "momentum"}}, "ssl.optimizer: unknown"),
+        ({"downstream": {"optimizer": 3}}, "downstream.optimizer: expected str"),
+    ],
+    ids=["str-for-int", "float-for-int", "bool-for-int", "bool-for-float",
+         "int-for-bool", "int-for-tuple", "str-for-int-in-synth",
+         "unknown-sup-optimizer", "unknown-ssl-optimizer", "int-for-str"],
+)
+def test_values_must_have_the_type_of_the_default(overrides, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        fixture_cfg(**overrides)
+
+
+def test_an_int_passes_for_a_float_and_is_kept_as_given():
+    cfg = fixture_cfg(downstream={"beta": 10, "eta1": 1})
+    assert cfg.downstream.beta == 10 and type(cfg.downstream.beta) is int
+    # not coerced, so the hash of an existing config does not move
+    assert '"beta":10,' in canonical_json(cfg)
+    assert config_hash(cfg) != config_hash(fixture_cfg(downstream={"beta": 10.0, "eta1": 1}))
+
+
 def test_non_dict_config_rejected():
     with pytest.raises(ConfigError, match="JSON object"):
         parse_config(["not", "a", "dict"])

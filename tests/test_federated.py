@@ -15,7 +15,6 @@ from vflhlp.federated import (
     PretrainedWeights,
     RepresentationMsg,
     TrainedFederation,
-    TrainedLocal,
     TrainMode,
     TransportLog,
     audit_transport,
@@ -275,10 +274,7 @@ def test_split_protocol_matches_monolith(tiny_bundle, specs3):
     for k, node in parties.items():
         clones[k] = specs3[k].build_empty()
         clones[k].set_params(node.encoder.params_copy())
-    head_clone = server.head.__class__(
-        [type(layer)(layer.weights.copy(), layer.bias.copy(), layer.activation)
-         for layer in server.head.layers]
-    )
+    head_clone = server.head.__class__(server.head.dims, server.head.theta.copy())
     mono = Monolith(clones, head_clone, eta1=2e-3, eta2=1e-3)
 
     log = TransportLog()
@@ -433,7 +429,7 @@ def test_local_mode_returns_local_model(tiny_bundle, specs3):
     train = tiny_bundle.train.with_aligned_count(40)
     out = train_downstream(train, specs3, TrainMode.LOCAL_A, None,
                            _dcfg(epochs=2, batch_size=128))
-    assert isinstance(out, TrainedLocal)
+    assert isinstance(out, TrainedFederation) and list(out.encoders) == [1]
     assert out.mode is TrainMode.LOCAL_A
     assert len(out.history) == 2
     # local mode trains on the full local table, not the aligned subset
@@ -441,7 +437,7 @@ def test_local_mode_returns_local_model(tiny_bundle, specs3):
         train.parties[1], train.labels, specs3[1],
         SupConfig(epochs=2, batch_size=128, learning_rate=1e-3), seed=13,
     )
-    for name, arr in out.model.encoder_params.items():
+    for name, arr in out.encoders[1].params().items():
         np.testing.assert_array_equal(arr, direct.encoder_params[name])
 
 

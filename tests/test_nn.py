@@ -4,6 +4,10 @@ Gradient correctness is established against central finite differences;
 optimizer steps against hand-unrolled update formulas. Nothing here
 trusts the implementation to check itself.
 """
+import copy
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from vflhlp.nn import (
     AdamOptimizer,
     DenseLayer,
     EmbeddingTable,
+    EncoderSpec,
     Mlp,
     SgdOptimizer,
     TabularEncoder,
@@ -330,6 +335,86 @@ def test_mlp_inside_encoder_shares_the_encoder_theta():
     assert np.shares_memory(enc.mlp.theta, enc.theta)
     enc.mlp.theta[:] = 2.0
     assert (enc.theta[enc.embed_size:] == 2.0).all()
+
+
+def _digest(vec: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(vec, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_init_draws_are_pinned():
+    # digests recorded when models still copied per-layer arrays into theta:
+    # any change in what is drawn, or in which order, fails here
+    with_cat = EncoderSpec(cat_fields=(("a", 5), ("b", 3)), num_fields=2,
+                           embed_dim=3, hidden=(6, 4))
+    num_only = EncoderSpec(cat_fields=(), num_fields=4, embed_dim=0, hidden=(8, 2))
+    got = {
+        "encoder with categoricals":
+            _digest(with_cat.build(stream(41, "pin", "encoder")).theta),
+        "encoder without categoricals":
+            _digest(num_only.build(stream(42, "pin", "encoder")).theta),
+        "mlp": _digest(Mlp.init(stream(43, "pin", "mlp"), [5, 7, 3]).theta),
+        "embedding table": _digest(EmbeddingTable.init(
+            stream(44, "pin", "embed"), [("a", 4), ("b", 6)], 3).block),
+    }
+    assert got == {
+        "encoder with categoricals":
+            "e9c0ad9f589d87e19d5fac5fb0105901af0f0bd574dba41e0dfbbb42490c1d27",
+        "encoder without categoricals":
+            "dcddfd140f5c105ee2cb56ee26a7728acc250d978c148eeb2551913ab0ed1558",
+        "mlp": "61e50e961d74dc498dce795ddb68b6fe6b6506016cea585681a81165b76e38ab",
+        "embedding table":
+            "523c96857f22eae1b444f402d64d0769b476e79dc075d0a2083fb76780f09736",
+    }
+
+
+def _every_view(model) -> list[np.ndarray]:
+    """Every array a model exposes that must lie in its theta."""
+    mlp = model.mlp if isinstance(model, TabularEncoder) else model
+    views = list(model.params().values()) + list(mlp.params().values()) + [mlp.theta]
+    views += [a for layer in mlp.layers for a in (layer.weights, layer.bias)]
+    if isinstance(model, TabularEncoder):
+        views += [model.embed.block, *model.embed.tables.values()]
+    return views
+
+
+@pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)),
+                                   copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_pickled_and_copied_models_keep_their_views(clone):
+    spec = small_spec(n_cat=2, n_num=2, cardinality=5, embed_dim=3, hidden=(6, 4))
+    enc = spec.build(stream(34, "clone"))
+    head = Mlp.init(stream(34, "clone-head"), [4, 1])
+    cat, num = draw_encoder_inputs(stream(34, "in"), spec, 5)
+    for model, run in ((enc, lambda m: m.forward(cat, num)[0]),
+                       (head, lambda m: m.forward(num @ np.ones((2, 4)))[0])):
+        twin = clone(model)
+        assert twin.theta.tobytes() == model.theta.tobytes()
+        assert not np.shares_memory(twin.theta, model.theta)
+        np.testing.assert_array_equal(run(twin), run(model))
+        for arr in _every_view(twin):
+            assert np.shares_memory(arr, twin.theta)
+        twin.theta[:] = 0.5
+        for arr in _every_view(twin):
+            assert (arr == 0.5).all()
+
+
+def test_models_lie_over_the_vector_they_are_given():
+    spec = small_spec(n_cat=1, n_num=2, hidden=(5, 3))
+    fresh = spec.build(stream(35, "rows"))
+    assert not TabularEncoder(spec).theta.any()
+    rows = np.zeros((2, fresh.theta.size))  # one model per row
+    replica = TabularEncoder(spec, rows[1])
+    replica.set_params(fresh.params())
+    assert not rows[0].any()
+    np.testing.assert_array_equal(rows[1], fresh.theta)
+    cat, num = draw_encoder_inputs(stream(35, "in"), spec, 4)
+    np.testing.assert_array_equal(replica.forward(cat, num)[0], fresh.forward(cat, num)[0])
+    head = Mlp.init(stream(35, "head"), [3, 1], theta=np.full(4, np.nan))
+    assert np.isfinite(head.theta).all() and not head.layers[0].bias.any()
+    for bad in (np.zeros(5), np.zeros(4, dtype=np.float32), np.zeros((1, 4))):
+        with pytest.raises(SchemaError, match="theta"):
+            Mlp([3, 1], bad)
+    with pytest.raises(SchemaError, match="theta"):
+        TabularEncoder(spec, np.zeros(fresh.theta.size + 1))
 
 
 @pytest.mark.parametrize("make", [SgdOptimizer, AdamOptimizer])
