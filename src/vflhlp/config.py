@@ -265,9 +265,11 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"{path}: config file not found")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from None
     return parse_config(raw)
 
 

@@ -282,18 +282,21 @@ def _read_rows(path, needed: list[str]) -> list[dict[str, str]]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, no header")
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        rows = []
-        for line, row in enumerate(reader, start=2):
-            if None in row.values() or None in row:
-                raise DataError(f"{path}:{line}: wrong number of cells")
-            rows.append(row)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file, no header")
+            missing = [c for c in needed if c not in reader.fieldnames]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            rows = []
+            for line, row in enumerate(reader, start=2):
+                if None in row.values() or None in row:
+                    raise DataError(f"{path}:{line}: wrong number of cells")
+                rows.append(row)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows

@@ -31,7 +31,7 @@ from .data import (
     transform_csv,
     vertical_partition,
 )
-from .errors import ConfigError, DataError, TrainingError, UndefinedMetricError
+from .errors import ConfigError, DataError, SchemaError, TrainingError, UndefinedMetricError
 from .federated import (
     AuditReport,
     DownstreamConfig,
@@ -606,7 +606,11 @@ def load_pretrained(
     mode: TrainMode,
     warm_start_active: bool,
 ) -> PretrainedWeights:
-    """Read the pre-trained weights `mode` needs from what save_pretrained wrote."""
+    """Read the pre-trained weights `mode` needs from what save_pretrained wrote.
+
+    Every tensor of a file must fit `specs`: a missing, extra or misshapen one
+    raises DataError naming the file.
+    """
     parties = [1] if mode.uses_constraint or warm_start_active else []
     if mode.warm_starts_passive:
         parties += [k for k in sorted(specs) if k != 1]
@@ -619,13 +623,24 @@ def load_pretrained(
                 f"run `vflhlp pretrain` first"
             )
         tensors, meta = load_checkpoint(path)
+        models = {"encoder.": specs[k].build_empty()}
+        if k == 1:
+            models["head."] = Mlp([specs[1].rep_dim, 1])
+        try:
+            for prefix, model in models.items():
+                model.set_params(_strip_prefix(tensors, prefix))
+            stray = sorted(n for n in tensors if not n.startswith(tuple(models)))
+            if stray:
+                raise SchemaError(f"unexpected tensors {stray}")
+        except SchemaError as exc:
+            raise DataError(f"{path}: {exc}") from None
         if k > 1:
-            weights.passive[k] = _strip_prefix(tensors, "encoder.")
+            weights.passive[k] = models["encoder."].params()
             continue
         weights.active = ActivePretrained(
             spec=specs[1],
-            encoder_params=_strip_prefix(tensors, "encoder."),
-            head_params=_strip_prefix(tensors, "head."),
+            encoder_params=models["encoder."].params(),
+            head_params=models["head."].params(),
             best_epoch=meta.get("best_epoch", 0),
             val_auc=meta.get("val_auc"),
             degenerate_validation=meta.get("degenerate_validation", False),

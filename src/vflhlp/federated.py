@@ -265,9 +265,9 @@ class PartyNode:
             raise TrainingError(
                 f"party {self.party_id} received gradients for party {msg.party_id}"
             )
-        bundle = self.encoder.backward(self._tape, msg.values)
+        grad = self.encoder.backward(self._tape, msg.values)
         self._tape = None
-        return bundle.flat
+        return grad
 
     def apply_update(self, grad: np.ndarray, lr: float) -> None:
         self.optimizer.step(
@@ -296,14 +296,15 @@ class ServerNode:
         head_anchor: dict[str, np.ndarray] | None = None,
     ):
         self.head = head
+        in_dim, out_dim = head.dims[:2]
         self.rep_slices: dict[int, slice] = {}
         off = 0
         for k in sorted(rep_dims):
             self.rep_slices[k] = slice(off, off + rep_dims[k])
             off += rep_dims[k]
-        if head.in_dim != off:
+        if in_dim != off:
             raise SchemaError(
-                f"head input dim {head.in_dim} does not match total "
+                f"head input dim {in_dim} does not match total "
                 f"representation dim {off}"
             )
         self.beta = beta
@@ -313,7 +314,6 @@ class ServerNode:
         self._layouts = {"head": head.layout}
         # entries of head.theta that act on party 1's block: its weight
         # columns, then the bias
-        out_dim, in_dim = head.layers[0].weights.shape
         sl = self.rep_slices[1]
         columns = np.arange(out_dim)[:, None] * in_dim + np.arange(sl.start, sl.stop)
         self.head_active = np.concatenate(

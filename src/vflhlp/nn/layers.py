@@ -8,11 +8,16 @@ arithmetic is kept explicit and deterministic.
 
 A model (an encoder or an Mlp head) is its shape plus one float64 vector,
 `theta`: `Mlp(dims, theta)` and `TabularEncoder(spec, theta)` lay their
-per-tensor arrays (`params()`, `EmbeddingTable.tables`, `DenseLayer.weights`
-and `.bias`) over the vector they are given, or over a new zero vector. So
-an optimizer step, a finite check or a copy is one vector operation, and a
-model pickles as (shape, theta). Write into those views in place
-(`arr[...] = ...`); rebinding one detaches it from the model.
+per-tensor arrays (`params()`, `EmbeddingTable.tables`) over the vector they
+are given, or over a new zero vector. So an optimizer step, a finite check or
+a copy is one vector operation, and a model pickles as (shape, theta). Write
+into those views in place (`arr[...] = ...`); rebinding one detaches it from
+the model.
+
+A forward pass returns its output and a tape, a plain tuple of what the
+backward pass reads: `(inputs, preacts)` per layer for an Mlp, and
+`(embedding rows, mlp tape)` for a TabularEncoder. `TabularEncoder.backward`
+returns one flat gradient laid out like theta.
 """
 from __future__ import annotations
 
@@ -116,50 +121,6 @@ class FlatParams:
         return self.layout.views(grad)
 
 
-class DenseLayer:
-    """Affine map plus an elementwise activation ('relu' or 'identity').
-
-    It holds the weight and bias arrays it is given, which an Mlp lays over
-    its theta.
-    """
-
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
-        self.weights = weights
-        self.bias = bias
-        self.activation = activation
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (activated output, pre-activation)."""
-        in_dim = self.weights.shape[1]
-        if x.shape[1] != in_dim:
-            raise SchemaError(f"dense layer expects input dim {in_dim}, got {x.shape[1]}")
-        z = x @ self.weights.T + self.bias
-        if self.activation == "relu":
-            return np.maximum(z, 0.0), z
-        return z, z
-
-    def backward(
-        self, x: np.ndarray, z: np.ndarray, upstream: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (d_weights, d_bias, d_input) for the given upstream grad."""
-        if self.activation == "relu":
-            dz = upstream * (z > 0.0)
-        else:
-            dz = upstream
-        dw = dz.T @ x
-        db = dz.sum(axis=0)
-        dx = dz @ self.weights
-        return dw, db, dx
-
-
-@dataclass
-class MlpTape:
-    """Per-layer (input, pre-activation) pairs saved by Mlp.forward."""
-
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
-
-
 def _mlp_shapes(dims: list[int]) -> dict[str, tuple[int, ...]]:
     if len(dims) < 2:
         raise SchemaError("dims must list at least input and output size")
@@ -182,15 +143,10 @@ class Mlp(FlatParams):
         self.layout = ParamLayout(_mlp_shapes(self.dims))
         self._lay_over(theta)
         n = len(self.dims) - 1
-        self.layers = [
-            DenseLayer(
-                self._views[f"{i}.weight"],
-                self._views[f"{i}.bias"],
-                "identity" if i == n - 1 else "relu",
-            )
-            for i in range(n)
+        # per layer: (weight, bias) views, and (weight start, bias start, end)
+        self._layers = [
+            (self._views[f"{i}.weight"], self._views[f"{i}.bias"]) for i in range(n)
         ]
-        # (weight start, bias start, end) of each layer in theta
         st = self.layout.starts
         self._spans = [(st[2 * i], st[2 * i + 1], st[2 * i + 2]) for i in range(n)]
 
@@ -203,49 +159,48 @@ class Mlp(FlatParams):
     ) -> "Mlp":
         """Glorot uniform weights, layer by layer, and zero biases."""
         mlp = cls(dims, theta)
-        for layer in mlp.layers:
-            layer.weights[...] = glorot_uniform(rng, *layer.weights.shape)
-            layer.bias[...] = 0.0
+        for w, b in mlp._layers:
+            w[...] = glorot_uniform(rng, *w.shape)
+            b[...] = 0.0
         return mlp
 
-    @property
-    def in_dim(self) -> int:
-        return self.dims[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.dims[-1]
-
-    def forward(self, x) -> tuple[np.ndarray, MlpTape]:
+    def forward(self, x) -> tuple[np.ndarray, tuple[list, list]]:
+        """Return (output, tape); the tape holds each layer's input and pre-activation."""
         x = _as_f64(x, "mlp input")
+        if x.shape[1] != self.dims[0]:
+            raise SchemaError(f"mlp expects input dim {self.dims[0]}, got {x.shape[1]}")
         inputs, preacts = [], []
-        out = x
-        for layer in self.layers:
-            inputs.append(out)
-            out, z = layer.forward(out)
+        last = len(self._layers) - 1
+        for i, (w, b) in enumerate(self._layers):
+            inputs.append(x)
+            z = x @ w.T + b
             preacts.append(z)
-        return out, MlpTape(inputs, preacts)
+            x = z if i == last else np.maximum(z, 0.0)
+        return x, (inputs, preacts)
 
     def backward(
-        self, tape: MlpTape, upstream: np.ndarray, out: np.ndarray | None = None
+        self, tape: tuple[list, list], upstream: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return (flat parameter gradient laid out like theta, input gradient).
 
         The gradient is written into `out` when given, else into a new vector.
         """
+        inputs, preacts = tape
         upstream = np.asarray(upstream, dtype=np.float64)
-        if upstream.shape != tape.preacts[-1].shape:
+        if upstream.shape != preacts[-1].shape:
             raise SchemaError(
                 f"upstream shape {upstream.shape} does not match output "
-                f"{tape.preacts[-1].shape}"
+                f"{preacts[-1].shape}"
             )
         grad = np.empty(self.layout.size) if out is None else out
         d = upstream
-        for i in range(len(self.layers) - 1, -1, -1):
-            dw, db, d = self.layers[i].backward(tape.inputs[i], tape.preacts[i], d)
+        last = len(self._layers) - 1
+        for i in range(last, -1, -1):
+            dz = d if i == last else d * (preacts[i] > 0.0)
             a, m, b = self._spans[i]
-            grad[a:m] = dw.ravel()
-            grad[m:b] = db
+            grad[a:m] = (dz.T @ inputs[i]).ravel()
+            grad[m:b] = dz.sum(axis=0)
+            d = dz @ self._layers[i][0]
         return grad, d
 
 
@@ -335,27 +290,6 @@ class EmbeddingTable:
         return out
 
 
-@dataclass
-class EncoderTape:
-    rows: np.ndarray | None  # embedding block rows, already cleaned
-    mlp_tape: MlpTape
-
-
-@dataclass
-class GradBundle:
-    """An encoder's parameter gradient as one vector laid out like its theta,
-    plus the gradient w.r.t. the mlp input row."""
-
-    flat: np.ndarray
-    input_grads: np.ndarray
-    layout: ParamLayout
-
-    @property
-    def param_grads(self) -> dict[str, np.ndarray]:
-        """Named views into `flat`."""
-        return self.layout.views(self.flat)
-
-
 @dataclass(frozen=True)
 class EncoderSpec:
     """Architecture of one party's encoder, enough to rebuild it exactly."""
@@ -424,19 +358,17 @@ class TabularEncoder(FlatParams):
 
     @property
     def rep_dim(self) -> int:
-        return self.mlp.out_dim
+        return self.spec.rep_dim
 
     def forward(self, cat: np.ndarray | None, num: np.ndarray | None):
-        """Embed + concat + mlp. Returns (representation, tape)."""
+        """Embed + concat + mlp. Returns (representation, (embedding rows, mlp tape))."""
         parts = []
         rows = None
-        n = None
         if self.embed is not None:
             if cat is None:
                 raise SchemaError("encoder has embeddings but got no categorical batch")
             emb, rows = self.embed.lookup(cat)
             parts.append(emb)
-            n = rows.shape[0]
         if self.spec.num_fields:
             if num is None:
                 raise SchemaError("encoder expects numerical features but got none")
@@ -446,22 +378,23 @@ class TabularEncoder(FlatParams):
                     f"expected {self.spec.num_fields} numerical columns, "
                     f"got {num.shape[1]}"
                 )
-            if n is not None and num.shape[0] != n:
+            if rows is not None and num.shape[0] != rows.shape[0]:
                 raise SchemaError("categorical and numerical row counts differ")
             parts.append(num)
         x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         out, mlp_tape = self.mlp.forward(x)
-        return out, EncoderTape(rows, mlp_tape)
+        return out, (rows, mlp_tape)
 
-    def backward(self, tape: EncoderTape, upstream: np.ndarray) -> GradBundle:
-        """Gradient laid out like theta, as a new vector plus named views."""
+    def backward(self, tape: tuple, upstream: np.ndarray) -> np.ndarray:
+        """The parameter gradient as a new vector laid out like theta."""
+        rows, mlp_tape = tape
         grad = np.empty(self.layout.size)
         e = self.embed_size
-        _, dx = self.mlp.backward(tape.mlp_tape, upstream, out=grad[e:])
+        _, dx = self.mlp.backward(mlp_tape, upstream, out=grad[e:])
         if self.embed is not None:
             self.embed.backward(
-                tape.rows,
+                rows,
                 dx[:, : self.embed.out_dim],
                 out=grad[:e].reshape(self.embed.block.shape),
             )
-        return GradBundle(flat=grad, input_grads=dx, layout=self.layout)
+        return grad

@@ -260,9 +260,9 @@ def pretrain_passive(
         if update:
             pg_clean, dr_clean = projection.backward(ptape_clean, result.grad_z)
             pg_corr, dr_corr = projection.backward(ptape_corr, result.grad_z_tilde)
-            eb_clean = encoder.backward(tape_clean, dr_clean)
-            eb_corr = encoder.backward(tape_corr, dr_corr)
-            grads = {"enc": eb_clean.flat + eb_corr.flat, "proj": pg_clean + pg_corr}
+            eg_clean = encoder.backward(tape_clean, dr_clean)
+            eg_corr = encoder.backward(tape_corr, dr_corr)
+            grads = {"enc": eg_clean + eg_corr, "proj": pg_clean + pg_corr}
             optimizer.step(params, grads, cfg.learning_rate, layouts)
         return result.loss
 

@@ -105,7 +105,7 @@ def pretrain_active(
             logits, head_tape = head.forward(rep)
             loss, dlogits = bce_with_logits(logits[:, 0], labels[rows])
             head_grad, drep = head.backward(head_tape, dlogits[:, None])
-            enc_grad = encoder.backward(enc_tape, drep).flat
+            enc_grad = encoder.backward(enc_tape, drep)
             optimizer.step(
                 params, {"enc": enc_grad, "head": head_grad}, cfg.learning_rate, layouts
             )

@@ -57,11 +57,10 @@ def draw_encoder_inputs(rng: np.random.Generator, spec: EncoderSpec,
 def min_relu_margin(encoder: TabularEncoder, cat: np.ndarray,
                     num: np.ndarray) -> float:
     """Smallest |preactivation| seen at any relu layer on this batch."""
-    _, tape = encoder.forward(cat, num)
+    _, (_, (_, preacts)) = encoder.forward(cat, num)
     margin = np.inf
-    for layer, z in zip(encoder.mlp.layers, tape.mlp_tape.preacts):
-        if layer.activation == "relu":
-            margin = min(margin, float(np.abs(z).min()))
+    for z in preacts[:-1]:  # every mlp layer but the last is relu
+        margin = min(margin, float(np.abs(z).min()))
     return margin
 
 
@@ -84,12 +83,8 @@ def mlp_away_from_kinks(dims: list[int], x: np.ndarray, seed: int,
                         margin: float = 1e-3) -> Mlp:
     for attempt in range(200):
         mlp = Mlp.init(stream(seed, "gradcheck-mlp", attempt), dims)
-        _, tape = mlp.forward(x)
-        ok = all(
-            float(np.abs(z).min()) > margin
-            for layer, z in zip(mlp.layers, tape.preacts)
-            if layer.activation == "relu"
-        )
+        _, (_, preacts) = mlp.forward(x)
+        ok = all(float(np.abs(z).min()) > margin for z in preacts[:-1])
         if ok:
             return mlp
     raise AssertionError("could not find a kink-free initialization")

@@ -40,7 +40,7 @@ from vflhlp.federated import (
     train_downstream,
 )
 from vflhlp.metrics import auc
-from vflhlp.nn import Mlp, grad_check
+from vflhlp.nn import Mlp
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import SslConfig, info_nce, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active
@@ -52,6 +52,7 @@ from conftest import (
     round_loss_setup,
     small_spec,
 )
+from gradcheck import grad_check
 from test_federated import Monolith
 
 

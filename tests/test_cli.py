@@ -214,6 +214,26 @@ def test_eval_on_a_bad_checkpoint_is_a_data_error(cfg_path, out, capsys, damage)
     assert "data error" in err and str(ckpt) in err
 
 
+@pytest.mark.parametrize("damage", ["no head weight", "misshapen passive tensor"])
+def test_train_on_a_bad_pretrained_checkpoint_is_a_data_error(cfg_path, out, capsys,
+                                                              damage):
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+    ckpts = out / "checkpoints" / "seed7"
+    if damage == "no head weight":
+        ckpt = ckpts / "active.ckpt"
+        tensors, meta = load_checkpoint(ckpt)
+        del tensors["head.0.weight"]
+    else:
+        ckpt = ckpts / "passive2.ckpt"
+        tensors, meta = load_checkpoint(ckpt)
+        tensors["encoder.mlp.0.bias"] = np.zeros(5)  # the spec's layer is 8 wide
+    save_checkpoint(ckpt, tensors, meta)
+    capsys.readouterr()
+    assert run("train", "--config", cfg_path, "--out", out, "--mode", "vflhlp") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(ckpt) in err
+
+
 def test_train_and_grid_give_the_same_cells(trained_out, cfg_path, tmp_path):
     grid_out = tmp_path / "g"
     assert run("grid", "--config", cfg_path, "--out", grid_out) == 0
@@ -385,3 +405,43 @@ def test_usage_and_config_errors_use_exit_code_two(cfg_path, tmp_path, capsys):
     assert run("train", "--config", tmp_path / "missing.json") == 2
     assert run("train", "--config", cfg_path, "--mode", "warp-drive") == 2
     assert run("grid", "--config", cfg_path, "--seed", "-1") == 2
+
+
+@pytest.mark.parametrize("damage", ["invalid utf-8", "directory"])
+def test_unreadable_config_is_a_config_error(tmp_path, out, capsys, damage):
+    path = tmp_path / "cfg.json"
+    if damage == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"preset": "fixture\xff"}')
+    assert run("prepare", "--config", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("damage", ["none", "invalid utf-8", "directory",
+                                    "field over the csv limit"])
+def test_unreadable_csv_is_a_data_error(tmp_path, out, capsys, damage):
+    rows = "id,label,x1,x2\n" + "".join(f"{i},{i % 2},{i},{-i}\n" for i in range(80))
+    test_csv, train_csv = tmp_path / "test.csv", tmp_path / "train.csv"
+    test_csv.write_text(rows)
+    if damage == "directory":
+        train_csv.mkdir()
+    elif damage == "invalid utf-8":
+        train_csv.write_bytes(rows.encode() + b"80,0,\xff,1\n")
+    elif damage == "field over the csv limit":
+        train_csv.write_text(rows + "80,0," + "9" * 200_000 + ",1\n")
+    else:
+        train_csv.write_text(rows)
+    fields = [{"name": "x1", "kind": "numerical", "party": 1},
+              {"name": "x2", "kind": "numerical", "party": 2}]
+    csv_data = {"train_path": str(train_csv), "test_path": str(test_csv),
+                "k_parties": 2, "aligned_pool": 40, "fields": fields}
+    cfg = tmp_path / "csv.json"
+    cfg.write_text(json.dumps({**TINY, "data": {"kind": "csv", "csv": csv_data}}))
+    if damage == "none":
+        assert run("prepare", "--config", cfg, "--out", out) == 0
+        return
+    assert run("prepare", "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(train_csv) in err

@@ -25,12 +25,13 @@ from vflhlp.federated import (
     total_loss,
     train_downstream,
 )
-from vflhlp.nn import SgdOptimizer, bce_with_logits, grad_check
+from vflhlp.nn import SgdOptimizer, bce_with_logits
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import SslConfig, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active
 
 from conftest import build_federation, round_loss_setup, small_spec, split_round_grads
+from gradcheck import grad_check
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +210,8 @@ def test_first_round_constraint_is_zero_when_started_at_anchors(
     )
     parties[1].encoder.set_params(pretrained.active.encoder_params)
     sl = server.rep_slices[1]
-    server.head.layers[0].weights[:, sl] = head_anchor["weight"]
-    server.head.layers[0].bias[:] = head_anchor["bias"]
+    server.head.params()["0.weight"][:, sl] = head_anchor["weight"]
+    server.head.params()["0.bias"][:] = head_anchor["bias"]
     stats, _ = run_round(parties, server, batch, TrainMode.VFLHLP, 0,
                          TransportLog(), apply_updates=False)
     assert stats.loss_cons == 0.0
@@ -222,15 +223,15 @@ def test_zero_head_weights_leave_parties_stationary_for_one_round(
 ):
     train, batch = _round_batch(tiny_bundle, count=20)
     parties, server = build_federation(train, specs3, beta=0.0, seed=7)
-    server.head.layers[0].weights[:] = 0.0
+    server.head.params()["0.weight"][:] = 0.0
     before = {k: parties[k].encoder.params_copy() for k in parties}
-    bias_before = server.head.layers[0].bias.copy()
+    bias_before = server.head.params()["0.bias"].copy()
     run_round(parties, server, batch, TrainMode.VANILLA_VFL, 0, TransportLog())
     for k in parties:
         for name, arr in parties[k].encoder.params().items():
             np.testing.assert_array_equal(arr, before[k][name])
     # the head bias still learns from the labels
-    assert not np.array_equal(server.head.layers[0].bias, bias_before)
+    assert not np.array_equal(server.head.params()["0.bias"], bias_before)
 
 
 # ------------------------------------------------------------------ monolith
@@ -259,8 +260,9 @@ class Monolith:
         off = 0
         for k in order:
             dim = self.encoders[k].rep_dim
-            bundle = self.encoders[k].backward(tapes[k], dh[:, off : off + dim])
-            self.opt.step(self.encoders[k].params(), bundle.param_grads, self.eta2)
+            grad = self.encoders[k].backward(tapes[k], dh[:, off : off + dim])
+            self.opt.step(self.encoders[k].params(),
+                          self.encoders[k].grads_dict(grad), self.eta2)
             off += dim
         return loss
 

@@ -14,7 +14,6 @@ import pytest
 from vflhlp.errors import DataError, SchemaError, TrainingError
 from vflhlp.nn import (
     AdamOptimizer,
-    DenseLayer,
     EmbeddingTable,
     EncoderSpec,
     Mlp,
@@ -22,10 +21,8 @@ from vflhlp.nn import (
     TabularEncoder,
     bce_with_logits,
     glorot_uniform,
-    grad_check,
     load_checkpoint,
     make_optimizer,
-    max_relative_error,
     save_checkpoint,
     sigmoid,
 )
@@ -37,45 +34,55 @@ from conftest import (
     mlp_away_from_kinks,
     small_spec,
 )
+from gradcheck import grad_check, max_relative_error
 
 
 # ---------------------------------------------------------------- dense / mlp
 
+def _mlp_with(dims, *layers) -> Mlp:
+    """An Mlp whose layers hold the given (weight, bias) pairs."""
+    mlp = Mlp(dims)
+    params = mlp.params()
+    for i, (w, b) in enumerate(layers):
+        params[f"{i}.weight"][...] = w
+        params[f"{i}.bias"][...] = b
+    return mlp
+
+
 def test_dense_identity_forward_is_affine():
     w = np.array([[1.0, 2.0], [0.5, -1.0]])
     b = np.array([0.25, -0.5])
-    layer = DenseLayer(w, b, "identity")
+    mlp = _mlp_with([2, 2], (w, b))
     x = np.array([[1.0, 1.0], [2.0, 0.0]])
-    y, z = layer.forward(x)
+    y, (_, preacts) = mlp.forward(x)
     assert np.array_equal(y, x @ w.T + b)
-    assert np.array_equal(y, z)
+    assert np.array_equal(y, preacts[0])
 
 
 def test_dense_relu_clips_negative_preacts():
-    w = np.eye(2)
     b = np.array([0.0, -10.0])
-    y, z = DenseLayer(w, b, "relu").forward(np.array([[3.0, 4.0]]))
-    assert np.array_equal(z, [[3.0, -6.0]])
-    assert np.array_equal(y, [[3.0, 0.0]])
+    mlp = _mlp_with([2, 2, 2], (np.eye(2), b), (np.eye(2), np.zeros(2)))
+    _, (inputs, preacts) = mlp.forward(np.array([[3.0, 4.0]]))
+    assert np.array_equal(preacts[0], [[3.0, -6.0]])
+    assert np.array_equal(inputs[1], [[3.0, 0.0]])  # the hidden layer's output
 
 
 def test_dense_backward_matches_fd():
     rng = stream(11, "dense-fd")
     x = rng.standard_normal((5, 4))
-    layer = DenseLayer(glorot_uniform(rng, 3, 4), rng.standard_normal(3) * 0.1,
-                       "identity")
+    mlp = _mlp_with([4, 3], (glorot_uniform(rng, 3, 4), rng.standard_normal(3) * 0.1))
     target = rng.standard_normal((5, 3))
 
     def loss_fn():
-        y, _ = layer.forward(x)
+        y, _ = mlp.forward(x)
         return float(0.5 * np.sum((y - target) ** 2))
 
     def grads_fn():
-        y, z = layer.forward(x)
-        dw, db, _ = layer.backward(x, z, y - target)
-        return {"w": dw, "b": db}
+        y, tape = mlp.forward(x)
+        grad, _ = mlp.backward(tape, y - target)
+        return mlp.grads_dict(grad)
 
-    err = grad_check(loss_fn, grads_fn, {"w": layer.weights, "b": layer.bias})
+    err = grad_check(loss_fn, grads_fn, mlp.params())
     assert err < 1e-7
 
 
@@ -237,9 +244,9 @@ def test_encoder_forward_concats_embeddings_then_numericals():
     enc = spec.build(stream(5, "enc"))
     cat = np.array([[2]], dtype=np.int64)
     num = np.array([[0.3, 0.9]])
-    rep, tape = enc.forward(cat, num)
+    rep, (_, (inputs, _)) = enc.forward(cat, num)
     expected_in = np.concatenate([enc.embed.tables["c0"][2], [0.3, 0.9]])
-    np.testing.assert_array_equal(tape.mlp_tape.inputs[0][0], expected_in)
+    np.testing.assert_array_equal(inputs[0][0], expected_in)
     assert rep.shape == (1, spec.rep_dim)
 
 
@@ -256,8 +263,7 @@ def test_encoder_grad_matches_fd_params_and_inputs():
 
     def grads_fn():
         rep, tape = enc.forward(cat, num)
-        bundle = enc.backward(tape, rep - target)
-        return bundle.param_grads
+        return enc.grads_dict(enc.backward(tape, rep - target))
 
     err = grad_check(loss_fn, grads_fn, enc.params())
     assert err < 1e-6
@@ -293,9 +299,7 @@ def test_build_empty_then_set_params_reproduces_encoder():
 def _all_views(enc: TabularEncoder) -> dict[str, np.ndarray]:
     """Every named array an encoder exposes, keyed by its params() name."""
     views = {f"embed.{n}": t for n, t in enc.embed.tables.items()}
-    for i, layer in enumerate(enc.mlp.layers):
-        views[f"mlp.{i}.weight"] = layer.weights
-        views[f"mlp.{i}.bias"] = layer.bias
+    views.update({f"mlp.{n}": a for n, a in enc.mlp.params().items()})
     return views
 
 
@@ -371,7 +375,7 @@ def _every_view(model) -> list[np.ndarray]:
     """Every array a model exposes that must lie in its theta."""
     mlp = model.mlp if isinstance(model, TabularEncoder) else model
     views = list(model.params().values()) + list(mlp.params().values()) + [mlp.theta]
-    views += [a for layer in mlp.layers for a in (layer.weights, layer.bias)]
+    views += [a for wb in mlp._layers for a in wb]  # what forward reads
     if isinstance(model, TabularEncoder):
         views += [model.embed.block, *model.embed.tables.values()]
     return views
@@ -409,7 +413,7 @@ def test_models_lie_over_the_vector_they_are_given():
     cat, num = draw_encoder_inputs(stream(35, "in"), spec, 4)
     np.testing.assert_array_equal(replica.forward(cat, num)[0], fresh.forward(cat, num)[0])
     head = Mlp.init(stream(35, "head"), [3, 1], theta=np.full(4, np.nan))
-    assert np.isfinite(head.theta).all() and not head.layers[0].bias.any()
+    assert np.isfinite(head.theta).all() and not head.params()["0.bias"].any()
     for bad in (np.zeros(5), np.zeros(4, dtype=np.float32), np.zeros((1, 4))):
         with pytest.raises(SchemaError, match="theta"):
             Mlp([3, 1], bad)

@@ -88,3 +88,29 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
     assert tags("sup_pretrain.pretrain_active") == [
         cfg.supervised.batch_size, cfg.downstream.batch_size
     ]
+
+    # the encoder spans carry their batch rows, which the per-layer metrics
+    # split into us_b8 and us_b256: each training step's forward and backward
+    # has its stage's batch size, or fewer rows on an epoch's last batch
+    sup, down = cfg.supervised.batch_size, cfg.downstream.batch_size
+    stage_batch = {
+        i: down if t.names[nid] == "federated.run_round" else t.tag[i]
+        for i, nid in enumerate(t.name)
+        if t.names[nid] in ("federated.run_round", "sup_pretrain.pretrain_active")
+    }
+    steps: dict[tuple[str, int], list[int]] = {}
+    for i, nid in enumerate(t.name):
+        if t.names[nid].startswith("nn.TabularEncoder."):
+            p = t.parent[i]
+            while p >= 0 and p not in stage_batch:
+                p = t.parent[p]
+            if p >= 0:
+                key = (t.names[nid].rsplit(".", 1)[1], stage_batch[p])
+                steps.setdefault(key, []).append(t.tag[i])
+    assert sorted(steps) == sorted(
+        (kind, rows) for kind in ("backward", "forward") for rows in (sup, down)
+    )
+    for (kind, rows), tags in steps.items():
+        assert rows in tags, (kind, rows)
+        if kind == "backward":
+            assert max(tags) == rows, (kind, rows)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from vflhlp.errors import ConfigError, SchemaError
-from vflhlp.nn.gradcheck import max_relative_error, numeric_grads
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import (
     CorruptionModel,
@@ -23,6 +22,7 @@ from vflhlp.ssl_pretrain import (
 )
 
 from conftest import small_spec
+from gradcheck import max_relative_error, numeric_grads
 
 
 # ----------------------------------------------------------------- oracles
