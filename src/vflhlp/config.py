@@ -171,6 +171,10 @@ def _type_ok(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+# one value of each field key's type, for _type_ok
+_FIELD_DEFAULTS = {"name": "", "kind": "", "party": 0, "cardinality": 0}
+
+
 def _parse_fields(raw: list, section: str) -> tuple[Field, ...]:
     if not isinstance(raw, list):
         raise ConfigError(f"{section}: fields must be a list")
@@ -178,9 +182,16 @@ def _parse_fields(raw: list, section: str) -> tuple[Field, ...]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ConfigError(f"{section}: fields[{i}] must be an object")
-        unknown = sorted(set(item) - {"name", "kind", "party", "cardinality"})
+        unknown = sorted(set(item) - set(_FIELD_DEFAULTS))
         if unknown:
             raise ConfigError(f"{section}: fields[{i}] unknown keys {unknown}")
+        for key, value in item.items():
+            if not _type_ok(value, _FIELD_DEFAULTS[key]):
+                expected = type(_FIELD_DEFAULTS[key]).__name__
+                raise ConfigError(
+                    f"{section}: fields[{i}].{key}: expected {expected}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
         try:
             fields.append(
                 Field(
@@ -212,6 +223,10 @@ def _parse_data(raw: dict) -> DataConfig:
             tuple_keys=("num_fields_per_party", "cat_fields_per_party", "party_signal"),
         )
     if "csv" in raw:
+        if not isinstance(raw["csv"], dict):
+            raise ConfigError(
+                f"data.csv: expected an object, got {type(raw['csv']).__name__}"
+            )
         csv_raw = dict(raw["csv"])
         fields = _parse_fields(csv_raw.pop("fields", []), "data.csv")
         csv_cfg = _build(CsvDataConfig, {**csv_raw, "fields": fields}, "data.csv")
@@ -339,7 +354,7 @@ def preset(name: str) -> dict:
         "avazu-like": _avazu_preset,
         "criteo-like": _criteo_preset,
     }
-    if name not in presets:
+    if not isinstance(name, str) or name not in presets:
         raise ConfigError(
             f"unknown preset {name!r}; available: {sorted(presets)}"
         )

@@ -69,9 +69,14 @@ class FeatureSchema:
                     f"but k_parties is {k_parties}"
                 )
         held = {f.party for f in self.fields}
-        empty = sorted(set(range(1, k_parties + 1)) - held)
-        if empty:
-            raise ConfigError(f"parties without any fields: {empty}")
+        if len(held) < k_parties:
+            # held lies in 1..K, so the first five empty parties (or all) are
+            # within 1..len(held) + 5; no set over the whole range is needed
+            empty = [k for k in range(1, min(k_parties, len(held) + 5) + 1) if k not in held]
+            more = k_parties - len(held) - len(empty)
+            raise ConfigError(
+                f"parties without any fields: {empty}" + (f" and {more} more" if more else "")
+            )
 
     def party_fields(self, party: int) -> tuple[tuple[Field, ...], tuple[Field, ...]]:
         """(categorical fields, numerical fields) of one party, in schema order."""
@@ -122,8 +127,9 @@ class PartyView:
 
 
 @dataclass
-class AlignedSplit:
-    """Fully aligned evaluation rows: every party's features plus labels."""
+class AlignedBatch:
+    """Fully aligned rows, every party's features plus labels: a training
+    batch, a cell's gathered rows, or the test split."""
 
     ids: np.ndarray
     cat: dict[int, np.ndarray]
@@ -134,6 +140,15 @@ class AlignedSplit:
     @property
     def n(self) -> int:
         return int(self.ids.shape[0])
+
+    def take(self, rows) -> "AlignedBatch":
+        """The given rows (index array or slice), in order; bayes_scores is dropped."""
+        return AlignedBatch(
+            ids=self.ids[rows],
+            cat={k: v[rows] for k, v in self.cat.items()},
+            num={k: v[rows] for k, v in self.num.items()},
+            labels=self.labels[rows],
+        )
 
 
 @dataclass
@@ -173,10 +188,6 @@ class VerticalDataset:
             )
         return replace(self, aligned_count=count)
 
-    def with_aligned_ids(self, ids: np.ndarray) -> "VerticalDataset":
-        ids = np.asarray(ids, dtype=np.int64)
-        return replace(self, aligned_pool=ids, aligned_count=int(ids.shape[0]))
-
     def labels_for(self, ids: np.ndarray) -> np.ndarray:
         rows = self.parties[1].rows_for(ids)
         return self.labels[rows]
@@ -193,44 +204,28 @@ class VerticalDataset:
 
 
 @dataclass
-class AlignedBatch:
-    ids: np.ndarray
-    cat: dict[int, np.ndarray]
-    num: dict[int, np.ndarray]
-    labels: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.ids.shape[0])
-
-
-@dataclass
 class DatasetBundle:
     """A training dataset plus a fully aligned test split."""
 
     train: VerticalDataset
-    test: AlignedSplit
+    test: AlignedBatch
 
 
 def sample_aligned_batches(
-    ds: VerticalDataset, batch_size: int, seed: int, epoch: int
+    pool: AlignedBatch, batch_size: int, seed: int, epoch: int
 ) -> list[AlignedBatch]:
-    """Shuffled mini-batches over the active aligned set for one epoch.
+    """Shuffled mini-batches over a cell's aligned rows, gathered once, for one epoch.
 
-    The permutation depends only on (seed, epoch). The final short batch is
-    kept, so every aligned sample appears exactly once per epoch.
+    The epoch is one fancy index of the pool by the permutation of (seed,
+    epoch), and its batches are row slices of that. The final short batch is
+    kept, so every row appears exactly once per epoch.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    ids = ds.aligned_ids()
-    if ids.shape[0] == 0:
+    if pool.n == 0:
         raise DataError("aligned set is empty")
-    perm = stream(seed, "aligned-batches", epoch).permutation(ids.shape[0])
-    shuffled = ids[perm]
-    return [
-        ds.gather(shuffled[i : i + batch_size])
-        for i in range(0, shuffled.shape[0], batch_size)
-    ]
+    shuffled = pool.take(stream(seed, "aligned-batches", epoch).permutation(pool.n))
+    return [shuffled.take(slice(i, i + batch_size)) for i in range(0, pool.n, batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +495,7 @@ def vertical_partition(
     )
 
 
-def split_from_table(table: Table, schema: FeatureSchema, k_parties: int) -> AlignedSplit:
+def split_from_table(table: Table, schema: FeatureSchema, k_parties: int) -> AlignedBatch:
     """Treat a full table as an aligned evaluation split."""
     if table.labels is None:
         raise DataError("evaluation split requires labels")
@@ -510,7 +505,7 @@ def split_from_table(table: Table, schema: FeatureSchema, k_parties: int) -> Ali
         c, m, _, _ = _party_columns(table, schema, k, rows)
         cat[k] = c
         num[k] = m
-    return AlignedSplit(ids=table.ids.copy(), cat=cat, num=num, labels=table.labels.copy())
+    return AlignedBatch(ids=table.ids.copy(), cat=cat, num=num, labels=table.labels.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +640,9 @@ def synth_generate(cfg: SynthConfig, seed: int) -> DatasetBundle:
             num_fields=nf,
         )
 
-    def make_split(rows: np.ndarray) -> AlignedSplit:
+    def make_split(rows: np.ndarray) -> AlignedBatch:
         order = np.sort(rows)
-        return AlignedSplit(
+        return AlignedBatch(
             ids=order.astype(np.int64),
             cat={k: raw_cat[k][order] for k in range(1, K + 1)},
             num={k: scaled_num[k][order] for k in range(1, K + 1)},
@@ -802,7 +797,7 @@ def _bundle_from_cache(cache_dir: Path, manifest: dict) -> DatasetBundle:
         aligned_pool=load("aligned_pool"),
         aligned_count=manifest["aligned_count"],
     )
-    test = AlignedSplit(
+    test = AlignedBatch(
         ids=load("test_ids"),
         cat={k: load(f"test_party{k}_cat") for k in range(1, k_parties + 1)},
         num={k: load(f"test_party{k}_num") for k in range(1, k_parties + 1)},

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_hash, encoder_specs
 from .data import (
-    AlignedSplit,
+    AlignedBatch,
     DatasetBundle,
     load_csv,
     split_from_table,
@@ -50,7 +50,7 @@ from .ssl_pretrain import pretrain_passive
 from .sup_pretrain import ActivePretrained, pretrain_active
 
 
-def evaluate_mode(trained: TrainedFederation, test: AlignedSplit) -> float:
+def evaluate_mode(trained: TrainedFederation, test: AlignedBatch) -> float:
     """Test AUC of a trained model on a fully aligned split."""
     scores = federated_predict(trained.encoders, trained.head, test.cat, test.num)
     return auc(test.labels, scores)

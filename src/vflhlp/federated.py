@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,7 @@ from .nn import (
     ParamLayout,
     TabularEncoder,
     bce_with_logits,
+    check_labels,
     make_optimizer,
     sigmoid,
 )
@@ -95,52 +98,55 @@ class GradientMsg:
     values: np.ndarray  # [batch, rep_dim] float64
 
 
+def _digest(values: np.ndarray) -> bytes:
+    return hashlib.sha256(np.ascontiguousarray(values)).digest()
+
+
 def content_hash(values: np.ndarray) -> str:
     """sha256 of the C-order little-endian bytes of the array."""
-    arr = np.ascontiguousarray(values)
-    return hashlib.sha256(arr.tobytes(order="C")).hexdigest()
+    return _digest(values).hex()
 
 
-@dataclass(frozen=True)
-class TransportRecord:
-    round_index: int
-    direction: int
-    party_id: int
-    kind: int
-    rows: int
-    cols: int
-    payload_hash: str
+# one logged message, as `TransportLog.records` builds it on access
+TransportRecord = namedtuple(
+    "TransportRecord", "round_index direction party_id kind rows cols payload_hash"
+)
 
 
 class TransportLog:
-    """Append-only record of every cross-boundary payload."""
+    """Append-only record of every cross-boundary payload, kept as columns:
+    round, direction, party, rows and cols as int64 arrays, and each payload's
+    32-byte sha256 digest in one bytearray. `records` is built on access."""
 
     def __init__(self):
-        self.records: list[TransportRecord] = []
+        self.round_index, self.direction, self.party_id, self.rows, self.cols = (
+            array("q") for _ in range(5)
+        )
+        self.digests = bytearray()
 
     def record(self, msg: RepresentationMsg | GradientMsg) -> None:
-        if isinstance(msg, RepresentationMsg):
-            direction, kind = DIR_TO_SERVER, KIND_REPRESENTATION
-        else:
-            direction, kind = DIR_TO_PARTY, KIND_GRADIENT
         values = np.ascontiguousarray(msg.values, dtype="<f8")
-        self.records.append(
-            TransportRecord(
-                round_index=msg.round_index,
-                direction=direction,
-                party_id=msg.party_id,
-                kind=kind,
-                rows=values.shape[0],
-                cols=values.shape[1],
-                payload_hash=content_hash(values),
-            )
+        self.round_index.append(msg.round_index)
+        self.direction.append(
+            DIR_TO_SERVER if isinstance(msg, RepresentationMsg) else DIR_TO_PARTY
         )
+        self.party_id.append(msg.party_id)
+        self.rows.append(values.shape[0])
+        self.cols.append(values.shape[1])
+        self.digests += _digest(values)
 
-    def rounds(self) -> dict[int, list[TransportRecord]]:
-        out: dict[int, list[TransportRecord]] = {}
-        for rec in self.records:
-            out.setdefault(rec.round_index, []).append(rec)
-        return out
+    def digest(self, i: int) -> bytes:
+        return bytes(self.digests[32 * i : 32 * i + 32])
+
+    @property
+    def records(self) -> list[TransportRecord]:
+        kind = {DIR_TO_SERVER: KIND_REPRESENTATION, DIR_TO_PARTY: KIND_GRADIENT}
+        return [
+            TransportRecord(r, d, p, kind[d], n, c, self.digest(i).hex())
+            for i, (r, d, p, n, c) in enumerate(
+                zip(self.round_index, self.direction, self.party_id, self.rows, self.cols)
+            )
+        ]
 
 
 @dataclass
@@ -152,48 +158,46 @@ class AuditReport:
     balanced_rounds: bool  # every round has K up and K down messages
 
 
-def _raw_column_hashes(ds: VerticalDataset) -> dict[str, str]:
-    """Hashes of everything that must never appear as a payload."""
-    out: dict[str, str] = {}
+def _raw_column_digests(ds: VerticalDataset) -> dict[bytes, str]:
+    """Digests of everything that must never appear as a payload."""
+    out: dict[bytes, str] = {}
     for k, view in ds.parties.items():
         for j, f in enumerate(view.cat_fields):
             col = view.cat[:, j]
-            out[content_hash(col)] = f"party {k} column {f.name!r} (int64)"
-            out[content_hash(col.astype(np.float64))] = (
+            out[_digest(col)] = f"party {k} column {f.name!r} (int64)"
+            out[_digest(col.astype(np.float64))] = (
                 f"party {k} column {f.name!r} (as float64)"
             )
         for j, f in enumerate(view.num_fields):
-            out[content_hash(view.num[:, j])] = f"party {k} column {f.name!r}"
-    out[content_hash(ds.labels)] = "label vector"
+            out[_digest(view.num[:, j])] = f"party {k} column {f.name!r}"
+    out[_digest(ds.labels)] = "label vector"
     return out
 
 
 def audit_transport(log: TransportLog, ds: VerticalDataset) -> AuditReport:
-    """Compare every logged payload hash against raw columns and labels.
+    """Compare every logged payload digest against raw columns and labels.
 
     This is an instrument, not a proof: it certifies that no payload was a
     byte-for-byte copy of a protected column during this run.
     """
-    forbidden = _raw_column_hashes(ds)
+    forbidden = _raw_column_digests(ds)
     violations = [
-        f"round {rec.round_index}, party {rec.party_id}: payload equals {forbidden[rec.payload_hash]}"
-        for rec in log.records
-        if rec.payload_hash in forbidden
+        f"round {log.round_index[i]}, party {log.party_id[i]}: payload equals "
+        f"{forbidden[d]}"
+        for i in range(len(log.round_index))
+        if (d := log.digest(i)) in forbidden
     ]
+    rounds, index = np.unique(np.asarray(log.round_index), return_inverse=True)
+    up = np.asarray(log.direction) == DIR_TO_SERVER
+    ups = np.bincount(index, weights=up, minlength=rounds.size)
+    downs = np.bincount(index, weights=~up, minlength=rounds.size)
     k = ds.k_parties
-    balanced = True
-    rounds = log.rounds()
-    for recs in rounds.values():
-        ups = sum(1 for r in recs if r.direction == DIR_TO_SERVER)
-        downs = sum(1 for r in recs if r.direction == DIR_TO_PARTY)
-        if ups != k or downs != k:
-            balanced = False
     return AuditReport(
         ok=not violations,
-        n_messages=len(log.records),
-        n_rounds=len(rounds),
+        n_messages=len(log.round_index),
+        n_rounds=int(rounds.size),
         violations=violations,
-        balanced_rounds=balanced,
+        balanced_rounds=bool(np.all(ups == k) and np.all(downs == k)),
     )
 
 
@@ -202,15 +206,16 @@ def audit_transport(log: TransportLog, ds: VerticalDataset) -> AuditReport:
 
 
 def constraint_loss(
-    params: dict[str, np.ndarray], anchors: dict[str, np.ndarray]
+    params: dict[str, np.ndarray], anchors: dict[str, np.ndarray], check: bool = True
 ) -> tuple[float, dict[str, np.ndarray]]:
     """0.5 * sum((theta - anchor)^2) over every entry, and its gradient.
 
     The value is a raw sum over coordinates, not a mean, so the pull toward
     the anchor is independent of how the parameters are grouped. The
-    gradient w.r.t. theta is exactly (theta - anchor).
+    gradient w.r.t. theta is exactly (theta - anchor). check=False skips the
+    name and shape checks, which `train_downstream` makes once per cell.
     """
-    if set(params) != set(anchors):
+    if check and set(params) != set(anchors):
         raise SchemaError(
             f"constraint parameter names {sorted(params)} do not match anchors "
             f"{sorted(anchors)}"
@@ -219,7 +224,7 @@ def constraint_loss(
     grads = {}
     for name, p in params.items():
         a = anchors[name]
-        if p.shape != a.shape:
+        if check and p.shape != a.shape:
             raise SchemaError(
                 f"constraint shape mismatch for {name!r}: {p.shape} vs {a.shape}"
             )
@@ -328,6 +333,10 @@ class ServerNode:
                 ).flatten(head_anchor),
             }
 
+    def constraint_params(self, encoder: TabularEncoder) -> dict[str, np.ndarray]:
+        """What the constraint pulls toward `anchors`, given party 1's encoder."""
+        return {"encoder": encoder.theta, "head": self.head.theta[self.head_active]}
+
     def apply_update(self, grad: np.ndarray) -> None:
         self.optimizer.step(
             {"head": self.head.theta}, {"head": grad}, self.eta1, self._layouts
@@ -339,7 +348,6 @@ class RoundStats:
     loss: float
     loss_vfl: float
     loss_cons: float
-    batch_size: int
 
 
 def run_round(
@@ -359,7 +367,8 @@ def run_round(
     the total loss for each model, keyed "head" and "party{k}" (split one
     by name with the model's `grads_dict`). With apply_updates=False this
     is a pure gradient evaluation, which is what the finite-difference
-    checks drive.
+    checks drive. The batch labels and the anchors' names and shapes are
+    not checked here: `train_downstream` checks them once per cell.
     """
     if not mode.is_federated:
         raise ConfigError(f"mode {mode.value} does not run the split protocol")
@@ -376,17 +385,13 @@ def run_round(
         reps[k] = msg.values
     h = np.concatenate([reps[k] for k in sorted(parties)], axis=1)
     logits, head_tape = server.head.forward(h)
-    loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels)
+    loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels, check=False)
     head_grad, dh = server.head.backward(head_tape, dlogits[:, None])
 
     loss_cons = 0.0
     if constrained:
         loss_cons, cons_grads = constraint_loss(
-            {
-                "encoder": parties[1].encoder.theta,
-                "head": server.head.theta[server.head_active],
-            },
-            server.anchors,
+            server.constraint_params(parties[1].encoder), server.anchors, check=False
         )
         head_grad[server.head_active] += server.beta * cons_grads["head"]
     loss = total_loss(loss_vfl, loss_cons, server.beta if constrained else 0.0)
@@ -405,10 +410,7 @@ def run_round(
         if apply_updates:
             parties[k].apply_update(grad, server.eta2)
 
-    stats = RoundStats(
-        loss=loss, loss_vfl=loss_vfl, loss_cons=loss_cons, batch_size=batch.n
-    )
-    return stats, grads
+    return RoundStats(loss=loss, loss_vfl=loss_vfl, loss_cons=loss_cons), grads
 
 
 def federated_predict(
@@ -574,20 +576,24 @@ def train_downstream(
         head_anchor=head_anchor,
     )
 
+    if mode.uses_constraint:  # names and shapes, once; the rounds skip the checks
+        constraint_loss(server.constraint_params(parties[1].encoder), server.anchors)
+
     aligned = ds.aligned_ids()
+    check_labels(ds.labels_for(aligned))
     n_val = int(round(cfg.val_fraction * aligned.size))
     perm = stream(cfg.seed, "downstream", "val-split").permutation(aligned.size)
-    val_ids = aligned[perm[:n_val]]
-    train_view = ds.with_aligned_ids(aligned[perm[n_val:]])
-    if train_view.aligned_count == 0:
+    if n_val == aligned.size:
         raise TrainingError("aligned set too small for the validation fraction")
-    val_batch = ds.gather(val_ids) if n_val else None
+    # the cell's rows, gathered once; each epoch permutes and slices them
+    pool = ds.gather(aligned[perm[n_val:]])
+    val_batch = ds.gather(aligned[perm[:n_val]]) if n_val else None
 
     transport = TransportLog()
     history: list[dict] = []
     round_index = 0
     for epoch in range(1, cfg.epochs + 1):
-        batches = sample_aligned_batches(train_view, cfg.batch_size, cfg.seed, epoch)
+        batches = sample_aligned_batches(pool, cfg.batch_size, cfg.seed, epoch)
         tot = np.zeros(3)
         count = 0
         for batch in batches:

@@ -6,7 +6,7 @@ from .layers import (
     TabularEncoder,
     glorot_uniform,
 )
-from .losses import bce_with_logits, sigmoid
+from .losses import bce_with_logits, check_labels, sigmoid
 from .optim import AdamOptimizer, SgdOptimizer, make_optimizer
 from .checkpoint import load_checkpoint, save_checkpoint
 
@@ -19,6 +19,7 @@ __all__ = [
     "SgdOptimizer",
     "TabularEncoder",
     "bce_with_logits",
+    "check_labels",
     "glorot_uniform",
     "load_checkpoint",
     "make_optimizer",

@@ -17,7 +17,9 @@ the model.
 A forward pass returns its output and a tape, a plain tuple of what the
 backward pass reads: `(inputs, preacts)` per layer for an Mlp, and
 `(embedding rows, mlp tape)` for a TabularEncoder. `TabularEncoder.backward`
-returns one flat gradient laid out like theta.
+returns one flat gradient laid out like theta. The passes take numpy arrays
+and check their shapes, not their dtypes: the data layer builds float64
+arrays, so nothing is re-cast per call.
 """
 from __future__ import annotations
 
@@ -32,13 +34,6 @@ from ..errors import SchemaError
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(np.float64)
-
-
-def _as_f64(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise SchemaError(f"{name} must be 2-d, got shape {arr.shape}")
-    return arr
 
 
 class ParamLayout:
@@ -166,9 +161,8 @@ class Mlp(FlatParams):
 
     def forward(self, x) -> tuple[np.ndarray, tuple[list, list]]:
         """Return (output, tape); the tape holds each layer's input and pre-activation."""
-        x = _as_f64(x, "mlp input")
-        if x.shape[1] != self.dims[0]:
-            raise SchemaError(f"mlp expects input dim {self.dims[0]}, got {x.shape[1]}")
+        if x.ndim != 2 or x.shape[1] != self.dims[0]:
+            raise SchemaError(f"mlp expects input [n, {self.dims[0]}], got {x.shape}")
         inputs, preacts = [], []
         last = len(self._layers) - 1
         for i, (w, b) in enumerate(self._layers):
@@ -186,7 +180,6 @@ class Mlp(FlatParams):
         The gradient is written into `out` when given, else into a new vector.
         """
         inputs, preacts = tape
-        upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != preacts[-1].shape:
             raise SchemaError(
                 f"upstream shape {upstream.shape} does not match output "
@@ -372,11 +365,9 @@ class TabularEncoder(FlatParams):
         if self.spec.num_fields:
             if num is None:
                 raise SchemaError("encoder expects numerical features but got none")
-            num = _as_f64(num, "numerical batch")
-            if num.shape[1] != self.spec.num_fields:
+            if num.ndim != 2 or num.shape[1] != self.spec.num_fields:
                 raise SchemaError(
-                    f"expected {self.spec.num_fields} numerical columns, "
-                    f"got {num.shape[1]}"
+                    f"numerical batch must be [n, {self.spec.num_fields}], got {num.shape}"
                 )
             if rows is not None and num.shape[0] != rows.shape[0]:
                 raise SchemaError("categorical and numerical row counts differ")

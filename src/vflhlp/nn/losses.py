@@ -14,8 +14,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def check_labels(labels) -> np.ndarray:
+    """The labels as float64; SchemaError unless every one is 0 or 1."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        raise SchemaError("labels must be 0 or 1")
+    return labels
+
+
 def bce_with_logits(
-    logits: np.ndarray, labels: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, check: bool = True
 ) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its gradient w.r.t. the logits.
 
@@ -25,21 +33,23 @@ def bce_with_logits(
     Args:
         logits: [n] float64 logits.
         labels: [n] labels in {0, 1}.
+        check: False skips the casts and checks, for the training loops,
+            whose labels `check_labels` passed once where the run started.
 
     Returns:
         (loss, dloss_dlogits) with dloss_dlogits shaped like logits.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if logits.ndim != 1 or labels.shape != logits.shape:
-        raise SchemaError(
-            f"logits and labels must be matching 1-d arrays, got "
-            f"{logits.shape} and {labels.shape}"
-        )
-    if logits.size == 0:
-        raise SchemaError("empty batch")
-    if not ((labels == 0.0) | (labels == 1.0)).all():
-        raise SchemaError("labels must be 0 or 1")
+    if check:
+        logits = np.asarray(logits, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.float64)
+        if logits.ndim != 1 or labels.shape != logits.shape:
+            raise SchemaError(
+                f"logits and labels must be matching 1-d arrays, got "
+                f"{logits.shape} and {labels.shape}"
+            )
+        if logits.size == 0:
+            raise SchemaError("empty batch")
+        check_labels(labels)
     n = logits.size
     per = np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
     grad = (sigmoid(logits) - labels) / n

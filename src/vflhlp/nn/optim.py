@@ -18,7 +18,7 @@ def _check_finite(
     grads: dict[str, np.ndarray], layouts: dict[str, ParamLayout] | None
 ) -> None:
     for name, g in grads.items():
-        if not np.isfinite(g).all():
+        if not np.logical_and.reduce(np.isfinite(g), axis=None):
             layout = (layouts or {}).get(name)
             if layout is not None:
                 first = int(np.flatnonzero(~np.isfinite(g))[0])

@@ -14,7 +14,7 @@ import numpy as np
 from .data import PartyView
 from .errors import ConfigError, DataError, TrainingError, UndefinedMetricError
 from .metrics import auc
-from .nn import Mlp, TabularEncoder, bce_with_logits, make_optimizer, sigmoid
+from .nn import Mlp, TabularEncoder, bce_with_logits, check_labels, make_optimizer, sigmoid
 from .nn.layers import EncoderSpec
 from .rng import stream
 
@@ -68,7 +68,7 @@ def pretrain_active(
     """
     if view.party_id != 1:
         raise ConfigError("supervised pre-training targets the active party (id 1)")
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = check_labels(labels)  # once here; the steps skip the check
     if labels.shape != view.ids.shape:
         raise DataError("labels must cover exactly the party's local rows")
     if cfg.epochs < 0 or cfg.batch_size < 1:
@@ -98,19 +98,20 @@ def pretrain_active(
     for epoch in range(1, cfg.epochs + 1):
         order = stream(seed, "sup", "shuffle", epoch).permutation(train_rows.size)
         shuffled = train_rows[order]
+        cat, num, y = view.cat[shuffled], view.num[shuffled], labels[shuffled]
         total, count = 0.0, 0
         for i in range(0, shuffled.size, cfg.batch_size):
-            rows = shuffled[i : i + cfg.batch_size]
-            rep, enc_tape = encoder.forward(view.cat[rows], view.num[rows])
+            rows = slice(i, i + cfg.batch_size)
+            rep, enc_tape = encoder.forward(cat[rows], num[rows])
             logits, head_tape = head.forward(rep)
-            loss, dlogits = bce_with_logits(logits[:, 0], labels[rows])
+            loss, dlogits = bce_with_logits(logits[:, 0], y[rows], check=False)
             head_grad, drep = head.backward(head_tape, dlogits[:, None])
             enc_grad = encoder.backward(enc_tape, drep)
             optimizer.step(
                 params, {"enc": enc_grad, "head": head_grad}, cfg.learning_rate, layouts
             )
-            total += loss * rows.size
-            count += rows.size
+            total += loss * dlogits.size
+            count += dlogits.size
         trace.append(total / count)
         if not np.isfinite(trace[-1]):
             raise TrainingError(f"local training loss non-finite at epoch {epoch}")

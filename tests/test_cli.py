@@ -196,6 +196,18 @@ def test_truncated_result_json_is_a_data_error(trained_out, cfg_path, capsys):
     assert "data error" in err and "result.json" in err
 
 
+def test_damaged_result_json_is_a_data_error(trained_out, cfg_path, capsys):
+    result = trained_out / "train" / "seed7" / "count40" / "vflhlp" / "result.json"
+    raw = result.read_bytes()
+    # a byte flipped to invalid UTF-8, then valid JSON that is not an object
+    for damaged in (raw[:20] + b"\xff" + raw[21:], b"[0.5]\n"):
+        result.write_bytes(damaged)
+        capsys.readouterr()
+        assert run("eval", "--config", cfg_path, "--out", trained_out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(result) in err
+
+
 @pytest.mark.parametrize("damage", ["no mode", "unknown mode", "no head weight"])
 def test_eval_on_a_bad_checkpoint_is_a_data_error(cfg_path, out, capsys, damage):
     assert run("train", "--config", cfg_path, "--out", out, "--mode", "local_a") == 0
@@ -313,6 +325,26 @@ def test_corrupt_dataset_cache_is_a_data_error(cfg_path, out, capsys):
         assert "data error" in err and "manifest.json" in err
 
 
+@pytest.mark.parametrize("damage", ["invalid utf-8", "not an object", "wrong-typed value"])
+def test_damaged_manifest_is_a_data_error(cfg_path, out, capsys, damage):
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    manifest = out / "cache" / "seed7" / "manifest.json"
+    raw = manifest.read_bytes()
+    if damage == "invalid utf-8":
+        manifest.write_bytes(raw[:30] + b"\xff" + raw[31:])
+    elif damage == "not an object":
+        manifest.write_text("[]\n")
+    else:
+        manifest.write_text(json.dumps({**json.loads(raw), "k_parties": "three"}))
+    capsys.readouterr()
+    # prepare reads only the manifest's meta, so it sees the first two damages alone
+    commands = ("eval",) if damage == "wrong-typed value" else ("eval", "prepare")
+    for command in commands:
+        assert run(command, "--config", cfg_path, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(manifest) in err
+
+
 # ------------------------------------------------------------------ grid
 
 
@@ -405,6 +437,22 @@ def test_usage_and_config_errors_use_exit_code_two(cfg_path, tmp_path, capsys):
     assert run("train", "--config", tmp_path / "missing.json") == 2
     assert run("train", "--config", cfg_path, "--mode", "warp-drive") == 2
     assert run("grid", "--config", cfg_path, "--seed", "-1") == 2
+
+
+def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):
+    bad = tmp_path / "bad.json"
+    fields = [{"name": "x1", "kind": "numerical", "party": 1},
+              {"name": "c", "kind": "categorical", "party": 2, "cardinality": "8"}]
+    csv_data = {"train_path": "t.csv", "test_path": "e.csv", "fields": fields}
+    for raw, fragment in (
+        ({**TINY, "preset": [1]}, "unknown preset"),
+        ({**TINY, "data": {"kind": "csv", "csv": "x"}}, "data.csv: expected an object"),
+        ({**TINY, "data": {"kind": "csv", "csv": csv_data}}, "fields[1].cardinality"),
+    ):
+        bad.write_text(json.dumps(raw))
+        assert run("prepare", "--config", bad, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and fragment in err
 
 
 @pytest.mark.parametrize("damage", ["invalid utf-8", "directory"])

@@ -1,6 +1,10 @@
 """Config parsing: strictness, presets, canonical form, hashing."""
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +167,84 @@ def test_csv_field_list_is_strict(fields, fragment):
     }
     with pytest.raises(ConfigError, match=fragment):
         parse_config(raw)
+
+
+def _csv_config(fields=None, **csv):
+    fields = fields or [
+        {"name": "a", "kind": "numerical", "party": 1},
+        {"name": "b", "kind": "categorical", "party": 2, "cardinality": 4},
+    ]
+    return {
+        "data": {
+            "kind": "csv",
+            "csv": {"train_path": "t.csv", "test_path": "e.csv", "k_parties": 2,
+                    "fields": fields, **csv},
+        },
+        "grid": {"aligned_counts": [20]},
+    }
+
+
+def _with_field(key, value):
+    fields = _csv_config()["data"]["csv"]["fields"]
+    fields[1][key] = value
+    return _csv_config(fields)
+
+
+@pytest.mark.parametrize("raw, fragment", [
+    ({"preset": [1]}, "unknown preset"),
+    ({"preset": {"name": "fixture"}}, "unknown preset"),
+    ({"data": {"kind": "csv", "csv": 1}}, "data.csv: expected an object, got int"),
+    ({"data": {"kind": "csv", "csv": "x"}}, "data.csv: expected an object, got str"),
+    ({"data": {"kind": "csv", "csv": [["k_parties", 2]]}}, "expected an object, got list"),
+    (_with_field("cardinality", "4"), r"fields\[1\]\.cardinality: expected int"),
+    (_with_field("cardinality", 4.5), r"fields\[1\]\.cardinality: expected int"),
+    (_with_field("cardinality", None), r"fields\[1\]\.cardinality: expected int"),
+    (_with_field("party", "2"), r"fields\[1\]\.party: expected int"),
+    (_with_field("party", True), r"fields\[1\]\.party: expected int"),
+    (_with_field("name", ["b"]), r"fields\[1\]\.name: expected str"),
+    (_with_field("kind", 1), r"fields\[1\]\.kind: expected str"),
+], ids=["preset-list", "preset-object", "csv-int", "csv-str", "csv-pairs",
+        "cardinality-str", "cardinality-float", "cardinality-null", "party-str",
+        "party-bool", "name-list", "kind-int"])
+def test_wrong_typed_structure_is_a_config_error(raw, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(raw)
+
+
+def test_a_field_of_the_right_types_still_parses():
+    assert parse_config(_csv_config()).data.csv.fields[1].cardinality == 4
+
+
+def _cap_memory():
+    cap = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_a_huge_k_parties_is_a_config_error_within_a_second():
+    # in a child process capped at 2 GiB of address space, so that code which
+    # builds a set over range(1, K + 1) fails there instead of filling memory
+    code = (
+        "import json, sys, time\n"
+        "from vflhlp.config import parse_config\n"
+        "from vflhlp.errors import ConfigError\n"
+        "raw = json.loads(sys.argv[1])\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    parse_config(raw)\n"
+        "except ConfigError as exc:\n"
+        "    print(time.perf_counter() - start, exc, sep='\\n')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(_csv_config(k_parties=10**30))],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=_cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    seconds, message = proc.stdout.splitlines()
+    assert float(seconds) < 1.0
+    assert message.startswith("parties without any fields: [3, 4, 5, 6, 7] and ")
+    assert message.endswith(f" and {10**30 - 7} more")
 
 
 def test_load_config_reads_files(tmp_path):

@@ -19,6 +19,7 @@ from vflhlp.data import (
 )
 from vflhlp.errors import ConfigError, DataError
 from vflhlp.metrics import auc
+from vflhlp.rng import stream
 
 from conftest import tiny_synth_config
 
@@ -112,9 +113,13 @@ def test_synth_config_validation():
 
 # ----------------------------------------------------------------- batching
 
+def _pool(ds):
+    return ds.gather(ds.aligned_ids())
+
+
 def test_sample_aligned_batches_cover_each_row_once(tiny_bundle):
     train = tiny_bundle.train.with_aligned_count(50)
-    batches = sample_aligned_batches(train, batch_size=16, seed=5, epoch=2)
+    batches = sample_aligned_batches(_pool(train), batch_size=16, seed=5, epoch=2)
     sizes = [b.n for b in batches]
     assert sizes == [16, 16, 16, 2]
     seen = np.concatenate([b.ids for b in batches])
@@ -123,19 +128,39 @@ def test_sample_aligned_batches_cover_each_row_once(tiny_bundle):
 
 def test_sample_aligned_batches_depend_on_epoch_not_call_order(tiny_bundle):
     train = tiny_bundle.train.with_aligned_count(50)
-    a = sample_aligned_batches(train, 16, seed=5, epoch=1)
-    b = sample_aligned_batches(train, 16, seed=5, epoch=1)
-    c = sample_aligned_batches(train, 16, seed=5, epoch=2)
+    a = sample_aligned_batches(_pool(train), 16, seed=5, epoch=1)
+    b = sample_aligned_batches(_pool(train), 16, seed=5, epoch=1)
+    c = sample_aligned_batches(_pool(train), 16, seed=5, epoch=2)
     np.testing.assert_array_equal(a[0].ids, b[0].ids)
     assert not np.array_equal(a[0].ids, c[0].ids)
 
 
+@pytest.mark.parametrize("seed", [1, 5, 29])
+def test_batches_of_the_gathered_pool_equal_per_batch_gathers(tiny_bundle, seed):
+    # 50 rows in batches of 16, so each epoch ends on a short batch of 2
+    train = tiny_bundle.train.with_aligned_count(50)
+    for epoch in (1, 2, 7):
+        ids = train.aligned_ids()
+        shuffled = ids[stream(seed, "aligned-batches", epoch).permutation(ids.size)]
+        expected = [train.gather(shuffled[i : i + 16]) for i in range(0, ids.size, 16)]
+        batches = sample_aligned_batches(_pool(train), 16, seed, epoch)
+        assert [b.n for b in batches] == [16, 16, 16, 2]
+        for got, want in zip(batches, expected):
+            np.testing.assert_array_equal(got.ids, want.ids)
+            np.testing.assert_array_equal(got.labels, want.labels)
+            for k in train.parties:
+                np.testing.assert_array_equal(got.cat[k], want.cat[k])
+                np.testing.assert_array_equal(got.num[k], want.num[k])
+                assert got.num[k].dtype == want.num[k].dtype
+                assert got.num[k].flags.c_contiguous
+
+
 def test_sample_aligned_batches_rejects_bad_input(tiny_bundle):
     with pytest.raises(ConfigError):
-        sample_aligned_batches(tiny_bundle.train, 0, seed=1, epoch=0)
+        sample_aligned_batches(_pool(tiny_bundle.train), 0, seed=1, epoch=0)
     empty = tiny_bundle.train.with_aligned_count(0)
     with pytest.raises(DataError):
-        sample_aligned_batches(empty, 8, seed=1, epoch=0)
+        sample_aligned_batches(_pool(empty), 8, seed=1, epoch=0)
 
 
 # ----------------------------------------------------------------- CSV

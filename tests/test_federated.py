@@ -5,11 +5,17 @@ model from the layer primitives and verifies the federated rounds track
 it to float tolerance. Constraint math is checked against a naive sum,
 and the transport log is audited for raw-column leaks.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vflhlp.errors import ConfigError, SchemaError, TrainingError
 from vflhlp.federated import (
+    DIR_TO_PARTY,
+    DIR_TO_SERVER,
+    KIND_GRADIENT,
+    KIND_REPRESENTATION,
     DownstreamConfig,
     GradientMsg,
     PretrainedWeights,
@@ -123,6 +129,43 @@ def test_round_messages_are_balanced_and_audited(tiny_bundle, specs3):
     assert report.n_rounds == 4
     assert report.n_messages == 24
     assert report.violations == []
+
+
+def test_log_records_hash_each_payload_in_both_directions(tiny_bundle, specs3):
+    class KeepingLog(TransportLog):
+        def record(self, msg):
+            self.kept.append(msg)
+            super().record(msg)
+
+    train, batch = _round_batch(tiny_bundle)
+    parties, server = build_federation(train, specs3, beta=0.0, seed=1)
+    log = KeepingLog()
+    log.kept = []
+    for r in range(2):
+        run_round(parties, server, batch, TrainMode.VANILLA_VFL, r, log)
+    records = log.records
+    assert len(records) == len(log.kept) == 2 * 2 * 3
+    for rec, msg in zip(records, log.kept):
+        up = isinstance(msg, RepresentationMsg)
+        assert rec.payload_hash == content_hash(msg.values)
+        assert (rec.round_index, rec.party_id) == (msg.round_index, msg.party_id)
+        assert (rec.rows, rec.cols) == msg.values.shape
+        assert (rec.direction, rec.kind) == (
+            (DIR_TO_SERVER, KIND_REPRESENTATION) if up else (DIR_TO_PARTY, KIND_GRADIENT)
+        )
+    assert {rec.direction for rec in records} == {DIR_TO_SERVER, DIR_TO_PARTY}
+
+
+def test_audit_flags_unbalanced_rounds(tiny_bundle, specs3):
+    train, batch = _round_batch(tiny_bundle)
+    parties, server = build_federation(train, specs3, beta=0.0, seed=1)
+    log = TransportLog()
+    run_round(parties, server, batch, TrainMode.VANILLA_VFL, 0, log)
+    assert audit_transport(log, train).balanced_rounds
+    log.record(GradientMsg(0, 2, np.zeros((3, 4))))  # a fourth reply in round 0
+    report = audit_transport(log, train)
+    assert report.ok and not report.balanced_rounds
+    assert (report.n_rounds, report.n_messages) == (1, 7)
 
 
 def test_audit_flags_raw_column_and_label_leaks(tiny_bundle, specs3):
@@ -343,6 +386,25 @@ def test_train_downstream_shapes_history_and_audit(tiny_bundle, specs3, pretrain
     assert report.ok and report.balanced_rounds
     # 54 train rows after the 10% validation carve, batches of 16 -> 4/epoch
     assert report.n_rounds == 3 * 4
+
+
+@pytest.mark.parametrize("mode", [TrainMode.VANILLA_VFL, TrainMode.LOCAL_A])
+def test_a_cell_with_a_non_binary_label_fails_before_its_first_round(
+        tiny_bundle, specs3, pretrained, monkeypatch, mode):
+    import vflhlp.federated as federated
+    import vflhlp.sup_pretrain as sup
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(federated, "run_round", no_step)
+    monkeypatch.setattr(sup, "bce_with_logits", no_step)
+    train = tiny_bundle.train.with_aligned_count(60)
+    labels = train.labels.copy()
+    labels[train.parties[1].rows_for(train.aligned_ids()[-1:])] = 0.5
+    bad = replace(train, labels=labels)
+    with pytest.raises(SchemaError, match="labels must be 0 or 1"):
+        train_downstream(bad, specs3, mode, pretrained, _dcfg())
 
 
 def test_train_downstream_is_deterministic(tiny_bundle, specs3, pretrained):

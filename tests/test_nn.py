@@ -452,6 +452,28 @@ def test_non_finite_flat_gradient_names_the_tensor():
                             {"encoder": np.full(enc.theta.size, np.inf)}, 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_flags_each_non_finite_value_by_tensor(bad):
+    enc = small_spec(n_cat=1, n_num=2, hidden=(8,)).build(stream(34, "nan"))
+    for opt in (SgdOptimizer(), AdamOptimizer()):
+        grad = np.zeros(enc.theta.size)
+        enc.grads_dict(grad)["mlp.0.bias"].flat[-1] = bad
+        before = enc.theta.copy()
+        with pytest.raises(TrainingError, match=r"'encoder\.mlp\.0\.bias'"):
+            opt.step({"encoder": enc.theta}, {"encoder": grad}, 0.1,
+                     {"encoder": enc.layout})
+        np.testing.assert_array_equal(enc.theta, before)  # raised before stepping
+
+
+@pytest.mark.parametrize("huge", [1e300, 1e308])
+def test_finite_check_passes_huge_finite_gradients(huge):
+    # 50 entries of 1e308 sum past the float64 range, so a check on the sum
+    # of the entries would misfire
+    p = np.zeros(50)
+    SgdOptimizer().step({"p": p}, {"p": np.full(50, huge)}, 1.0 / huge)
+    np.testing.assert_allclose(p, -1.0, rtol=1e-12)
+
+
 # --------------------------------------------------------------------- losses
 
 def test_sigmoid_matches_reference_and_is_stable():

@@ -1,4 +1,5 @@
-"""Seeded fuzzing of the text readers: the config JSON and the CSV loader.
+"""Seeded fuzzing of the text readers: the config JSON, the CSV loader, a
+dataset cache's manifest.json and a trained cell's result.json.
 
 Every damaged file must either load or fail with one of the package's typed
 errors (ConfigError, DataError), never with any other exception.
@@ -6,7 +7,9 @@ errors (ConfigError, DataError), never with any other exception.
 import json
 
 from vflhlp.config import load_config, parse_config, to_dict
-from vflhlp.data import Field, FeatureSchema, load_csv
+from vflhlp.data import (
+    Field, FeatureSchema, load_bundle, load_csv, read_json_object, save_bundle,
+)
 from vflhlp.errors import ConfigError, DataError
 from vflhlp.rng import stream
 
@@ -65,4 +68,30 @@ def test_damaged_csvs_load_or_raise_data_errors(tmp_path):
     text = "\n".join(["id,label,color,x1,shape,x2", *rows]) + "\n"
     loaded = _fuzz(tmp_path, text, seed=2,
                    load=lambda p: load_csv(p, schema, "id", "label"))
+    assert 0 < loaded < 300
+
+
+def test_damaged_manifests_load_or_raise_data_errors(tmp_path, tiny_bundle):
+    cache = tmp_path / "cache"
+    save_bundle(cache, tiny_bundle, meta={"config_hash": "abc", "seed": 7})
+    text = (cache / "manifest.json").read_text()
+
+    def load(path):
+        (cache / "manifest.json").write_bytes(path.read_bytes())
+        read_json_object(cache / "manifest.json").get("meta")  # the CLI's cache check
+        load_bundle(cache)
+
+    loaded = _fuzz(tmp_path, text, seed=3, load=load)
+    assert 0 < loaded < 300
+
+
+def test_damaged_result_files_load_or_raise_data_errors(tmp_path):
+    result = {
+        "mode": "vflhlp", "seed": 7, "aligned_count": 20, "beta": 0.1,
+        "test_auc": 0.7234567890123, "config_hash": "ab" * 32,
+        "audit": {"ok": True, "n_messages": 240, "n_rounds": 40, "balanced_rounds": True},
+    }
+    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    loaded = _fuzz(tmp_path, text, seed=4,
+                   load=lambda p: read_json_object(p).get("test_auc"))
     assert 0 < loaded < 300
