@@ -82,8 +82,13 @@ def cmd_prepare(cfg: RunConfig, out: Path) -> int:
     for seed in cfg.grid.seeds:
         cache = _cache_dir(out, seed)
         if _cache_is_current(cache, chash, seed):
-            print(f"seed {seed}: cache up to date at {cache}")
-            continue
+            try:
+                load_bundle(cache)
+            except DataError as exc:
+                print(f"seed {seed}: cache at {cache} is damaged ({exc}); rebuilding it")
+            else:
+                print(f"seed {seed}: cache up to date at {cache}")
+                continue
         bundle = build_bundle(cfg, seed)
         save_bundle(cache, bundle, meta={"config_hash": chash, "seed": seed})
         dims = {

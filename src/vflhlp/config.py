@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import Field, FeatureSchema, SynthConfig, VerticalDataset
+from .data import CATEGORICAL, Field, FeatureSchema, SynthConfig, VerticalDataset
 from .errors import ConfigError
 from .federated import DownstreamConfig, TrainMode
 from .nn.layers import EncoderSpec
@@ -292,48 +292,21 @@ def load_config(path) -> RunConfig:
 # serialization
 
 
-def _field_to_dict(f: Field) -> dict:
-    out = {"name": f.name, "kind": f.kind, "party": f.party}
-    if f.kind == "categorical":
-        out["cardinality"] = f.cardinality
-    return out
-
-
 def to_dict(cfg: RunConfig) -> dict:
-    """Canonical plain-dict form; parse(to_dict(cfg)) == cfg."""
-    data: dict = {"kind": cfg.data.kind}
-    if cfg.data.kind == "synth":
-        data["synth"] = {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in dataclasses.asdict(cfg.data.synth).items()
-        }
-    else:
-        csv_d = dataclasses.asdict(cfg.data.csv)
-        csv_d["fields"] = [_field_to_dict(f) for f in cfg.data.csv.fields]
-        data["csv"] = csv_d
-    downstream = dataclasses.asdict(cfg.downstream)
-    downstream.pop("seed")  # per-run value, never part of the declared config
-    return {
-        "data": data,
-        "model": {
-            "embed_dim": cfg.model.embed_dim,
-            "encoder_hidden": list(cfg.model.encoder_hidden),
-        },
-        "ssl": {
-            **dataclasses.asdict(cfg.ssl),
-            "projection_hidden": list(cfg.ssl.projection_hidden),
-        },
-        "supervised": dataclasses.asdict(cfg.supervised),
-        "downstream": downstream,
-        "grid": {
-            "modes": list(cfg.grid.modes),
-            "aligned_counts": list(cfg.grid.aligned_counts),
-            "seeds": list(cfg.grid.seeds),
-            "beta_sweep": list(cfg.grid.beta_sweep),
-            "include_oracle": cfg.grid.include_oracle,
-        },
-        "output_dir": cfg.output_dir,
-    }
+    """Canonical plain-dict form; parse(to_dict(cfg)) == cfg.
+
+    Tuples stay tuples, which JSON writes as lists.
+    """
+    out = dataclasses.asdict(cfg)
+    out["downstream"].pop("seed")  # per-run value, never part of the declared config
+    data = out["data"]
+    del data["csv" if cfg.data.kind == "synth" else "synth"]
+    if cfg.data.kind == "csv":  # a list, as _parse_fields takes; no numerical cardinality
+        data["csv"]["fields"] = [
+            {k: v for k, v in f.items() if k != "cardinality" or f["kind"] == CATEGORICAL}
+            for f in data["csv"]["fields"]
+        ]
+    return out
 
 
 def canonical_json(cfg: RunConfig) -> str:

@@ -15,7 +15,8 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from .federated import (
 )
 from .metrics import auc
 from .nn import Mlp, load_checkpoint, save_checkpoint
-from .nn.layers import EncoderSpec
+from .nn.layers import EncoderSpec, FlatParams
 from .ssl_pretrain import pretrain_passive
 from .sup_pretrain import ActivePretrained, pretrain_active
 
@@ -133,47 +134,30 @@ class GridResult:
     active_val_auc: dict[str, float | None]  # "seed{S}" -> pre-training val AUC
     oracle_auc: dict[str, float]  # "seed{S}" -> Bayes-score AUC (synthetic only)
 
-    def cells_for(
-        self, mode: str, aligned_count: int, beta: float | None = None
-    ) -> list[CellResult]:
-        out = []
-        for c in self.cells:
-            if c.mode != mode or c.aligned_count != aligned_count:
-                continue
-            if beta is not None and c.beta != beta:
-                continue
-            out.append(c)
-        return out
-
-    def mean_std(
-        self, mode: str, aligned_count: int, beta: float | None = None
-    ) -> tuple[float, float, int]:
-        """Mean and sample std of test AUC over seeds with ok status."""
-        vals = [
-            c.test_auc
-            for c in self.cells_for(mode, aligned_count, beta)
-            if c.status == "ok"
-        ]
-        if not vals:
-            return float("nan"), float("nan"), 0
-        arr = np.asarray(vals)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        return float(arr.mean()), std, arr.size
-
     def summary_rows(self) -> list[dict]:
+        """Test AUC per (mode, beta, aligned_count): the one grouping of cells.
+
+        Rows follow the grid's modes, then ascending beta, then its aligned
+        counts, with a row only where cells exist. The mean and sample std
+        are over the ok cells, nan when none is ok.
+        """
+        groups: dict[tuple, list[CellResult]] = {}
+        for c in self.cells:
+            groups.setdefault((c.mode, c.beta, c.aligned_count), []).append(c)
+        betas = sorted({beta for _, beta, _ in groups})
         rows = []
-        betas = sorted({c.beta for c in self.cells})
         for mode in self.modes:
             for beta in betas:
                 for count in self.aligned_counts:
-                    if not self.cells_for(mode, count, beta):
+                    cells = groups.get((mode, beta, count))
+                    if cells is None:
                         continue
-                    mean, std, n = self.mean_std(mode, count, beta)
-                    failed = sum(
-                        1
-                        for c in self.cells_for(mode, count, beta)
-                        if c.status == "failed"
-                    )
+                    ok = np.array([c.test_auc for c in cells if c.status == "ok"])
+                    if ok.size:
+                        mean = float(ok.mean())
+                        std = float(ok.std(ddof=1)) if ok.size > 1 else 0.0
+                    else:
+                        mean = std = float("nan")
                     rows.append(
                         {
                             "mode": mode,
@@ -181,119 +165,62 @@ class GridResult:
                             "aligned_count": count,
                             "mean_auc": mean,
                             "std_auc": std,
-                            "n_ok": n,
-                            "n_failed": failed,
+                            "n_ok": ok.size,
+                            "n_failed": len(cells) - ok.size,
                         }
                     )
         return rows
 
-    def delta_rows(self) -> list[dict]:
+    def mean_std(self, mode: str, aligned_count: int, beta: float) -> tuple[float, float, int]:
+        """Mean, sample std and ok count of test AUC from one summary row."""
+        for r in self.summary_rows():
+            if (r["mode"], r["beta"], r["aligned_count"]) == (mode, beta, aligned_count):
+                return r["mean_auc"], r["std_auc"], r["n_ok"]
+        return float("nan"), float("nan"), 0
+
+    def delta_rows(self, summary: list[dict]) -> list[dict]:
         """Mean improvement of vflhlp over vanilla_vfl per aligned count."""
+        means = {
+            (r["mode"], r["beta"], r["aligned_count"]): r["mean_auc"]
+            for r in summary
+            if r["n_ok"]
+        }
         rows = []
         for count in self.aligned_counts:
-            hyb = self.mean_std("vflhlp", count, self.default_beta)
-            van = self.mean_std("vanilla_vfl", count, 0.0)
-            if hyb[2] and van[2]:
-                rows.append(
-                    {"aligned_count": count, "delta_auc": hyb[0] - van[0]}
-                )
+            hyb = means.get(("vflhlp", self.default_beta, count))
+            van = means.get(("vanilla_vfl", 0.0, count))
+            if hyb is not None and van is not None:
+                rows.append({"aligned_count": count, "delta_auc": hyb - van})
         return rows
 
     def all_ok(self) -> bool:
         return all(c.status == "ok" for c in self.cells)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "modes": self.modes,
-            "aligned_counts": self.aligned_counts,
-            "seeds": self.seeds,
-            "default_beta": self.default_beta,
-            "cells": [
-                {
-                    "mode": c.mode,
-                    "aligned_count": c.aligned_count,
-                    "seed": c.seed,
-                    "beta": c.beta,
-                    "status": c.status,
-                    "test_auc": c.test_auc,
-                    "error": c.error,
-                    "history": c.history,
-                }
-                for c in self.cells
-            ],
-            "summary": self.summary_rows(),
-            "delta": self.delta_rows(),
-            "ssl_traces": self.ssl_traces,
-            "active_val_auc": self.active_val_auc,
-            "oracle_auc": self.oracle_auc,
-        }
+        summary = self.summary_rows()
+        return {**asdict(self), "summary": summary, "delta": self.delta_rows(summary)}
 
     def cells_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["mode", "aligned_count", "seed", "beta", "status", "test_auc", "error"]
-        )
-        for c in self.cells:
-            writer.writerow(
-                [
-                    c.mode,
-                    c.aligned_count,
-                    c.seed,
-                    repr(c.beta),
-                    c.status,
-                    "" if c.test_auc is None else repr(c.test_auc),
-                    c.error or "",
-                ]
-            )
-        return out.getvalue()
+        header = ["mode", "aligned_count", "seed", "beta", "status", "test_auc", "error"]
+        return _csv_text(header, ([getattr(c, k) for k in header] for c in self.cells))
 
     def summary_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["mode", "beta", "aligned_count", "mean_auc", "std_auc", "n_ok", "n_failed"]
-        )
-        for row in self.summary_rows():
-            writer.writerow(
-                [
-                    row["mode"],
-                    repr(row["beta"]),
-                    row["aligned_count"],
-                    repr(row["mean_auc"]),
-                    repr(row["std_auc"]),
-                    row["n_ok"],
-                    row["n_failed"],
-                ]
-            )
-        return out.getvalue()
+        header = ["mode", "beta", "aligned_count", "mean_auc", "std_auc", "n_ok", "n_failed"]
+        return _csv_text(header, ([r[k] for k in header] for r in self.summary_rows()))
 
     def render_text(self) -> str:
         """Mean +- std table, modes as rows, aligned counts as columns."""
-        lines = []
+        summary = self.summary_rows()
+        sweep = len({r["beta"] for r in summary}) > 1
         header = ["mode".ljust(14)] + [f"n_al={c}".rjust(16) for c in self.aligned_counts]
-        lines.append("  ".join(header))
-        betas = sorted({c.beta for c in self.cells})
-        for mode in self.modes:
-            for beta in betas:
-                any_cell = any(
-                    self.cells_for(mode, n, beta) for n in self.aligned_counts
-                )
-                if not any_cell:
-                    continue
-                tag = mode if len(betas) == 1 or mode in ("vanilla_vfl", "vflhlp_p",
-                                                          "local_a") else f"{mode} b={beta:g}"
-                row = [tag.ljust(14)]
-                for count in self.aligned_counts:
-                    if not self.cells_for(mode, count, beta):
-                        row.append("-".rjust(16))
-                        continue
-                    mean, std, n = self.mean_std(mode, count, beta)
-                    row.append(f"{mean:.3f} +- {std:.3f}".rjust(16))
-                lines.append("  ".join(row))
-        for d in self.delta_rows():
+        lines = ["  ".join(header)]
+        # summary rows come grouped by (mode, beta); each group is one table row
+        for (mode, beta), rows in groupby(summary, lambda r: (r["mode"], r["beta"])):
+            cols = {r["aligned_count"]: f"{r['mean_auc']:.3f} +- {r['std_auc']:.3f}" for r in rows}
+            tag = f"{mode} b={beta:g}" if sweep and TrainMode(mode).uses_constraint else mode
+            row = [tag.ljust(14)] + [cols.get(c, "-").rjust(16) for c in self.aligned_counts]
+            lines.append("  ".join(row))
+        for d in self.delta_rows(summary):
             lines.append(
                 f"delta(vflhlp - vanilla_vfl) at n_al={d['aligned_count']}: "
                 f"{d['delta_auc']:+.3f}"
@@ -305,8 +232,13 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
-def _cell_tag(mode: str, beta: float, sweep: bool) -> str:
-    return f"{mode}_b{beta:g}" if sweep else mode
+def _csv_text(header: list[str], rows) -> str:
+    """CSV with "\\n" line ends; csv writes a float as its repr and None as ""."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def run_cell(
@@ -381,8 +313,9 @@ def run_grid(
     chash = config_hash(cfg)
     modes = [TrainMode.parse(m) for m in cfg.grid.modes]
     sweep = tuple(cfg.grid.beta_sweep)
-    need_active = any(m.uses_constraint for m in modes) or cfg.downstream.warm_start_active
-    need_passive = any(m.warm_starts_passive for m in modes)
+    needs = [m.pretrained_needs(cfg.downstream.warm_start_active) for m in modes]
+    need_active = any(active for active, _ in needs)
+    need_passive = any(passive for _, passive in needs)
 
     cells: list[CellResult | None] = []  # None marks a local_a cell not yet back
     ssl_traces: dict[str, list[float]] = {}
@@ -436,9 +369,9 @@ def run_grid(
                                 cell_bundle, specs, mode, pre.weights, dcfg
                             )
                         except _CELL_ERRORS as exc:
-                            cells.append(_failed_cell(mode, count, seed, beta, exc))
+                            cells.append(_cell(mode, count, seed, beta, exc))
                             continue
-                        cells.append(_ok_cell(mode, count, seed, beta, trained, score))
+                        cells.append(_cell(mode, count, seed, beta, (trained, score)))
                         if out_dir is not None:
                             _write_cell_checkpoint(
                                 out_dir, seed, count, mode, beta, bool(sweep),
@@ -455,10 +388,10 @@ def run_grid(
                 ) from exc
             except _CELL_ERRORS as exc:
                 for i, count in local_a_slots:
-                    cells[i] = _failed_cell(TrainMode.LOCAL_A, count, seed, 0.0, exc)
+                    cells[i] = _cell(TrainMode.LOCAL_A, count, seed, 0.0, exc)
                 continue
             for i, count in local_a_slots:
-                cells[i] = _ok_cell(TrainMode.LOCAL_A, count, seed, 0.0, trained, score)
+                cells[i] = _cell(TrainMode.LOCAL_A, count, seed, 0.0, (trained, score))
             if out_dir is not None:
                 _write_cell_checkpoint(
                     out_dir, seed, 0, TrainMode.LOCAL_A, 0.0, bool(sweep), trained, chash
@@ -484,45 +417,44 @@ def run_grid(
     return result
 
 
-def _ok_cell(mode, count, seed, beta, trained, score) -> CellResult:
-    return CellResult(
-        mode=mode.value,
-        aligned_count=count,
-        seed=seed,
-        beta=beta,
-        status="ok",
-        test_auc=score,
-        error=None,
-        history=trained.history,
-    )
+def _cell(mode, count, seed, beta, outcome: tuple | Exception) -> CellResult:
+    """A grid cell from a trained model and its score, or from the error raised."""
+    if isinstance(outcome, Exception):
+        error = f"{type(outcome).__name__}: {outcome}"
+        return CellResult(mode.value, count, seed, beta, "failed", None, error)
+    trained, score = outcome
+    return CellResult(mode.value, count, seed, beta, "ok", score, None, trained.history)
 
 
-def _failed_cell(mode, count, seed, beta, exc: Exception) -> CellResult:
-    return CellResult(
-        mode=mode.value,
-        aligned_count=count,
-        seed=seed,
-        beta=beta,
-        status="failed",
-        test_auc=None,
-        error=f"{type(exc).__name__}: {exc}",
-    )
+def _to_tensors(parts: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Checkpoint tensors from parameter dicts keyed by their name prefix."""
+    return {prefix + n: p for prefix, params in parts.items() for n, p in params.items()}
+
+
+def _load_tensors(tensors: dict[str, np.ndarray], models: dict[str, FlatParams]) -> None:
+    """Set each model from the tensors under its name prefix.
+
+    A missing or misshapen tensor, or one under none of the prefixes, raises
+    SchemaError.
+    """
+    for prefix, model in models.items():
+        model.set_params(
+            {n[len(prefix):]: p for n, p in tensors.items() if n.startswith(prefix)}
+        )
+    stray = sorted(n for n in tensors if not n.startswith(tuple(models)))
+    if stray:
+        raise SchemaError(f"unexpected tensors {stray}")
+
+
+def _downstream_parts(encoders: dict[int, FlatParams], head: Mlp) -> dict[str, FlatParams]:
+    """A downstream model by checkpoint prefix: "party{k}.encoder." and "head."."""
+    return {**{f"party{k}.encoder.": e for k, e in encoders.items()}, "head.": head}
 
 
 def flatten_trained(trained: TrainedFederation) -> dict[str, np.ndarray]:
     """Checkpoint tensors of a downstream model, keyed "party{k}.encoder.*" and "head.*"."""
-    tensors = {}
-    for k, encoder in trained.encoders.items():
-        for n, p in encoder.params().items():
-            tensors[f"party{k}.encoder.{n}"] = p
-    for n, p in trained.head.params().items():
-        tensors[f"head.{n}"] = p
-    return tensors
-
-
-def _strip_prefix(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    plen = len(prefix)
-    return {n[plen:]: p for n, p in tensors.items() if n.startswith(prefix)}
+    parts = _downstream_parts(trained.encoders, trained.head)
+    return _to_tensors({prefix: model.params() for prefix, model in parts.items()})
 
 
 def rebuild_trained(
@@ -533,12 +465,9 @@ def rebuild_trained(
     A missing, extra or misshapen tensor raises SchemaError.
     """
     party_ids = sorted(specs) if mode.is_federated else [1]
-    encoders = {}
-    for k in party_ids:
-        encoders[k] = specs[k].build_empty()
-        encoders[k].set_params(_strip_prefix(tensors, f"party{k}.encoder."))
+    encoders = {k: specs[k].build_empty() for k in party_ids}
     head = Mlp([sum(specs[k].rep_dim for k in party_ids), 1])
-    head.set_params(_strip_prefix(tensors, "head."))
+    _load_tensors(tensors, _downstream_parts(encoders, head))
     return TrainedFederation(
         mode=mode, encoders=encoders, head=head, history=[], transport=TransportLog()
     )
@@ -565,8 +494,8 @@ def _write_cell_checkpoint(
     cell_dir = Path(out_dir) / "grid" / f"seed{seed}"
     if mode.is_federated:  # local_a has one per seed, written with count 0
         cell_dir = cell_dir / f"count{count}"
-    path = cell_dir / f"{_cell_tag(mode.value, beta, sweep)}.ckpt"
-    save_cell_checkpoint(path, trained, seed, count, beta, chash)
+    tag = f"{mode.value}_b{beta:g}" if sweep else mode.value
+    save_cell_checkpoint(cell_dir / f"{tag}.ckpt", trained, seed, count, beta, chash)
 
 
 def save_pretrained(ckpt_dir: Path, pre: SeedPretraining, seed: int, chash: str) -> None:
@@ -576,8 +505,9 @@ def save_pretrained(ckpt_dir: Path, pre: SeedPretraining, seed: int, chash: str)
     """
     active = pre.weights.active
     if active is not None:
-        tensors = {f"encoder.{n}": p for n, p in active.encoder_params.items()}
-        tensors.update({f"head.{n}": p for n, p in active.head_params.items()})
+        tensors = _to_tensors(
+            {"encoder.": active.encoder_params, "head.": active.head_params}
+        )
         meta = {
             "stage": "active-pretrain",
             "party": 1,
@@ -596,8 +526,9 @@ def save_pretrained(ckpt_dir: Path, pre: SeedPretraining, seed: int, chash: str)
             "config_hash": chash,
             "loss_trace": pre.ssl_traces[k],
         }
-        tensors = {f"encoder.{n}": p for n, p in params.items()}
-        save_checkpoint(Path(ckpt_dir) / f"passive{k}.ckpt", tensors, meta)
+        save_checkpoint(
+            Path(ckpt_dir) / f"passive{k}.ckpt", _to_tensors({"encoder.": params}), meta
+        )
 
 
 def load_pretrained(
@@ -611,8 +542,9 @@ def load_pretrained(
     Every tensor of a file must fit `specs`: a missing, extra or misshapen one
     raises DataError naming the file.
     """
-    parties = [1] if mode.uses_constraint or warm_start_active else []
-    if mode.warm_starts_passive:
+    need_active, need_passive = mode.pretrained_needs(warm_start_active)
+    parties = [1] if need_active else []
+    if need_passive:
         parties += [k for k in sorted(specs) if k != 1]
     weights = PretrainedWeights()
     for k in parties:
@@ -627,11 +559,7 @@ def load_pretrained(
         if k == 1:
             models["head."] = Mlp([specs[1].rep_dim, 1])
         try:
-            for prefix, model in models.items():
-                model.set_params(_strip_prefix(tensors, prefix))
-            stray = sorted(n for n in tensors if not n.startswith(tuple(models)))
-            if stray:
-                raise SchemaError(f"unexpected tensors {stray}")
+            _load_tensors(tensors, models)
         except SchemaError as exc:
             raise DataError(f"{path}: {exc}") from None
         if k > 1:

@@ -74,6 +74,12 @@ class TrainMode(enum.Enum):
     def is_federated(self) -> bool:
         return self is not TrainMode.LOCAL_A
 
+    def pretrained_needs(self, warm_start_active: bool) -> tuple[bool, bool]:
+        """Whether a cell needs the active party's and the passive parties'
+        pre-trained weights: the active's for the constraint or for
+        warm_start_active, the passives' for their warm start."""
+        return self.uses_constraint or warm_start_active, self.warm_starts_passive
+
 
 # ---------------------------------------------------------------------------
 # messages and the transport log
@@ -473,15 +479,19 @@ class TrainedFederation:
 
 
 def _require_pretrained(
-    mode: TrainMode, pretrained: PretrainedWeights | None, party_ids: list[int]
+    mode: TrainMode,
+    warm_start_active: bool,
+    pretrained: PretrainedWeights | None,
+    party_ids: list[int],
 ) -> PretrainedWeights:
     pretrained = pretrained or PretrainedWeights()
-    if mode.uses_constraint and pretrained.active is None:
+    need_active, need_passive = mode.pretrained_needs(warm_start_active)
+    if need_active and pretrained.active is None:
         raise TrainingError(
-            f"mode {mode.value} needs the active party's pre-trained weights; "
-            f"run the pretrain stage for party 1 first"
+            f"mode {mode.value} (warm_start_active={warm_start_active}) needs the "
+            f"active party's pre-trained weights; run the pretrain stage for party 1 first"
         )
-    if mode.warm_starts_passive:
+    if need_passive:
         for k in party_ids:
             if k > 1 and k not in pretrained.passive:
                 raise TrainingError(
@@ -536,7 +546,7 @@ def train_downstream(
             f"encoder specs for parties {sorted(specs)} do not match dataset "
             f"parties {party_ids}"
         )
-    pretrained = _require_pretrained(mode, pretrained, party_ids)
+    pretrained = _require_pretrained(mode, cfg.warm_start_active, pretrained, party_ids)
     if ds.aligned_count == 0:
         raise TrainingError("aligned set is empty; nothing to train on")
 
@@ -546,10 +556,6 @@ def train_downstream(
         if k > 1 and mode.warm_starts_passive:
             encoder.set_params(pretrained.passive[k])
         if k == 1 and cfg.warm_start_active:
-            if pretrained.active is None:
-                raise TrainingError(
-                    "warm_start_active requires the active party's pre-trained weights"
-                )
             encoder.set_params(pretrained.active.encoder_params)
         parties[k] = PartyNode(k, encoder, cfg.optimizer)
 

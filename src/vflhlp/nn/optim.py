@@ -15,7 +15,9 @@ from .layers import ParamLayout
 
 
 def _check_finite(
-    grads: dict[str, np.ndarray], layouts: dict[str, ParamLayout] | None
+    grads: dict[str, np.ndarray],
+    layouts: dict[str, ParamLayout] | None,
+    what: str = "gradient",
 ) -> None:
     for name, g in grads.items():
         if not np.logical_and.reduce(np.isfinite(g), axis=None):
@@ -23,7 +25,7 @@ def _check_finite(
             if layout is not None:
                 first = int(np.flatnonzero(~np.isfinite(g))[0])
                 name = f"{name}.{layout.name_at(first)}"
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
+            raise TrainingError(f"non-finite {what} for parameter {name!r}")
 
 
 class SgdOptimizer:
@@ -64,6 +66,7 @@ class AdamOptimizer:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
+        steps = []
         for name, p in params.items():
             g = grads[name]
             m = self.m.get(name)
@@ -75,7 +78,12 @@ class AdamOptimizer:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v_hat = v / c2
+            # a finite gradient above about 1e154 squares past the float64 range
+            _check_finite({name: v_hat}, layouts, "gradient square (gradient too large)")
+            steps.append((p, m, v_hat))
+        for p, m, v_hat in steps:  # no parameter moves unless every one can
+            p -= lr * (m / c1) / (np.sqrt(v_hat) + self.eps)
 
 
 OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}

@@ -1,4 +1,5 @@
 """End-to-end CLI pipeline on a miniature synthetic config."""
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -208,7 +209,8 @@ def test_damaged_result_json_is_a_data_error(trained_out, cfg_path, capsys):
         assert "data error" in err and str(result) in err
 
 
-@pytest.mark.parametrize("damage", ["no mode", "unknown mode", "no head weight"])
+@pytest.mark.parametrize("damage", ["no mode", "unknown mode", "no head weight",
+                                    "extra tensor"])
 def test_eval_on_a_bad_checkpoint_is_a_data_error(cfg_path, out, capsys, damage):
     assert run("train", "--config", cfg_path, "--out", out, "--mode", "local_a") == 0
     ckpt = out / "train" / "seed7" / "count20" / "local_a" / "final.ckpt"
@@ -217,6 +219,8 @@ def test_eval_on_a_bad_checkpoint_is_a_data_error(cfg_path, out, capsys, damage)
         del meta["mode"]
     elif damage == "unknown mode":
         meta["mode"] = "warp-drive"
+    elif damage == "extra tensor":
+        tensors["party2.encoder.mlp.0.bias"] = np.zeros(4)  # local_a has no party 2
     else:
         del tensors["head.0.weight"]
     save_checkpoint(ckpt, tensors, meta)
@@ -328,7 +332,9 @@ def test_corrupt_dataset_cache_is_a_data_error(cfg_path, out, capsys):
 @pytest.mark.parametrize("damage", ["invalid utf-8", "not an object", "wrong-typed value"])
 def test_damaged_manifest_is_a_data_error(cfg_path, out, capsys, damage):
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
-    manifest = out / "cache" / "seed7" / "manifest.json"
+    cache = out / "cache" / "seed7"
+    undamaged, tree = load_bundle(cache)[0], tree_digest(cache)
+    manifest = cache / "manifest.json"
     raw = manifest.read_bytes()
     if damage == "invalid utf-8":
         manifest.write_bytes(raw[:30] + b"\xff" + raw[31:])
@@ -337,12 +343,27 @@ def test_damaged_manifest_is_a_data_error(cfg_path, out, capsys, damage):
     else:
         manifest.write_text(json.dumps({**json.loads(raw), "k_parties": "three"}))
     capsys.readouterr()
-    # prepare reads only the manifest's meta, so it sees the first two damages alone
+    # with its meta intact, prepare finds the third damage by loading the cache
     commands = ("eval",) if damage == "wrong-typed value" else ("eval", "prepare")
     for command in commands:
         assert run(command, "--config", cfg_path, "--out", out) == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(manifest) in err
+    if damage != "wrong-typed value":
+        return
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    text = capsys.readouterr().out
+    assert "damaged" in text and "rebuilding" in text and "up to date" not in text
+    rebuilt = load_bundle(cache)[0]
+    np.testing.assert_array_equal(rebuilt.train.labels, undamaged.train.labels)
+    np.testing.assert_array_equal(rebuilt.train.aligned_pool, undamaged.train.aligned_pool)
+    for k in (1, 2, 3):
+        np.testing.assert_array_equal(rebuilt.train.parties[k].cat,
+                                      undamaged.train.parties[k].cat)
+        np.testing.assert_array_equal(rebuilt.train.parties[k].num,
+                                      undamaged.train.parties[k].num)
+        np.testing.assert_array_equal(rebuilt.test.num[k], undamaged.test.num[k])
+    assert tree_digest(cache) == tree
 
 
 # ------------------------------------------------------------------ grid
@@ -392,6 +413,18 @@ def test_grid_records_a_diverged_cell_and_carries_on(tmp_path, capsys):
                                    ("vanilla_vfl", "0.0", "ok"))
     ]
     assert all("TrainingError: scores must be finite" in r[6] for r in rows[::3])
+    summary = {(r["mode"], r["beta"], r["aligned_count"]): r
+               for r in csv.DictReader((out / "summary.csv").read_text().splitlines())}
+    for count in ("20", "40"):
+        diverged, tame = summary["vflhlp", "1e+300", count], summary["vflhlp", "0.1", count]
+        assert (diverged["mean_auc"], diverged["n_ok"], diverged["n_failed"]) == ("nan", "0", "1")
+        assert (tame["n_ok"], tame["n_failed"]) == ("1", "0")
+        assert 0.0 <= float(tame["mean_auc"]) <= 1.0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert [line.split("  ")[0] for line in lines[1:4]] == [
+        "vflhlp b=0.1", "vflhlp b=1e+300", "vanilla_vfl"]
+    assert lines[2].split()[2:] == ["nan", "+-", "nan"] * 2
+    assert "nan" not in lines[1] + lines[3]
 
 
 def test_grid_respects_seed_flag(cfg_path, tmp_path):

@@ -333,6 +333,33 @@ def test_seed_is_not_part_of_the_declared_config():
     assert config_hash(reseeded) == config_hash(cfg)
 
 
+# every cache and checkpoint is stamped with the hash, so a change to the
+# canonical form orphans each one already written
+PINNED_HASHES = {
+    "fixture": "4bb122b380741bbf615b4ad7b9b101e136bee6b4c48bbce132f1a89bfe9dcd62",
+    "avazu-like": "f3a432ee601fc6140d7eb9ffebaa54f86000b80c0db5de166618b012c967d7e9",
+    "criteo-like": "a96ff7555faa1f887e99a5b28e22530d0193c1410f5588f0cb142872d7b03dfe",
+    # a numerical field's cardinality is left out, given or not
+    "csv": "bca3ad63d5f5d66aba74717f7de9559af3590cd7a825ff64b36f0767de03b646",
+}
+CSV_FIELDS = [
+    {"name": "x1", "kind": "numerical", "party": 1},
+    {"name": "c1", "kind": "categorical", "party": 1, "cardinality": 5},
+    {"name": "x2", "kind": "numerical", "party": 2, "cardinality": 0},
+]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_config_hashes_are_pinned(name):
+    raw = {"preset": name}
+    if name == "csv":
+        csv_data = {"train_path": "train.csv", "test_path": "test.csv", "k_parties": 2,
+                    "aligned_pool": 40, "fields": CSV_FIELDS}
+        raw = {"preset": "fixture", "grid": {"aligned_counts": [20, 40]},
+               "data": {"kind": "csv", "csv": csv_data}}
+    assert config_hash(parse_config(raw)) == PINNED_HASHES[name]
+
+
 # ------------------------------------------------------------------ fixture pins
 
 # The acceptance suite depends on these exact values; a drive-by "tuning"

@@ -484,6 +484,10 @@ def test_missing_pretrained_weights_fail_with_party_names(tiny_bundle, specs3):
     train = tiny_bundle.train.with_aligned_count(40)
     with pytest.raises(TrainingError, match="party 1"):
         train_downstream(train, specs3, TrainMode.VFLHLP_A, None, _dcfg(beta=0.1))
+    # an unconstrained mode needs the active party's weights to warm-start it
+    with pytest.raises(TrainingError, match=r"warm_start_active=True.*party 1"):
+        train_downstream(train, specs3, TrainMode.VANILLA_VFL, None,
+                         _dcfg(warm_start_active=True))
     partial = PretrainedWeights()
     with pytest.raises(TrainingError, match="party 2"):
         train_downstream(train, specs3, TrainMode.VFLHLP_P, partial, _dcfg())

@@ -474,6 +474,26 @@ def test_finite_check_passes_huge_finite_gradients(huge):
     np.testing.assert_allclose(p, -1.0, rtol=1e-12)
 
 
+def test_adam_raises_when_a_finite_gradient_squares_past_float64():
+    # Adam's first step divides by sqrt(g**2): 1e300**2 overflows, 1e150**2 does not
+    enc = small_spec(n_cat=1, n_num=2, hidden=(8,)).build(stream(36, "huge"))
+    grad = np.zeros(enc.theta.size)
+    enc.grads_dict(grad)["mlp.0.weight"][...] = 1e300
+    small = np.zeros(3)
+    before = enc.theta.copy()
+    with np.errstate(over="ignore"), pytest.raises(
+        TrainingError, match=r"gradient square .* 'encoder\.mlp\.0\.weight'"
+    ):
+        AdamOptimizer().step({"small": small, "encoder": enc.theta},
+                             {"small": np.ones(3), "encoder": grad}, 0.1,
+                             {"encoder": enc.layout})
+    np.testing.assert_array_equal(enc.theta, before)
+    assert not small.any()  # raised before any parameter moved
+    p = np.zeros(50)
+    AdamOptimizer().step({"p": p}, {"p": np.full(50, 1e150)}, lr=0.01)
+    np.testing.assert_allclose(p, -0.01, rtol=1e-12)
+
+
 # --------------------------------------------------------------------- losses
 
 def test_sigmoid_matches_reference_and_is_stable():
