@@ -241,6 +241,7 @@ def _csv_text(header: list[str], rows) -> str:
     return out.getvalue()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_cell(
     bundle: DatasetBundle,
     specs: dict[int, EncoderSpec],
@@ -253,7 +254,8 @@ def run_cell(
     A federated cell's transport log is audited first, and a payload that
     copies a raw column or the labels raises TrainingError. local_a sends
     nothing, so its audit is None. `train` and `grid` both run every cell
-    through here.
+    through here. A diverging cell overflows without numpy warnings and fails
+    typed: optimizers refuse non-finite gradients, `auc` non-finite scores.
     """
     trained = train_downstream(bundle.train, specs, mode, pretrained, dcfg)
     audit = None

@@ -76,9 +76,11 @@ class TrainMode(enum.Enum):
 
     def pretrained_needs(self, warm_start_active: bool) -> tuple[bool, bool]:
         """Whether a cell needs the active party's and the passive parties'
-        pre-trained weights: the active's for the constraint or for
-        warm_start_active, the passives' for their warm start."""
-        return self.uses_constraint or warm_start_active, self.warm_starts_passive
+        pre-trained weights: the active's for the constraint or for a
+        federated cell's warm_start_active, the passives' for their warm
+        start. local_a trains from scratch and needs neither."""
+        need_active = self.uses_constraint or (warm_start_active and self.is_federated)
+        return need_active, self.warm_starts_passive
 
 
 # ---------------------------------------------------------------------------

@@ -105,17 +105,26 @@ def corrupt(
 # contrastive objective
 
 
-def cosine_similarity_matrix(z: np.ndarray, z_tilde: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities; norms clamped at 1e-12."""
+def _unit_rows(z: np.ndarray, z_tilde: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """(x / max(||x||, eps), ||x||, max(||x||, eps)) of each view, per row."""
     z = np.asarray(z, dtype=np.float64)
     z_tilde = np.asarray(z_tilde, dtype=np.float64)
     if z.ndim != 2 or z.shape != z_tilde.shape:
         raise SchemaError(
             f"views must be equal-shape 2-d arrays, got {z.shape} and {z_tilde.shape}"
         )
-    zn = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), EPS_NORM)
-    tn = np.maximum(np.linalg.norm(z_tilde, axis=1, keepdims=True), EPS_NORM)
-    return (z / zn) @ (z_tilde / tn).T
+    rows = []
+    for x in (z, z_tilde):
+        norm = np.linalg.norm(x, axis=1, keepdims=True)
+        clamped = np.maximum(norm, EPS_NORM)
+        rows.append((x / clamped, norm, clamped))
+    return rows
+
+
+def cosine_similarity_matrix(z: np.ndarray, z_tilde: np.ndarray) -> np.ndarray:
+    """All-pairs cosine similarities; norms clamped at 1e-12."""
+    (zh, _, _), (th, _, _) = _unit_rows(z, z_tilde)
+    return zh @ th.T
 
 
 def info_nce(similarities: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
@@ -125,43 +134,44 @@ def info_nce(similarities: np.ndarray, temperature: float) -> tuple[float, np.nd
     -A_ii + logsumexp_j(A_ij) - log N, averaged over rows; the log N term
     comes from the mean inside the log, so a matrix with all entries equal
     scores exactly 0. The gradient is (softmax(A) - I) / (N * tau), computed
-    through a max-shifted logsumexp.
+    through a max-shifted logsumexp. It makes one new N x N array, which
+    becomes the returned gradient; the caller's matrix is not modified.
     """
+    return _info_nce(similarities, temperature, out=None)
+
+
+def _info_nce(s, temperature: float, out: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """info_nce, with A = S / tau and then the gradient written into `out`
+    (a new array when None), which may be `s` itself."""
     if temperature <= 0.0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    s = np.asarray(similarities, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise SchemaError(f"similarity matrix must be square, got {s.shape}")
     n = s.shape[0]
-    a = s / temperature
+    a = np.divide(s, temperature, out=out)
+    neg_diag = -np.diagonal(a)
     shift = a.max(axis=1, keepdims=True)
-    e = np.exp(a - shift)
+    a -= shift
+    e = np.exp(a, out=a)
     sum_e = e.sum(axis=1, keepdims=True)
     lse = np.log(sum_e[:, 0]) + shift[:, 0]
-    loss = float(np.mean(-np.diagonal(a) + lse - np.log(n)))
-    p = e / sum_e
-    grad = (p - np.eye(n)) / (n * temperature)
-    return loss, grad
+    loss = float(np.mean(neg_diag + lse - np.log(n)))
+    p = np.divide(e, sum_e, out=e)
+    p.flat[:: n + 1] -= 1.0  # minus I: off the diagonal, p - 0.0 is p
+    return loss, np.divide(p, n * temperature, out=p)
 
 
 @dataclass
 class ContrastiveBatchResult:
-    similarities: np.ndarray
-    temperature: float
     loss: float
     grad_z: np.ndarray
     grad_z_tilde: np.ndarray
 
 
-def _cosine_backward(
-    z: np.ndarray, z_tilde: np.ndarray, ds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    zn = np.linalg.norm(z, axis=1, keepdims=True)
-    tn = np.linalg.norm(z_tilde, axis=1, keepdims=True)
-    zc = np.maximum(zn, EPS_NORM)
-    tc = np.maximum(tn, EPS_NORM)
-    zh = z / zc
-    th = z_tilde / tc
+def _cosine_backward(z_rows, t_rows, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pull dL/dS back to both views, given _unit_rows' tuples for them."""
+    (zh, zn, zc), (th, tn, tc) = z_rows, t_rows
     dzh = ds @ th
     dth = ds.T @ zh
     # gradient through x / max(||x||, eps): the projection term only exists
@@ -177,19 +187,13 @@ def _cosine_backward(
 def contrastive_batch(
     z: np.ndarray, z_tilde: np.ndarray, temperature: float
 ) -> ContrastiveBatchResult:
-    """Cosine similarities + InfoNCE, with gradients w.r.t. both views."""
-    s = cosine_similarity_matrix(z, z_tilde)
-    loss, ds = info_nce(s, temperature)
-    grad_z, grad_zt = _cosine_backward(
-        np.asarray(z, dtype=np.float64), np.asarray(z_tilde, dtype=np.float64), ds
-    )
-    return ContrastiveBatchResult(
-        similarities=s,
-        temperature=temperature,
-        loss=loss,
-        grad_z=grad_z,
-        grad_z_tilde=grad_zt,
-    )
+    """Cosine similarities + InfoNCE, with gradients w.r.t. both views; the
+    similarity matrix is the batch's one N x N array, turned into dL/dS."""
+    z_rows, t_rows = _unit_rows(z, z_tilde)
+    s = z_rows[0] @ t_rows[0].T
+    loss, ds = _info_nce(s, temperature, out=s)
+    grad_z, grad_zt = _cosine_backward(z_rows, t_rows, ds)
+    return ContrastiveBatchResult(loss=loss, grad_z=grad_z, grad_z_tilde=grad_zt)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +210,6 @@ class SslConfig:
     optimizer: str = "adam"
     # projection head hidden widths; output width always equals rep_dim
     projection_hidden: tuple[int, ...] = (16,)
-
-
-def default_projection(rng: np.random.Generator, rep_dim: int, hidden) -> Mlp:
-    return Mlp.init(rng, [rep_dim, *hidden, rep_dim])
 
 
 def pretrain_passive(
@@ -232,8 +232,9 @@ def pretrain_passive(
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
     k = view.party_id
     encoder = spec.build(stream(seed, "ssl", k, "init-encoder"))
-    projection = default_projection(
-        stream(seed, "ssl", k, "init-projection"), spec.rep_dim, cfg.projection_hidden
+    projection = Mlp.init(
+        stream(seed, "ssl", k, "init-projection"),
+        [spec.rep_dim, *cfg.projection_hidden, spec.rep_dim],
     )
     marginals = CorruptionModel.fit(view, cfg.corruption_rate)
     corrupt_rng = stream(seed, "ssl", k, "corruption")
@@ -241,12 +242,6 @@ def pretrain_passive(
     optimizer = make_optimizer(cfg.optimizer)
     params = {"enc": encoder.theta, "proj": projection.theta}
     layouts = {"enc": encoder.layout, "proj": projection.layout}
-
-    def batch_ranges(epoch: int) -> list[np.ndarray]:
-        perm = stream(seed, "ssl", k, "shuffle", epoch).permutation(view.n)
-        return [
-            perm[i : i + cfg.batch_size] for i in range(0, view.n, cfg.batch_size)
-        ]
 
     def batch_loss(rows: np.ndarray, rng, update: bool) -> float:
         cat = view.cat[rows]
@@ -267,11 +262,12 @@ def pretrain_passive(
         return result.loss
 
     def epoch_pass(epoch: int, rng, update: bool) -> float:
-        total, count = 0.0, 0
-        for rows in batch_ranges(epoch):
+        perm = stream(seed, "ssl", k, "shuffle", epoch).permutation(view.n)
+        total = 0.0
+        for i in range(0, view.n, cfg.batch_size):
+            rows = perm[i : i + cfg.batch_size]
             total += batch_loss(rows, rng, update) * rows.size
-            count += rows.size
-        return total / count
+        return total / view.n
 
     trace = [epoch_pass(0, probe_rng, update=False)]
     for epoch in range(1, cfg.epochs + 1):

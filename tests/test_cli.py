@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,41 @@ def test_train_single_mode_trains_only_that_mode(cfg_path, out):
     seed_dir = out / "train" / "seed7"
     modes = {p.name for p in seed_dir.glob("count*/*")}
     assert modes == {"vanilla_vfl"}
+
+
+def _warm_active_config(tmp_path, **grid) -> Path:
+    path = tmp_path / "warm-active.json"
+    path.write_text(json.dumps({
+        **TINY,
+        "downstream": {**TINY["downstream"], "warm_start_active": True},
+        "grid": {**TINY["grid"], **grid},
+    }))
+    return path
+
+
+def test_local_a_with_warm_start_active_needs_no_pretraining(tmp_path, out):
+    # local_a trains the active party from scratch, so the flag asks nothing of it
+    cfg = _warm_active_config(tmp_path)
+    assert run("train", "--config", cfg, "--out", out, "--mode", "local_a") == 0
+    assert (out / "train" / "seed7" / "count20" / "local_a" / "final.ckpt").exists()
+    assert not (out / "checkpoints").exists()
+    # a federated cell still reads the active party's weights
+    assert run("train", "--config", cfg, "--out", out, "--mode", "vanilla_vfl") == 4
+
+
+def test_a_local_a_grid_does_not_pretrain_the_active_party(tmp_path, out, monkeypatch):
+    import vflhlp.evaluation as evaluation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a local_a grid pre-trained the active party")
+
+    # local_a itself trains in a spawned worker, which this patch does not reach
+    monkeypatch.setattr(evaluation, "pretrain_active", refuse)
+    cfg = _warm_active_config(tmp_path, modes=["local_a"])
+    assert run("grid", "--config", cfg, "--out", out) == 0
+    results = json.loads((out / "results.json").read_text())
+    assert results["active_val_auc"] == {}
+    assert [c["status"] for c in results["cells"]] == ["ok", "ok"]
 
 
 def test_eval_reproduces_recorded_scores(trained_out, cfg_path, capsys):
@@ -401,9 +437,14 @@ def test_grid_records_a_diverged_cell_and_carries_on(tmp_path, capsys):
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "g"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run("grid", "--config", cfg, "--out", out) == 4
-    assert "2 grid cells failed" in capsys.readouterr().err
+    # the typed failure is the whole report: no numpy warning reaches the log
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert "2 grid cells failed" in captured.err
+    assert "Warning" not in captured.out + captured.err
     rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
     assert [(r[0], r[1], r[3], r[4]) for r in rows] == [
         (mode, count, beta, status)

@@ -4,6 +4,7 @@ The InfoNCE implementation is checked against a literal double-loop
 oracle, two hand-derivable pinned values, and finite differences through
 the full cosine-similarity path.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import (
     CorruptionModel,
     SslConfig,
+    _cosine_backward,
+    _unit_rows,
     contrastive_batch,
     corrupt,
     cosine_similarity_matrix,
@@ -100,6 +103,58 @@ def test_info_nce_stable_at_large_similarity_scale():
     assert loss == pytest.approx(-math.log(4), abs=1e-6)
 
 
+def formula_info_nce(s: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    """(softmax(A) - I) / (N tau) as written, one fresh array per step."""
+    n = s.shape[0]
+    a = s / tau
+    shift = a.max(axis=1, keepdims=True)
+    e = np.exp(a - shift)
+    sum_e = e.sum(axis=1, keepdims=True)
+    lse = np.log(sum_e[:, 0]) + shift[:, 0]
+    loss = float(np.mean(-np.diagonal(a) + lse - np.log(n)))
+    return loss, (e / sum_e - np.eye(n)) / (n * tau)
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 37, 256])
+def test_info_nce_is_bitwise_the_formula_and_leaves_its_input(n, tau):
+    s = stream(204, "nce-bits", n).uniform(-1.0, 1.0, size=(n, n))
+    before = s.copy()
+    loss, grad = info_nce(s, tau)
+    want_loss, want_grad = formula_info_nce(s, tau)
+    np.testing.assert_array_equal(s, before)
+    assert grad is not s and not np.shares_memory(grad, s)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 256])
+def test_contrastive_batch_is_bitwise_info_nce_then_cosine_backward(n):
+    rng = stream(205, "cb-bits", n)
+    z = rng.standard_normal((n, 8))
+    zt = rng.standard_normal((n, 8))
+    z[0] = 0.0  # one clamped row
+    z_in, zt_in = z.copy(), zt.copy()
+    result = contrastive_batch(z, zt, 0.7)
+    loss, ds = info_nce(cosine_similarity_matrix(z, zt), 0.7)
+    grad_z, grad_zt = _cosine_backward(*_unit_rows(z, zt), ds)
+    np.testing.assert_array_equal(z, z_in)
+    np.testing.assert_array_equal(zt, zt_in)
+    assert result.loss == loss
+    assert np.array_equal(result.grad_z, grad_z)
+    assert np.array_equal(result.grad_z_tilde, grad_zt)
+
+
+def test_contrastive_batch_rejects_bad_inputs():
+    z = np.ones((3, 2))
+    with pytest.raises(ConfigError):
+        contrastive_batch(z, z, temperature=0.0)
+    with pytest.raises(SchemaError):
+        contrastive_batch(z, np.ones((3, 3)), temperature=1.0)
+    with pytest.raises(SchemaError):
+        contrastive_batch(np.ones((0, 2)), np.ones((0, 2)), temperature=1.0)
+
+
 # ----------------------------------------------------------------- cosine
 
 def test_cosine_matrix_matches_naive():
@@ -144,7 +199,7 @@ def test_contrastive_batch_zero_row_uses_clamped_jacobian():
     res = contrastive_batch(z, zt, 1.0)
     tn = np.linalg.norm(zt, axis=1, keepdims=True)
     th = zt / tn
-    _, ds = info_nce(res.similarities, 1.0)
+    _, ds = info_nce(cosine_similarity_matrix(z, zt), 1.0)
     expected_row0 = (ds @ th)[0] / 1e-12
     np.testing.assert_allclose(res.grad_z[0], expected_row0, rtol=1e-12)
     assert np.all(np.isfinite(res.grad_z))
@@ -267,6 +322,23 @@ def test_pretrain_passive_learns_on_tiny_data(tiny_bundle):
     cfg = SslConfig(epochs=6, batch_size=128, learning_rate=5e-3)
     _, trace = pretrain_passive(view, spec, cfg, seed=1)
     assert trace[-1] < trace[0]
+
+
+def test_pretrain_passive_bytes_are_pinned(tiny_bundle):
+    # seven batches of 64 rows per epoch, the last one short; digests of the
+    # weights and the loss trace as little-endian float64
+    view = tiny_bundle.train.parties[2]
+    spec = small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
+    cfg = SslConfig(epochs=3, batch_size=64, learning_rate=5e-3)
+    encoder, trace = pretrain_passive(view, spec, cfg, seed=11)
+
+    def digest(values) -> str:
+        return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+    assert digest(encoder.theta) == (
+        "29c25ba9053454072c623f27a11fb412f45e3a0c6d2d75fa1d6142ab7d785abf")
+    assert digest(trace) == (
+        "333f452403d538eefe3f965a76dd9686785caeaf79a3e6a00200e524ae38bdcb")
 
 
 def test_pretrain_passive_rejects_active_party(tiny_bundle):
