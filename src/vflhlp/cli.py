@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, config_hash, encoder_specs, load_config
-from .data import DatasetBundle, load_bundle, read_json_object, save_bundle
+from .data import CACHE_FILE, DatasetBundle, load_bundle, read_json_object, save_bundle
 from .errors import ConfigError, DataError, SchemaError, TrainingError
 from .evaluation import (
     build_bundle,
@@ -56,39 +56,32 @@ def _ckpt_dir(out: Path, seed: int) -> Path:
     return out / "checkpoints" / f"seed{seed}"
 
 
-def _cache_is_current(cache: Path, chash: str, seed: int) -> bool:
-    """True if `cache` holds a dataset built from this config and seed."""
-    manifest_path = cache / "manifest.json"
-    if not manifest_path.exists():
-        return False
-    meta = read_json_object(manifest_path).get("meta")
-    return (
-        isinstance(meta, dict)
-        and meta.get("config_hash") == chash
-        and meta.get("seed") == seed
-    )
+def _cached_bundle(cache: Path, chash: str, seed: int) -> DatasetBundle | None:
+    """The dataset cached in `cache` if it was built from this config and seed;
+    None if there is none (an older .npy layout counts as none) or it is stale.
+    A cache that cannot be loaded raises DataError naming its file."""
+    if not (cache / CACHE_FILE).exists():
+        return None
+    bundle, metadata = load_bundle(cache)
+    return bundle if metadata.get("meta") == {"config_hash": chash, "seed": seed} else None
 
 
 def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> DatasetBundle:
-    """Load the cached dataset if it matches this config, else build it."""
-    cache = _cache_dir(out, seed)
-    if _cache_is_current(cache, config_hash(cfg), seed):
-        return load_bundle(cache)[0]
-    return build_bundle(cfg, seed)
+    """The cached dataset if it matches this config, else a freshly built one."""
+    cached = _cached_bundle(_cache_dir(out, seed), config_hash(cfg), seed)
+    return cached if cached is not None else build_bundle(cfg, seed)
 
 
 def cmd_prepare(cfg: RunConfig, out: Path) -> int:
     chash = config_hash(cfg)
     for seed in cfg.grid.seeds:
         cache = _cache_dir(out, seed)
-        if _cache_is_current(cache, chash, seed):
-            try:
-                load_bundle(cache)
-            except DataError as exc:
-                print(f"seed {seed}: cache at {cache} is damaged ({exc}); rebuilding it")
-            else:
+        try:
+            if _cached_bundle(cache, chash, seed) is not None:
                 print(f"seed {seed}: cache up to date at {cache}")
                 continue
+        except DataError as exc:
+            print(f"seed {seed}: cache at {cache} is damaged ({exc}); rebuilding it")
         bundle = build_bundle(cfg, seed)
         save_bundle(cache, bundle, meta={"config_hash": chash, "seed": seed})
         dims = {

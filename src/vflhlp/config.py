@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,24 +132,17 @@ class RunConfig:
 # parsing
 
 
-def _build(cls, data: dict, section: str, tuple_keys: tuple[str, ...] = (),
-           drop: tuple[str, ...] = ()):
+def _build(cls, data: dict, section: str, drop: tuple[str, ...] = ()):
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected an object, got {type(data).__name__}")
     allowed = {f.name for f in dataclasses.fields(cls)} - set(drop)
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key in tuple_keys and isinstance(value, list):
-            value = tuple(value)
-        if not _type_ok(value, defaults[key]):
-            raise ConfigError(
-                f"{section}.{key}: expected {type(defaults[key]).__name__}, "
-                f"got {type(value).__name__} {value!r}"
-            )
+        value = _checked(value, hints[key], f"{section}.{key}")
         if key == "optimizer" and value not in OPTIMIZERS:
             raise ConfigError(
                 f"{section}.optimizer: unknown optimizer {value!r}; "
@@ -161,18 +155,33 @@ def _build(cls, data: dict, section: str, tuple_keys: tuple[str, ...] = (),
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _type_ok(value, default) -> bool:
-    """Is `value` of the type of a field's default? An int passes for a float;
-    a bool passes only for a bool."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+def _checked(value, hint, name: str):
+    """`value` if it has the declared type `hint`, else ConfigError naming it.
+
+    An int passes for a float; a bool passes only for a bool. For a
+    tuple[T, ...] field a JSON list becomes a tuple, checked item by item.
+    """
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            value = tuple(value)
+        if isinstance(value, tuple):
+            item = typing.get_args(hint)[0]
+            for i, v in enumerate(value):
+                _checked(v, item, f"{name}[{i}]")
+            return value
+        hint = tuple
+    if hint is bool or isinstance(value, bool):
+        ok = type(value) is hint
+    else:
+        ok = isinstance(value, (int, float) if hint is float else hint)
+    if not ok:
+        raise ConfigError(
+            f"{name}: expected {hint.__name__}, got {type(value).__name__} {value!r}"
+        )
+    return value
 
 
-# one value of each field key's type, for _type_ok
-_FIELD_DEFAULTS = {"name": "", "kind": "", "party": 0, "cardinality": 0}
+_FIELD_TYPES = typing.get_type_hints(Field)
 
 
 def _parse_fields(raw: list, section: str) -> tuple[Field, ...]:
@@ -182,16 +191,11 @@ def _parse_fields(raw: list, section: str) -> tuple[Field, ...]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ConfigError(f"{section}: fields[{i}] must be an object")
-        unknown = sorted(set(item) - set(_FIELD_DEFAULTS))
+        unknown = sorted(set(item) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"{section}: fields[{i}] unknown keys {unknown}")
         for key, value in item.items():
-            if not _type_ok(value, _FIELD_DEFAULTS[key]):
-                expected = type(_FIELD_DEFAULTS[key]).__name__
-                raise ConfigError(
-                    f"{section}: fields[{i}].{key}: expected {expected}, "
-                    f"got {type(value).__name__} {value!r}"
-                )
+            _checked(value, _FIELD_TYPES[key], f"{section}: fields[{i}].{key}")
         try:
             fields.append(
                 Field(
@@ -216,12 +220,7 @@ def _parse_data(raw: dict) -> DataConfig:
     synth = None
     csv_cfg = None
     if "synth" in raw:
-        synth = _build(
-            SynthConfig,
-            raw["synth"],
-            "data.synth",
-            tuple_keys=("num_fields_per_party", "cat_fields_per_party", "party_signal"),
-        )
+        synth = _build(SynthConfig, raw["synth"], "data.synth")
     if "csv" in raw:
         if not isinstance(raw["csv"], dict):
             raise ConfigError(
@@ -262,15 +261,12 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("output_dir must be a string")
     return RunConfig(
         data=_parse_data(raw["data"]),
-        model=_build(ModelConfig, raw.get("model", {}), "model",
-                     tuple_keys=("encoder_hidden",)),
-        ssl=_build(SslConfig, raw.get("ssl", {}), "ssl",
-                   tuple_keys=("projection_hidden",)),
+        model=_build(ModelConfig, raw.get("model", {}), "model"),
+        ssl=_build(SslConfig, raw.get("ssl", {}), "ssl"),
         supervised=_build(SupConfig, raw.get("supervised", {}), "supervised"),
         downstream=_build(DownstreamConfig, raw.get("downstream", {}), "downstream",
                           drop=("seed",)),
-        grid=_build(GridConfig, raw.get("grid", {}), "grid",
-                    tuple_keys=("modes", "aligned_counts", "seeds", "beta_sweep")),
+        grid=_build(GridConfig, raw.get("grid", {}), "grid"),
         output_dir=output_dir,
     )
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .rng import stream
 
 CATEGORICAL = "categorical"
@@ -540,6 +541,9 @@ class SynthConfig:
         for name in ("num_fields_per_party", "cat_fields_per_party", "party_signal"):
             if len(getattr(self, name)) != k:
                 raise ConfigError(f"{name} must have {k} entries")
+        for name in ("num_fields_per_party", "cat_fields_per_party"):
+            if min(getattr(self, name)) < 0:
+                raise ConfigError(f"{name} entries must be >= 0")
         if self.aligned_pool > self.n_local:
             raise ConfigError("aligned_pool cannot exceed n_local")
         if self.aligned_pool < 1:
@@ -663,59 +667,35 @@ def synth_generate(cfg: SynthConfig, seed: int) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 # dataset cache
 
-_CACHE_VERSION = 1
+CACHE_FILE = "dataset.ckpt"
+_CACHE_VERSION = 2
 
 
 def save_bundle(cache_dir, bundle: DatasetBundle, meta: dict | None = None) -> None:
-    """Write one .npy per array plus a JSON manifest; byte-deterministic."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    train = bundle.train
-    arrays: dict[str, np.ndarray] = {
+    """Write the bundle as one checkpoint, cache_dir/dataset.ckpt; byte-deterministic."""
+    train, test = bundle.train, bundle.test
+    tensors: dict[str, np.ndarray] = {
         "aligned_pool": train.aligned_pool,
         "labels": train.labels,
+        "test_ids": test.ids,
+        "test_labels": test.labels,
     }
     for k, view in train.parties.items():
-        arrays[f"party{k}_ids"] = view.ids
-        arrays[f"party{k}_cat"] = view.cat
-        arrays[f"party{k}_num"] = view.num
-    test = bundle.test
-    arrays["test_ids"] = test.ids
-    arrays["test_labels"] = test.labels
-    for k in range(1, train.k_parties + 1):
-        arrays[f"test_party{k}_cat"] = test.cat[k]
-        arrays[f"test_party{k}_num"] = test.num[k]
+        tensors[f"party{k}_ids"] = view.ids
+        tensors[f"party{k}_cat"] = view.cat
+        tensors[f"party{k}_num"] = view.num
+        tensors[f"test_party{k}_cat"] = test.cat[k]
+        tensors[f"test_party{k}_num"] = test.num[k]
     if test.bayes_scores is not None:
-        arrays["test_bayes"] = test.bayes_scores
-    for name, arr in sorted(arrays.items()):
-        np.save(cache_dir / f"{name}.npy", arr, allow_pickle=False)
-    manifest = {
+        tensors["test_bayes"] = test.bayes_scores
+    metadata = {
         "format_version": _CACHE_VERSION,
         "k_parties": train.k_parties,
         "aligned_count": train.aligned_count,
-        "arrays": sorted(arrays),
-        "schema": [
-            {
-                "name": f.name,
-                "kind": f.kind,
-                "party": f.party,
-                "cardinality": f.cardinality,
-            }
-            for f in train.schema.fields
-        ],
-        "party_dims": {
-            str(k): {
-                "categorical": len(v.cat_fields),
-                "numerical": len(v.num_fields),
-                "rows": v.n,
-            }
-            for k, v in train.parties.items()
-        },
+        "schema": [asdict(f) for f in train.schema.fields],
         "meta": meta or {},
     }
-    (cache_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    save_checkpoint(Path(cache_dir) / CACHE_FILE, tensors, metadata)
 
 
 def read_json_object(path) -> dict:
@@ -730,78 +710,52 @@ def read_json_object(path) -> dict:
     return obj
 
 
-def _load_array(path: Path) -> np.ndarray:
-    try:
-        return np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise DataError(f"{path}: unreadable array: {exc}") from None
-
-
 def load_bundle(cache_dir) -> tuple[DatasetBundle, dict]:
-    """Load a cached bundle; returns (bundle, manifest).
+    """Load what save_bundle wrote; returns (bundle, checkpoint metadata).
 
-    A missing, truncated or corrupt file, or a manifest without the keys
-    and arrays it should list, raises DataError naming the file.
+    A missing, truncated or corrupt file, or one without the tensors and
+    metadata keys a bundle is built from, raises DataError naming the file.
     """
-    cache_dir = Path(cache_dir)
-    manifest_path = cache_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"{cache_dir}: no manifest.json, not a dataset cache")
-    manifest = read_json_object(manifest_path)
-    if manifest.get("format_version") != _CACHE_VERSION:
+    path = Path(cache_dir) / CACHE_FILE
+    tensors, metadata = load_checkpoint(path)
+    if metadata.get("format_version") != _CACHE_VERSION:
         raise DataError(
-            f"{cache_dir}: cache format {manifest.get('format_version')!r} "
-            f"is not supported"
+            f"{path}: cache format {metadata.get('format_version')!r} is not supported"
         )
     try:
-        return _bundle_from_cache(cache_dir, manifest), manifest
-    except DataError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        return _bundle_from_cache(tensors, metadata), metadata
+    except (KeyError, TypeError, ValueError) as exc:  # DataError and ConfigError too
         raise DataError(
-            f"{manifest_path}: malformed manifest: {type(exc).__name__}: {exc}"
+            f"{path}: malformed dataset cache: {type(exc).__name__}: {exc}"
         ) from None
 
 
-def _bundle_from_cache(cache_dir: Path, manifest: dict) -> DatasetBundle:
-    listed = set(manifest["arrays"])
-
-    def load(name: str) -> np.ndarray:
-        # only what the bundle is built from; an older cache lists more
-        if name not in listed:
-            raise KeyError(name)
-        return _load_array(cache_dir / f"{name}.npy")
-
-    schema = FeatureSchema(
-        tuple(
-            Field(f["name"], f["kind"], f["party"], cardinality=f["cardinality"])
-            for f in manifest["schema"]
-        )
-    )
-    k_parties = manifest["k_parties"]
+def _bundle_from_cache(tensors: dict[str, np.ndarray], metadata: dict) -> DatasetBundle:
+    schema = FeatureSchema(tuple(Field(**f) for f in metadata["schema"]))
+    k_parties = metadata["k_parties"]
     parties = {}
     for k in range(1, k_parties + 1):
         cf, nf = schema.party_fields(k)
         parties[k] = PartyView(
             party_id=k,
-            ids=load(f"party{k}_ids"),
-            cat=load(f"party{k}_cat"),
-            num=load(f"party{k}_num"),
+            ids=tensors[f"party{k}_ids"],
+            cat=tensors[f"party{k}_cat"],
+            num=tensors[f"party{k}_num"],
             cat_fields=cf,
             num_fields=nf,
         )
     train = VerticalDataset(
         schema=schema,
         parties=parties,
-        labels=load("labels"),
-        aligned_pool=load("aligned_pool"),
-        aligned_count=manifest["aligned_count"],
+        labels=tensors["labels"],
+        aligned_pool=tensors["aligned_pool"],
+        aligned_count=metadata["aligned_count"],
     )
     test = AlignedBatch(
-        ids=load("test_ids"),
-        cat={k: load(f"test_party{k}_cat") for k in range(1, k_parties + 1)},
-        num={k: load(f"test_party{k}_num") for k in range(1, k_parties + 1)},
-        labels=load("test_labels"),
-        bayes_scores=load("test_bayes") if "test_bayes" in listed else None,
+        ids=tensors["test_ids"],
+        cat={k: tensors[f"test_party{k}_cat"] for k in range(1, k_parties + 1)},
+        num={k: tensors[f"test_party{k}_num"] for k in range(1, k_parties + 1)},
+        labels=tensors["test_labels"],
+        bayes_scores=tensors.get("test_bayes"),
     )
     return DatasetBundle(train=train, test=test)

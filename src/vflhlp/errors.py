@@ -21,5 +21,6 @@ class TrainingError(RuntimeError):
     """Training failed: divergence, non-finite values, missing weights."""
 
 
-class UndefinedMetricError(ValueError):
-    """Metric has no defined value, e.g. AUC on single-class labels."""
+class UndefinedMetricError(DataError):
+    """Metric has no defined value, e.g. AUC on single-class labels: the
+    split cannot be scored, so it is a data error."""

@@ -32,7 +32,7 @@ from .data import (
     transform_csv,
     vertical_partition,
 )
-from .errors import ConfigError, DataError, SchemaError, TrainingError, UndefinedMetricError
+from .errors import ConfigError, DataError, SchemaError, TrainingError
 from .federated import (
     AuditReport,
     DownstreamConfig,
@@ -290,7 +290,8 @@ def _spare_cpus() -> int:
     return max(1, cpus - 1)
 
 
-_CELL_ERRORS = (ConfigError, DataError, TrainingError, UndefinedMetricError)
+# a cell whose split cannot be scored fails with UndefinedMetricError, a DataError
+_CELL_ERRORS = (ConfigError, DataError, TrainingError)
 
 
 def run_grid(

@@ -460,6 +460,10 @@ class DownstreamConfig:
     warm_start_active: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError("val_fraction must be in [0, 1)")
+
 
 @dataclass
 class PretrainedWeights:

@@ -13,8 +13,9 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
     pair with exactly 0.5, the same convention as counting pairs directly.
     O(n log n); exact in float64 for any realistic n.
 
-    Raises UndefinedMetricError when labels contain a single class, and
-    TrainingError when a score is not finite (the scoring model diverged).
+    Raises UndefinedMetricError (a DataError) when labels contain a single
+    class, and TrainingError when a score is not finite (the scoring model
+    diverged).
     """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)

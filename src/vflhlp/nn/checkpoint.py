@@ -13,13 +13,17 @@ Layout (all integers little-endian):
 
 Two checkpoints with equal tensors and metadata are byte-identical, which
 is what the reproducibility criteria compare. A file that does not parse
-exactly (cut short, an unknown dtype code, trailing bytes) is a DataError. The zip-based numpy formats
-embed timestamps, so they are not used here.
+exactly (cut short, an unknown dtype code, trailing bytes) is a DataError.
+The reader checks each length against the file size before it allocates,
+then reads each tensor straight into its own array. The zip-based numpy
+formats embed timestamps, so they are not used here; model checkpoints and
+the per-seed dataset cache both use this one format.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -55,50 +59,46 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; a truncated or corrupt file raises DataError naming it."""
-    buf = Path(path).read_bytes()
+    """Read a checkpoint tensor by tensor; a missing, unreadable, truncated or
+    corrupt file raises DataError naming it."""
     try:
-        return _parse(buf, path)
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return _read(fh, os.fstat(fh.fileno()).st_size, path)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from None
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: corrupt checkpoint: {exc}") from None
 
 
-def _parse(buf: bytes, path) -> tuple[dict[str, np.ndarray], dict]:
-    def need(nbytes: int, what: str) -> None:
-        if off + nbytes > len(buf):
+def _read(fh, size: int, path) -> tuple[dict[str, np.ndarray], dict]:
+    def fits(nbytes: int, what: str) -> int:
+        # every length is checked against the file before anything is allocated
+        if nbytes > size - fh.tell():
             raise DataError(f"{path}: {what} cut short")
+        return nbytes
 
-    if buf[:8] != MAGIC:
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, fh.read(fits(struct.calcsize(fmt), what)))
+
+    if fh.read(len(MAGIC)) != MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
-    off = 8
-    (meta_len,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    need(meta_len, "metadata")
-    meta = json.loads(buf[off : off + meta_len].decode("utf-8"))
+    (meta_len,) = unpack("<I", "metadata length")
+    meta = json.loads(fh.read(fits(meta_len, "metadata")).decode("utf-8"))
     if not isinstance(meta, dict):
         raise DataError(f"{path}: checkpoint metadata is not a JSON object")
-    off += meta_len
-    (count,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    (count,) = unpack("<I", "tensor count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        need(name_len, "tensor name")
-        name = buf[off : off + name_len].decode("utf-8")
-        off += name_len
-        code, ndim = struct.unpack_from("<BB", buf, off)
-        off += 2
+        (name_len,) = unpack("<H", "tensor name length")
+        name = fh.read(fits(name_len, "tensor name")).decode("utf-8")
+        code, ndim = unpack("<BB", f"tensor {name!r} header")
         if code not in _DTYPES:
             raise DataError(f"{path}: tensor {name!r} has unknown dtype code {code}")
-        shape = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
+        shape = unpack(f"<{ndim}I", f"tensor {name!r} shape")
         dtype = _DTYPES[code]
-        n_items = math.prod(shape)
-        need(n_items * dtype.itemsize, f"tensor {name!r}")
-        arr = np.frombuffer(buf, dtype=dtype, count=n_items, offset=off)
-        off += n_items * dtype.itemsize
-        tensors[name] = arr.reshape(shape).copy()  # detach from the read-only buffer
-    if off != len(buf):
+        fits(math.prod(shape) * dtype.itemsize, f"tensor {name!r}")
+        tensors[name] = np.empty(shape, dtype=dtype)
+        fh.readinto(tensors[name])
+    if fh.tell() != size:
         raise DataError(f"{path}: trailing bytes after last tensor")
     return tensors, meta

@@ -106,7 +106,7 @@ def corrupt(
 
 
 def _unit_rows(z: np.ndarray, z_tilde: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """(x / max(||x||, eps), ||x||, max(||x||, eps)) of each view, per row."""
+    """(x / max(||x||, eps), max(||x||, eps)) of each view, per row."""
     z = np.asarray(z, dtype=np.float64)
     z_tilde = np.asarray(z_tilde, dtype=np.float64)
     if z.ndim != 2 or z.shape != z_tilde.shape:
@@ -115,15 +115,14 @@ def _unit_rows(z: np.ndarray, z_tilde: np.ndarray) -> list[tuple[np.ndarray, ...
         )
     rows = []
     for x in (z, z_tilde):
-        norm = np.linalg.norm(x, axis=1, keepdims=True)
-        clamped = np.maximum(norm, EPS_NORM)
-        rows.append((x / clamped, norm, clamped))
+        clamped = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), EPS_NORM)
+        rows.append((x / clamped, clamped))
     return rows
 
 
 def cosine_similarity_matrix(z: np.ndarray, z_tilde: np.ndarray) -> np.ndarray:
     """All-pairs cosine similarities; norms clamped at 1e-12."""
-    (zh, _, _), (th, _, _) = _unit_rows(z, z_tilde)
+    (zh, _), (th, _) = _unit_rows(z, z_tilde)
     return zh @ th.T
 
 
@@ -171,17 +170,14 @@ class ContrastiveBatchResult:
 
 def _cosine_backward(z_rows, t_rows, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pull dL/dS back to both views, given _unit_rows' tuples for them."""
-    (zh, zn, zc), (th, tn, tc) = z_rows, t_rows
-    dzh = ds @ th
-    dth = ds.T @ zh
+    (zh, zc), (th, tc) = z_rows, t_rows
     # gradient through x / max(||x||, eps): the projection term only exists
-    # where the norm is not clamped
-    def through(xh, dxh, norm, clamped_norm):
-        proj = (xh * dxh).sum(axis=1, keepdims=True)
-        live = norm > EPS_NORM
-        return np.where(live, (dxh - xh * proj) / clamped_norm, dxh / clamped_norm)
+    # where the norm is not clamped, so a clamped row's is multiplied by 0
+    def through(xh, dxh, clamped_norm):
+        proj = (xh * dxh).sum(axis=1, keepdims=True) * (clamped_norm > EPS_NORM)
+        return (dxh - xh * proj) / clamped_norm
 
-    return through(zh, dzh, zn, zc), through(th, dth, tn, tc)
+    return through(zh, ds @ th, zc), through(th, ds.T @ zh, tc)
 
 
 def contrastive_batch(
@@ -210,6 +206,10 @@ class SslConfig:
     optimizer: str = "adam"
     # projection head hidden widths; output width always equals rep_dim
     projection_hidden: tuple[int, ...] = (16,)
+
+    def __post_init__(self):
+        if any(w < 1 for w in self.projection_hidden):
+            raise ConfigError("projection_hidden widths must be >= 1")
 
 
 def pretrain_passive(

@@ -6,6 +6,9 @@ fiddly enough to get wrong twice (finite-difference setups around relu).
 """
 from __future__ import annotations
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,14 @@ def tiny_synth_config(**overrides) -> SynthConfig:
 @pytest.fixture(scope="session")
 def tiny_bundle():
     return synth_generate(tiny_synth_config(), seed=7)
+
+
+def splice_metadata(path, meta: bytes) -> None:
+    """Replace a checkpoint's metadata JSON with the raw bytes `meta` and
+    rewrite its length field to match; the tensors stay as they were."""
+    raw = Path(path).read_bytes()
+    (old_len,) = struct.unpack_from("<I", raw, 8)
+    Path(path).write_bytes(raw[:8] + struct.pack("<I", len(meta)) + meta + raw[12 + old_len:])
 
 
 def small_spec(n_cat: int = 1, n_num: int = 2, cardinality: int = 6,

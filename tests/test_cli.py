@@ -12,6 +12,8 @@ from vflhlp.cli import main
 from vflhlp.data import load_bundle
 from vflhlp.nn import load_checkpoint, save_checkpoint
 
+from conftest import splice_metadata
+
 ALL_MODES = ["local_a", "vanilla_vfl", "vflhlp", "vflhlp_a", "vflhlp_p"]
 
 TINY = {
@@ -67,8 +69,8 @@ def tree_digest(root: Path, skip=("run_meta.json",)) -> dict[str, str]:
 
 def test_prepare_builds_then_reuses_the_cache(cfg_path, out, capsys):
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
-    manifest = out / "cache" / "seed7" / "manifest.json"
-    assert manifest.exists()
+    cache = out / "cache" / "seed7"
+    assert [p.name for p in cache.iterdir()] == ["dataset.ckpt"]
     first = tree_digest(out / "cache")
     capsys.readouterr()
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
@@ -76,14 +78,19 @@ def test_prepare_builds_then_reuses_the_cache(cfg_path, out, capsys):
     assert tree_digest(out / "cache") == first
 
 
-def test_prepare_rebuilds_when_the_config_changes(cfg_path, out, tmp_path):
+def test_prepare_rebuilds_when_the_config_changes(cfg_path, out, tmp_path, capsys):
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    path = out / "cache" / "seed7" / "dataset.ckpt"
+    first_hash = load_checkpoint(path)[1]["meta"]["config_hash"]
     changed = dict(TINY, model={"embed_dim": 4, "encoder_hidden": [8, 4]})
     cfg2 = tmp_path / "tiny2.json"
     cfg2.write_text(json.dumps(changed))
+    capsys.readouterr()
     assert run("prepare", "--config", cfg2, "--out", out) == 0
-    meta = json.loads((out / "cache" / "seed7" / "manifest.json").read_text())["meta"]
-    assert meta["seed"] == 7  # rewritten manifest still names its seed
+    assert "up to date" not in capsys.readouterr().out
+    meta = load_checkpoint(path)[1]["meta"]
+    assert meta["seed"] == 7  # the rewritten cache still names its seed
+    assert meta["config_hash"] != first_hash
 
 
 # ------------------------------------------------------------------ pretrain
@@ -313,93 +320,150 @@ def test_train_and_grid_give_the_same_cells(trained_out, cfg_path, tmp_path):
             assert (meta["aligned_count"], grid_meta["aligned_count"]) == (count, 0)
 
 
-def test_a_cache_in_the_older_layout_still_loads(cfg_path, out, capsys):
-    # caches once also held a validation split and per-party test logits
+# sha256 of each cached array's raw bytes for TINY, seed 7, as the earlier
+# one-.npy-per-array cache stored them: the one-file cache holds the same data
+TINY_SEED7_ARRAYS = {
+    "aligned_pool": ("int64", (60,), "ee7242386485bc61917960ec3faaf4eb5a3f74c1b3247b3cdd1c5917f7f62819"),
+    "labels": ("float64", (300,), "944c9322ed932327d8752ca418dae13d5c305c4bfa79a18540d576bf54c602ce"),
+    "party1_cat": ("int64", (300, 2), "9d48b1d45c0171c8129440e6477a62e0c75eef98c9381b24bd045452f47bd3f5"),
+    "party1_ids": ("int64", (300,), "ce0025292475f524f6feb9db6db2bbbcf7222a0db4a0b36ceb438fafb527df4c"),
+    "party1_num": ("float64", (300, 1), "b18ca7e528be37e3b20adbcc1374a1288476cdae1558908b1de59857939f6166"),
+    "party2_cat": ("int64", (300, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "party2_ids": ("int64", (300,), "c2f7e0969b0624779ac1e010c15ad94c4c243ad6f601cb710cf9d06fbb074b51"),
+    "party2_num": ("float64", (300, 3), "1a34ae2a71c91e1032e646bb82d977dbd4b615fce564343dd83846cb536db556"),
+    "party3_cat": ("int64", (300, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "party3_ids": ("int64", (300,), "176ebccd0328ca24a3cd418d6ffc68c6956824636f02b6bd527099d93d0a560f"),
+    "party3_num": ("float64", (300, 3), "9e5c08f94dbed3c97e35dac028d19edb035e35cdcb2b006a44f03a7f5f51c3a8"),
+    "test_bayes": ("float64", (150,), "4b732c27c501351a551f00d0e81de1222d2744f2b7f7f94a39e85458ce5359c0"),
+    "test_ids": ("int64", (150,), "e6ab9eba86e639dd2664749d14f4c9e261bdd022536696e59b5a13bffd624c07"),
+    "test_labels": ("float64", (150,), "e3949b977b1180c4bbf86ab2904c120f6f0f0ce09aaafb8c88c9e311604ddddb"),
+    "test_party1_cat": ("int64", (150, 2), "133a9c8a4cec0f3c34fc3108dfe4f49a9f3b2a8caf6b77763469c0f3edecd784"),
+    "test_party1_num": ("float64", (150, 1), "5f7c889f05901f9dce95730f1a9ae5a63876c6b46b37a451333e68f54ce16e1d"),
+    "test_party2_cat": ("int64", (150, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "test_party2_num": ("float64", (150, 3), "281947afb01a4ab370281b7d92e94302ba442d3de030f660a477571a5766bad1"),
+    "test_party3_cat": ("int64", (150, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "test_party3_num": ("float64", (150, 3), "5b3fabc57e767fa165cfd72271906564675fd158ec24dc0e1af6dfa49559eb1e"),
+}
+
+
+def _bundle_arrays(bundle) -> dict[str, np.ndarray]:
+    train, test = bundle.train, bundle.test
+    arrays = {"aligned_pool": train.aligned_pool, "labels": train.labels,
+              "test_bayes": test.bayes_scores, "test_ids": test.ids,
+              "test_labels": test.labels}
+    for k, view in train.parties.items():
+        arrays.update({f"party{k}_ids": view.ids, f"party{k}_cat": view.cat,
+                       f"party{k}_num": view.num, f"test_party{k}_cat": test.cat[k],
+                       f"test_party{k}_num": test.num[k]})
+    return arrays
+
+
+def test_the_cached_arrays_are_pinned(cfg_path, out):
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
     cache = out / "cache" / "seed7"
-    fresh, _ = load_bundle(cache)
-    manifest = json.loads((cache / "manifest.json").read_text())
-    old = {"val_ids": np.arange(60), "val_labels": np.zeros(60),
-           "val_bayes": np.full(60, 0.5)}
-    for k in (1, 2, 3):
-        old[f"val_party{k}_cat"] = np.zeros((60, 2 if k == 1 else 0), np.int64)
-        old[f"val_party{k}_num"] = np.zeros((60, 1 if k == 1 else 3))
-        old[f"test_logit_party{k}"] = np.zeros(150)
-    for name, arr in old.items():
+    bundle, _ = load_bundle(cache)
+    got = {name: (str(a.dtype), a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+           for name, a in _bundle_arrays(bundle).items()}
+    assert got == TINY_SEED7_ARRAYS
+    tensors, _ = load_checkpoint(cache / "dataset.ckpt")
+    assert sorted(tensors) == sorted(TINY_SEED7_ARRAYS)
+
+
+def test_a_cache_in_the_older_layout_is_ignored(cfg_path, tmp_path, capsys):
+    # the earlier layout: one .npy per array plus manifest.json, current meta;
+    # its labels are flipped, so reading it would change every score
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert run("prepare", "--config", cfg_path, "--out", fresh) == 0
+    bundle, metadata = load_bundle(fresh / "cache" / "seed7")
+    cache = old / "cache" / "seed7"
+    cache.mkdir(parents=True)
+    arrays = _bundle_arrays(bundle)
+    arrays["labels"] = 1.0 - arrays["labels"]
+    arrays["test_labels"] = 1.0 - arrays["test_labels"]
+    for name, arr in arrays.items():
         np.save(cache / f"{name}.npy", arr, allow_pickle=False)
-    manifest["arrays"] = sorted(manifest["arrays"] + list(old))
-    manifest.update(has_validation=True, has_oracle=True)
+    manifest = {**metadata, "format_version": 1, "arrays": sorted(arrays)}
     (cache / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    (cache / "val_ids.npy").unlink()  # listed but unused, so never read
-    before = tree_digest(cache)
+    before = tree_digest(old)
 
-    loaded, _ = load_bundle(cache)
-    np.testing.assert_array_equal(loaded.test.bayes_scores, fresh.test.bayes_scores)
-    for k in (1, 2, 3):
-        np.testing.assert_array_equal(loaded.train.parties[k].num,
-                                      fresh.train.parties[k].num)
-        np.testing.assert_array_equal(loaded.test.cat[k], fresh.test.cat[k])
+    for where in (fresh, old):
+        assert run("train", "--config", cfg_path, "--out", where,
+                   "--mode", "vanilla_vfl") == 0
+    for count in (20, 40):
+        result = Path("train", "seed7", f"count{count}", "vanilla_vfl", "result.json")
+        assert (old / result).read_bytes() == (fresh / result).read_bytes()
     capsys.readouterr()
-    assert run("prepare", "--config", cfg_path, "--out", out) == 0
-    assert "up to date" in capsys.readouterr().out
-    assert tree_digest(cache) == before
+    assert run("prepare", "--config", cfg_path, "--out", old) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert (cache / "dataset.ckpt").read_bytes() == \
+        (fresh / "cache" / "seed7" / "dataset.ckpt").read_bytes()
+    assert {k: v for k, v in tree_digest(old).items() if k in before} == before
 
 
-def test_corrupt_dataset_cache_is_a_data_error(cfg_path, out, capsys):
+def _damage_is_reported_then_rebuilt(cfg_path, out, capsys, damage) -> None:
+    """`eval` on a damaged cache exits 3 naming it; `prepare` rebuilds it."""
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
     cache = out / "cache" / "seed7"
-    num = cache / "party1_num.npy"
-    raw = num.read_bytes()
-    num.write_bytes(raw[: len(raw) // 2])
+    path = cache / "dataset.ckpt"
+    undamaged, fresh = load_bundle(cache)[0], path.read_bytes()
+    damage(path)
     capsys.readouterr()
     assert run("eval", "--config", cfg_path, "--out", out) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and "party1_num.npy" in err
+    assert "data error" in err and str(path) in err
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    text = capsys.readouterr().out
+    assert "damaged" in text and "rebuilding" in text and "up to date" not in text
+    assert path.read_bytes() == fresh
+    rebuilt = _bundle_arrays(load_bundle(cache)[0])
+    for name, arr in _bundle_arrays(undamaged).items():
+        np.testing.assert_array_equal(rebuilt[name], arr)
 
-    num.write_bytes(raw)
-    manifest = cache / "manifest.json"
-    manifest.write_text(manifest.read_text()[:-40])
-    for command in ("eval", "prepare"):
-        assert run(command, "--config", cfg_path, "--out", out) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err and "manifest.json" in err
+
+def test_corrupt_dataset_cache_is_a_data_error(cfg_path, out, capsys):
+    def cut_in_the_data(path):
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+    def cut_the_metadata(path):
+        splice_metadata(path, json.dumps(load_checkpoint(path)[1])[:-40].encode())
+
+    for damage in (cut_in_the_data, cut_the_metadata):
+        _damage_is_reported_then_rebuilt(cfg_path, out, capsys, damage)
 
 
 @pytest.mark.parametrize("damage", ["invalid utf-8", "not an object", "wrong-typed value"])
 def test_damaged_manifest_is_a_data_error(cfg_path, out, capsys, damage):
-    assert run("prepare", "--config", cfg_path, "--out", out) == 0
-    cache = out / "cache" / "seed7"
-    undamaged, tree = load_bundle(cache)[0], tree_digest(cache)
-    manifest = cache / "manifest.json"
-    raw = manifest.read_bytes()
-    if damage == "invalid utf-8":
-        manifest.write_bytes(raw[:30] + b"\xff" + raw[31:])
-    elif damage == "not an object":
-        manifest.write_text("[]\n")
+    # the damage is to the metadata inside dataset.ckpt, which replaced manifest.json
+    def spoil(path):
+        tensors, metadata = load_checkpoint(path)
+        raw = json.dumps(metadata).encode()
+        if damage == "invalid utf-8":
+            splice_metadata(path, raw[:30] + b"\xff" + raw[31:])
+        elif damage == "not an object":
+            splice_metadata(path, b"[]")
+        else:
+            save_checkpoint(path, tensors, {**metadata, "k_parties": "three"})
+
+    _damage_is_reported_then_rebuilt(cfg_path, out, capsys, spoil)
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_a_directory_in_place_of_a_checkpoint_is_a_data_error(cfg_path, out, capsys,
+                                                             command):
+    if command == "eval":
+        assert run("train", "--config", cfg_path, "--out", out, "--mode", "local_a") == 0
+        ckpt = out / "train" / "seed7" / "count20" / "local_a" / "final.ckpt"
+        argv = ("eval",)
     else:
-        manifest.write_text(json.dumps({**json.loads(raw), "k_parties": "three"}))
+        assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+        ckpt = out / "checkpoints" / "seed7" / "active.ckpt"
+        argv = ("train", "--mode", "vflhlp")
+    ckpt.unlink()
+    ckpt.mkdir()
     capsys.readouterr()
-    # with its meta intact, prepare finds the third damage by loading the cache
-    commands = ("eval",) if damage == "wrong-typed value" else ("eval", "prepare")
-    for command in commands:
-        assert run(command, "--config", cfg_path, "--out", out) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err and str(manifest) in err
-    if damage != "wrong-typed value":
-        return
-    assert run("prepare", "--config", cfg_path, "--out", out) == 0
-    text = capsys.readouterr().out
-    assert "damaged" in text and "rebuilding" in text and "up to date" not in text
-    rebuilt = load_bundle(cache)[0]
-    np.testing.assert_array_equal(rebuilt.train.labels, undamaged.train.labels)
-    np.testing.assert_array_equal(rebuilt.train.aligned_pool, undamaged.train.aligned_pool)
-    for k in (1, 2, 3):
-        np.testing.assert_array_equal(rebuilt.train.parties[k].cat,
-                                      undamaged.train.parties[k].cat)
-        np.testing.assert_array_equal(rebuilt.train.parties[k].num,
-                                      undamaged.train.parties[k].num)
-        np.testing.assert_array_equal(rebuilt.test.num[k], undamaged.test.num[k])
-    assert tree_digest(cache) == tree
+    assert run(*argv, "--config", cfg_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(ckpt) in err
 
 
 # ------------------------------------------------------------------ grid
@@ -482,7 +546,7 @@ def test_output_dir_env_var_is_used(cfg_path, tmp_path, monkeypatch):
     target = tmp_path / "env-out"
     monkeypatch.setenv("VFLHLP_OUT", str(target))
     assert run("prepare", "--config", cfg_path) == 0
-    assert (target / "cache" / "seed7" / "manifest.json").exists()
+    assert (target / "cache" / "seed7" / "dataset.ckpt").exists()
 
 
 # ------------------------------------------------------------------ errors
@@ -527,6 +591,42 @@ def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):
         assert run("prepare", "--config", bad, "--out", out) == 2
         err = capsys.readouterr().err
         assert "config error" in err and fragment in err
+
+
+@pytest.mark.parametrize("section, key, value, fragment", [
+    ("ssl", "projection_hidden", ["a"], "ssl.projection_hidden[0]: expected int"),
+    ("ssl", "projection_hidden", [-1], "projection_hidden widths must be >= 1"),
+    ("synth", "num_fields_per_party", [-1, 3, 3], "num_fields_per_party entries must be >= 0"),
+    ("synth", "cat_fields_per_party", [3.5, 0, 0], "data.synth.cat_fields_per_party[0]"),
+    ("synth", "party_signal", ["a", 0.6, 0.6], "data.synth.party_signal[0]: expected float"),
+    ("grid", "beta_sweep", ["a"], "grid.beta_sweep[0]: expected float"),
+    ("grid", "aligned_counts", [20.5], "grid.aligned_counts[0]: expected int"),
+    ("grid", "seeds", [1.5], "grid.seeds[0]: expected int, got float 1.5"),
+    ("downstream", "val_fraction", -0.5, "val_fraction must be in [0, 1)"),
+], ids=["projection-item", "projection-width", "num-fields-count", "cat-fields-item",
+        "signal-item", "beta-item", "count-item", "seed-item", "val-fraction"])
+def test_config_lists_and_ranges_are_checked_item_by_item(tmp_path, out, capsys,
+                                                          section, key, value, fragment):
+    raw = json.loads(json.dumps(TINY))
+    target = raw["data"]["synth"] if section == "synth" else raw.setdefault(section, {})
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run("grid", "--config", bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
+
+
+@pytest.mark.parametrize("command", ["grid", "train"])
+def test_a_test_split_that_cannot_be_scored_is_a_data_error(tmp_path, out, capsys,
+                                                            command):
+    cfg = tmp_path / "one-test-row.json"
+    cfg.write_text(json.dumps(
+        {**TINY, "data": {"synth": {**TINY["data"]["synth"], "n_test": 1}}}))
+    argv = ("train", "--mode", "vanilla_vfl") if command == "train" else ("grid",)
+    assert run(*argv, "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "AUC needs both classes" in err
 
 
 @pytest.mark.parametrize("damage", ["invalid utf-8", "directory"])

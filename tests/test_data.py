@@ -19,9 +19,10 @@ from vflhlp.data import (
 )
 from vflhlp.errors import ConfigError, DataError
 from vflhlp.metrics import auc
+from vflhlp.nn import load_checkpoint, save_checkpoint
 from vflhlp.rng import stream
 
-from conftest import tiny_synth_config
+from conftest import splice_metadata, tiny_synth_config
 
 
 # ----------------------------------------------------------------- synthetic
@@ -355,53 +356,93 @@ def test_bundle_cache_is_byte_deterministic(tmp_path, tiny_bundle):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+def _rewrite_metadata(path, **changes) -> None:
+    """Rewrite a cache's metadata; a None value deletes the key."""
+    tensors, metadata = load_checkpoint(path)
+    for key, value in changes.items():
+        if value is None:
+            del metadata[key]
+        else:
+            metadata[key] = value
+    save_checkpoint(path, tensors, metadata)
+
+
 def test_bundle_cache_rejects_unknown_format(tmp_path, tiny_bundle):
     d = tmp_path / "cache"
     save_bundle(d, tiny_bundle)
-    manifest = json.loads((d / "manifest.json").read_text())
-    manifest["format_version"] = 99
-    (d / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DataError):
+    _rewrite_metadata(d / "dataset.ckpt", format_version=99)
+    with pytest.raises(DataError, match="dataset.ckpt"):
         load_bundle(d)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="dataset.ckpt"):
         load_bundle(tmp_path / "nowhere")
+
+
+def test_bundle_cache_is_one_checkpoint_file(tmp_path, tiny_bundle):
+    d = tmp_path / "cache"
+    save_bundle(d, tiny_bundle, meta={"seed": 7})
+    assert [f.name for f in d.iterdir()] == ["dataset.ckpt"]
+    tensors, metadata = load_checkpoint(d / "dataset.ckpt")
+    assert sorted(metadata) == ["aligned_count", "format_version", "k_parties", "meta",
+                                "schema"]
+    assert metadata["format_version"] == 2
+    assert metadata["schema"][0] == {"name": "p1_c0", "kind": "categorical", "party": 1,
+                                     "cardinality": 6}
+    assert "party1_num" in tensors and "test_bayes" in tensors
 
 
 def test_bundle_cache_corruption_is_a_data_error_naming_the_file(tmp_path, tiny_bundle):
     d = tmp_path / "cache"
     save_bundle(d, tiny_bundle)
-    num = d / "party1_num.npy"
-    raw = num.read_bytes()
+    path = d / "dataset.ckpt"
+    raw = path.read_bytes()
+    text = json.dumps(load_checkpoint(path)[1])
     for cut in (len(raw) // 2, 40, 0):  # in the data, in the header, empty
-        num.write_bytes(raw[:cut])
-        with pytest.raises(DataError, match="party1_num.npy"):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataError, match="dataset.ckpt"):
             load_bundle(d)
-    num.unlink()
-    with pytest.raises(DataError, match="party1_num.npy"):
+    path.unlink()
+    with pytest.raises(DataError, match="dataset.ckpt"):
         load_bundle(d)
-    num.write_bytes(raw)
 
-    manifest_path = d / "manifest.json"
-    text = manifest_path.read_text()
-    for garbled in (text[: len(text) // 2], "[1, 2]", "\xff\xfe"):
-        manifest_path.write_text(garbled)
-        with pytest.raises(DataError, match="manifest.json"):
+    deep = b"[" * 100_000  # deeper than the JSON decoder recurses
+    for garbled in (text[: len(text) // 2].encode(), b"[1, 2]", b"\xff\xfe", deep):
+        path.write_bytes(raw)
+        splice_metadata(path, garbled)
+        with pytest.raises(DataError, match="dataset.ckpt"):
             load_bundle(d)
-    for key in ("arrays", "schema", "k_parties", "aligned_count"):
-        manifest = json.loads(text)
-        del manifest[key]
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="manifest.json"):
+    for key in ("schema", "k_parties", "aligned_count"):
+        path.write_bytes(raw)
+        _rewrite_metadata(path, **{key: None})
+        with pytest.raises(DataError, match="dataset.ckpt"):
             load_bundle(d)
-    manifest = json.loads(text)
-    manifest["arrays"].remove("labels")
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="labels"):
+    path.write_bytes(raw)
+    tensors, metadata = load_checkpoint(path)
+    del tensors["labels"]
+    save_checkpoint(path, tensors, metadata)
+    with pytest.raises(DataError, match="dataset.ckpt.*labels"):
         load_bundle(d)
-    manifest["schema"][0]["kind"] = "ordinal"  # a ConfigError from Field
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="manifest.json"):
+    path.write_bytes(raw)
+    schema = metadata["schema"]
+    schema[0]["kind"] = "ordinal"  # a ConfigError from Field
+    _rewrite_metadata(path, schema=schema)
+    with pytest.raises(DataError, match="dataset.ckpt"):
         load_bundle(d)
+
+
+def test_a_cache_cut_at_any_offset_is_a_data_error(tmp_path):
+    small = synth_generate(tiny_synth_config(
+        n_local=12, aligned_pool=4, n_validation=2, n_test=4,
+        num_fields_per_party=(1, 1, 1), cat_fields_per_party=(1, 0, 0)), seed=3)
+    d = tmp_path / "cache"
+    save_bundle(d, small, meta={"seed": 3})
+    path = d / "dataset.ckpt"
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataError, match="dataset.ckpt"):
+            load_bundle(d)
+    path.write_bytes(raw)
+    np.testing.assert_array_equal(load_bundle(d)[0].train.labels, small.train.labels)
 
 
 def test_schema_validation():

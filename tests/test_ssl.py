@@ -193,15 +193,16 @@ def test_contrastive_batch_grads_match_fd():
 
 
 def test_contrastive_batch_zero_row_uses_clamped_jacobian():
-    # below the norm clamp the map is x / eps, so the pullback is ds @ t_hat / eps
-    z = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -1.0]])
-    zt = np.array([[0.5, -0.5, 1.0], [2.0, 0.0, 0.3]])
+    # below the norm clamp the map is x / eps, so the pullback is ds @ t_hat / eps,
+    # with no projection term, for a zero row and for a tiny nonzero one alike
+    z = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -1.0], [1e-13, 0.0, 0.0]])
+    zt = np.array([[0.5, -0.5, 1.0], [2.0, 0.0, 0.3], [0.1, 1.0, -0.4]])
     res = contrastive_batch(z, zt, 1.0)
     tn = np.linalg.norm(zt, axis=1, keepdims=True)
     th = zt / tn
     _, ds = info_nce(cosine_similarity_matrix(z, zt), 1.0)
-    expected_row0 = (ds @ th)[0] / 1e-12
-    np.testing.assert_allclose(res.grad_z[0], expected_row0, rtol=1e-12)
+    for row in (0, 2):
+        np.testing.assert_allclose(res.grad_z[row], (ds @ th)[row] / 1e-12, rtol=1e-12)
     assert np.all(np.isfinite(res.grad_z))
 
 

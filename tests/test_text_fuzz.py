@@ -1,17 +1,21 @@
-"""Seeded fuzzing of the text readers: the config JSON, the CSV loader, a
-dataset cache's manifest.json and a trained cell's result.json.
+"""Seeded fuzzing of the text readers: the config JSON, the CSV loader, the
+metadata JSON of a dataset cache's checkpoint and a trained cell's result.json.
 
 Every damaged file must either load or fail with one of the package's typed
 errors (ConfigError, DataError), never with any other exception.
 """
 import json
 
+from vflhlp.cli import _cached_bundle
 from vflhlp.config import load_config, parse_config, to_dict
 from vflhlp.data import (
     Field, FeatureSchema, load_bundle, load_csv, read_json_object, save_bundle,
 )
 from vflhlp.errors import ConfigError, DataError
+from vflhlp.nn import load_checkpoint
 from vflhlp.rng import stream
+
+from conftest import splice_metadata
 
 
 def _damaged(text: str, seed: int, cases: int):
@@ -72,14 +76,18 @@ def test_damaged_csvs_load_or_raise_data_errors(tmp_path):
 
 
 def test_damaged_manifests_load_or_raise_data_errors(tmp_path, tiny_bundle):
+    # the dataset cache's metadata JSON, spliced back into dataset.ckpt
     cache = tmp_path / "cache"
     save_bundle(cache, tiny_bundle, meta={"config_hash": "abc", "seed": 7})
-    text = (cache / "manifest.json").read_text()
+    path = cache / "dataset.ckpt"
+    raw = path.read_bytes()
+    text = json.dumps(load_checkpoint(path)[1], indent=2, sort_keys=True)
 
-    def load(path):
-        (cache / "manifest.json").write_bytes(path.read_bytes())
-        read_json_object(cache / "manifest.json").get("meta")  # the CLI's cache check
+    def load(fuzzed):
+        path.write_bytes(raw)
+        splice_metadata(path, fuzzed.read_bytes())
         load_bundle(cache)
+        _cached_bundle(cache, "abc", 7)  # the CLI's cache check
 
     loaded = _fuzz(tmp_path, text, seed=3, load=load)
     assert 0 < loaded < 300
