@@ -21,20 +21,19 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, config_hash, encoder_specs, load_config
 from .data import CACHE_FILE, DatasetBundle, load_bundle, read_json_object, save_bundle
-from .errors import ConfigError, DataError, SchemaError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .evaluation import (
     build_bundle,
     evaluate_mode,
+    load_cell_checkpoint,
     load_pretrained,
     pretrain_for_seed,
-    rebuild_trained,
     run_cell,
     run_grid,
     save_cell_checkpoint,
     save_pretrained,
 )
 from .federated import TrainMode
-from .nn import load_checkpoint
 
 ENV_OUT = "VFLHLP_OUT"
 
@@ -101,7 +100,7 @@ def cmd_pretrain(cfg: RunConfig, out: Path, passive_only: bool) -> int:
         )
         save_pretrained(_ckpt_dir(out, seed), pre, seed, chash)
         if not passive_only:
-            val = "n/a" if pre.active_val_auc is None else f"{pre.active_val_auc:.4f}"
+            val = "n/a" if pre.active.val_auc is None else f"{pre.active.val_auc:.4f}"
             print(f"seed {seed}: active party pre-trained, val AUC {val}")
         for k, trace in pre.ssl_traces.items():
             print(
@@ -175,16 +174,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
                 if not ckpt.exists():
                     continue
                 any_found = True
-                tensors, meta = load_checkpoint(ckpt)
-                try:
-                    mode = TrainMode.parse(meta["mode"])
-                    trained = rebuild_trained(specs, tensors, mode)
-                except (KeyError, ConfigError, SchemaError) as exc:
-                    raise DataError(
-                        f"{ckpt}: not a downstream checkpoint for this config: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from None
-                score = evaluate_mode(trained, bundle.test)
+                score = evaluate_mode(load_cell_checkpoint(ckpt, specs), bundle.test)
                 recorded = None
                 result_path = run_dir / "result.json"
                 if result_path.exists():

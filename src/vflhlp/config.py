@@ -13,9 +13,10 @@ import hashlib
 import json
 import typing
 from dataclasses import dataclass
-from pathlib import Path
 
-from .data import CATEGORICAL, Field, FeatureSchema, SynthConfig, VerticalDataset
+from .data import (
+    CATEGORICAL, Field, FeatureSchema, SynthConfig, VerticalDataset, read_json_object,
+)
 from .errors import ConfigError
 from .federated import DownstreamConfig, TrainMode
 from .nn.layers import EncoderSpec
@@ -99,12 +100,12 @@ class GridConfig:
             raise ConfigError("grid needs modes, aligned_counts and seeds")
         for m in self.modes:
             TrainMode.parse(m)
-        if len(set(self.modes)) != len(self.modes):
-            raise ConfigError("grid modes contain duplicates")
+        for name in ("modes", "aligned_counts", "seeds", "beta_sweep"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):  # a repeated value repeats its cells
+                raise ConfigError(f"grid {name} contain duplicates")
         if any(c < 1 for c in self.aligned_counts):
             raise ConfigError("aligned_counts must be positive")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("grid seeds contain duplicates")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative")
 
@@ -272,16 +273,7 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path}: config file not found")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from None
-    return parse_config(raw)
+    return parse_config(read_json_object(path, ConfigError))
 
 
 # ---------------------------------------------------------------------------

@@ -355,45 +355,7 @@ def load_csv(
     Vocabularies index observed values in sorted order starting at 1; the
     schema's declared cardinalities are checked against the observed counts.
     """
-    cat_fields = tuple(f for f in schema.fields if f.kind == CATEGORICAL)
-    num_fields = tuple(f for f in schema.fields if f.kind == NUMERICAL)
-    needed = [id_column] + [f.name for f in schema.fields]
-    if label_column is not None:
-        needed.append(label_column)
-    rows = _read_rows(path, needed)
-    ids = _parse_ids(path, rows, id_column)
-
-    vocab: dict[str, dict[str, int]] = {}
-    cat_cols = []
-    for f in cat_fields:
-        values = [row[f.name] for row in rows]
-        mapping = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
-        if len(mapping) + 1 > f.cardinality:
-            raise DataError(
-                f"field {f.name!r}: observed {len(mapping)} values, which needs "
-                f"cardinality {len(mapping) + 1} but schema declares {f.cardinality}"
-            )
-        vocab[f.name] = mapping
-        cat_cols.append(np.array([mapping[v] for v in values], dtype=np.int64))
-
-    num_stats: dict[str, tuple[float, float]] = {}
-    num_cols = []
-    for f in num_fields:
-        raw = _parse_num_column(path, rows, f.name)
-        lo, hi = float(raw.min()), float(raw.max())
-        num_stats[f.name] = (lo, hi)
-        num_cols.append(np.zeros_like(raw) if hi == lo else (raw - lo) / (hi - lo))
-
-    labels = _parse_labels(path, rows, label_column) if label_column else None
-    table = Table(
-        ids=ids,
-        cat=np.stack(cat_cols, axis=1) if cat_cols else np.zeros((len(rows), 0), np.int64),
-        num=np.stack(num_cols, axis=1) if num_cols else np.zeros((len(rows), 0)),
-        labels=labels,
-        cat_fields=cat_fields,
-        num_fields=num_fields,
-    )
-    return table, TableEncoder(vocab=vocab, num_stats=num_stats)
+    return _read_table(path, schema, None, id_column, label_column)
 
 
 def transform_csv(
@@ -404,6 +366,14 @@ def transform_csv(
     label_column: str | None,
 ) -> Table:
     """Read an evaluation CSV with a fitted encoder; unseen categories map to 0."""
+    return _read_table(path, schema, encoder, id_column, label_column)[0]
+
+
+def _read_table(
+    path, schema, encoder: TableEncoder | None, id_column, label_column
+) -> tuple[Table, TableEncoder]:
+    """The one CSV reader: parse, fit the encoder if none is given, then encode.
+    On the rows it was fitted on, min-max scaling is in [0, 1] and never clamps."""
     cat_fields = tuple(f for f in schema.fields if f.kind == CATEGORICAL)
     num_fields = tuple(f for f in schema.fields if f.kind == NUMERICAL)
     needed = [id_column] + [f.name for f in schema.fields]
@@ -411,22 +381,33 @@ def transform_csv(
         needed.append(label_column)
     rows = _read_rows(path, needed)
     ids = _parse_ids(path, rows, id_column)
-    cat_cols = [
-        encoder.encode_cat(f.name, [row[f.name] for row in rows]) for f in cat_fields
-    ]
-    num_cols = [
-        encoder.scale_num(f.name, _parse_num_column(path, rows, f.name))
-        for f in num_fields
-    ]
-    labels = _parse_labels(path, rows, label_column) if label_column else None
-    return Table(
+    cat_values = [[row[f.name] for row in rows] for f in cat_fields]
+    if encoder is None:
+        vocab = {}
+        for f, values in zip(cat_fields, cat_values):
+            mapping = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
+            if len(mapping) + 1 > f.cardinality:
+                raise DataError(
+                    f"{path}: field {f.name!r}: observed {len(mapping)} values, which needs "
+                    f"cardinality {len(mapping) + 1} but schema declares {f.cardinality}"
+                )
+            vocab[f.name] = mapping
+    # numbers parse after the vocabulary checks, so a file's first fault is the one reported
+    raw_num = [_parse_num_column(path, rows, f.name) for f in num_fields]
+    if encoder is None:
+        stats = {f.name: (float(r.min()), float(r.max())) for f, r in zip(num_fields, raw_num)}
+        encoder = TableEncoder(vocab=vocab, num_stats=stats)
+    cat_cols = [encoder.encode_cat(f.name, v) for f, v in zip(cat_fields, cat_values)]
+    num_cols = [encoder.scale_num(f.name, r) for f, r in zip(num_fields, raw_num)]
+    table = Table(
         ids=ids,
         cat=np.stack(cat_cols, axis=1) if cat_cols else np.zeros((len(rows), 0), np.int64),
         num=np.stack(num_cols, axis=1) if num_cols else np.zeros((len(rows), 0)),
-        labels=labels,
+        labels=_parse_labels(path, rows, label_column) if label_column else None,
         cat_fields=cat_fields,
         num_fields=num_fields,
     )
+    return table, encoder
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +449,12 @@ def vertical_partition(
     rest = perm[aligned_count:]
     chunks = np.array_split(rest, k_parties)
 
-    row_of_id = {int(i): r for r, i in enumerate(table.ids)}
     parties = {}
     for k in range(1, k_parties + 1):
-        local_rows = np.sort(np.concatenate([pool_rows, chunks[k - 1]]))
-        local_ids = table.ids[local_rows]
-        order = np.argsort(local_ids, kind="stable")
-        local_rows = local_rows[order]
+        local_rows = np.concatenate([pool_rows, chunks[k - 1]])
+        local_rows = local_rows[np.argsort(table.ids[local_rows], kind="stable")]
+        if k == 1:
+            labels = table.labels[local_rows]  # aligned with party 1's sorted IDs
         cat, num, cf, nf = _party_columns(table, schema, k, local_rows)
         parties[k] = PartyView(
             party_id=k,
@@ -484,9 +464,6 @@ def vertical_partition(
             cat_fields=cf,
             num_fields=nf,
         )
-    labels = table.labels[
-        np.array([row_of_id[int(i)] for i in parties[1].ids], dtype=np.int64)
-    ]
     return VerticalDataset(
         schema=schema,
         parties=parties,
@@ -698,15 +675,20 @@ def save_bundle(cache_dir, bundle: DatasetBundle, meta: dict | None = None) -> N
     save_checkpoint(Path(cache_dir) / CACHE_FILE, tensors, metadata)
 
 
-def read_json_object(path) -> dict:
-    """Parse a JSON object from a file; DataError naming the file if it is not one."""
+def read_json_object(path, error: type[Exception] = DataError) -> dict:
+    """The JSON object in a file; `error` naming the file if it is missing or
+    unreadable, not UTF-8, not JSON (or nested past the decoder) or no object."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: unreadable JSON: {exc}") from None
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error(f"{path}: file not found") from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise DataError(f"{path}: not a JSON object")
+        raise error(f"{path}: not a JSON object")
     return obj
 
 

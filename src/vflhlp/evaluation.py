@@ -70,31 +70,20 @@ def build_bundle(cfg: RunConfig, seed: int) -> DatasetBundle:
     return DatasetBundle(train=ds, test=test)
 
 
-@dataclass
-class SeedPretraining:
-    """Weights and traces from the two pre-training stages for one seed."""
-
-    weights: PretrainedWeights
-    ssl_traces: dict[int, list[float]]
-    active_val_auc: float | None
-
-
 def pretrain_for_seed(
     cfg: RunConfig,
     bundle: DatasetBundle,
     seed: int,
     need_active: bool,
     need_passive: bool,
-) -> SeedPretraining:
+) -> PretrainedWeights:
+    """One seed's pre-trained weights, with each passive party's loss trace."""
     specs = encoder_specs(bundle.train, cfg.model)
     weights = PretrainedWeights()
-    traces: dict[int, list[float]] = {}
-    active_val = None
     if need_active:
         weights.active = pretrain_active(
             bundle.train.parties[1], bundle.train.labels, specs[1], cfg.supervised, seed
         )
-        active_val = weights.active.val_auc
     if need_passive:
         for k in sorted(bundle.train.parties):
             if k == 1:
@@ -103,10 +92,8 @@ def pretrain_for_seed(
                 bundle.train.parties[k], specs[k], cfg.ssl, seed
             )
             weights.passive[k] = encoder.params_copy()
-            traces[k] = trace
-    return SeedPretraining(
-        weights=weights, ssl_traces=traces, active_val_auc=active_val
-    )
+            weights.ssl_traces[k] = trace
+    return weights
 
 
 @dataclass
@@ -346,7 +333,7 @@ def run_grid(
             for k, trace in pre.ssl_traces.items():
                 ssl_traces[f"seed{seed}/party{k}"] = trace
             if need_active:
-                active_val[f"seed{seed}"] = pre.active_val_auc
+                active_val[f"seed{seed}"] = pre.active.val_auc
             if cfg.grid.include_oracle and bundle.test.bayes_scores is not None:
                 oracle[f"seed{seed}"] = auc(bundle.test.labels, bundle.test.bayes_scores)
 
@@ -369,7 +356,7 @@ def run_grid(
                         dcfg = replace(cfg.downstream, seed=seed, beta=beta)
                         try:
                             trained, score, _ = run_cell(
-                                cell_bundle, specs, mode, pre.weights, dcfg
+                                cell_bundle, specs, mode, pre, dcfg
                             )
                         except _CELL_ERRORS as exc:
                             cells.append(_cell(mode, count, seed, beta, exc))
@@ -434,19 +421,22 @@ def _to_tensors(parts: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray
     return {prefix + n: p for prefix, params in parts.items() for n, p in params.items()}
 
 
-def _load_tensors(tensors: dict[str, np.ndarray], models: dict[str, FlatParams]) -> None:
-    """Set each model from the tensors under its name prefix.
+def _load_tensors(path, tensors, models: dict[str, FlatParams]) -> None:
+    """Set each model from the tensors read from `path` under its name prefix.
 
     A missing or misshapen tensor, or one under none of the prefixes, raises
-    SchemaError.
+    DataError naming the file.
     """
-    for prefix, model in models.items():
-        model.set_params(
-            {n[len(prefix):]: p for n, p in tensors.items() if n.startswith(prefix)}
-        )
+    try:
+        for prefix, model in models.items():
+            model.set_params(
+                {n[len(prefix):]: p for n, p in tensors.items() if n.startswith(prefix)}
+            )
+    except SchemaError as exc:
+        raise DataError(f"{path}: {exc}") from None
     stray = sorted(n for n in tensors if not n.startswith(tuple(models)))
     if stray:
-        raise SchemaError(f"unexpected tensors {stray}")
+        raise DataError(f"{path}: unexpected tensors {stray}")
 
 
 def _downstream_parts(encoders: dict[int, FlatParams], head: Mlp) -> dict[str, FlatParams]:
@@ -458,22 +448,6 @@ def flatten_trained(trained: TrainedFederation) -> dict[str, np.ndarray]:
     """Checkpoint tensors of a downstream model, keyed "party{k}.encoder.*" and "head.*"."""
     parts = _downstream_parts(trained.encoders, trained.head)
     return _to_tensors({prefix: model.params() for prefix, model in parts.items()})
-
-
-def rebuild_trained(
-    specs: dict[int, EncoderSpec], tensors: dict[str, np.ndarray], mode: TrainMode
-) -> TrainedFederation:
-    """The inverse of flatten_trained: a scorable model, without history or transport.
-
-    A missing, extra or misshapen tensor raises SchemaError.
-    """
-    party_ids = sorted(specs) if mode.is_federated else [1]
-    encoders = {k: specs[k].build_empty() for k in party_ids}
-    head = Mlp([sum(specs[k].rep_dim for k in party_ids), 1])
-    _load_tensors(tensors, _downstream_parts(encoders, head))
-    return TrainedFederation(
-        mode=mode, encoders=encoders, head=head, history=[], transport=TransportLog()
-    )
 
 
 def save_cell_checkpoint(
@@ -491,6 +465,25 @@ def save_cell_checkpoint(
     save_checkpoint(path, flatten_trained(trained), meta)
 
 
+def load_cell_checkpoint(path: Path, specs: dict[int, EncoderSpec]) -> TrainedFederation:
+    """The inverse of save_cell_checkpoint: a scorable model, without history or
+    transport. A file that is not a downstream checkpoint for `specs` (an
+    unknown mode, a missing, extra or misshapen tensor) raises DataError naming it.
+    """
+    tensors, meta = load_checkpoint(path)
+    try:
+        mode = TrainMode.parse(meta.get("mode"))
+    except ConfigError as exc:
+        raise DataError(f"{path}: not a downstream checkpoint: {exc}") from None
+    party_ids = sorted(specs) if mode.is_federated else [1]
+    encoders = {k: specs[k].build_empty() for k in party_ids}
+    head = Mlp([sum(specs[k].rep_dim for k in party_ids), 1])
+    _load_tensors(path, tensors, _downstream_parts(encoders, head))
+    return TrainedFederation(
+        mode=mode, encoders=encoders, head=head, history=[], transport=TransportLog()
+    )
+
+
 def _write_cell_checkpoint(
     out_dir: Path, seed, count, mode, beta, sweep, trained, chash
 ) -> None:
@@ -501,12 +494,12 @@ def _write_cell_checkpoint(
     save_cell_checkpoint(cell_dir / f"{tag}.ckpt", trained, seed, count, beta, chash)
 
 
-def save_pretrained(ckpt_dir: Path, pre: SeedPretraining, seed: int, chash: str) -> None:
+def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str) -> None:
     """Write one seed's pre-trained weights as the `pretrain` command leaves them.
 
     active.ckpt holds "encoder.*" and "head.*"; passive{k}.ckpt holds "encoder.*".
     """
-    active = pre.weights.active
+    active = pre.active
     if active is not None:
         tensors = _to_tensors(
             {"encoder.": active.encoder_params, "head.": active.head_params}
@@ -521,7 +514,7 @@ def save_pretrained(ckpt_dir: Path, pre: SeedPretraining, seed: int, chash: str)
             "degenerate_validation": active.degenerate_validation,
         }
         save_checkpoint(Path(ckpt_dir) / "active.ckpt", tensors, meta)
-    for k, params in pre.weights.passive.items():
+    for k, params in pre.passive.items():
         meta = {
             "stage": "ssl-pretrain",
             "party": k,
@@ -561,10 +554,7 @@ def load_pretrained(
         models = {"encoder.": specs[k].build_empty()}
         if k == 1:
             models["head."] = Mlp([specs[1].rep_dim, 1])
-        try:
-            _load_tensors(tensors, models)
-        except SchemaError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        _load_tensors(path, tensors, models)
         if k > 1:
             weights.passive[k] = models["encoder."].params()
             continue

@@ -467,10 +467,12 @@ class DownstreamConfig:
 
 @dataclass
 class PretrainedWeights:
-    """Everything the downstream stage may warm-start from or anchor to."""
+    """Everything the downstream stage may warm-start from or anchor to, and
+    each passive party's contrastive loss trace from pre-training."""
 
     active: ActivePretrained | None = None
     passive: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
+    ssl_traces: dict[int, list[float]] = field(default_factory=dict)
 
 
 @dataclass

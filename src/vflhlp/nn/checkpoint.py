@@ -54,8 +54,11 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         blob += struct.pack("<BB", _CODES[arr.dtype], arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.astype(_DTYPES[_CODES[arr.dtype]], copy=False).tobytes(order="C")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(bytes(blob))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(bytes(blob))
+    except OSError as exc:  # e.g. a directory where the file should go
+        raise DataError(f"{path}: cannot write checkpoint: {exc.strerror or exc}") from None
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

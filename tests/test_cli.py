@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import json
+import shutil
 import warnings
 from pathlib import Path
 
@@ -231,27 +232,6 @@ def test_truncated_checkpoints_are_data_errors(trained_out, cfg_path, capsys):
     assert "data error" in err and "active.ckpt" in err
 
 
-def test_truncated_result_json_is_a_data_error(trained_out, cfg_path, capsys):
-    result = trained_out / "train" / "seed7" / "count20" / "vflhlp" / "result.json"
-    result.write_bytes(result.read_bytes()[:10])
-    capsys.readouterr()
-    assert run("eval", "--config", cfg_path, "--out", trained_out) == 3
-    err = capsys.readouterr().err
-    assert "data error" in err and "result.json" in err
-
-
-def test_damaged_result_json_is_a_data_error(trained_out, cfg_path, capsys):
-    result = trained_out / "train" / "seed7" / "count40" / "vflhlp" / "result.json"
-    raw = result.read_bytes()
-    # a byte flipped to invalid UTF-8, then valid JSON that is not an object
-    for damaged in (raw[:20] + b"\xff" + raw[21:], b"[0.5]\n"):
-        result.write_bytes(damaged)
-        capsys.readouterr()
-        assert run("eval", "--config", cfg_path, "--out", trained_out) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err and str(result) in err
-
-
 @pytest.mark.parametrize("damage", ["no mode", "unknown mode", "no head weight",
                                     "extra tensor"])
 def test_eval_on_a_bad_checkpoint_is_a_data_error(cfg_path, out, capsys, damage):
@@ -447,25 +427,6 @@ def test_damaged_manifest_is_a_data_error(cfg_path, out, capsys, damage):
     _damage_is_reported_then_rebuilt(cfg_path, out, capsys, spoil)
 
 
-@pytest.mark.parametrize("command", ["eval", "train"])
-def test_a_directory_in_place_of_a_checkpoint_is_a_data_error(cfg_path, out, capsys,
-                                                             command):
-    if command == "eval":
-        assert run("train", "--config", cfg_path, "--out", out, "--mode", "local_a") == 0
-        ckpt = out / "train" / "seed7" / "count20" / "local_a" / "final.ckpt"
-        argv = ("eval",)
-    else:
-        assert run("pretrain", "--config", cfg_path, "--out", out) == 0
-        ckpt = out / "checkpoints" / "seed7" / "active.ckpt"
-        argv = ("train", "--mode", "vflhlp")
-    ckpt.unlink()
-    ckpt.mkdir()
-    capsys.readouterr()
-    assert run(*argv, "--config", cfg_path, "--out", out) == 3
-    err = capsys.readouterr().err
-    assert "data error" in err and str(ckpt) in err
-
-
 # ------------------------------------------------------------------ grid
 
 
@@ -603,8 +564,11 @@ def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):
     ("grid", "aligned_counts", [20.5], "grid.aligned_counts[0]: expected int"),
     ("grid", "seeds", [1.5], "grid.seeds[0]: expected int, got float 1.5"),
     ("downstream", "val_fraction", -0.5, "val_fraction must be in [0, 1)"),
+    ("grid", "aligned_counts", [20, 20], "grid aligned_counts contain duplicates"),
+    ("grid", "beta_sweep", [0.1, 0.1], "grid beta_sweep contain duplicates"),
 ], ids=["projection-item", "projection-width", "num-fields-count", "cat-fields-item",
-        "signal-item", "beta-item", "count-item", "seed-item", "val-fraction"])
+        "signal-item", "beta-item", "count-item", "seed-item", "val-fraction",
+        "count-repeated", "beta-repeated"])
 def test_config_lists_and_ranges_are_checked_item_by_item(tmp_path, out, capsys,
                                                           section, key, value, fragment):
     raw = json.loads(json.dumps(TINY))
@@ -641,29 +605,108 @@ def test_unreadable_config_is_a_config_error(tmp_path, out, capsys, damage):
     assert "config error" in err and str(path) in err
 
 
+CSV_ROWS = "id,label,x1,x2\n" + "".join(f"{i},{i % 2},{i},{-i}\n" for i in range(80))
+
+
+def _csv_config(where: Path) -> Path:
+    """A config reading where/train.csv and where/test.csv, two numerical fields."""
+    fields = [{"name": "x1", "kind": "numerical", "party": 1},
+              {"name": "x2", "kind": "numerical", "party": 2}]
+    csv_data = {"train_path": str(where / "train.csv"), "test_path": str(where / "test.csv"),
+                "k_parties": 2, "aligned_pool": 40, "fields": fields}
+    cfg = where / "csv.json"
+    cfg.write_text(json.dumps({**TINY, "data": {"kind": "csv", "csv": csv_data}}))
+    return cfg
+
+
 @pytest.mark.parametrize("damage", ["none", "invalid utf-8", "directory",
                                     "field over the csv limit"])
 def test_unreadable_csv_is_a_data_error(tmp_path, out, capsys, damage):
-    rows = "id,label,x1,x2\n" + "".join(f"{i},{i % 2},{i},{-i}\n" for i in range(80))
     test_csv, train_csv = tmp_path / "test.csv", tmp_path / "train.csv"
-    test_csv.write_text(rows)
+    test_csv.write_text(CSV_ROWS)
     if damage == "directory":
         train_csv.mkdir()
     elif damage == "invalid utf-8":
-        train_csv.write_bytes(rows.encode() + b"80,0,\xff,1\n")
+        train_csv.write_bytes(CSV_ROWS.encode() + b"80,0,\xff,1\n")
     elif damage == "field over the csv limit":
-        train_csv.write_text(rows + "80,0," + "9" * 200_000 + ",1\n")
+        train_csv.write_text(CSV_ROWS + "80,0," + "9" * 200_000 + ",1\n")
     else:
-        train_csv.write_text(rows)
-    fields = [{"name": "x1", "kind": "numerical", "party": 1},
-              {"name": "x2", "kind": "numerical", "party": 2}]
-    csv_data = {"train_path": str(train_csv), "test_path": str(test_csv),
-                "k_parties": 2, "aligned_pool": 40, "fields": fields}
-    cfg = tmp_path / "csv.json"
-    cfg.write_text(json.dumps({**TINY, "data": {"kind": "csv", "csv": csv_data}}))
+        train_csv.write_text(CSV_ROWS)
+    cfg = _csv_config(tmp_path)
     if damage == "none":
         assert run("prepare", "--config", cfg, "--out", out) == 0
         return
     assert run("prepare", "--config", cfg, "--out", out) == 3
     err = capsys.readouterr().err
     assert "data error" in err and str(train_csv) in err
+
+
+# ------------------------------------------------------------------ damaged inputs
+
+# Every file a command reads (a row) under every kind of damage that applies to
+# it (a column). Each damage acts on the whole file, except that a checkpoint
+# takes the non-UTF-8 byte, the nesting and the wrong type in its metadata JSON.
+# A CSV is not JSON, so it takes no nesting or wrong JSON type.
+DAMAGE = {
+    "cut": lambda raw: raw[:-5],  # mid-record: inside the last CSV row, tensor or JSON value
+    "empty": lambda raw: b"",
+    "non-utf8": lambda raw: raw[:2] + b"\xff" + raw[3:],  # in the header of a CSV
+    "nested": lambda raw: b"[" * 100_000,
+    "wrong-type": lambda raw: b"[]",
+}
+JSON_ONLY = ("nested", "wrong-type")
+TRAIN_VFLHLP = ("train", "--mode", "vflhlp")
+INPUTS = {  # row: (file in the run directory, format, the command that reads it)
+    "config": ("tiny.json", "json", ("prepare",)),
+    "train-csv": ("train.csv", "csv", ("prepare",)),
+    "test-csv": ("test.csv", "csv", ("prepare",)),
+    "cache-eval": ("out/cache/seed7/dataset.ckpt", "ckpt", ("eval",)),
+    "cache-prepare": ("out/cache/seed7/dataset.ckpt", "ckpt", ("prepare",)),
+    "active": ("out/checkpoints/seed7/active.ckpt", "ckpt", TRAIN_VFLHLP),
+    "passive2": ("out/checkpoints/seed7/passive2.ckpt", "ckpt", TRAIN_VFLHLP),
+    "final": ("out/train/seed7/count20/vflhlp/final.ckpt", "ckpt", ("eval",)),
+    "result": ("out/train/seed7/count20/vflhlp/result.json", "json", ("eval",)),
+}
+CELLS = [(row, damage) for row, (_, fmt, _) in INPUTS.items()
+         for damage in [*DAMAGE, "directory"] if fmt != "csv" or damage not in JSON_ONLY]
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A run directory each cell copies: TINY prepared, pre-trained and trained
+    in vflhlp mode, plus the CSV pair the CSV config reads."""
+    root = tmp_path_factory.mktemp("pristine")
+    (root / "tiny.json").write_text(json.dumps(TINY))
+    for name in ("train.csv", "test.csv"):
+        (root / name).write_text(CSV_ROWS)
+    for argv in (("prepare",), ("pretrain",), TRAIN_VFLHLP):
+        assert run(*argv, "--config", root / "tiny.json", "--out", root / "out") == 0
+    return root
+
+
+@pytest.mark.parametrize("row, damage", CELLS, ids=[f"{r}-{d}" for r, d in CELLS])
+def test_a_damaged_input_fails_typed_naming_the_file(pristine, tmp_path, capsys,
+                                                     row, damage):
+    where = tmp_path / "run"
+    shutil.copytree(pristine, where)
+    name, fmt, command = INPUTS[row]
+    path = where / name
+    if damage == "directory":
+        path.unlink()
+        path.mkdir()
+    elif fmt == "ckpt" and damage not in ("cut", "empty"):
+        splice_metadata(path, DAMAGE[damage](json.dumps(load_checkpoint(path)[1]).encode()))
+    else:
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    cfg = _csv_config(where) if fmt == "csv" else where / "tiny.json"
+    capsys.readouterr()
+    code = run(*command, "--config", cfg, "--out", where / "out")
+    captured = capsys.readouterr()
+    if row == "cache-prepare" and damage != "directory":
+        # prepare rebuilds a cache it cannot load; a directory it cannot replace
+        assert code == 0 and "rebuilding" in captured.out
+        assert path.read_bytes() == (pristine / name).read_bytes()
+        return
+    expected = (2, "config error") if row == "config" else (3, "data error")
+    assert (code, expected[1] in captured.err) == (expected[0], True), captured.err
+    assert str(path) in captured.err

@@ -280,6 +280,11 @@ def test_grid_config_validation():
         GridConfig(aligned_counts=(0, 50))
     with pytest.raises(ConfigError, match="duplicates"):
         GridConfig(seeds=(1, 1))
+    # a repeated count or beta would run each of its cells twice and count both
+    with pytest.raises(ConfigError, match="aligned_counts contain duplicates"):
+        GridConfig(aligned_counts=(20, 20))
+    with pytest.raises(ConfigError, match="beta_sweep contain duplicates"):
+        GridConfig(beta_sweep=(0.1, 1.0, 0.1))
     with pytest.raises(ConfigError, match="non-negative"):
         GridConfig(seeds=(-1,))
 

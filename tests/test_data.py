@@ -244,6 +244,29 @@ def test_load_csv_checks_declared_cardinality(tmp_path):
         load_csv(p, _schema(), "id", "label")
 
 
+def test_csv_faults_are_reported_in_a_fixed_order(tmp_path):
+    # IDs, then categorical vocabularies (training file only), then numbers,
+    # then labels: a file with several faults names the earliest stage's
+    good = tmp_path / "good.csv"
+    _write_csv(good, _sample_rows())
+    _, enc = load_csv(good, _schema(), "id", "label")
+    rows = ["1,0,red,0.5,s1,1.0", "5,1,blue,0.1,s2,1.0", "6,0,red,0.3,s3,1.0"]
+    faults = [  # (row, message, whether a fitted encoder also reports it)
+        ("1,0,red,0.2,s1,2.0", "duplicate ID", True),
+        ("4,0,red,0.2,s4,2.0", "observed 4 values", False),  # unseen maps to 0
+        ("3,0,red,oops,s1,2.0", "'oops' is not a number", True),
+        ("2,7,red,0.2,s1,2.0", "label must be 0 or 1", True),
+    ]
+    path = tmp_path / "faults.csv"
+    for i, (_, message, also_transform) in enumerate(faults):
+        _write_csv(path, rows + [row for row, _, _ in reversed(faults[i:])])
+        with pytest.raises(DataError, match=message):
+            load_csv(path, _schema(), "id", "label")
+        if also_transform:
+            with pytest.raises(DataError, match=message):
+                transform_csv(path, _schema(), enc, "id", "label")
+
+
 def test_transform_csv_maps_unseen_and_clamps(tmp_path):
     train = tmp_path / "train.csv"
     _write_csv(train, _sample_rows())
@@ -286,6 +309,15 @@ def test_vertical_partition_invariants(tmp_path):
         assert batch.labels[i] == table.labels[row]
         np.testing.assert_array_equal(batch.num[1][i, 0], table.num[row, 0])
         np.testing.assert_array_equal(batch.num[2][i, 0], table.num[row, 1])
+
+
+def test_vertical_partition_labels_follow_ids_not_rows(tmp_path):
+    p = tmp_path / "train.csv"
+    _write_csv(p, _sample_rows(30)[::-1])  # IDs descend down the file
+    table, _ = load_csv(p, _schema(), "id", "label")
+    ds = vertical_partition(table, _schema(), k_parties=2, aligned_count=10, seed=9)
+    label_of = dict(zip(table.ids.tolist(), table.labels.tolist()))
+    assert ds.labels.tolist() == [label_of[i] for i in ds.parties[1].ids.tolist()]
 
 
 def test_vertical_partition_is_seeded(tmp_path):

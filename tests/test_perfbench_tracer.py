@@ -74,7 +74,7 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
     try:
         pre = evaluation.pretrain_for_seed(cfg, bundle, 7, need_active=True,
                                            need_passive=False)
-        evaluation.run_cell(view, specs, TrainMode.VANILLA_VFL, pre.weights, dcfg)
+        evaluation.run_cell(view, specs, TrainMode.VANILLA_VFL, pre, dcfg)
         evaluation.run_cell(view, specs, TrainMode.LOCAL_A, None, dcfg)
     finally:
         t.uninstall()

@@ -2,10 +2,14 @@
 metadata JSON of a dataset cache's checkpoint and a trained cell's result.json.
 
 Every damaged file must either load or fail with one of the package's typed
-errors (ConfigError, DataError), never with any other exception.
+errors (ConfigError, DataError), never with any other exception. A scan of the
+package's source checks that no other code decodes JSON.
 """
+import ast
 import json
+from pathlib import Path
 
+import vflhlp
 from vflhlp.cli import _cached_bundle
 from vflhlp.config import load_config, parse_config, to_dict
 from vflhlp.data import (
@@ -103,3 +107,36 @@ def test_damaged_result_files_load_or_raise_data_errors(tmp_path):
     loaded = _fuzz(tmp_path, text, seed=4,
                    load=lambda p: read_json_object(p).get("test_auc"))
     assert 0 < loaded < 300
+
+
+# where JSON may be decoded: the one JSON-file reader, and the checkpoint
+# reader for the metadata block inside a binary file
+JSON_DECODERS = {("data.py", "read_json_object"), ("nn/checkpoint.py", "_read")}
+
+
+def _json_decodes(tree: ast.AST):
+    """(enclosing function, line) of each json.load/json.loads call in a module,
+    and of each import of either name from json."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if {a.name for a in node.names} & {"load", "loads"}:
+                yield "<import>", node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("load", "loads")
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            scope = node
+            while scope in parent and not isinstance(scope, ast.FunctionDef):
+                scope = parent[scope]
+            yield getattr(scope, "name", "<module>"), node.lineno
+
+
+def test_json_is_decoded_only_by_the_readers():
+    package = Path(vflhlp.__file__).parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        for scope, line in _json_decodes(ast.parse(path.read_text(), str(path))):
+            found[f"{module}:{line}"] = (module, scope)
+    assert found, "the scan found no JSON decoding at all"
+    assert {k: v for k, v in found.items() if v not in JSON_DECODERS} == {}
