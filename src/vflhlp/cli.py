@@ -34,6 +34,7 @@ from .evaluation import (
     save_pretrained,
 )
 from .federated import TrainMode
+from .nn import write_file
 
 ENV_OUT = "VFLHLP_OUT"
 
@@ -130,10 +131,10 @@ def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
                     cell = run_cell(cell_bundle, specs, mode, pretrained, dcfg)
                 trained, score, audit = cell
                 run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
-                run_dir.mkdir(parents=True, exist_ok=True)
-                with (run_dir / "history.jsonl").open("w") as fh:
-                    for entry in trained.history:
-                        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                write_file(
+                    run_dir / "history.jsonl",
+                    "".join(json.dumps(e, sort_keys=True) + "\n" for e in trained.history),
+                )
                 save_cell_checkpoint(
                     run_dir / "final.ckpt", trained, seed, count, beta, chash
                 )
@@ -153,8 +154,8 @@ def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
                         "balanced_rounds": audit.balanced_rounds,
                     },
                 }
-                (run_dir / "result.json").write_text(
-                    json.dumps(result, indent=2, sort_keys=True) + "\n"
+                write_file(
+                    run_dir / "result.json", json.dumps(result, indent=2, sort_keys=True) + "\n"
                 )
                 print(
                     f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}"
@@ -179,7 +180,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
                 result_path = run_dir / "result.json"
                 if result_path.exists():
                     recorded = read_json_object(result_path).get("test_auc")
-                (run_dir / "eval.json").write_text(
+                write_file(
+                    run_dir / "eval.json",
                     json.dumps(
                         {
                             "test_auc": score,
@@ -250,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
+    out = None
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -259,7 +262,12 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "mode", None):
             TrainMode.parse(args.mode)  # fail fast on typos
         out = _resolve_out(cfg, args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out names a file
+            raise DataError(
+                f"{out}: cannot create the output directory: {exc.strerror or exc}"
+            ) from None
         if args.command == "prepare":
             code = cmd_prepare(cfg, out)
         elif args.command == "pretrain":
@@ -270,17 +278,23 @@ def main(argv: list[str] | None = None) -> int:
             code = cmd_eval(cfg, out)
         else:
             code = cmd_grid(cfg, out)
-        _write_run_meta(out, args.command, started, code)
-        return code
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = _fail("config error", exc, 2)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        code = _fail("data error", exc, 3)
     except TrainingError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return 4
+        code = _fail("training error", exc, 4)
+    if out is not None and out.is_dir():  # a failed run gets its sidecar too
+        try:
+            _write_run_meta(out, args.command, started, code)
+        except DataError as exc:  # reported after the run's own error, never instead
+            code = _fail("data error", exc, code or 3)
+    return code
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return code
 
 
 def _write_run_meta(out: Path, command: str, started: float, code: int) -> None:
@@ -294,7 +308,7 @@ def _write_run_meta(out: Path, command: str, started: float, code: int) -> None:
         "exit_code": code,
         "version": __version__,
     }
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_file(out / "run_meta.json", json.dumps(meta, indent=2) + "\n")
 
 
 if __name__ == "__main__":

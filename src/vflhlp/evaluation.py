@@ -45,7 +45,7 @@ from .federated import (
     train_downstream,
 )
 from .metrics import auc
-from .nn import Mlp, load_checkpoint, save_checkpoint
+from .nn import Mlp, load_checkpoint, save_checkpoint, write_file
 from .nn.layers import EncoderSpec, FlatParams
 from .ssl_pretrain import pretrain_passive
 from .sup_pretrain import ActivePretrained, pretrain_active
@@ -571,10 +571,10 @@ def load_pretrained(
 
 def write_grid_outputs(result: GridResult, out_dir: Path) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "results.csv").write_text(result.cells_csv())
-    (out_dir / "summary.csv").write_text(result.summary_csv())
-    (out_dir / "results.json").write_text(
-        json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    write_file(out_dir / "results.csv", result.cells_csv())
+    write_file(out_dir / "summary.csv", result.summary_csv())
+    write_file(
+        out_dir / "results.json",
+        json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n",
     )
-    (out_dir / "summary.txt").write_text(result.render_text())
+    write_file(out_dir / "summary.txt", result.render_text())

@@ -122,26 +122,26 @@ TransportRecord = namedtuple(
 
 
 class TransportLog:
-    """Append-only record of every cross-boundary payload, kept as columns:
-    round, direction, party, rows and cols as int64 arrays, and each payload's
-    32-byte sha256 digest in one bytearray. `records` is built on access."""
+    """Append-only record of every cross-boundary payload: round, direction,
+    party, rows and cols of each message as five consecutive int64 entries of
+    one array, and each payload's 32-byte sha256 digest in one bytearray.
+    `records` is built on access."""
 
     def __init__(self):
-        self.round_index, self.direction, self.party_id, self.rows, self.cols = (
-            array("q") for _ in range(5)
-        )
+        self._fields = array("q")
         self.digests = bytearray()
 
     def record(self, msg: RepresentationMsg | GradientMsg) -> None:
         values = np.ascontiguousarray(msg.values, dtype="<f8")
-        self.round_index.append(msg.round_index)
-        self.direction.append(
-            DIR_TO_SERVER if isinstance(msg, RepresentationMsg) else DIR_TO_PARTY
-        )
-        self.party_id.append(msg.party_id)
-        self.rows.append(values.shape[0])
-        self.cols.append(values.shape[1])
-        self.digests += _digest(values)
+        rows, cols = values.shape  # anything but a 2-D payload raises before the log grows
+        direction = DIR_TO_SERVER if isinstance(msg, RepresentationMsg) else DIR_TO_PARTY
+        self._fields.extend((msg.round_index, direction, msg.party_id, rows, cols))
+        self.digests += hashlib.sha256(values).digest()
+
+    def fields(self) -> np.ndarray:
+        """An [n, 5] view: round, direction, party, rows, cols. Drop it before
+        the next `record`, which cannot grow an array that exports its buffer."""
+        return np.frombuffer(self._fields, dtype=np.int64).reshape(-1, 5)
 
     def digest(self, i: int) -> bytes:
         return bytes(self.digests[32 * i : 32 * i + 32])
@@ -151,9 +151,7 @@ class TransportLog:
         kind = {DIR_TO_SERVER: KIND_REPRESENTATION, DIR_TO_PARTY: KIND_GRADIENT}
         return [
             TransportRecord(r, d, p, kind[d], n, c, self.digest(i).hex())
-            for i, (r, d, p, n, c) in enumerate(
-                zip(self.round_index, self.direction, self.party_id, self.rows, self.cols)
-            )
+            for i, (r, d, p, n, c) in enumerate(self.fields().tolist())
         ]
 
 
@@ -189,20 +187,20 @@ def audit_transport(log: TransportLog, ds: VerticalDataset) -> AuditReport:
     byte-for-byte copy of a protected column during this run.
     """
     forbidden = _raw_column_digests(ds)
+    fields = log.fields()
     violations = [
-        f"round {log.round_index[i]}, party {log.party_id[i]}: payload equals "
-        f"{forbidden[d]}"
-        for i in range(len(log.round_index))
+        f"round {fields[i, 0]}, party {fields[i, 2]}: payload equals {forbidden[d]}"
+        for i in range(len(fields))
         if (d := log.digest(i)) in forbidden
     ]
-    rounds, index = np.unique(np.asarray(log.round_index), return_inverse=True)
-    up = np.asarray(log.direction) == DIR_TO_SERVER
+    rounds, index = np.unique(fields[:, 0], return_inverse=True)
+    up = fields[:, 1] == DIR_TO_SERVER
     ups = np.bincount(index, weights=up, minlength=rounds.size)
     downs = np.bincount(index, weights=~up, minlength=rounds.size)
     k = ds.k_parties
     return AuditReport(
         ok=not violations,
-        n_messages=len(log.round_index),
+        n_messages=len(fields),
         n_rounds=int(rounds.size),
         violations=violations,
         balanced_rounds=bool(np.all(ups == k) and np.all(downs == k)),
@@ -237,7 +235,7 @@ def constraint_loss(
                 f"constraint shape mismatch for {name!r}: {p.shape} vs {a.shape}"
             )
         diff = p - a
-        value += float((diff * diff).sum())
+        value += float(np.add.reduce(diff * diff, axis=None))
         grads[name] = diff
     return 0.5 * value, grads
 
@@ -386,12 +384,13 @@ def run_round(
             f"mode {mode.value} needs pre-trained anchors for the active party"
         )
 
-    reps = {}
-    for k in sorted(parties):
+    ids = sorted(parties)
+    reps = []
+    for k in ids:
         msg = parties[k].forward(batch, round_index)
         transport.record(msg)
-        reps[k] = msg.values
-    h = np.concatenate([reps[k] for k in sorted(parties)], axis=1)
+        reps.append(msg.values)
+    h = np.concatenate(reps, axis=1)
     logits, head_tape = server.head.forward(h)
     loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels, check=False)
     head_grad, dh = server.head.backward(head_tape, dlogits[:, None])
@@ -408,7 +407,7 @@ def run_round(
     if apply_updates:
         server.apply_update(head_grad)
 
-    for k in sorted(parties):
+    for k in ids:
         gmsg = GradientMsg(round_index, k, dh[:, server.rep_slices[k]])
         transport.record(gmsg)
         grad = parties[k].backward(gmsg)
@@ -608,15 +607,15 @@ def train_downstream(
     round_index = 0
     for epoch in range(1, cfg.epochs + 1):
         batches = sample_aligned_batches(pool, cfg.batch_size, cfg.seed, epoch)
-        tot = np.zeros(3)
-        count = 0
+        loss = loss_vfl = loss_cons = 0.0  # every pool row is in one batch an epoch
         for batch in batches:
             stats, _ = run_round(
                 parties, server, batch, mode, round_index, transport
             )
             round_index += 1
-            tot += np.array([stats.loss, stats.loss_vfl, stats.loss_cons]) * batch.n
-            count += batch.n
+            loss += stats.loss * batch.n
+            loss_vfl += stats.loss_vfl * batch.n
+            loss_cons += stats.loss_cons * batch.n
         val_auc = None
         if val_batch is not None:
             scores = federated_predict(
@@ -632,9 +631,9 @@ def train_downstream(
         history.append(
             {
                 "epoch": epoch,
-                "loss": tot[0] / count,
-                "loss_vfl": tot[1] / count,
-                "loss_cons": tot[2] / count,
+                "loss": loss / pool.n,
+                "loss_vfl": loss_vfl / pool.n,
+                "loss_cons": loss_cons / pool.n,
                 "val_auc": val_auc,
             }
         )

@@ -8,7 +8,7 @@ from .layers import (
 )
 from .losses import bce_with_logits, check_labels, sigmoid
 from .optim import AdamOptimizer, SgdOptimizer, make_optimizer
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_file
 
 __all__ = [
     "AdamOptimizer",
@@ -25,4 +25,5 @@ __all__ = [
     "make_optimizer",
     "save_checkpoint",
     "sigmoid",
+    "write_file",
 ]

@@ -37,7 +37,6 @@ _CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    path = Path(path)
     blob = bytearray()
     blob += MAGIC
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -54,11 +53,19 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         blob += struct.pack("<BB", _CODES[arr.dtype], arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.astype(_DTYPES[_CODES[arr.dtype]], copy=False).tobytes(order="C")
+    write_file(path, bytes(blob))
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Write `data` (text as utf-8) to `path`, creating its directory. An
+    OSError, e.g. a directory where the file should go, is a DataError
+    naming the file."""
+    path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(bytes(blob))
-    except OSError as exc:  # e.g. a directory where the file should go
-        raise DataError(f"{path}: cannot write checkpoint: {exc.strerror or exc}") from None
+        path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

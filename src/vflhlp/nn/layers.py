@@ -167,7 +167,7 @@ class Mlp(FlatParams):
         last = len(self._layers) - 1
         for i, (w, b) in enumerate(self._layers):
             inputs.append(x)
-            z = x @ w.T + b
+            z = x.dot(w.T) + b
             preacts.append(z)
             x = z if i == last else np.maximum(z, 0.0)
         return x, (inputs, preacts)
@@ -190,10 +190,10 @@ class Mlp(FlatParams):
         last = len(self._layers) - 1
         for i in range(last, -1, -1):
             dz = d if i == last else d * (preacts[i] > 0.0)
-            a, m, b = self._spans[i]
-            grad[a:m] = (dz.T @ inputs[i]).ravel()
-            grad[m:b] = dz.sum(axis=0)
-            d = dz @ self._layers[i][0]
+            (w, _), (a, m, b) = self._layers[i], self._spans[i]
+            dz.T.dot(inputs[i], out=grad[a:m].reshape(w.shape))
+            np.add.reduce(dz, axis=0, out=grad[m:b])
+            d = dz.dot(w)
         return grad, d
 
 
@@ -262,7 +262,7 @@ class EmbeddingTable:
         # as unsigned, negative indices are huge, so one comparison catches both ends
         bad = idx.view(np.uint64) >= self.cards
         rows = np.where(bad, 0, idx) + self.offsets
-        return self.block[rows].reshape(cat.shape[0], self.out_dim), rows
+        return self.block.take(rows, axis=0).reshape(cat.shape[0], self.out_dim), rows
 
     def backward(
         self, rows: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None

@@ -51,6 +51,7 @@ def bce_with_logits(
             raise SchemaError("empty batch")
         check_labels(labels)
     n = logits.size
-    per = np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
-    grad = (sigmoid(logits) - labels) / n
-    return float(per.sum() / n), grad  # == per.mean(), without its Python wrapper
+    e = np.exp(-np.abs(logits))  # once, for the loss and for sigmoid's two branches
+    per = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)
+    grad = (np.where(logits >= 0, 1.0, e) / (1.0 + e) - labels) / n
+    return float(np.add.reduce(per) / n), grad  # == per.mean(), without its wrappers

@@ -491,6 +491,8 @@ def test_grid_records_a_diverged_cell_and_carries_on(tmp_path, capsys):
         "vflhlp b=0.1", "vflhlp b=1e+300", "vanilla_vfl"]
     assert lines[2].split()[2:] == ["nan", "+-", "nan"] * 2
     assert "nan" not in lines[1] + lines[3]
+    # the sidecar records the failure's exit code
+    assert json.loads((out / "run_meta.json").read_text())["exit_code"] == 4
 
 
 def test_grid_respects_seed_flag(cfg_path, tmp_path):
@@ -526,6 +528,7 @@ def test_bad_config_values_use_exit_code_two(tmp_path, out, capsys, command,
     assert run(command, "--config", bad, "--out", out) == 2
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
+    assert not out.exists()  # a config error before --out is resolved writes nothing
 
 
 def test_usage_and_config_errors_use_exit_code_two(cfg_path, tmp_path, capsys):
@@ -710,3 +713,36 @@ def test_a_damaged_input_fails_typed_naming_the_file(pristine, tmp_path, capsys,
     expected = (2, "config error") if row == "config" else (3, "data error")
     assert (code, expected[1] in captured.err) == (expected[0], True), captured.err
     assert str(path) in captured.err
+
+
+# ------------------------------------------------------------------ unwritable outputs
+
+RUN_DIR = "out/train/seed7/count20/vflhlp"
+OUTPUTS = {  # case: (the output a directory takes the place of, the command that writes it)
+    "history": (f"{RUN_DIR}/history.jsonl", TRAIN_VFLHLP),
+    "result": (f"{RUN_DIR}/result.json", TRAIN_VFLHLP),
+    "eval": (f"{RUN_DIR}/eval.json", ("eval",)),
+    "grid-summary": ("out/summary.txt", ("grid",)),
+    "run-meta": ("out/run_meta.json", ("prepare",)),
+    "out-is-a-file": ("out", ("prepare",)),  # --out itself names a file
+}
+
+
+@pytest.mark.parametrize("case", OUTPUTS)
+def test_an_unwritable_output_fails_typed_naming_the_file(pristine, tmp_path, capsys, case):
+    where = tmp_path / "run"
+    shutil.copytree(pristine, where)
+    name, command = OUTPUTS[case]
+    path = where / name
+    if case == "out-is-a-file":
+        shutil.rmtree(path)
+        path.write_text("a file\n")
+    else:
+        path.unlink(missing_ok=True)
+        path.mkdir()
+    capsys.readouterr()
+    code = run(*command, "--config", where / "tiny.json", "--out", where / "out")
+    captured = capsys.readouterr()
+    assert (code, "data error" in captured.err) == (3, True), captured.err
+    assert str(path) in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -73,6 +73,20 @@ def test_content_hash_ignores_memory_layout():
     assert content_hash(a) != content_hash(a + 1)
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 4, 1), ()])
+def test_a_payload_that_is_not_2d_raises_and_leaves_the_log_aligned(shape):
+    log = TransportLog()
+    log.record(RepresentationMsg(0, 2, np.ones((8, 4))))
+    with pytest.raises(ValueError):
+        log.record(GradientMsg(0, 2, np.ones(shape)))
+    log.record(GradientMsg(0, 3, np.full((8, 4), 2.0)))
+    records = log.records
+    assert [(r.round_index, r.direction, r.party_id, r.rows, r.cols) for r in records] == [
+        (0, DIR_TO_SERVER, 2, 8, 4), (0, DIR_TO_PARTY, 3, 8, 4)]
+    assert records[1].payload_hash == content_hash(np.full((8, 4), 2.0))
+    assert len(log.digests) == 2 * 32
+
+
 # ------------------------------------------------------------------ losses
 
 def test_constraint_loss_matches_naive_sum():

@@ -149,6 +149,47 @@ def test_backward_is_linear_in_upstream():
         )
 
 
+# upstream gradients as the callers pass them: a C-contiguous block, a column
+# slice of the server's [n, sum of rep dims] gradient, and the head's
+# dlogits[:, None], a 1-d vector viewed as a column with a zero stride
+MLP_BITS = [(dims, n, upstream) for n in (8, 256)
+            for dims, ups in (([13, 16, 8], ("contiguous", "column-slice")),
+                              ([8, 16, 8], ("contiguous", "column-slice")),
+                              ([24, 1], ("contiguous", "column-slice", "vector-column")))
+            for upstream in ups]
+
+
+@pytest.mark.parametrize("dims, n, upstream", MLP_BITS)
+def test_mlp_passes_are_bitwise_equal_to_the_matmul_and_sum_formulas(dims, n, upstream):
+    # the passes call ndarray.dot and ufunc.reduce, numpy's cheapest entry
+    # points at batch 8; this fails if an edit, numpy or the BLAS changes a bit
+    rng = np.random.default_rng(n + dims[0])
+    mlp = Mlp.init(rng, dims)
+    x = rng.standard_normal((n, dims[0]))
+    wide = rng.standard_normal((n, dims[-1] + 16))
+    up = {"contiguous": np.ascontiguousarray(wide[:, : dims[-1]]),
+          "column-slice": wide[:, 8 : 8 + dims[-1]],
+          "vector-column": wide[:, 0].copy()[:, None]}[upstream]
+    out, tape = mlp.forward(x)
+    grad, dx = mlp.backward(tape, up)
+
+    p, st, last = mlp.params(), mlp.layout.starts, len(dims) - 2
+    inputs, preacts, h = [], [], x
+    for i in range(last + 1):
+        inputs.append(h)
+        preacts.append(h @ p[f"{i}.weight"].T + p[f"{i}.bias"])
+        h = preacts[i] if i == last else np.maximum(preacts[i], 0.0)
+    ref, d = np.empty_like(grad), up
+    for i in range(last, -1, -1):
+        dz = d if i == last else d * (preacts[i] > 0.0)
+        ref[st[2 * i] : st[2 * i + 1]] = (dz.T @ inputs[i]).ravel()
+        ref[st[2 * i + 1] : st[2 * i + 2]] = dz.sum(axis=0)
+        d = dz @ p[f"{i}.weight"]
+    assert np.array_equal(out, h)
+    assert np.array_equal(grad, ref)
+    assert np.array_equal(dx, d)
+
+
 def test_mlp_param_names_and_shapes():
     mlp = Mlp.init(stream(0, "names"), [4, 8, 2])
     params = mlp.params()
@@ -550,6 +591,19 @@ def test_bce_mean_is_permutation_invariant():
     a, _ = bce_with_logits(logits, labels)
     b, _ = bce_with_logits(logits[perm], labels[perm])
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_bce_is_bitwise_equal_to_the_sigmoid_formula(n):
+    # exp(-|l|) is computed once for the loss and both sigmoid branches
+    rng = np.random.default_rng(n)
+    logits = rng.standard_normal(n) * 30.0
+    logits[:5] = [0.0, 1e-300, -1e-300, 1000.0, -1000.0]
+    labels = (rng.uniform(size=n) < 0.5).astype(np.float64)
+    loss, grad = bce_with_logits(logits, labels)
+    per = np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
+    assert loss == float(per.sum() / n)
+    assert np.array_equal(grad, (sigmoid(logits) - labels) / n)
 
 
 def test_bce_rejects_bad_inputs():
