@@ -5,7 +5,8 @@ Every command takes one JSON config (--config). Exit codes: 0 success,
 directory comes from --out, then the VFLHLP_OUT environment variable,
 then the config's output_dir. All artifacts under it are deterministic
 functions of (config, seed); wall-clock metadata goes only to the
-run_meta.json sidecar so byte comparisons can skip it.
+run_meta.json sidecar, one record per command, so byte comparisons can
+skip it.
 """
 from __future__ import annotations
 
@@ -298,17 +299,22 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def _write_run_meta(out: Path, command: str, started: float, code: int) -> None:
-    # the one file that is allowed to differ between identical reruns
+    # the one file that is allowed to differ between identical reruns; one
+    # record per command, so a later command keeps an earlier one's record
+    path = out / "run_meta.json"
+    try:
+        meta = read_json_object(path)
+    except DataError:  # none yet, or unreadable: start afresh
+        meta = {}
     finished = time.time()
-    meta = {
-        "command": command,
+    meta[command] = {
         "started": datetime.datetime.fromtimestamp(started).isoformat(),
         "finished": datetime.datetime.fromtimestamp(finished).isoformat(),
         "wall_seconds": finished - started,
         "exit_code": code,
         "version": __version__,
     }
-    write_file(out / "run_meta.json", json.dumps(meta, indent=2) + "\n")
+    write_file(path, json.dumps(meta, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
 import typing
 from dataclasses import dataclass
 
@@ -134,12 +135,21 @@ class RunConfig:
 
 
 def _build(cls, data: dict, section: str, drop: tuple[str, ...] = ()):
+    """An instance of the config dataclass `cls` from the parsed JSON `data`;
+    ConfigError naming `section`, the dotted path of `data` in the config."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in dataclasses.fields(cls)} - set(drop)
-    unknown = sorted(set(data) - allowed)
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in drop}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}")
+    missing = [
+        name for name, f in fields.items()
+        if name not in data
+        and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{section}: missing keys {missing}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
@@ -150,26 +160,24 @@ def _build(cls, data: dict, section: str, drop: tuple[str, ...] = ()):
                 f"expected one of {list(OPTIMIZERS)}"
             )
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+    return cls(**kwargs)
 
 
 def _checked(value, hint, name: str):
     """`value` if it has the declared type `hint`, else ConfigError naming it.
 
-    An int passes for a float; a bool passes only for a bool. For a
+    An int passes for a float; a bool passes only for a bool. An `X | None`
+    field parses as X, a config dataclass is built by `_build`, and for a
     tuple[T, ...] field a JSON list becomes a tuple, checked item by item.
     """
+    if isinstance(hint, types.UnionType):  # X | None
+        hint = typing.get_args(hint)[0]
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, name)
     if typing.get_origin(hint) is tuple:
-        if isinstance(value, list):
-            value = tuple(value)
-        if isinstance(value, tuple):
+        if isinstance(value, (list, tuple)):
             item = typing.get_args(hint)[0]
-            for i, v in enumerate(value):
-                _checked(v, item, f"{name}[{i}]")
-            return value
+            return tuple(_checked(v, item, f"{name}[{i}]") for i, v in enumerate(value))
         hint = tuple
     if hint is bool or isinstance(value, bool):
         ok = type(value) is hint
@@ -180,57 +188,6 @@ def _checked(value, hint, name: str):
             f"{name}: expected {hint.__name__}, got {type(value).__name__} {value!r}"
         )
     return value
-
-
-_FIELD_TYPES = typing.get_type_hints(Field)
-
-
-def _parse_fields(raw: list, section: str) -> tuple[Field, ...]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"{section}: fields must be a list")
-    fields = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ConfigError(f"{section}: fields[{i}] must be an object")
-        unknown = sorted(set(item) - set(_FIELD_TYPES))
-        if unknown:
-            raise ConfigError(f"{section}: fields[{i}] unknown keys {unknown}")
-        for key, value in item.items():
-            _checked(value, _FIELD_TYPES[key], f"{section}: fields[{i}].{key}")
-        try:
-            fields.append(
-                Field(
-                    name=item["name"],
-                    kind=item["kind"],
-                    party=item["party"],
-                    cardinality=item.get("cardinality", 0),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{section}: fields[{i}] missing key {exc}") from None
-    return tuple(fields)
-
-
-def _parse_data(raw: dict) -> DataConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("data: expected an object")
-    unknown = sorted(set(raw) - {"kind", "synth", "csv"})
-    if unknown:
-        raise ConfigError(f"data: unknown keys {unknown}")
-    kind = raw.get("kind", "synth")
-    synth = None
-    csv_cfg = None
-    if "synth" in raw:
-        synth = _build(SynthConfig, raw["synth"], "data.synth")
-    if "csv" in raw:
-        if not isinstance(raw["csv"], dict):
-            raise ConfigError(
-                f"data.csv: expected an object, got {type(raw['csv']).__name__}"
-            )
-        csv_raw = dict(raw["csv"])
-        fields = _parse_fields(csv_raw.pop("fields", []), "data.csv")
-        csv_cfg = _build(CsvDataConfig, {**csv_raw, "fields": fields}, "data.csv")
-    return DataConfig(kind=kind, synth=synth, csv=csv_cfg)
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -261,7 +218,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string")
     return RunConfig(
-        data=_parse_data(raw["data"]),
+        data=_build(DataConfig, raw["data"], "data"),
         model=_build(ModelConfig, raw.get("model", {}), "model"),
         ssl=_build(SslConfig, raw.get("ssl", {}), "ssl"),
         supervised=_build(SupConfig, raw.get("supervised", {}), "supervised"),
@@ -289,7 +246,7 @@ def to_dict(cfg: RunConfig) -> dict:
     out["downstream"].pop("seed")  # per-run value, never part of the declared config
     data = out["data"]
     del data["csv" if cfg.data.kind == "synth" else "synth"]
-    if cfg.data.kind == "csv":  # a list, as _parse_fields takes; no numerical cardinality
+    if cfg.data.kind == "csv":  # no cardinality on a numerical field
         data["csv"]["fields"] = [
             {k: v for k, v in f.items() if k != "cardinality" or f["kind"] == CATEGORICAL}
             for f in data["csv"]["fields"]

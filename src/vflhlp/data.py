@@ -525,6 +525,10 @@ class SynthConfig:
             raise ConfigError("aligned_pool cannot exceed n_local")
         if self.aligned_pool < 1:
             raise ConfigError("aligned_pool must be >= 1")
+        if self.n_validation < 0:
+            raise ConfigError("n_validation must be >= 0")
+        if self.n_test < 1:
+            raise ConfigError("n_test must be >= 1")
         if self.cardinality < 2:
             raise ConfigError("cardinality must be >= 2")
         if self.label_noise <= 0:

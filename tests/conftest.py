@@ -36,6 +36,22 @@ def tiny_synth_config(**overrides) -> SynthConfig:
     return SynthConfig(**base)
 
 
+# a CSV config over the fixture preset; its hash is pinned in test_config.py.
+# A numerical field's cardinality is left out of the hash, given or not.
+CSV_FIELDS = [
+    {"name": "x1", "kind": "numerical", "party": 1},
+    {"name": "c1", "kind": "categorical", "party": 1, "cardinality": 5},
+    {"name": "x2", "kind": "numerical", "party": 2, "cardinality": 0},
+]
+PINNED_CSV_CONFIG = {
+    "preset": "fixture",
+    "grid": {"aligned_counts": [20, 40]},
+    "data": {"kind": "csv", "csv": {"train_path": "train.csv", "test_path": "test.csv",
+                                    "k_parties": 2, "aligned_pool": 40,
+                                    "fields": CSV_FIELDS}},
+}
+
+
 @pytest.fixture(scope="session")
 def tiny_bundle():
     return synth_generate(tiny_synth_config(), seed=7)

@@ -161,6 +161,18 @@ def test_train_without_pretraining_fails_clearly(cfg_path, out, capsys):
     assert "vflhlp pretrain" in err
 
 
+def test_run_meta_keeps_one_record_per_command(cfg_path, out):
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    assert run("train", "--config", cfg_path, "--out", out, "--mode", "vflhlp") == 4
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert {command: record["exit_code"] for command, record in meta.items()} == {
+        "prepare": 0, "train": 4}
+    # a sidecar that cannot be read is replaced, not an error
+    (out / "run_meta.json").write_text("[1, 2")
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    assert list(json.loads((out / "run_meta.json").read_text())) == ["prepare"]
+
+
 def test_train_single_mode_trains_only_that_mode(cfg_path, out):
     assert run("train", "--config", cfg_path, "--out", out, "--mode", "vanilla_vfl") == 0
     seed_dir = out / "train" / "seed7"
@@ -492,7 +504,7 @@ def test_grid_records_a_diverged_cell_and_carries_on(tmp_path, capsys):
     assert lines[2].split()[2:] == ["nan", "+-", "nan"] * 2
     assert "nan" not in lines[1] + lines[3]
     # the sidecar records the failure's exit code
-    assert json.loads((out / "run_meta.json").read_text())["exit_code"] == 4
+    assert json.loads((out / "run_meta.json").read_text())["grid"]["exit_code"] == 4
 
 
 def test_grid_respects_seed_flag(cfg_path, tmp_path):
@@ -563,6 +575,8 @@ def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):
     ("synth", "num_fields_per_party", [-1, 3, 3], "num_fields_per_party entries must be >= 0"),
     ("synth", "cat_fields_per_party", [3.5, 0, 0], "data.synth.cat_fields_per_party[0]"),
     ("synth", "party_signal", ["a", 0.6, 0.6], "data.synth.party_signal[0]: expected float"),
+    ("synth", "n_validation", -500, "n_validation must be >= 0"),
+    ("synth", "n_test", -3, "n_test must be >= 1"),
     ("grid", "beta_sweep", ["a"], "grid.beta_sweep[0]: expected float"),
     ("grid", "aligned_counts", [20.5], "grid.aligned_counts[0]: expected int"),
     ("grid", "seeds", [1.5], "grid.seeds[0]: expected int, got float 1.5"),
@@ -570,8 +584,8 @@ def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):
     ("grid", "aligned_counts", [20, 20], "grid aligned_counts contain duplicates"),
     ("grid", "beta_sweep", [0.1, 0.1], "grid beta_sweep contain duplicates"),
 ], ids=["projection-item", "projection-width", "num-fields-count", "cat-fields-item",
-        "signal-item", "beta-item", "count-item", "seed-item", "val-fraction",
-        "count-repeated", "beta-repeated"])
+        "signal-item", "negative-validation", "negative-test", "beta-item", "count-item",
+        "seed-item", "val-fraction", "count-repeated", "beta-repeated"])
 def test_config_lists_and_ranges_are_checked_item_by_item(tmp_path, out, capsys,
                                                           section, key, value, fragment):
     raw = json.loads(json.dumps(TINY))

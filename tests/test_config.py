@@ -1,10 +1,14 @@
 """Config parsing: strictness, presets, canonical form, hashing."""
+import copy
 import dataclasses
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+import types
+import typing
 
 import pytest
 
@@ -13,6 +17,7 @@ from vflhlp.config import (
     DataConfig,
     GridConfig,
     ModelConfig,
+    RunConfig,
     canonical_json,
     config_hash,
     deep_merge,
@@ -25,7 +30,7 @@ from vflhlp.config import (
 from vflhlp.data import Field, synth_generate
 from vflhlp.errors import ConfigError
 
-from conftest import tiny_synth_config
+from conftest import PINNED_CSV_CONFIG, tiny_synth_config
 
 PRESETS = ("fixture", "avazu-like", "criteo-like")
 
@@ -154,8 +159,8 @@ def test_csv_fields_parse_and_validate():
     [
         ([{"name": "a", "kind": "numerical", "party": 1, "rate": 2}], "unknown keys"),
         ([{"name": "a", "party": 1}], "missing key"),
-        ("a,b", "must be a list"),
-        ([["a"]], "must be an object"),
+        ("a,b", "data.csv.fields: expected tuple"),
+        ([["a"]], "data.csv.fields[0]: expected an object"),
     ],
 )
 def test_csv_field_list_is_strict(fields, fragment):
@@ -165,7 +170,7 @@ def test_csv_field_list_is_strict(fields, fragment):
             "csv": {"train_path": "t.csv", "test_path": "e.csv", "fields": fields},
         }
     }
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
         parse_config(raw)
 
 
@@ -213,6 +218,92 @@ def test_wrong_typed_structure_is_a_config_error(raw, fragment):
 
 def test_a_field_of_the_right_types_still_parses():
     assert parse_config(_csv_config()).data.csv.fields[1].cardinality == 4
+
+
+def _unwrapped(hint):
+    """X for a field of type X, `X | None` or `tuple[X, ...]`."""
+    if isinstance(hint, types.UnionType) or typing.get_origin(hint) is tuple:
+        return _unwrapped(typing.get_args(hint)[0])
+    return hint
+
+
+def _parsed(hint) -> bool:
+    """Whether the parser checks a field of type `hint`: str, int, float, bool,
+    tuple[T, ...], a config dataclass, or X | None, of any of those."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return len(args) == 2 and args[1] is type(None) and _parsed(args[0])
+    if typing.get_origin(hint) is tuple:
+        return len(args) == 2 and args[1] is Ellipsis and _parsed(args[0])
+    return hint in (str, int, float, bool) or dataclasses.is_dataclass(hint)
+
+
+def _sections(cls, prefix=""):
+    """(dotted path, dataclass) of each section under `cls`; a tuple's item is
+    walked as its first, `fields[0]`."""
+    for name, hint in typing.get_type_hints(cls).items():
+        section = _unwrapped(hint)
+        if dataclasses.is_dataclass(section):
+            path = prefix + name + ("[0]" if typing.get_origin(hint) is tuple else "")
+            yield path, section
+            yield from _sections(section, path + ".")
+
+
+DROPPED = {"downstream.seed"}  # a per-run value that no config may set
+SECTIONS = dict(_sections(RunConfig))
+
+
+def _bad_section_cases():
+    for path, cls in SECTIONS.items():
+        yield f"{path}-not-an-object", path, lambda section: [], f"{path}: expected an object"
+        yield (f"{path}-unknown-key", path, lambda section: {**section, "bogus": 1},
+               f"{path}: unknown keys ['bogus']")
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            name = field.name
+            if f"{path}.{name}" in DROPPED:
+                continue
+            wrong = 7 if hints[name] is str else "x"  # a JSON type no other hint takes
+            yield (f"{path}.{name}-wrong-type", path,
+                   lambda section, name=name, wrong=wrong: {**section, name: wrong},
+                   f"{path}.{name}: expected ")
+            if field.default is dataclasses.MISSING:
+                yield (f"{path}.{name}-missing", path,
+                       lambda section, name=name: {k: v for k, v in section.items()
+                                                   if k != name},
+                       f"{path}: missing keys ['{name}']")
+
+
+BAD_SECTIONS = list(_bad_section_cases())
+
+
+def test_the_walk_reaches_every_section():
+    assert list(SECTIONS) == ["data", "data.synth", "data.csv", "data.csv.fields[0]",
+                              "model", "ssl", "supervised", "downstream", "grid"]
+
+
+def test_every_field_has_a_type_the_parser_checks():
+    unparsed = [f"{path}.{name}: {hint}"
+                for path, cls in [("<top>", RunConfig), *SECTIONS.items()]
+                for name, hint in typing.get_type_hints(cls).items() if not _parsed(hint)]
+    assert unparsed == []
+
+
+@pytest.mark.parametrize("path, damage, prefix", [case[1:] for case in BAD_SECTIONS],
+                         ids=[case[0] for case in BAD_SECTIONS])
+def test_every_section_is_parsed_strictly(path, damage, prefix):
+    # the pinned CSV config merged over the fixture preset holds every section
+    raw = deep_merge(preset("fixture"), copy.deepcopy(PINNED_CSV_CONFIG))
+    del raw["preset"]
+    parse_config(raw)  # parses undamaged
+    keys = [int(k) if k.isdigit() else k for k in path.replace("[0]", ".0").split(".")]
+    parent = raw
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = damage(parent[keys[-1]])
+    with pytest.raises(ConfigError) as caught:
+        parse_config(raw)
+    assert str(caught.value).startswith(prefix)
 
 
 def _cap_memory():
@@ -344,24 +435,13 @@ PINNED_HASHES = {
     "fixture": "4bb122b380741bbf615b4ad7b9b101e136bee6b4c48bbce132f1a89bfe9dcd62",
     "avazu-like": "f3a432ee601fc6140d7eb9ffebaa54f86000b80c0db5de166618b012c967d7e9",
     "criteo-like": "a96ff7555faa1f887e99a5b28e22530d0193c1410f5588f0cb142872d7b03dfe",
-    # a numerical field's cardinality is left out, given or not
     "csv": "bca3ad63d5f5d66aba74717f7de9559af3590cd7a825ff64b36f0767de03b646",
 }
-CSV_FIELDS = [
-    {"name": "x1", "kind": "numerical", "party": 1},
-    {"name": "c1", "kind": "categorical", "party": 1, "cardinality": 5},
-    {"name": "x2", "kind": "numerical", "party": 2, "cardinality": 0},
-]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_config_hashes_are_pinned(name):
-    raw = {"preset": name}
-    if name == "csv":
-        csv_data = {"train_path": "train.csv", "test_path": "test.csv", "k_parties": 2,
-                    "aligned_pool": 40, "fields": CSV_FIELDS}
-        raw = {"preset": "fixture", "grid": {"aligned_counts": [20, 40]},
-               "data": {"kind": "csv", "csv": csv_data}}
+    raw = PINNED_CSV_CONFIG if name == "csv" else {"preset": name}
     assert config_hash(parse_config(raw)) == PINNED_HASHES[name]
 
 

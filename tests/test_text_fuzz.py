@@ -1,5 +1,6 @@
-"""Seeded fuzzing of the text readers: the config JSON, the CSV loader, the
-metadata JSON of a dataset cache's checkpoint and a trained cell's result.json.
+"""Seeded fuzzing of the text readers: the config JSON (a synthetic and a CSV
+config), the CSV loader, the metadata JSON of a dataset cache's checkpoint and
+a trained cell's result.json.
 
 Every damaged file must either load or fail with one of the package's typed
 errors (ConfigError, DataError), never with any other exception. A scan of the
@@ -19,7 +20,7 @@ from vflhlp.errors import ConfigError, DataError
 from vflhlp.nn import load_checkpoint
 from vflhlp.rng import stream
 
-from conftest import splice_metadata
+from conftest import PINNED_CSV_CONFIG, splice_metadata
 
 
 def _damaged(text: str, seed: int, cases: int):
@@ -58,9 +59,10 @@ def _fuzz(tmp_path, text: str, seed: int, load) -> int:
 
 
 def test_damaged_configs_load_or_raise_config_errors(tmp_path):
-    text = json.dumps(to_dict(parse_config({"preset": "fixture"})))
-    loaded = _fuzz(tmp_path, text, seed=1, load=load_config)
-    assert 0 < loaded < 300  # the cases reach both outcomes
+    for raw in ({"preset": "fixture"}, PINNED_CSV_CONFIG):
+        text = json.dumps(to_dict(parse_config(raw)))
+        loaded = _fuzz(tmp_path, text, seed=1, load=load_config)
+        assert 0 < loaded < 300, raw  # the cases reach both outcomes
 
 
 def test_damaged_csvs_load_or_raise_data_errors(tmp_path):
