@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -160,13 +161,17 @@ def _build(cls, data: dict, section: str, drop: tuple[str, ...] = ()):
                 f"expected one of {list(OPTIMIZERS)}"
             )
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _checked(value, hint, name: str):
     """`value` if it has the declared type `hint`, else ConfigError naming it.
 
-    An int passes for a float; a bool passes only for a bool. An `X | None`
+    An int passes for a float, and a float field takes only a value within
+    the finite float range; a bool passes only for a bool. An `X | None`
     field parses as X, a config dataclass is built by `_build`, and for a
     tuple[T, ...] field a JSON list becomes a tuple, checked item by item.
     """
@@ -187,6 +192,8 @@ def _checked(value, hint, name: str):
         raise ConfigError(
             f"{name}: expected {hint.__name__}, got {type(value).__name__} {value!r}"
         )
+    if hint is float and not abs(value) <= sys.float_info.max:  # NaN fails too
+        raise ConfigError(f"{name}: expected a finite float, got {value!r}")
     return value
 
 

@@ -265,13 +265,17 @@ class TableEncoder:
         return np.array([v.get(x, 0) for x in values], dtype=np.int64)
 
     def scale_num(self, field_name: str, values: np.ndarray) -> np.ndarray:
-        lo, hi = self.num_stats[field_name]
-        if hi == lo:
-            return np.zeros_like(values)
-        return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+        return _min_max(values, *self.num_stats[field_name])
 
     def cardinality(self, field_name: str) -> int:
         return len(self.vocab[field_name]) + 1  # plus the unseen bucket
+
+
+def _min_max(values: np.ndarray, lo, hi) -> np.ndarray:
+    """`values` min-max scaled by `lo` and `hi` (scalars or per-column arrays)
+    into [0, 1]; outside values clamp, and a column with hi == lo maps to 0."""
+    out = np.divide(values - lo, hi - lo, out=np.zeros_like(values), where=hi > lo)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _read_rows(path, needed: list[str]) -> list[dict[str, str]]:
@@ -430,24 +434,23 @@ def vertical_partition(
     schema: FeatureSchema,
     k_parties: int,
     aligned_count: int,
-    seed: int,
+    order: np.ndarray,
 ) -> VerticalDataset:
     """Split a centralized table into K party views.
 
-    A seeded permutation picks the aligned pool; the remaining IDs are dealt
-    out disjointly across parties as their private unaligned samples, so the
-    ID intersection of all parties is exactly the aligned pool.
+    `order` holds the table rows to use, in their seeded order. Its first
+    aligned_count rows are the aligned pool; the rest are dealt out
+    disjointly across parties as their private unaligned samples, so the ID
+    intersection of all parties is exactly the aligned pool.
     """
     schema.validate_parties(k_parties)
     if table.labels is None:
         raise DataError("partitioning requires labels in the table")
-    n = table.n
+    n = order.shape[0]
     if not 0 < aligned_count <= n:
         raise DataError(f"aligned_count {aligned_count} out of range for {n} rows")
-    perm = stream(seed, "partition").permutation(n)
-    pool_rows = perm[:aligned_count]
-    rest = perm[aligned_count:]
-    chunks = np.array_split(rest, k_parties)
+    pool_rows = order[:aligned_count]
+    chunks = np.array_split(order[aligned_count:], k_parties)
 
     parties = {}
     for k in range(1, k_parties + 1):
@@ -473,17 +476,16 @@ def vertical_partition(
     )
 
 
-def split_from_table(table: Table, schema: FeatureSchema, k_parties: int) -> AlignedBatch:
-    """Treat a full table as an aligned evaluation split."""
+def split_from_table(
+    table: Table, schema: FeatureSchema, k_parties: int, rows: np.ndarray
+) -> AlignedBatch:
+    """The given table rows, in order, as a fully aligned evaluation split."""
     if table.labels is None:
         raise DataError("evaluation split requires labels")
-    rows = np.arange(table.n)
     cat, num = {}, {}
     for k in range(1, k_parties + 1):
-        c, m, _, _ = _party_columns(table, schema, k, rows)
-        cat[k] = c
-        num[k] = m
-    return AlignedBatch(ids=table.ids.copy(), cat=cat, num=num, labels=table.labels.copy())
+        cat[k], num[k], _, _ = _party_columns(table, schema, k, rows)
+    return AlignedBatch(ids=table.ids[rows], cat=cat, num=num, labels=table.labels[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -557,28 +559,33 @@ def _quantile_buckets(values: np.ndarray, buckets: int) -> np.ndarray:
 
 
 def synth_generate(cfg: SynthConfig, seed: int) -> DatasetBundle:
-    """Generate a DatasetBundle; pure function of (cfg, seed)."""
+    """Generate a DatasetBundle; pure function of (cfg, seed).
+
+    All rows are drawn as one table and split by `vertical_partition`. Each
+    party's numerical columns are then min-max scaled by the range of its
+    local training rows, in its view and in the test split alike.
+    """
     K = cfg.k_parties
-    per_party_extra = cfg.n_local - cfg.aligned_pool
-    n_total = cfg.aligned_pool + K * per_party_extra + cfg.n_validation + cfg.n_test
+    n_train = cfg.aligned_pool + K * (cfg.n_local - cfg.aligned_pool)
+    n_total = n_train + cfg.n_validation + cfg.n_test
+    schema = cfg.schema()
+    cat_fields = tuple(f for f in schema.fields if f.kind == CATEGORICAL)
+    num_fields = tuple(f for f in schema.fields if f.kind == NUMERICAL)
+    cat = np.empty((n_total, len(cat_fields)), dtype=np.int64)
+    num = np.empty((n_total, len(num_fields)))
     rng = stream(seed, "synth")
 
     latents = rng.standard_normal((n_total, K))
-    raw_num: dict[int, np.ndarray] = {}
-    raw_cat: dict[int, np.ndarray] = {}
-    for k in range(1, K + 1):
-        u = latents[:, k - 1]
-        n_num = cfg.num_fields_per_party[k - 1]
-        n_cat = cfg.cat_fields_per_party[k - 1]
-        num = np.empty((n_total, n_num))
-        for j in range(n_num):
-            num[:, j] = u + cfg.feature_noise * rng.standard_normal(n_total)
-        cat = np.empty((n_total, n_cat), dtype=np.int64)
-        for j in range(n_cat):
+    c = m = 0  # next categorical and numerical column
+    for k in range(K):
+        u = latents[:, k]
+        for _ in range(cfg.num_fields_per_party[k]):
+            num[:, m] = u + cfg.feature_noise * rng.standard_normal(n_total)
+            m += 1
+        for _ in range(cfg.cat_fields_per_party[k]):
             noisy = u + cfg.feature_noise * rng.standard_normal(n_total)
-            cat[:, j] = _quantile_buckets(noisy, cfg.cardinality - 1)
-        raw_num[k] = num
-        raw_cat[k] = cat
+            cat[:, c] = _quantile_buckets(noisy, cfg.cardinality - 1)
+            c += 1
 
     v = np.asarray(cfg.party_signal, dtype=np.float64)
     norm = np.linalg.norm(v)
@@ -590,59 +597,24 @@ def synth_generate(cfg: SynthConfig, seed: int) -> DatasetBundle:
     posterior = 1.0 / (1.0 + np.exp(-logits))
     labels = (rng.uniform(size=n_total) < posterior).astype(np.float64)
 
-    assign = stream(seed, "synth", "assign").permutation(n_total)
-    off = 0
-    pool = assign[off : off + cfg.aligned_pool]
-    off += cfg.aligned_pool
-    extra = {}
-    for k in range(1, K + 1):
-        extra[k] = assign[off : off + per_party_extra]
-        off += per_party_extra
-    off += cfg.n_validation  # reserved rows: drawn, never used
-    test_rows = assign[off : off + cfg.n_test]
-
-    schema = cfg.schema()
-    parties = {}
-    scaled_num: dict[int, np.ndarray] = {}
-    for k in range(1, K + 1):
-        local = np.sort(np.concatenate([pool, extra[k]]))
-        # min-max stats come from the party's local training rows only
-        num = raw_num[k]
-        scaled = np.zeros_like(num)
-        for j in range(num.shape[1]):
-            lo = num[local, j].min()
-            hi = num[local, j].max()
-            if hi > lo:
-                scaled[:, j] = np.clip((num[:, j] - lo) / (hi - lo), 0.0, 1.0)
-        scaled_num[k] = scaled
-        cf, nf = schema.party_fields(k)
-        parties[k] = PartyView(
-            party_id=k,
-            ids=local.astype(np.int64),
-            cat=raw_cat[k][local],
-            num=scaled[local],
-            cat_fields=cf,
-            num_fields=nf,
-        )
-
-    def make_split(rows: np.ndarray) -> AlignedBatch:
-        order = np.sort(rows)
-        return AlignedBatch(
-            ids=order.astype(np.int64),
-            cat={k: raw_cat[k][order] for k in range(1, K + 1)},
-            num={k: scaled_num[k][order] for k in range(1, K + 1)},
-            labels=labels[order],
-            bayes_scores=posterior[order],
-        )
-
-    train = VerticalDataset(
-        schema=schema,
-        parties=parties,
-        labels=labels[parties[1].ids],
-        aligned_pool=pool.astype(np.int64),
-        aligned_count=cfg.aligned_pool,
+    table = Table(
+        ids=np.arange(n_total, dtype=np.int64),
+        cat=cat,
+        num=num,
+        labels=labels,
+        cat_fields=cat_fields,
+        num_fields=num_fields,
     )
-    return DatasetBundle(train=train, test=make_split(test_rows))
+    # the n_validation rows after the training rows are drawn and never used
+    order = stream(seed, "synth", "assign").permutation(n_total)
+    train = vertical_partition(table, schema, K, cfg.aligned_pool, order[:n_train])
+    test = split_from_table(table, schema, K, np.sort(order[n_train + cfg.n_validation :]))
+    test.bayes_scores = posterior[test.ids]
+    for k, view in train.parties.items():
+        lo, hi = view.num.min(axis=0), view.num.max(axis=0)
+        view.num = _min_max(view.num, lo, hi)
+        test.num[k] = _min_max(test.num[k], lo, hi)
+    return DatasetBundle(train=train, test=test)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .federated import (
 from .metrics import auc
 from .nn import Mlp, load_checkpoint, save_checkpoint, write_file
 from .nn.layers import EncoderSpec, FlatParams
+from .rng import stream
 from .ssl_pretrain import pretrain_passive
 from .sup_pretrain import ActivePretrained, pretrain_active
 
@@ -64,9 +65,10 @@ def build_bundle(cfg: RunConfig, seed: int) -> DatasetBundle:
     c = cfg.data.csv
     schema = c.schema()
     train_table, encoder = load_csv(c.train_path, schema, c.id_column, c.label_column)
-    ds = vertical_partition(train_table, schema, c.k_parties, c.aligned_pool, seed)
+    order = stream(seed, "partition").permutation(train_table.n)
+    ds = vertical_partition(train_table, schema, c.k_parties, c.aligned_pool, order)
     test_table = transform_csv(c.test_path, schema, encoder, c.id_column, c.label_column)
-    test = split_from_table(test_table, schema, c.k_parties)
+    test = split_from_table(test_table, schema, c.k_parties, np.arange(test_table.n))
     return DatasetBundle(train=ds, test=test)
 
 

@@ -39,6 +39,7 @@ from .nn import (
     sigmoid,
 )
 from .nn.layers import EncoderSpec
+from .nn.optim import check_schedule
 from .rng import stream
 from .sup_pretrain import ActivePretrained, SupConfig, pretrain_active
 
@@ -460,8 +461,9 @@ class DownstreamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_schedule(self.epochs, self.batch_size, eta1=self.eta1, eta2=self.eta2)
         if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in [0, 1)")
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -523,8 +525,6 @@ def train_downstream(
     val_fraction slice of the aligned set is held out for the per-epoch AUC
     in the history; final weights are the last epoch's (no early stopping).
     """
-    if cfg.epochs < 0:
-        raise ConfigError("epochs must be >= 0")
     if mode is TrainMode.LOCAL_A:
         sup_cfg = SupConfig(
             epochs=cfg.epochs,

@@ -89,6 +89,15 @@ class AdamOptimizer:
 OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
 
 
+def check_schedule(epochs: int, batch_size: int, **rates: float) -> None:
+    """ConfigError unless epochs >= 0, batch_size >= 1 and each named learning
+    rate is >= 0; a NaN fails too."""
+    for name, value, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
+                             *((name, rate, 0) for name, rate in rates.items())):
+        if not value >= low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
 def make_optimizer(name: str) -> SgdOptimizer | AdamOptimizer:
     if name not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {name!r}; expected one of {list(OPTIMIZERS)}")

@@ -17,6 +17,7 @@ from .data import PartyView
 from .errors import ConfigError, SchemaError, TrainingError
 from .nn import Mlp, TabularEncoder, make_optimizer
 from .nn.layers import EncoderSpec
+from .nn.optim import check_schedule
 from .rng import stream
 
 EPS_NORM = 1e-12
@@ -208,6 +209,11 @@ class SslConfig:
     projection_hidden: tuple[int, ...] = (16,)
 
     def __post_init__(self):
+        if not 0.0 <= self.corruption_rate <= 1.0:
+            raise ConfigError(f"corruption_rate must be in [0, 1], got {self.corruption_rate}")
+        if not self.temperature > 0:
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        check_schedule(self.epochs, self.batch_size, learning_rate=self.learning_rate)
         if any(w < 1 for w in self.projection_hidden):
             raise ConfigError("projection_hidden widths must be >= 1")
 
@@ -228,8 +234,6 @@ def pretrain_passive(
         raise ConfigError(
             "self-supervised pre-training targets passive parties (party id > 1)"
         )
-    if cfg.epochs < 0 or cfg.batch_size < 1:
-        raise ConfigError("epochs must be >= 0 and batch_size >= 1")
     k = view.party_id
     encoder = spec.build(stream(seed, "ssl", k, "init-encoder"))
     projection = Mlp.init(

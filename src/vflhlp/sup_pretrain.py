@@ -16,6 +16,7 @@ from .errors import ConfigError, DataError, TrainingError, UndefinedMetricError
 from .metrics import auc
 from .nn import Mlp, TabularEncoder, bce_with_logits, check_labels, make_optimizer, sigmoid
 from .nn.layers import EncoderSpec
+from .nn.optim import check_schedule
 from .rng import stream
 
 
@@ -26,6 +27,11 @@ class SupConfig:
     learning_rate: float = 1e-3
     optimizer: str = "adam"
     val_fraction: float = 0.1
+
+    def __post_init__(self):
+        check_schedule(self.epochs, self.batch_size, learning_rate=self.learning_rate)
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -71,10 +77,6 @@ def pretrain_active(
     labels = check_labels(labels)  # once here; the steps skip the check
     if labels.shape != view.ids.shape:
         raise DataError("labels must cover exactly the party's local rows")
-    if cfg.epochs < 0 or cfg.batch_size < 1:
-        raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-    if not 0.0 <= cfg.val_fraction < 1.0:
-        raise ConfigError("val_fraction must be in [0, 1)")
 
     encoder = spec.build(stream(seed, "sup", "init-encoder"))
     head = Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1])

@@ -338,6 +338,57 @@ TINY_SEED7_ARRAYS = {
 }
 
 
+# the same for TINY reshaped like the avazu-like preset (categorical fields
+# only) and like the criteo-like one (two parties, one without numbers)
+SHAPES = {
+    "avazu-like": {"k_parties": 3, "num_fields_per_party": [0, 0, 0],
+                   "cat_fields_per_party": [2, 2, 3]},
+    "criteo-like": {"k_parties": 2, "num_fields_per_party": [3, 0],
+                    "cat_fields_per_party": [0, 4], "party_signal": [1.0, 0.8]},
+}
+SHAPED_SEED7_ARRAYS = {
+    "avazu-like": {
+        "aligned_pool": ("int64", (60,), "ee7242386485bc61917960ec3faaf4eb5a3f74c1b3247b3cdd1c5917f7f62819"),
+        "labels": ("float64", (300,), "4c787743955e5a8a5934e78834de867cba1253b844acdec3f59b6fd058b98491"),
+        "party1_cat": ("int64", (300, 2), "6fe15744697154801e0f975d94edfe620517594fe26df77b45d63fba28244dfb"),
+        "party1_ids": ("int64", (300,), "ce0025292475f524f6feb9db6db2bbbcf7222a0db4a0b36ceb438fafb527df4c"),
+        "party1_num": ("float64", (300, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "party2_cat": ("int64", (300, 2), "955a86d2379916f2efa841f3082f4b38db447b3b351a82a0c02d98fd1e40b1e5"),
+        "party2_ids": ("int64", (300,), "c2f7e0969b0624779ac1e010c15ad94c4c243ad6f601cb710cf9d06fbb074b51"),
+        "party2_num": ("float64", (300, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "party3_cat": ("int64", (300, 3), "91674b5a07557dc023ba4ae6b14577c41742f028deecc749e6b3eb75debb1ee3"),
+        "party3_ids": ("int64", (300,), "176ebccd0328ca24a3cd418d6ffc68c6956824636f02b6bd527099d93d0a560f"),
+        "party3_num": ("float64", (300, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "test_bayes": ("float64", (150,), "4b732c27c501351a551f00d0e81de1222d2744f2b7f7f94a39e85458ce5359c0"),
+        "test_ids": ("int64", (150,), "e6ab9eba86e639dd2664749d14f4c9e261bdd022536696e59b5a13bffd624c07"),
+        "test_labels": ("float64", (150,), "964f38f68642a7fb71edf2d1417a1911e991612e3401562d1c400c33da91138d"),
+        "test_party1_cat": ("int64", (150, 2), "64c958e13ad4bfd80e35d34a4bec2a4aacdbb0f53e2bfcd08caff98e590d9c44"),
+        "test_party1_num": ("float64", (150, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "test_party2_cat": ("int64", (150, 2), "d02b008ec230d7452af9dce88407754a92aa0a883aa1eeb62a73a9e419fb1138"),
+        "test_party2_num": ("float64", (150, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "test_party3_cat": ("int64", (150, 3), "50a514d45a0a01a3d2b341f0adfa57a58efeba779e13681a0fafbb80663f70fa"),
+        "test_party3_num": ("float64", (150, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "criteo-like": {
+        "aligned_pool": ("int64", (60,), "21c0cf873e9f7639cced2321be63c352395f4e391d16c2b99d8ceedc06a9d09d"),
+        "labels": ("float64", (300,), "903e75b9d14edf653a4b749c01715c8346cb22e53421df5d2bc0a8a975e80143"),
+        "party1_cat": ("int64", (300, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "party1_ids": ("int64", (300,), "36fa92e4b27ef05f2ee24273a6128030035bc888e7c856b34c81032f594640b4"),
+        "party1_num": ("float64", (300, 3), "04117ec5a615d2d9b29850ac2f5f3a776acb2eb7df717dd0f93e04049bd16710"),
+        "party2_cat": ("int64", (300, 4), "aa9f34d40c8c18f8a4a7916c15933a828c42f460d6f77fa579c68324a4491b06"),
+        "party2_ids": ("int64", (300,), "5716fd2d5f98dd5177c6f7d1da85fa4c3faa641e72e7c994a856d774b7a6d0cf"),
+        "party2_num": ("float64", (300, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "test_bayes": ("float64", (150,), "8a9dbdb26ab39f6406f714c054161bb4efa77a11ddd11f2542d136e0e8b45a54"),
+        "test_ids": ("int64", (150,), "9cca02b6650013e641bdfe93383f5c6721032e6aca258b6056882cc2e87155a0"),
+        "test_labels": ("float64", (150,), "16434851d610ede50a93c6a433b1ee250f796d3948591b7dfd8ee780785c9956"),
+        "test_party1_cat": ("int64", (150, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "test_party1_num": ("float64", (150, 3), "106d39eaabc27cd7135f03332f98b14a3476cf71f44c74ce977b568f4a977236"),
+        "test_party2_cat": ("int64", (150, 4), "a67b8addb3958a1f8011f36f29f25b15eaba4dedd03e836f7502755cf296714c"),
+        "test_party2_num": ("float64", (150, 0), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+}
+
+
 def _bundle_arrays(bundle) -> dict[str, np.ndarray]:
     train, test = bundle.train, bundle.test
     arrays = {"aligned_pool": train.aligned_pool, "labels": train.labels,
@@ -350,15 +401,28 @@ def _bundle_arrays(bundle) -> dict[str, np.ndarray]:
     return arrays
 
 
-def test_the_cached_arrays_are_pinned(cfg_path, out):
+def _cached_arrays(cfg_path, out) -> dict[str, tuple]:
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
     cache = out / "cache" / "seed7"
     bundle, _ = load_bundle(cache)
     got = {name: (str(a.dtype), a.shape, hashlib.sha256(a.tobytes()).hexdigest())
            for name, a in _bundle_arrays(bundle).items()}
-    assert got == TINY_SEED7_ARRAYS
     tensors, _ = load_checkpoint(cache / "dataset.ckpt")
-    assert sorted(tensors) == sorted(TINY_SEED7_ARRAYS)
+    assert sorted(tensors) == sorted(got)
+    return got
+
+
+def test_the_cached_arrays_are_pinned(cfg_path, out):
+    assert _cached_arrays(cfg_path, out) == TINY_SEED7_ARRAYS
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_the_cached_arrays_of_other_shapes_are_pinned(tmp_path, out, shape):
+    raw = json.loads(json.dumps(TINY))
+    raw["data"]["synth"].update(SHAPES[shape])
+    cfg = tmp_path / f"{shape}.json"
+    cfg.write_text(json.dumps(raw))
+    assert _cached_arrays(cfg, out) == SHAPED_SEED7_ARRAYS[shape]
 
 
 def test_a_cache_in_the_older_layout_is_ignored(cfg_path, tmp_path, capsys):
@@ -583,9 +647,15 @@ def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):
     ("downstream", "val_fraction", -0.5, "val_fraction must be in [0, 1)"),
     ("grid", "aligned_counts", [20, 20], "grid aligned_counts contain duplicates"),
     ("grid", "beta_sweep", [0.1, 0.1], "grid beta_sweep contain duplicates"),
+    ("downstream", "epochs", -1, "downstream: epochs must be >= 0, got -1"),
+    ("downstream", "batch_size", 0, "downstream: batch_size must be >= 1, got 0"),
+    ("ssl", "temperature", 0, "ssl: temperature must be > 0, got 0"),
+    ("ssl", "corruption_rate", 2, "ssl: corruption_rate must be in [0, 1], got 2"),
+    ("supervised", "learning_rate", -1, "supervised: learning_rate must be >= 0, got -1"),
 ], ids=["projection-item", "projection-width", "num-fields-count", "cat-fields-item",
         "signal-item", "negative-validation", "negative-test", "beta-item", "count-item",
-        "seed-item", "val-fraction", "count-repeated", "beta-repeated"])
+        "seed-item", "val-fraction", "count-repeated", "beta-repeated", "negative-epochs",
+        "zero-batch", "zero-temperature", "corruption-over-one", "negative-learning-rate"])
 def test_config_lists_and_ranges_are_checked_item_by_item(tmp_path, out, capsys,
                                                           section, key, value, fragment):
     raw = json.loads(json.dumps(TINY))

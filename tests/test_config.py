@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import re
 import resource
@@ -267,6 +268,13 @@ def _bad_section_cases():
             yield (f"{path}.{name}-wrong-type", path,
                    lambda section, name=name, wrong=wrong: {**section, name: wrong},
                    f"{path}.{name}: expected ")
+            if _unwrapped(hints[name]) is float:
+                item = "[0]" if typing.get_origin(hints[name]) is tuple else ""
+                for label, bad in (("nan", math.nan), ("inf", math.inf), ("huge", 10**400)):
+                    value = [bad] if item else bad
+                    yield (f"{path}.{name}-{label}", path,
+                           lambda section, name=name, value=value: {**section, name: value},
+                           f"{path}.{name}{item}: expected a finite float, got ")
             if field.default is dataclasses.MISSING:
                 yield (f"{path}.{name}-missing", path,
                        lambda section, name=name: {k: v for k, v in section.items()
@@ -334,7 +342,7 @@ def test_a_huge_k_parties_is_a_config_error_within_a_second():
     assert proc.returncode == 0, proc.stderr[-2000:]
     seconds, message = proc.stdout.splitlines()
     assert float(seconds) < 1.0
-    assert message.startswith("parties without any fields: [3, 4, 5, 6, 7] and ")
+    assert message.startswith("data.csv: parties without any fields: [3, 4, 5, 6, 7] and ")
     assert message.endswith(f" and {10**30 - 7} more")
 
 

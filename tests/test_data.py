@@ -1,9 +1,14 @@
 """Data layer tests: synthetic generator, CSV ingestion, partitioning, cache."""
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vflhlp
+from vflhlp import data
+from vflhlp.config import load_config
 from vflhlp.data import (
     Field,
     FeatureSchema,
@@ -18,11 +23,13 @@ from vflhlp.data import (
     vertical_partition,
 )
 from vflhlp.errors import ConfigError, DataError
+from vflhlp.evaluation import build_bundle
 from vflhlp.metrics import auc
 from vflhlp.nn import load_checkpoint, save_checkpoint
 from vflhlp.rng import stream
 
 from conftest import splice_metadata, tiny_synth_config
+from test_cli import CSV_ROWS, _csv_config
 
 
 # ----------------------------------------------------------------- synthetic
@@ -291,16 +298,31 @@ def test_transform_constant_column_maps_to_zero(tmp_path):
 
 # ----------------------------------------------------------------- partition
 
+def _assert_partitioned(ds, table):
+    """The invariants of any partitioned dataset, CSV or synthetic: the pool
+    is exactly the parties' ID intersection, every other row is private to
+    one party, and the labels follow party 1's IDs."""
+    pool = set(ds.aligned_pool.tolist())
+    assert len(pool) == ds.aligned_pool.size == ds.aligned_count
+    ids = [set(view.ids.tolist()) for view in ds.parties.values()]
+    assert set.intersection(*ids) == pool
+    private = [local - pool for local in ids]
+    assert sum(map(len, private)) == len(set.union(*private))
+    assert set.union(*ids) <= set(table.ids.tolist())
+    label_of = dict(zip(table.ids.tolist(), table.labels.tolist()))
+    assert ds.labels.tolist() == [label_of[i] for i in ds.parties[1].ids.tolist()]
+
+
 def test_vertical_partition_invariants(tmp_path):
     p = tmp_path / "train.csv"
     _write_csv(p, _sample_rows(30))
     table, _ = load_csv(p, _schema(), "id", "label")
-    ds = vertical_partition(table, _schema(), k_parties=2, aligned_count=10, seed=9)
-    pool = set(ds.aligned_pool.tolist())
-    assert len(pool) == 10
+    ds = vertical_partition(table, _schema(), k_parties=2, aligned_count=10,
+                            order=stream(9, "partition").permutation(table.n))
+    _assert_partitioned(ds, table)
+    assert len(ds.aligned_pool) == 10
     ids1 = set(ds.parties[1].ids.tolist())
     ids2 = set(ds.parties[2].ids.tolist())
-    assert ids1 & ids2 == pool
     assert ids1 | ids2 == set(table.ids.tolist())
     # labels follow party 1's rows
     batch = ds.gather(ds.aligned_ids()[:4])
@@ -311,22 +333,69 @@ def test_vertical_partition_invariants(tmp_path):
         np.testing.assert_array_equal(batch.num[2][i, 0], table.num[row, 1])
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(k_parties=2, num_fields_per_party=(2, 0), cat_fields_per_party=(0, 2),
+         party_signal=(1.0, 0.8)),
+], ids=["three-parties", "two-parties-one-without-numbers"])
+def test_synth_bundles_keep_the_partition_invariants(monkeypatch, overrides):
+    tables = []
+
+    def partition(table, *args):
+        tables.append(table)
+        return vertical_partition(table, *args)
+
+    monkeypatch.setattr(data, "vertical_partition", partition)
+    cfg = tiny_synth_config(**overrides)
+    ds = synth_generate(cfg, seed=5).train
+    assert len(tables) == 1  # synthetic data goes through the one partition path
+    _assert_partitioned(ds, tables[0])
+    for view in ds.parties.values():
+        assert view.n == cfg.n_local
+        # each party scales by its own local rows, so every column spans [0, 1]
+        np.testing.assert_array_equal(view.num.min(axis=0), np.zeros(view.num.shape[1]))
+        np.testing.assert_array_equal(view.num.max(axis=0), np.ones(view.num.shape[1]))
+
+
+# where the package may build a PartyView: the one partition path, and the
+# cache reader that restores the views it built
+PARTY_VIEW_BUILDERS = {("data.py", "vertical_partition"), ("data.py", "_bundle_from_cache")}
+
+
+def test_party_views_are_built_only_by_the_partition_and_the_cache_reader():
+    package = Path(vflhlp.__file__).parent
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(), str(path))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "PartyView":
+                continue
+            scope = node
+            while scope in parent and not isinstance(scope, ast.FunctionDef):
+                scope = parent[scope]
+            found.add((module, getattr(scope, "name", "<module>")))
+    assert found == PARTY_VIEW_BUILDERS
+
+
 def test_vertical_partition_labels_follow_ids_not_rows(tmp_path):
     p = tmp_path / "train.csv"
     _write_csv(p, _sample_rows(30)[::-1])  # IDs descend down the file
     table, _ = load_csv(p, _schema(), "id", "label")
-    ds = vertical_partition(table, _schema(), k_parties=2, aligned_count=10, seed=9)
+    ds = vertical_partition(table, _schema(), k_parties=2, aligned_count=10,
+                            order=stream(9, "partition").permutation(table.n))
     label_of = dict(zip(table.ids.tolist(), table.labels.tolist()))
     assert ds.labels.tolist() == [label_of[i] for i in ds.parties[1].ids.tolist()]
 
 
 def test_vertical_partition_is_seeded(tmp_path):
-    p = tmp_path / "train.csv"
-    _write_csv(p, _sample_rows(30))
-    table, _ = load_csv(p, _schema(), "id", "label")
-    a = vertical_partition(table, _schema(), 2, 10, seed=1)
-    b = vertical_partition(table, _schema(), 2, 10, seed=1)
-    c = vertical_partition(table, _schema(), 2, 10, seed=2)
+    (tmp_path / "train.csv").write_text(CSV_ROWS)
+    (tmp_path / "test.csv").write_text(CSV_ROWS)
+    cfg = load_config(_csv_config(tmp_path))
+    a, b, c = (build_bundle(cfg, seed).train for seed in (1, 1, 2))
     np.testing.assert_array_equal(a.aligned_pool, b.aligned_pool)
     assert not np.array_equal(a.aligned_pool, c.aligned_pool)
 
@@ -335,21 +404,22 @@ def test_vertical_partition_validates(tmp_path):
     p = tmp_path / "train.csv"
     _write_csv(p, _sample_rows(12))
     table, _ = load_csv(p, _schema(), "id", "label")
+    order = stream(1, "partition").permutation(table.n)
     with pytest.raises(DataError):
-        vertical_partition(table, _schema(), 2, 0, seed=1)
+        vertical_partition(table, _schema(), 2, 0, order)
     with pytest.raises(DataError):
-        vertical_partition(table, _schema(), 2, 13, seed=1)
+        vertical_partition(table, _schema(), 2, 13, order)
     schema3 = FeatureSchema(_schema().fields + (
         Field("x3", "numerical", party=3),))
     with pytest.raises(ConfigError, match="party"):
-        vertical_partition(table, schema3, 2, 4, seed=1)
+        vertical_partition(table, schema3, 2, 4, order)
 
 
 def test_split_from_table_keeps_all_rows(tmp_path):
     p = tmp_path / "eval.csv"
     _write_csv(p, _sample_rows(12))
     table, _ = load_csv(p, _schema(), "id", "label")
-    split = split_from_table(table, _schema(), 2)
+    split = split_from_table(table, _schema(), 2, np.arange(12))
     assert split.n == 12
     np.testing.assert_array_equal(split.cat[1][:, 0], table.cat[:, 0])
     np.testing.assert_array_equal(split.num[2][:, 0], table.num[:, 1])
