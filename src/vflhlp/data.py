@@ -571,40 +571,46 @@ def synth_generate(cfg: SynthConfig, seed: int) -> DatasetBundle:
     schema = cfg.schema()
     cat_fields = tuple(f for f in schema.fields if f.kind == CATEGORICAL)
     num_fields = tuple(f for f in schema.fields if f.kind == NUMERICAL)
-    cat = np.empty((n_total, len(cat_fields)), dtype=np.int64)
-    num = np.empty((n_total, len(num_fields)))
-    rng = stream(seed, "synth")
+    try:
+        cat = np.empty((n_total, len(cat_fields)), dtype=np.int64)
+        num = np.empty((n_total, len(num_fields)))
+        rng = stream(seed, "synth")
 
-    latents = rng.standard_normal((n_total, K))
-    c = m = 0  # next categorical and numerical column
-    for k in range(K):
-        u = latents[:, k]
-        for _ in range(cfg.num_fields_per_party[k]):
-            num[:, m] = u + cfg.feature_noise * rng.standard_normal(n_total)
-            m += 1
-        for _ in range(cfg.cat_fields_per_party[k]):
-            noisy = u + cfg.feature_noise * rng.standard_normal(n_total)
-            cat[:, c] = _quantile_buckets(noisy, cfg.cardinality - 1)
-            c += 1
+        latents = rng.standard_normal((n_total, K))
+        c = m = 0  # next categorical and numerical column
+        for k in range(K):
+            u = latents[:, k]
+            for _ in range(cfg.num_fields_per_party[k]):
+                num[:, m] = u + cfg.feature_noise * rng.standard_normal(n_total)
+                m += 1
+            for _ in range(cfg.cat_fields_per_party[k]):
+                noisy = u + cfg.feature_noise * rng.standard_normal(n_total)
+                cat[:, c] = _quantile_buckets(noisy, cfg.cardinality - 1)
+                c += 1
 
-    v = np.asarray(cfg.party_signal, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        logit_parts = np.zeros((n_total, K))
-    else:
-        logit_parts = latents * (v / norm) / cfg.label_noise
-    logits = logit_parts.sum(axis=1)
-    posterior = 1.0 / (1.0 + np.exp(-logits))
-    labels = (rng.uniform(size=n_total) < posterior).astype(np.float64)
+        v = np.asarray(cfg.party_signal, dtype=np.float64)
+        norm = np.linalg.norm(v)
+        if norm == 0:
+            logit_parts = np.zeros((n_total, K))
+        else:
+            logit_parts = latents * (v / norm) / cfg.label_noise
+        logits = logit_parts.sum(axis=1)
+        posterior = 1.0 / (1.0 + np.exp(-logits))
+        labels = (rng.uniform(size=n_total) < posterior).astype(np.float64)
 
-    table = Table(
-        ids=np.arange(n_total, dtype=np.int64),
-        cat=cat,
-        num=num,
-        labels=labels,
-        cat_fields=cat_fields,
-        num_fields=num_fields,
-    )
+        table = Table(
+            ids=np.arange(n_total, dtype=np.int64),
+            cat=cat,
+            num=num,
+            labels=labels,
+            cat_fields=cat_fields,
+            num_fields=num_fields,
+        )
+    except MemoryError:
+        raise ConfigError(
+            f"data.synth: not enough memory to draw its table of {n_total} rows x "
+            f"{len(cat_fields) + len(num_fields)} columns"
+        ) from None
     # the n_validation rows after the training rows are drawn and never used
     order = stream(seed, "synth", "assign").permutation(n_total)
     train = vertical_partition(table, schema, K, cfg.aligned_pool, order[:n_train])
@@ -661,7 +667,7 @@ def read_json_object(path, error: type[Exception] = DataError) -> dict:
         raise error(f"{path}: file not found") from None
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise error(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise error(f"{path}: not a JSON object")

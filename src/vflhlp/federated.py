@@ -10,11 +10,11 @@ where the constraint is half the squared distance between the active
 party's current parameters (its encoder, plus the head columns acting on
 its representation block and the head bias) and the frozen weights from
 its local pre-training run. The server computes all gradients with the
-pre-update head, updates the head with eta1, then returns each party the
-gradient of the loss w.r.t. its representation block; parties backprop and
-update with eta2. All cross-boundary payloads go through the transport log
-so tests can audit that no raw feature column or label vector ever leaves
-its owner.
+pre-update head and returns each party the gradient of the loss w.r.t. its
+representation block; parties backprop. Then every model steps at once:
+the head with eta1 and the parties with eta2. All cross-boundary payloads
+go through the transport log so tests can audit that no raw feature column
+or label vector ever leaves its owner.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .nn import (
     make_optimizer,
     sigmoid,
 )
-from .nn.layers import EncoderSpec
+from .nn.layers import EncoderSpec, ModelSet
 from .nn.optim import check_schedule
 from .rng import stream
 from .sup_pretrain import ActivePretrained, SupConfig, pretrain_active
@@ -255,11 +255,9 @@ def total_loss(loss_vfl: float, loss_cons: float, beta: float) -> float:
 class PartyNode:
     """One party's side of a round: encode a batch, backprop the reply."""
 
-    def __init__(self, party_id: int, encoder: TabularEncoder, optimizer: str):
+    def __init__(self, party_id: int, encoder: TabularEncoder):
         self.party_id = party_id
         self.encoder = encoder
-        self.optimizer = make_optimizer(optimizer)
-        self._layouts = {"encoder": encoder.layout}
         self._tape = None
 
     def forward(self, batch: AlignedBatch, round_index: int) -> RepresentationMsg:
@@ -269,22 +267,18 @@ class PartyNode:
         self._tape = tape
         return RepresentationMsg(round_index, self.party_id, rep)
 
-    def backward(self, msg: GradientMsg) -> np.ndarray:
-        """The encoder's flat parameter gradient for this round's reply."""
+    def backward(self, msg: GradientMsg, out: np.ndarray | None = None) -> np.ndarray:
+        """The encoder's flat parameter gradient for this round's reply,
+        written into `out` when given."""
         if self._tape is None:
             raise TrainingError(f"party {self.party_id}: backward before forward")
         if msg.party_id != self.party_id:
             raise TrainingError(
                 f"party {self.party_id} received gradients for party {msg.party_id}"
             )
-        grad = self.encoder.backward(self._tape, msg.values)
+        grad = self.encoder.backward(self._tape, msg.values, out=out)
         self._tape = None
         return grad
-
-    def apply_update(self, grad: np.ndarray, lr: float) -> None:
-        self.optimizer.step(
-            {"encoder": self.encoder.theta}, {"encoder": grad}, lr, self._layouts
-        )
 
 
 class ServerNode:
@@ -303,7 +297,6 @@ class ServerNode:
         beta: float,
         eta1: float,
         eta2: float,
-        optimizer: str = "adam",
         encoder_anchor: np.ndarray | None = None,
         head_anchor: dict[str, np.ndarray] | None = None,
     ):
@@ -322,8 +315,6 @@ class ServerNode:
         self.beta = beta
         self.eta1 = eta1
         self.eta2 = eta2
-        self.optimizer = make_optimizer(optimizer)
-        self._layouts = {"head": head.layout}
         # entries of head.theta that act on party 1's block: its weight
         # columns, then the bias
         sl = self.rep_slices[1]
@@ -344,10 +335,26 @@ class ServerNode:
         """What the constraint pulls toward `anchors`, given party 1's encoder."""
         return {"encoder": encoder.theta, "head": self.head.theta[self.head_active]}
 
-    def apply_update(self, grad: np.ndarray) -> None:
-        self.optimizer.step(
-            {"head": self.head.theta}, {"head": grad}, self.eta1, self._layouts
-        )
+
+class Federation(ModelSet):
+    """The parties and the server of one run, with the head and each party's
+    encoder, in id order, as one ModelSet ("head", "party<k>"): the nodes'
+    models are replaced by the ones over its slices. `lr` is eta1 on the
+    head's entries and eta2 on the parties', so a round takes one step."""
+
+    def __init__(
+        self, parties: dict[int, PartyNode], server: ServerNode, optimizer: str = "adam"
+    ):
+        self.ids = sorted(parties)
+        encoders = {f"party{k}": parties[k].encoder for k in self.ids}
+        super().__init__({"head": server.head, **encoders})
+        server.head = self.models["head"]
+        for k in self.ids:
+            parties[k].encoder = self.models[f"party{k}"]
+        self.parties, self.server = parties, server
+        self.lr = np.full(self.theta.size, server.eta2)
+        self.lr[self.spans["head"]] = server.eta1
+        self.optimizer = make_optimizer(optimizer)
 
 
 @dataclass
@@ -358,8 +365,7 @@ class RoundStats:
 
 
 def run_round(
-    parties: dict[int, PartyNode],
-    server: ServerNode,
+    fed: Federation,
     batch: AlignedBatch,
     mode: TrainMode,
     round_index: int,
@@ -369,32 +375,35 @@ def run_round(
     """One synchronized round of split training.
 
     Gradients for the head and for every representation block are computed
-    from the pre-update head weights; the head then steps with eta1 and the
-    parties with eta2. Returns the round's stats and the flat gradient of
-    the total loss for each model, keyed "head" and "party{k}" (split one
-    by name with the model's `grads_dict`). With apply_updates=False this
-    is a pure gradient evaluation, which is what the finite-difference
-    checks drive. The batch labels and the anchors' names and shapes are
-    not checked here: `train_downstream` checks them once per cell.
+    from the pre-update head weights; then one optimizer step moves the head
+    with eta1 and the parties with eta2. Returns the round's stats and the
+    flat gradient of the total loss for each model, keyed "head" and
+    "party{k}" (split one by name with the model's `grads_dict`): slices of
+    `fed.grad`, which the next round overwrites. With apply_updates=False
+    this is a pure gradient evaluation, into a new buffer, which is what the
+    finite-difference checks drive. The batch labels and the anchors' names
+    and shapes are not checked here: `train_downstream` checks them once.
     """
     if not mode.is_federated:
         raise ConfigError(f"mode {mode.value} does not run the split protocol")
+    parties, server = fed.parties, fed.server
     constrained = mode.uses_constraint
     if constrained and server.anchors is None:
         raise TrainingError(
             f"mode {mode.value} needs pre-trained anchors for the active party"
         )
+    grads = fed.grads if apply_updates else fed.split(np.empty_like(fed.grad))
 
-    ids = sorted(parties)
     reps = []
-    for k in ids:
+    for k in fed.ids:
         msg = parties[k].forward(batch, round_index)
         transport.record(msg)
         reps.append(msg.values)
     h = np.concatenate(reps, axis=1)
     logits, head_tape = server.head.forward(h)
     loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels, check=False)
-    head_grad, dh = server.head.backward(head_tape, dlogits[:, None])
+    head_grad = grads["head"]
+    _, dh = server.head.backward(head_tape, dlogits[:, None], out=head_grad)
 
     loss_cons = 0.0
     if constrained:
@@ -404,19 +413,14 @@ def run_round(
         head_grad[server.head_active] += server.beta * cons_grads["head"]
     loss = total_loss(loss_vfl, loss_cons, server.beta if constrained else 0.0)
 
-    grads = {"head": head_grad}
-    if apply_updates:
-        server.apply_update(head_grad)
-
-    for k in ids:
+    for k in fed.ids:
         gmsg = GradientMsg(round_index, k, dh[:, server.rep_slices[k]])
         transport.record(gmsg)
-        grad = parties[k].backward(gmsg)
-        if constrained and k == 1:
-            grad = grad + server.beta * cons_grads["encoder"]
-        grads[f"party{k}"] = grad
-        if apply_updates:
-            parties[k].apply_update(grad, server.eta2)
+        parties[k].backward(gmsg, out=grads[f"party{k}"])
+    if constrained:
+        grads["party1"] += server.beta * cons_grads["encoder"]
+    if apply_updates:
+        fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
 
     return RoundStats(loss=loss, loss_vfl=loss_vfl, loss_cons=loss_cons), grads
 
@@ -564,7 +568,7 @@ def train_downstream(
             encoder.set_params(pretrained.passive[k])
         if k == 1 and cfg.warm_start_active:
             encoder.set_params(pretrained.active.encoder_params)
-        parties[k] = PartyNode(k, encoder, cfg.optimizer)
+        parties[k] = PartyNode(k, encoder)
 
     rep_dims = {k: specs[k].rep_dim for k in party_ids}
     head = Mlp.init(
@@ -584,10 +588,10 @@ def train_downstream(
         beta=cfg.beta,
         eta1=cfg.eta1,
         eta2=cfg.eta2,
-        optimizer=cfg.optimizer,
         encoder_anchor=encoder_anchor,
         head_anchor=head_anchor,
     )
+    fed = Federation(parties, server, cfg.optimizer)
 
     if mode.uses_constraint:  # names and shapes, once; the rounds skip the checks
         constraint_loss(server.constraint_params(parties[1].encoder), server.anchors)
@@ -598,8 +602,10 @@ def train_downstream(
     perm = stream(cfg.seed, "downstream", "val-split").permutation(aligned.size)
     if n_val == aligned.size:
         raise TrainingError("aligned set too small for the validation fraction")
-    # the cell's rows, gathered once; each epoch permutes and slices them
+    # the cell's rows, gathered and resolved to embedding rows once; each epoch
+    # permutes and slices them
     pool = ds.gather(aligned[perm[n_val:]])
+    pool.cat = {k: parties[k].encoder.resolve(cat) for k, cat in pool.cat.items()}
     val_batch = ds.gather(aligned[perm[:n_val]]) if n_val else None
 
     transport = TransportLog()
@@ -609,9 +615,7 @@ def train_downstream(
         batches = sample_aligned_batches(pool, cfg.batch_size, cfg.seed, epoch)
         loss = loss_vfl = loss_cons = 0.0  # every pool row is in one batch an epoch
         for batch in batches:
-            stats, _ = run_round(
-                parties, server, batch, mode, round_index, transport
-            )
+            stats, _ = run_round(fed, batch, mode, round_index, transport)
             round_index += 1
             loss += stats.loss * batch.n
             loss_vfl += stats.loss_vfl * batch.n

@@ -76,7 +76,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             return _read(fh, os.fstat(fh.fileno()).st_size, path)
     except OSError as exc:
         raise DataError(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from None
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (struct.error, ValueError, RecursionError) as exc:  # bad JSON or UTF-8 too
         raise DataError(f"{path}: corrupt checkpoint: {exc}") from None
 
 

@@ -16,10 +16,10 @@ the model.
 
 A forward pass returns its output and a tape, a plain tuple of what the
 backward pass reads: `(inputs, preacts)` per layer for an Mlp, and
-`(embedding rows, mlp tape)` for a TabularEncoder. `TabularEncoder.backward`
-returns one flat gradient laid out like theta. The passes take numpy arrays
-and check their shapes, not their dtypes: the data layer builds float64
-arrays, so nothing is re-cast per call.
+`(embedding rows, mlp tape)` for a TabularEncoder. A backward pass returns
+one flat gradient laid out like theta, written into `out` when given. The
+passes take numpy arrays and check their shapes, not their dtypes: the data
+layer builds float64 arrays, so nothing is re-cast per call.
 """
 from __future__ import annotations
 
@@ -116,6 +116,29 @@ class FlatParams:
         return self.layout.views(grad)
 
 
+class ModelSet:
+    """Models copied into consecutive slices of one float64 vector, `theta`,
+    and laid over them again as `models`. `layout` names each entry
+    "<model>.<tensor>"; `grads` holds each model's slice of `grad`, a buffer
+    laid out like theta for the backward passes to write into."""
+
+    def __init__(self, models: dict[str, FlatParams]):
+        self.layout = ParamLayout({f"{name}.{t}": shape for name, m in models.items()
+                                   for t, shape in zip(m.layout.names, m.layout.shapes)})
+        self.theta = np.concatenate([m.theta for m in models.values()])
+        self.grad = np.empty_like(self.theta)
+        self.spans, self.models, start = {}, {}, 0
+        for name, m in models.items():
+            span = self.spans[name] = slice(start, start + m.layout.size)
+            cls, (shape, _) = m.__reduce__()  # (class, (dims or spec, theta))
+            self.models[name], start = cls(shape, self.theta[span]), span.stop
+        self.grads = self.split(self.grad)
+
+    def split(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Each model's slice of a vector laid out like theta."""
+        return {name: vec[span] for name, span in self.spans.items()}
+
+
 def _mlp_shapes(dims: list[int]) -> dict[str, tuple[int, ...]]:
     if len(dims) < 2:
         raise SchemaError("dims must list at least input and output size")
@@ -173,11 +196,13 @@ class Mlp(FlatParams):
         return x, (inputs, preacts)
 
     def backward(
-        self, tape: tuple[list, list], upstream: np.ndarray, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, tape: tuple[list, list], upstream: np.ndarray,
+        out: np.ndarray | None = None, input_grad: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Return (flat parameter gradient laid out like theta, input gradient).
 
         The gradient is written into `out` when given, else into a new vector.
+        With input_grad=False the input gradient is not computed: None.
         """
         inputs, preacts = tape
         if upstream.shape != preacts[-1].shape:
@@ -193,8 +218,14 @@ class Mlp(FlatParams):
             (w, _), (a, m, b) = self._layers[i], self._spans[i]
             dz.T.dot(inputs[i], out=grad[a:m].reshape(w.shape))
             np.add.reduce(dz, axis=0, out=grad[m:b])
-            d = dz.dot(w)
+            d = dz.dot(w) if i or input_grad else None
         return grad, d
+
+
+class BlockRows(np.ndarray):
+    """Categorical values already mapped to rows of one EmbeddingTable's block
+    by `EmbeddingTable.resolve`. Indexing and slicing keep the type, so a run
+    resolves a table once and each batch's lookup is one `take`."""
 
 
 class EmbeddingTable:
@@ -247,12 +278,9 @@ class EmbeddingTable:
     def out_dim(self) -> int:
         return len(self.field_names) * self.embed_dim
 
-    def lookup(self, cat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather per-field rows: ([n, n_fields * embed_dim], block rows [n, n_fields]).
-
-        Out-of-range and negative indices fall into the field's unseen bucket.
-        The returned block rows are what `backward` takes.
-        """
+    def resolve(self, cat: np.ndarray) -> BlockRows:
+        """Block rows [n, n_fields] of categorical values [n, n_fields]; out-of-range
+        and negative values fall into the field's unseen bucket."""
         cat = np.asarray(cat)
         if cat.ndim != 2 or cat.shape[1] != len(self.field_names):
             raise SchemaError(
@@ -261,8 +289,16 @@ class EmbeddingTable:
         idx = cat.astype(np.int64, copy=False)
         # as unsigned, negative indices are huge, so one comparison catches both ends
         bad = idx.view(np.uint64) >= self.cards
-        rows = np.where(bad, 0, idx) + self.offsets
-        return self.block.take(rows, axis=0).reshape(cat.shape[0], self.out_dim), rows
+        return (np.where(bad, 0, idx) + self.offsets).view(BlockRows)
+
+    def lookup(self, cat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gather per-field rows: ([n, n_fields * embed_dim], block rows [n, n_fields]).
+
+        `cat` is categorical values, resolved here, or this table's BlockRows.
+        The returned block rows are what `backward` takes.
+        """
+        rows = cat if type(cat) is BlockRows else self.resolve(cat)
+        return self.block.take(rows, axis=0).reshape(rows.shape[0], self.out_dim), rows
 
     def backward(
         self, rows: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None
@@ -353,8 +389,14 @@ class TabularEncoder(FlatParams):
     def rep_dim(self) -> int:
         return self.spec.rep_dim
 
+    def resolve(self, cat: np.ndarray | None):
+        """`cat` as BlockRows (as is without embeddings), for rows a run feeds
+        `forward` again and again."""
+        return cat if self.embed is None else self.embed.resolve(cat)
+
     def forward(self, cat: np.ndarray | None, num: np.ndarray | None):
-        """Embed + concat + mlp. Returns (representation, (embedding rows, mlp tape))."""
+        """Embed + concat + mlp. Returns (representation, (embedding rows, mlp tape)).
+        `cat` is categorical values or their BlockRows from `resolve`."""
         parts = []
         rows = None
         if self.embed is not None:
@@ -376,12 +418,17 @@ class TabularEncoder(FlatParams):
         out, mlp_tape = self.mlp.forward(x)
         return out, (rows, mlp_tape)
 
-    def backward(self, tape: tuple, upstream: np.ndarray) -> np.ndarray:
-        """The parameter gradient as a new vector laid out like theta."""
+    def backward(
+        self, tape: tuple, upstream: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The parameter gradient laid out like theta, written into `out` when
+        given, else into a new vector."""
         rows, mlp_tape = tape
-        grad = np.empty(self.layout.size)
+        grad = np.empty(self.layout.size) if out is None else out
         e = self.embed_size
-        _, dx = self.mlp.backward(mlp_tape, upstream, out=grad[e:])
+        _, dx = self.mlp.backward(
+            mlp_tape, upstream, out=grad[e:], input_grad=self.embed is not None
+        )
         if self.embed is not None:
             self.embed.backward(
                 rows,

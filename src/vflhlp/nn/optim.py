@@ -1,10 +1,11 @@
-"""Plain SGD and Adam over named parameter dicts.
+"""Plain SGD and Adam over one flat parameter vector.
 
-Optimizers mutate the parameter arrays in place. State is keyed by
-parameter name so the same optimizer instance can be checkpointed and the
-update sequence replayed bit-for-bit. An entry may be a model's whole flat
-parameter vector; pass its ParamLayout in `layouts` so a non-finite
-gradient is reported by the tensor that holds it.
+A step updates `theta` in place from `grad`, laid out the same way, with a
+learning rate that is one number or one per entry. Every operation works
+element by element, so one step over a vector that concatenates several
+models (a `ModelSet`) moves each of them exactly as a step of its own would.
+Pass the vector's ParamLayout so a non-finite gradient is reported by the
+tensor that holds it.
 """
 from __future__ import annotations
 
@@ -15,17 +16,12 @@ from .layers import ParamLayout
 
 
 def _check_finite(
-    grads: dict[str, np.ndarray],
-    layouts: dict[str, ParamLayout] | None,
-    what: str = "gradient",
+    g: np.ndarray, layout: ParamLayout | None, what: str = "gradient"
 ) -> None:
-    for name, g in grads.items():
-        if not np.logical_and.reduce(np.isfinite(g), axis=None):
-            layout = (layouts or {}).get(name)
-            if layout is not None:
-                first = int(np.flatnonzero(~np.isfinite(g))[0])
-                name = f"{name}.{layout.name_at(first)}"
-            raise TrainingError(f"non-finite {what} for parameter {name!r}")
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
+        first = int(np.flatnonzero(~np.isfinite(g))[0])
+        where = f"entry {first}" if layout is None else repr(layout.name_at(first))
+        raise TrainingError(f"non-finite {what} for parameter {where}")
 
 
 class SgdOptimizer:
@@ -33,57 +29,51 @@ class SgdOptimizer:
 
     def step(
         self,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        lr: float,
-        layouts: dict[str, ParamLayout] | None = None,
+        theta: np.ndarray,
+        grad: np.ndarray,
+        lr: float | np.ndarray,
+        layout: ParamLayout | None = None,
     ) -> None:
-        _check_finite(grads, layouts)
-        for name, p in params.items():
-            p -= lr * grads[name]
+        _check_finite(grad, layout)
+        theta -= lr * grad
 
 
 class AdamOptimizer:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8.
+    The moments `m` and `v` are laid out like the vector it first steps."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
     def step(
         self,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        lr: float,
-        layouts: dict[str, ParamLayout] | None = None,
+        theta: np.ndarray,
+        grad: np.ndarray,
+        lr: float | np.ndarray,
+        layout: ParamLayout | None = None,
     ) -> None:
-        _check_finite(grads, layouts)
+        _check_finite(grad, layout)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        steps = []
-        for name, p in params.items():
-            g = grads[name]
-            m = self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            v_hat = v / c2
-            # a finite gradient above about 1e154 squares past the float64 range
-            _check_finite({name: v_hat}, layouts, "gradient square (gradient too large)")
-            steps.append((p, m, v_hat))
-        for p, m, v_hat in steps:  # no parameter moves unless every one can
-            p -= lr * (m / c1) / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        v_hat = v / c2
+        # a finite gradient above about 1e154 squares past the float64 range;
+        # no entry moves unless every one can
+        _check_finite(v_hat, layout, "gradient square (gradient too large)")
+        theta -= lr * (m / c1) / (np.sqrt(v_hat) + self.eps)
 
 
 OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}

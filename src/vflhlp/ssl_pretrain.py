@@ -16,7 +16,7 @@ import numpy as np
 from .data import PartyView
 from .errors import ConfigError, SchemaError, TrainingError
 from .nn import Mlp, TabularEncoder, make_optimizer
-from .nn.layers import EncoderSpec
+from .nn.layers import EncoderSpec, ModelSet
 from .nn.optim import check_schedule
 from .rng import stream
 
@@ -235,17 +235,17 @@ def pretrain_passive(
             "self-supervised pre-training targets passive parties (party id > 1)"
         )
     k = view.party_id
-    encoder = spec.build(stream(seed, "ssl", k, "init-encoder"))
-    projection = Mlp.init(
-        stream(seed, "ssl", k, "init-projection"),
-        [spec.rep_dim, *cfg.projection_hidden, spec.rep_dim],
-    )
+    net = ModelSet({"enc": spec.build(stream(seed, "ssl", k, "init-encoder")),
+                    "proj": Mlp.init(stream(seed, "ssl", k, "init-projection"),
+                                     [spec.rep_dim, *cfg.projection_hidden, spec.rep_dim])})
+    encoder, projection = net.models.values()
+    # the clean view's gradient goes into net.grad, the corrupted view's here
+    corr_grad = np.empty_like(net.grad)
+    clean, corr = net.grads, net.split(corr_grad)
     marginals = CorruptionModel.fit(view, cfg.corruption_rate)
     corrupt_rng = stream(seed, "ssl", k, "corruption")
     probe_rng = stream(seed, "ssl", k, "probe")
     optimizer = make_optimizer(cfg.optimizer)
-    params = {"enc": encoder.theta, "proj": projection.theta}
-    layouts = {"enc": encoder.layout, "proj": projection.layout}
 
     def batch_loss(rows: np.ndarray, rng, update: bool) -> float:
         cat = view.cat[rows]
@@ -257,12 +257,12 @@ def pretrain_passive(
         zt, ptape_corr = projection.forward(r_corr)
         result = contrastive_batch(z, zt, cfg.temperature)
         if update:
-            pg_clean, dr_clean = projection.backward(ptape_clean, result.grad_z)
-            pg_corr, dr_corr = projection.backward(ptape_corr, result.grad_z_tilde)
-            eg_clean = encoder.backward(tape_clean, dr_clean)
-            eg_corr = encoder.backward(tape_corr, dr_corr)
-            grads = {"enc": eg_clean + eg_corr, "proj": pg_clean + pg_corr}
-            optimizer.step(params, grads, cfg.learning_rate, layouts)
+            _, dr_clean = projection.backward(ptape_clean, result.grad_z, clean["proj"])
+            _, dr_corr = projection.backward(ptape_corr, result.grad_z_tilde, corr["proj"])
+            encoder.backward(tape_clean, dr_clean, out=clean["enc"])
+            encoder.backward(tape_corr, dr_corr, out=corr["enc"])
+            net.grad += corr_grad
+            optimizer.step(net.theta, net.grad, cfg.learning_rate, net.layout)
         return result.loss
 
     def epoch_pass(epoch: int, rng, update: bool) -> float:

@@ -15,7 +15,7 @@ from .data import PartyView
 from .errors import ConfigError, DataError, TrainingError, UndefinedMetricError
 from .metrics import auc
 from .nn import Mlp, TabularEncoder, bce_with_logits, check_labels, make_optimizer, sigmoid
-from .nn.layers import EncoderSpec
+from .nn.layers import EncoderSpec, ModelSet
 from .nn.optim import check_schedule
 from .rng import stream
 
@@ -78,11 +78,11 @@ def pretrain_active(
     if labels.shape != view.ids.shape:
         raise DataError("labels must cover exactly the party's local rows")
 
-    encoder = spec.build(stream(seed, "sup", "init-encoder"))
-    head = Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1])
+    net = ModelSet({"enc": spec.build(stream(seed, "sup", "init-encoder")),
+                    "head": Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1])})
+    (encoder, head), (enc_grad, head_grad) = net.models.values(), net.grads.values()
     optimizer = make_optimizer(cfg.optimizer)
-    params = {"enc": encoder.theta, "head": head.theta}
-    layouts = {"enc": encoder.layout, "head": head.layout}
+    cat_rows = encoder.resolve(view.cat)  # once; each step only gathers
 
     n_val = int(round(cfg.val_fraction * view.n))
     perm = stream(seed, "sup", "val-split").permutation(view.n)
@@ -91,7 +91,7 @@ def pretrain_active(
         raise DataError("no training rows left after validation split")
 
     def predict(rows: np.ndarray) -> np.ndarray:
-        rep, _ = encoder.forward(view.cat[rows], view.num[rows])
+        rep, _ = encoder.forward(cat_rows[rows], view.num[rows])
         logits, _ = head.forward(rep)
         return sigmoid(logits[:, 0])
 
@@ -100,18 +100,16 @@ def pretrain_active(
     for epoch in range(1, cfg.epochs + 1):
         order = stream(seed, "sup", "shuffle", epoch).permutation(train_rows.size)
         shuffled = train_rows[order]
-        cat, num, y = view.cat[shuffled], view.num[shuffled], labels[shuffled]
+        cat, num, y = cat_rows[shuffled], view.num[shuffled], labels[shuffled]
         total, count = 0.0, 0
         for i in range(0, shuffled.size, cfg.batch_size):
             rows = slice(i, i + cfg.batch_size)
             rep, enc_tape = encoder.forward(cat[rows], num[rows])
             logits, head_tape = head.forward(rep)
             loss, dlogits = bce_with_logits(logits[:, 0], y[rows], check=False)
-            head_grad, drep = head.backward(head_tape, dlogits[:, None])
-            enc_grad = encoder.backward(enc_tape, drep)
-            optimizer.step(
-                params, {"enc": enc_grad, "head": head_grad}, cfg.learning_rate, layouts
-            )
+            _, drep = head.backward(head_tape, dlogits[:, None], out=head_grad)
+            encoder.backward(enc_tape, drep, out=enc_grad)
+            optimizer.step(net.theta, net.grad, cfg.learning_rate, net.layout)
             total += loss * dlogits.size
             count += dlogits.size
         trace.append(total / count)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from vflhlp.data import AlignedBatch, SynthConfig, VerticalDataset, synth_generate
-from vflhlp.federated import PartyNode, ServerNode, TrainMode, TransportLog, run_round
+from vflhlp.federated import (
+    Federation, PartyNode, ServerNode, TrainMode, TransportLog, run_round,
+)
 from vflhlp.nn import EncoderSpec, Mlp, TabularEncoder
 from vflhlp.rng import stream
 
@@ -120,30 +122,30 @@ def mlp_away_from_kinks(dims: list[int], x: np.ndarray, seed: int,
 def build_federation(ds: VerticalDataset, specs, beta: float, seed: int,
                      optimizer: str = "adam", eta1: float = 1e-3,
                      eta2: float = 1e-3, encoder_anchor=None, head_anchor=None,
-                     head_seed_path: tuple = ("head",)):
-    """Fresh PartyNodes plus a ServerNode wired for ds, one per party."""
+                     head_seed_path: tuple = ("head",)) -> Federation:
+    """Fresh PartyNodes plus a ServerNode wired for ds, one per party, as
+    one Federation."""
     parties = {
-        k: PartyNode(k, specs[k].build(stream(seed, "party-init", k)), optimizer)
+        k: PartyNode(k, specs[k].build(stream(seed, "party-init", k)))
         for k in sorted(specs)
     }
     rep_dims = {k: specs[k].rep_dim for k in specs}
     head = Mlp.init(stream(seed, *head_seed_path), [sum(rep_dims.values()), 1])
     server = ServerNode(head, rep_dims, beta=beta, eta1=eta1, eta2=eta2,
-                        optimizer=optimizer, encoder_anchor=encoder_anchor,
-                        head_anchor=head_anchor)
-    return parties, server
+                        encoder_anchor=encoder_anchor, head_anchor=head_anchor)
+    return Federation(parties, server, optimizer)
 
 
-def split_round_grads(flat, parties, server) -> dict[str, np.ndarray]:
+def split_round_grads(flat, fed: Federation) -> dict[str, np.ndarray]:
     """run_round's flat gradients as "head.<name>" and "party<k>.<name>" arrays."""
-    grads = {f"head.{n}": g for n, g in server.head.grads_dict(flat["head"]).items()}
-    for k, node in parties.items():
+    grads = {f"head.{n}": g for n, g in fed.server.head.grads_dict(flat["head"]).items()}
+    for k, node in fed.parties.items():
         for n, g in node.encoder.grads_dict(flat[f"party{k}"]).items():
             grads[f"party{k}.{n}"] = g
     return grads
 
 
-def round_loss_setup(parties, server, batch: AlignedBatch, mode: TrainMode):
+def round_loss_setup(fed: Federation, batch: AlignedBatch, mode: TrainMode):
     """Closures for finite-difference checks over one federated round.
 
     Returns (loss_fn, grads_fn, params) where params holds the live
@@ -151,20 +153,18 @@ def round_loss_setup(parties, server, batch: AlignedBatch, mode: TrainMode):
     split_round_grads names run_round's gradients.
     """
     params: dict[str, np.ndarray] = {}
-    for name, arr in server.head.params().items():
+    for name, arr in fed.server.head.params().items():
         params[f"head.{name}"] = arr
-    for k, node in parties.items():
+    for k, node in fed.parties.items():
         for name, arr in node.encoder.params().items():
             params[f"party{k}.{name}"] = arr
 
     def loss_fn() -> float:
-        stats, _ = run_round(parties, server, batch, mode, 0, TransportLog(),
-                             apply_updates=False)
+        stats, _ = run_round(fed, batch, mode, 0, TransportLog(), apply_updates=False)
         return stats.loss
 
     def grads_fn() -> dict[str, np.ndarray]:
-        _, flat = run_round(parties, server, batch, mode, 0, TransportLog(),
-                            apply_updates=False)
-        return split_round_grads(flat, parties, server)
+        _, flat = run_round(fed, batch, mode, 0, TransportLog(), apply_updates=False)
+        return split_round_grads(flat, fed)
 
     return loss_fn, grads_fn, params

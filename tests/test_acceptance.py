@@ -28,6 +28,7 @@ from vflhlp.federated import (
     KIND_GRADIENT,
     KIND_REPRESENTATION,
     DownstreamConfig,
+    Federation,
     PartyNode,
     PretrainedWeights,
     ServerNode,
@@ -121,8 +122,7 @@ def _random_federation(index: int):
     labels = geo.integers(0, 2, size=6).astype(np.float64)
     parties = {
         k: PartyNode(
-            k, encoder_away_from_kinks(specs[k], cat[k], num[k], seed=31 * index + k),
-            "sgd",
+            k, encoder_away_from_kinks(specs[k], cat[k], num[k], seed=31 * index + k)
         )
         for k in specs
     }
@@ -157,11 +157,12 @@ def test_criterion_1_analytic_gradients_match_finite_differences():
         ]
         for label, mode, beta, anchored in variants:
             server = ServerNode(
-                head, rep_dims, beta=beta, eta1=1e-3, eta2=1e-3, optimizer="sgd",
+                head, rep_dims, beta=beta, eta1=1e-3, eta2=1e-3,
                 encoder_anchor=enc_anchor if anchored else None,
                 head_anchor=head_anchor if anchored else None,
             )
-            loss_fn, grads_fn, params = round_loss_setup(parties, server, batch, mode)
+            fed = Federation(parties, server, "sgd")
+            loss_fn, grads_fn, params = round_loss_setup(fed, batch, mode)
             err = grad_check(loss_fn, grads_fn, params)
             worst = max(worst, err)
             assert err < 1e-4, f"model {index}, {label} beta={beta}: rel err {err:.2e}"
@@ -184,9 +185,10 @@ def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
         k: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
         for k in (1, 2, 3)
     }
-    parties, server = build_federation(
+    fed = build_federation(
         train, specs, beta=0.0, seed=18, optimizer="sgd", eta1=2e-3, eta2=1e-3
     )
+    parties, server = fed.parties, fed.server
     clones = {}
     for k, node in parties.items():
         clones[k] = specs[k].build_empty()
@@ -197,7 +199,7 @@ def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
     log = TransportLog()
     worst_loss_gap = 0.0
     for r in range(100):
-        stats, _ = run_round(parties, server, batch, TrainMode.VANILLA_VFL, r, log)
+        stats, _ = run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
         worst_loss_gap = max(worst_loss_gap, abs(stats.loss - mono.step(batch)))
     assert worst_loss_gap < 1e-10
 

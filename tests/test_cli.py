@@ -2,7 +2,11 @@
 import csv
 import hashlib
 import json
+import os
+import resource
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -680,6 +684,28 @@ def test_a_test_split_that_cannot_be_scored_is_a_data_error(tmp_path, out, capsy
     assert "data error" in err and "AUC needs both classes" in err
 
 
+def test_a_synthetic_table_too_large_for_memory_is_a_config_error(tmp_path):
+    # n_local passes the config checks; its 4e12-row table cannot be drawn in
+    # a child process capped at 2 GiB of address space
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(
+        {**TINY, "data": {"synth": {**TINY["data"]["synth"], "n_local": 10**12}}}))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vflhlp.cli", "prepare", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "config error" in proc.stderr and "data.synth" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("damage", ["invalid utf-8", "directory"])
 def test_unreadable_config_is_a_config_error(tmp_path, out, capsys, damage):
     path = tmp_path / "cfg.json"
@@ -728,6 +754,54 @@ def test_unreadable_csv_is_a_data_error(tmp_path, out, capsys, damage):
     assert "data error" in err and str(train_csv) in err
 
 
+# sha256 of each trained model's tensors (name, then bytes, in name order),
+# recorded before the training loops moved to one parameter vector each
+FINAL_PARAMS_SHA256 = {
+    "sgd": {
+        "count20/local_a": "d0c02bf710a22191966bdb3529134dbd847d3f6d16265955d71d105f150a0980",
+        "count20/vanilla_vfl": "f4897085ee267f1faa1173a0716d489f48219633990f191e78e10f48ad23fea0",
+        "count20/vflhlp": "72703324454cf0eb7c5d13644568bd4e7f91f060816f9adefc1414fdd2df5c8b",
+        "count20/vflhlp_a": "05d2ee7930c340bd02c2a0541ec8e4e4bd591f8761d151ba3b4855c6dc1aca05",
+        "count20/vflhlp_p": "ed9e67be5e9070c8518f1966943b70f199c169461d1cbf5695a3afc8d2149518",
+        "count40/local_a": "d0c02bf710a22191966bdb3529134dbd847d3f6d16265955d71d105f150a0980",
+        "count40/vanilla_vfl": "ba10a007da61ff0a1a88b625b4f4048c62237f81f97369111eb2035d3b12772e",
+        "count40/vflhlp": "fe25d0668a71ca61376780521671687cdb950c6f57caf30c5f9e6dbee4252f10",
+        "count40/vflhlp_a": "9468d6260f809d1fca835cbf7c92ae5475faf99678df4511d0a766ba3e155be3",
+        "count40/vflhlp_p": "b385930c417d36b3567d7fae776f6e8aabd3077b341d6fa500b53885d66ce77d",
+    },
+    "adam": {
+        "count20/local_a": "cc649e200cecbf51f958ba8b3a4fc70d6f2ac8c250ef2963bac205b53877231a",
+        "count20/vanilla_vfl": "1469849e2328e8d00c26cd5f7061ae5f5e321f1871c43f55fb7f3b914141e465",
+        "count20/vflhlp": "112cbf86cb8ca641870af032870d374788d232cc2fd7c1d9ede886dd9f15a5f5",
+        "count20/vflhlp_a": "6a2f9babb6094e12fe705f3d0010e9499bdc3a4119c06b32ae04abeb82a063bc",
+        "count20/vflhlp_p": "1f85e23d815a7dd0b7e257a395f33483986c34fe5d2f0d465cf4253a85e22932",
+        "count40/local_a": "cc649e200cecbf51f958ba8b3a4fc70d6f2ac8c250ef2963bac205b53877231a",
+        "count40/vanilla_vfl": "9b05b88a28f7c40bcca7f06b18a80b4c51798d6f57501eb600bb5b391d0ecb77",
+        "count40/vflhlp": "6ed8323e97a9b50b119eb4763bb66c9118fc103648d9b6d506af165d2b96a640",
+        "count40/vflhlp_a": "4b2448a4a70f3bb5b34f360cbdb09fb4268e1aff541828b4f7e02d250b3fbcf6",
+        "count40/vflhlp_p": "0ceb4398cb74e06796b46402875f14e532d73f0fe394f55b29728706812c0891",
+    },
+}
+
+
+@pytest.mark.parametrize("optimizer", FINAL_PARAMS_SHA256)
+def test_every_mode_trains_to_pinned_parameters(tmp_path, optimizer):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(
+        {**TINY, "downstream": {**TINY["downstream"], "optimizer": optimizer}}))
+    for command in ("prepare", "pretrain", "train"):
+        assert run(command, "--config", cfg, "--out", tmp_path / "out") == 0
+    got = {}
+    for path in sorted((tmp_path / "out" / "train" / "seed7").rglob("final.ckpt")):
+        tensors, _ = load_checkpoint(path)
+        digest = hashlib.sha256()
+        for name in sorted(tensors):
+            digest.update(name.encode())
+            digest.update(tensors[name].tobytes())
+        got[f"{path.parent.parent.name}/{path.parent.name}"] = digest.hexdigest()
+    assert got == FINAL_PARAMS_SHA256[optimizer]
+
+
 # ------------------------------------------------------------------ damaged inputs
 
 # Every file a command reads (a row) under every kind of damage that applies to
@@ -740,8 +814,10 @@ DAMAGE = {
     "non-utf8": lambda raw: raw[:2] + b"\xff" + raw[3:],  # in the header of a CSV
     "nested": lambda raw: b"[" * 100_000,
     "wrong-type": lambda raw: b"[]",
+    # past the 4,300 digits Python's decoder turns into an int
+    "huge-int": lambda raw: b'{"label_noise": ' + b"7" * 5000 + b"}",
 }
-JSON_ONLY = ("nested", "wrong-type")
+JSON_ONLY = ("nested", "wrong-type", "huge-int")
 TRAIN_VFLHLP = ("train", "--mode", "vflhlp")
 INPUTS = {  # row: (file in the run directory, format, the command that reads it)
     "config": ("tiny.json", "json", ("prepare",)),
@@ -797,6 +873,7 @@ def test_a_damaged_input_fails_typed_naming_the_file(pristine, tmp_path, capsys,
     expected = (2, "config error") if row == "config" else (3, "data error")
     assert (code, expected[1] in captured.err) == (expected[0], True), captured.err
     assert str(path) in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ------------------------------------------------------------------ unwritable outputs

@@ -5,10 +5,14 @@ model from the layer primitives and verifies the federated rounds track
 it to float tolerance. Constraint math is checked against a naive sum,
 and the transport log is audited for raw-column leaks.
 """
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import vflhlp
 
 from vflhlp.errors import ConfigError, SchemaError, TrainingError
 from vflhlp.federated import (
@@ -132,10 +136,10 @@ def _round_batch(bundle, count=40):
 
 def test_round_messages_are_balanced_and_audited(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=1)
+    fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
     for r in range(4):
-        run_round(parties, server, batch, TrainMode.VANILLA_VFL, r, log)
+        run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
     assert len(log.records) == 4 * 2 * 3
     report = audit_transport(log, train)
     assert report.ok
@@ -152,11 +156,11 @@ def test_log_records_hash_each_payload_in_both_directions(tiny_bundle, specs3):
             super().record(msg)
 
     train, batch = _round_batch(tiny_bundle)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=1)
+    fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = KeepingLog()
     log.kept = []
     for r in range(2):
-        run_round(parties, server, batch, TrainMode.VANILLA_VFL, r, log)
+        run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
     records = log.records
     assert len(records) == len(log.kept) == 2 * 2 * 3
     for rec, msg in zip(records, log.kept):
@@ -172,9 +176,9 @@ def test_log_records_hash_each_payload_in_both_directions(tiny_bundle, specs3):
 
 def test_audit_flags_unbalanced_rounds(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=1)
+    fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
-    run_round(parties, server, batch, TrainMode.VANILLA_VFL, 0, log)
+    run_round(fed, batch, TrainMode.VANILLA_VFL, 0, log)
     assert audit_transport(log, train).balanced_rounds
     log.record(GradientMsg(0, 2, np.zeros((3, 4))))  # a fourth reply in round 0
     report = audit_transport(log, train)
@@ -184,9 +188,9 @@ def test_audit_flags_unbalanced_rounds(tiny_bundle, specs3):
 
 def test_audit_flags_raw_column_and_label_leaks(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=1)
+    fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
-    run_round(parties, server, batch, TrainMode.VANILLA_VFL, 0, log)
+    run_round(fed, batch, TrainMode.VANILLA_VFL, 0, log)
     # a payload that is byte-for-byte one party's raw numerical column
     col = train.parties[2].num[:, 1]
     log.record(RepresentationMsg(1, 2, col.reshape(-1, 1)))
@@ -206,9 +210,9 @@ def test_audit_flags_raw_column_and_label_leaks(tiny_bundle, specs3):
 
 def test_round_gradients_match_fd_unconstrained(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=12)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=3)
+    fed = build_federation(train, specs3, beta=0.0, seed=3)
     loss_fn, grads_fn, params = round_loss_setup(
-        parties, server, batch, TrainMode.VANILLA_VFL
+        fed, batch, TrainMode.VANILLA_VFL
     )
     assert grad_check(loss_fn, grads_fn, params) < 1e-4
 
@@ -220,23 +224,23 @@ def test_round_gradients_match_fd_with_constraint(tiny_bundle, specs3, pretraine
         "weight": pretrained.active.head_params["0.weight"].copy(),
         "bias": pretrained.active.head_params["0.bias"].copy(),
     }
-    parties, server = build_federation(
+    fed = build_federation(
         train, specs3, beta=0.7, seed=3,
         encoder_anchor=anchors, head_anchor=head_anchor,
     )
     loss_fn, grads_fn, params = round_loss_setup(
-        parties, server, batch, TrainMode.VFLHLP
+        fed, batch, TrainMode.VFLHLP
     )
     assert grad_check(loss_fn, grads_fn, params) < 1e-4
 
 
 def test_round_collected_grad_names(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=10)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=4)
-    _, flat = run_round(parties, server, batch, TrainMode.VANILLA_VFL, 0,
+    fed = build_federation(train, specs3, beta=0.0, seed=4)
+    _, flat = run_round(fed, batch, TrainMode.VANILLA_VFL, 0,
                         TransportLog(), apply_updates=False)
     assert set(flat) == {"head", "party1", "party2", "party3"}
-    names = set(split_round_grads(flat, parties, server))
+    names = set(split_round_grads(flat, fed))
     assert "head.0.weight" in names and "head.0.bias" in names
     for k in (1, 2, 3):
         assert f"party{k}.mlp.0.weight" in names
@@ -245,11 +249,11 @@ def test_round_collected_grad_names(tiny_bundle, specs3):
 
 def test_round_rejects_local_mode_and_missing_anchors(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=10)
-    parties, server = build_federation(train, specs3, beta=0.5, seed=5)
+    fed = build_federation(train, specs3, beta=0.5, seed=5)
     with pytest.raises(ConfigError):
-        run_round(parties, server, batch, TrainMode.LOCAL_A, 0, TransportLog())
+        run_round(fed, batch, TrainMode.LOCAL_A, 0, TransportLog())
     with pytest.raises(TrainingError):
-        run_round(parties, server, batch, TrainMode.VFLHLP, 0, TransportLog())
+        run_round(fed, batch, TrainMode.VFLHLP, 0, TransportLog())
 
 
 def test_first_round_constraint_is_zero_when_started_at_anchors(
@@ -261,15 +265,16 @@ def test_first_round_constraint_is_zero_when_started_at_anchors(
         "weight": pretrained.active.head_params["0.weight"].copy(),
         "bias": pretrained.active.head_params["0.bias"].copy(),
     }
-    parties, server = build_federation(
+    fed = build_federation(
         train, specs3, beta=2.0, seed=6,
         encoder_anchor=anchors, head_anchor=head_anchor,
     )
+    parties, server = fed.parties, fed.server
     parties[1].encoder.set_params(pretrained.active.encoder_params)
     sl = server.rep_slices[1]
     server.head.params()["0.weight"][:, sl] = head_anchor["weight"]
     server.head.params()["0.bias"][:] = head_anchor["bias"]
-    stats, _ = run_round(parties, server, batch, TrainMode.VFLHLP, 0,
+    stats, _ = run_round(fed, batch, TrainMode.VFLHLP, 0,
                          TransportLog(), apply_updates=False)
     assert stats.loss_cons == 0.0
     assert stats.loss == stats.loss_vfl
@@ -279,16 +284,79 @@ def test_zero_head_weights_leave_parties_stationary_for_one_round(
     tiny_bundle, specs3
 ):
     train, batch = _round_batch(tiny_bundle, count=20)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=7)
+    fed = build_federation(train, specs3, beta=0.0, seed=7)
+    parties, server = fed.parties, fed.server
     server.head.params()["0.weight"][:] = 0.0
     before = {k: parties[k].encoder.params_copy() for k in parties}
     bias_before = server.head.params()["0.bias"].copy()
-    run_round(parties, server, batch, TrainMode.VANILLA_VFL, 0, TransportLog())
+    run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog())
     for k in parties:
         for name, arr in parties[k].encoder.params().items():
             np.testing.assert_array_equal(arr, before[k][name])
     # the head bias still learns from the labels
     assert not np.array_equal(server.head.params()["0.bias"], bias_before)
+
+
+# where the package steps an optimizer: once per training step, over the
+# one vector of each training loop
+OPTIMIZER_STEPS = {("sup_pretrain.py", "pretrain_active"): 1,
+                   ("ssl_pretrain.py", "pretrain_passive"): 1,
+                   ("federated.py", "run_round"): 1}
+OPTIMIZER_NAMES = {"make_optimizer", "OPTIMIZERS", "SgdOptimizer", "AdamOptimizer"}
+
+
+def test_each_training_loop_steps_one_optimizer_and_the_nodes_hold_none():
+    package = Path(vflhlp.__file__).parent
+    steps, in_nodes = {}, []
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:  # a call counts for the top-level def that holds it
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "step"):
+                    key = (module, getattr(top, "name", "<module>"))
+                    steps[key] = steps.get(key, 0) + 1
+            if isinstance(top, ast.ClassDef) and top.name in ("PartyNode", "ServerNode"):
+                in_nodes += [
+                    f"{top.name}:{node.lineno}" for node in ast.walk(top)
+                    if "optim" in getattr(node, "attr", "").lower()
+                    or getattr(node, "id", None) in OPTIMIZER_NAMES
+                ]
+    assert steps == OPTIMIZER_STEPS
+    assert in_nodes == []
+
+
+def test_round_gradients_without_updates_survive_the_next_round(tiny_bundle, specs3):
+    # apply_updates=False gives each call a buffer of its own, so gradients a
+    # finite-difference check holds are not overwritten by its next call
+    train, batch = _round_batch(tiny_bundle, count=12)
+    fed = build_federation(train, specs3, beta=0.0, seed=11)
+    _, first = run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog(),
+                         apply_updates=False)
+    kept = {name: g.copy() for name, g in first.items()}
+    fed.server.head.theta[:] *= 2.0
+    _, second = run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog(),
+                          apply_updates=False)
+    for name, g in first.items():
+        assert g.tobytes() == kept[name].tobytes(), name
+        assert not np.shares_memory(g, second[name])
+    assert second["head"].tobytes() != kept["head"].tobytes()
+    # a training round steps from the federation's own buffer, not from theirs
+    run_round(fed, batch, TrainMode.VANILLA_VFL, 1, TransportLog())
+    for name, g in second.items():
+        assert not np.shares_memory(g, fed.grad)
+
+
+def test_a_non_finite_round_gradient_names_the_party_and_tensor(tiny_bundle, specs3):
+    train, batch = _round_batch(tiny_bundle, count=12)
+    fed = build_federation(train, specs3, beta=0.0, seed=12)
+    before = fed.theta.copy()
+    grad = np.zeros_like(fed.grad)
+    fed.parties[2].encoder.grads_dict(fed.split(grad)["party2"])["mlp.1.bias"][0] = np.inf
+    with pytest.raises(TrainingError, match=r"'party2\.mlp\.1\.bias'"):
+        fed.optimizer.step(fed.theta, grad, fed.lr, fed.layout)
+    assert fed.theta.tobytes() == before.tobytes()
 
 
 # ------------------------------------------------------------------ monolith
@@ -312,23 +380,22 @@ class Monolith:
         logits, head_tape = self.head.forward(h)
         loss, dlogits = bce_with_logits(logits[:, 0], batch.labels)
         head_layer_grads, dh = self.head.backward(head_tape, dlogits[:, None])
-        self.opt.step(self.head.params(),
-                      self.head.grads_dict(head_layer_grads), self.eta1)
+        self.opt.step(self.head.theta, head_layer_grads, self.eta1)
         off = 0
         for k in order:
             dim = self.encoders[k].rep_dim
             grad = self.encoders[k].backward(tapes[k], dh[:, off : off + dim])
-            self.opt.step(self.encoders[k].params(),
-                          self.encoders[k].grads_dict(grad), self.eta2)
+            self.opt.step(self.encoders[k].theta, grad, self.eta2)
             off += dim
         return loss
 
 
 def test_split_protocol_matches_monolith(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=40)
-    parties, server = build_federation(
+    fed = build_federation(
         train, specs3, beta=0.0, seed=8, optimizer="sgd", eta1=2e-3, eta2=1e-3
     )
+    parties, server = fed.parties, fed.server
     clones = {}
     for k, node in parties.items():
         clones[k] = specs3[k].build_empty()
@@ -338,7 +405,7 @@ def test_split_protocol_matches_monolith(tiny_bundle, specs3):
 
     log = TransportLog()
     for r in range(30):
-        stats, _ = run_round(parties, server, batch, TrainMode.VANILLA_VFL, r, log)
+        stats, _ = run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
         mono_loss = mono.step(batch)
         assert abs(stats.loss - mono_loss) < 1e-10, f"round {r}"
 
@@ -355,7 +422,8 @@ def test_split_protocol_matches_monolith(tiny_bundle, specs3):
 
 def test_federated_predict_matches_manual_forward(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=10)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=9)
+    fed = build_federation(train, specs3, beta=0.0, seed=9)
+    parties, server = fed.parties, fed.server
     encoders = {k: parties[k].encoder for k in parties}
     scores = federated_predict(encoders, server.head, batch.cat, batch.num)
     reps = [encoders[k].forward(batch.cat[k], batch.num[k])[0] for k in (1, 2, 3)]
@@ -365,7 +433,8 @@ def test_federated_predict_matches_manual_forward(tiny_bundle, specs3):
 
 def test_federated_predict_is_batch_invariant(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=12)
-    parties, server = build_federation(train, specs3, beta=0.0, seed=10)
+    fed = build_federation(train, specs3, beta=0.0, seed=10)
+    parties, server = fed.parties, fed.server
     encoders = {k: parties[k].encoder for k in parties}
     full = federated_predict(encoders, server.head, batch.cat, batch.num)
     first = federated_predict(encoders, server.head,

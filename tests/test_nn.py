@@ -26,6 +26,7 @@ from vflhlp.nn import (
     save_checkpoint,
     sigmoid,
 )
+from vflhlp.nn.layers import BlockRows, ModelSet
 from vflhlp.rng import stream
 
 from conftest import (
@@ -188,6 +189,9 @@ def test_mlp_passes_are_bitwise_equal_to_the_matmul_and_sum_formulas(dims, n, up
     assert np.array_equal(out, h)
     assert np.array_equal(grad, ref)
     assert np.array_equal(dx, d)
+    # without the first layer's input gradient the parameter gradient is the same
+    skipped, none = mlp.backward(tape, up, out=np.empty_like(grad), input_grad=False)
+    assert skipped.tobytes() == grad.tobytes() and none is None
 
 
 def test_mlp_param_names_and_shapes():
@@ -278,6 +282,27 @@ def test_fused_embedding_matches_per_field_reference():
     np.testing.assert_array_equal(block[1], up[0, :3] + up[3, :3] + up[5, :3])
 
 
+def test_resolved_rows_give_the_bits_of_raw_categories():
+    # rows resolved once and then indexed per batch gather and scatter-add
+    # exactly as raw values do, negative and out-of-range ones included
+    spec = EncoderSpec(cat_fields=(("a", 4), ("b", 1), ("c", 6)), num_fields=2,
+                       embed_dim=3, hidden=(5, 2))
+    enc = spec.build(stream(17, "resolved"))
+    rng = stream(17, "resolved-in")
+    cat, num = rng.integers(-3, 9, size=(40, 3)), rng.standard_normal((40, 2))
+    table = enc.resolve(cat)
+    assert type(table) is BlockRows and ((cat < 0) | (cat >= [4, 1, 6])).any(axis=0).all()
+    for rows in (slice(0, 8), rng.permutation(40)[:8], slice(32, 40)):
+        assert type(table[rows]) is BlockRows
+        raw_rep, raw_tape = enc.forward(cat[rows], num[rows])
+        rep, tape = enc.forward(table[rows], num[rows])
+        up = rng.standard_normal(rep.shape)
+        assert rep.tobytes() == raw_rep.tobytes()
+        assert enc.backward(tape, up).tobytes() == enc.backward(raw_tape, up).tobytes()
+    num_only = EncoderSpec(cat_fields=(), num_fields=2, embed_dim=0, hidden=(2,))
+    assert num_only.build(stream(17, "num")).resolve(cat) is cat
+
+
 # -------------------------------------------------------------------- encoder
 
 def test_encoder_forward_concats_embeddings_then_numericals():
@@ -365,7 +390,7 @@ def test_flat_theta_writes_show_through_every_view():
     grad = stream(30, "grad").standard_normal(enc.theta.size)
     expected = {n: v - 0.5 * g for (n, v), g in
                 zip(values.items(), enc.grads_dict(grad).values())}
-    SgdOptimizer().step({"encoder": enc.theta}, {"encoder": grad}, lr=0.5)
+    SgdOptimizer().step(enc.theta, grad, lr=0.5)
     for source in (enc.params(), _all_views(enc)):
         for name, arr in source.items():
             np.testing.assert_array_equal(arr, expected[name])
@@ -467,42 +492,44 @@ def test_flat_step_is_bitwise_equal_to_per_tensor_steps(make):
     mlp = Mlp.init(stream(32, "flat-opt"), [5, 7, 3])
     theta0 = mlp.theta.copy()
     reference = {n: p.copy() for n, p in mlp.params().items()}
-    flat_opt, ref_opt = make(), make()
+    flat_opt, ref_opts = make(), {n: make() for n in reference}
     rng = stream(32, "grads")
     for _ in range(3):
         grad = rng.standard_normal(mlp.theta.size) * 10.0 ** rng.integers(-6, 3)
-        flat_opt.step({"m": mlp.theta}, {"m": grad}, lr=0.01)
-        ref_opt.step(reference, mlp.grads_dict(grad), lr=0.01)
+        flat_opt.step(mlp.theta, grad, lr=0.01)
+        for name, g in mlp.grads_dict(grad).items():
+            ref_opts[name].step(reference[name], g, lr=0.01)
     assert not np.array_equal(mlp.theta, theta0)
     for name, arr in mlp.params().items():
         assert arr.tobytes() == reference[name].tobytes(), name
 
 
 def test_non_finite_flat_gradient_names_the_tensor():
-    enc = small_spec(n_cat=1, n_num=2, hidden=(8,)).build(stream(33, "nan"))
+    net = ModelSet({"encoder": small_spec(n_cat=1, n_num=2, hidden=(8,)).build(
+        stream(33, "nan"))})
+    enc = net.models["encoder"]
     for opt in (SgdOptimizer(), AdamOptimizer()):
         for bad in ("mlp.0.weight", "embed.c0"):
             grad = np.zeros(enc.theta.size)
             enc.grads_dict(grad)[bad].flat[1] = np.nan
             with pytest.raises(TrainingError, match=rf"'encoder\.{bad}'"):
-                opt.step({"encoder": enc.theta}, {"encoder": grad}, 0.1,
-                         {"encoder": enc.layout})
+                opt.step(net.theta, grad, 0.1, net.layout)
     # without a layout the flat entry is still named
-    with pytest.raises(TrainingError, match="'encoder'"):
-        SgdOptimizer().step({"encoder": enc.theta},
-                            {"encoder": np.full(enc.theta.size, np.inf)}, 0.1)
+    with pytest.raises(TrainingError, match="entry 0"):
+        SgdOptimizer().step(enc.theta, np.full(enc.theta.size, np.inf), 0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_finite_check_flags_each_non_finite_value_by_tensor(bad):
-    enc = small_spec(n_cat=1, n_num=2, hidden=(8,)).build(stream(34, "nan"))
+    net = ModelSet({"encoder": small_spec(n_cat=1, n_num=2, hidden=(8,)).build(
+        stream(34, "nan"))})
+    enc = net.models["encoder"]
     for opt in (SgdOptimizer(), AdamOptimizer()):
         grad = np.zeros(enc.theta.size)
         enc.grads_dict(grad)["mlp.0.bias"].flat[-1] = bad
         before = enc.theta.copy()
         with pytest.raises(TrainingError, match=r"'encoder\.mlp\.0\.bias'"):
-            opt.step({"encoder": enc.theta}, {"encoder": grad}, 0.1,
-                     {"encoder": enc.layout})
+            opt.step(net.theta, grad, 0.1, net.layout)
         np.testing.assert_array_equal(enc.theta, before)  # raised before stepping
 
 
@@ -511,27 +538,27 @@ def test_finite_check_passes_huge_finite_gradients(huge):
     # 50 entries of 1e308 sum past the float64 range, so a check on the sum
     # of the entries would misfire
     p = np.zeros(50)
-    SgdOptimizer().step({"p": p}, {"p": np.full(50, huge)}, 1.0 / huge)
+    SgdOptimizer().step(p, np.full(50, huge), 1.0 / huge)
     np.testing.assert_allclose(p, -1.0, rtol=1e-12)
 
 
 def test_adam_raises_when_a_finite_gradient_squares_past_float64():
     # Adam's first step divides by sqrt(g**2): 1e300**2 overflows, 1e150**2 does not
-    enc = small_spec(n_cat=1, n_num=2, hidden=(8,)).build(stream(36, "huge"))
-    grad = np.zeros(enc.theta.size)
-    enc.grads_dict(grad)["mlp.0.weight"][...] = 1e300
-    small = np.zeros(3)
-    before = enc.theta.copy()
+    net = ModelSet({
+        "small": Mlp([2, 1]),
+        "encoder": small_spec(n_cat=1, n_num=2, hidden=(8,)).build(stream(36, "huge")),
+    })
+    net.grad[...] = 1.0
+    net.models["encoder"].grads_dict(net.grads["encoder"])["mlp.0.weight"][...] = 1e300
+    before = net.theta.copy()
     with np.errstate(over="ignore"), pytest.raises(
         TrainingError, match=r"gradient square .* 'encoder\.mlp\.0\.weight'"
     ):
-        AdamOptimizer().step({"small": small, "encoder": enc.theta},
-                             {"small": np.ones(3), "encoder": grad}, 0.1,
-                             {"encoder": enc.layout})
-    np.testing.assert_array_equal(enc.theta, before)
-    assert not small.any()  # raised before any parameter moved
+        AdamOptimizer().step(net.theta, net.grad, 0.1, net.layout)
+    np.testing.assert_array_equal(net.theta, before)
+    assert not net.models["small"].theta.any()  # raised before any parameter moved
     p = np.zeros(50)
-    AdamOptimizer().step({"p": p}, {"p": np.full(50, 1e150)}, lr=0.01)
+    AdamOptimizer().step(p, np.full(50, 1e150), lr=0.01)
     np.testing.assert_allclose(p, -0.01, rtol=1e-12)
 
 
@@ -619,7 +646,7 @@ def test_bce_rejects_bad_inputs():
 
 def test_sgd_step_is_exact():
     p = np.array([1.0, -2.0])
-    SgdOptimizer().step({"p": p}, {"p": np.array([0.5, 0.25])}, lr=0.1)
+    SgdOptimizer().step(p, np.array([0.5, 0.25]), lr=0.1)
     np.testing.assert_array_equal(p, [1.0 - 0.05, -2.0 - 0.025])
 
 
@@ -628,7 +655,7 @@ def test_adam_first_step_hand_computed():
     # step is lr * g / (|g| + eps) regardless of magnitude
     p = np.array([1.0])
     opt = AdamOptimizer()
-    opt.step({"p": p}, {"p": np.array([0.5])}, lr=0.01)
+    opt.step(p, np.array([0.5]), lr=0.01)
     expected = 1.0 - 0.01 * 0.5 / (0.5 + 1e-8)
     assert p[0] == pytest.approx(expected, abs=1e-15)
     assert opt.t == 1
@@ -638,8 +665,8 @@ def test_adam_second_step_hand_unrolled():
     p = np.array([1.0])
     opt = AdamOptimizer()
     g1, g2, lr = 0.5, -0.25, 0.01
-    opt.step({"p": p}, {"p": np.array([g1])}, lr=lr)
-    opt.step({"p": p}, {"p": np.array([g2])}, lr=lr)
+    opt.step(p, np.array([g1]), lr=lr)
+    opt.step(p, np.array([g2]), lr=lr)
     m = 0.9 * (0.1 * g1) + 0.1 * g2
     v = 0.999 * (0.001 * g1 * g1) + 0.001 * g2 * g2
     mhat = m / (1 - 0.9**2)
@@ -652,36 +679,58 @@ def test_adam_second_step_hand_unrolled():
 def test_adam_zero_grad_leaves_params_and_advances_time():
     p = np.array([3.0, -4.0])
     opt = AdamOptimizer()
-    opt.step({"p": p}, {"p": np.zeros(2)}, lr=0.5)
+    opt.step(p, np.zeros(2), lr=0.5)
     np.testing.assert_array_equal(p, [3.0, -4.0])
     assert opt.t == 1
 
 
-def test_adam_state_is_per_parameter_name():
-    pa, pb = np.array([0.0]), np.array([0.0])
-    opt = AdamOptimizer()
-    opt.step({"a": pa}, {"a": np.array([1.0])}, lr=0.1)
-    opt.step({"a": pa, "b": pb}, {"a": np.array([1.0]), "b": np.array([1.0])}, lr=0.1)
-    # b's first update uses fresh state even though t is 2 globally
-    assert "b" in opt.m and opt.m["b"][0] == pytest.approx(0.1)
+def test_one_step_over_a_model_set_equals_per_model_steps():
+    # a per-entry lr, one rate per model as in a round, steps every model
+    # exactly as its own optimizer would
+    for make in (SgdOptimizer, AdamOptimizer):
+        models = {
+            "head": Mlp.init(stream(37, "set", "head"), [4, 1]),
+            "enc": small_spec(n_cat=2, n_num=2, hidden=(6, 4)).build(stream(37, "enc")),
+        }
+        rates = {"head": 3e-3, "enc": 1e-2}
+        net = ModelSet(models)
+        alone = {name: (m.theta.copy(), make()) for name, m in models.items()}
+        lr = np.empty(net.theta.size)
+        for name, span in net.spans.items():
+            assert np.shares_memory(net.models[name].theta, net.theta[span])
+            assert net.models[name].theta.tobytes() == models[name].theta.tobytes()
+            lr[span] = rates[name]
+        one, rng = make(), stream(37, "set", "grads")
+        for _ in range(3):
+            net.grad[...] = rng.standard_normal(net.grad.size) * 10.0 ** rng.integers(-6, 3)
+            one.step(net.theta, net.grad, lr, net.layout)
+            for name, (theta, opt) in alone.items():
+                opt.step(theta, net.grads[name], rates[name])
+        for name, (theta, opt) in alone.items():
+            assert net.models[name].theta.tobytes() == theta.tobytes(), name
+            assert theta.tobytes() != models[name].theta.tobytes()
+            if make is AdamOptimizer:
+                span = net.spans[name]
+                assert one.m[span].tobytes() == opt.m.tobytes()
+                assert one.v[span].tobytes() == opt.v.tobytes()
 
 
 def test_adam_state_arrays_are_allocated_once():
     p = np.array([1.0, -2.0])
     opt = AdamOptimizer()
-    opt.step({"p": p}, {"p": np.array([0.5, 0.25])}, lr=0.1)
-    m, v = opt.m["p"], opt.v["p"]
-    opt.step({"p": p}, {"p": np.array([-0.5, 1.0])}, lr=0.1)
-    assert opt.m["p"] is m and opt.v["p"] is v
+    opt.step(p, np.array([0.5, 0.25]), lr=0.1)
+    m, v = opt.m, opt.v
+    opt.step(p, np.array([-0.5, 1.0]), lr=0.1)
+    assert opt.m is m and opt.v is v
     np.testing.assert_allclose(m, [0.9 * 0.05 - 0.05, 0.9 * 0.025 + 0.1], rtol=1e-12)
 
 
 def test_optimizers_reject_non_finite_grads():
     p = np.array([1.0])
     with pytest.raises(TrainingError):
-        SgdOptimizer().step({"p": p}, {"p": np.array([np.nan])}, lr=0.1)
+        SgdOptimizer().step(p, np.array([np.nan]), lr=0.1)
     with pytest.raises(TrainingError):
-        AdamOptimizer().step({"p": p}, {"p": np.array([np.inf])}, lr=0.1)
+        AdamOptimizer().step(p, np.array([np.inf]), lr=0.1)
 
 
 def test_make_optimizer_names():
