@@ -110,6 +110,8 @@ class GridConfig:
             raise ConfigError("aligned_counts must be positive")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative")
+        if not all(b >= 0 for b in self.beta_sweep):  # a NaN fails too
+            raise ConfigError(f"beta_sweep values must be >= 0, got {list(self.beta_sweep)}")
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,7 @@ def constraint_loss(
     The value is a raw sum over coordinates, not a mean, so the pull toward
     the anchor is independent of how the parameters are grouped. The
     gradient w.r.t. theta is exactly (theta - anchor). check=False skips the
-    name and shape checks, which `train_downstream` makes once per cell.
+    name and shape checks, which the Federation makes once, when it is built.
     """
     if check and set(params) != set(anchors):
         raise SchemaError(
@@ -249,79 +249,62 @@ def total_loss(loss_vfl: float, loss_cons: float, beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# nodes
+# the round state
 
 
-class PartyNode:
-    """One party's side of a round: encode a batch, backprop the reply."""
+class Federation(ModelSet):
+    """The state of one run's rounds. The head and each party's encoder, in
+    id order, are copied into one ModelSet ("head", "party<k>"); `head` and
+    `encoders[k]` are the models over its slices, and the caller's models are
+    left as they were. `lr` is eta1 on the head's entries and eta2 on the
+    parties', so a round takes one step. `rep_slices[k]` is party k's block
+    of the head input.
 
-    def __init__(self, party_id: int, encoder: TabularEncoder):
-        self.party_id = party_id
-        self.encoder = encoder
-        self._tape = None
-
-    def forward(self, batch: AlignedBatch, round_index: int) -> RepresentationMsg:
-        rep, tape = self.encoder.forward(
-            batch.cat[self.party_id], batch.num[self.party_id]
-        )
-        self._tape = tape
-        return RepresentationMsg(round_index, self.party_id, rep)
-
-    def backward(self, msg: GradientMsg, out: np.ndarray | None = None) -> np.ndarray:
-        """The encoder's flat parameter gradient for this round's reply,
-        written into `out` when given."""
-        if self._tape is None:
-            raise TrainingError(f"party {self.party_id}: backward before forward")
-        if msg.party_id != self.party_id:
-            raise TrainingError(
-                f"party {self.party_id} received gradients for party {msg.party_id}"
-            )
-        grad = self.encoder.backward(self._tape, msg.values, out=out)
-        self._tape = None
-        return grad
-
-
-class ServerNode:
-    """Label owner's head plus the anchors and rates for a training run.
-
-    encoder_anchor is the active party's pre-trained encoder as one flat
-    vector (its `theta`); head_anchor holds the pre-trained head's
-    "weight" [out, rep_dim of party 1] and "bias". Both are flattened once
-    here, in the order of the head entries that `head_active` selects.
+    `anchored` holds the entries of `theta` that the constraint pulls: party
+    1's encoder ("encoder"), and the head's weight columns over party 1's
+    block, then its bias ("head"). `anchors` holds their pre-trained values
+    in that order, or None: encoder_anchor is the active party's pre-trained
+    encoder as one flat vector (its `theta`), head_anchor the pre-trained
+    head's "weight" [out, rep_dim of party 1] and "bias".
     """
 
     def __init__(
         self,
+        encoders: dict[int, TabularEncoder],
         head: Mlp,
-        rep_dims: dict[int, int],
         beta: float,
         eta1: float,
         eta2: float,
+        optimizer: str = "adam",
         encoder_anchor: np.ndarray | None = None,
         head_anchor: dict[str, np.ndarray] | None = None,
     ):
-        self.head = head
+        ids = sorted(encoders)
+        super().__init__({"head": head, **{f"party{k}": encoders[k] for k in ids}})
+        self.head = self.models["head"]
+        self.encoders = {k: self.models[f"party{k}"] for k in ids}
         in_dim, out_dim = head.dims[:2]
         self.rep_slices: dict[int, slice] = {}
         off = 0
-        for k in sorted(rep_dims):
-            self.rep_slices[k] = slice(off, off + rep_dims[k])
-            off += rep_dims[k]
+        for k in ids:
+            self.rep_slices[k] = slice(off, off + encoders[k].rep_dim)
+            off = self.rep_slices[k].stop
         if in_dim != off:
             raise SchemaError(
                 f"head input dim {in_dim} does not match total "
                 f"representation dim {off}"
             )
         self.beta = beta
-        self.eta1 = eta1
-        self.eta2 = eta2
-        # entries of head.theta that act on party 1's block: its weight
-        # columns, then the bias
+        self.lr = np.full(self.theta.size, eta2)
+        self.lr[self.spans["head"]] = eta1
+        self.optimizer = make_optimizer(optimizer)
         sl = self.rep_slices[1]
         columns = np.arange(out_dim)[:, None] * in_dim + np.arange(sl.start, sl.stop)
-        self.head_active = np.concatenate(
-            [columns.ravel(), out_dim * in_dim + np.arange(out_dim)]
-        )
+        self.anchored = {
+            "encoder": self.spans["party1"],
+            "head": self.spans["head"].start
+            + np.concatenate([columns.ravel(), out_dim * in_dim + np.arange(out_dim)]),
+        }
         self.anchors: dict[str, np.ndarray] | None = None
         if encoder_anchor is not None and head_anchor is not None:
             self.anchors = {
@@ -330,31 +313,10 @@ class ServerNode:
                     {"weight": columns.shape, "bias": (out_dim,)}
                 ).flatten(head_anchor),
             }
-
-    def constraint_params(self, encoder: TabularEncoder) -> dict[str, np.ndarray]:
-        """What the constraint pulls toward `anchors`, given party 1's encoder."""
-        return {"encoder": encoder.theta, "head": self.head.theta[self.head_active]}
-
-
-class Federation(ModelSet):
-    """The parties and the server of one run, with the head and each party's
-    encoder, in id order, as one ModelSet ("head", "party<k>"): the nodes'
-    models are replaced by the ones over its slices. `lr` is eta1 on the
-    head's entries and eta2 on the parties', so a round takes one step."""
-
-    def __init__(
-        self, parties: dict[int, PartyNode], server: ServerNode, optimizer: str = "adam"
-    ):
-        self.ids = sorted(parties)
-        encoders = {f"party{k}": parties[k].encoder for k in self.ids}
-        super().__init__({"head": server.head, **encoders})
-        server.head = self.models["head"]
-        for k in self.ids:
-            parties[k].encoder = self.models[f"party{k}"]
-        self.parties, self.server = parties, server
-        self.lr = np.full(self.theta.size, server.eta2)
-        self.lr[self.spans["head"]] = server.eta1
-        self.optimizer = make_optimizer(optimizer)
+            # names and shapes, once; the rounds skip the checks
+            constraint_loss(
+                {n: self.theta[at] for n, at in self.anchored.items()}, self.anchors
+            )
 
 
 @dataclass
@@ -382,43 +344,44 @@ def run_round(
     `fed.grad`, which the next round overwrites. With apply_updates=False
     this is a pure gradient evaluation, into a new buffer, which is what the
     finite-difference checks drive. The batch labels and the anchors' names
-    and shapes are not checked here: `train_downstream` checks them once.
+    and shapes are not checked here: `train_downstream` checks the labels once
+    per cell, and the Federation checks the anchors when it is built.
     """
     if not mode.is_federated:
         raise ConfigError(f"mode {mode.value} does not run the split protocol")
-    parties, server = fed.parties, fed.server
     constrained = mode.uses_constraint
-    if constrained and server.anchors is None:
+    if constrained and fed.anchors is None:
         raise TrainingError(
             f"mode {mode.value} needs pre-trained anchors for the active party"
         )
-    grads = fed.grads if apply_updates else fed.split(np.empty_like(fed.grad))
+    grad = fed.grad if apply_updates else np.empty_like(fed.grad)
+    grads = fed.grads if apply_updates else fed.split(grad)
 
-    reps = []
-    for k in fed.ids:
-        msg = parties[k].forward(batch, round_index)
-        transport.record(msg)
-        reps.append(msg.values)
+    reps, tapes = [], []
+    for k, encoder in fed.encoders.items():
+        rep, tape = encoder.forward(batch.cat[k], batch.num[k])
+        transport.record(RepresentationMsg(round_index, k, rep))
+        reps.append(rep)
+        tapes.append(tape)
     h = np.concatenate(reps, axis=1)
-    logits, head_tape = server.head.forward(h)
+    logits, head_tape = fed.head.forward(h)
     loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels, check=False)
-    head_grad = grads["head"]
-    _, dh = server.head.backward(head_tape, dlogits[:, None], out=head_grad)
+    _, dh = fed.head.backward(head_tape, dlogits[:, None], out=grads["head"])
+
+    for (k, encoder), tape in zip(fed.encoders.items(), tapes):
+        gmsg = GradientMsg(round_index, k, dh[:, fed.rep_slices[k]])
+        transport.record(gmsg)
+        encoder.backward(tape, gmsg.values, out=grads[f"party{k}"])
 
     loss_cons = 0.0
     if constrained:
-        loss_cons, cons_grads = constraint_loss(
-            server.constraint_params(parties[1].encoder), server.anchors, check=False
+        loss_cons, diffs = constraint_loss(
+            {n: fed.theta[at] for n, at in fed.anchored.items()}, fed.anchors,
+            check=False,
         )
-        head_grad[server.head_active] += server.beta * cons_grads["head"]
-    loss = total_loss(loss_vfl, loss_cons, server.beta if constrained else 0.0)
-
-    for k in fed.ids:
-        gmsg = GradientMsg(round_index, k, dh[:, server.rep_slices[k]])
-        transport.record(gmsg)
-        parties[k].backward(gmsg, out=grads[f"party{k}"])
-    if constrained:
-        grads["party1"] += server.beta * cons_grads["encoder"]
+        for n, at in fed.anchored.items():
+            grad[at] += fed.beta * diffs[n]
+    loss = total_loss(loss_vfl, loss_cons, fed.beta if constrained else 0.0)
     if apply_updates:
         fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
 
@@ -465,7 +428,9 @@ class DownstreamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_schedule(self.epochs, self.batch_size, eta1=self.eta1, eta2=self.eta2)
+        check_schedule(
+            self.epochs, self.batch_size, eta1=self.eta1, eta2=self.eta2, beta=self.beta
+        )
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
@@ -561,18 +526,17 @@ def train_downstream(
     if ds.aligned_count == 0:
         raise TrainingError("aligned set is empty; nothing to train on")
 
-    parties: dict[int, PartyNode] = {}
+    encoders = {}
     for k in party_ids:
         encoder = specs[k].build(stream(cfg.seed, "downstream", "init-party", k))
         if k > 1 and mode.warm_starts_passive:
             encoder.set_params(pretrained.passive[k])
         if k == 1 and cfg.warm_start_active:
             encoder.set_params(pretrained.active.encoder_params)
-        parties[k] = PartyNode(k, encoder)
-
-    rep_dims = {k: specs[k].rep_dim for k in party_ids}
+        encoders[k] = encoder
     head = Mlp.init(
-        stream(cfg.seed, "downstream", "init-head"), [sum(rep_dims.values()), 1]
+        stream(cfg.seed, "downstream", "init-head"),
+        [sum(specs[k].rep_dim for k in party_ids), 1],
     )
     encoder_anchor = head_anchor = None
     if mode.uses_constraint:
@@ -582,19 +546,8 @@ def train_downstream(
             "weight": active.head_params["0.weight"],
             "bias": active.head_params["0.bias"],
         }
-    server = ServerNode(
-        head,
-        rep_dims,
-        beta=cfg.beta,
-        eta1=cfg.eta1,
-        eta2=cfg.eta2,
-        encoder_anchor=encoder_anchor,
-        head_anchor=head_anchor,
-    )
-    fed = Federation(parties, server, cfg.optimizer)
-
-    if mode.uses_constraint:  # names and shapes, once; the rounds skip the checks
-        constraint_loss(server.constraint_params(parties[1].encoder), server.anchors)
+    fed = Federation(encoders, head, cfg.beta, cfg.eta1, cfg.eta2, cfg.optimizer,
+                     encoder_anchor, head_anchor)
 
     aligned = ds.aligned_ids()
     check_labels(ds.labels_for(aligned))
@@ -605,7 +558,7 @@ def train_downstream(
     # the cell's rows, gathered and resolved to embedding rows once; each epoch
     # permutes and slices them
     pool = ds.gather(aligned[perm[n_val:]])
-    pool.cat = {k: parties[k].encoder.resolve(cat) for k, cat in pool.cat.items()}
+    pool.cat = {k: fed.encoders[k].resolve(cat) for k, cat in pool.cat.items()}
     val_batch = ds.gather(aligned[perm[:n_val]]) if n_val else None
 
     transport = TransportLog()
@@ -622,12 +575,7 @@ def train_downstream(
             loss_cons += stats.loss_cons * batch.n
         val_auc = None
         if val_batch is not None:
-            scores = federated_predict(
-                {k: parties[k].encoder for k in party_ids},
-                server.head,
-                val_batch.cat,
-                val_batch.num,
-            )
+            scores = federated_predict(fed.encoders, fed.head, val_batch.cat, val_batch.num)
             try:
                 val_auc = auc(val_batch.labels, scores)
             except UndefinedMetricError:
@@ -643,8 +591,8 @@ def train_downstream(
         )
     return TrainedFederation(
         mode=mode,
-        encoders={k: parties[k].encoder for k in party_ids},
-        head=server.head,
+        encoders=fed.encoders,
+        head=fed.head,
         history=history,
         transport=transport,
     )

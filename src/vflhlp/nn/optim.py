@@ -80,8 +80,8 @@ OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
 
 
 def check_schedule(epochs: int, batch_size: int, **rates: float) -> None:
-    """ConfigError unless epochs >= 0, batch_size >= 1 and each named learning
-    rate is >= 0; a NaN fails too."""
+    """ConfigError unless epochs >= 0, batch_size >= 1 and each named rate (a
+    learning rate, or the constraint weight beta) is >= 0; a NaN fails too."""
     for name, value, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
                              *((name, rate, 0) for name, rate in rates.items())):
         if not value >= low:

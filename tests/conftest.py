@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from vflhlp.data import AlignedBatch, SynthConfig, VerticalDataset, synth_generate
-from vflhlp.federated import (
-    Federation, PartyNode, ServerNode, TrainMode, TransportLog, run_round,
-)
+from vflhlp.federated import Federation, TrainMode, TransportLog, run_round
 from vflhlp.nn import EncoderSpec, Mlp, TabularEncoder
 from vflhlp.rng import stream
 
@@ -119,28 +117,28 @@ def mlp_away_from_kinks(dims: list[int], x: np.ndarray, seed: int,
     raise AssertionError("could not find a kink-free initialization")
 
 
+def fresh_models(specs, seed: int, head_seed_path: tuple = ("head",)):
+    """Fresh encoders, one per party, and a fresh head over their blocks."""
+    encoders = {k: specs[k].build(stream(seed, "party-init", k)) for k in sorted(specs)}
+    rep_dim = sum(spec.rep_dim for spec in specs.values())
+    return encoders, Mlp.init(stream(seed, *head_seed_path), [rep_dim, 1])
+
+
 def build_federation(ds: VerticalDataset, specs, beta: float, seed: int,
                      optimizer: str = "adam", eta1: float = 1e-3,
                      eta2: float = 1e-3, encoder_anchor=None, head_anchor=None,
                      head_seed_path: tuple = ("head",)) -> Federation:
-    """Fresh PartyNodes plus a ServerNode wired for ds, one per party, as
-    one Federation."""
-    parties = {
-        k: PartyNode(k, specs[k].build(stream(seed, "party-init", k)))
-        for k in sorted(specs)
-    }
-    rep_dims = {k: specs[k].rep_dim for k in specs}
-    head = Mlp.init(stream(seed, *head_seed_path), [sum(rep_dims.values()), 1])
-    server = ServerNode(head, rep_dims, beta=beta, eta1=eta1, eta2=eta2,
-                        encoder_anchor=encoder_anchor, head_anchor=head_anchor)
-    return Federation(parties, server, optimizer)
+    """A Federation over `fresh_models`."""
+    encoders, head = fresh_models(specs, seed, head_seed_path)
+    return Federation(encoders, head, beta, eta1, eta2, optimizer,
+                      encoder_anchor, head_anchor)
 
 
 def split_round_grads(flat, fed: Federation) -> dict[str, np.ndarray]:
     """run_round's flat gradients as "head.<name>" and "party<k>.<name>" arrays."""
-    grads = {f"head.{n}": g for n, g in fed.server.head.grads_dict(flat["head"]).items()}
-    for k, node in fed.parties.items():
-        for n, g in node.encoder.grads_dict(flat[f"party{k}"]).items():
+    grads = {f"head.{n}": g for n, g in fed.head.grads_dict(flat["head"]).items()}
+    for k, encoder in fed.encoders.items():
+        for n, g in encoder.grads_dict(flat[f"party{k}"]).items():
             grads[f"party{k}.{n}"] = g
     return grads
 
@@ -153,10 +151,10 @@ def round_loss_setup(fed: Federation, batch: AlignedBatch, mode: TrainMode):
     split_round_grads names run_round's gradients.
     """
     params: dict[str, np.ndarray] = {}
-    for name, arr in fed.server.head.params().items():
+    for name, arr in fed.head.params().items():
         params[f"head.{name}"] = arr
-    for k, node in fed.parties.items():
-        for name, arr in node.encoder.params().items():
+    for k, encoder in fed.encoders.items():
+        for name, arr in encoder.params().items():
             params[f"party{k}.{name}"] = arr
 
     def loss_fn() -> float:

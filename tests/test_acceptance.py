@@ -29,9 +29,7 @@ from vflhlp.federated import (
     KIND_REPRESENTATION,
     DownstreamConfig,
     Federation,
-    PartyNode,
     PretrainedWeights,
-    ServerNode,
     TrainMode,
     TransportLog,
     audit_transport,
@@ -120,14 +118,12 @@ def _random_federation(index: int):
         specs[k] = spec
         cat[k], num[k] = draw_encoder_inputs(geo, spec, n_rows=6)
     labels = geo.integers(0, 2, size=6).astype(np.float64)
-    parties = {
-        k: PartyNode(
-            k, encoder_away_from_kinks(specs[k], cat[k], num[k], seed=31 * index + k)
-        )
+    encoders = {
+        k: encoder_away_from_kinks(specs[k], cat[k], num[k], seed=31 * index + k)
         for k in specs
     }
-    rep_dims = {k: specs[k].rep_dim for k in specs}
-    head = Mlp.init(stream(index, "acceptance", "head"), [sum(rep_dims.values()), 1])
+    rep_dim = sum(spec.rep_dim for spec in specs.values())
+    head = Mlp.init(stream(index, "acceptance", "head"), [rep_dim, 1])
     anchor_rng = stream(index, "acceptance", "anchor")
     enc_anchor = specs[1].build(anchor_rng).theta
     head_anchor = {
@@ -136,32 +132,29 @@ def _random_federation(index: int):
     }
 
     batch = AlignedBatch(ids=np.arange(6), cat=cat, num=num, labels=labels)
-    n_params = sum(p.size for node in parties.values()
-                   for p in node.encoder.params().values())
+    n_params = sum(p.size for encoder in encoders.values()
+                   for p in encoder.params().values())
     n_params += sum(p.size for p in head.params().values())
     assert n_params <= 5000, n_params
-    return parties, head, rep_dims, batch, enc_anchor, head_anchor
+    return encoders, head, batch, enc_anchor, head_anchor
 
 
 def test_criterion_1_analytic_gradients_match_finite_differences():
     started = time.perf_counter()
     worst = 0.0
     for index in range(20):
-        parties, head, rep_dims, batch, enc_anchor, head_anchor = (
-            _random_federation(index)
-        )
+        encoders, head, batch, enc_anchor, head_anchor = _random_federation(index)
         variants = [("task loss", TrainMode.VANILLA_VFL, 0.0, False)]
         variants += [
             ("full objective", TrainMode.VFLHLP, beta, True)
             for beta in (0.0, 0.1, 10.0)
         ]
         for label, mode, beta, anchored in variants:
-            server = ServerNode(
-                head, rep_dims, beta=beta, eta1=1e-3, eta2=1e-3,
+            fed = Federation(
+                encoders, head, beta, eta1=1e-3, eta2=1e-3, optimizer="sgd",
                 encoder_anchor=enc_anchor if anchored else None,
                 head_anchor=head_anchor if anchored else None,
             )
-            fed = Federation(parties, server, "sgd")
             loss_fn, grads_fn, params = round_loss_setup(fed, batch, mode)
             err = grad_check(loss_fn, grads_fn, params)
             worst = max(worst, err)
@@ -188,12 +181,11 @@ def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
     fed = build_federation(
         train, specs, beta=0.0, seed=18, optimizer="sgd", eta1=2e-3, eta2=1e-3
     )
-    parties, server = fed.parties, fed.server
     clones = {}
-    for k, node in parties.items():
+    for k, encoder in fed.encoders.items():
         clones[k] = specs[k].build_empty()
-        clones[k].set_params(node.encoder.params_copy())
-    head_clone = server.head.__class__(server.head.dims, server.head.theta.copy())
+        clones[k].set_params(encoder.params_copy())
+    head_clone = fed.head.__class__(fed.head.dims, fed.head.theta.copy())
     mono = Monolith(clones, head_clone, eta1=2e-3, eta2=1e-3)
 
     log = TransportLog()
@@ -204,13 +196,13 @@ def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
     assert worst_loss_gap < 1e-10
 
     worst_param_gap = 0.0
-    for k in parties:
+    for k, encoder in fed.encoders.items():
         mono_params = mono.encoders[k].params()
-        for name, arr in parties[k].encoder.params().items():
+        for name, arr in encoder.params().items():
             worst_param_gap = max(
                 worst_param_gap, float(np.abs(arr - mono_params[name]).max())
             )
-    for name, arr in server.head.params().items():
+    for name, arr in fed.head.params().items():
         worst_param_gap = max(
             worst_param_gap, float(np.abs(arr - mono.head.params()[name]).max())
         )

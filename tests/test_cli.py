@@ -599,7 +599,11 @@ def test_output_dir_env_var_is_used(cfg_path, tmp_path, monkeypatch):
     ("pretrain", {"supervised": {"optimizer": "rmsprop"}}, "supervised.optimizer"),
     ("grid", {"supervised": {"optimizer": "rmsprop"}}, "supervised.optimizer"),
     ("train", {"downstream": {"epochs": "ten"}}, "downstream.epochs"),
-], ids=["pretrain-optimizer", "grid-optimizer", "train-epochs"])
+    ("grid", {"downstream": {"beta": -1.0}}, "downstream: beta must be >= 0"),
+    ("train", {"downstream": {"beta": -1.0}}, "downstream: beta must be >= 0"),
+    ("grid", {"grid": {"beta_sweep": [-0.5, 0.1]}}, "grid: beta_sweep values must be >= 0"),
+], ids=["pretrain-optimizer", "grid-optimizer", "train-epochs", "grid-negative-beta",
+        "train-negative-beta", "grid-negative-beta-sweep"])
 def test_bad_config_values_use_exit_code_two(tmp_path, out, capsys, command,
                                              overrides, fragment):
     bad = tmp_path / "bad.json"

@@ -89,6 +89,10 @@ def test_deep_merge_replaces_non_dict_values():
         ({"data": {"kind": "synth", "extra": {}}}, "unknown keys"),
         ({"data": {"kind": "synth"}, "downstream": {"seed": 3}}, "unknown keys"),
         ({"data": {"kind": "synth"}, "grid": {"modes": []}}, "grid needs"),
+        ({"data": {"kind": "synth"}, "downstream": {"beta": -1.0}},
+         "downstream: beta must be >= 0, got -1.0"),
+        ({"data": {"kind": "synth"}, "grid": {"beta_sweep": [-0.5, 0.1]}},
+         r"grid: beta_sweep values must be >= 0, got \[-0.5, 0.1\]"),
     ],
 )
 def test_strict_parsing_rejects(raw, fragment):
