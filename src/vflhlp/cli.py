@@ -1,12 +1,12 @@
 """Command-line pipeline: prepare -> pretrain -> train -> eval, or grid.
 
 Every command takes one JSON config (--config). Exit codes: 0 success,
-2 config or usage error, 3 data error, 4 training error. The output
-directory comes from --out, then the VFLHLP_OUT environment variable,
-then the config's output_dir. All artifacts under it are deterministic
-functions of (config, seed); wall-clock metadata goes only to the
-run_meta.json sidecar, one record per command, so byte comparisons can
-skip it.
+2 config or usage error (a config too large for memory too), 3 data
+error, 4 training error. The output directory comes from --out, then the
+VFLHLP_OUT environment variable, then the config's output_dir. All
+artifacts under it are deterministic functions of (config, seed);
+wall-clock metadata goes only to the run_meta.json sidecar, one record
+per command, so byte comparisons can skip it.
 """
 from __future__ import annotations
 
@@ -124,12 +124,11 @@ def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
                 _ckpt_dir(out, seed), specs, mode, cfg.downstream.warm_start_active
             )
             beta = cfg.downstream.beta if mode.uses_constraint else 0.0
-            dcfg = replace(cfg.downstream, seed=seed, beta=beta)
+            dcfg = replace(cfg.downstream, beta=beta)
             cell = None
             for count in cfg.grid.aligned_counts:
                 if cell is None or mode.is_federated:  # local_a ignores the count
-                    cell_bundle = replace(bundle, train=bundle.train.with_aligned_count(count))
-                    cell = run_cell(cell_bundle, specs, mode, pretrained, dcfg)
+                    cell = run_cell(bundle, specs, mode, pretrained, dcfg, seed, count)
                 trained, score, audit = cell
                 run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
                 write_file(
@@ -281,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
             code = cmd_grid(cfg, out)
     except ConfigError as exc:
         code = _fail("config error", exc, 2)
+    except MemoryError as exc:  # a model or table larger than the process may hold
+        code = _fail("config error", f"not enough memory: {exc}", 2)
     except DataError as exc:
         code = _fail("data error", exc, 3)
     except TrainingError as exc:

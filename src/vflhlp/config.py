@@ -79,10 +79,6 @@ class DataConfig:
             raise ConfigError(f"data.kind must be 'synth' or 'csv', got {self.kind!r}")
 
     @property
-    def k_parties(self) -> int:
-        return self.synth.k_parties if self.kind == "synth" else self.csv.k_parties
-
-    @property
     def aligned_pool(self) -> int:
         return (
             self.synth.aligned_pool if self.kind == "synth" else self.csv.aligned_pool
@@ -137,12 +133,12 @@ class RunConfig:
 # parsing
 
 
-def _build(cls, data: dict, section: str, drop: tuple[str, ...] = ()):
+def _build(cls, data: dict, section: str):
     """An instance of the config dataclass `cls` from the parsed JSON `data`;
     ConfigError naming `section`, the dotted path of `data` in the config."""
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in drop}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}")
@@ -231,8 +227,7 @@ def parse_config(raw: dict) -> RunConfig:
         model=_build(ModelConfig, raw.get("model", {}), "model"),
         ssl=_build(SslConfig, raw.get("ssl", {}), "ssl"),
         supervised=_build(SupConfig, raw.get("supervised", {}), "supervised"),
-        downstream=_build(DownstreamConfig, raw.get("downstream", {}), "downstream",
-                          drop=("seed",)),
+        downstream=_build(DownstreamConfig, raw.get("downstream", {}), "downstream"),
         grid=_build(GridConfig, raw.get("grid", {}), "grid"),
         output_dir=output_dir,
     )
@@ -252,7 +247,6 @@ def to_dict(cfg: RunConfig) -> dict:
     Tuples stay tuples, which JSON writes as lists.
     """
     out = dataclasses.asdict(cfg)
-    out["downstream"].pop("seed")  # per-run value, never part of the declared config
     data = out["data"]
     del data["csv" if cfg.data.kind == "synth" else "synth"]
     if cfg.data.kind == "csv":  # no cardinality on a numerical field

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -160,34 +160,25 @@ class VerticalDataset:
     parties: dict[int, PartyView]
     labels: np.ndarray  # aligned with parties[1].ids
     aligned_pool: np.ndarray  # int64, seeded order; the full ID intersection
-    aligned_count: int
 
     def __post_init__(self):
         if 1 not in self.parties:
             raise DataError("party 1 (active) is required")
         if self.labels.shape != self.parties[1].ids.shape:
             raise DataError("labels must cover exactly party 1's local IDs")
-        if not 0 <= self.aligned_count <= self.aligned_pool.shape[0]:
-            raise DataError(
-                f"aligned_count {self.aligned_count} out of range for pool of "
-                f"{self.aligned_pool.shape[0]}"
-            )
 
     @property
     def k_parties(self) -> int:
         return len(self.parties)
 
-    def aligned_ids(self) -> np.ndarray:
-        return self.aligned_pool[: self.aligned_count]
-
-    def with_aligned_count(self, count: int) -> "VerticalDataset":
-        """Shallow view with a different active prefix of the aligned pool."""
-        if count > self.aligned_pool.shape[0]:
+    def aligned_ids(self, count: int) -> np.ndarray:
+        """The first `count` IDs of the aligned pool: one cell's aligned set."""
+        if not 0 < count <= self.aligned_pool.shape[0]:
             raise DataError(
-                f"requested {count} aligned samples, pool has "
+                f"aligned count {count} out of range for a pool of "
                 f"{self.aligned_pool.shape[0]}"
             )
-        return replace(self, aligned_count=count)
+        return self.aligned_pool[:count]
 
     def labels_for(self, ids: np.ndarray) -> np.ndarray:
         rows = self.parties[1].rows_for(ids)
@@ -266,9 +257,6 @@ class TableEncoder:
 
     def scale_num(self, field_name: str, values: np.ndarray) -> np.ndarray:
         return _min_max(values, *self.num_stats[field_name])
-
-    def cardinality(self, field_name: str) -> int:
-        return len(self.vocab[field_name]) + 1  # plus the unseen bucket
 
 
 def _min_max(values: np.ndarray, lo, hi) -> np.ndarray:
@@ -472,7 +460,6 @@ def vertical_partition(
         parties=parties,
         labels=labels,
         aligned_pool=table.ids[pool_rows],
-        aligned_count=aligned_count,
     )
 
 
@@ -650,7 +637,7 @@ def save_bundle(cache_dir, bundle: DatasetBundle, meta: dict | None = None) -> N
     metadata = {
         "format_version": _CACHE_VERSION,
         "k_parties": train.k_parties,
-        "aligned_count": train.aligned_count,
+        "aligned_count": train.aligned_pool.size,  # checked on load
         "schema": [asdict(f) for f in train.schema.fields],
         "meta": meta or {},
     }
@@ -713,8 +700,9 @@ def _bundle_from_cache(tensors: dict[str, np.ndarray], metadata: dict) -> Datase
         parties=parties,
         labels=tensors["labels"],
         aligned_pool=tensors["aligned_pool"],
-        aligned_count=metadata["aligned_count"],
     )
+    if metadata["aligned_count"] != train.aligned_pool.size:
+        raise DataError(f"aligned_count is not the pool size {train.aligned_pool.size}")
     test = AlignedBatch(
         ids=tensors["test_ids"],
         cat={k: tensors[f"test_party{k}_cat"] for k in range(1, k_parties + 1)},

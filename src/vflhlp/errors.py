@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these to exit codes: ConfigError -> 2, DataError -> 3,
-TrainingError -> 4. Everything else is a bug and escapes as-is.
+TrainingError -> 4, and a MemoryError (a config too large for the
+process) -> 2 as well. Everything else is a bug and escapes as-is.
 """
 
 

@@ -237,8 +237,10 @@ def run_cell(
     mode: TrainMode,
     pretrained: PretrainedWeights | None,
     dcfg: DownstreamConfig,
+    seed: int,
+    count: int,
 ) -> tuple[TrainedFederation, float, AuditReport | None]:
-    """Train one cell on bundle.train's aligned rows and score it on bundle.test.
+    """Train one cell on the first `count` aligned IDs and score it on bundle.test.
 
     A federated cell's transport log is audited first, and a payload that
     copies a raw column or the labels raises TrainingError. local_a sends
@@ -246,7 +248,7 @@ def run_cell(
     through here. A diverging cell overflows without numpy warnings and fails
     typed: optimizers refuse non-finite gradients, `auc` non-finite scores.
     """
-    trained = train_downstream(bundle.train, specs, mode, pretrained, dcfg)
+    trained = train_downstream(bundle.train, specs, mode, pretrained, dcfg, seed, count)
     audit = None
     if mode.is_federated:
         audit = audit_transport(trained.transport, bundle.train)
@@ -265,8 +267,8 @@ def train_local_a(cfg: RunConfig, seed: int) -> tuple[TrainedFederation, float]:
     """
     bundle = build_bundle(cfg, seed)
     specs = encoder_specs(bundle.train, cfg.model)
-    dcfg = replace(cfg.downstream, seed=seed, beta=0.0)
-    trained, score, _ = run_cell(bundle, specs, TrainMode.LOCAL_A, None, dcfg)
+    trained, score, _ = run_cell(bundle, specs, TrainMode.LOCAL_A, None, cfg.downstream,
+                                 seed, 0)
     return trained, score
 
 
@@ -341,7 +343,6 @@ def run_grid(
 
             local_a_slots: list[tuple[int, int]] = []  # (index in cells, count)
             for count in cfg.grid.aligned_counts:
-                cell_bundle = replace(bundle, train=bundle.train.with_aligned_count(count))
                 for mode in modes:
                     if mode.uses_constraint:
                         betas = sweep or (cfg.downstream.beta,)
@@ -355,10 +356,10 @@ def run_grid(
                             local_a_slots.append((len(cells), count))
                             cells.append(None)
                             continue
-                        dcfg = replace(cfg.downstream, seed=seed, beta=beta)
+                        dcfg = replace(cfg.downstream, beta=beta)
                         try:
                             trained, score, _ = run_cell(
-                                cell_bundle, specs, mode, pre, dcfg
+                                bundle, specs, mode, pre, dcfg, seed, count
                             )
                         except _CELL_ERRORS as exc:
                             cells.append(_cell(mode, count, seed, beta, exc))

@@ -425,7 +425,6 @@ class DownstreamConfig:
     optimizer: str = "adam"
     val_fraction: float = 0.1
     warm_start_active: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         check_schedule(
@@ -485,14 +484,17 @@ def train_downstream(
     mode: TrainMode,
     pretrained: PretrainedWeights | None,
     cfg: DownstreamConfig,
+    seed: int,
+    count: int,
 ) -> TrainedFederation:
-    """Train one mode on the active aligned set and return the final weights.
+    """Train one mode on the first `count` aligned IDs and return the final weights.
 
     Every encoder is first drawn fresh from its init stream and then
     overwritten where the mode warm-starts, so two modes that differ only in
     warm starts see byte-identical randomness everywhere else. A
     val_fraction slice of the aligned set is held out for the per-epoch AUC
     in the history; final weights are the last epoch's (no early stopping).
+    local_a trains on the active party's whole local table and ignores `count`.
     """
     if mode is TrainMode.LOCAL_A:
         sup_cfg = SupConfig(
@@ -502,7 +504,7 @@ def train_downstream(
             optimizer=cfg.optimizer,
             val_fraction=cfg.val_fraction,
         )
-        model = pretrain_active(ds.parties[1], ds.labels, specs[1], sup_cfg, cfg.seed)
+        model = pretrain_active(ds.parties[1], ds.labels, specs[1], sup_cfg, seed)
         history = [
             {"epoch": i + 1, "loss": loss, "loss_vfl": loss, "loss_cons": 0.0,
              "val_auc": None}
@@ -523,19 +525,18 @@ def train_downstream(
             f"parties {party_ids}"
         )
     pretrained = _require_pretrained(mode, cfg.warm_start_active, pretrained, party_ids)
-    if ds.aligned_count == 0:
-        raise TrainingError("aligned set is empty; nothing to train on")
+    aligned = ds.aligned_ids(count)
 
     encoders = {}
     for k in party_ids:
-        encoder = specs[k].build(stream(cfg.seed, "downstream", "init-party", k))
+        encoder = specs[k].build(stream(seed, "downstream", "init-party", k))
         if k > 1 and mode.warm_starts_passive:
             encoder.set_params(pretrained.passive[k])
         if k == 1 and cfg.warm_start_active:
             encoder.set_params(pretrained.active.encoder_params)
         encoders[k] = encoder
     head = Mlp.init(
-        stream(cfg.seed, "downstream", "init-head"),
+        stream(seed, "downstream", "init-head"),
         [sum(specs[k].rep_dim for k in party_ids), 1],
     )
     encoder_anchor = head_anchor = None
@@ -549,10 +550,9 @@ def train_downstream(
     fed = Federation(encoders, head, cfg.beta, cfg.eta1, cfg.eta2, cfg.optimizer,
                      encoder_anchor, head_anchor)
 
-    aligned = ds.aligned_ids()
     check_labels(ds.labels_for(aligned))
     n_val = int(round(cfg.val_fraction * aligned.size))
-    perm = stream(cfg.seed, "downstream", "val-split").permutation(aligned.size)
+    perm = stream(seed, "downstream", "val-split").permutation(aligned.size)
     if n_val == aligned.size:
         raise TrainingError("aligned set too small for the validation fraction")
     # the cell's rows, gathered and resolved to embedding rows once; each epoch
@@ -565,7 +565,7 @@ def train_downstream(
     history: list[dict] = []
     round_index = 0
     for epoch in range(1, cfg.epochs + 1):
-        batches = sample_aligned_batches(pool, cfg.batch_size, cfg.seed, epoch)
+        batches = sample_aligned_batches(pool, cfg.batch_size, seed, epoch)
         loss = loss_vfl = loss_cons = 0.0  # every pool row is in one batch an epoch
         for batch in batches:
             stats, _ = run_round(fed, batch, mode, round_index, transport)

@@ -172,8 +172,8 @@ def test_criterion_1_analytic_gradients_match_finite_differences():
 
 def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
     started = time.perf_counter()
-    train = tiny_bundle.train.with_aligned_count(64)
-    batch = train.gather(train.aligned_ids())
+    train = tiny_bundle.train
+    batch = train.gather(train.aligned_ids(64))
     specs = {
         k: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
         for k in (1, 2, 3)
@@ -340,7 +340,7 @@ def test_criterion_5_each_sided_pretraining_helps_and_both_is_best(
 
 
 def test_criterion_6_transport_carries_no_raw_columns_or_labels(tiny_bundle):
-    train = tiny_bundle.train.with_aligned_count(60)
+    train = tiny_bundle.train
     specs = {
         k: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
         for k in (1, 2, 3)
@@ -359,7 +359,8 @@ def test_criterion_6_transport_carries_no_raw_columns_or_labels(tiny_bundle):
 
         train, specs, TrainMode.VFLHLP, pre,
         DownstreamConfig(beta=0.5, eta1=1e-2, eta2=1e-2, epochs=3, batch_size=16,
-                         val_fraction=0.1, seed=21),
+                         val_fraction=0.1),
+        21, 60,
     )
 
     report = audit_transport(trained.transport, train)

@@ -688,25 +688,38 @@ def test_a_test_split_that_cannot_be_scored_is_a_data_error(tmp_path, out, capsy
     assert "data error" in err and "AUC needs both classes" in err
 
 
-def test_a_synthetic_table_too_large_for_memory_is_a_config_error(tmp_path):
-    # n_local passes the config checks; its 4e12-row table cannot be drawn in
-    # a child process capped at 2 GiB of address space
+def _run_capped(tmp_path, command: str, synth: dict) -> subprocess.CompletedProcess:
+    """`command` on TINY with `synth` merged into data.synth, in a child
+    process capped at 2 GiB of address space."""
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps(
-        {**TINY, "data": {"synth": {**TINY["data"]["synth"], "n_local": 10**12}}}))
+        {**TINY, "data": {"synth": {**TINY["data"]["synth"], **synth}}}))
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
            "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "vflhlp.cli", "prepare", "--config", str(cfg),
+    return subprocess.run(
+        [sys.executable, "-m", "vflhlp.cli", command, "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120, env=env, preexec_fn=cap_memory,
     )
+
+
+def test_a_synthetic_table_too_large_for_memory_is_a_config_error(tmp_path):
+    # n_local passes the config checks; its 4e12-row table cannot be drawn
+    proc = _run_capped(tmp_path, "prepare", {"n_local": 10**12})
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert "config error" in proc.stderr and "data.synth" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_a_model_too_large_for_memory_is_a_config_error(tmp_path):
+    # the table draws, but party 1's embedding tables of 1e9 rows cannot be laid out
+    proc = _run_capped(tmp_path, "pretrain", {"cardinality": 10**9})
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "config error" in proc.stderr and "memory" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
 
 

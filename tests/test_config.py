@@ -154,7 +154,7 @@ def test_csv_fields_parse_and_validate():
     }
     cfg = parse_config(raw)
     assert cfg.data.kind == "csv"
-    assert cfg.data.k_parties == 2
+    assert cfg.data.csv.k_parties == 2
     assert cfg.data.csv.fields[1].cardinality == 4
     assert parse_config(to_dict(cfg)) == cfg
 
@@ -254,7 +254,6 @@ def _sections(cls, prefix=""):
             yield from _sections(section, path + ".")
 
 
-DROPPED = {"downstream.seed"}  # a per-run value that no config may set
 SECTIONS = dict(_sections(RunConfig))
 
 
@@ -266,8 +265,6 @@ def _bad_section_cases():
         hints = typing.get_type_hints(cls)
         for field in dataclasses.fields(cls):
             name = field.name
-            if f"{path}.{name}" in DROPPED:
-                continue
             wrong = 7 if hints[name] is str else "x"  # a JSON type no other hint takes
             yield (f"{path}.{name}-wrong-type", path,
                    lambda section, name=name, wrong=wrong: {**section, name: wrong},
@@ -431,14 +428,6 @@ def test_config_hash_tracks_content():
     assert config_hash(base) == config_hash(fixture_cfg())
     changed = fixture_cfg(downstream={"beta": 9.5})
     assert config_hash(changed) != config_hash(base)
-
-
-def test_seed_is_not_part_of_the_declared_config():
-    cfg = fixture_cfg()
-    reseeded = dataclasses.replace(
-        cfg, downstream=dataclasses.replace(cfg.downstream, seed=123)
-    )
-    assert config_hash(reseeded) == config_hash(cfg)
 
 
 # every cache and checkpoint is stamped with the hash, so a change to the

@@ -65,12 +65,11 @@ def test_synth_feature_ranges(tiny_bundle):
 
 def test_synth_aligned_prefixes_are_nested(tiny_bundle):
     train = tiny_bundle.train
-    small = train.with_aligned_count(30)
-    large = train.with_aligned_count(90)
-    np.testing.assert_array_equal(small.aligned_ids(), large.aligned_ids()[:30])
-    np.testing.assert_array_equal(large.aligned_ids(), train.aligned_pool[:90])
+    small, large = train.aligned_ids(30), train.aligned_ids(90)
+    np.testing.assert_array_equal(small, large[:30])
+    np.testing.assert_array_equal(large, train.aligned_pool[:90])
     with pytest.raises(DataError):
-        train.with_aligned_count(train.aligned_pool.shape[0] + 1)
+        train.aligned_ids(train.aligned_pool.shape[0] + 1)
 
 
 def test_synth_is_deterministic():
@@ -93,7 +92,7 @@ def test_synth_label_noise_extremes():
 
 def test_synth_gather_preserves_requested_order(tiny_bundle):
     train = tiny_bundle.train
-    ids = train.aligned_ids()[:8][::-1].copy()
+    ids = train.aligned_ids(8)[::-1].copy()
     batch = train.gather(ids)
     np.testing.assert_array_equal(batch.ids, ids)
     np.testing.assert_array_equal(batch.labels, train.labels_for(ids))
@@ -121,24 +120,24 @@ def test_synth_config_validation():
 
 # ----------------------------------------------------------------- batching
 
-def _pool(ds):
-    return ds.gather(ds.aligned_ids())
+def _pool(ds, count):
+    return ds.gather(ds.aligned_ids(count))
 
 
 def test_sample_aligned_batches_cover_each_row_once(tiny_bundle):
-    train = tiny_bundle.train.with_aligned_count(50)
-    batches = sample_aligned_batches(_pool(train), batch_size=16, seed=5, epoch=2)
+    train = tiny_bundle.train
+    batches = sample_aligned_batches(_pool(train, 50), batch_size=16, seed=5, epoch=2)
     sizes = [b.n for b in batches]
     assert sizes == [16, 16, 16, 2]
     seen = np.concatenate([b.ids for b in batches])
-    assert sorted(seen.tolist()) == sorted(train.aligned_ids().tolist())
+    assert sorted(seen.tolist()) == sorted(train.aligned_ids(50).tolist())
 
 
 def test_sample_aligned_batches_depend_on_epoch_not_call_order(tiny_bundle):
-    train = tiny_bundle.train.with_aligned_count(50)
-    a = sample_aligned_batches(_pool(train), 16, seed=5, epoch=1)
-    b = sample_aligned_batches(_pool(train), 16, seed=5, epoch=1)
-    c = sample_aligned_batches(_pool(train), 16, seed=5, epoch=2)
+    train = tiny_bundle.train
+    a = sample_aligned_batches(_pool(train, 50), 16, seed=5, epoch=1)
+    b = sample_aligned_batches(_pool(train, 50), 16, seed=5, epoch=1)
+    c = sample_aligned_batches(_pool(train, 50), 16, seed=5, epoch=2)
     np.testing.assert_array_equal(a[0].ids, b[0].ids)
     assert not np.array_equal(a[0].ids, c[0].ids)
 
@@ -146,12 +145,12 @@ def test_sample_aligned_batches_depend_on_epoch_not_call_order(tiny_bundle):
 @pytest.mark.parametrize("seed", [1, 5, 29])
 def test_batches_of_the_gathered_pool_equal_per_batch_gathers(tiny_bundle, seed):
     # 50 rows in batches of 16, so each epoch ends on a short batch of 2
-    train = tiny_bundle.train.with_aligned_count(50)
+    train = tiny_bundle.train
     for epoch in (1, 2, 7):
-        ids = train.aligned_ids()
+        ids = train.aligned_ids(50)
         shuffled = ids[stream(seed, "aligned-batches", epoch).permutation(ids.size)]
         expected = [train.gather(shuffled[i : i + 16]) for i in range(0, ids.size, 16)]
-        batches = sample_aligned_batches(_pool(train), 16, seed, epoch)
+        batches = sample_aligned_batches(_pool(train, 50), 16, seed, epoch)
         assert [b.n for b in batches] == [16, 16, 16, 2]
         for got, want in zip(batches, expected):
             np.testing.assert_array_equal(got.ids, want.ids)
@@ -165,10 +164,10 @@ def test_batches_of_the_gathered_pool_equal_per_batch_gathers(tiny_bundle, seed)
 
 def test_sample_aligned_batches_rejects_bad_input(tiny_bundle):
     with pytest.raises(ConfigError):
-        sample_aligned_batches(_pool(tiny_bundle.train), 0, seed=1, epoch=0)
-    empty = tiny_bundle.train.with_aligned_count(0)
+        sample_aligned_batches(_pool(tiny_bundle.train, 120), 0, seed=1, epoch=0)
+    empty = tiny_bundle.train.gather(tiny_bundle.train.aligned_pool[:0])
     with pytest.raises(DataError):
-        sample_aligned_batches(_pool(empty), 8, seed=1, epoch=0)
+        sample_aligned_batches(empty, 8, seed=1, epoch=0)
 
 
 # ----------------------------------------------------------------- CSV
@@ -206,7 +205,7 @@ def test_load_csv_roundtrip(tmp_path):
     # min-max scaling to [0, 1]
     assert table.num[:, 0].min() == 0.0 and table.num[:, 0].max() == 1.0
     np.testing.assert_array_equal(np.unique(table.labels), [0.0, 1.0])
-    assert enc.cardinality("color") == 4
+    assert len(enc.vocab["color"]) + 1 == 4  # plus the unseen bucket
 
 
 def test_load_csv_error_messages_carry_line_numbers(tmp_path):
@@ -303,7 +302,7 @@ def _assert_partitioned(ds, table):
     is exactly the parties' ID intersection, every other row is private to
     one party, and the labels follow party 1's IDs."""
     pool = set(ds.aligned_pool.tolist())
-    assert len(pool) == ds.aligned_pool.size == ds.aligned_count
+    assert len(pool) == ds.aligned_pool.size
     ids = [set(view.ids.tolist()) for view in ds.parties.values()]
     assert set.intersection(*ids) == pool
     private = [local - pool for local in ids]
@@ -325,7 +324,7 @@ def test_vertical_partition_invariants(tmp_path):
     ids2 = set(ds.parties[2].ids.tolist())
     assert ids1 | ids2 == set(table.ids.tolist())
     # labels follow party 1's rows
-    batch = ds.gather(ds.aligned_ids()[:4])
+    batch = ds.gather(ds.aligned_ids(4))
     for i, sample_id in enumerate(batch.ids):
         row = int(np.where(table.ids == sample_id)[0][0])
         assert batch.labels[i] == table.labels[row]
@@ -434,7 +433,7 @@ def test_bundle_cache_roundtrip(tmp_path, tiny_bundle):
     assert manifest["meta"] == {"config_hash": "abc", "seed": 7}
     assert manifest["k_parties"] == 3
     lt, ot = loaded.train, tiny_bundle.train
-    assert lt.aligned_count == ot.aligned_count
+    assert manifest["aligned_count"] == ot.aligned_pool.size
     np.testing.assert_array_equal(lt.aligned_pool, ot.aligned_pool)
     np.testing.assert_array_equal(lt.labels, ot.labels)
     assert lt.schema == ot.schema
@@ -517,6 +516,10 @@ def test_bundle_cache_corruption_is_a_data_error_naming_the_file(tmp_path, tiny_
         _rewrite_metadata(path, **{key: None})
         with pytest.raises(DataError, match="dataset.ckpt"):
             load_bundle(d)
+    path.write_bytes(raw)
+    _rewrite_metadata(path, aligned_count=119)  # not the pool of 120
+    with pytest.raises(DataError, match="dataset.ckpt.*aligned_count.*pool size 120"):
+        load_bundle(d)
     path.write_bytes(raw)
     tensors, metadata = load_checkpoint(path)
     del tensors["labels"]

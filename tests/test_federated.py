@@ -14,7 +14,7 @@ import pytest
 
 import vflhlp
 
-from vflhlp.errors import ConfigError, SchemaError, TrainingError
+from vflhlp.errors import ConfigError, DataError, SchemaError, TrainingError
 from vflhlp.federated import (
     DIR_TO_PARTY,
     DIR_TO_SERVER,
@@ -43,6 +43,7 @@ from vflhlp.sup_pretrain import SupConfig, pretrain_active
 
 from conftest import (
     build_federation, fresh_models, round_loss_setup, small_spec, split_round_grads,
+    tiny_synth_config,
 )
 from gradcheck import grad_check
 
@@ -133,8 +134,8 @@ def test_total_loss_beta_zero_is_bitwise_identity():
 # ------------------------------------------------------------------ rounds
 
 def _round_batch(bundle, count=40):
-    train = bundle.train.with_aligned_count(count)
-    return train, train.gather(train.aligned_ids())
+    train = bundle.train
+    return train, train.gather(train.aligned_ids(count))
 
 
 def test_round_messages_are_balanced_and_audited(tiny_bundle, specs3):
@@ -477,15 +478,15 @@ def test_federated_predict_is_batch_invariant(tiny_bundle, specs3):
 
 def _dcfg(**kw):
     base = dict(beta=0.0, eta1=1e-3, eta2=1e-3, epochs=2, batch_size=16,
-                val_fraction=0.1, seed=13)
+                val_fraction=0.1)
     base.update(kw)
     return DownstreamConfig(**base)
 
 
 def test_train_downstream_shapes_history_and_audit(tiny_bundle, specs3, pretrained):
-    train = tiny_bundle.train.with_aligned_count(60)
+    train = tiny_bundle.train
     out = train_downstream(train, specs3, TrainMode.VFLHLP, pretrained,
-                           _dcfg(beta=0.3, epochs=3))
+                           _dcfg(beta=0.3, epochs=3), 13, 60)
     assert isinstance(out, TrainedFederation)
     assert len(out.history) == 3
     for i, row in enumerate(out.history):
@@ -509,20 +510,20 @@ def test_a_cell_with_a_non_binary_label_fails_before_its_first_round(
 
     monkeypatch.setattr(federated, "run_round", no_step)
     monkeypatch.setattr(sup, "bce_with_logits", no_step)
-    train = tiny_bundle.train.with_aligned_count(60)
+    train = tiny_bundle.train
     labels = train.labels.copy()
-    labels[train.parties[1].rows_for(train.aligned_ids()[-1:])] = 0.5
+    labels[train.parties[1].rows_for(train.aligned_ids(60)[-1:])] = 0.5
     bad = replace(train, labels=labels)
     with pytest.raises(SchemaError, match="labels must be 0 or 1"):
-        train_downstream(bad, specs3, mode, pretrained, _dcfg())
+        train_downstream(bad, specs3, mode, pretrained, _dcfg(), 13, 60)
 
 
 def test_train_downstream_is_deterministic(tiny_bundle, specs3, pretrained):
-    train = tiny_bundle.train.with_aligned_count(40)
+    train = tiny_bundle.train
     a = train_downstream(train, specs3, TrainMode.VFLHLP, pretrained,
-                         _dcfg(beta=0.2))
+                         _dcfg(beta=0.2), 13, 40)
     b = train_downstream(train, specs3, TrainMode.VFLHLP, pretrained,
-                         _dcfg(beta=0.2))
+                         _dcfg(beta=0.2), 13, 40)
     assert a.history == b.history
     for k in a.encoders:
         for name, arr in a.encoders[k].params().items():
@@ -536,11 +537,11 @@ def test_vflhlp_with_beta_zero_equals_passive_warm_start_mode(
 ):
     # with the constraint coefficient at zero the two modes are the same
     # algorithm, so the runs must be bit-identical
-    train = tiny_bundle.train.with_aligned_count(40)
+    train = tiny_bundle.train
     a = train_downstream(train, specs3, TrainMode.VFLHLP, pretrained,
-                         _dcfg(beta=0.0, epochs=3))
+                         _dcfg(beta=0.0, epochs=3), 13, 40)
     b = train_downstream(train, specs3, TrainMode.VFLHLP_P, pretrained,
-                         _dcfg(beta=0.0, epochs=3))
+                         _dcfg(beta=0.0, epochs=3), 13, 40)
     assert [r["loss"] for r in a.history] == [r["loss"] for r in b.history]
     for k in a.encoders:
         for name, arr in a.encoders[k].params().items():
@@ -550,9 +551,9 @@ def test_vflhlp_with_beta_zero_equals_passive_warm_start_mode(
 
 
 def test_warm_starts_land_where_the_mode_says(tiny_bundle, specs3, pretrained):
-    train = tiny_bundle.train.with_aligned_count(40)
+    train = tiny_bundle.train
     out = train_downstream(train, specs3, TrainMode.VFLHLP_P, pretrained,
-                           _dcfg(epochs=0))
+                           _dcfg(epochs=0), 13, 40)
     for k in (2, 3):
         for name, arr in out.encoders[k].params().items():
             np.testing.assert_array_equal(arr, pretrained.passive[k][name])
@@ -561,23 +562,23 @@ def test_warm_starts_land_where_the_mode_says(tiny_bundle, specs3, pretrained):
         np.testing.assert_array_equal(arr, fresh.params()[name])
 
     vanilla = train_downstream(train, specs3, TrainMode.VANILLA_VFL, None,
-                               _dcfg(epochs=0))
+                               _dcfg(epochs=0), 13, 40)
     for k in (2, 3):
         fresh_k = specs3[k].build(stream(13, "downstream", "init-party", k))
         for name, arr in vanilla.encoders[k].params().items():
             np.testing.assert_array_equal(arr, fresh_k.params()[name])
 
     warm = train_downstream(train, specs3, TrainMode.VFLHLP, pretrained,
-                            _dcfg(epochs=0, warm_start_active=True))
+                            _dcfg(epochs=0, warm_start_active=True), 13, 40)
     for name, arr in warm.encoders[1].params().items():
         np.testing.assert_array_equal(arr, pretrained.active.encoder_params[name])
 
 
 def test_huge_beta_clamps_active_party_to_anchor(tiny_bundle, specs3, pretrained):
-    train = tiny_bundle.train.with_aligned_count(60)
+    train = tiny_bundle.train
     out = train_downstream(
         train, specs3, TrainMode.VFLHLP, pretrained,
-        _dcfg(beta=1e6, epochs=8, warm_start_active=True),
+        _dcfg(beta=1e6, epochs=8, warm_start_active=True), 13, 60,
     )
     for name, arr in out.encoders[1].params().items():
         drift = np.abs(arr - pretrained.active.encoder_params[name]).max()
@@ -591,22 +592,39 @@ def test_huge_beta_clamps_active_party_to_anchor(tiny_bundle, specs3, pretrained
 
 
 def test_missing_pretrained_weights_fail_with_party_names(tiny_bundle, specs3):
-    train = tiny_bundle.train.with_aligned_count(40)
+    train = tiny_bundle.train
     with pytest.raises(TrainingError, match="party 1"):
-        train_downstream(train, specs3, TrainMode.VFLHLP_A, None, _dcfg(beta=0.1))
+        train_downstream(train, specs3, TrainMode.VFLHLP_A, None, _dcfg(beta=0.1), 13, 40)
     # an unconstrained mode needs the active party's weights to warm-start it
     with pytest.raises(TrainingError, match=r"warm_start_active=True.*party 1"):
         train_downstream(train, specs3, TrainMode.VANILLA_VFL, None,
-                         _dcfg(warm_start_active=True))
+                         _dcfg(warm_start_active=True), 13, 40)
     partial = PretrainedWeights()
     with pytest.raises(TrainingError, match="party 2"):
-        train_downstream(train, specs3, TrainMode.VFLHLP_P, partial, _dcfg())
+        train_downstream(train, specs3, TrainMode.VFLHLP_P, partial, _dcfg(), 13, 40)
+
+
+POOL = tiny_synth_config().aligned_pool
+
+
+@pytest.mark.parametrize("count", [0, POOL + 1, POOL])
+def test_the_aligned_count_is_checked_against_the_pool(tiny_bundle, specs3, count):
+    train = tiny_bundle.train
+    assert train.aligned_pool.size == POOL
+    args = (train, specs3, TrainMode.VANILLA_VFL, None, _dcfg(epochs=1), 13, count)
+    if count != POOL:
+        with pytest.raises(DataError, match=f"aligned count {count} .* pool of {POOL}"):
+            train_downstream(*args)
+        return
+    out = train_downstream(*args)
+    # the whole pool less the 10% validation carve: 108 rows, batches of 16
+    assert audit_transport(out.transport, train).n_rounds == 7
 
 
 def test_local_mode_returns_local_model(tiny_bundle, specs3):
-    train = tiny_bundle.train.with_aligned_count(40)
+    train = tiny_bundle.train
     out = train_downstream(train, specs3, TrainMode.LOCAL_A, None,
-                           _dcfg(epochs=2, batch_size=128))
+                           _dcfg(epochs=2, batch_size=128), 13, 40)
     assert isinstance(out, TrainedFederation) and list(out.encoders) == [1]
     assert out.mode is TrainMode.LOCAL_A
     assert len(out.history) == 2

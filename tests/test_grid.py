@@ -9,7 +9,6 @@ import functools
 import json
 import multiprocessing
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -46,10 +45,9 @@ def test_local_a_cell_matches_inline_training(tmp_path):
     _no_workers_left()
 
     bundle = build_bundle(cfg, 7)
-    view = bundle.train.with_aligned_count(20)
-    dcfg = replace(cfg.downstream, seed=7, beta=0.0)
     inline = train_downstream(
-        view, encoder_specs(bundle.train, cfg.model), TrainMode.LOCAL_A, None, dcfg
+        bundle.train, encoder_specs(bundle.train, cfg.model), TrainMode.LOCAL_A, None,
+        cfg.downstream, 7, 20,
     )
     score = evaluate_mode(inline, bundle.test)
     cells = [c for c in result.cells if c.mode == "local_a"]

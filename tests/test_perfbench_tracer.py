@@ -66,16 +66,15 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
     assert cfg.supervised.batch_size != cfg.downstream.batch_size
     bundle = evaluation.build_bundle(cfg, 7)
     specs = encoder_specs(bundle.train, cfg.model)
-    view = replace(bundle, train=bundle.train.with_aligned_count(20))
-    dcfg = replace(cfg.downstream, seed=7, beta=0.0)
+    dcfg = replace(cfg.downstream, beta=0.0)
 
     t = tracer.Tracer("tags")
     t.install()
     try:
         pre = evaluation.pretrain_for_seed(cfg, bundle, 7, need_active=True,
                                            need_passive=False)
-        evaluation.run_cell(view, specs, TrainMode.VANILLA_VFL, pre, dcfg)
-        evaluation.run_cell(view, specs, TrainMode.LOCAL_A, None, dcfg)
+        evaluation.run_cell(bundle, specs, TrainMode.VANILLA_VFL, pre, dcfg, 7, 20)
+        evaluation.run_cell(bundle, specs, TrainMode.LOCAL_A, None, dcfg, 7, 20)
     finally:
         t.uninstall()
 
