@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +26,7 @@ from .data import CACHE_FILE, DatasetBundle, load_bundle, read_json_object, save
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import (
     build_bundle,
+    cell_plan,
     evaluate_mode,
     load_cell_checkpoint,
     load_pretrained,
@@ -34,7 +36,7 @@ from .evaluation import (
     save_cell_checkpoint,
     save_pretrained,
 )
-from .federated import TrainMode
+from .federated import TrainMode, pretrained_needs
 from .nn import write_file
 
 ENV_OUT = "VFLHLP_OUT"
@@ -73,9 +75,9 @@ def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> DatasetBundle:
     return cached if cached is not None else build_bundle(cfg, seed)
 
 
-def cmd_prepare(cfg: RunConfig, out: Path) -> int:
+def cmd_prepare(cfg: RunConfig, out: Path, seeds) -> int:
     chash = config_hash(cfg)
-    for seed in cfg.grid.seeds:
+    for seed in seeds:
         cache = _cache_dir(out, seed)
         try:
             if _cached_bundle(cache, chash, seed) is not None:
@@ -93,9 +95,9 @@ def cmd_prepare(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_pretrain(cfg: RunConfig, out: Path, passive_only: bool) -> int:
+def cmd_pretrain(cfg: RunConfig, out: Path, seeds, passive_only: bool) -> int:
     chash = config_hash(cfg)
-    for seed in cfg.grid.seeds:
+    for seed in seeds:
         bundle = _bundle_for(cfg, out, seed)
         pre = pretrain_for_seed(
             cfg, bundle, seed, need_active=not passive_only, need_passive=True
@@ -112,89 +114,87 @@ def cmd_pretrain(cfg: RunConfig, out: Path, passive_only: bool) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, out: Path, mode_name: str | None) -> int:
+def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
     chash = config_hash(cfg)
-    mode_names = [mode_name] if mode_name else list(cfg.grid.modes)
-    for seed in cfg.grid.seeds:
+    modes = [TrainMode.parse(m) for m in ([mode_name] if mode_name else cfg.grid.modes)]
+    need_active, need_passive = pretrained_needs(modes, cfg.downstream.warm_start_active)
+    for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
         bundle = _bundle_for(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
-        for name in mode_names:
-            mode = TrainMode.parse(name)
-            pretrained = load_pretrained(
-                _ckpt_dir(out, seed), specs, mode, cfg.downstream.warm_start_active
+        pretrained = load_pretrained(_ckpt_dir(out, seed), specs, need_active, need_passive)
+        local_a = None  # local_a ignores the count: trained once, written at every count
+        for _, count, mode, beta in cells:
+            if mode.is_federated or local_a is None:
+                dcfg = replace(cfg.downstream, beta=beta)
+                cell = run_cell(bundle, specs, mode, pretrained, dcfg, seed, count)
+                if not mode.is_federated:
+                    local_a = cell
+            trained, score, audit = cell if mode.is_federated else local_a
+            run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
+            write_file(
+                run_dir / "history.jsonl",
+                "".join(json.dumps(e, sort_keys=True) + "\n" for e in trained.history),
             )
-            beta = cfg.downstream.beta if mode.uses_constraint else 0.0
-            dcfg = replace(cfg.downstream, beta=beta)
-            cell = None
-            for count in cfg.grid.aligned_counts:
-                if cell is None or mode.is_federated:  # local_a ignores the count
-                    cell = run_cell(bundle, specs, mode, pretrained, dcfg, seed, count)
-                trained, score, audit = cell
-                run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
-                write_file(
-                    run_dir / "history.jsonl",
-                    "".join(json.dumps(e, sort_keys=True) + "\n" for e in trained.history),
-                )
-                save_cell_checkpoint(
-                    run_dir / "final.ckpt", trained, seed, count, beta, chash
-                )
-                result = {
-                    "mode": mode.value,
-                    "seed": seed,
-                    "aligned_count": count,
-                    "beta": beta,
-                    "test_auc": score,
-                    "config_hash": chash,
-                    "audit": None
-                    if audit is None
-                    else {
-                        "ok": audit.ok,
-                        "n_messages": audit.n_messages,
-                        "n_rounds": audit.n_rounds,
-                        "balanced_rounds": audit.balanced_rounds,
-                    },
-                }
-                write_file(
-                    run_dir / "result.json", json.dumps(result, indent=2, sort_keys=True) + "\n"
-                )
-                print(
-                    f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}"
-                )
+            save_cell_checkpoint(
+                run_dir / "final.ckpt", trained, seed, count, beta, chash
+            )
+            result = {
+                "mode": mode.value,
+                "seed": seed,
+                "aligned_count": count,
+                "beta": beta,
+                "test_auc": score,
+                "config_hash": chash,
+                "audit": None
+                if audit is None
+                else {
+                    "ok": audit.ok,
+                    "n_messages": audit.n_messages,
+                    "n_rounds": audit.n_rounds,
+                    "balanced_rounds": audit.balanced_rounds,
+                },
+            }
+            write_file(
+                run_dir / "result.json", json.dumps(result, indent=2, sort_keys=True) + "\n"
+            )
+            print(
+                f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}"
+            )
     return 0
 
 
-def cmd_eval(cfg: RunConfig, out: Path) -> int:
+def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
     any_found = False
-    for seed in cfg.grid.seeds:
+    modes = [TrainMode.parse(m) for m in cfg.grid.modes]
+    for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
         bundle = _bundle_for(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
-        for count in cfg.grid.aligned_counts:
-            for name in cfg.grid.modes:
-                run_dir = out / "train" / f"seed{seed}" / f"count{count}" / name
-                ckpt = run_dir / "final.ckpt"
-                if not ckpt.exists():
-                    continue
-                any_found = True
-                score = evaluate_mode(load_cell_checkpoint(ckpt, specs), bundle.test)
-                recorded = None
-                result_path = run_dir / "result.json"
-                if result_path.exists():
-                    recorded = read_json_object(result_path).get("test_auc")
-                write_file(
-                    run_dir / "eval.json",
-                    json.dumps(
-                        {
-                            "test_auc": score,
-                            "recorded_auc": recorded,
-                            "matches_recorded": recorded == score,
-                        },
-                        indent=2,
-                        sort_keys=True,
-                    )
-                    + "\n"
+        for _, count, mode, _ in cells:
+            run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
+            ckpt = run_dir / "final.ckpt"
+            if not ckpt.exists():
+                continue
+            any_found = True
+            score = evaluate_mode(load_cell_checkpoint(ckpt, specs), bundle.test)
+            recorded = None
+            result_path = run_dir / "result.json"
+            if result_path.exists():
+                recorded = read_json_object(result_path).get("test_auc")
+            write_file(
+                run_dir / "eval.json",
+                json.dumps(
+                    {
+                        "test_auc": score,
+                        "recorded_auc": recorded,
+                        "matches_recorded": recorded == score,
+                    },
+                    indent=2,
+                    sort_keys=True,
                 )
-                flag = "" if recorded in (None, score) else "  (differs from train!)"
-                print(f"seed {seed} n_al={count} {name}: test AUC {score:.4f}{flag}")
+                + "\n"
+            )
+            flag = "" if recorded in (None, score) else "  (differs from train!)"
+            print(f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}{flag}")
     if not any_found:
         raise TrainingError(
             f"no trained checkpoints under {out / 'train'}; run `vflhlp train` first"
@@ -202,14 +202,15 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_grid(cfg: RunConfig, out: Path) -> int:
-    result = run_grid(cfg, out_dir=out, log=lambda msg: print(msg, flush=True))
+def cmd_grid(cfg: RunConfig, out: Path, seeds) -> int:
+    result = run_grid(cfg, out_dir=out, log=lambda msg: print(msg, flush=True), seeds=seeds)
     print(result.render_text(), end="")
     if not result.all_ok():
         failed = [c for c in result.cells if c.status == "failed"]
         for c in failed[:10]:
             print(
-                f"FAILED: mode={c.mode} n_al={c.aligned_count} seed={c.seed}: {c.error}",
+                f"FAILED: mode={c.mode} n_al={c.aligned_count} seed={c.seed} "
+                f"beta={c.beta:g}: {c.error}",
                 file=sys.stderr,
             )
         raise TrainingError(f"{len(failed)} grid cells failed")
@@ -255,10 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     out = None
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
-            cfg = replace(cfg, grid=replace(cfg.grid, seeds=(args.seed,)))
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
+        # --seed selects the one seed to run; the config, and so its hash, stay
+        seeds = cfg.grid.seeds if args.seed is None else (args.seed,)
         if getattr(args, "mode", None):
             TrainMode.parse(args.mode)  # fail fast on typos
         out = _resolve_out(cfg, args.out)
@@ -269,15 +270,15 @@ def main(argv: list[str] | None = None) -> int:
                 f"{out}: cannot create the output directory: {exc.strerror or exc}"
             ) from None
         if args.command == "prepare":
-            code = cmd_prepare(cfg, out)
+            code = cmd_prepare(cfg, out, seeds)
         elif args.command == "pretrain":
-            code = cmd_pretrain(cfg, out, args.passive_only)
+            code = cmd_pretrain(cfg, out, seeds, args.passive_only)
         elif args.command == "train":
-            code = cmd_train(cfg, out, args.mode)
+            code = cmd_train(cfg, out, seeds, args.mode)
         elif args.command == "eval":
-            code = cmd_eval(cfg, out)
+            code = cmd_eval(cfg, out, seeds)
         else:
-            code = cmd_grid(cfg, out)
+            code = cmd_grid(cfg, out, seeds)
     except ConfigError as exc:
         code = _fail("config error", exc, 2)
     except MemoryError as exc:  # a model or table larger than the process may hold

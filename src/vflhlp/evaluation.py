@@ -42,6 +42,7 @@ from .federated import (
     TransportLog,
     audit_transport,
     federated_predict,
+    pretrained_needs,
     train_downstream,
 )
 from .metrics import auc
@@ -284,20 +285,39 @@ def _spare_cpus() -> int:
 # a cell whose split cannot be scored fails with UndefinedMetricError, a DataError
 _CELL_ERRORS = (ConfigError, DataError, TrainingError)
 
+Cell = tuple[int, int, TrainMode, float]  # (seed, aligned count, mode, beta)
+
+
+def cell_plan(
+    cfg: RunConfig, seeds, modes: list[TrainMode], sweep: tuple[float, ...] = ()
+) -> list[Cell]:
+    """A run's cells in output order: seed, then aligned count, then mode, then beta.
+
+    A constrained mode runs at each `sweep` value, or at downstream.beta when
+    there is no sweep; every other mode runs at beta = 0. This is the one
+    listing of cells that `grid`, `train` and `eval` all iterate.
+    """
+    return [
+        (seed, count, mode, beta)
+        for seed in seeds
+        for count in cfg.grid.aligned_counts
+        for mode in modes
+        for beta in ((sweep or (cfg.downstream.beta,)) if mode.uses_constraint else (0.0,))
+    ]
+
 
 def run_grid(
-    cfg: RunConfig, out_dir: Path | None = None, log=None
+    cfg: RunConfig, out_dir: Path | None = None, log=None, seeds=None
 ) -> GridResult:
     """Run the full sweep; optionally write results and final checkpoints.
 
-    Returns a GridResult with one cell per (mode, aligned_count, seed, beta).
-    Modes that do not use the constraint always run with beta = 0; modes
-    that do use the configured beta, or every value of grid.beta_sweep.
+    Returns a GridResult with one cell per entry of cell_plan over `seeds`
+    (the config's when None), with grid.beta_sweep as the sweep.
 
     Each seed's local_a cell trains in a worker process (train_local_a)
     while this process pre-trains and trains the federated cells; its
-    result is filled into its serial position at the end of the seed, so
-    the outputs do not depend on the number of workers.
+    result is collected at the end of the seed and fills every count's
+    cell, so the outputs do not depend on the number of workers.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -305,31 +325,42 @@ def run_grid(
 
     say = log or (lambda msg: None)
     chash = config_hash(cfg)
+    seeds = list(cfg.grid.seeds if seeds is None else seeds)
     modes = [TrainMode.parse(m) for m in cfg.grid.modes]
     sweep = tuple(cfg.grid.beta_sweep)
-    needs = [m.pretrained_needs(cfg.downstream.warm_start_active) for m in modes]
-    need_active = any(active for active, _ in needs)
-    need_passive = any(passive for _, passive in needs)
+    plan = cell_plan(cfg, seeds, modes, sweep)
+    need_active, need_passive = pretrained_needs(modes, cfg.downstream.warm_start_active)
 
-    cells: list[CellResult | None] = []  # None marks a local_a cell not yet back
+    # plan cell -> (status, test_auc, error, history); local_a's under count 0.
+    # No trained model is kept past its cell.
+    outcomes: dict[Cell, tuple] = {}
     ssl_traces: dict[str, list[float]] = {}
     active_val: dict[str, float | None] = {}
     oracle: dict[str, float] = {}
+
+    def record(cell: Cell, job, *args) -> None:
+        seed, count, mode, beta = cell
+        try:
+            trained, score = job(*args)[:2]
+        except _CELL_ERRORS as exc:
+            outcomes[cell] = ("failed", None, f"{type(exc).__name__}: {exc}", [])
+            return
+        outcomes[cell] = ("ok", score, None, trained.history)
+        if out_dir is not None:
+            _write_cell_checkpoint(out_dir, seed, count, mode, beta, bool(sweep), trained, chash)
 
     pool = None
     local_a_jobs = {}
     try:
         if TrainMode.LOCAL_A in modes:
-            workers = min(_spare_cpus(), len(cfg.grid.seeds))
+            workers = min(_spare_cpus(), len(seeds))
             # spawn, not fork: forking a process that may run threads
             # (BLAS, a caller's) can deadlock the child
             pool = ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn")
             )
-            local_a_jobs = {
-                seed: pool.submit(train_local_a, cfg, seed) for seed in cfg.grid.seeds
-            }
-        for seed in cfg.grid.seeds:
+            local_a_jobs = {seed: pool.submit(train_local_a, cfg, seed) for seed in seeds}
+        for seed, cells in groupby(plan, lambda cell: cell[0]):
             say(f"seed {seed}: building dataset")
             bundle = build_bundle(cfg, seed)
             specs = encoder_specs(bundle.train, cfg.model)
@@ -341,54 +372,21 @@ def run_grid(
             if cfg.grid.include_oracle and bundle.test.bayes_scores is not None:
                 oracle[f"seed{seed}"] = auc(bundle.test.labels, bundle.test.bayes_scores)
 
-            local_a_slots: list[tuple[int, int]] = []  # (index in cells, count)
-            for count in cfg.grid.aligned_counts:
-                for mode in modes:
-                    if mode.uses_constraint:
-                        betas = sweep or (cfg.downstream.beta,)
-                    else:
-                        betas = (0.0,)
-                    for beta in betas:
-                        say(
-                            f"seed {seed}: n_al={count} mode={mode.value} beta={beta:g}"
-                        )
-                        if mode is TrainMode.LOCAL_A:
-                            local_a_slots.append((len(cells), count))
-                            cells.append(None)
-                            continue
-                        dcfg = replace(cfg.downstream, beta=beta)
-                        try:
-                            trained, score, _ = run_cell(
-                                bundle, specs, mode, pre, dcfg, seed, count
-                            )
-                        except _CELL_ERRORS as exc:
-                            cells.append(_cell(mode, count, seed, beta, exc))
-                            continue
-                        cells.append(_cell(mode, count, seed, beta, (trained, score)))
-                        if out_dir is not None:
-                            _write_cell_checkpoint(
-                                out_dir, seed, count, mode, beta, bool(sweep),
-                                trained, chash,
-                            )
+            for cell in cells:
+                _, count, mode, beta = cell
+                say(f"seed {seed}: n_al={count} mode={mode.value} beta={beta:g}")
+                if mode.is_federated:  # local_a's cell comes back from its worker
+                    dcfg = replace(cfg.downstream, beta=beta)
+                    record(cell, run_cell, bundle, specs, mode, pre, dcfg, seed, count)
 
-            if not local_a_slots:
+            if seed not in local_a_jobs:
                 continue
             try:
-                trained, score = local_a_jobs[seed].result()
+                record((seed, 0, TrainMode.LOCAL_A, 0.0), local_a_jobs[seed].result)
             except BrokenProcessPool as exc:
                 raise TrainingError(
                     f"the worker training local_a for seed {seed} died: {exc}"
                 ) from exc
-            except _CELL_ERRORS as exc:
-                for i, count in local_a_slots:
-                    cells[i] = _cell(TrainMode.LOCAL_A, count, seed, 0.0, exc)
-                continue
-            for i, count in local_a_slots:
-                cells[i] = _cell(TrainMode.LOCAL_A, count, seed, 0.0, (trained, score))
-            if out_dir is not None:
-                _write_cell_checkpoint(
-                    out_dir, seed, 0, TrainMode.LOCAL_A, 0.0, bool(sweep), trained, chash
-                )
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -398,9 +396,13 @@ def run_grid(
         version=__version__,
         modes=[m.value for m in modes],
         aligned_counts=list(cfg.grid.aligned_counts),
-        seeds=list(cfg.grid.seeds),
+        seeds=seeds,
         default_beta=cfg.downstream.beta,
-        cells=cells,
+        cells=[
+            CellResult(mode.value, count, seed, beta,
+                       *outcomes[(seed, count if mode.is_federated else 0, mode, beta)])
+            for seed, count, mode, beta in plan
+        ],
         ssl_traces=ssl_traces,
         active_val_auc=active_val,
         oracle_auc=oracle,
@@ -408,15 +410,6 @@ def run_grid(
     if out_dir is not None:
         write_grid_outputs(result, out_dir)
     return result
-
-
-def _cell(mode, count, seed, beta, outcome: tuple | Exception) -> CellResult:
-    """A grid cell from a trained model and its score, or from the error raised."""
-    if isinstance(outcome, Exception):
-        error = f"{type(outcome).__name__}: {outcome}"
-        return CellResult(mode.value, count, seed, beta, "failed", None, error)
-    trained, score = outcome
-    return CellResult(mode.value, count, seed, beta, "ok", score, None, trained.history)
 
 
 def _to_tensors(parts: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -533,15 +526,14 @@ def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: st
 def load_pretrained(
     ckpt_dir: Path,
     specs: dict[int, EncoderSpec],
-    mode: TrainMode,
-    warm_start_active: bool,
+    need_active: bool,
+    need_passive: bool,
 ) -> PretrainedWeights:
-    """Read the pre-trained weights `mode` needs from what save_pretrained wrote.
+    """Read the pre-trained weights asked for from what save_pretrained wrote.
 
     Every tensor of a file must fit `specs`: a missing, extra or misshapen one
     raises DataError naming the file.
     """
-    need_active, need_passive = mode.pretrained_needs(warm_start_active)
     parties = [1] if need_active else []
     if need_passive:
         parties += [k for k in sorted(specs) if k != 1]
@@ -550,7 +542,7 @@ def load_pretrained(
         path = Path(ckpt_dir) / ("active.ckpt" if k == 1 else f"passive{k}.ckpt")
         if not path.exists():
             raise TrainingError(
-                f"mode {mode.value} needs {path} for party {k}; "
+                f"the modes to train need {path} for party {k}; "
                 f"run `vflhlp pretrain` first"
             )
         tensors, meta = load_checkpoint(path)

@@ -75,13 +75,16 @@ class TrainMode(enum.Enum):
     def is_federated(self) -> bool:
         return self is not TrainMode.LOCAL_A
 
-    def pretrained_needs(self, warm_start_active: bool) -> tuple[bool, bool]:
-        """Whether a cell needs the active party's and the passive parties'
-        pre-trained weights: the active's for the constraint or for a
-        federated cell's warm_start_active, the passives' for their warm
-        start. local_a trains from scratch and needs neither."""
-        need_active = self.uses_constraint or (warm_start_active and self.is_federated)
-        return need_active, self.warm_starts_passive
+
+def pretrained_needs(modes: list[TrainMode], warm_start_active: bool) -> tuple[bool, bool]:
+    """Whether cells of `modes` need the active party's and the passive parties'
+    pre-trained weights: the active's for the constraint or for a federated
+    cell's warm_start_active, the passives' for their warm start. local_a
+    trains from scratch and needs neither."""
+    need_active = any(
+        m.uses_constraint or (warm_start_active and m.is_federated) for m in modes
+    )
+    return need_active, any(m.warm_starts_passive for m in modes)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +465,7 @@ def _require_pretrained(
     party_ids: list[int],
 ) -> PretrainedWeights:
     pretrained = pretrained or PretrainedWeights()
-    need_active, need_passive = mode.pretrained_needs(warm_start_active)
+    need_active, need_passive = pretrained_needs([mode], warm_start_active)
     if need_active and pretrained.active is None:
         raise TrainingError(
             f"mode {mode.value} (warm_start_active={warm_start_active}) needs the "

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vflhlp import cli
 from vflhlp.cli import main
+from vflhlp.config import config_hash, load_config
 from vflhlp.data import load_bundle
 from vflhlp.nn import load_checkpoint, save_checkpoint
 
@@ -163,6 +165,49 @@ def test_train_without_pretraining_fails_clearly(cfg_path, out, capsys):
     err = capsys.readouterr().err
     assert "training error" in err
     assert "vflhlp pretrain" in err
+
+
+def test_a_multi_mode_train_without_pretraining_trains_no_cell(cfg_path, out, capsys):
+    # local_a and vanilla_vfl need nothing, but vflhlp does: the seed's needs
+    # are read before its first cell trains
+    assert run("train", "--config", cfg_path, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert "training error" in err and "active.ckpt" in err
+    assert not (out / "train").exists()
+
+
+def test_train_and_eval_print_their_cells_in_the_grid_table_order(cfg_path, out, tmp_path,
+                                                                   capsys):
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+    capsys.readouterr()
+    assert run("train", "--config", cfg_path, "--out", out) == 0
+    trained = capsys.readouterr().out.splitlines()
+    assert run("eval", "--config", cfg_path, "--out", out) == 0
+    evaluated = capsys.readouterr().out.splitlines()
+    assert run("grid", "--config", cfg_path, "--out", tmp_path / "g") == 0
+    rows = csv.DictReader((tmp_path / "g" / "results.csv").read_text().splitlines())
+    expected = [f"seed {r['seed']} n_al={r['aligned_count']} {r['mode']}" for r in rows]
+    assert len(expected) == len(ALL_MODES) * 2
+    assert [line.split(":")[0] for line in trained] == expected
+    assert [line.split(":")[0] for line in evaluated] == expected
+
+
+def test_a_seed_flag_keeps_the_config_hash_and_reuses_the_cache(tmp_path, out, monkeypatch):
+    cfg = tmp_path / "two-seeds.json"
+    cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "seeds": [7, 8]}}))
+    assert run("prepare", "--config", cfg, "--out", out) == 0
+    built, build = [], cli.build_bundle
+
+    def spy(c, seed):
+        built.append(seed)
+        return build(c, seed)
+
+    monkeypatch.setattr(cli, "build_bundle", spy)
+    assert run("pretrain", "--config", cfg, "--out", out, "--seed", "7", "--passive-only") == 0
+    assert built == []  # the cache that prepare wrote is current for --seed 7
+    _, meta = load_checkpoint(out / "checkpoints" / "seed7" / "passive2.ckpt")
+    assert meta["config_hash"] == config_hash(load_config(cfg))
+    assert not (out / "checkpoints" / "seed8").exists()
 
 
 def test_run_meta_keeps_one_record_per_command(cfg_path, out):
@@ -549,6 +594,7 @@ def test_grid_records_a_diverged_cell_and_carries_on(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     captured = capsys.readouterr()
     assert "2 grid cells failed" in captured.err
+    assert "FAILED: mode=vflhlp n_al=20 seed=7 beta=1e+300:" in captured.err
     assert "Warning" not in captured.out + captured.err
     rows = [r.split(",") for r in (out / "results.csv").read_text().splitlines()[1:]]
     assert [(r[0], r[1], r[3], r[4]) for r in rows] == [

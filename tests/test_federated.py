@@ -32,6 +32,7 @@ from vflhlp.federated import (
     constraint_loss,
     content_hash,
     federated_predict,
+    pretrained_needs,
     run_round,
     total_loss,
     train_downstream,
@@ -649,3 +650,27 @@ def test_mode_parse_and_properties():
     assert not TrainMode.VFLHLP_A.warm_starts_passive
     assert not TrainMode.VANILLA_VFL.uses_constraint
     assert not TrainMode.LOCAL_A.is_federated
+
+
+# (active, passive) pre-trained weights each mode needs, without and with
+# warm_start_active
+NEEDS = {
+    TrainMode.LOCAL_A: ((False, False), (False, False)),
+    TrainMode.VANILLA_VFL: ((False, False), (True, False)),
+    TrainMode.VFLHLP: ((True, True), (True, True)),
+    TrainMode.VFLHLP_A: ((True, False), (True, False)),
+    TrainMode.VFLHLP_P: ((False, True), (True, True)),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("mode", list(TrainMode))
+def test_pretrained_needs_of_each_mode(mode, warm):
+    assert pretrained_needs([mode], warm) == NEEDS[mode][warm]
+
+
+def test_pretrained_needs_of_several_modes_is_the_union():
+    modes = [TrainMode.LOCAL_A, TrainMode.VFLHLP_A, TrainMode.VFLHLP_P]
+    assert pretrained_needs(modes, False) == (True, True)
+    assert pretrained_needs([TrainMode.LOCAL_A, TrainMode.VANILLA_VFL], False) == (False, False)
+    assert pretrained_needs([], True) == (False, False)

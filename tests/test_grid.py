@@ -4,19 +4,26 @@ recorded per cell, anything else raised, and the pool always shut down.
 Failures are injected by swapping `evaluation.train_local_a` for a
 module-level job defined here, which a spawned worker imports by name.
 """
+import ast
 import concurrent.futures
 import functools
+import gc
 import json
 import multiprocessing
 import os
+import weakref
+from pathlib import Path
 
 import pytest
 
+import vflhlp
 from vflhlp import evaluation
 from vflhlp.cli import main
 from vflhlp.config import config_hash, encoder_specs, parse_config
 from vflhlp.errors import ConfigError, DataError, TrainingError, UndefinedMetricError
-from vflhlp.evaluation import build_bundle, evaluate_mode, flatten_trained, run_grid
+from vflhlp.evaluation import (
+    build_bundle, cell_plan, evaluate_mode, flatten_trained, run_grid,
+)
 from vflhlp.federated import TrainMode, train_downstream
 from vflhlp.nn import save_checkpoint
 
@@ -157,3 +164,78 @@ def test_rerun_into_the_same_directory_rewrites_local_a(tmp_path):
     run_grid(parse_config(second), out_dir=fresh)
     ckpt = "grid/seed7/local_a.ckpt"
     assert (out / ckpt).read_bytes() == (fresh / ckpt).read_bytes()
+
+
+def test_the_cell_plan_lists_seed_count_mode_and_beta_in_output_order():
+    cfg = parse_config(_raw(modes=["vflhlp", "local_a"], aligned_counts=[20, 40]))
+    modes = [TrainMode.VFLHLP, TrainMode.LOCAL_A]
+    beta = cfg.downstream.beta
+    assert cell_plan(cfg, [8, 7], modes) == [
+        (seed, count, mode, b)
+        for seed in (8, 7)
+        for count in (20, 40)
+        for mode, b in ((TrainMode.VFLHLP, beta), (TrainMode.LOCAL_A, 0.0))
+    ]
+    assert cell_plan(cfg, [7], modes, (0.5, 0.0))[:3] == [
+        (7, 20, TrainMode.VFLHLP, 0.5), (7, 20, TrainMode.VFLHLP, 0.0),
+        (7, 20, TrainMode.LOCAL_A, 0.0),
+    ]
+
+
+def test_grid_cells_follow_the_cell_plan():
+    raw = _raw(modes=["local_a", "vflhlp", "vanilla_vfl"], beta_sweep=[0.5, 10.0])
+    raw["downstream"] = {**TINY["downstream"], "epochs": 1}
+    cfg = parse_config(raw)
+    result = run_grid(cfg)
+    _no_workers_left()
+    modes = [TrainMode.parse(m) for m in cfg.grid.modes]
+    assert [(c.seed, c.aligned_count, TrainMode(c.mode), c.beta) for c in result.cells] == (
+        cell_plan(cfg, cfg.grid.seeds, modes, cfg.grid.beta_sweep))
+    assert result.all_ok() and len(result.cells) == 8
+
+
+def test_no_trained_model_outlives_its_cell(monkeypatch):
+    # a grid keeps each cell's history and score, never the model, so the
+    # previous cell's weights and transport log are freed before the next trains
+    earlier = []
+    run_cell = evaluation.run_cell
+
+    def checked(*args):
+        gc.collect()
+        assert [ref for ref in earlier if ref() is not None] == [], "a model outlived its cell"
+        cell = run_cell(*args)
+        earlier.append(weakref.ref(cell[0]))
+        return cell
+
+    monkeypatch.setattr(evaluation, "run_cell", checked)
+    result = run_grid(parse_config(_raw(modes=["vanilla_vfl", "vflhlp"])))
+    assert len(earlier) == 4 and result.all_ok()
+
+
+# where the package may loop over the grid's aligned counts or beta sweep:
+# the one cell plan; config.py's validators read them too and are not scanned
+CELL_LISTINGS = {("evaluation.py", "cell_plan")}
+
+
+def test_only_the_cell_plan_iterates_the_grid_counts_and_sweep():
+    package = Path(vflhlp.__file__).parent
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module == "config.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.For, ast.comprehension)):
+                continue
+            it = node.iter
+            if not (isinstance(it, ast.Attribute) and it.attr in ("aligned_counts", "beta_sweep")
+                    and getattr(it.value, "attr", None) == "grid"):
+                continue
+            scope = node
+            while scope in parent and not isinstance(scope, ast.FunctionDef):
+                scope = parent[scope]
+            found.add((module, getattr(scope, "name", "<module>")))
+    assert found == CELL_LISTINGS
