@@ -118,10 +118,13 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
     chash = config_hash(cfg)
     modes = [TrainMode.parse(m) for m in ([mode_name] if mode_name else cfg.grid.modes)]
     need_active, need_passive = pretrained_needs(modes, cfg.downstream.warm_start_active)
+    loaded = []  # every seed's checkpoints are read before the first cell trains
     for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
         bundle = _bundle_for(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
         pretrained = load_pretrained(_ckpt_dir(out, seed), specs, need_active, need_passive)
+        loaded.append((seed, list(cells), bundle, specs, pretrained))
+    for seed, cells, bundle, specs, pretrained in loaded:
         local_a = None  # local_a ignores the count: trained once, written at every count
         for _, count, mode, beta in cells:
             if mode.is_federated or local_a is None:

@@ -9,6 +9,7 @@ scaffolding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,15 @@ EPS_NORM = 1e-12
 class CorruptionModel:
     """Per-feature empirical marginals of one party's local table.
 
-    Categorical fields keep (values, probabilities); numerical fields keep a
-    sorted copy of the observed column. Sampling a replacement is equivalent
-    to copying the feature value of a uniformly random training row.
+    Categorical fields keep (values, cdf as `Generator.choice` builds it);
+    numerical fields keep `num_table`, one sorted observed column per row. A
+    replacement is the feature value of a uniformly random training row.
     """
 
     rate: float
     cat_values: list[np.ndarray]
-    cat_probs: list[np.ndarray]
-    num_values: list[np.ndarray]
+    cat_cdfs: list[np.ndarray]
+    num_table: np.ndarray  # [n_num, n]
 
     @classmethod
     def fit(cls, view: PartyView, rate: float) -> "CorruptionModel":
@@ -47,14 +48,15 @@ class CorruptionModel:
             raise ConfigError(f"corruption rate must be in [0, 1], got {rate}")
         if view.n == 0:
             raise ConfigError("cannot fit corruption marginals on an empty table")
-        cat_values, cat_probs, num_values = [], [], []
+        cat_values, cat_cdfs = [], []
         for j in range(view.cat.shape[1]):
             values, counts = np.unique(view.cat[:, j], return_counts=True)
+            cdf = (counts / counts.sum()).cumsum()
             cat_values.append(values)
-            cat_probs.append(counts / counts.sum())
-        for j in range(view.num.shape[1]):
-            num_values.append(np.sort(view.num[:, j]))
-        return cls(rate, cat_values, cat_probs, num_values)
+            cat_cdfs.append(cdf / cdf[-1])
+        num_table = view.num.T.copy()
+        num_table.sort(axis=1)
+        return cls(rate, cat_values, cat_cdfs, num_table)
 
 
 def corrupt(
@@ -68,37 +70,38 @@ def corrupt(
     Feature positions are the categorical columns followed by the numerical
     columns. Returns (corrupted cat, corrupted num, boolean mask [n, d]) with
     the mask marking replaced positions. rate == 0 returns unchanged copies.
+    A row's positions lead the stable argsort of its uniforms, so a tie goes
+    to the lower column. Replacements are drawn for the cells in column-major
+    order, with the bits and stream of one rng.choice or rng.integers per column.
     """
     n = cat.shape[0]
     n_cat = len(model.cat_values)
-    n_num = len(model.num_values)
+    n_num, n_table = model.num_table.shape
     if cat.shape[1] != n_cat or num.shape[1] != n_num or num.shape[0] != n:
         raise SchemaError(
             f"batch shape ({cat.shape}, {num.shape}) does not match marginals "
             f"({n_cat} categorical, {n_num} numerical)"
         )
     d = n_cat + n_num
-    m = int(np.ceil(model.rate * d))
-    cat_out = cat.copy()
-    num_out = num.copy()
+    m = math.ceil(model.rate * d)
+    cat_out, num_out = cat.copy(), num.copy()
     mask = np.zeros((n, d), dtype=bool)
     if m == 0 or n == 0:
         return cat_out, num_out, mask
-    # m distinct positions per row: argsort of iid uniforms
-    scores = rng.random((n, d))
-    picked = np.argsort(scores, axis=1, kind="stable")[:, :m]
-    np.put_along_axis(mask, picked, True, axis=1)
-    for j in range(n_cat):
-        rows = np.nonzero(mask[:, j])[0]
-        if rows.size:
-            cat_out[rows, j] = rng.choice(
-                model.cat_values[j], size=rows.size, p=model.cat_probs[j]
-            )
-    for j in range(n_num):
-        rows = np.nonzero(mask[:, n_cat + j])[0]
-        if rows.size:
-            vals = model.num_values[j]
-            num_out[rows, j] = vals[rng.integers(0, vals.size, size=rows.size)]
+    picked = rng.random((n, d)).argsort(axis=1, kind="stable")[:, :m]
+    mask[np.arange(n)[:, None], picked] = True
+    cols, rows = mask.T.nonzero()
+    bounds = cols.searchsorted(np.arange(n_cat + 1))  # column j: cells [bounds[j], bounds[j+1])
+    k = int(bounds[-1])  # the replaced cells are categorical [:k], then numerical [k:]
+    if n_cat:
+        u = rng.random(k)
+        picks = [values.take(cdf.searchsorted(u[a:b], side="right")) for values, cdf, a, b
+                 in zip(model.cat_values, model.cat_cdfs, bounds, bounds[1:])]
+        cat_out.put(rows[:k] * n_cat + cols[:k], np.concatenate(picks))
+    if k < rows.size:
+        field = cols[k:] - n_cat
+        picks = model.num_table.take(field * n_table + rng.integers(0, n_table, rows.size - k))
+        num_out.put(rows[k:] * n_num + field, picks)
     return cat_out, num_out, mask
 
 
@@ -107,23 +110,21 @@ def corrupt(
 
 
 def _unit_rows(z: np.ndarray, z_tilde: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """(x / max(||x||, eps), max(||x||, eps)) of each view, per row."""
-    z = np.asarray(z, dtype=np.float64)
-    z_tilde = np.asarray(z_tilde, dtype=np.float64)
+    """(x / max(||x||, eps), max(||x||, eps)) of each float64 view, per row."""
     if z.ndim != 2 or z.shape != z_tilde.shape:
         raise SchemaError(
             f"views must be equal-shape 2-d arrays, got {z.shape} and {z_tilde.shape}"
         )
     rows = []
-    for x in (z, z_tilde):
-        clamped = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), EPS_NORM)
+    for x in (z, z_tilde):  # the norm as np.linalg.norm computes it
+        clamped = np.maximum(np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True)), EPS_NORM)
         rows.append((x / clamped, clamped))
     return rows
 
 
 def cosine_similarity_matrix(z: np.ndarray, z_tilde: np.ndarray) -> np.ndarray:
     """All-pairs cosine similarities; norms clamped at 1e-12."""
-    (zh, _), (th, _) = _unit_rows(z, z_tilde)
+    (zh, _), (th, _) = _unit_rows(np.asarray(z, np.float64), np.asarray(z_tilde, np.float64))
     return zh @ th.T
 
 
@@ -137,26 +138,26 @@ def info_nce(similarities: np.ndarray, temperature: float) -> tuple[float, np.nd
     through a max-shifted logsumexp. It makes one new N x N array, which
     becomes the returned gradient; the caller's matrix is not modified.
     """
-    return _info_nce(similarities, temperature, out=None)
+    return _info_nce(np.asarray(similarities, dtype=np.float64), temperature, out=None)
 
 
-def _info_nce(s, temperature: float, out: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """info_nce, with A = S / tau and then the gradient written into `out`
-    (a new array when None), which may be `s` itself."""
+def _info_nce(s: np.ndarray, temperature: float, out: np.ndarray | None):
+    """info_nce of a float64 matrix, with A = S / tau and then the gradient
+    written into `out` (a new array when None), which may be `s` itself."""
     if temperature <= 0.0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise SchemaError(f"similarity matrix must be square, got {s.shape}")
     n = s.shape[0]
     a = np.divide(s, temperature, out=out)
-    neg_diag = -np.diagonal(a)
-    shift = a.max(axis=1, keepdims=True)
+    neg_diag = -a.diagonal()
+    # the reductions that .max, .sum and np.mean make, called directly
+    shift = np.maximum.reduce(a, axis=1, keepdims=True)
     a -= shift
     e = np.exp(a, out=a)
-    sum_e = e.sum(axis=1, keepdims=True)
+    sum_e = np.add.reduce(e, axis=1, keepdims=True)
     lse = np.log(sum_e[:, 0]) + shift[:, 0]
-    loss = float(np.mean(neg_diag + lse - np.log(n)))
+    loss = float(np.add.reduce(neg_diag + lse - np.log(n)) / n)
     p = np.divide(e, sum_e, out=e)
     p.flat[:: n + 1] -= 1.0  # minus I: off the diagonal, p - 0.0 is p
     return loss, np.divide(p, n * temperature, out=p)
@@ -175,7 +176,7 @@ def _cosine_backward(z_rows, t_rows, ds: np.ndarray) -> tuple[np.ndarray, np.nda
     # gradient through x / max(||x||, eps): the projection term only exists
     # where the norm is not clamped, so a clamped row's is multiplied by 0
     def through(xh, dxh, clamped_norm):
-        proj = (xh * dxh).sum(axis=1, keepdims=True) * (clamped_norm > EPS_NORM)
+        proj = np.add.reduce(xh * dxh, axis=1, keepdims=True) * (clamped_norm > EPS_NORM)
         return (dxh - xh * proj) / clamped_norm
 
     return through(zh, ds @ th, zc), through(th, ds.T @ zh, tc)
@@ -184,8 +185,8 @@ def _cosine_backward(z_rows, t_rows, ds: np.ndarray) -> tuple[np.ndarray, np.nda
 def contrastive_batch(
     z: np.ndarray, z_tilde: np.ndarray, temperature: float
 ) -> ContrastiveBatchResult:
-    """Cosine similarities + InfoNCE, with gradients w.r.t. both views; the
-    similarity matrix is the batch's one N x N array, turned into dL/dS."""
+    """Cosine similarities + InfoNCE of float64 views, with gradients w.r.t.
+    both; the similarity matrix is the batch's one N x N array, turned into dL/dS."""
     z_rows, t_rows = _unit_rows(z, z_tilde)
     s = z_rows[0] @ t_rows[0].T
     loss, ds = _info_nce(s, temperature, out=s)
@@ -231,9 +232,7 @@ def pretrain_passive(
     training warm-starts from the encoder weights alone.
     """
     if view.party_id <= 1:
-        raise ConfigError(
-            "self-supervised pre-training targets passive parties (party id > 1)"
-        )
+        raise ConfigError("self-supervised pre-training targets passive parties (party id > 1)")
     k = view.party_id
     net = ModelSet({"enc": spec.build(stream(seed, "ssl", k, "init-encoder")),
                     "proj": Mlp.init(stream(seed, "ssl", k, "init-projection"),
@@ -246,12 +245,12 @@ def pretrain_passive(
     corrupt_rng = stream(seed, "ssl", k, "corruption")
     probe_rng = stream(seed, "ssl", k, "probe")
     optimizer = make_optimizer(cfg.optimizer)
+    clean_cat = encoder.resolve(view.cat)  # once; the corrupted rows per batch
 
     def batch_loss(rows: np.ndarray, rng, update: bool) -> float:
-        cat = view.cat[rows]
         num = view.num[rows]
-        ccat, cnum, _ = corrupt(cat, num, marginals, rng)
-        r_clean, tape_clean = encoder.forward(cat, num)
+        ccat, cnum, _ = corrupt(view.cat[rows], num, marginals, rng)
+        r_clean, tape_clean = encoder.forward(clean_cat[rows], num)
         z, ptape_clean = projection.forward(r_clean)
         r_corr, tape_corr = encoder.forward(ccat, cnum)
         zt, ptape_corr = projection.forward(r_corr)
@@ -277,8 +276,6 @@ def pretrain_passive(
     for epoch in range(1, cfg.epochs + 1):
         loss = epoch_pass(epoch, corrupt_rng, update=True)
         if not np.isfinite(loss):
-            raise TrainingError(
-                f"party {k}: contrastive loss became non-finite at epoch {epoch}"
-            )
+            raise TrainingError(f"party {k}: contrastive loss became non-finite at epoch {epoch}")
         trace.append(loss)
     return encoder, trace

@@ -176,6 +176,19 @@ def test_a_multi_mode_train_without_pretraining_trains_no_cell(cfg_path, out, ca
     assert not (out / "train").exists()
 
 
+def test_a_later_seed_without_pretraining_fails_before_the_first_cell(tmp_path, out, capsys):
+    # seed 7 is pre-trained and seed 8 is not: every seed's checkpoints are
+    # read before any cell trains, so seed 7 writes nothing either
+    cfg = tmp_path / "two-seeds.json"
+    cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "seeds": [7, 8]}}))
+    assert run("pretrain", "--config", cfg, "--out", out, "--seed", "7") == 0
+    capsys.readouterr()
+    assert run("train", "--config", cfg, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert str(Path("checkpoints") / "seed8" / "active.ckpt") in err
+    assert not list(out.rglob("final.ckpt"))
+
+
 def test_train_and_eval_print_their_cells_in_the_grid_table_order(cfg_path, out, tmp_path,
                                                                    capsys):
     assert run("pretrain", "--config", cfg_path, "--out", out) == 0

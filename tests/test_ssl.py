@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from vflhlp import ssl_pretrain
+from vflhlp.data import PartyView
 from vflhlp.errors import ConfigError, SchemaError
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import (
@@ -209,8 +211,6 @@ def test_contrastive_batch_zero_row_uses_clamped_jacobian():
 # ----------------------------------------------------------------- corruption
 
 def _fake_view(n=50, n_cat=2, n_num=3, seed=4):
-    from vflhlp.data import PartyView
-
     rng = stream(seed, "fake-view")
     ids = np.arange(n, dtype=np.int64)
     cat = rng.integers(1, 6, size=(n, n_cat)).astype(np.int64)
@@ -286,6 +286,125 @@ def test_corrupt_rejects_mismatched_batch():
         corrupt(view.cat[:, :1], view.num, model, stream(8, "c"))
 
 
+def _skewed_view(n=300, n_cat=3, n_num=4):
+    # uneven categorical frequencies, and numerical values rounded so they repeat
+    rng = stream(31, "skewed-view")
+    cat = np.floor(rng.random((n, n_cat)) ** 2 * 7).astype(np.int64)
+    num = np.round(rng.standard_normal((n, n_num)), 2)
+    return PartyView(party_id=2, ids=np.arange(n, dtype=np.int64), cat=cat, num=num,
+                     cat_fields=tuple((f"c{j}", 7) for j in range(n_cat)),
+                     num_fields=tuple(f"n{j}" for j in range(n_num)))
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (cat, num, mask) for a full batch of 256 rows and then a short one
+# of 44 from one stream, and of the stream's next rng.random(4) and
+# rng.integers(0, 1000, 3), which covers the generator's state; recorded from
+# the implementation that called rng.choice and rng.integers once per column
+CORRUPT_PINS = {
+    0.3: ("11ec220573fde851040e8bbbbf5a1d4aadb2eb1020502b5f3a9ab93c4dbad99b",
+          "be1b49a7bcc7fd045b2036b8b89fbd8f3666dfe0e8d672933760a98347ad8f8d",
+          "88101ce113ceb9a51128b0cf9904d99dca35b82e9396103f9d694922827a7488"),
+    0.6: ("114236c29cfd93b0f6b9f5bae727e7325f5b6564c08e32adfe5be48935624b81",
+          "0783bbf7538cae4d474a7173dfd5c1eb1e2f4504a3bcf8dd20afcc7c9f5e6496",
+          "4ec416487abae3983ea32da7c7724b0531fafac2918e50aa777384e41f03a13b"),
+    1.0: ("3d9fd87e424952f7f7474a985f0d9289ecf9b839443cac816b7a8c77d7d06bfd",
+          "18a92b1b26808f64f0bca57add70d6afa05d44a6c370f0934b2914fc34da0162",
+          "05a010f10c44d767fa52baf4e6de615a8f2099810d31afb418cfde516e857d07"),
+}
+
+
+@pytest.mark.parametrize("rate", sorted(CORRUPT_PINS))
+def test_corrupt_bytes_and_stream_are_pinned(rate):
+    view = _skewed_view()
+    model = CorruptionModel.fit(view, rate)
+    rng = stream(32, "corrupt-pin", int(rate * 10))
+    rows = stream(33, "corrupt-rows").permutation(view.n)
+    got = [_sha(*corrupt(view.cat[b], view.num[b], model, rng))
+           for b in (rows[:256], rows[256:])]
+    got.append(_sha(rng.random(4), rng.integers(0, 1000, size=3)))
+    assert tuple(got) == CORRUPT_PINS[rate]
+
+
+def per_column_corrupt(view, rows, rate, rng):
+    """corrupt as a loop: one rng.choice per categorical column and one
+    rng.integers per numerical column, over marginals refit on every call."""
+    cat, num = view.cat[rows].copy(), view.num[rows].copy()
+    n, n_cat = cat.shape
+    d = n_cat + num.shape[1]
+    m = math.ceil(rate * d)
+    mask = np.zeros((n, d), dtype=bool)
+    if m == 0:
+        return cat, num, mask
+    picked = np.argsort(rng.random((n, d)), axis=1, kind="stable")[:, :m]
+    np.put_along_axis(mask, picked, True, axis=1)
+    for j in range(d):
+        hit = np.nonzero(mask[:, j])[0]
+        if not hit.size:
+            continue
+        if j < n_cat:
+            values, counts = np.unique(view.cat[:, j], return_counts=True)
+            cat[hit, j] = rng.choice(values, size=hit.size, p=counts / counts.sum())
+        else:
+            column = np.sort(view.num[:, j - n_cat])
+            num[hit, j - n_cat] = column[rng.integers(0, column.size, size=hit.size)]
+    return cat, num, mask
+
+
+@pytest.mark.parametrize("n_cat,n_num", [(0, 8), (3, 0), (2, 5)])
+@pytest.mark.parametrize("rate", [0.1, 0.5, 1.0])
+def test_corrupt_is_bitwise_the_per_column_loop(n_cat, n_num, rate):
+    view = _skewed_view(n=301, n_cat=n_cat, n_num=n_num)
+    model = CorruptionModel.fit(view, rate)
+    rng, ref_rng = stream(35, "loop", n_cat, n_num), stream(35, "loop", n_cat, n_num)
+    perm = stream(36, "loop-rows").permutation(view.n)
+    for rows in (perm[:128], perm[128:256], perm[256:]):  # two full batches, one odd
+        got = corrupt(view.cat[rows], view.num[rows], model, rng)
+        want = per_column_corrupt(view, rows, rate, ref_rng)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal(rng.random(3), ref_rng.random(3))
+    assert np.array_equal(rng.integers(0, 1000, 5), ref_rng.integers(0, 1000, 5))
+
+
+class _TiedScores:
+    """A generator whose first `random` call returns the given scores."""
+
+    def __init__(self, scores, rng):
+        self.scores, self.rng = scores, rng
+
+    def random(self, size=None):
+        if self.scores is None:
+            return self.rng.random(size)
+        scores, self.scores = self.scores, None
+        assert scores.shape == size
+        return scores
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_corrupt_ties_go_to_the_lower_column():
+    # every row marks exactly ceil(rate * d) cells; a threshold on the m-th
+    # smallest score would mark every tied cell
+    view = _skewed_view(n=4)
+    scores = np.array([[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+                       [0.2, 0.5, 0.5, 0.5, 0.1, 0.5, 0.9],
+                       [0.9, 0.3, 0.3, 0.9, 0.3, 0.3, 0.3],
+                       [0.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0]])
+    rng = _TiedScores(scores, stream(34, "ties"))
+    _, _, mask = corrupt(view.cat, view.num, CorruptionModel.fit(view, 0.4), rng)
+    want = np.zeros((4, 7), dtype=bool)
+    want[0, [0, 1, 2]] = want[1, [0, 1, 4]] = want[2, [1, 2, 4]] = want[3, [0, 1, 3]] = True
+    np.testing.assert_array_equal(mask, want)
+
+
 # ----------------------------------------------------------------- training
 
 def test_pretrain_passive_is_deterministic(tiny_bundle):
@@ -340,6 +459,23 @@ def test_pretrain_passive_bytes_are_pinned(tiny_bundle):
         "29c25ba9053454072c623f27a11fb412f45e3a0c6d2d75fa1d6142ab7d785abf")
     assert digest(trace) == (
         "333f452403d538eefe3f965a76dd9686785caeaf79a3e6a00200e524ae38bdcb")
+
+
+def test_pretrain_passive_corrupts_and_contrasts_once_per_batch(tiny_bundle, monkeypatch):
+    # through the module's globals, the probe epoch included: the benchmark's
+    # traced run counts these calls as its contrastive batches
+    calls = {"corrupt": 0, "contrastive_batch": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(ssl_pretrain, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ssl_pretrain, name, counted)
+    view = tiny_bundle.train.parties[2]
+    spec = small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
+    cfg = SslConfig(epochs=2, batch_size=64, learning_rate=1e-3)
+    pretrain_passive(view, spec, cfg, seed=5)
+    batches = (cfg.epochs + 1) * math.ceil(view.n / cfg.batch_size)
+    assert calls == {"corrupt": batches, "contrastive_batch": batches}
 
 
 def test_pretrain_passive_rejects_active_party(tiny_bundle):
