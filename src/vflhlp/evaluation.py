@@ -6,8 +6,9 @@ count, which is sound because aligned subsets are nested prefixes of one
 pool and local pre-training never looks at alignment. Cell failures are
 recorded, not raised, so one diverging cell cannot take down a sweep.
 
-`run_cell`, which `train` runs too, and the tensor names of every
-checkpoint the pipeline writes also live here.
+`run_cell`, which `train` runs too, and the writing and reading of every
+model file the pipeline keeps also live here. A file's tensor names are the
+layout of a ModelSet over its models: "<model>.<tensor>".
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from .federated import (
 )
 from .metrics import auc
 from .nn import Mlp, load_checkpoint, save_checkpoint, write_file
-from .nn.layers import EncoderSpec, FlatParams
+from .nn.layers import EncoderSpec, FlatParams, ModelSet
 from .rng import stream
 from .ssl_pretrain import pretrain_passive
 from .sup_pretrain import ActivePretrained, pretrain_active
@@ -94,7 +95,7 @@ def pretrain_for_seed(
             encoder, trace = pretrain_passive(
                 bundle.train.parties[k], specs[k], cfg.ssl, seed
             )
-            weights.passive[k] = encoder.params_copy()
+            weights.passive[k] = encoder
             weights.ssl_traces[k] = trace
     return weights
 
@@ -412,38 +413,27 @@ def run_grid(
     return result
 
 
-def _to_tensors(parts: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Checkpoint tensors from parameter dicts keyed by their name prefix."""
-    return {prefix + n: p for prefix, params in parts.items() for n, p in params.items()}
+def _tensors(models: dict[str, FlatParams]) -> dict[str, np.ndarray]:
+    """Checkpoint tensors of `models`, named "<model>.<tensor>" by their ModelSet."""
+    net = ModelSet(models)
+    return net.layout.views(net.theta)
 
 
-def _load_tensors(path, tensors, models: dict[str, FlatParams]) -> None:
-    """Set each model from the tensors read from `path` under its name prefix.
-
-    A missing or misshapen tensor, or one under none of the prefixes, raises
-    DataError naming the file.
-    """
+def _read_models(path, tensors, models: dict[str, FlatParams]) -> dict[str, FlatParams]:
+    """The models of a ModelSet over `models` (empty ones), set from the tensors
+    read from `path`. A missing, extra or misshapen tensor raises DataError naming
+    the file."""
+    net = ModelSet(models)
     try:
-        for prefix, model in models.items():
-            model.set_params(
-                {n[len(prefix):]: p for n, p in tensors.items() if n.startswith(prefix)}
-            )
+        net.theta[...] = net.layout.flatten(tensors)
     except SchemaError as exc:
         raise DataError(f"{path}: {exc}") from None
-    stray = sorted(n for n in tensors if not n.startswith(tuple(models)))
-    if stray:
-        raise DataError(f"{path}: unexpected tensors {stray}")
+    return net.models
 
 
-def _downstream_parts(encoders: dict[int, FlatParams], head: Mlp) -> dict[str, FlatParams]:
-    """A downstream model by checkpoint prefix: "party{k}.encoder." and "head."."""
-    return {**{f"party{k}.encoder.": e for k, e in encoders.items()}, "head.": head}
-
-
-def flatten_trained(trained: TrainedFederation) -> dict[str, np.ndarray]:
-    """Checkpoint tensors of a downstream model, keyed "party{k}.encoder.*" and "head.*"."""
-    parts = _downstream_parts(trained.encoders, trained.head)
-    return _to_tensors({prefix: model.params() for prefix, model in parts.items()})
+def _cell_models(encoders: dict[int, FlatParams], head: Mlp) -> dict[str, FlatParams]:
+    """A downstream model's models by name: "party{k}.encoder" and "head"."""
+    return {**{f"party{k}.encoder": e for k, e in encoders.items()}, "head": head}
 
 
 def save_cell_checkpoint(
@@ -458,7 +448,7 @@ def save_cell_checkpoint(
         "beta": beta,
         "config_hash": chash,
     }
-    save_checkpoint(path, flatten_trained(trained), meta)
+    save_checkpoint(path, _tensors(_cell_models(trained.encoders, trained.head)), meta)
 
 
 def load_cell_checkpoint(path: Path, specs: dict[int, EncoderSpec]) -> TrainedFederation:
@@ -472,12 +462,13 @@ def load_cell_checkpoint(path: Path, specs: dict[int, EncoderSpec]) -> TrainedFe
     except ConfigError as exc:
         raise DataError(f"{path}: not a downstream checkpoint: {exc}") from None
     party_ids = sorted(specs) if mode.is_federated else [1]
-    encoders = {k: specs[k].build_empty() for k in party_ids}
     head = Mlp([sum(specs[k].rep_dim for k in party_ids), 1])
-    _load_tensors(path, tensors, _downstream_parts(encoders, head))
-    return TrainedFederation(
-        mode=mode, encoders=encoders, head=head, history=[], transport=TransportLog()
+    models = _read_models(
+        path, tensors, _cell_models({k: specs[k].build_empty() for k in party_ids}, head)
     )
+    encoders = {k: models[f"party{k}.encoder"] for k in party_ids}
+    return TrainedFederation(mode=mode, encoders=encoders, head=models["head"],
+                             history=[], transport=TransportLog())
 
 
 def _write_cell_checkpoint(
@@ -493,13 +484,11 @@ def _write_cell_checkpoint(
 def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str) -> None:
     """Write one seed's pre-trained weights as the `pretrain` command leaves them.
 
-    active.ckpt holds "encoder.*" and "head.*"; passive{k}.ckpt holds "encoder.*".
+    active.ckpt holds models "encoder" and "head"; passive{k}.ckpt holds "encoder".
     """
     active = pre.active
     if active is not None:
-        tensors = _to_tensors(
-            {"encoder.": active.encoder_params, "head.": active.head_params}
-        )
+        tensors = _tensors({"encoder": active.build_encoder(), "head": active.build_head()})
         meta = {
             "stage": "active-pretrain",
             "party": 1,
@@ -510,7 +499,7 @@ def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: st
             "degenerate_validation": active.degenerate_validation,
         }
         save_checkpoint(Path(ckpt_dir) / "active.ckpt", tensors, meta)
-    for k, params in pre.passive.items():
+    for k, encoder in pre.passive.items():
         meta = {
             "stage": "ssl-pretrain",
             "party": k,
@@ -518,9 +507,8 @@ def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: st
             "config_hash": chash,
             "loss_trace": pre.ssl_traces[k],
         }
-        save_checkpoint(
-            Path(ckpt_dir) / f"passive{k}.ckpt", _to_tensors({"encoder.": params}), meta
-        )
+        path = Path(ckpt_dir) / f"passive{k}.ckpt"
+        save_checkpoint(path, _tensors({"encoder": encoder}), meta)
 
 
 def load_pretrained(
@@ -546,17 +534,17 @@ def load_pretrained(
                 f"run `vflhlp pretrain` first"
             )
         tensors, meta = load_checkpoint(path)
-        models = {"encoder.": specs[k].build_empty()}
+        models = {"encoder": specs[k].build_empty()}
         if k == 1:
-            models["head."] = Mlp([specs[1].rep_dim, 1])
-        _load_tensors(path, tensors, models)
+            models["head"] = Mlp([specs[1].rep_dim, 1])
+        models = _read_models(path, tensors, models)
         if k > 1:
-            weights.passive[k] = models["encoder."].params()
+            weights.passive[k] = models["encoder"]
             continue
         weights.active = ActivePretrained(
             spec=specs[1],
-            encoder_params=models["encoder."].params(),
-            head_params=models["head."].params(),
+            encoder_params=models["encoder"].params(),
+            head_params=models["head"].params(),
             best_epoch=meta.get("best_epoch", 0),
             val_auc=meta.get("val_auc"),
             degenerate_validation=meta.get("degenerate_validation", False),

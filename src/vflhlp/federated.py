@@ -443,7 +443,7 @@ class PretrainedWeights:
     each passive party's contrastive loss trace from pre-training."""
 
     active: ActivePretrained | None = None
-    passive: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
+    passive: dict[int, TabularEncoder] = field(default_factory=dict)
     ssl_traces: dict[int, list[float]] = field(default_factory=dict)
 
 
@@ -497,7 +497,10 @@ def train_downstream(
     warm starts see byte-identical randomness everywhere else. A
     val_fraction slice of the aligned set is held out for the per-epoch AUC
     in the history; final weights are the last epoch's (no early stopping).
-    local_a trains on the active party's whole local table and ignores `count`.
+    local_a trains on the active party's whole local table and ignores `count`:
+    it runs pretrain_active, so its weights are those of the epoch with the best
+    AUC on its own held-out val_fraction of local rows, and its history has
+    val_auc None for every epoch.
     """
     if mode is TrainMode.LOCAL_A:
         sup_cfg = SupConfig(
@@ -534,7 +537,7 @@ def train_downstream(
     for k in party_ids:
         encoder = specs[k].build(stream(seed, "downstream", "init-party", k))
         if k > 1 and mode.warm_starts_passive:
-            encoder.set_params(pretrained.passive[k])
+            encoder.set_params(pretrained.passive[k].params())
         if k == 1 and cfg.warm_start_active:
             encoder.set_params(pretrained.active.encoder_params)
         encoders[k] = encoder

@@ -354,7 +354,7 @@ def test_criterion_6_transport_carries_no_raw_columns_or_labels(tiny_bundle):
         enc, _ = pretrain_passive(
             train.parties[k], specs[k], SslConfig(epochs=2, batch_size=128), seed=21
         )
-        pre.passive[k] = enc.params_copy()
+        pre.passive[k] = enc
     trained = train_downstream(
 
         train, specs, TrainMode.VFLHLP, pre,

@@ -15,7 +15,7 @@ import pytest
 
 from vflhlp import cli
 from vflhlp.cli import main
-from vflhlp.config import config_hash, load_config
+from vflhlp.config import config_hash, encoder_specs, load_config
 from vflhlp.data import load_bundle
 from vflhlp.nn import load_checkpoint, save_checkpoint
 
@@ -327,24 +327,43 @@ def test_eval_on_a_bad_checkpoint_is_a_data_error(cfg_path, out, capsys, damage)
     assert "data error" in err and str(ckpt) in err
 
 
-@pytest.mark.parametrize("damage", ["no head weight", "misshapen passive tensor"])
+@pytest.mark.parametrize("damage", ["no head weight", "misshapen passive tensor",
+                                    "extra active tensor", "extra passive tensor"])
 def test_train_on_a_bad_pretrained_checkpoint_is_a_data_error(cfg_path, out, capsys,
                                                               damage):
     assert run("pretrain", "--config", cfg_path, "--out", out) == 0
     ckpts = out / "checkpoints" / "seed7"
+    ckpt = ckpts / ("passive2.ckpt" if "passive" in damage else "active.ckpt")
+    tensors, meta = load_checkpoint(ckpt)
     if damage == "no head weight":
-        ckpt = ckpts / "active.ckpt"
-        tensors, meta = load_checkpoint(ckpt)
         del tensors["head.0.weight"]
-    else:
-        ckpt = ckpts / "passive2.ckpt"
-        tensors, meta = load_checkpoint(ckpt)
+    elif damage == "misshapen passive tensor":
         tensors["encoder.mlp.0.bias"] = np.zeros(5)  # the spec's layer is 8 wide
+    elif damage == "extra active tensor":
+        tensors["projection.0.bias"] = np.zeros(4)
+    else:
+        tensors["head.0.weight"] = np.zeros((1, 4))  # a passive party has no head
     save_checkpoint(ckpt, tensors, meta)
     capsys.readouterr()
     assert run("train", "--config", cfg_path, "--out", out, "--mode", "vflhlp") == 3
     err = capsys.readouterr().err
     assert "data error" in err and str(ckpt) in err
+
+
+def test_pretrained_checkpoints_hold_exactly_the_encoder_and_head_tensors(cfg_path, out):
+    # the names and shapes a reader outside the package builds the models from
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+    bundle, _ = load_bundle(out / "cache" / "seed7")
+    specs = encoder_specs(bundle.train, load_config(cfg_path).model)
+    for k, spec in specs.items():
+        layout = spec.build_empty().layout
+        expected = {f"encoder.{n}": s for n, s in zip(layout.names, layout.shapes)}
+        if k == 1:
+            expected.update({"head.0.weight": (1, spec.rep_dim), "head.0.bias": (1,)})
+        name = "active.ckpt" if k == 1 else f"passive{k}.ckpt"
+        tensors, _ = load_checkpoint(out / "checkpoints" / "seed7" / name)
+        assert {n: t.shape for n, t in tensors.items()} == expected, name
 
 
 def test_train_and_grid_give_the_same_cells(trained_out, cfg_path, tmp_path):
@@ -876,6 +895,19 @@ def test_every_mode_trains_to_pinned_parameters(tmp_path, optimizer):
             digest.update(tensors[name].tobytes())
         got[f"{path.parent.parent.name}/{path.parent.name}"] = digest.hexdigest()
     assert got == FINAL_PARAMS_SHA256[optimizer]
+
+
+# sha256 of the history.jsonl of TINY's vflhlp cell at n_al=40 (beta 10, a
+# validation AUC each epoch), recorded before model files were written through
+# ModelSet
+VFLHLP_HISTORY_SHA256 = "82708aa7f43e210fa1f473bf35786a92dd4b668170c231e38565eaf30c42dc47"
+
+
+def test_a_vflhlp_history_is_pinned(cfg_path, out):
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+    assert run("train", "--config", cfg_path, "--out", out, "--mode", "vflhlp") == 0
+    history = out / "train" / "seed7" / "count40" / "vflhlp" / "history.jsonl"
+    assert hashlib.sha256(history.read_bytes()).hexdigest() == VFLHLP_HISTORY_SHA256
 
 
 # ------------------------------------------------------------------ damaged inputs

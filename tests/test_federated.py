@@ -14,6 +14,7 @@ import pytest
 
 import vflhlp
 
+from vflhlp import federated
 from vflhlp.errors import ConfigError, DataError, SchemaError, TrainingError
 from vflhlp.federated import (
     DIR_TO_PARTY,
@@ -69,7 +70,7 @@ def pretrained(tiny_bundle, specs3):
             tiny_bundle.train.parties[k], specs3[k],
             SslConfig(epochs=2, batch_size=128), seed=11,
         )
-        pre.passive[k] = enc.params_copy()
+        pre.passive[k] = enc
     return pre
 
 
@@ -519,6 +520,32 @@ def test_a_cell_with_a_non_binary_label_fails_before_its_first_round(
         train_downstream(bad, specs3, mode, pretrained, _dcfg(), 13, 60)
 
 
+@pytest.mark.parametrize("mode, beta",
+                         [(TrainMode.VFLHLP, 0.5), (TrainMode.VANILLA_VFL, 0.0)])
+def test_each_epoch_reports_the_row_weighted_mean_of_its_rounds(
+    tiny_bundle, specs3, pretrained, monkeypatch, mode, beta
+):
+    rounds = []  # (stats, batch rows) of every round, in order
+
+    def spy(fed, batch, *args):
+        stats, grads = run_round(fed, batch, *args)
+        rounds.append((stats, batch.n))
+        return stats, grads
+
+    monkeypatch.setattr(federated, "run_round", spy)
+    out = train_downstream(tiny_bundle.train, specs3, mode, pretrained,
+                           _dcfg(beta=beta, epochs=3), 13, 60)
+    per_epoch, rest = divmod(len(rounds), len(out.history))
+    assert per_epoch > 1 and rest == 0
+    for i, entry in enumerate(out.history):
+        epoch = rounds[i * per_epoch:(i + 1) * per_epoch]
+        rows = sum(n for _, n in epoch)
+        for key in ("loss", "loss_vfl", "loss_cons"):
+            mean = sum(getattr(stats, key) * n for stats, n in epoch) / rows
+            assert entry[key] == pytest.approx(mean, rel=1e-12, abs=0.0), (i, key)
+        assert (entry["loss_cons"] > 0.0) == (beta > 0.0)
+
+
 def test_train_downstream_is_deterministic(tiny_bundle, specs3, pretrained):
     train = tiny_bundle.train
     a = train_downstream(train, specs3, TrainMode.VFLHLP, pretrained,
@@ -557,7 +584,7 @@ def test_warm_starts_land_where_the_mode_says(tiny_bundle, specs3, pretrained):
                            _dcfg(epochs=0), 13, 40)
     for k in (2, 3):
         for name, arr in out.encoders[k].params().items():
-            np.testing.assert_array_equal(arr, pretrained.passive[k][name])
+            np.testing.assert_array_equal(arr, pretrained.passive[k].params()[name])
     fresh = specs3[1].build(stream(13, "downstream", "init-party", 1))
     for name, arr in out.encoders[1].params().items():
         np.testing.assert_array_equal(arr, fresh.params()[name])
@@ -586,7 +613,7 @@ def test_huge_beta_clamps_active_party_to_anchor(tiny_bundle, specs3, pretrained
         assert drift < 1e-2, f"{name} drifted {drift}"
     # passive parties are unconstrained and must actually move
     moved = max(
-        np.abs(arr - pretrained.passive[2][name]).max()
+        np.abs(arr - pretrained.passive[2].params()[name]).max()
         for name, arr in out.encoders[2].params().items()
     )
     assert moved > 1e-4

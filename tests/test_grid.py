@@ -22,10 +22,9 @@ from vflhlp.cli import main
 from vflhlp.config import config_hash, encoder_specs, parse_config
 from vflhlp.errors import ConfigError, DataError, TrainingError, UndefinedMetricError
 from vflhlp.evaluation import (
-    build_bundle, cell_plan, evaluate_mode, flatten_trained, run_grid,
+    build_bundle, cell_plan, evaluate_mode, run_grid, save_cell_checkpoint,
 )
 from vflhlp.federated import TrainMode, train_downstream
-from vflhlp.nn import save_checkpoint
 
 from test_cli import TINY
 
@@ -65,12 +64,7 @@ def test_local_a_cell_matches_inline_training(tmp_path):
         assert c.history == inline.history
     assert [c.mode for c in result.cells] == ["local_a", "vanilla_vfl"] * 2
 
-    save_checkpoint(
-        tmp_path / "inline.ckpt",
-        flatten_trained(inline),
-        {"stage": "downstream", "mode": "local_a", "seed": 7, "aligned_count": 0,
-         "beta": 0.0, "config_hash": config_hash(cfg)},
-    )
+    save_cell_checkpoint(tmp_path / "inline.ckpt", inline, 7, 0, 0.0, config_hash(cfg))
     written = tmp_path / "g" / "grid" / "seed7" / "local_a.ckpt"
     assert written.read_bytes() == (tmp_path / "inline.ckpt").read_bytes()
 

@@ -335,6 +335,28 @@ def test_encoder_grad_matches_fd_params_and_inputs():
     assert err < 1e-6
 
 
+def test_an_encoder_with_one_wide_embeddings_passes_the_gradient_check():
+    spec = small_spec(n_cat=2, n_num=1, cardinality=4, embed_dim=1, hidden=(5, 3))
+    assert spec.input_dim == 3
+    rng = stream(9, "enc-fd-dim1")
+    cat, num = draw_encoder_inputs(rng, spec, n_rows=6)
+    enc = encoder_away_from_kinks(spec, cat, num, seed=9)
+    assert enc.embed.block.shape == (8, 1)
+    target = rng.standard_normal((6, spec.rep_dim))
+
+    def loss_fn():
+        rep, _ = enc.forward(cat, num)
+        return float(0.5 * np.sum((rep - target) ** 2))
+
+    def grads_fn():
+        rep, tape = enc.forward(cat, num)
+        return enc.grads_dict(enc.backward(tape, rep - target))
+
+    assert grad_check(loss_fn, grads_fn, enc.params()) < 1e-6
+    with pytest.raises(SchemaError, match="embed_dim"):
+        small_spec(n_cat=2, n_num=1, embed_dim=0)
+
+
 def test_encoder_set_params_rejects_bad_names_and_shapes():
     spec = small_spec()
     enc = spec.build(stream(7, "enc-set"))

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from vflhlp import sup_pretrain
 from vflhlp.data import PartyView
 from vflhlp.errors import ConfigError
 from vflhlp.metrics import auc
@@ -43,6 +44,30 @@ def test_pretrain_active_learns_its_own_table(tiny_bundle):
     assert np.all((scores > 0) & (scores < 1))
     assert auc(labels.astype(np.int64), scores) > 0.6
     assert model.loss_trace[-1] < model.loss_trace[0]
+
+
+def test_pretrain_active_without_validation_keeps_the_last_epoch(tiny_bundle, monkeypatch):
+    nets = []  # the ModelSet the run trains, to read its final weights
+
+    class Spy(sup_pretrain.ModelSet):
+        def __init__(self, models):
+            super().__init__(models)
+            nets.append(self)
+
+    monkeypatch.setattr(sup_pretrain, "ModelSet", Spy)
+    view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
+    model = pretrain_active(view, labels, _spec(),
+                            SupConfig(epochs=3, batch_size=128, val_fraction=0.0), seed=5)
+    assert model.degenerate_validation is False
+    assert model.val_auc is None
+    assert model.best_epoch == 3
+    (net,) = nets
+    encoder, head = net.models.values()
+    for final, kept in ((encoder, model.encoder_params), (head, model.head_params)):
+        assert set(kept) == set(final.params())
+        for name, arr in final.params().items():
+            np.testing.assert_array_equal(kept[name], arr)
+            assert not np.shares_memory(kept[name], arr)
 
 
 def test_pretrain_active_snapshot_tracks_best_validation_prefix(tiny_bundle):
