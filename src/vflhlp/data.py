@@ -217,7 +217,20 @@ def sample_aligned_batches(
     if pool.n == 0:
         raise DataError("aligned set is empty")
     shuffled = pool.take(stream(seed, "aligned-batches", epoch).permutation(pool.n))
-    return [shuffled.take(slice(i, i + batch_size)) for i in range(0, pool.n, batch_size)]
+    whole, short = divmod(pool.n, batch_size)
+
+    def cut(arr: np.ndarray) -> list[np.ndarray]:
+        # the whole batches are the rows of one reshape, which iterates in C
+        rows = list(arr[: whole * batch_size].reshape(whole, batch_size, *arr.shape[1:]))
+        return rows + [arr[whole * batch_size :]] if short else rows
+
+    cats = {k: cut(v) for k, v in shuffled.cat.items()}
+    nums = {k: cut(v) for k, v in shuffled.num.items()}
+    return [
+        AlignedBatch(ids, {k: c[j] for k, c in cats.items()},
+                     {k: v[j] for k, v in nums.items()}, labels)
+        for j, (ids, labels) in enumerate(zip(cut(shuffled.ids), cut(shuffled.labels)))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ or label vector ever leaves its owner.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from array import array
 from collections import namedtuple
@@ -63,15 +64,16 @@ class TrainMode(enum.Enum):
             f"{[m.value for m in cls]}"
         )
 
-    @property
+    # cached: a round reads them, and an enum member lookup is slow
+    @functools.cached_property
     def warm_starts_passive(self) -> bool:
         return self in (TrainMode.VFLHLP, TrainMode.VFLHLP_P)
 
-    @property
+    @functools.cached_property
     def uses_constraint(self) -> bool:
         return self in (TrainMode.VFLHLP, TrainMode.VFLHLP_A)
 
-    @property
+    @functools.cached_property
     def is_federated(self) -> bool:
         return self is not TrainMode.LOCAL_A
 
@@ -96,18 +98,32 @@ KIND_REPRESENTATION = 1
 KIND_GRADIENT = 2
 
 
-@dataclass(frozen=True)
-class RepresentationMsg:
-    round_index: int
-    party_id: int
-    values: np.ndarray  # [batch, rep_dim] float64
+class _Message:
+    """One payload crossing a party boundary in round `round_index`."""
+
+    __slots__ = ("round_index", "party_id", "values")
+
+    def __init__(self, round_index: int, party_id: int, values: np.ndarray):
+        self.round_index = round_index
+        self.party_id = party_id
+        self.values = values
 
 
-@dataclass(frozen=True)
-class GradientMsg:
-    round_index: int
-    party_id: int
-    values: np.ndarray  # [batch, rep_dim] float64
+class RepresentationMsg(_Message):
+    """A party's representation block, [batch, rep_dim] float64, up to the server."""
+
+    __slots__ = ()
+    direction = DIR_TO_SERVER
+
+
+class GradientMsg(_Message):
+    """The gradient w.r.t. a party's representation block, down to the party."""
+
+    __slots__ = ()
+    direction = DIR_TO_PARTY
+
+
+_F8 = np.dtype("<f8")
 
 
 def _digest(values: np.ndarray) -> bytes:
@@ -136,10 +152,9 @@ class TransportLog:
         self.digests = bytearray()
 
     def record(self, msg: RepresentationMsg | GradientMsg) -> None:
-        values = np.ascontiguousarray(msg.values, dtype="<f8")
+        values = np.ascontiguousarray(msg.values, _F8)
         rows, cols = values.shape  # anything but a 2-D payload raises before the log grows
-        direction = DIR_TO_SERVER if isinstance(msg, RepresentationMsg) else DIR_TO_PARTY
-        self._fields.extend((msg.round_index, direction, msg.party_id, rows, cols))
+        self._fields.extend((msg.round_index, msg.direction, msg.party_id, rows, cols))
         self.digests += hashlib.sha256(values).digest()
 
     def fields(self) -> np.ndarray:
@@ -192,9 +207,13 @@ def audit_transport(log: TransportLog, ds: VerticalDataset) -> AuditReport:
     """
     forbidden = _raw_column_digests(ds)
     fields = log.fields()
+    # one pass over the first 8 bytes of every digest, a strided view of the
+    # digest column; a message whose prefix matches is checked on its whole digest
+    prefixes = np.frombuffer(log.digests, dtype="<u8")[::4]
+    keys = np.frombuffer(b"".join(forbidden), dtype="<u8")[::4]
     violations = [
         f"round {fields[i, 0]}, party {fields[i, 2]}: payload equals {forbidden[d]}"
-        for i in range(len(fields))
+        for i in np.flatnonzero(np.isin(prefixes, keys))
         if (d := log.digest(i)) in forbidden
     ]
     rounds, index = np.unique(fields[:, 0], return_inverse=True)
@@ -269,6 +288,10 @@ class Federation(ModelSet):
     in that order, or None: encoder_anchor is the active party's pre-trained
     encoder as one flat vector (its `theta`), head_anchor the pre-trained
     head's "weight" [out, rep_dim of party 1] and "bias".
+
+    What a round reads is laid out once, here: `parties` lists each party's
+    (id, name in `grads`, encoder, block of the head input) in id order, and
+    every model has its backward views over its slice of `grad`.
     """
 
     def __init__(
@@ -297,6 +320,9 @@ class Federation(ModelSet):
                 f"head input dim {in_dim} does not match total "
                 f"representation dim {off}"
             )
+        if head.dims[-1] != 1:
+            raise SchemaError(f"the head must output one logit, got {head.dims[-1]}")
+        self.parties = [(k, f"party{k}", self.encoders[k], self.rep_slices[k]) for k in ids]
         self.beta = beta
         self.lr = np.full(self.theta.size, eta2)
         self.lr[self.spans["head"]] = eta1
@@ -346,9 +372,10 @@ def run_round(
     "party{k}" (split one by name with the model's `grads_dict`): slices of
     `fed.grad`, which the next round overwrites. With apply_updates=False
     this is a pure gradient evaluation, into a new buffer, which is what the
-    finite-difference checks drive. The batch labels and the anchors' names
-    and shapes are not checked here: `train_downstream` checks the labels once
-    per cell, and the Federation checks the anchors when it is built.
+    finite-difference checks drive. The batch labels, the head's shapes and
+    the anchors' names and shapes are not checked here: `train_downstream`
+    checks the labels once per cell, and the Federation checks the head and
+    the anchors when it is built.
     """
     if not mode.is_federated:
         raise ConfigError(f"mode {mode.value} does not run the split protocol")
@@ -359,22 +386,23 @@ def run_round(
         )
     grad = fed.grad if apply_updates else np.empty_like(fed.grad)
     grads = fed.grads if apply_updates else fed.split(grad)
+    cat, num, record = batch.cat, batch.num, transport.record
 
     reps, tapes = [], []
-    for k, encoder in fed.encoders.items():
-        rep, tape = encoder.forward(batch.cat[k], batch.num[k])
-        transport.record(RepresentationMsg(round_index, k, rep))
+    for k, _, encoder, _ in fed.parties:
+        rep, tape = encoder.forward(cat[k], num[k])
+        record(RepresentationMsg(round_index, k, rep))
         reps.append(rep)
         tapes.append(tape)
     h = np.concatenate(reps, axis=1)
-    logits, head_tape = fed.head.forward(h)
+    logits, head_tape = fed.head.forward(h, check=False)
     loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels, check=False)
-    _, dh = fed.head.backward(head_tape, dlogits[:, None], out=grads["head"])
+    _, dh = fed.head.backward(head_tape, dlogits[:, None], out=grads["head"], check=False)
 
-    for (k, encoder), tape in zip(fed.encoders.items(), tapes):
-        gmsg = GradientMsg(round_index, k, dh[:, fed.rep_slices[k]])
-        transport.record(gmsg)
-        encoder.backward(tape, gmsg.values, out=grads[f"party{k}"])
+    for (k, name, encoder, block), tape in zip(fed.parties, tapes):
+        gmsg = GradientMsg(round_index, k, dh[:, block])
+        record(gmsg)
+        encoder.backward(tape, gmsg.values, out=grads[name])
 
     loss_cons = 0.0
     if constrained:
@@ -388,7 +416,7 @@ def run_round(
     if apply_updates:
         fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
 
-    return RoundStats(loss=loss, loss_vfl=loss_vfl, loss_cons=loss_cons), grads
+    return RoundStats(loss, loss_vfl, loss_cons), grads
 
 
 def federated_predict(
@@ -576,9 +604,10 @@ def train_downstream(
         for batch in batches:
             stats, _ = run_round(fed, batch, mode, round_index, transport)
             round_index += 1
-            loss += stats.loss * batch.n
-            loss_vfl += stats.loss_vfl * batch.n
-            loss_cons += stats.loss_cons * batch.n
+            n = batch.n
+            loss += stats.loss * n
+            loss_vfl += stats.loss_vfl * n
+            loss_cons += stats.loss_cons * n
         val_auc = None
         if val_batch is not None:
             scores = federated_predict(fed.encoders, fed.head, val_batch.cat, val_batch.num)

@@ -82,12 +82,14 @@ class ParamLayout:
 class FlatParams:
     """Parameters as named views into one float64 vector, `theta`.
 
-    Subclasses set `layout`, then call `_lay_over` to set `theta` and `_views`.
+    Subclasses set `layout`, then call `_lay_over` to set `theta` and `_views`,
+    and define `_views_over(grad)`, the views their backward pass writes through.
     """
 
     theta: np.ndarray
     layout: ParamLayout
     _views: dict[str, np.ndarray]
+    grad: np.ndarray | None = None  # the gradient vector `lay_grad` prepared views over
 
     def _lay_over(self, theta: np.ndarray | None) -> None:
         if theta is None:
@@ -115,12 +117,19 @@ class FlatParams:
         """Named views into a flat gradient laid out like `theta`."""
         return self.layout.views(grad)
 
+    def lay_grad(self, grad: np.ndarray) -> None:
+        """Prepare the backward pass's views over `grad`, a vector laid out like
+        theta, once: `backward(..., out=grad)` then writes through them, and
+        any other `out` (or a new vector, without one) gets views of its own."""
+        self.grad, self._grad_views = grad, self._views_over(grad)
+
 
 class ModelSet:
     """Models copied into consecutive slices of one float64 vector, `theta`,
     and laid over them again as `models`. `layout` names each entry
     "<model>.<tensor>"; `grads` holds each model's slice of `grad`, a buffer
-    laid out like theta for the backward passes to write into."""
+    laid out like theta for the backward passes to write into, and each
+    model prepares its backward views over its slice once (`lay_grad`)."""
 
     def __init__(self, models: dict[str, FlatParams]):
         self.layout = ParamLayout({f"{name}.{t}": shape for name, m in models.items()
@@ -133,6 +142,8 @@ class ModelSet:
             cls, (shape, _) = m.__reduce__()  # (class, (dims or spec, theta))
             self.models[name], start = cls(shape, self.theta[span]), span.stop
         self.grads = self.split(self.grad)
+        for name, m in self.models.items():
+            m.lay_grad(self.grads[name])
 
     def split(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Each model's slice of a vector laid out like theta."""
@@ -161,10 +172,12 @@ class Mlp(FlatParams):
         self.layout = ParamLayout(_mlp_shapes(self.dims))
         self._lay_over(theta)
         n = len(self.dims) - 1
-        # per layer: (weight, bias) views, and (weight start, bias start, end)
-        self._layers = [
-            (self._views[f"{i}.weight"], self._views[f"{i}.bias"]) for i in range(n)
-        ]
+        # per layer: the weight, its transpose and the bias, views that the
+        # passes read, and (weight start, bias start, end) in theta
+        self._layers = []
+        for i in range(n):
+            w = self._views[f"{i}.weight"]
+            self._layers.append((w, w.T, self._views[f"{i}.bias"]))
         st = self.layout.starts
         self._spans = [(st[2 * i], st[2 * i + 1], st[2 * i + 2]) for i in range(n)]
 
@@ -177,49 +190,72 @@ class Mlp(FlatParams):
     ) -> "Mlp":
         """Glorot uniform weights, layer by layer, and zero biases."""
         mlp = cls(dims, theta)
-        for w, b in mlp._layers:
+        for w, _, b in mlp._layers:
             w[...] = glorot_uniform(rng, *w.shape)
             b[...] = 0.0
         return mlp
 
-    def forward(self, x) -> tuple[np.ndarray, tuple[list, list]]:
-        """Return (output, tape); the tape holds each layer's input and pre-activation."""
-        if x.ndim != 2 or x.shape[1] != self.dims[0]:
+    def forward(self, x, check: bool = True) -> tuple[np.ndarray, tuple[list, list]]:
+        """Return (output, tape); the tape holds each layer's input and pre-activation.
+        check=False skips the input shape check, for callers that built `x`
+        to this model's input width."""
+        if check and (x.ndim != 2 or x.shape[1] != self.dims[0]):
             raise SchemaError(f"mlp expects input [n, {self.dims[0]}], got {x.shape}")
         inputs, preacts = [], []
-        last = len(self._layers) - 1
-        for i, (w, b) in enumerate(self._layers):
+        for _, wt, b in self._layers:
+            if preacts:  # relu on every layer but the last
+                x = np.maximum(z, 0.0)
             inputs.append(x)
-            z = x.dot(w.T) + b
+            z = x.dot(wt) + b
             preacts.append(z)
-            x = z if i == last else np.maximum(z, 0.0)
-        return x, (inputs, preacts)
+        return z, (inputs, preacts)
 
     def backward(
         self, tape: tuple[list, list], upstream: np.ndarray,
-        out: np.ndarray | None = None, input_grad: bool = True,
+        out: np.ndarray | None = None, input_grad: bool = True, check: bool = True,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Return (flat parameter gradient laid out like theta, input gradient).
 
         The gradient is written into `out` when given, else into a new vector.
         With input_grad=False the input gradient is not computed: None.
+        check=False skips the upstream shape check, for callers whose upstream
+        is the gradient of a loss of this model's output.
         """
         inputs, preacts = tape
-        if upstream.shape != preacts[-1].shape:
+        if check and upstream.shape != preacts[-1].shape:
             raise SchemaError(
                 f"upstream shape {upstream.shape} does not match output "
                 f"{preacts[-1].shape}"
             )
-        grad = np.empty(self.layout.size) if out is None else out
+        if out is not None and out is self.grad:
+            steps = self._grad_views
+        else:
+            out = np.empty(self.layout.size) if out is None else out
+            steps = self._views_over(out)
         d = upstream
-        last = len(self._layers) - 1
-        for i in range(last, -1, -1):
+        last = len(preacts) - 1
+        for i, w, gw, gb in steps:
             dz = d if i == last else d * (preacts[i] > 0.0)
-            (w, _), (a, m, b) = self._layers[i], self._spans[i]
-            dz.T.dot(inputs[i], out=grad[a:m].reshape(w.shape))
-            np.add.reduce(dz, axis=0, out=grad[m:b])
+            dz.T.dot(inputs[i], gw)
+            np.add.reduce(dz, 0, None, gb)  # the bias gradient, written in place
             d = dz.dot(w) if i or input_grad else None
-        return grad, d
+        return out, d
+
+    def _views_over(self, grad: np.ndarray) -> list[tuple]:
+        """The backward pass's steps over `grad`, last layer first: (layer,
+        weight, weight gradient view, bias gradient view)."""
+        steps = [
+            (i, w, grad[a:m].reshape(w.shape), grad[m:b])
+            for i, ((w, _, _), (a, m, b)) in enumerate(zip(self._layers, self._spans))
+        ]
+        return steps[::-1]
+
+
+# A scatter-add of this many block rows or more is cheaper as one np.bincount
+# than as np.add.at: on a 2-core host, 768 rows of width 4 into 240 block rows
+# took 26 against 76 us, while at 24 rows np.add.at is the faster; the two
+# meet at about 48 rows.
+BINCOUNT_ROWS = 64
 
 
 class BlockRows(np.ndarray):
@@ -250,6 +286,8 @@ class EmbeddingTable:
                 raise SchemaError(f"field {name!r} has cardinality {card}")
         self.embed_dim = embed_dim
         self.field_names = [name for name, _ in cardinalities]
+        self.out_dim = len(self.field_names) * embed_dim
+        self._cols = np.arange(embed_dim)
         cards = [card for _, card in cardinalities]
         self.cards = np.array(cards, dtype=np.uint64)
         self.offsets = np.cumsum([0, *cards[:-1]]).astype(np.int64)
@@ -274,10 +312,6 @@ class EmbeddingTable:
             t[...] = rng.uniform(-0.05, 0.05, size=t.shape)
         return table
 
-    @property
-    def out_dim(self) -> int:
-        return len(self.field_names) * self.embed_dim
-
     def resolve(self, cat: np.ndarray) -> BlockRows:
         """Block rows [n, n_fields] of categorical values [n, n_fields]; out-of-range
         and negative values fall into the field's unseen bucket."""
@@ -298,24 +332,34 @@ class EmbeddingTable:
         The returned block rows are what `backward` takes.
         """
         rows = cat if type(cat) is BlockRows else self.resolve(cat)
-        return self.block.take(rows, axis=0).reshape(rows.shape[0], self.out_dim), rows
+        return self.block.take(rows, 0).reshape(rows.shape[0], self.out_dim), rows
 
     def backward(
         self, rows: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Scatter-add the upstream gradient into a zeroed block-shaped gradient.
 
-        `out`, when given, is overwritten; duplicate rows accumulate.
+        `out`, when given, is overwritten; duplicate rows accumulate, in row
+        order. From BINCOUNT_ROWS block rows on, the sums are one `np.bincount`
+        over the flat (row, column) bins, which adds in the same order as
+        `np.add.at` and so gives the same bits.
         """
         if upstream.shape != (rows.shape[0], self.out_dim):
             raise SchemaError(
                 f"embedding upstream must be [n, {self.out_dim}], got {upstream.shape}"
             )
+        if rows.size < BINCOUNT_ROWS:
+            if out is None:
+                out = np.zeros_like(self.block)
+            else:
+                out.fill(0.0)
+            np.add.at(out, rows.ravel(), upstream.reshape(-1, self.embed_dim))
+            return out
+        bins = (rows.reshape(-1, 1) * self.embed_dim + self._cols).ravel()
+        sums = np.bincount(bins, weights=upstream.ravel(), minlength=self.block.size)
         if out is None:
-            out = np.zeros_like(self.block)
-        else:
-            out.fill(0.0)
-        np.add.at(out, rows.ravel(), upstream.reshape(-1, self.embed_dim))
+            return sums.reshape(self.block.shape)
+        out[...] = sums.reshape(self.block.shape)
         return out
 
 
@@ -397,25 +441,26 @@ class TabularEncoder(FlatParams):
     def forward(self, cat: np.ndarray | None, num: np.ndarray | None):
         """Embed + concat + mlp. Returns (representation, (embedding rows, mlp tape)).
         `cat` is categorical values or their BlockRows from `resolve`."""
-        parts = []
-        rows = None
+        x = rows = None
         if self.embed is not None:
             if cat is None:
                 raise SchemaError("encoder has embeddings but got no categorical batch")
-            emb, rows = self.embed.lookup(cat)
-            parts.append(emb)
-        if self.spec.num_fields:
+            x, rows = self.embed.lookup(cat)
+        n_num = self.spec.num_fields
+        if n_num:
             if num is None:
                 raise SchemaError("encoder expects numerical features but got none")
-            if num.ndim != 2 or num.shape[1] != self.spec.num_fields:
+            if num.ndim != 2 or num.shape[1] != n_num:
                 raise SchemaError(
-                    f"numerical batch must be [n, {self.spec.num_fields}], got {num.shape}"
+                    f"numerical batch must be [n, {n_num}], got {num.shape}"
                 )
-            if rows is not None and num.shape[0] != rows.shape[0]:
+            if rows is None:
+                x = num
+            elif num.shape[0] != rows.shape[0]:
                 raise SchemaError("categorical and numerical row counts differ")
-            parts.append(num)
-        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        out, mlp_tape = self.mlp.forward(x)
+            else:
+                x = np.concatenate((x, num), axis=1)
+        out, mlp_tape = self.mlp.forward(x, check=False)  # [n, input_dim] by the checks above
         return out, (rows, mlp_tape)
 
     def backward(
@@ -423,16 +468,24 @@ class TabularEncoder(FlatParams):
     ) -> np.ndarray:
         """The parameter gradient laid out like theta, written into `out` when
         given, else into a new vector."""
+        if out is not None and out is self.grad:
+            mlp_out, embed_out = self._grad_views
+        else:
+            out = np.empty(self.layout.size) if out is None else out
+            mlp_out, embed_out = self._views_over(out)
         rows, mlp_tape = tape
-        grad = np.empty(self.layout.size) if out is None else out
+        embed = self.embed
+        _, dx = self.mlp.backward(mlp_tape, upstream, mlp_out, embed is not None)
+        if embed is not None:
+            embed.backward(rows, dx[:, : embed.out_dim], embed_out)
+        return out
+
+    def _views_over(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The mlp's slice of `grad`, and the embedding block's (None without one)."""
         e = self.embed_size
-        _, dx = self.mlp.backward(
-            mlp_tape, upstream, out=grad[e:], input_grad=self.embed is not None
-        )
-        if self.embed is not None:
-            self.embed.backward(
-                rows,
-                dx[:, : self.embed.out_dim],
-                out=grad[:e].reshape(self.embed.block.shape),
-            )
-        return grad
+        block = None if self.embed is None else grad[:e].reshape(self.embed.block.shape)
+        return grad[e:], block
+
+    def lay_grad(self, grad: np.ndarray) -> None:
+        super().lay_grad(grad)
+        self.mlp.lay_grad(self._grad_views[0])

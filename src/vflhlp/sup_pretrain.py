@@ -105,9 +105,9 @@ def pretrain_active(
         for i in range(0, shuffled.size, cfg.batch_size):
             rows = slice(i, i + cfg.batch_size)
             rep, enc_tape = encoder.forward(cat[rows], num[rows])
-            logits, head_tape = head.forward(rep)
+            logits, head_tape = head.forward(rep, check=False)  # it takes [n, rep_dim]
             loss, dlogits = bce_with_logits(logits[:, 0], y[rows], check=False)
-            _, drep = head.backward(head_tape, dlogits[:, None], out=head_grad)
+            _, drep = head.backward(head_tape, dlogits[:, None], head_grad, check=False)
             encoder.backward(enc_tape, drep, out=enc_grad)
             optimizer.step(net.theta, net.grad, cfg.learning_rate, net.layout)
             total += loss * dlogits.size

@@ -910,6 +910,35 @@ def test_a_vflhlp_history_is_pinned(cfg_path, out):
     assert hashlib.sha256(history.read_bytes()).hexdigest() == VFLHLP_HISTORY_SHA256
 
 
+# sha256 of the transport log of the same cell: the bytes of its fields (round,
+# direction, party, rows, cols of each message, int64) and of its payload
+# digests, in message order
+VFLHLP_TRANSPORT_SHA256 = {
+    "fields": "9ba0733de84690a78cc180738bc2d7718e78b1ed5f7901df7ea1cc7c350ae891",
+    "digests": "6e1c180c1a007370711569cdb2aeec293e264dca45cbca7d6944a57742cb2a32",
+}
+
+
+def test_a_vflhlp_transport_log_is_pinned(cfg_path, out, monkeypatch):
+    logs = {}
+    run_cell = cli.run_cell
+
+    def keeping(*args):
+        cell = run_cell(*args)
+        logs[args[-1]] = cell[0].transport  # by aligned count
+        return cell
+
+    monkeypatch.setattr(cli, "run_cell", keeping)
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+    assert run("train", "--config", cfg_path, "--out", out, "--mode", "vflhlp") == 0
+    log = logs[40]
+    assert len(log.digests) == 32 * len(log.fields())
+    assert {
+        "fields": hashlib.sha256(log._fields.tobytes()).hexdigest(),
+        "digests": hashlib.sha256(log.digests).hexdigest(),
+    } == VFLHLP_TRANSPORT_SHA256
+
+
 # ------------------------------------------------------------------ damaged inputs
 
 # Every file a command reads (a row) under every kind of damage that applies to

@@ -26,6 +26,7 @@ from vflhlp.errors import ConfigError, DataError
 from vflhlp.evaluation import build_bundle
 from vflhlp.metrics import auc
 from vflhlp.nn import load_checkpoint, save_checkpoint
+from vflhlp.nn.layers import BlockRows
 from vflhlp.rng import stream
 
 from conftest import splice_metadata, tiny_synth_config
@@ -160,6 +161,30 @@ def test_batches_of_the_gathered_pool_equal_per_batch_gathers(tiny_bundle, seed)
                 np.testing.assert_array_equal(got.num[k], want.num[k])
                 assert got.num[k].dtype == want.num[k].dtype
                 assert got.num[k].flags.c_contiguous
+
+
+@pytest.mark.parametrize("count, batch_size", [(48, 16), (10, 16), (7, 1), (50, 16)])
+def test_sample_aligned_batches_are_row_slices_of_the_shuffled_pool(
+    tiny_bundle, count, batch_size
+):
+    # the reference is one slice per batch of the epoch's shuffled pool; the
+    # embedding rows a cell resolves once keep their type in every batch
+    train = tiny_bundle.train
+    pool = _pool(train, count)
+    pool.cat[1] = pool.cat[1].view(BlockRows)
+    shuffled = pool.take(stream(3, "aligned-batches", 4).permutation(count))
+    expected = [shuffled.take(slice(i, i + batch_size)) for i in range(0, count, batch_size)]
+    batches = sample_aligned_batches(pool, batch_size, seed=3, epoch=4)
+    assert len(batches) == len(expected) == -(-count // batch_size)
+    for got, want in zip(batches, expected):
+        assert got.ids.tobytes() == want.ids.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert list(got.cat) == list(got.num) == list(train.parties)
+        for k in train.parties:
+            for a, b in ((got.cat[k], want.cat[k]), (got.num[k], want.num[k])):
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+                assert type(a) is type(b) and a.flags.c_contiguous
+        assert type(got.cat[1]) is BlockRows
 
 
 def test_sample_aligned_batches_rejects_bad_input(tiny_bundle):

@@ -214,6 +214,40 @@ def test_audit_flags_raw_column_and_label_leaks(tiny_bundle, specs3):
     assert "as float64" in text
 
 
+def test_audit_flags_a_raw_column_planted_at_a_late_round(tiny_bundle, specs3):
+    # the digests are matched in one pass over the digest column: a leak after
+    # hundreds of clean messages is still found, at its own round and party
+    train, batch = _round_batch(tiny_bundle, count=8)
+    fed = build_federation(train, specs3, beta=0.0, seed=1)
+    log = TransportLog()
+    for r in range(100):
+        run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
+    assert audit_transport(log, train).ok
+    col = train.parties[3].num[:, 2]
+    log.record(RepresentationMsg(100, 3, col.reshape(-1, 1)))
+    run_round(fed, batch, TrainMode.VANILLA_VFL, 101, log)
+    report = audit_transport(log, train)
+    assert (report.ok, report.n_messages, report.n_rounds) == (False, 607, 102)
+    assert report.violations == [
+        f"round 100, party 3: payload equals party 3 column "
+        f"{train.parties[3].num_fields[2].name!r}"
+    ]
+
+
+def test_audit_matches_whole_digests_not_prefixes(tiny_bundle):
+    # a digest that shares only its first 8 bytes with a raw column's is no leak
+    train = tiny_bundle.train
+    leak = content_hash(train.labels)
+    log = TransportLog()
+    log.record(GradientMsg(0, 1, train.labels.reshape(-1, 1)))
+    log.record(GradientMsg(0, 2, np.zeros((3, 4))))
+    log.digests[32:] = bytes.fromhex(leak)[:8] + bytes(24)
+    assert log.records[1].payload_hash[:16] == leak[:16]
+    assert audit_transport(log, train).violations == [
+        "round 0, party 1: payload equals label vector"
+    ]
+
+
 def test_round_gradients_match_fd_unconstrained(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=12)
     fed = build_federation(train, specs3, beta=0.0, seed=3)
@@ -262,15 +296,33 @@ def test_round_rejects_local_mode_and_missing_anchors(tiny_bundle, specs3):
         run_round(fed, batch, TrainMode.VFLHLP, 0, TransportLog())
 
 
+@pytest.mark.parametrize("given", ["encoder", "head"])
+def test_one_anchor_without_the_other_gives_no_anchors(tiny_bundle, specs3, given):
+    # the constraint needs both anchors; with one of them the federation has
+    # none, so an unconstrained round runs and a constrained one refuses
+    train, batch = _round_batch(tiny_bundle, count=10)
+    anchors = {"encoder_anchor": specs3[1].build(stream(5, "anchor")).theta,
+               "head_anchor": {"weight": np.zeros((1, 4)), "bias": np.zeros(1)}}
+    fed = build_federation(train, specs3, beta=0.5, seed=5,
+                           **{f"{given}_anchor": anchors[f"{given}_anchor"]})
+    assert fed.anchors is None
+    run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog())
+    with pytest.raises(TrainingError, match="needs pre-trained anchors"):
+        run_round(fed, batch, TrainMode.VFLHLP_A, 1, TransportLog())
+
+
 @pytest.mark.parametrize("damage, fragment", [
     ("head-input-dim", "head input dim 13 does not match total representation dim 12"),
+    ("head-output-dim", "the head must output one logit, got 2"),
     ("encoder-anchor-size", "constraint shape mismatch for 'encoder'"),
     ("head-anchor-shape", r"parameter 'weight' has shape \(4, 1\), expected \(1, 4\)"),
-], ids=["head-input-dim", "encoder-anchor-size", "head-anchor-shape"])
+], ids=["head-input-dim", "head-output-dim", "encoder-anchor-size", "head-anchor-shape"])
 def test_a_federation_checks_its_head_and_anchors_when_built(specs3, damage, fragment):
     encoders, head = fresh_models(specs3, 14)
     if damage == "head-input-dim":
         head = Mlp.init(stream(14, "head"), [13, 1])
+    if damage == "head-output-dim":
+        head = Mlp.init(stream(14, "head"), [12, 2])
     encoder_anchor = encoders[1].theta.copy()
     head_anchor = {"weight": np.zeros((1, specs3[1].rep_dim)), "bias": np.zeros(1)}
     if damage == "encoder-anchor-size":
@@ -663,6 +715,11 @@ def test_local_mode_returns_local_model(tiny_bundle, specs3):
     )
     for name, arr in out.encoders[1].params().items():
         np.testing.assert_array_equal(arr, direct.encoder_params[name])
+    assert out.history == [
+        {"epoch": i + 1, "loss": loss, "loss_vfl": loss, "loss_cons": 0.0, "val_auc": None}
+        for i, loss in enumerate(direct.loss_trace)
+    ]
+    assert [e["epoch"] for e in out.history] == [1, 2]
 
 
 def test_mode_parse_and_properties():

@@ -26,7 +26,7 @@ from vflhlp.nn import (
     save_checkpoint,
     sigmoid,
 )
-from vflhlp.nn.layers import BlockRows, ModelSet
+from vflhlp.nn.layers import BINCOUNT_ROWS, BlockRows, ModelSet
 from vflhlp.rng import stream
 
 from conftest import (
@@ -239,6 +239,104 @@ def test_embedding_backward_matches_onehot_matmul():
     onehot_b[np.arange(3), cat[:, 1]] = 1.0
     np.testing.assert_array_equal(grads["a"], onehot_a.T @ up[:, :2])
     np.testing.assert_array_equal(grads["b"], onehot_b.T @ up[:, 2:])
+
+
+@pytest.mark.parametrize("n", [1, 5, 21, 22, 40], ids=lambda n: f"{3 * n} rows")
+def test_embedding_backward_is_bitwise_the_per_row_loop(n, monkeypatch):
+    # np.add.at below BINCOUNT_ROWS block rows, one np.bincount from it on;
+    # both add each row's upstream in row order, as this loop does
+    assert (3 * n < BINCOUNT_ROWS) == (n <= 21)
+    bincounts, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
+    rng = stream(18, "emb-scatter", n)
+    cards = [("a", 3), ("b", 1), ("c", 5)]
+    table = EmbeddingTable.init(rng, cards, embed_dim=4)
+    # duplicates, the unseen bucket (0, negative, past the cardinality)
+    cat = rng.integers(-2, 8, size=(n, 3))
+    cat[0] = [1, 0, 9]
+    _, rows = table.lookup(cat)
+    wide = rng.standard_normal((n, 15))
+    up = wide[:, 2:14]  # a column slice, as an encoder's input gradient is
+    ref = np.zeros(table.block.shape)
+    for i in range(n):
+        for j in range(3):
+            ref[rows[i, j]] += up[i, 4 * j : 4 * j + 4]
+    assert table.backward(rows, up).tobytes() == ref.tobytes()
+    out = np.full(table.block.shape, np.nan)
+    assert table.backward(rows, up, out=out) is out
+    assert out.tobytes() == ref.tobytes()
+    assert len(bincounts) == (0 if n <= 21 else 2)  # the branch follows the row count
+    with pytest.raises(SchemaError, match=r"embedding upstream must be \[n, 12\]"):
+        table.backward(rows, up[:, :-1])
+
+
+def test_encoder_and_mlp_passes_check_their_inputs():
+    spec = small_spec(n_cat=2, n_num=2, cardinality=5, embed_dim=3, hidden=(6, 4))
+    enc = spec.build(stream(19, "checks"))
+    cat, num = draw_encoder_inputs(stream(19, "in"), spec, 5)
+    with pytest.raises(SchemaError, match="no categorical batch"):
+        enc.forward(None, num)
+    with pytest.raises(SchemaError, match="expects numerical features"):
+        enc.forward(cat, None)
+    with pytest.raises(SchemaError, match=r"numerical batch must be \[n, 2\]"):
+        enc.forward(cat, num[:, :1])
+    with pytest.raises(SchemaError, match=r"numerical batch must be \[n, 2\]"):
+        enc.forward(cat, num[:, 0])
+    with pytest.raises(SchemaError, match="row counts differ"):
+        enc.forward(cat, num[:4])
+    rep, tape = enc.forward(cat, num)
+    with pytest.raises(SchemaError, match=r"upstream shape \(5, 3\) does not match output \(5, 4\)"):
+        enc.backward(tape, rep[:, :-1])
+    mlp = enc.mlp
+    with pytest.raises(SchemaError, match=r"mlp expects input \[n, 8\]"):
+        mlp.forward(np.zeros((5, 7)))
+    with pytest.raises(SchemaError, match=r"mlp expects input \[n, 8\]"):
+        mlp.forward(np.zeros(8))
+    out, mlp_tape = mlp.forward(np.zeros((5, 8)))
+    with pytest.raises(SchemaError, match=r"upstream shape \(6, 4\) does not match output \(5, 4\)"):
+        mlp.backward(mlp_tape, np.zeros((6, 4)))
+    # check=False is for callers that built the shapes; the bits are the same
+    x = np.ones((5, 8))
+    checked, unchecked = mlp.forward(x), mlp.forward(x, check=False)
+    assert checked[0].tobytes() == unchecked[0].tobytes()
+    up = np.ones_like(checked[0])
+    a, da = mlp.backward(checked[1], up)
+    b, db = mlp.backward(unchecked[1], up, check=False)
+    assert a.tobytes() == b.tobytes() and da.tobytes() == db.tobytes()
+
+
+def test_backward_into_a_model_sets_gradient_uses_the_views_it_laid():
+    # a ModelSet lays each model's backward views over its slice of `grad`
+    # once; any other `out`, or none, gets views of its own, with the same bits
+    spec = small_spec(n_cat=2, n_num=2, cardinality=5, embed_dim=3, hidden=(6, 4))
+    net = ModelSet({"enc": spec.build(stream(20, "laid")),
+                    "head": Mlp.init(stream(20, "laid-head"), [4, 1])})
+    enc, head = net.models["enc"], net.models["head"]
+    assert enc.grad is net.grads["enc"] and head.grad is net.grads["head"]
+    assert enc.mlp.grad is enc._grad_views[0]
+    cat, num = draw_encoder_inputs(stream(20, "in"), spec, 6)
+    rep, tape = enc.forward(cat, num)
+    logits, head_tape = head.forward(rep)
+    up = stream(20, "up").standard_normal(logits.shape)
+    net.grad.fill(np.nan)
+    laid, drep = head.backward(head_tape, up, out=net.grads["head"])
+    assert laid is net.grads["head"]
+    assert enc.backward(tape, drep, out=net.grads["enc"]) is net.grads["enc"]
+    assert not np.isnan(net.grad).any()
+    kept = net.grad.copy()
+    other = np.full(net.grad.size, np.nan)
+    fresh_head, fresh_drep = head.backward(head_tape, up)
+    assert fresh_head.tobytes() == net.split(kept)["head"].tobytes()
+    assert fresh_drep.tobytes() == drep.tobytes()
+    assert enc.backward(tape, drep).tobytes() == net.split(kept)["enc"].tobytes()
+    assert enc.backward(tape, drep, out=net.split(other)["enc"]) is not net.grads["enc"]
+    assert head.backward(head_tape, up, out=net.split(other)["head"])[0].base is other
+    assert other.tobytes() == kept.tobytes()
+    assert net.grad.tobytes() == kept.tobytes()
+    # a copy is not in the set: it lays views over whatever it is given
+    twin = copy.deepcopy(enc)
+    assert twin.grad is None
+    assert twin.backward(tape, drep).tobytes() == kept[net.spans["enc"]].tobytes()
 
 
 def test_embedding_init_range():

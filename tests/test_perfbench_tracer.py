@@ -6,16 +6,20 @@ rather than in a traced benchmark run. Only reads perfbench/.
 """
 import importlib
 import importlib.util
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import vflhlp.cli  # noqa: F401  (loads every module whose bindings get patched)
-from vflhlp import evaluation
+from vflhlp import evaluation, federated
 from vflhlp.config import encoder_specs, parse_config
-from vflhlp.federated import TrainMode
+from vflhlp.federated import TrainMode, TransportLog
+from vflhlp.rng import stream
 
+from conftest import build_federation, small_spec
 from test_cli import TINY
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -113,3 +117,55 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
         assert rows in tags, (kind, rows)
         if kind == "backward":
             assert max(tags) == rows, (kind, rows)
+
+
+@pytest.mark.parametrize("apply_updates", [True, False], ids=["train", "gradient-only"])
+@pytest.mark.parametrize("mode", [TrainMode.VANILLA_VFL, TrainMode.VFLHLP])
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode, apply_updates):
+    # the per-layer metrics count and time these calls, so a round makes each
+    # one exactly where it is used: K encoder passes each way, a message each
+    # way per party, one loss, the constraint when the mode has it, one step
+    tracer = _load_tracer()
+    train = tiny_bundle.train
+    specs = {p: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
+             for p in range(1, k + 1)}
+    fed = build_federation(
+        train, specs, beta=0.5, seed=9, optimizer="sgd",
+        encoder_anchor=specs[1].build(stream(9, "anchor")).theta,
+        head_anchor={"weight": np.zeros((1, 4)), "bias": np.zeros(1)},
+    )
+    batch = train.gather(train.aligned_ids(16))
+    t = tracer.Tracer("round-calls")
+    t.install()
+    try:
+        for r in range(3):
+            federated.run_round(fed, batch, mode, r, TransportLog(), apply_updates)
+    finally:
+        t.uninstall()
+
+    names = [t.names[n] for n in t.name]
+    rounds = [i for i, name in enumerate(names) if name == "federated.run_round"]
+    assert len(rounds) == 3
+    expected = Counter({
+        "nn.TabularEncoder.forward": k,
+        "nn.TabularEncoder.backward": k,
+        "federated.TransportLog.record": 2 * k,
+        "nn.bce_with_logits": 1,
+        "federated.constraint_loss": int(mode.uses_constraint),
+        "nn.SgdOptimizer.step": int(apply_updates),
+    })
+    children = {i: Counter() for i in rounds}
+    grandchildren = Counter()
+    for j, name in enumerate(names):
+        if t.parent[j] in children:
+            children[t.parent[j]][name] += 1
+        elif t.parent[j] >= 0 and t.parent[t.parent[j]] in children:
+            grandchildren[(names[t.parent[j]], name)] += 1
+    for i in rounds:
+        assert children[i] == +expected
+    # each encoder with embeddings looks its rows up and scatters their gradient once
+    assert grandchildren == {
+        ("nn.TabularEncoder.forward", "nn.EmbeddingTable.lookup"): 3 * k,
+        ("nn.TabularEncoder.backward", "nn.EmbeddingTable.backward"): 3 * k,
+    }
