@@ -285,13 +285,14 @@ class Federation(ModelSet):
     `anchored` holds the entries of `theta` that the constraint pulls: party
     1's encoder ("encoder"), and the head's weight columns over party 1's
     block, then its bias ("head"). `anchors` holds their pre-trained values
-    in that order, or None: encoder_anchor is the active party's pre-trained
+    in that order, or None when neither anchor is given (one without the
+    other is a SchemaError): encoder_anchor is the active party's pre-trained
     encoder as one flat vector (its `theta`), head_anchor the pre-trained
     head's "weight" [out, rep_dim of party 1] and "bias".
 
     What a round reads is laid out once, here: `parties` lists each party's
-    (id, name in `grads`, encoder, block of the head input) in id order, and
-    every model has its backward views over its slice of `grad`.
+    (id, encoder, block of the head input) in id order, and every model
+    writes its backward pass into its slice of `grad`.
     """
 
     def __init__(
@@ -322,7 +323,7 @@ class Federation(ModelSet):
             )
         if head.dims[-1] != 1:
             raise SchemaError(f"the head must output one logit, got {head.dims[-1]}")
-        self.parties = [(k, f"party{k}", self.encoders[k], self.rep_slices[k]) for k in ids]
+        self.parties = [(k, self.encoders[k], self.rep_slices[k]) for k in ids]
         self.beta = beta
         self.lr = np.full(self.theta.size, eta2)
         self.lr[self.spans["head"]] = eta1
@@ -335,7 +336,10 @@ class Federation(ModelSet):
             + np.concatenate([columns.ravel(), out_dim * in_dim + np.arange(out_dim)]),
         }
         self.anchors: dict[str, np.ndarray] | None = None
-        if encoder_anchor is not None and head_anchor is not None:
+        if (encoder_anchor is None) != (head_anchor is None):
+            missing = "encoder_anchor" if encoder_anchor is None else "head_anchor"
+            raise SchemaError(f"the constraint needs both anchors; {missing} is missing")
+        if encoder_anchor is not None:
             self.anchors = {
                 "encoder": np.array(encoder_anchor, dtype=np.float64).ravel(),
                 "head": ParamLayout(
@@ -371,11 +375,12 @@ def run_round(
     flat gradient of the total loss for each model, keyed "head" and
     "party{k}" (split one by name with the model's `grads_dict`): slices of
     `fed.grad`, which the next round overwrites. With apply_updates=False
-    this is a pure gradient evaluation, into a new buffer, which is what the
-    finite-difference checks drive. The batch labels, the head's shapes and
-    the anchors' names and shapes are not checked here: `train_downstream`
-    checks the labels once per cell, and the Federation checks the head and
-    the anchors when it is built.
+    this is a pure gradient evaluation, which is what the finite-difference
+    checks drive: it writes through `fed.grad` too, takes no step, and
+    returns copies, which no later round touches. The batch labels, the
+    head's shapes and the anchors' names and shapes are not checked here:
+    `train_downstream` checks the labels once per cell, and the Federation
+    checks the head and the anchors when it is built.
     """
     if not mode.is_federated:
         raise ConfigError(f"mode {mode.value} does not run the split protocol")
@@ -384,12 +389,10 @@ def run_round(
         raise TrainingError(
             f"mode {mode.value} needs pre-trained anchors for the active party"
         )
-    grad = fed.grad if apply_updates else np.empty_like(fed.grad)
-    grads = fed.grads if apply_updates else fed.split(grad)
     cat, num, record = batch.cat, batch.num, transport.record
 
     reps, tapes = [], []
-    for k, _, encoder, _ in fed.parties:
+    for k, encoder, _ in fed.parties:
         rep, tape = encoder.forward(cat[k], num[k])
         record(RepresentationMsg(round_index, k, rep))
         reps.append(rep)
@@ -397,12 +400,12 @@ def run_round(
     h = np.concatenate(reps, axis=1)
     logits, head_tape = fed.head.forward(h, check=False)
     loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels, check=False)
-    _, dh = fed.head.backward(head_tape, dlogits[:, None], out=grads["head"], check=False)
+    _, dh = fed.head.backward(head_tape, dlogits[:, None], check=False)
 
-    for (k, name, encoder, block), tape in zip(fed.parties, tapes):
+    for (k, encoder, block), tape in zip(fed.parties, tapes):
         gmsg = GradientMsg(round_index, k, dh[:, block])
         record(gmsg)
-        encoder.backward(tape, gmsg.values, out=grads[name])
+        encoder.backward(tape, gmsg.values)
 
     loss_cons = 0.0
     if constrained:
@@ -411,12 +414,12 @@ def run_round(
             check=False,
         )
         for n, at in fed.anchored.items():
-            grad[at] += fed.beta * diffs[n]
+            fed.grad[at] += fed.beta * diffs[n]
     loss = total_loss(loss_vfl, loss_cons, fed.beta if constrained else 0.0)
-    if apply_updates:
-        fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
-
-    return RoundStats(loss, loss_vfl, loss_cons), grads
+    if not apply_updates:
+        return RoundStats(loss, loss_vfl, loss_cons), fed.split(fed.grad.copy())
+    fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
+    return RoundStats(loss, loss_vfl, loss_cons), fed.grads
 
 
 def federated_predict(

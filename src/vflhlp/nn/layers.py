@@ -6,20 +6,21 @@ to agree with finite differences to ~1e-4 relative error and the split
 protocol has to agree with a centralized reference to 1e-10, so the
 arithmetic is kept explicit and deterministic.
 
-A model (an encoder or an Mlp head) is its shape plus one float64 vector,
-`theta`: `Mlp(dims, theta)` and `TabularEncoder(spec, theta)` lay their
-per-tensor arrays (`params()`, `EmbeddingTable.tables`) over the vector they
-are given, or over a new zero vector. So an optimizer step, a finite check or
-a copy is one vector operation, and a model pickles as (shape, theta). Write
-into those views in place (`arr[...] = ...`); rebinding one detaches it from
-the model.
+A model (an encoder or an Mlp head) is its shape plus two float64 vectors
+of one layout, `theta` and `grad`: `Mlp(dims, theta, grad)` and
+`TabularEncoder(spec, theta, grad)` lay their per-tensor arrays (`params()`,
+`EmbeddingTable.tables`) over the `theta` they are given, and their backward
+pass's gradient views over the `grad`, or over new zero vectors. So an
+optimizer step, a finite check or a copy is one vector operation, and a model
+pickles as (shape, theta); a copy gets a `grad` of its own. Write into those
+views in place (`arr[...] = ...`); rebinding one detaches it from the model.
 
 A forward pass returns its output and a tape, a plain tuple of what the
 backward pass reads: `(inputs, preacts)` per layer for an Mlp, and
-`(embedding rows, mlp tape)` for a TabularEncoder. A backward pass returns
-one flat gradient laid out like theta, written into `out` when given. The
-passes take numpy arrays and check their shapes, not their dtypes: the data
-layer builds float64 arrays, so nothing is re-cast per call.
+`(embedding rows, mlp tape)` for a TabularEncoder. A backward pass writes the
+flat gradient into the model's `grad`, overwriting it whole, and returns it.
+The passes take numpy arrays and check their shapes, not their dtypes: the
+data layer builds float64 arrays, so nothing is re-cast per call.
 """
 from __future__ import annotations
 
@@ -80,27 +81,28 @@ class ParamLayout:
 
 
 class FlatParams:
-    """Parameters as named views into one float64 vector, `theta`.
+    """Parameters as named views into one float64 vector, `theta`, and the
+    backward pass's gradient, `grad`, a vector laid out like it.
 
-    Subclasses set `layout`, then call `_lay_over` to set `theta` and `_views`,
-    and define `_views_over(grad)`, the views their backward pass writes through.
+    Subclasses set `layout`, then call `_lay_over` to set `theta`, `grad` and
+    `_views`.
     """
 
     theta: np.ndarray
+    grad: np.ndarray
     layout: ParamLayout
     _views: dict[str, np.ndarray]
-    grad: np.ndarray | None = None  # the gradient vector `lay_grad` prepared views over
 
-    def _lay_over(self, theta: np.ndarray | None) -> None:
-        if theta is None:
-            theta = np.zeros(self.layout.size)
-        elif theta.shape != (self.layout.size,) or theta.dtype != np.float64:
-            raise SchemaError(
-                f"theta must be float64 of shape ({self.layout.size},), "
-                f"got {theta.dtype} {theta.shape}"
-            )
-        self.theta = theta
-        self._views = self.layout.views(theta)
+    def _lay_over(self, theta: np.ndarray | None, grad: np.ndarray | None) -> None:
+        size = self.layout.size
+        for name, vec in (("theta", theta), ("grad", grad)):
+            if vec is not None and (vec.shape != (size,) or vec.dtype != np.float64):
+                raise SchemaError(
+                    f"{name} must be float64 of shape ({size},), got {vec.dtype} {vec.shape}"
+                )
+        self.theta = np.zeros(size) if theta is None else theta
+        self.grad = np.zeros(size) if grad is None else grad
+        self._views = self.layout.views(self.theta)
 
     def params(self) -> dict[str, np.ndarray]:
         """Live parameter arrays; writing into them writes into the model."""
@@ -117,33 +119,25 @@ class FlatParams:
         """Named views into a flat gradient laid out like `theta`."""
         return self.layout.views(grad)
 
-    def lay_grad(self, grad: np.ndarray) -> None:
-        """Prepare the backward pass's views over `grad`, a vector laid out like
-        theta, once: `backward(..., out=grad)` then writes through them, and
-        any other `out` (or a new vector, without one) gets views of its own."""
-        self.grad, self._grad_views = grad, self._views_over(grad)
-
 
 class ModelSet:
     """Models copied into consecutive slices of one float64 vector, `theta`,
-    and laid over them again as `models`. `layout` names each entry
-    "<model>.<tensor>"; `grads` holds each model's slice of `grad`, a buffer
-    laid out like theta for the backward passes to write into, and each
-    model prepares its backward views over its slice once (`lay_grad`)."""
+    and laid over them again as `models`, each with its slice of `grad`, a
+    vector laid out like theta that their backward passes write into.
+    `layout` names each entry "<model>.<tensor>"; `grads[name]` is model
+    `name`'s slice of `grad`, its own `grad`."""
 
     def __init__(self, models: dict[str, FlatParams]):
         self.layout = ParamLayout({f"{name}.{t}": shape for name, m in models.items()
                                    for t, shape in zip(m.layout.names, m.layout.shapes)})
         self.theta = np.concatenate([m.theta for m in models.values()])
-        self.grad = np.empty_like(self.theta)
-        self.spans, self.models, start = {}, {}, 0
+        self.grad = np.zeros_like(self.theta)
+        self.spans, self.models, self.grads, start = {}, {}, {}, 0
         for name, m in models.items():
             span = self.spans[name] = slice(start, start + m.layout.size)
+            grad = self.grads[name] = self.grad[span]
             cls, (shape, _) = m.__reduce__()  # (class, (dims or spec, theta))
-            self.models[name], start = cls(shape, self.theta[span]), span.stop
-        self.grads = self.split(self.grad)
-        for name, m in self.models.items():
-            m.lay_grad(self.grads[name])
+            self.models[name], start = cls(shape, self.theta[span], grad), span.stop
 
     def split(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Each model's slice of a vector laid out like theta."""
@@ -167,19 +161,21 @@ class Mlp(FlatParams):
     parameters start at zero.
     """
 
-    def __init__(self, dims: list[int], theta: np.ndarray | None = None):
+    def __init__(
+        self, dims: list[int], theta: np.ndarray | None = None, grad: np.ndarray | None = None
+    ):
         self.dims = list(dims)
         self.layout = ParamLayout(_mlp_shapes(self.dims))
-        self._lay_over(theta)
-        n = len(self.dims) - 1
+        self._lay_over(theta, grad)
         # per layer: the weight, its transpose and the bias, views that the
-        # passes read, and (weight start, bias start, end) in theta
-        self._layers = []
-        for i in range(n):
+        # forward pass reads; and the backward pass's steps, last layer first:
+        # (layer, weight, weight gradient view, bias gradient view)
+        grads = self.layout.views(self.grad)
+        self._layers, self._steps = [], []
+        for i in range(len(self.dims) - 1):
             w = self._views[f"{i}.weight"]
             self._layers.append((w, w.T, self._views[f"{i}.bias"]))
-        st = self.layout.starts
-        self._spans = [(st[2 * i], st[2 * i + 1], st[2 * i + 2]) for i in range(n)]
+            self._steps.insert(0, (i, w, grads[f"{i}.weight"], grads[f"{i}.bias"]))
 
     def __reduce__(self):
         return Mlp, (self.dims, self.theta)
@@ -212,11 +208,11 @@ class Mlp(FlatParams):
 
     def backward(
         self, tape: tuple[list, list], upstream: np.ndarray,
-        out: np.ndarray | None = None, input_grad: bool = True, check: bool = True,
+        *, input_grad: bool = True, check: bool = True,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Return (flat parameter gradient laid out like theta, input gradient).
+        """Return (`grad`, input gradient), with the flat parameter gradient
+        written into `grad`.
 
-        The gradient is written into `out` when given, else into a new vector.
         With input_grad=False the input gradient is not computed: None.
         check=False skips the upstream shape check, for callers whose upstream
         is the gradient of a loss of this model's output.
@@ -227,28 +223,14 @@ class Mlp(FlatParams):
                 f"upstream shape {upstream.shape} does not match output "
                 f"{preacts[-1].shape}"
             )
-        if out is not None and out is self.grad:
-            steps = self._grad_views
-        else:
-            out = np.empty(self.layout.size) if out is None else out
-            steps = self._views_over(out)
         d = upstream
         last = len(preacts) - 1
-        for i, w, gw, gb in steps:
+        for i, w, gw, gb in self._steps:
             dz = d if i == last else d * (preacts[i] > 0.0)
             dz.T.dot(inputs[i], gw)
             np.add.reduce(dz, 0, None, gb)  # the bias gradient, written in place
             d = dz.dot(w) if i or input_grad else None
-        return out, d
-
-    def _views_over(self, grad: np.ndarray) -> list[tuple]:
-        """The backward pass's steps over `grad`, last layer first: (layer,
-        weight, weight gradient view, bias gradient view)."""
-        steps = [
-            (i, w, grad[a:m].reshape(w.shape), grad[m:b])
-            for i, ((w, _, _), (a, m, b)) in enumerate(zip(self._layers, self._spans))
-        ]
-        return steps[::-1]
+        return self.grad, d
 
 
 # A scatter-add of this many block rows or more is cheaper as one np.bincount
@@ -410,21 +392,24 @@ class TabularEncoder(FlatParams):
     weight and bias.
     """
 
-    def __init__(self, spec: EncoderSpec, theta: np.ndarray | None = None):
+    def __init__(
+        self, spec: EncoderSpec, theta: np.ndarray | None = None, grad: np.ndarray | None = None
+    ):
         self.spec = spec
         dims = [spec.input_dim, *spec.hidden]
         shapes = {f"embed.{n}": (card, spec.embed_dim) for n, card in spec.cat_fields}
         for name, shape in _mlp_shapes(dims).items():
             shapes[f"mlp.{name}"] = shape
         self.layout = ParamLayout(shapes)
-        self._lay_over(theta)
-        e = self.embed_size = sum(card for _, card in spec.cat_fields) * spec.embed_dim
-        self.embed = None
+        self._lay_over(theta, grad)
+        e = sum(card for _, card in spec.cat_fields) * spec.embed_dim
+        self.embed = self._embed_grad = None
         if spec.cat_fields:
             self.embed = EmbeddingTable(
                 list(spec.cat_fields), spec.embed_dim, self.theta[:e]
             )
-        self.mlp = Mlp(dims, self.theta[e:])
+            self._embed_grad = self.grad[:e].reshape(self.embed.block.shape)
+        self.mlp = Mlp(dims, self.theta[e:], self.grad[e:])
 
     def __reduce__(self):
         return TabularEncoder, (self.spec, self.theta)
@@ -463,29 +448,12 @@ class TabularEncoder(FlatParams):
         out, mlp_tape = self.mlp.forward(x, check=False)  # [n, input_dim] by the checks above
         return out, (rows, mlp_tape)
 
-    def backward(
-        self, tape: tuple, upstream: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The parameter gradient laid out like theta, written into `out` when
-        given, else into a new vector."""
-        if out is not None and out is self.grad:
-            mlp_out, embed_out = self._grad_views
-        else:
-            out = np.empty(self.layout.size) if out is None else out
-            mlp_out, embed_out = self._views_over(out)
+    def backward(self, tape: tuple, upstream: np.ndarray) -> np.ndarray:
+        """Write the parameter gradient into `grad`, laid out like theta, and
+        return `grad`."""
         rows, mlp_tape = tape
         embed = self.embed
-        _, dx = self.mlp.backward(mlp_tape, upstream, mlp_out, embed is not None)
+        _, dx = self.mlp.backward(mlp_tape, upstream, input_grad=embed is not None)
         if embed is not None:
-            embed.backward(rows, dx[:, : embed.out_dim], embed_out)
-        return out
-
-    def _views_over(self, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The mlp's slice of `grad`, and the embedding block's (None without one)."""
-        e = self.embed_size
-        block = None if self.embed is None else grad[:e].reshape(self.embed.block.shape)
-        return grad[e:], block
-
-    def lay_grad(self, grad: np.ndarray) -> None:
-        super().lay_grad(grad)
-        self.mlp.lay_grad(self._grad_views[0])
+            embed.backward(rows, dx[:, : embed.out_dim], self._embed_grad)
+        return self.grad

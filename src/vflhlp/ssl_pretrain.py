@@ -238,9 +238,8 @@ def pretrain_passive(
                     "proj": Mlp.init(stream(seed, "ssl", k, "init-projection"),
                                      [spec.rep_dim, *cfg.projection_hidden, spec.rep_dim])})
     encoder, projection = net.models.values()
-    # the clean view's gradient goes into net.grad, the corrupted view's here
-    corr_grad = np.empty_like(net.grad)
-    clean, corr = net.grads, net.split(corr_grad)
+    # the clean view's gradient, kept here while net.grad takes the corrupted view's
+    clean_grad = np.empty_like(net.grad)
     marginals = CorruptionModel.fit(view, cfg.corruption_rate)
     corrupt_rng = stream(seed, "ssl", k, "corruption")
     probe_rng = stream(seed, "ssl", k, "probe")
@@ -256,11 +255,12 @@ def pretrain_passive(
         zt, ptape_corr = projection.forward(r_corr)
         result = contrastive_batch(z, zt, cfg.temperature)
         if update:
-            _, dr_clean = projection.backward(ptape_clean, result.grad_z, clean["proj"])
-            _, dr_corr = projection.backward(ptape_corr, result.grad_z_tilde, corr["proj"])
-            encoder.backward(tape_clean, dr_clean, out=clean["enc"])
-            encoder.backward(tape_corr, dr_corr, out=corr["enc"])
-            net.grad += corr_grad
+            _, dr = projection.backward(ptape_clean, result.grad_z)
+            encoder.backward(tape_clean, dr)
+            clean_grad[...] = net.grad
+            _, dr = projection.backward(ptape_corr, result.grad_z_tilde)
+            encoder.backward(tape_corr, dr)
+            net.grad += clean_grad
             optimizer.step(net.theta, net.grad, cfg.learning_rate, net.layout)
         return result.loss
 

@@ -80,7 +80,7 @@ def pretrain_active(
 
     net = ModelSet({"enc": spec.build(stream(seed, "sup", "init-encoder")),
                     "head": Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1])})
-    (encoder, head), (enc_grad, head_grad) = net.models.values(), net.grads.values()
+    encoder, head = net.models.values()
     optimizer = make_optimizer(cfg.optimizer)
     cat_rows = encoder.resolve(view.cat)  # once; each step only gathers
 
@@ -107,8 +107,8 @@ def pretrain_active(
             rep, enc_tape = encoder.forward(cat[rows], num[rows])
             logits, head_tape = head.forward(rep, check=False)  # it takes [n, rep_dim]
             loss, dlogits = bce_with_logits(logits[:, 0], y[rows], check=False)
-            _, drep = head.backward(head_tape, dlogits[:, None], head_grad, check=False)
-            encoder.backward(enc_tape, drep, out=enc_grad)
+            _, drep = head.backward(head_tape, dlogits[:, None], check=False)
+            encoder.backward(enc_tape, drep)
             optimizer.step(net.theta, net.grad, cfg.learning_rate, net.layout)
             total += loss * dlogits.size
             count += dlogits.size

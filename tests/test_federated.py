@@ -298,13 +298,18 @@ def test_round_rejects_local_mode_and_missing_anchors(tiny_bundle, specs3):
 
 @pytest.mark.parametrize("given", ["encoder", "head"])
 def test_one_anchor_without_the_other_gives_no_anchors(tiny_bundle, specs3, given):
-    # the constraint needs both anchors; with one of them the federation has
-    # none, so an unconstrained round runs and a constrained one refuses
+    # the constraint needs both anchors, so one without the other fails when
+    # the federation is built, naming the missing one; neither gives none
     train, batch = _round_batch(tiny_bundle, count=10)
     anchors = {"encoder_anchor": specs3[1].build(stream(5, "anchor")).theta,
                "head_anchor": {"weight": np.zeros((1, 4)), "bias": np.zeros(1)}}
-    fed = build_federation(train, specs3, beta=0.5, seed=5,
-                           **{f"{given}_anchor": anchors[f"{given}_anchor"]})
+    missing = "head" if given == "encoder" else "encoder"
+    with pytest.raises(SchemaError, match=f"both anchors; {missing}_anchor is missing"):
+        build_federation(train, specs3, beta=0.5, seed=5,
+                         **{f"{given}_anchor": anchors[f"{given}_anchor"]})
+    assert set(build_federation(train, specs3, beta=0.5, seed=5, **anchors).anchors) == {
+        "encoder", "head"}
+    fed = build_federation(train, specs3, beta=0.5, seed=5)
     assert fed.anchors is None
     run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog())
     with pytest.raises(TrainingError, match="needs pre-trained anchors"):
@@ -413,7 +418,7 @@ def test_each_training_loop_steps_one_optimizer():
 
 
 def test_round_gradients_without_updates_survive_the_next_round(tiny_bundle, specs3):
-    # apply_updates=False gives each call a buffer of its own, so gradients a
+    # apply_updates=False returns copies of each call's gradients, so those a
     # finite-difference check holds are not overwritten by its next call
     train, batch = _round_batch(tiny_bundle, count=12)
     fed = build_federation(train, specs3, beta=0.0, seed=11)
@@ -431,6 +436,34 @@ def test_round_gradients_without_updates_survive_the_next_round(tiny_bundle, spe
     run_round(fed, batch, TrainMode.VANILLA_VFL, 1, TransportLog())
     for name, g in second.items():
         assert not np.shares_memory(g, fed.grad)
+
+
+@pytest.mark.parametrize("mode, beta", [(TrainMode.VANILLA_VFL, 0.0), (TrainMode.VFLHLP, 0.7)],
+                         ids=["vanilla_vfl", "vflhlp beta 0.7"])
+def test_a_gradient_only_round_leaves_no_trace(tiny_bundle, specs3, pretrained, mode, beta):
+    # a gradient-only round writes through fed.grad, but it takes no step and
+    # the next training round overwrites fed.grad whole: rounds 0 and 2 with
+    # one between them train exactly as rounds 0 and 2 back to back
+    train = tiny_bundle.train
+    ids = train.aligned_ids(24)
+    batches = [train.gather(ids[i : i + 8]) for i in (0, 8, 16)]
+    anchors = {"encoder_anchor": pretrained.active.build_encoder().theta,
+               "head_anchor": {"weight": pretrained.active.head_params["0.weight"].copy(),
+                               "bias": pretrained.active.head_params["0.bias"].copy()}}
+
+    def trained(gradient_only_between: bool) -> tuple[bytes, int]:
+        fed = build_federation(train, specs3, beta=beta, seed=14, **anchors)
+        run_round(fed, batches[0], mode, 0, TransportLog())
+        if gradient_only_between:
+            theta, kept = fed.theta.copy(), fed.grad.copy()
+            _, grads = run_round(fed, batches[1], mode, 1, TransportLog(), apply_updates=False)
+            assert fed.theta.tobytes() == theta.tobytes()
+            assert fed.grad.tobytes() != kept.tobytes()  # it did write through fed.grad
+            assert not any(np.shares_memory(g, fed.grad) for g in grads.values())
+        run_round(fed, batches[2], mode, 2, TransportLog())
+        return fed.theta.tobytes(), fed.optimizer.t
+
+    assert trained(True) == trained(False)
 
 
 def test_a_non_finite_round_gradient_names_the_party_and_tensor(tiny_bundle, specs3):

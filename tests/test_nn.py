@@ -137,7 +137,7 @@ def test_backward_is_linear_in_upstream():
 
     def pullback(up):
         layer_grads, dx = mlp.backward(tape, up)
-        flat = mlp.grads_dict(layer_grads)
+        flat = mlp.grads_dict(layer_grads.copy())  # the next call overwrites mlp.grad
         flat["__input__"] = dx
         return flat
 
@@ -190,7 +190,9 @@ def test_mlp_passes_are_bitwise_equal_to_the_matmul_and_sum_formulas(dims, n, up
     assert np.array_equal(grad, ref)
     assert np.array_equal(dx, d)
     # without the first layer's input gradient the parameter gradient is the same
-    skipped, none = mlp.backward(tape, up, out=np.empty_like(grad), input_grad=False)
+    grad = grad.copy()  # the next call overwrites mlp.grad
+    mlp.grad.fill(np.nan)
+    skipped, none = mlp.backward(tape, up, input_grad=False)
     assert skipped.tobytes() == grad.tobytes() and none is None
 
 
@@ -301,42 +303,92 @@ def test_encoder_and_mlp_passes_check_their_inputs():
     assert checked[0].tobytes() == unchecked[0].tobytes()
     up = np.ones_like(checked[0])
     a, da = mlp.backward(checked[1], up)
+    a = a.copy()  # the next call overwrites mlp.grad
+    mlp.grad.fill(np.nan)
     b, db = mlp.backward(unchecked[1], up, check=False)
     assert a.tobytes() == b.tobytes() and da.tobytes() == db.tobytes()
 
 
-def test_backward_into_a_model_sets_gradient_uses_the_views_it_laid():
-    # a ModelSet lays each model's backward views over its slice of `grad`
-    # once; any other `out`, or none, gets views of its own, with the same bits
+def test_a_model_set_model_backpropagates_into_its_slice_of_grad():
+    # each model's `grad` is its slice of the set's; a backward pass writes
+    # all of it and returns it, with the bits of a standalone twin's
     spec = small_spec(n_cat=2, n_num=2, cardinality=5, embed_dim=3, hidden=(6, 4))
     net = ModelSet({"enc": spec.build(stream(20, "laid")),
                     "head": Mlp.init(stream(20, "laid-head"), [4, 1])})
     enc, head = net.models["enc"], net.models["head"]
-    assert enc.grad is net.grads["enc"] and head.grad is net.grads["head"]
-    assert enc.mlp.grad is enc._grad_views[0]
+    net.grad[...] = np.arange(net.grad.size)
+    for name, m in net.models.items():
+        assert m.grad is net.grads[name] and m.grad.base is net.grad
+        assert m.grad.tobytes() == net.grad[net.spans[name]].tobytes()
+    assert enc.mlp.grad.base is net.grad
+    assert enc.mlp.grad.tobytes() == enc.grad[enc.layout.size - enc.mlp.layout.size:].tobytes()
     cat, num = draw_encoder_inputs(stream(20, "in"), spec, 6)
     rep, tape = enc.forward(cat, num)
     logits, head_tape = head.forward(rep)
     up = stream(20, "up").standard_normal(logits.shape)
     net.grad.fill(np.nan)
-    laid, drep = head.backward(head_tape, up, out=net.grads["head"])
-    assert laid is net.grads["head"]
-    assert enc.backward(tape, drep, out=net.grads["enc"]) is net.grads["enc"]
+    got, drep = head.backward(head_tape, up)
+    assert got is head.grad
+    assert enc.backward(tape, drep) is enc.grad
     assert not np.isnan(net.grad).any()
     kept = net.grad.copy()
-    other = np.full(net.grad.size, np.nan)
-    fresh_head, fresh_drep = head.backward(head_tape, up)
-    assert fresh_head.tobytes() == net.split(kept)["head"].tobytes()
-    assert fresh_drep.tobytes() == drep.tobytes()
-    assert enc.backward(tape, drep).tobytes() == net.split(kept)["enc"].tobytes()
-    assert enc.backward(tape, drep, out=net.split(other)["enc"]) is not net.grads["enc"]
-    assert head.backward(head_tape, up, out=net.split(other)["head"])[0].base is other
-    assert other.tobytes() == kept.tobytes()
-    assert net.grad.tobytes() == kept.tobytes()
-    # a copy is not in the set: it lays views over whatever it is given
-    twin = copy.deepcopy(enc)
-    assert twin.grad is None
-    assert twin.backward(tape, drep).tobytes() == kept[net.spans["enc"]].tobytes()
+    # a copy is not in the set: it gets a gradient vector of its own
+    for twin_of in (copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+        twin_enc, twin_head = twin_of(enc), twin_of(head)
+        for twin in (twin_enc, twin_enc.mlp, twin_head):
+            assert not np.shares_memory(twin.grad, net.grad)
+        assert np.shares_memory(twin_enc.mlp.grad, twin_enc.grad)
+        twin_enc.grad.fill(np.nan)
+        twin_grad, twin_drep = twin_head.backward(head_tape, up)
+        assert twin_grad is twin_head.grad
+        assert twin_grad.tobytes() == kept[net.spans["head"]].tobytes()
+        assert twin_drep.tobytes() == drep.tobytes()
+        assert twin_enc.backward(tape, drep).tobytes() == kept[net.spans["enc"]].tobytes()
+        assert net.grad.tobytes() == kept.tobytes()
+    # a stale caller that passes `out` fails instead of writing elsewhere
+    with pytest.raises(TypeError):
+        head.backward(head_tape, up, np.empty(head.layout.size))
+    with pytest.raises(TypeError):
+        enc.backward(tape, drep, out=np.empty(enc.layout.size))
+
+
+def _gradient_owners():
+    spec = small_spec(n_cat=2, n_num=2, cardinality=5, embed_dim=3, hidden=(6, 4))
+    return {"mlp": lambda theta, grad: Mlp([4, 6, 1], theta, grad),
+            "encoder": lambda theta, grad: TabularEncoder(spec, theta, grad)}
+
+
+@pytest.mark.parametrize("kind", ["mlp", "encoder"])
+def test_a_model_writes_into_the_gradient_vector_it_is_given(kind):
+    make = _gradient_owners()[kind]
+    size = make(None, None).layout.size
+    theta = stream(21, "given", kind).standard_normal(size)
+    grad = np.full(size, np.nan)
+    model = make(theta, grad)
+    assert model.theta is theta and model.grad is grad
+    assert not make(None, None).grad.any()  # without one, a new zero vector
+    batch = 5
+    if kind == "mlp":
+        rep, tape = model.forward(stream(21, "x").standard_normal((batch, 4)))
+        out, _ = model.backward(tape, np.ones_like(rep))
+    else:
+        rep, tape = model.forward(*draw_encoder_inputs(stream(21, "x"), model.spec, batch))
+        out = model.backward(tape, np.ones_like(rep))
+    assert out is grad and not np.isnan(grad).any()
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "2-d", "float32", "int64"])
+@pytest.mark.parametrize("kind", ["mlp", "encoder"])
+def test_a_model_rejects_a_gradient_vector_of_the_wrong_shape_or_dtype(kind, bad):
+    make = _gradient_owners()[kind]
+    size = make(None, None).layout.size
+    grad = {"short": np.zeros(size - 1), "long": np.zeros(size + 1),
+            "2-d": np.zeros((1, size)), "float32": np.zeros(size, np.float32),
+            "int64": np.zeros(size, np.int64)}[bad]
+    with pytest.raises(SchemaError, match=rf"grad must be float64 of shape \({size},\)"):
+        make(None, grad)
+    with pytest.raises(SchemaError, match=rf"theta must be float64 of shape \({size},\)"):
+        make(grad, None)
 
 
 def test_embedding_init_range():
@@ -524,7 +576,7 @@ def test_mlp_inside_encoder_shares_the_encoder_theta():
     enc = small_spec().build(stream(31, "flat-mlp"))
     assert np.shares_memory(enc.mlp.theta, enc.theta)
     enc.mlp.theta[:] = 2.0
-    assert (enc.theta[enc.embed_size:] == 2.0).all()
+    assert (enc.theta[enc.layout.starts[len(enc.spec.cat_fields)]:] == 2.0).all()
 
 
 def _digest(vec: np.ndarray) -> str:
