@@ -96,6 +96,7 @@ DIR_TO_SERVER = 0
 DIR_TO_PARTY = 1
 KIND_REPRESENTATION = 1
 KIND_GRADIENT = 2
+MAX_ROUNDS = 2**32 - 1  # a round index is one unsigned 32-bit log entry
 
 
 class _Message:
@@ -143,24 +144,32 @@ TransportRecord = namedtuple(
 
 class TransportLog:
     """Append-only record of every cross-boundary payload: round, direction,
-    party, rows and cols of each message as five consecutive int64 entries of
-    one array, and each payload's 32-byte sha256 digest in one bytearray.
-    `records` is built on access."""
+    party, rows and cols of each message as five consecutive unsigned 32-bit
+    entries of one array, and each payload's 32-byte sha256 digest in one
+    bytearray. `records` is built on access."""
 
     def __init__(self):
-        self._fields = array("q")
+        self._fields = array("I")
         self.digests = bytearray()
 
     def record(self, msg: RepresentationMsg | GradientMsg) -> None:
         values = np.ascontiguousarray(msg.values, _F8)
         rows, cols = values.shape  # anything but a 2-D payload raises before the log grows
-        self._fields.extend((msg.round_index, msg.direction, msg.party_id, rows, cols))
+        try:
+            self._fields.extend((msg.round_index, msg.direction, msg.party_id, rows, cols))
+        except OverflowError:
+            del self._fields[len(self.digests) // 32 * 5 :]  # no partial entry
+            raise SchemaError(
+                f"message of round {msg.round_index}, party {msg.party_id}, shape "
+                f"{values.shape} has a field outside [0, 2**32)"
+            ) from None
         self.digests += hashlib.sha256(values).digest()
 
     def fields(self) -> np.ndarray:
-        """An [n, 5] view: round, direction, party, rows, cols. Drop it before
-        the next `record`, which cannot grow an array that exports its buffer."""
-        return np.frombuffer(self._fields, dtype=np.int64).reshape(-1, 5)
+        """An [n, 5] uint32 view: round, direction, party, rows, cols. Drop it
+        before the next `record`, which cannot grow an array that exports its
+        buffer."""
+        return np.frombuffer(self._fields, dtype=np.uint32).reshape(-1, 5)
 
     def digest(self, i: int) -> bytes:
         return bytes(self.digests[32 * i : 32 * i + 32])
@@ -216,17 +225,22 @@ def audit_transport(log: TransportLog, ds: VerticalDataset) -> AuditReport:
         for i in np.flatnonzero(np.isin(prefixes, keys))
         if (d := log.digest(i)) in forbidden
     ]
-    rounds, index = np.unique(fields[:, 0], return_inverse=True)
-    up = fields[:, 1] == DIR_TO_SERVER
-    ups = np.bincount(index, weights=up, minlength=rounds.size)
-    downs = np.bincount(index, weights=~up, minlength=rounds.size)
+    # balance: messages and up messages per round index, of the rounds present
+    rounds = fields[:, 0]
+    if rounds.size and rounds.max() >= rounds.size:
+        # indices skipped wholesale: number the rounds present first, so that no
+        # count array outgrows the log
+        rounds = np.unique(rounds, return_inverse=True)[1]
+    total = np.bincount(rounds)
+    ups = np.bincount(rounds[fields[:, 1] == DIR_TO_SERVER], minlength=total.size)
+    present = total > 0
     k = ds.k_parties
     return AuditReport(
         ok=not violations,
         n_messages=len(fields),
-        n_rounds=int(rounds.size),
+        n_rounds=int(np.count_nonzero(present)),
         violations=violations,
-        balanced_rounds=bool(np.all(ups == k) and np.all(downs == k)),
+        balanced_rounds=bool(np.all(ups[present] == k) and np.all(total[present] == 2 * k)),
     )
 
 
@@ -280,7 +294,8 @@ class Federation(ModelSet):
     `encoders[k]` are the models over its slices, and the caller's models are
     left as they were. `lr` is eta1 on the head's entries and eta2 on the
     parties', so a round takes one step. `rep_slices[k]` is party k's block
-    of the head input.
+    of the head input. The head must be linear with one logit, [in_dim, 1]
+    (SchemaError otherwise).
 
     `anchored` holds the entries of `theta` that the constraint pulls: party
     1's encoder ("encoder"), and the head's weight columns over party 1's
@@ -288,7 +303,7 @@ class Federation(ModelSet):
     in that order, or None when neither anchor is given (one without the
     other is a SchemaError): encoder_anchor is the active party's pre-trained
     encoder as one flat vector (its `theta`), head_anchor the pre-trained
-    head's "weight" [out, rep_dim of party 1] and "bias".
+    head's "weight" [1, rep_dim of party 1] and "bias" [1].
 
     What a round reads is laid out once, here: `parties` lists each party's
     (id, encoder, block of the head input) in id order, and every model
@@ -310,7 +325,11 @@ class Federation(ModelSet):
         super().__init__({"head": head, **{f"party{k}": encoders[k] for k in ids}})
         self.head = self.models["head"]
         self.encoders = {k: self.models[f"party{k}"] for k in ids}
-        in_dim, out_dim = head.dims[:2]
+        if len(head.dims) != 2:
+            raise SchemaError(
+                f"the head must be linear (one layer), got dims {list(head.dims)}"
+            )
+        in_dim, out_dim = head.dims
         self.rep_slices: dict[int, slice] = {}
         off = 0
         for k in ids:
@@ -321,19 +340,18 @@ class Federation(ModelSet):
                 f"head input dim {in_dim} does not match total "
                 f"representation dim {off}"
             )
-        if head.dims[-1] != 1:
-            raise SchemaError(f"the head must output one logit, got {head.dims[-1]}")
+        if out_dim != 1:
+            raise SchemaError(f"the head must output one logit, got {out_dim}")
         self.parties = [(k, self.encoders[k], self.rep_slices[k]) for k in ids]
         self.beta = beta
         self.lr = np.full(self.theta.size, eta2)
         self.lr[self.spans["head"]] = eta1
         self.optimizer = make_optimizer(optimizer)
         sl = self.rep_slices[1]
-        columns = np.arange(out_dim)[:, None] * in_dim + np.arange(sl.start, sl.stop)
+        # the head's entries are its [1, in_dim] weight, then its one bias
         self.anchored = {
             "encoder": self.spans["party1"],
-            "head": self.spans["head"].start
-            + np.concatenate([columns.ravel(), out_dim * in_dim + np.arange(out_dim)]),
+            "head": self.spans["head"].start + np.r_[sl.start : sl.stop, in_dim],
         }
         self.anchors: dict[str, np.ndarray] | None = None
         if (encoder_anchor is None) != (head_anchor is None):
@@ -343,7 +361,7 @@ class Federation(ModelSet):
             self.anchors = {
                 "encoder": np.array(encoder_anchor, dtype=np.float64).ravel(),
                 "head": ParamLayout(
-                    {"weight": columns.shape, "bias": (out_dim,)}
+                    {"weight": (1, self.encoders[1].rep_dim), "bias": (1,)}
                 ).flatten(head_anchor),
             }
             # names and shapes, once; the rounds skip the checks
@@ -592,6 +610,12 @@ def train_downstream(
     perm = stream(seed, "downstream", "val-split").permutation(aligned.size)
     if n_val == aligned.size:
         raise TrainingError("aligned set too small for the validation fraction")
+    n_rounds = cfg.epochs * -(-(aligned.size - n_val) // cfg.batch_size)
+    if n_rounds > MAX_ROUNDS:
+        raise ConfigError(
+            f"{cfg.epochs} epochs of batch {cfg.batch_size} make {n_rounds} rounds; "
+            f"a transport log holds at most {MAX_ROUNDS}"
+        )
     # the cell's rows, gathered and resolved to embedding rows once; each epoch
     # permutes and slices them
     pool = ds.gather(aligned[perm[n_val:]])

@@ -34,11 +34,17 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
         raise UndefinedMetricError(
             f"AUC needs both classes, got {n_pos} positives and {n_neg} negatives"
         )
-    # average 1-based rank per tie group
-    uniq, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    before = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    avg_rank = before + (counts + 1) / 2.0
-    ranks = avg_rank[inverse]
-    rank_sum = ranks[labels == 1.0].sum()
+    # tie groups of the sorted scores, found by comparing neighbours: the
+    # 0-based start of each, and one past its end. A group's average 1-based
+    # rank, (start + 1 + end) / 2, is an exact half-integer, so the rank sum
+    # has the same bits in any summation order, and the order within a group
+    # does not matter: the sort need not be stable (a stable one is about 4x
+    # slower on 2,000 rows).
+    order = np.argsort(scores)
+    ranked = scores[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], ranked.size]
+    positives = np.add.reduceat(labels[order], starts)
+    rank_sum = positives @ ((starts + 1 + ends) / 2.0)
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

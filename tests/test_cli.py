@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vflhlp import cli
+from vflhlp import cli, federated
 from vflhlp.cli import main
 from vflhlp.config import config_hash, encoder_specs, load_config
 from vflhlp.data import load_bundle
@@ -693,6 +693,21 @@ def test_bad_config_values_use_exit_code_two(tmp_path, out, capsys, command,
     assert not out.exists()  # a config error before --out is resolved writes nothing
 
 
+def test_a_schedule_past_the_transport_logs_round_limit_exits_two(
+        tmp_path, out, capsys, monkeypatch):
+    # 18 training rows at count 20 make one round an epoch; no round runs
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(federated, "run_round", no_round)
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({**TINY, "downstream": {"epochs": 2**32, "batch_size": 64},
+                                "grid": {**TINY["grid"], "aligned_counts": [20]}}))
+    assert run("train", "--config", long, "--out", out, "--mode", "vanilla_vfl") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "make 4294967296 rounds" in err
+
+
 def test_usage_and_config_errors_use_exit_code_two(cfg_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**TINY, "bogus": 1}))
@@ -934,7 +949,7 @@ def test_a_vflhlp_transport_log_is_pinned(cfg_path, out, monkeypatch):
     log = logs[40]
     assert len(log.digests) == 32 * len(log.fields())
     assert {
-        "fields": hashlib.sha256(log._fields.tobytes()).hexdigest(),
+        "fields": hashlib.sha256(log.fields().astype("<i8").tobytes()).hexdigest(),
         "digests": hashlib.sha256(log.digests).hexdigest(),
     } == VFLHLP_TRANSPORT_SHA256
 

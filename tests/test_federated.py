@@ -6,6 +6,7 @@ it to float tolerance. Constraint math is checked against a naive sum,
 and the transport log is audited for raw-column leaks.
 """
 import ast
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,6 +249,144 @@ def test_audit_matches_whole_digests_not_prefixes(tiny_bundle):
     ]
 
 
+def reference_audit(log, ds):
+    """A reference audit: each digest looked up on its own, and round balance
+    from np.unique(return_inverse=True) and two weighted bincounts."""
+    forbidden = federated._raw_column_digests(ds)
+    fields = log.fields().astype(np.int64)
+    violations = [
+        f"round {fields[i, 0]}, party {fields[i, 2]}: payload equals {forbidden[d]}"
+        for i in range(len(fields)) if (d := log.digest(i)) in forbidden
+    ]
+    rounds, index = np.unique(fields[:, 0], return_inverse=True)
+    up = fields[:, 1] == DIR_TO_SERVER
+    ups = np.bincount(index, weights=up, minlength=rounds.size)
+    downs = np.bincount(index, weights=~up, minlength=rounds.size)
+    k = ds.k_parties
+    return federated.AuditReport(
+        ok=not violations,
+        n_messages=len(fields),
+        n_rounds=int(rounds.size),
+        violations=violations,
+        balanced_rounds=bool(np.all(ups == k) and np.all(downs == k)),
+    )
+
+
+def _log_of(messages):
+    log = TransportLog()
+    for up, r, k, values in messages:
+        log.record((RepresentationMsg if up else GradientMsg)(r, k, values))
+    return log
+
+
+def _balanced_round(r, k_parties=3, rows=2):
+    return [(up, r, k, np.full((rows, 2), r + 0.5 * k))
+            for up in (True, False) for k in range(1, k_parties + 1)]
+
+
+@pytest.mark.parametrize("case", [
+    "empty", "gaps", "gaps-far-apart", "one-round", "up-only-round", "down-only-round",
+    "extra-reply", "missing-reply", "reply-without-request",
+])
+def test_audit_balance_matches_the_reference_on_edge_cases(tiny_bundle, case):
+    train = tiny_bundle.train
+    rounds = {"empty": [], "gaps": [0, 1, 4, 9, 10], "gaps-far-apart": [3, 70_000, 2**32 - 2],
+              "one-round": [5]}.get(case, [0, 1, 2])
+    messages = [m for r in rounds for m in _balanced_round(r)]
+    if case == "up-only-round":
+        messages += [m for m in _balanced_round(3) if m[0]]
+    if case == "down-only-round":
+        messages = [m for m in _balanced_round(7) if not m[0]] + messages
+    if case == "extra-reply":
+        messages.insert(4, (False, 1, 2, np.zeros((3, 4))))
+    if case == "missing-reply":
+        del messages[-1]
+    if case == "reply-without-request":  # the counts per direction are off, not the total
+        messages[2] = (False, *messages[2][1:])
+    report = audit_transport(_log_of(messages), train)
+    assert report == reference_audit(_log_of(messages), train)
+    assert report.ok and report.violations == []
+    assert report.n_messages == len(messages)
+    assert report.balanced_rounds == (case in ("empty", "gaps", "gaps-far-apart", "one-round"))
+
+
+def test_audit_matches_the_reference_on_random_logs(tiny_bundle):
+    train = tiny_bundle.train
+    leaks = [train.labels, train.parties[2].num[:, 0],
+             train.parties[3].cat[:, 0].astype(np.float64)]
+    rng = stream(31, "random-logs")
+    outcomes = set()
+    for trial in range(60):
+        n_rounds = int(rng.integers(0, 12))
+        rounds = np.sort(rng.choice(40 if trial % 2 else 10**6, n_rounds, replace=False))
+        messages = [m for r in rounds for m in _balanced_round(int(r), rows=1)]
+        for _ in range(int(rng.integers(0, 3))):  # drop, add or flip a message
+            what = rng.integers(0, 3)
+            if what == 0 and messages:
+                del messages[int(rng.integers(0, len(messages)))]
+            elif what == 1:
+                messages.append((bool(rng.integers(0, 2)), int(rng.integers(0, 50)),
+                                 int(rng.integers(1, 4)), rng.standard_normal((1, 2))))
+            elif messages:
+                i = int(rng.integers(0, len(messages)))
+                messages[i] = (not messages[i][0], *messages[i][1:])
+        for _ in range(int(rng.integers(0, 3))):  # a payload becomes a leak
+            if messages:
+                i = int(rng.integers(0, len(messages)))
+                leak = leaks[int(rng.integers(0, len(leaks)))]
+                messages[i] = (*messages[i][:3], leak.reshape(-1, 1))
+        order = rng.permutation(len(messages))  # messages need not come in round order
+        messages = [messages[i] for i in order]
+        report = audit_transport(_log_of(messages), train)
+        assert report == reference_audit(_log_of(messages), train), trial
+        outcomes.add((report.ok, report.balanced_rounds))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_a_log_refuses_a_field_outside_32_bits_and_keeps_what_it_had():
+    log = TransportLog()
+    log.record(RepresentationMsg(2**32 - 1, 1, np.zeros((2, 3))))
+    held = (log.fields().tobytes(), bytes(log.digests))
+    for msg in (RepresentationMsg(2**32, 1, np.zeros((2, 3))),
+                RepresentationMsg(-1, 1, np.zeros((2, 3))),
+                GradientMsg(4, -2, np.zeros((2, 3))),
+                GradientMsg(4, 2**32, np.zeros((2, 3)))):
+        with pytest.raises(SchemaError, match=r"outside \[0, 2\*\*32\)"):
+            log.record(msg)
+        assert (log.fields().tobytes(), bytes(log.digests)) == held
+    assert log.records[0][:6] == (2**32 - 1, DIR_TO_SERVER, 1, KIND_REPRESENTATION, 2, 3)
+
+
+def test_a_log_and_its_audit_stay_small(tiny_bundle):
+    # the log holds five 4-byte fields and a 32-byte digest a message, plus
+    # the growth slack of its array and bytearray; the audit's balance pass
+    # allocates a few bytes a message on top
+    train = tiny_bundle.train
+    reps = {k: np.full((8, 4), 0.25 * k) for k in (1, 2, 3)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = TransportLog()
+        for r in range(1000):
+            for k in (1, 2, 3):
+                log.record(RepresentationMsg(r, k, reps[k]))
+            for k in (1, 2, 3):
+                log.record(GradientMsg(r, k, reps[k]))
+        n = len(log.fields())
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = audit_transport(log, train)
+        scratch = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (report.ok, report.balanced_rounds, report.n_messages, report.n_rounds) == (
+        True, True, 6000, 1000)
+    assert n == 6000
+    assert held <= 64 * n, held / n
+    assert scratch <= 16 * n, scratch / n
+
+
 def test_round_gradients_match_fd_unconstrained(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=12)
     fed = build_federation(train, specs3, beta=0.0, seed=3)
@@ -321,13 +460,17 @@ def test_one_anchor_without_the_other_gives_no_anchors(tiny_bundle, specs3, give
     ("head-output-dim", "the head must output one logit, got 2"),
     ("encoder-anchor-size", "constraint shape mismatch for 'encoder'"),
     ("head-anchor-shape", r"parameter 'weight' has shape \(4, 1\), expected \(1, 4\)"),
-], ids=["head-input-dim", "head-output-dim", "encoder-anchor-size", "head-anchor-shape"])
+    ("head-hidden-layer", r"the head must be linear \(one layer\), got dims \[12, 6, 1\]"),
+], ids=["head-input-dim", "head-output-dim", "encoder-anchor-size", "head-anchor-shape",
+        "head-hidden-layer"])
 def test_a_federation_checks_its_head_and_anchors_when_built(specs3, damage, fragment):
     encoders, head = fresh_models(specs3, 14)
     if damage == "head-input-dim":
         head = Mlp.init(stream(14, "head"), [13, 1])
     if damage == "head-output-dim":
         head = Mlp.init(stream(14, "head"), [12, 2])
+    if damage == "head-hidden-layer":
+        head = Mlp.init(stream(14, "head"), [12, 6, 1])
     encoder_anchor = encoders[1].theta.copy()
     head_anchor = {"weight": np.zeros((1, specs3[1].rep_dim)), "bias": np.zeros(1)}
     if damage == "encoder-anchor-size":
@@ -336,6 +479,22 @@ def test_a_federation_checks_its_head_and_anchors_when_built(specs3, damage, fra
         head_anchor["weight"] = head_anchor["weight"].T
     with pytest.raises(SchemaError, match=fragment):
         Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", encoder_anchor, head_anchor)
+
+
+def test_the_head_anchor_is_party_1s_weight_columns_then_the_bias():
+    # representation blocks of 4, 2 and 3 columns: the head's theta is its
+    # [1, 9] weight, then its bias
+    specs = {k: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, d))
+             for k, d in ((1, 4), (2, 2), (3, 3))}
+    encoders, head = fresh_models(specs, 16)
+    head_anchor = {"weight": np.arange(4.0)[None], "bias": np.array([-1.0])}
+    fed = Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", encoders[1].theta, head_anchor)
+    start = fed.spans["head"].start
+    assert fed.anchored["head"].tolist() == [start + i for i in (0, 1, 2, 3, 9)]
+    assert fed.anchors["head"].tolist() == [0.0, 1.0, 2.0, 3.0, -1.0]
+    head_anchor["weight"] = np.zeros((1, 2))
+    with pytest.raises(SchemaError, match=r"'weight' has shape \(1, 2\), expected \(1, 4\)"):
+        Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", encoders[1].theta, head_anchor)
 
 
 def test_a_federation_copies_the_models_it_is_built_from(tiny_bundle, specs3):
@@ -715,6 +874,29 @@ def test_missing_pretrained_weights_fail_with_party_names(tiny_bundle, specs3):
     partial = PretrainedWeights()
     with pytest.raises(TrainingError, match="party 2"):
         train_downstream(train, specs3, TrainMode.VFLHLP_P, partial, _dcfg(), 13, 40)
+
+
+@pytest.mark.parametrize("batch_size, epochs", [(64, 2**32 - 1), (64, 2**32),
+                                                (16, 2**30 - 1), (16, 2**30)])
+def test_a_schedule_the_transport_log_cannot_index_is_refused_before_any_round(
+        tiny_bundle, specs3, monkeypatch, batch_size, epochs):
+    class FirstRound(Exception):
+        pass
+
+    def first_round(*args, **kwargs):
+        raise FirstRound
+
+    monkeypatch.setattr(federated, "run_round", first_round)
+    # 54 rows after the 10% validation carve at count 60: 1 or 4 rounds an epoch
+    n_rounds = epochs * (1 if batch_size == 64 else 4)
+    args = (tiny_bundle.train, specs3, TrainMode.VANILLA_VFL, None,
+            _dcfg(epochs=epochs, batch_size=batch_size), 13, 60)
+    if n_rounds <= 2**32 - 1:
+        with pytest.raises(FirstRound):
+            train_downstream(*args)
+        return
+    with pytest.raises(ConfigError, match=f"make {n_rounds} rounds; .* at most 4294967295"):
+        train_downstream(*args)
 
 
 POOL = tiny_synth_config().aligned_pool
