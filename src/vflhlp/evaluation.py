@@ -35,12 +35,12 @@ from .data import (
 )
 from .errors import ConfigError, DataError, SchemaError, TrainingError
 from .federated import (
+    ActivePretrained,
     AuditReport,
     DownstreamConfig,
     PretrainedWeights,
     TrainedFederation,
     TrainMode,
-    TransportLog,
     audit_transport,
     federated_predict,
     pretrained_needs,
@@ -51,7 +51,7 @@ from .nn import Mlp, load_checkpoint, save_checkpoint, write_file
 from .nn.layers import EncoderSpec, FlatParams, ModelSet
 from .rng import stream
 from .ssl_pretrain import pretrain_passive
-from .sup_pretrain import ActivePretrained, pretrain_active
+from .sup_pretrain import pretrain_active, train_local
 
 
 def evaluate_mode(trained: TrainedFederation, test: AlignedBatch) -> float:
@@ -245,17 +245,21 @@ def run_cell(
     """Train one cell on the first `count` aligned IDs and score it on bundle.test.
 
     A federated cell's transport log is audited first, and a payload that
-    copies a raw column or the labels raises TrainingError. local_a sends
-    nothing, so its audit is None. `train` and `grid` both run every cell
-    through here. A diverging cell overflows without numpy warnings and fails
-    typed: optimizers refuse non-finite gradients, `auc` non-finite scores.
+    copies a raw column or the labels raises TrainingError; the returned model
+    no longer holds the log. local_a trains alone (`train_local`), sends
+    nothing and ignores `count`, so its audit is None. `train` and `grid` both
+    run every cell through here. A diverging cell overflows without numpy
+    warnings and fails typed: optimizers refuse non-finite gradients, `auc`
+    non-finite scores.
     """
+    if not mode.is_federated:
+        trained = train_local(bundle.train, specs[1], dcfg, seed)
+        return trained, evaluate_mode(trained, bundle.test), None
     trained = train_downstream(bundle.train, specs, mode, pretrained, dcfg, seed, count)
-    audit = None
-    if mode.is_federated:
-        audit = audit_transport(trained.transport, bundle.train)
-        if not audit.ok:
-            raise TrainingError("transport audit failed: " + "; ".join(audit.violations))
+    audit = audit_transport(trained.transport, bundle.train)
+    if not audit.ok:
+        raise TrainingError("transport audit failed: " + "; ".join(audit.violations))
+    trained.transport = None  # the log is not kept past its audit
     return trained, evaluate_mode(trained, bundle.test), audit
 
 
@@ -467,8 +471,7 @@ def load_cell_checkpoint(path: Path, specs: dict[int, EncoderSpec]) -> TrainedFe
         path, tensors, _cell_models({k: specs[k].build_empty() for k in party_ids}, head)
     )
     encoders = {k: models[f"party{k}.encoder"] for k in party_ids}
-    return TrainedFederation(mode=mode, encoders=encoders, head=models["head"],
-                             history=[], transport=TransportLog())
+    return TrainedFederation(mode=mode, encoders=encoders, head=models["head"], history=[])
 
 
 def _write_cell_checkpoint(

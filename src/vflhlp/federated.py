@@ -15,6 +15,10 @@ representation block; parties backprop. Then every model steps at once:
 the head with eta1 and the parties with eta2. All cross-boundary payloads
 go through the transport log so tests can audit that no raw feature column
 or label vector ever leaves its owner.
+
+The forward and backward pass is `Federation.forward_backward`. Local
+training (`sup_pretrain`: the active party's pre-training and the local_a
+baseline) runs the same method over a one-party Federation, without messages.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ from .nn import (
 from .nn.layers import EncoderSpec, ModelSet
 from .nn.optim import check_schedule
 from .rng import stream
-from .sup_pretrain import ActivePretrained, SupConfig, pretrain_active
 
 
 class TrainMode(enum.Enum):
@@ -369,6 +372,29 @@ class Federation(ModelSet):
                 {n: self.theta[at] for n, at in self.anchored.items()}, self.anchors
             )
 
+    def forward_backward(self, cat, num, labels, record=None, round_index: int = 0) -> float:
+        """One batch through every model and back, the step every trainer takes;
+        returns the mean BCE. Each encoder reads its party's block, `cat[k]`
+        and `num[k]`, the head the representations side by side (one party's
+        as it is), and the backward passes write the whole of `grad`. `record`,
+        when given, gets each party's RepresentationMsg of round `round_index`,
+        then each party's GradientMsg. The caller checks the labels once.
+        """
+        reps, tapes = zip(*[encoder.forward(cat[k], num[k]) for k, encoder, _ in self.parties])
+        if record is not None:
+            for (k, _, _), rep in zip(self.parties, reps):
+                record(RepresentationMsg(round_index, k, rep))
+        h = np.concatenate(reps, axis=1) if reps[1:] else reps[0]
+        logits, head_tape = self.head.forward(h, check=False)
+        loss, dlogits = bce_with_logits(logits[:, 0], labels, check=False)
+        _, dh = self.head.backward(head_tape, dlogits[:, None], check=False)
+        for (k, encoder, block), tape in zip(self.parties, tapes):
+            drep = dh[:, block]
+            if record is not None:
+                record(GradientMsg(round_index, k, drep))
+            encoder.backward(tape, drep)
+        return loss
+
 
 @dataclass
 class RoundStats:
@@ -387,18 +413,17 @@ def run_round(
 ) -> tuple[RoundStats, dict[str, np.ndarray]]:
     """One synchronized round of split training.
 
-    Gradients for the head and for every representation block are computed
-    from the pre-update head weights; then one optimizer step moves the head
-    with eta1 and the parties with eta2. Returns the round's stats and the
-    flat gradient of the total loss for each model, keyed "head" and
-    "party{k}" (split one by name with the model's `grads_dict`): slices of
-    `fed.grad`, which the next round overwrites. With apply_updates=False
-    this is a pure gradient evaluation, which is what the finite-difference
-    checks drive: it writes through `fed.grad` too, takes no step, and
-    returns copies, which no later round touches. The batch labels, the
-    head's shapes and the anchors' names and shapes are not checked here:
-    `train_downstream` checks the labels once per cell, and the Federation
-    checks the head and the anchors when it is built.
+    `fed.forward_backward` computes every gradient from the pre-update head
+    and logs the round's messages in `transport`; in a constrained mode the
+    constraint's gradient is added to the anchored entries; then one optimizer
+    step moves the head with eta1 and the parties with eta2. Returns the
+    round's stats and the flat gradient of the total loss for each model,
+    keyed "head" and "party{k}" (split one by name with the model's
+    `grads_dict`): slices of `fed.grad`, which the next round overwrites.
+    With apply_updates=False this is a pure gradient evaluation, which is
+    what the finite-difference checks drive: it writes through `fed.grad`
+    too, takes no step, and returns copies, which no later round touches.
+    `train_downstream` checks the batch labels once per cell.
     """
     if not mode.is_federated:
         raise ConfigError(f"mode {mode.value} does not run the split protocol")
@@ -407,24 +432,8 @@ def run_round(
         raise TrainingError(
             f"mode {mode.value} needs pre-trained anchors for the active party"
         )
-    cat, num, record = batch.cat, batch.num, transport.record
-
-    reps, tapes = [], []
-    for k, encoder, _ in fed.parties:
-        rep, tape = encoder.forward(cat[k], num[k])
-        record(RepresentationMsg(round_index, k, rep))
-        reps.append(rep)
-        tapes.append(tape)
-    h = np.concatenate(reps, axis=1)
-    logits, head_tape = fed.head.forward(h, check=False)
-    loss_vfl, dlogits = bce_with_logits(logits[:, 0], batch.labels, check=False)
-    _, dh = fed.head.backward(head_tape, dlogits[:, None], check=False)
-
-    for (k, encoder, block), tape in zip(fed.parties, tapes):
-        gmsg = GradientMsg(round_index, k, dh[:, block])
-        record(gmsg)
-        encoder.backward(tape, gmsg.values)
-
+    loss_vfl = fed.forward_backward(batch.cat, batch.num, batch.labels,
+                                    transport.record, round_index)
     loss_cons = 0.0
     if constrained:
         loss_cons, diffs = constraint_loss(
@@ -487,6 +496,34 @@ class DownstreamConfig:
 
 
 @dataclass
+class ActivePretrained:
+    """Frozen weights from the active party's local run.
+
+    encoder_params and head_params are deep copies taken at the best
+    validation-AUC epoch (or the last epoch when validation AUC was
+    undefined, flagged by degenerate_validation).
+    """
+
+    spec: EncoderSpec
+    encoder_params: dict[str, np.ndarray]
+    head_params: dict[str, np.ndarray]
+    best_epoch: int
+    val_auc: float | None
+    degenerate_validation: bool
+    loss_trace: list[float] = field(default_factory=list)
+
+    def build_encoder(self) -> TabularEncoder:
+        enc = self.spec.build_empty()
+        enc.set_params(self.encoder_params)
+        return enc
+
+    def build_head(self) -> Mlp:
+        head = Mlp([self.spec.rep_dim, 1])
+        head.set_params(self.head_params)
+        return head
+
+
+@dataclass
 class PretrainedWeights:
     """Everything the downstream stage may warm-start from or anchor to, and
     each passive party's contrastive loss trace from pre-training."""
@@ -498,13 +535,15 @@ class PretrainedWeights:
 
 @dataclass
 class TrainedFederation:
-    """A trained downstream model; local_a's has party 1's encoder only."""
+    """A trained downstream model; local_a's has party 1's encoder only.
+    `transport` holds the messages of `train_downstream`'s cell until
+    `run_cell` audits them; otherwise it is None."""
 
     mode: TrainMode
     encoders: dict[int, TabularEncoder]
     head: Mlp
     history: list[dict]
-    transport: TransportLog
+    transport: TransportLog | None = None
 
 
 def _require_pretrained(
@@ -546,33 +585,11 @@ def train_downstream(
     warm starts see byte-identical randomness everywhere else. A
     val_fraction slice of the aligned set is held out for the per-epoch AUC
     in the history; final weights are the last epoch's (no early stopping).
-    local_a trains on the active party's whole local table and ignores `count`:
-    it runs pretrain_active, so its weights are those of the epoch with the best
-    AUC on its own held-out val_fraction of local rows, and its history has
-    val_auc None for every epoch.
+    local_a is no split training and is refused (ConfigError): it trains with
+    `sup_pretrain.train_local`.
     """
-    if mode is TrainMode.LOCAL_A:
-        sup_cfg = SupConfig(
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            learning_rate=cfg.eta2,
-            optimizer=cfg.optimizer,
-            val_fraction=cfg.val_fraction,
-        )
-        model = pretrain_active(ds.parties[1], ds.labels, specs[1], sup_cfg, seed)
-        history = [
-            {"epoch": i + 1, "loss": loss, "loss_vfl": loss, "loss_cons": 0.0,
-             "val_auc": None}
-            for i, loss in enumerate(model.loss_trace)
-        ]
-        return TrainedFederation(
-            mode=mode,
-            encoders={1: model.build_encoder()},
-            head=model.build_head(),
-            history=history,
-            transport=TransportLog(),
-        )
-
+    if not mode.is_federated:
+        raise ConfigError(f"mode {mode.value} does not run the split protocol")
     party_ids = sorted(ds.parties)
     if set(specs) != set(party_ids):
         raise ConfigError(

@@ -1,21 +1,32 @@
-"""Supervised local pre-training for the active party.
+"""Supervised local pre-training for the active party, and the local-only baseline.
 
 The active party trains its encoder plus a small linear head on its full
 local table, labels included, unaligned samples and all. The resulting
 weights serve three purposes downstream: warm start, anchor for the
-knowledge-transfer constraint, and the local-only baseline.
+knowledge-transfer constraint, and the local-only baseline (mode local_a).
+The pair trains as a one-party `Federation` with no constraint and one
+learning rate, through the step that `run_round` takes, without messages:
+the same arithmetic as a round, on the party's own rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartyView
+from .data import PartyView, VerticalDataset
 from .errors import ConfigError, DataError, TrainingError, UndefinedMetricError
+from .federated import (
+    ActivePretrained,
+    DownstreamConfig,
+    Federation,
+    TrainedFederation,
+    TrainMode,
+    federated_predict,
+)
 from .metrics import auc
-from .nn import Mlp, TabularEncoder, bce_with_logits, check_labels, make_optimizer, sigmoid
-from .nn.layers import EncoderSpec, ModelSet
+from .nn import Mlp, check_labels
+from .nn.layers import EncoderSpec
 from .nn.optim import check_schedule
 from .rng import stream
 
@@ -34,38 +45,11 @@ class SupConfig:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
-@dataclass
-class ActivePretrained:
-    """Frozen weights from the active party's local run.
-
-    encoder_params and head_params are deep copies taken at the best
-    validation-AUC epoch (or the last epoch when validation AUC was
-    undefined, flagged by degenerate_validation).
-    """
-
-    spec: EncoderSpec
-    encoder_params: dict[str, np.ndarray]
-    head_params: dict[str, np.ndarray]
-    best_epoch: int
-    val_auc: float | None
-    degenerate_validation: bool
-    loss_trace: list[float] = field(default_factory=list)
-
-    def build_encoder(self) -> TabularEncoder:
-        enc = self.spec.build_empty()
-        enc.set_params(self.encoder_params)
-        return enc
-
-    def build_head(self) -> Mlp:
-        head = Mlp([self.spec.rep_dim, 1])
-        head.set_params(self.head_params)
-        return head
-
-
 def pretrain_active(
     view: PartyView, labels: np.ndarray, spec: EncoderSpec, cfg: SupConfig, seed: int
 ) -> ActivePretrained:
-    """Train encoder + linear head on the active party's local data.
+    """Train encoder + linear head on the active party's local data, as a
+    one-party Federation stepped by `forward_backward` and its optimizer.
 
     A val_fraction slice of the local rows is held out; the returned weights
     are the ones with the best held-out AUC. Single-class validation labels
@@ -78,10 +62,10 @@ def pretrain_active(
     if labels.shape != view.ids.shape:
         raise DataError("labels must cover exactly the party's local rows")
 
-    net = ModelSet({"enc": spec.build(stream(seed, "sup", "init-encoder")),
-                    "head": Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1])})
-    encoder, head = net.models.values()
-    optimizer = make_optimizer(cfg.optimizer)
+    fed = Federation({1: spec.build(stream(seed, "sup", "init-encoder"))},
+                     Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1]),
+                     0.0, cfg.learning_rate, cfg.learning_rate, cfg.optimizer)
+    encoder, head = fed.encoders[1], fed.head
     cat_rows = encoder.resolve(view.cat)  # once; each step only gathers
 
     n_val = int(round(cfg.val_fraction * view.n))
@@ -89,65 +73,61 @@ def pretrain_active(
     val_rows, train_rows = perm[:n_val], perm[n_val:]
     if train_rows.size == 0:
         raise DataError("no training rows left after validation split")
+    val_cat, val_num = {1: cat_rows[val_rows]}, {1: view.num[val_rows]}
 
-    def predict(rows: np.ndarray) -> np.ndarray:
-        rep, _ = encoder.forward(cat_rows[rows], view.num[rows])
-        logits, _ = head.forward(rep)
-        return sigmoid(logits[:, 0])
-
-    best: tuple[float, int, dict, dict] | None = None
+    best: tuple[float | None, int, dict, dict] | None = None
     trace: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         order = stream(seed, "sup", "shuffle", epoch).permutation(train_rows.size)
         shuffled = train_rows[order]
         cat, num, y = cat_rows[shuffled], view.num[shuffled], labels[shuffled]
-        total, count = 0.0, 0
+        total = 0.0
         for i in range(0, shuffled.size, cfg.batch_size):
             rows = slice(i, i + cfg.batch_size)
-            rep, enc_tape = encoder.forward(cat[rows], num[rows])
-            logits, head_tape = head.forward(rep, check=False)  # it takes [n, rep_dim]
-            loss, dlogits = bce_with_logits(logits[:, 0], y[rows], check=False)
-            _, drep = head.backward(head_tape, dlogits[:, None], check=False)
-            encoder.backward(enc_tape, drep)
-            optimizer.step(net.theta, net.grad, cfg.learning_rate, net.layout)
-            total += loss * dlogits.size
-            count += dlogits.size
-        trace.append(total / count)
+            y_rows = y[rows]
+            loss = fed.forward_backward({1: cat[rows]}, {1: num[rows]}, y_rows)
+            fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
+            total += loss * y_rows.size
+        trace.append(total / shuffled.size)
         if not np.isfinite(trace[-1]):
             raise TrainingError(f"local training loss non-finite at epoch {epoch}")
         if val_rows.size:
             try:
-                score = auc(labels[val_rows], predict(val_rows))
+                score = auc(labels[val_rows],
+                            federated_predict(fed.encoders, head, val_cat, val_num))
             except UndefinedMetricError:
                 score = None
             if score is not None and (best is None or score > best[0]):
                 best = (score, epoch, encoder.params_copy(), head.params_copy())
 
-    if best is not None:
-        val_score, best_epoch, enc_params, head_params = best
-        degenerate = False
-    else:
-        # no usable validation signal: keep the final weights and say so
-        val_score = None
-        best_epoch = cfg.epochs
-        enc_params = encoder.params_copy()
-        head_params = head.params_copy()
-        degenerate = cfg.epochs > 0 and val_rows.size > 0
-    return ActivePretrained(
-        spec=spec,
-        encoder_params=enc_params,
-        head_params=head_params,
-        best_epoch=best_epoch,
-        val_auc=val_score,
-        degenerate_validation=degenerate,
-        loss_trace=trace,
-    )
+    degenerate = best is None and cfg.epochs > 0 and val_rows.size > 0
+    if best is None:  # no usable validation signal: keep the final weights and say so
+        best = (None, cfg.epochs, encoder.params_copy(), head.params_copy())
+    val_score, best_epoch, enc_params, head_params = best
+    return ActivePretrained(spec=spec, encoder_params=enc_params, head_params=head_params,
+                            best_epoch=best_epoch, val_auc=val_score,
+                            degenerate_validation=degenerate, loss_trace=trace)
+
+
+def train_local(
+    ds: VerticalDataset, spec: EncoderSpec, cfg: DownstreamConfig, seed: int
+) -> TrainedFederation:
+    """The local_a baseline: pretrain_active on the active party's whole local
+    table with the downstream schedule and eta2, so its weights are those of
+    the epoch with the best AUC on its own held-out val_fraction of local rows.
+    Its history has val_auc None in every epoch, and it has no transport log.
+    """
+    sup_cfg = SupConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.eta2,
+                        optimizer=cfg.optimizer, val_fraction=cfg.val_fraction)
+    model = pretrain_active(ds.parties[1], ds.labels, spec, sup_cfg, seed)
+    history = [
+        {"epoch": i + 1, "loss": loss, "loss_vfl": loss, "loss_cons": 0.0, "val_auc": None}
+        for i, loss in enumerate(model.loss_trace)
+    ]
+    return TrainedFederation(TrainMode.LOCAL_A, {1: model.build_encoder()},
+                             model.build_head(), history)
 
 
 def local_predict(model: ActivePretrained, cat: np.ndarray, num: np.ndarray) -> np.ndarray:
     """Scores from the active party's local model alone."""
-    encoder = model.build_encoder()
-    head = model.build_head()
-    rep, _ = encoder.forward(cat, num)
-    logits, _ = head.forward(rep)
-    return sigmoid(logits[:, 0])
+    return federated_predict({1: model.build_encoder()}, model.build_head(), {1: cat}, {1: num})

@@ -1,0 +1,108 @@
+"""Exact call budgets for the units of work the training loops repeat.
+
+Wall time on a shared host drifts too much to see a few added calls, but a
+call count is exact. Each test counts, with `sys.setprofile`, the
+Python-level calls (profile "call" events) and C-level calls ("c_call"
+events: builtins and C functions and methods, such as `len`, `list.append`
+and most of numpy's functions) that one unit of work makes, and holds each count to a budget
+set at today's value. The unit's own call is not counted.
+
+`sys.setprofile` does not see numpy's operators (`a * b`, `a[rows]`), its
+ufunc calls (`np.exp(x)`) or the calling of a type (`zip(...)`), so a count
+undercounts the array work; it catches an added call on the per-batch path,
+not an added operation. The counts are those of numpy 2.4; another numpy
+version may call its own Python helpers a different number of times.
+"""
+import sys
+
+import numpy as np
+import pytest
+
+from vflhlp.data import sample_aligned_batches
+from vflhlp.federated import Federation, TrainMode, TransportLog, run_round
+from vflhlp.nn import Mlp
+from vflhlp.rng import stream
+from vflhlp.ssl_pretrain import contrastive_batch
+
+from conftest import build_federation, small_spec
+
+# (Python-level calls, C-level calls) at most, per unit
+BUDGETS = {
+    "round vflhlp b8": (46, 95),
+    "round vanilla_vfl b8": (44, 90),
+    "supervised step sgd b8": (15, 28),
+    "supervised step adam b256": (17, 29),
+    "contrastive batch b256": (6, 10),
+    "aligned batches epoch b8": (74, 56),
+}
+
+
+def count_calls(fn, *args) -> tuple[int, int]:
+    """The Python-level and C-level calls that fn(*args) makes."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return counts["call"] - 1, counts["c_call"] - 1  # fn's own call, setprofile(None)
+
+
+def _spec():
+    return small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
+
+
+def _within_budget(unit: str, fn, *args) -> None:
+    fn(*args)  # once first: a first call may set up what later calls reuse
+    py, c = count_calls(fn, *args)
+    budget_py, budget_c = BUDGETS[unit]
+    assert py <= budget_py and c <= budget_c, (unit, (py, c), BUDGETS[unit])
+
+
+@pytest.mark.parametrize("mode", [TrainMode.VFLHLP, TrainMode.VANILLA_VFL])
+def test_a_round_keeps_its_call_budget(tiny_bundle, mode):
+    train = tiny_bundle.train
+    specs = {k: _spec() for k in (1, 2, 3)}
+    fed = build_federation(
+        train, specs, beta=0.5, seed=3, optimizer="sgd",
+        encoder_anchor=specs[1].build(stream(3, "anchor")).theta,
+        head_anchor={"weight": np.zeros((1, 4)), "bias": np.zeros(1)},
+    )
+    pool = train.gather(train.aligned_ids(40))
+    pool.cat = {k: fed.encoders[k].resolve(cat) for k, cat in pool.cat.items()}
+    batch = sample_aligned_batches(pool, 8, 3, 1)[0]
+    _within_budget(f"round {mode.value} b8", run_round, fed, batch, mode, 0, TransportLog())
+
+
+@pytest.mark.parametrize("optimizer, batch", [("sgd", 8), ("adam", 256)])
+def test_a_supervised_step_keeps_its_call_budget(tiny_bundle, optimizer, batch):
+    view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
+    spec = _spec()
+    fed = Federation({1: spec.build(stream(3, "encoder"))},
+                     Mlp.init(stream(3, "head"), [spec.rep_dim, 1]), 0.0, 1e-3, 1e-3,
+                     optimizer)
+    rows = np.arange(batch)
+    cat, num, y = fed.encoders[1].resolve(view.cat)[rows], view.num[rows], labels[rows]
+
+    def step():  # pretrain_active's step
+        fed.forward_backward({1: cat}, {1: num}, y)
+        fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
+
+    _within_budget(f"supervised step {optimizer} b{batch}", step)
+
+
+def test_a_contrastive_batch_keeps_its_call_budget():
+    rng = stream(3, "views")
+    z, z_tilde = rng.normal(size=(256, 4)), rng.normal(size=(256, 4))
+    _within_budget("contrastive batch b256", contrastive_batch, z, z_tilde, 1.0)
+
+
+def test_an_epoch_of_aligned_batches_keeps_its_call_budget(tiny_bundle):
+    train = tiny_bundle.train
+    pool = train.gather(train.aligned_ids(120))
+    _within_budget("aligned batches epoch b8", sample_aligned_batches, pool, 8, 3, 1)

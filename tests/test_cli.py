@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vflhlp import cli, federated
+from vflhlp import cli, evaluation, federated
 from vflhlp.cli import main
 from vflhlp.config import config_hash, encoder_specs, load_config
 from vflhlp.data import load_bundle
@@ -263,8 +263,6 @@ def test_local_a_with_warm_start_active_needs_no_pretraining(tmp_path, out):
 
 
 def test_a_local_a_grid_does_not_pretrain_the_active_party(tmp_path, out, monkeypatch):
-    import vflhlp.evaluation as evaluation
-
     def refuse(*args, **kwargs):
         raise AssertionError("a local_a grid pre-trained the active party")
 
@@ -935,18 +933,20 @@ VFLHLP_TRANSPORT_SHA256 = {
 
 
 def test_a_vflhlp_transport_log_is_pinned(cfg_path, out, monkeypatch):
-    logs = {}
-    run_cell = cli.run_cell
+    # run_cell keeps no log past its audit, so the log is read at the audit;
+    # the cells run in plan order, aligned counts 20 then 40
+    logs = []
+    audit = evaluation.audit_transport
 
-    def keeping(*args):
-        cell = run_cell(*args)
-        logs[args[-1]] = cell[0].transport  # by aligned count
-        return cell
+    def keeping(log, ds):
+        logs.append(log)
+        return audit(log, ds)
 
-    monkeypatch.setattr(cli, "run_cell", keeping)
+    monkeypatch.setattr(evaluation, "audit_transport", keeping)
     assert run("pretrain", "--config", cfg_path, "--out", out) == 0
     assert run("train", "--config", cfg_path, "--out", out, "--mode", "vflhlp") == 0
-    log = logs[40]
+    assert len(logs) == 2
+    log = logs[1]
     assert len(log.digests) == 32 * len(log.fields())
     assert {
         "fields": hashlib.sha256(log.fields().astype("<i8").tobytes()).hexdigest(),

@@ -42,7 +42,7 @@ from vflhlp.federated import (
 from vflhlp.nn import Mlp, SgdOptimizer, bce_with_logits
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import SslConfig, pretrain_passive
-from vflhlp.sup_pretrain import SupConfig, pretrain_active
+from vflhlp.sup_pretrain import SupConfig, pretrain_active, train_local
 
 from conftest import (
     build_federation, fresh_models, round_loss_setup, small_spec, split_round_grads,
@@ -748,20 +748,21 @@ def test_train_downstream_shapes_history_and_audit(tiny_bundle, specs3, pretrain
 @pytest.mark.parametrize("mode", [TrainMode.VANILLA_VFL, TrainMode.LOCAL_A])
 def test_a_cell_with_a_non_binary_label_fails_before_its_first_round(
         tiny_bundle, specs3, pretrained, monkeypatch, mode):
-    import vflhlp.federated as federated
-    import vflhlp.sup_pretrain as sup
-
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran")
 
+    # every trainer's step runs the one loss in Federation.forward_backward
     monkeypatch.setattr(federated, "run_round", no_step)
-    monkeypatch.setattr(sup, "bce_with_logits", no_step)
+    monkeypatch.setattr(federated, "bce_with_logits", no_step)
     train = tiny_bundle.train
     labels = train.labels.copy()
     labels[train.parties[1].rows_for(train.aligned_ids(60)[-1:])] = 0.5
     bad = replace(train, labels=labels)
     with pytest.raises(SchemaError, match="labels must be 0 or 1"):
-        train_downstream(bad, specs3, mode, pretrained, _dcfg(), 13, 60)
+        if mode.is_federated:
+            train_downstream(bad, specs3, mode, pretrained, _dcfg(), 13, 60)
+        else:
+            train_local(bad, specs3[1], _dcfg(), 13)
 
 
 @pytest.mark.parametrize("mode, beta",
@@ -918,8 +919,7 @@ def test_the_aligned_count_is_checked_against_the_pool(tiny_bundle, specs3, coun
 
 def test_local_mode_returns_local_model(tiny_bundle, specs3):
     train = tiny_bundle.train
-    out = train_downstream(train, specs3, TrainMode.LOCAL_A, None,
-                           _dcfg(epochs=2, batch_size=128), 13, 40)
+    out = train_local(train, specs3[1], _dcfg(epochs=2, batch_size=128), 13)
     assert isinstance(out, TrainedFederation) and list(out.encoders) == [1]
     assert out.mode is TrainMode.LOCAL_A
     assert len(out.history) == 2
@@ -935,6 +935,12 @@ def test_local_mode_returns_local_model(tiny_bundle, specs3):
         for i, loss in enumerate(direct.loss_trace)
     ]
     assert [e["epoch"] for e in out.history] == [1, 2]
+
+
+def test_train_downstream_refuses_local_a(tiny_bundle, specs3):
+    # local_a is no split training: it trains with train_local
+    with pytest.raises(ConfigError, match="local_a does not run the split protocol"):
+        train_downstream(tiny_bundle.train, specs3, TrainMode.LOCAL_A, None, _dcfg(), 13, 40)
 
 
 def test_mode_parse_and_properties():

@@ -24,7 +24,8 @@ from vflhlp.errors import ConfigError, DataError, TrainingError, UndefinedMetric
 from vflhlp.evaluation import (
     build_bundle, cell_plan, evaluate_mode, run_grid, save_cell_checkpoint,
 )
-from vflhlp.federated import TrainMode, train_downstream
+from vflhlp.federated import TrainMode
+from vflhlp.sup_pretrain import train_local
 
 from test_cli import TINY
 
@@ -51,10 +52,8 @@ def test_local_a_cell_matches_inline_training(tmp_path):
     _no_workers_left()
 
     bundle = build_bundle(cfg, 7)
-    inline = train_downstream(
-        bundle.train, encoder_specs(bundle.train, cfg.model), TrainMode.LOCAL_A, None,
-        cfg.downstream, 7, 20,
-    )
+    inline = train_local(bundle.train, encoder_specs(bundle.train, cfg.model)[1],
+                         cfg.downstream, 7)
     score = evaluate_mode(inline, bundle.test)
     cells = [c for c in result.cells if c.mode == "local_a"]
     assert [c.aligned_count for c in cells] == [20, 40]
@@ -204,6 +203,34 @@ def test_no_trained_model_outlives_its_cell(monkeypatch):
     monkeypatch.setattr(evaluation, "run_cell", checked)
     result = run_grid(parse_config(_raw(modes=["vanilla_vfl", "vflhlp"])))
     assert len(earlier) == 4 and result.all_ok()
+
+
+def test_a_cell_keeps_no_transport_log_past_its_audit(monkeypatch):
+    # the log of a federated cell is freed before its test scoring; local_a has none
+    audited = []
+    audit = evaluation.audit_transport
+
+    def keeping(log, ds):
+        audited.append(weakref.ref(log))
+        return audit(log, ds)
+
+    def scoring(trained, test):
+        gc.collect()
+        assert [ref() for ref in audited] == [None], "the log outlived its audit"
+        return evaluate_mode(trained, test)
+
+    monkeypatch.setattr(evaluation, "audit_transport", keeping)
+    monkeypatch.setattr(evaluation, "evaluate_mode", scoring)
+    cfg = parse_config(_raw(modes=["vanilla_vfl", "local_a"]))
+    bundle = build_bundle(cfg, 7)
+    specs = encoder_specs(bundle.train, cfg.model)
+    trained, _, report = evaluation.run_cell(bundle, specs, TrainMode.VANILLA_VFL, None,
+                                             cfg.downstream, 7, 20)
+    assert report.ok and report.n_messages > 0 and trained.transport is None
+    local, _, no_report = evaluation.run_cell(bundle, specs, TrainMode.LOCAL_A, None,
+                                              cfg.downstream, 7, 20)
+    assert no_report is None and local.transport is None
+    assert len(audited) == 1
 
 
 # where the package may loop over the grid's aligned counts or beta sweep:

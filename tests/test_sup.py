@@ -5,7 +5,10 @@ import pytest
 from vflhlp import sup_pretrain
 from vflhlp.data import PartyView
 from vflhlp.errors import ConfigError
+from vflhlp.federated import Federation
 from vflhlp.metrics import auc
+from vflhlp.nn import Mlp, bce_with_logits, make_optimizer
+from vflhlp.nn.layers import BINCOUNT_ROWS, ModelSet
 from vflhlp.rng import stream
 from vflhlp.sup_pretrain import SupConfig, local_predict, pretrain_active
 
@@ -47,14 +50,14 @@ def test_pretrain_active_learns_its_own_table(tiny_bundle):
 
 
 def test_pretrain_active_without_validation_keeps_the_last_epoch(tiny_bundle, monkeypatch):
-    nets = []  # the ModelSet the run trains, to read its final weights
+    nets = []  # the one-party Federation the run trains, to read its final weights
 
-    class Spy(sup_pretrain.ModelSet):
-        def __init__(self, models):
-            super().__init__(models)
+    class Spy(sup_pretrain.Federation):
+        def __init__(self, *args):
+            super().__init__(*args)
             nets.append(self)
 
-    monkeypatch.setattr(sup_pretrain, "ModelSet", Spy)
+    monkeypatch.setattr(sup_pretrain, "Federation", Spy)
     view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
     model = pretrain_active(view, labels, _spec(),
                             SupConfig(epochs=3, batch_size=128, val_fraction=0.0), seed=5)
@@ -62,7 +65,7 @@ def test_pretrain_active_without_validation_keeps_the_last_epoch(tiny_bundle, mo
     assert model.val_auc is None
     assert model.best_epoch == 3
     (net,) = nets
-    encoder, head = net.models.values()
+    encoder, head = net.encoders[1], net.head
     for final, kept in ((encoder, model.encoder_params), (head, model.head_params)):
         assert set(kept) == set(final.params())
         for name, arr in final.params().items():
@@ -110,3 +113,51 @@ def test_pretrain_active_rejects_passive_party(tiny_bundle):
     view = tiny_bundle.train.parties[2]
     with pytest.raises(ConfigError):
         pretrain_active(view, np.zeros(view.n), _spec(), SupConfig(epochs=1), seed=0)
+
+
+def reference_step(net, optimizer, lr, cat, num, y) -> float:
+    """pretrain_active's training step as it was written out by hand, over a
+    ModelSet of the encoder ("enc") and its head: the oracle for the shared
+    step that the local model now takes as a one-party Federation."""
+    encoder, head = net.models["enc"], net.models["head"]
+    rep, enc_tape = encoder.forward(cat, num)
+    logits, head_tape = head.forward(rep, check=False)
+    loss, dlogits = bce_with_logits(logits[:, 0], y, check=False)
+    _, drep = head.backward(head_tape, dlogits[:, None], check=False)
+    encoder.backward(enc_tape, drep)
+    optimizer.step(net.theta, net.grad, lr, net.layout)
+    return loss
+
+
+# the presets' local steps (SGD at batch 8, Adam at batch 256), and the batches
+# on both sides of the embedding backward's switch to np.bincount
+@pytest.mark.parametrize("optimizer, batch, steps", [
+    ("sgd", 8, 1_050), ("adam", 256, 36),
+    ("sgd", BINCOUNT_ROWS - 1, 40), ("adam", BINCOUNT_ROWS, 40),
+])
+def test_a_one_party_federation_steps_as_the_reference_step(tiny_bundle, optimizer,
+                                                            batch, steps):
+    view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
+    spec = _spec()
+    assert len(spec.cat_fields) == 1  # a batch of n rows looks up n embedding rows
+    lr = 5e-2 if optimizer == "sgd" else 1e-2
+    encoder = spec.build(stream(4, "oracle", "encoder"))
+    head = Mlp.init(stream(4, "oracle", "head"), [spec.rep_dim, 1])
+    net = ModelSet({"enc": encoder, "head": head})
+    fed = Federation({1: encoder}, head, 0.0, lr, lr, optimizer)
+    ref_optimizer = make_optimizer(optimizer)
+    cat_rows = encoder.resolve(view.cat)
+    pick = stream(4, "oracle", "rows")
+    for step in range(steps):
+        rows = pick.choice(view.n, batch, replace=False)
+        cat, num, y = cat_rows[rows], view.num[rows], labels[rows]
+        ref_loss = reference_step(net, ref_optimizer, lr, cat, num, y)
+        loss = fed.forward_backward({1: cat}, {1: num}, y)
+        assert loss == ref_loss, step
+        for mine, ref in ((fed.encoders[1], net.models["enc"]), (fed.head, net.models["head"])):
+            assert mine.grad.tobytes() == ref.grad.tobytes(), step
+        fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
+        for mine, ref in ((fed.encoders[1], net.models["enc"]), (fed.head, net.models["head"])):
+            assert mine.theta.tobytes() == ref.theta.tobytes(), step
+    # the run moved the weights, the embedding block included
+    assert fed.encoders[1].embed.block.tobytes() != encoder.embed.block.tobytes()
