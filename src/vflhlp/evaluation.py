@@ -162,13 +162,6 @@ class GridResult:
                     )
         return rows
 
-    def mean_std(self, mode: str, aligned_count: int, beta: float) -> tuple[float, float, int]:
-        """Mean, sample std and ok count of test AUC from one summary row."""
-        for r in self.summary_rows():
-            if (r["mode"], r["beta"], r["aligned_count"]) == (mode, beta, aligned_count):
-                return r["mean_auc"], r["std_auc"], r["n_ok"]
-        return float("nan"), float("nan"), 0
-
     def delta_rows(self, summary: list[dict]) -> list[dict]:
         """Mean improvement of vflhlp over vanilla_vfl per aligned count."""
         means = {

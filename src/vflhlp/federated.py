@@ -419,7 +419,7 @@ def run_round(
     step moves the head with eta1 and the parties with eta2. Returns the
     round's stats and the flat gradient of the total loss for each model,
     keyed "head" and "party{k}" (split one by name with the model's
-    `grads_dict`): slices of `fed.grad`, which the next round overwrites.
+    `layout.views`): slices of `fed.grad`, which the next round overwrites.
     With apply_updates=False this is a pure gradient evaluation, which is
     what the finite-difference checks drive: it writes through `fed.grad`
     too, takes no step, and returns copies, which no later round touches.
@@ -470,6 +470,16 @@ def federated_predict(
         blocks.append(rep)
     logits, _ = head.forward(np.concatenate(blocks, axis=1))
     return sigmoid(logits[:, 0])
+
+
+def validation_auc(encoders: dict[int, TabularEncoder], head: Mlp, cat: dict[int, np.ndarray],
+                   num: dict[int, np.ndarray], labels: np.ndarray) -> float | None:
+    """AUC of `federated_predict`'s scores on held-out rows, as a training
+    loop scores an epoch; None when single-class labels leave it undefined."""
+    try:
+        return auc(labels, federated_predict(encoders, head, cat, num))
+    except UndefinedMetricError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +664,8 @@ def train_downstream(
             loss_cons += stats.loss_cons * n
         val_auc = None
         if val_batch is not None:
-            scores = federated_predict(fed.encoders, fed.head, val_batch.cat, val_batch.num)
-            try:
-                val_auc = auc(val_batch.labels, scores)
-            except UndefinedMetricError:
-                val_auc = None
+            val_auc = validation_auc(fed.encoders, fed.head, val_batch.cat, val_batch.num,
+                                     val_batch.labels)
         history.append(
             {
                 "epoch": epoch,

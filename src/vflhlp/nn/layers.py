@@ -115,10 +115,6 @@ class FlatParams:
         """Overwrite parameters in place; names and shapes must match exactly."""
         self.theta[...] = self.layout.flatten(values)
 
-    def grads_dict(self, grad: np.ndarray) -> dict[str, np.ndarray]:
-        """Named views into a flat gradient laid out like `theta`."""
-        return self.layout.views(grad)
-
 
 class ModelSet:
     """Models copied into consecutive slices of one float64 vector, `theta`,
@@ -316,32 +312,25 @@ class EmbeddingTable:
         rows = cat if type(cat) is BlockRows else self.resolve(cat)
         return self.block.take(rows, 0).reshape(rows.shape[0], self.out_dim), rows
 
-    def backward(
-        self, rows: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Scatter-add the upstream gradient into a zeroed block-shaped gradient.
+    def backward(self, rows: np.ndarray, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Scatter-add the upstream gradient into `out`, a block-shaped array
+        that is overwritten, and return `out`.
 
-        `out`, when given, is overwritten; duplicate rows accumulate, in row
-        order. From BINCOUNT_ROWS block rows on, the sums are one `np.bincount`
-        over the flat (row, column) bins, which adds in the same order as
-        `np.add.at` and so gives the same bits.
+        Duplicate rows accumulate, in row order. From BINCOUNT_ROWS block rows
+        on, the sums are one `np.bincount` over the flat (row, column) bins,
+        which adds in the same order as `np.add.at` and so gives the same bits.
         """
         if upstream.shape != (rows.shape[0], self.out_dim):
             raise SchemaError(
                 f"embedding upstream must be [n, {self.out_dim}], got {upstream.shape}"
             )
         if rows.size < BINCOUNT_ROWS:
-            if out is None:
-                out = np.zeros_like(self.block)
-            else:
-                out.fill(0.0)
+            out.fill(0.0)
             np.add.at(out, rows.ravel(), upstream.reshape(-1, self.embed_dim))
             return out
         bins = (rows.reshape(-1, 1) * self.embed_dim + self._cols).ravel()
-        sums = np.bincount(bins, weights=upstream.ravel(), minlength=self.block.size)
-        if out is None:
-            return sums.reshape(self.block.shape)
-        out[...] = sums.reshape(self.block.shape)
+        out[...] = np.bincount(bins, weights=upstream.ravel(),
+                               minlength=self.block.size).reshape(self.block.shape)
         return out
 
 

@@ -122,34 +122,22 @@ def _unit_rows(z: np.ndarray, z_tilde: np.ndarray) -> list[tuple[np.ndarray, ...
     return rows
 
 
-def cosine_similarity_matrix(z: np.ndarray, z_tilde: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities; norms clamped at 1e-12."""
-    (zh, _), (th, _) = _unit_rows(np.asarray(z, np.float64), np.asarray(z_tilde, np.float64))
-    return zh @ th.T
-
-
-def info_nce(similarities: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
-    """Contrastive loss over a similarity matrix and its gradient.
+def info_nce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
+    """Contrastive loss over a float64 similarity matrix S, and dL/dS written
+    into S itself, which it returns.
 
     With A = S / tau and N rows, the per-row loss is
     -A_ii + logsumexp_j(A_ij) - log N, averaged over rows; the log N term
     comes from the mean inside the log, so a matrix with all entries equal
     scores exactly 0. The gradient is (softmax(A) - I) / (N * tau), computed
-    through a max-shifted logsumexp. It makes one new N x N array, which
-    becomes the returned gradient; the caller's matrix is not modified.
+    through a max-shifted logsumexp.
     """
-    return _info_nce(np.asarray(similarities, dtype=np.float64), temperature, out=None)
-
-
-def _info_nce(s: np.ndarray, temperature: float, out: np.ndarray | None):
-    """info_nce of a float64 matrix, with A = S / tau and then the gradient
-    written into `out` (a new array when None), which may be `s` itself."""
     if temperature <= 0.0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] == 0:
         raise SchemaError(f"similarity matrix must be square, got {s.shape}")
     n = s.shape[0]
-    a = np.divide(s, temperature, out=out)
+    a = np.divide(s, temperature, out=s)
     neg_diag = -a.diagonal()
     # the reductions that .max, .sum and np.mean make, called directly
     shift = np.maximum.reduce(a, axis=1, keepdims=True)
@@ -189,7 +177,7 @@ def contrastive_batch(
     both; the similarity matrix is the batch's one N x N array, turned into dL/dS."""
     z_rows, t_rows = _unit_rows(z, z_tilde)
     s = z_rows[0] @ t_rows[0].T
-    loss, ds = _info_nce(s, temperature, out=s)
+    loss, ds = info_nce(s, temperature)
     grad_z, grad_zt = _cosine_backward(z_rows, t_rows, ds)
     return ContrastiveBatchResult(loss=loss, grad_z=grad_z, grad_z_tilde=grad_zt)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PartyView, VerticalDataset
-from .errors import ConfigError, DataError, TrainingError, UndefinedMetricError
+from .errors import ConfigError, DataError, TrainingError
 from .federated import (
     ActivePretrained,
     DownstreamConfig,
@@ -23,8 +23,8 @@ from .federated import (
     TrainedFederation,
     TrainMode,
     federated_predict,
+    validation_auc,
 )
-from .metrics import auc
 from .nn import Mlp, check_labels
 from .nn.layers import EncoderSpec
 from .nn.optim import check_schedule
@@ -92,11 +92,7 @@ def pretrain_active(
         if not np.isfinite(trace[-1]):
             raise TrainingError(f"local training loss non-finite at epoch {epoch}")
         if val_rows.size:
-            try:
-                score = auc(labels[val_rows],
-                            federated_predict(fed.encoders, head, val_cat, val_num))
-            except UndefinedMetricError:
-                score = None
+            score = validation_auc(fed.encoders, head, val_cat, val_num, labels[val_rows])
             if score is not None and (best is None or score > best[0]):
                 best = (score, epoch, encoder.params_copy(), head.params_copy())
 

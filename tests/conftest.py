@@ -136,9 +136,9 @@ def build_federation(ds: VerticalDataset, specs, beta: float, seed: int,
 
 def split_round_grads(flat, fed: Federation) -> dict[str, np.ndarray]:
     """run_round's flat gradients as "head.<name>" and "party<k>.<name>" arrays."""
-    grads = {f"head.{n}": g for n, g in fed.head.grads_dict(flat["head"]).items()}
+    grads = {f"head.{n}": g for n, g in fed.head.layout.views(flat["head"]).items()}
     for k, encoder in fed.encoders.items():
-        for n, g in encoder.grads_dict(flat[f"party{k}"]).items():
+        for n, g in encoder.layout.views(flat[f"party{k}"]).items():
             grads[f"party{k}.{n}"] = g
     return grads
 

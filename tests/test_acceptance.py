@@ -92,9 +92,12 @@ def ablation_grid() -> TimedGrid:
 
 
 def _mean(grid: GridResult, mode: str, count: int, beta: float) -> float:
-    mean, _, n = grid.mean_std(mode, count, beta)
+    row = next((r for r in grid.summary_rows()
+                if (r["mode"], r["beta"], r["aligned_count"]) == (mode, beta, count)),
+               {"n_ok": 0})
+    n = row["n_ok"]
     assert n == 5, f"{mode} at n_al={count}: expected 5 seeds, got {n}"
-    return mean
+    return row["mean_auc"]
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -227,7 +230,7 @@ def test_criterion_3_losses_and_auc_match_naive_oracles():
         n = int(rng.integers(2, 65))
         sims = rng.standard_normal((n, n))
         tau = float(rng.uniform(0.05, 2.0))
-        loss, _ = info_nce(sims, tau)
+        loss, _ = info_nce(sims.copy(), tau)  # the copy becomes dL/dS
         total = 0.0
         for i in range(n):
             denom = 0.0

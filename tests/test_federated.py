@@ -630,7 +630,7 @@ def test_a_non_finite_round_gradient_names_the_party_and_tensor(tiny_bundle, spe
     fed = build_federation(train, specs3, beta=0.0, seed=12)
     before = fed.theta.copy()
     grad = np.zeros_like(fed.grad)
-    fed.encoders[2].grads_dict(fed.split(grad)["party2"])["mlp.1.bias"][0] = np.inf
+    fed.encoders[2].layout.views(fed.split(grad)["party2"])["mlp.1.bias"][0] = np.inf
     with pytest.raises(TrainingError, match=r"'party2\.mlp\.1\.bias'"):
         fed.optimizer.step(fed.theta, grad, fed.lr, fed.layout)
     assert fed.theta.tobytes() == before.tobytes()

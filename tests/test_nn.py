@@ -81,7 +81,7 @@ def test_dense_backward_matches_fd():
     def grads_fn():
         y, tape = mlp.forward(x)
         grad, _ = mlp.backward(tape, y - target)
-        return mlp.grads_dict(grad)
+        return mlp.layout.views(grad)
 
     err = grad_check(loss_fn, grads_fn, mlp.params())
     assert err < 1e-7
@@ -100,7 +100,7 @@ def test_mlp_backward_matches_fd_through_relu():
     def grads_fn():
         y, tape = mlp.forward(x)
         layer_grads, _ = mlp.backward(tape, y - target)
-        return mlp.grads_dict(layer_grads)
+        return mlp.layout.views(layer_grads)
 
     err = grad_check(loss_fn, grads_fn, mlp.params())
     assert err < 1e-6
@@ -137,7 +137,7 @@ def test_backward_is_linear_in_upstream():
 
     def pullback(up):
         layer_grads, dx = mlp.backward(tape, up)
-        flat = mlp.grads_dict(layer_grads.copy())  # the next call overwrites mlp.grad
+        flat = mlp.layout.views(layer_grads.copy())  # the next call overwrites mlp.grad
         flat["__input__"] = dx
         return flat
 
@@ -233,7 +233,7 @@ def test_embedding_backward_matches_onehot_matmul():
     cat = np.array([[1, 2], [3, 0], [1, 1]], dtype=np.int64)
     up = rng.standard_normal((3, 4))
     _, rows = table.lookup(cat)
-    block = table.backward(rows, up)
+    block = table.backward(rows, up, np.empty_like(table.block))
     grads = {"a": block[:4], "b": block[4:]}
     onehot_a = np.zeros((3, 4))
     onehot_a[np.arange(3), cat[:, 0]] = 1.0
@@ -263,13 +263,14 @@ def test_embedding_backward_is_bitwise_the_per_row_loop(n, monkeypatch):
     for i in range(n):
         for j in range(3):
             ref[rows[i, j]] += up[i, 4 * j : 4 * j + 4]
-    assert table.backward(rows, up).tobytes() == ref.tobytes()
     out = np.full(table.block.shape, np.nan)
-    assert table.backward(rows, up, out=out) is out
+    assert table.backward(rows, up, out) is out
+    assert out.tobytes() == ref.tobytes()
+    assert table.backward(rows, up, out) is out  # overwritten, not added to
     assert out.tobytes() == ref.tobytes()
     assert len(bincounts) == (0 if n <= 21 else 2)  # the branch follows the row count
     with pytest.raises(SchemaError, match=r"embedding upstream must be \[n, 12\]"):
-        table.backward(rows, up[:, :-1])
+        table.backward(rows, up[:, :-1], out)
 
 
 def test_encoder_and_mlp_passes_check_their_inputs():
@@ -423,7 +424,7 @@ def test_fused_embedding_matches_per_field_reference():
 
     vecs, rows = table.lookup(cat)
     np.testing.assert_array_equal(vecs, np.concatenate(ref_vecs, axis=1))
-    block = table.backward(rows, up)
+    block = table.backward(rows, up, np.empty_like(table.block))
     assert block.shape == (11, 3)
     np.testing.assert_array_equal(block[:4], ref_grads["a"])
     np.testing.assert_array_equal(block[4:5], ref_grads["b"])
@@ -479,7 +480,7 @@ def test_encoder_grad_matches_fd_params_and_inputs():
 
     def grads_fn():
         rep, tape = enc.forward(cat, num)
-        return enc.grads_dict(enc.backward(tape, rep - target))
+        return enc.layout.views(enc.backward(tape, rep - target))
 
     err = grad_check(loss_fn, grads_fn, enc.params())
     assert err < 1e-6
@@ -500,7 +501,7 @@ def test_an_encoder_with_one_wide_embeddings_passes_the_gradient_check():
 
     def grads_fn():
         rep, tape = enc.forward(cat, num)
-        return enc.grads_dict(enc.backward(tape, rep - target))
+        return enc.layout.views(enc.backward(tape, rep - target))
 
     assert grad_check(loss_fn, grads_fn, enc.params()) < 1e-6
     with pytest.raises(SchemaError, match="embed_dim"):
@@ -561,7 +562,7 @@ def test_flat_theta_writes_show_through_every_view():
     # an optimizer step on the flat entry writes through
     grad = stream(30, "grad").standard_normal(enc.theta.size)
     expected = {n: v - 0.5 * g for (n, v), g in
-                zip(values.items(), enc.grads_dict(grad).values())}
+                zip(values.items(), enc.layout.views(grad).values())}
     SgdOptimizer().step(enc.theta, grad, lr=0.5)
     for source in (enc.params(), _all_views(enc)):
         for name, arr in source.items():
@@ -669,7 +670,7 @@ def test_flat_step_is_bitwise_equal_to_per_tensor_steps(make):
     for _ in range(3):
         grad = rng.standard_normal(mlp.theta.size) * 10.0 ** rng.integers(-6, 3)
         flat_opt.step(mlp.theta, grad, lr=0.01)
-        for name, g in mlp.grads_dict(grad).items():
+        for name, g in mlp.layout.views(grad).items():
             ref_opts[name].step(reference[name], g, lr=0.01)
     assert not np.array_equal(mlp.theta, theta0)
     for name, arr in mlp.params().items():
@@ -683,7 +684,7 @@ def test_non_finite_flat_gradient_names_the_tensor():
     for opt in (SgdOptimizer(), AdamOptimizer()):
         for bad in ("mlp.0.weight", "embed.c0"):
             grad = np.zeros(enc.theta.size)
-            enc.grads_dict(grad)[bad].flat[1] = np.nan
+            enc.layout.views(grad)[bad].flat[1] = np.nan
             with pytest.raises(TrainingError, match=rf"'encoder\.{bad}'"):
                 opt.step(net.theta, grad, 0.1, net.layout)
     # without a layout the flat entry is still named
@@ -698,7 +699,7 @@ def test_finite_check_flags_each_non_finite_value_by_tensor(bad):
     enc = net.models["encoder"]
     for opt in (SgdOptimizer(), AdamOptimizer()):
         grad = np.zeros(enc.theta.size)
-        enc.grads_dict(grad)["mlp.0.bias"].flat[-1] = bad
+        enc.layout.views(grad)["mlp.0.bias"].flat[-1] = bad
         before = enc.theta.copy()
         with pytest.raises(TrainingError, match=r"'encoder\.mlp\.0\.bias'"):
             opt.step(net.theta, grad, 0.1, net.layout)
@@ -721,7 +722,7 @@ def test_adam_raises_when_a_finite_gradient_squares_past_float64():
         "encoder": small_spec(n_cat=1, n_num=2, hidden=(8,)).build(stream(36, "huge")),
     })
     net.grad[...] = 1.0
-    net.models["encoder"].grads_dict(net.grads["encoder"])["mlp.0.weight"][...] = 1e300
+    net.models["encoder"].layout.views(net.grads["encoder"])["mlp.0.weight"][...] = 1e300
     before = net.theta.copy()
     with np.errstate(over="ignore"), pytest.raises(
         TrainingError, match=r"gradient square .* 'encoder\.mlp\.0\.weight'"

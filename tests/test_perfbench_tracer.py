@@ -93,6 +93,23 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
         cfg.supervised.batch_size, cfg.downstream.batch_size
     ]
 
+    # each epoch's validation scoring is one federated_predict span and one
+    # auc span under the stage it scores, local or federated; each cell's test
+    # rows are scored under evaluate_mode
+    def parent_name(i):
+        return t.names[t.name[t.parent[i]]] if t.parent[i] >= 0 else None
+
+    scoring = Counter((parent_name(i), t.names[nid]) for i, nid in enumerate(t.name)
+                      if t.names[nid] in ("federated.federated_predict", "metrics.auc"))
+    local_epochs = cfg.supervised.epochs + cfg.downstream.epochs  # pretraining, local_a
+    assert scoring == {
+        (parent, name): n
+        for parent, n in (("sup_pretrain.pretrain_active", local_epochs),
+                          ("federated.train_downstream", cfg.downstream.epochs),
+                          ("evaluation.evaluate_mode", 2))
+        for name in ("federated.federated_predict", "metrics.auc")
+    }
+
     # the encoder spans carry their batch rows, which the per-layer metrics
     # split into us_b8 and us_b256: each training step's forward and backward
     # has its stage's batch size, or fewer rows on an epoch's last batch

@@ -1,8 +1,9 @@
 """Contrastive pre-training tests.
 
-The InfoNCE implementation is checked against a literal double-loop
-oracle, two hand-derivable pinned values, and finite differences through
-the full cosine-similarity path.
+InfoNCE and the contrastive batch are checked against literal loop
+oracles for the cosine similarities, the loss and both views' gradients,
+two hand-derivable pinned values, and finite differences through the full
+cosine-similarity path.
 """
 import hashlib
 import math
@@ -21,7 +22,6 @@ from vflhlp.ssl_pretrain import (
     _unit_rows,
     contrastive_batch,
     corrupt,
-    cosine_similarity_matrix,
     info_nce,
     pretrain_passive,
 )
@@ -49,14 +49,61 @@ def naive_info_nce(s: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
+def _clamped_norm(x: np.ndarray) -> float:
+    return max(math.sqrt(sum(v * v for v in x)), ssl_pretrain.EPS_NORM)
+
+
+def naive_cosine(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """S_ij = z_i . t_j / (max(|z_i|, eps) max(|t_j|, eps)), one entry at a time."""
+    n = z.shape[0]
+    s = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            s[i, j] = sum(a * b for a, b in zip(z[i], t[j])) / (
+                _clamped_norm(z[i]) * _clamped_norm(t[j]))
+    return s
+
+
+def naive_contrastive(z: np.ndarray, t: np.ndarray, tau: float):
+    """InfoNCE of the cosine similarities and its gradient w.r.t. both views,
+    by the chain rule one entry at a time: dS_ij/dz_i is
+    t_j / (c_i d_j) - S_ij z_i / c_i**2, with no second term where the norm
+    c_i is clamped (and likewise for t_j)."""
+    s = naive_cosine(z, t)
+    loss, ds = naive_info_nce(s, tau)
+    grad_z, grad_t = np.zeros_like(z), np.zeros_like(t)
+    for i in range(z.shape[0]):
+        ci = _clamped_norm(z[i])
+        for j in range(t.shape[0]):
+            dj = _clamped_norm(t[j])
+            grad_z[i] += ds[i, j] * t[j] / (ci * dj)
+            grad_t[j] += ds[i, j] * z[i] / (ci * dj)
+            if ci > ssl_pretrain.EPS_NORM:
+                grad_z[i] -= ds[i, j] * s[i, j] * z[i] / ci**2
+            if dj > ssl_pretrain.EPS_NORM:
+                grad_t[j] -= ds[i, j] * s[i, j] * t[j] / dj**2
+    return loss, grad_z, grad_t
+
+
+def assert_matches_naive(z: np.ndarray, t: np.ndarray, tau: float):
+    result = contrastive_batch(z, t, tau)
+    loss, grad_z, grad_t = naive_contrastive(z, t, tau)
+    assert abs(result.loss - loss) < 1e-10
+    np.testing.assert_allclose(result.grad_z, grad_z, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(result.grad_z_tilde, grad_t, rtol=1e-10, atol=1e-10)
+    return result
+
+
 @pytest.mark.parametrize("n,tau", [(2, 1.0), (5, 1.0), (8, 0.3), (16, 2.5)])
 def test_info_nce_matches_naive_oracle(n, tau):
     rng = stream(200, "nce", n)
     s = rng.uniform(-1.0, 1.0, size=(n, n))
-    loss, grad = info_nce(s, tau)
+    loss, grad = info_nce(s.copy(), tau)
     oracle_loss, oracle_grad = naive_info_nce(s, tau)
     assert abs(loss - oracle_loss) < 1e-10
     assert np.abs(grad - oracle_grad).max() < 1e-10
+    # and through the cosine similarities of two views, with both views' gradients
+    assert_matches_naive(rng.standard_normal((n, 4)), rng.standard_normal((n, 4)), tau)
 
 
 def test_info_nce_all_equal_matrix_scores_zero():
@@ -67,20 +114,28 @@ def test_info_nce_all_equal_matrix_scores_zero():
         np.testing.assert_allclose(
             grad, (np.full((6, 6), 1 / 6) - np.eye(6)) / (6 * 0.7), atol=1e-14
         )
+        # equal rows in each view: every similarity is equal (0 for zero rows),
+        # and each row of dL/dS sums to 0, so neither view gets a gradient
+        result = assert_matches_naive(np.full((6, 3), c), np.full((6, 3), c), 0.7)
+        assert result.loss == pytest.approx(0.0, abs=1e-14)
+        np.testing.assert_allclose(result.grad_z, 0.0, atol=1e-14)
+        np.testing.assert_allclose(result.grad_z_tilde, 0.0, atol=1e-14)
 
 
 def test_info_nce_identity_pair_pinned_value():
     # N=2, S=I, tau=1: loss = log((e+1)/2) - 1
+    want = math.log((math.e + 1.0) / 2.0) - 1.0
     loss, _ = info_nce(np.eye(2), temperature=1.0)
-    assert loss == pytest.approx(math.log((math.e + 1.0) / 2.0) - 1.0, abs=1e-12)
+    assert loss == pytest.approx(want, abs=1e-12)
+    assert contrastive_batch(np.eye(2), 3.0 * np.eye(2), 1.0).loss == pytest.approx(want, abs=1e-12)
 
 
 def test_info_nce_gradient_matches_fd():
     rng = stream(201, "nce-fd")
     s = rng.uniform(-1.0, 1.0, size=(6, 6))
     params = {"s": s}
-    numeric = numeric_grads(lambda: info_nce(s, 0.8)[0], params)
-    analytic = {"s": info_nce(s, 0.8)[1]}
+    numeric = numeric_grads(lambda: info_nce(s.copy(), 0.8)[0], params)
+    analytic = {"s": info_nce(s.copy(), 0.8)[1]}
     assert max_relative_error(analytic, numeric) < 1e-8
 
 
@@ -97,12 +152,14 @@ def test_info_nce_rejects_bad_inputs():
 
 def test_info_nce_stable_at_large_similarity_scale():
     # max-shifted logsumexp must survive tiny temperatures
-    s = np.eye(4)
-    loss, grad = info_nce(s, temperature=1e-3)
-    assert np.isfinite(loss)
-    assert np.all(np.isfinite(grad))
-    # diagonal dominates completely: loss -> -log 4
-    assert loss == pytest.approx(-math.log(4), abs=1e-6)
+    nce_loss, nce_grad = info_nce(np.eye(4), temperature=1e-3)
+    result = contrastive_batch(np.eye(4), np.eye(4), 1e-3)
+    for loss, grads in ((nce_loss, [nce_grad]),
+                        (result.loss, [result.grad_z, result.grad_z_tilde])):
+        assert np.isfinite(loss)
+        assert np.all(np.isfinite(grads))
+        # diagonal dominates completely: loss -> -log 4
+        assert loss == pytest.approx(-math.log(4), abs=1e-6)
 
 
 def formula_info_nce(s: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
@@ -120,14 +177,20 @@ def formula_info_nce(s: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
 @pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("n", [1, 2, 37, 256])
 def test_info_nce_is_bitwise_the_formula_and_leaves_its_input(n, tau):
-    s = stream(204, "nce-bits", n).uniform(-1.0, 1.0, size=(n, n))
-    before = s.copy()
-    loss, grad = info_nce(s, tau)
+    # info_nce turns the matrix it is given into dL/dS; contrastive_batch,
+    # which gives it the batch's similarity matrix, leaves its views alone
+    rng = stream(204, "nce-bits", n)
+    s = rng.uniform(-1.0, 1.0, size=(n, n))
+    work = s.copy()
+    loss, grad = info_nce(work, tau)
     want_loss, want_grad = formula_info_nce(s, tau)
-    np.testing.assert_array_equal(s, before)
-    assert grad is not s and not np.shares_memory(grad, s)
+    assert grad is work
     assert loss == want_loss
     assert np.array_equal(grad, want_grad)
+    z, zt = rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+    z_in, zt_in = z.copy(), zt.copy()
+    contrastive_batch(z, zt, tau)
+    assert z.tobytes() == z_in.tobytes() and zt.tobytes() == zt_in.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 37, 256])
@@ -138,8 +201,9 @@ def test_contrastive_batch_is_bitwise_info_nce_then_cosine_backward(n):
     z[0] = 0.0  # one clamped row
     z_in, zt_in = z.copy(), zt.copy()
     result = contrastive_batch(z, zt, 0.7)
-    loss, ds = info_nce(cosine_similarity_matrix(z, zt), 0.7)
-    grad_z, grad_zt = _cosine_backward(*_unit_rows(z, zt), ds)
+    z_rows, t_rows = _unit_rows(z, zt)
+    loss, ds = formula_info_nce(z_rows[0] @ t_rows[0].T, 0.7)
+    grad_z, grad_zt = _cosine_backward(z_rows, t_rows, ds)
     np.testing.assert_array_equal(z, z_in)
     np.testing.assert_array_equal(zt, zt_in)
     assert result.loss == loss
@@ -149,10 +213,13 @@ def test_contrastive_batch_is_bitwise_info_nce_then_cosine_backward(n):
 
 def test_contrastive_batch_rejects_bad_inputs():
     z = np.ones((3, 2))
-    with pytest.raises(ConfigError):
-        contrastive_batch(z, z, temperature=0.0)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            contrastive_batch(z, z, temperature=tau)
     with pytest.raises(SchemaError):
         contrastive_batch(z, np.ones((3, 3)), temperature=1.0)
+    with pytest.raises(SchemaError):
+        contrastive_batch(z, np.ones((4, 2)), temperature=1.0)
     with pytest.raises(SchemaError):
         contrastive_batch(np.ones((0, 2)), np.ones((0, 2)), temperature=1.0)
 
@@ -160,23 +227,28 @@ def test_contrastive_batch_rejects_bad_inputs():
 # ----------------------------------------------------------------- cosine
 
 def test_cosine_matrix_matches_naive():
+    # the similarities enter the loss and the backward pass as cosines
     rng = stream(202, "cos")
     z = rng.standard_normal((5, 3))
     t = rng.standard_normal((5, 3))
-    s = cosine_similarity_matrix(z, t)
+    s = naive_cosine(z, t)
     for i in range(5):
         for j in range(5):
             expected = z[i] @ t[j] / (np.linalg.norm(z[i]) * np.linalg.norm(t[j]))
             assert s[i, j] == pytest.approx(expected, abs=1e-12)
     assert np.abs(s).max() <= 1.0 + 1e-12
+    for tau in (0.2, 1.0):
+        assert_matches_naive(z, t, tau)
+        assert_matches_naive(3.0 * z, t / 7.0, tau)  # cosines do not see the norms
 
 
 def test_cosine_matrix_zero_row_is_clamped_not_nan():
     z = np.array([[0.0, 0.0], [1.0, 0.0]])
     t = np.array([[1.0, 1.0], [0.0, 2.0]])
-    s = cosine_similarity_matrix(z, t)
-    assert np.all(np.isfinite(s))
-    np.testing.assert_array_equal(s[0], [0.0, 0.0])
+    np.testing.assert_array_equal(naive_cosine(z, t)[0], [0.0, 0.0])
+    result = assert_matches_naive(z, t, 1.0)  # the zero row's gradient is about 1e11
+    assert np.isfinite(result.loss)
+    assert np.all(np.isfinite(result.grad_z)) and np.all(np.isfinite(result.grad_z_tilde))
 
 
 def test_contrastive_batch_grads_match_fd():
@@ -202,7 +274,7 @@ def test_contrastive_batch_zero_row_uses_clamped_jacobian():
     res = contrastive_batch(z, zt, 1.0)
     tn = np.linalg.norm(zt, axis=1, keepdims=True)
     th = zt / tn
-    _, ds = info_nce(cosine_similarity_matrix(z, zt), 1.0)
+    _, ds = naive_info_nce(naive_cosine(z, zt), 1.0)
     for row in (0, 2):
         np.testing.assert_allclose(res.grad_z[row], (ds @ th)[row] / 1e-12, rtol=1e-12)
     assert np.all(np.isfinite(res.grad_z))
