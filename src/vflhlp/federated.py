@@ -252,29 +252,20 @@ def audit_transport(log: TransportLog, ds: VerticalDataset) -> AuditReport:
 
 
 def constraint_loss(
-    params: dict[str, np.ndarray], anchors: dict[str, np.ndarray], check: bool = True
+    params: dict[str, np.ndarray], anchors: dict[str, np.ndarray]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """0.5 * sum((theta - anchor)^2) over every entry, and its gradient.
 
     The value is a raw sum over coordinates, not a mean, so the pull toward
     the anchor is independent of how the parameters are grouped. The
-    gradient w.r.t. theta is exactly (theta - anchor). check=False skips the
-    name and shape checks, which the Federation makes once, when it is built.
+    gradient w.r.t. theta is exactly (theta - anchor). `anchors` has an
+    array of each param's shape under each of its names; a Federation checks
+    that once, when it is built.
     """
-    if check and set(params) != set(anchors):
-        raise SchemaError(
-            f"constraint parameter names {sorted(params)} do not match anchors "
-            f"{sorted(anchors)}"
-        )
     value = 0.0
     grads = {}
     for name, p in params.items():
-        a = anchors[name]
-        if check and p.shape != a.shape:
-            raise SchemaError(
-                f"constraint shape mismatch for {name!r}: {p.shape} vs {a.shape}"
-            )
-        diff = p - a
+        diff = p - anchors[name]
         value += float(np.add.reduce(diff * diff, axis=None))
         grads[name] = diff
     return 0.5 * value, grads
@@ -305,8 +296,10 @@ class Federation(ModelSet):
     block, then its bias ("head"). `anchors` holds their pre-trained values
     in that order, or None when neither anchor is given (one without the
     other is a SchemaError): encoder_anchor is the active party's pre-trained
-    encoder as one flat vector (its `theta`), head_anchor the pre-trained
-    head's "weight" [1, rep_dim of party 1] and "bias" [1].
+    encoder as one flat vector (its `theta`, SchemaError unless it has party
+    1's size), head_anchor the pre-trained head's "weight" [1, rep_dim of
+    party 1] and "bias" [1]. A round is constrained exactly when the
+    Federation holds anchors.
 
     What a round reads is laid out once, here: `parties` lists each party's
     (id, encoder, block of the head input) in id order, and every model
@@ -361,16 +354,17 @@ class Federation(ModelSet):
             missing = "encoder_anchor" if encoder_anchor is None else "head_anchor"
             raise SchemaError(f"the constraint needs both anchors; {missing} is missing")
         if encoder_anchor is not None:
+            encoder_anchor = np.array(encoder_anchor, dtype=np.float64).ravel()
+            size = self.encoders[1].layout.size
+            if encoder_anchor.size != size:
+                raise SchemaError(f"encoder_anchor has {encoder_anchor.size} entries; "
+                                  f"party 1's encoder has {size}")
             self.anchors = {
-                "encoder": np.array(encoder_anchor, dtype=np.float64).ravel(),
+                "encoder": encoder_anchor,
                 "head": ParamLayout(
                     {"weight": (1, self.encoders[1].rep_dim), "bias": (1,)}
                 ).flatten(head_anchor),
             }
-            # names and shapes, once; the rounds skip the checks
-            constraint_loss(
-                {n: self.theta[at] for n, at in self.anchored.items()}, self.anchors
-            )
 
     def forward_backward(self, cat, num, labels, record=None, round_index: int = 0) -> float:
         """One batch through every model and back, the step every trainer takes;
@@ -385,9 +379,9 @@ class Federation(ModelSet):
             for (k, _, _), rep in zip(self.parties, reps):
                 record(RepresentationMsg(round_index, k, rep))
         h = np.concatenate(reps, axis=1) if reps[1:] else reps[0]
-        logits, head_tape = self.head.forward(h, check=False)
-        loss, dlogits = bce_with_logits(logits[:, 0], labels, check=False)
-        _, dh = self.head.backward(head_tape, dlogits[:, None], check=False)
+        logits, head_tape = self.head.forward(h)
+        loss, dlogits = bce_with_logits(logits[:, 0], labels)
+        _, dh = self.head.backward(head_tape, dlogits[:, None])
         for (k, encoder, block), tape in zip(self.parties, tapes):
             drep = dh[:, block]
             if record is not None:
@@ -404,49 +398,31 @@ class RoundStats:
 
 
 def run_round(
-    fed: Federation,
-    batch: AlignedBatch,
-    mode: TrainMode,
-    round_index: int,
-    transport: TransportLog,
-    apply_updates: bool = True,
-) -> tuple[RoundStats, dict[str, np.ndarray]]:
-    """One synchronized round of split training.
+    fed: Federation, batch: AlignedBatch, round_index: int, transport: TransportLog
+) -> RoundStats:
+    """One synchronized round of split training; returns its stats.
 
     `fed.forward_backward` computes every gradient from the pre-update head
-    and logs the round's messages in `transport`; in a constrained mode the
-    constraint's gradient is added to the anchored entries; then one optimizer
-    step moves the head with eta1 and the parties with eta2. Returns the
-    round's stats and the flat gradient of the total loss for each model,
-    keyed "head" and "party{k}" (split one by name with the model's
-    `layout.views`): slices of `fed.grad`, which the next round overwrites.
-    With apply_updates=False this is a pure gradient evaluation, which is
-    what the finite-difference checks drive: it writes through `fed.grad`
-    too, takes no step, and returns copies, which no later round touches.
-    `train_downstream` checks the batch labels once per cell.
+    into `fed.grad`, overwriting it whole, and logs the round's messages in
+    `transport`. When the Federation holds anchors the round is constrained:
+    the constraint's gradient, times beta, is added to the anchored entries
+    and the loss is `total_loss`; without anchors loss_cons is 0.0 and the
+    loss is loss_vfl. Then one optimizer step moves the head with eta1 and
+    the parties with eta2. `train_downstream` checks the batch labels once
+    per cell, and gives the Federation anchors exactly in a constrained mode.
     """
-    if not mode.is_federated:
-        raise ConfigError(f"mode {mode.value} does not run the split protocol")
-    constrained = mode.uses_constraint
-    if constrained and fed.anchors is None:
-        raise TrainingError(
-            f"mode {mode.value} needs pre-trained anchors for the active party"
-        )
     loss_vfl = fed.forward_backward(batch.cat, batch.num, batch.labels,
                                     transport.record, round_index)
-    loss_cons = 0.0
-    if constrained:
+    loss, loss_cons = loss_vfl, 0.0
+    if fed.anchors is not None:
         loss_cons, diffs = constraint_loss(
-            {n: fed.theta[at] for n, at in fed.anchored.items()}, fed.anchors,
-            check=False,
+            {n: fed.theta[at] for n, at in fed.anchored.items()}, fed.anchors
         )
         for n, at in fed.anchored.items():
             fed.grad[at] += fed.beta * diffs[n]
-    loss = total_loss(loss_vfl, loss_cons, fed.beta if constrained else 0.0)
-    if not apply_updates:
-        return RoundStats(loss, loss_vfl, loss_cons), fed.split(fed.grad.copy())
+        loss = total_loss(loss_vfl, loss_cons, fed.beta)
     fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
-    return RoundStats(loss, loss_vfl, loss_cons), fed.grads
+    return RoundStats(loss, loss_vfl, loss_cons)
 
 
 def federated_predict(
@@ -455,10 +431,16 @@ def federated_predict(
     cat: dict[int, np.ndarray],
     num: dict[int, np.ndarray],
 ) -> np.ndarray:
-    """Joint scores over fully aligned rows; deterministic, batch-invariant."""
+    """Joint scores over fully aligned rows; deterministic, batch-invariant.
+    The head's input width must be the encoders' summed rep_dim (SchemaError)."""
     missing = sorted(set(encoders) - set(cat))
     if missing:
         raise SchemaError(f"no features supplied for parties {missing}")
+    width = sum(encoder.rep_dim for encoder in encoders.values())
+    if head.dims[0] != width:
+        raise SchemaError(
+            f"head input dim {head.dims[0]} does not match total representation dim {width}"
+        )
     blocks = []
     n_rows = None
     for k in sorted(encoders):
@@ -656,7 +638,7 @@ def train_downstream(
         batches = sample_aligned_batches(pool, cfg.batch_size, seed, epoch)
         loss = loss_vfl = loss_cons = 0.0  # every pool row is in one batch an epoch
         for batch in batches:
-            stats, _ = run_round(fed, batch, mode, round_index, transport)
+            stats = run_round(fed, batch, round_index, transport)
             round_index += 1
             n = batch.n
             loss += stats.loss * n

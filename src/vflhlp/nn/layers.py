@@ -19,8 +19,11 @@ A forward pass returns its output and a tape, a plain tuple of what the
 backward pass reads: `(inputs, preacts)` per layer for an Mlp, and
 `(embedding rows, mlp tape)` for a TabularEncoder. A backward pass writes the
 flat gradient into the model's `grad`, overwriting it whole, and returns it.
-The passes take numpy arrays and check their shapes, not their dtypes: the
-data layer builds float64 arrays, so nothing is re-cast per call.
+`TabularEncoder.forward` checks the shapes of its batch; an Mlp checks
+nothing, since its input is an encoder's output or a head input whose width
+was checked once (`Federation`, `federated_predict`), and its upstream is the
+gradient of its own output. Nothing checks dtypes: the data layer builds
+float64 arrays, so nothing is re-cast per call.
 """
 from __future__ import annotations
 
@@ -120,24 +123,19 @@ class ModelSet:
     """Models copied into consecutive slices of one float64 vector, `theta`,
     and laid over them again as `models`, each with its slice of `grad`, a
     vector laid out like theta that their backward passes write into.
-    `layout` names each entry "<model>.<tensor>"; `grads[name]` is model
-    `name`'s slice of `grad`, its own `grad`."""
+    `layout` names each entry "<model>.<tensor>"; `spans[name]` is model
+    `name`'s slice of both, so its `grad` is `grad[spans[name]]`."""
 
     def __init__(self, models: dict[str, FlatParams]):
         self.layout = ParamLayout({f"{name}.{t}": shape for name, m in models.items()
                                    for t, shape in zip(m.layout.names, m.layout.shapes)})
         self.theta = np.concatenate([m.theta for m in models.values()])
         self.grad = np.zeros_like(self.theta)
-        self.spans, self.models, self.grads, start = {}, {}, {}, 0
+        self.spans, self.models, start = {}, {}, 0
         for name, m in models.items():
             span = self.spans[name] = slice(start, start + m.layout.size)
-            grad = self.grads[name] = self.grad[span]
             cls, (shape, _) = m.__reduce__()  # (class, (dims or spec, theta))
-            self.models[name], start = cls(shape, self.theta[span], grad), span.stop
-
-    def split(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Each model's slice of a vector laid out like theta."""
-        return {name: vec[span] for name, span in self.spans.items()}
+            self.models[name], start = cls(shape, self.theta[span], self.grad[span]), span.stop
 
 
 def _mlp_shapes(dims: list[int]) -> dict[str, tuple[int, ...]]:
@@ -187,12 +185,9 @@ class Mlp(FlatParams):
             b[...] = 0.0
         return mlp
 
-    def forward(self, x, check: bool = True) -> tuple[np.ndarray, tuple[list, list]]:
-        """Return (output, tape); the tape holds each layer's input and pre-activation.
-        check=False skips the input shape check, for callers that built `x`
-        to this model's input width."""
-        if check and (x.ndim != 2 or x.shape[1] != self.dims[0]):
-            raise SchemaError(f"mlp expects input [n, {self.dims[0]}], got {x.shape}")
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
+        """Return (output, tape) for `x` of shape [n, dims[0]]; the tape holds
+        each layer's input and pre-activation."""
         inputs, preacts = [], []
         for _, wt, b in self._layers:
             if preacts:  # relu on every layer but the last
@@ -203,22 +198,15 @@ class Mlp(FlatParams):
         return z, (inputs, preacts)
 
     def backward(
-        self, tape: tuple[list, list], upstream: np.ndarray,
-        *, input_grad: bool = True, check: bool = True,
+        self, tape: tuple[list, list], upstream: np.ndarray, *, input_grad: bool = True
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Return (`grad`, input gradient), with the flat parameter gradient
-        written into `grad`.
+        written into `grad`. `upstream` is the gradient of a loss w.r.t. the
+        output of the forward pass that made `tape`, so it has its shape.
 
         With input_grad=False the input gradient is not computed: None.
-        check=False skips the upstream shape check, for callers whose upstream
-        is the gradient of a loss of this model's output.
         """
         inputs, preacts = tape
-        if check and upstream.shape != preacts[-1].shape:
-            raise SchemaError(
-                f"upstream shape {upstream.shape} does not match output "
-                f"{preacts[-1].shape}"
-            )
         d = upstream
         last = len(preacts) - 1
         for i, w, gw, gb in self._steps:
@@ -249,14 +237,9 @@ class EmbeddingTable:
     view into the block per field.
     """
 
-    def __init__(
-        self,
-        cardinalities: list[tuple[str, int]],
-        embed_dim: int,
-        block: np.ndarray | None = None,
-    ):
-        """Lay the tables over `block` (any contiguous float64 array with
-        sum(cardinalities) * embed_dim entries), or over a new zero block."""
+    def __init__(self, cardinalities: list[tuple[str, int]], embed_dim: int, block: np.ndarray):
+        """Lay the tables over `block`, any contiguous float64 array with
+        sum(cardinalities) * embed_dim entries: an encoder's slice of theta."""
         if not cardinalities:
             raise SchemaError("EmbeddingTable needs at least one field")
         for name, card in cardinalities:
@@ -270,7 +253,7 @@ class EmbeddingTable:
         self.cards = np.array(cards, dtype=np.uint64)
         self.offsets = np.cumsum([0, *cards[:-1]]).astype(np.int64)
         shape = (sum(cards), embed_dim)
-        self.block = np.zeros(shape) if block is None else block.reshape(shape)
+        self.block = block.reshape(shape)
         self.tables = {
             name: self.block[a : a + card]
             for name, a, card in zip(self.field_names, self.offsets, cards)
@@ -282,7 +265,7 @@ class EmbeddingTable:
         rng: np.random.Generator,
         cardinalities: list[tuple[str, int]],
         embed_dim: int,
-        block: np.ndarray | None = None,
+        block: np.ndarray,
     ) -> "EmbeddingTable":
         """Uniform(-0.05, 0.05) rows, one field's table after the other."""
         table = cls(cardinalities, embed_dim, block)
@@ -434,7 +417,7 @@ class TabularEncoder(FlatParams):
                 raise SchemaError("categorical and numerical row counts differ")
             else:
                 x = np.concatenate((x, num), axis=1)
-        out, mlp_tape = self.mlp.forward(x, check=False)  # [n, input_dim] by the checks above
+        out, mlp_tape = self.mlp.forward(x)  # [n, input_dim] by the checks above
         return out, (rows, mlp_tape)
 
     def backward(self, tape: tuple, upstream: np.ndarray) -> np.ndarray:

@@ -22,34 +22,20 @@ def check_labels(labels) -> np.ndarray:
     return labels
 
 
-def bce_with_logits(
-    logits: np.ndarray, labels: np.ndarray, check: bool = True
-) -> tuple[float, np.ndarray]:
+def bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its gradient w.r.t. the logits.
 
     Uses the max(l, 0) - l*y + log(1 + exp(-|l|)) form so logits of +-1000
     produce finite losses and gradients. Gradient is (sigmoid(l) - y) / n.
 
     Args:
-        logits: [n] float64 logits.
-        labels: [n] labels in {0, 1}.
-        check: False skips the casts and checks, for the training loops,
-            whose labels `check_labels` passed once where the run started.
+        logits: [n] float64 logits, n >= 1.
+        labels: [n] float64 labels in {0, 1}, which `check_labels` passed
+            once where the run started; nothing is cast or checked here.
 
     Returns:
         (loss, dloss_dlogits) with dloss_dlogits shaped like logits.
     """
-    if check:
-        logits = np.asarray(logits, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.float64)
-        if logits.ndim != 1 or labels.shape != logits.shape:
-            raise SchemaError(
-                f"logits and labels must be matching 1-d arrays, got "
-                f"{logits.shape} and {labels.shape}"
-            )
-        if logits.size == 0:
-            raise SchemaError("empty batch")
-        check_labels(labels)
     n = logits.size
     e = np.exp(-np.abs(logits))  # once, for the loss and for sigmoid's two branches
     per = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vflhlp.data import AlignedBatch, SynthConfig, VerticalDataset, synth_generate
-from vflhlp.federated import Federation, TrainMode, TransportLog, run_round
+from vflhlp.federated import Federation, TransportLog, run_round
 from vflhlp.nn import EncoderSpec, Mlp, TabularEncoder
 from vflhlp.rng import stream
 
@@ -134,35 +134,29 @@ def build_federation(ds: VerticalDataset, specs, beta: float, seed: int,
                       encoder_anchor, head_anchor)
 
 
-def split_round_grads(flat, fed: Federation) -> dict[str, np.ndarray]:
-    """run_round's flat gradients as "head.<name>" and "party<k>.<name>" arrays."""
-    grads = {f"head.{n}": g for n, g in fed.head.layout.views(flat["head"]).items()}
-    for k, encoder in fed.encoders.items():
-        for n, g in encoder.layout.views(flat[f"party{k}"]).items():
-            grads[f"party{k}.{n}"] = g
-    return grads
+class NoStep:
+    """An optimizer whose step does nothing: a round driven with it computes
+    `fed.grad` and leaves `fed.theta` as it was."""
+
+    def step(self, *args):
+        pass
 
 
-def round_loss_setup(fed: Federation, batch: AlignedBatch, mode: TrainMode):
+def round_loss_setup(fed: Federation, batch: AlignedBatch):
     """Closures for finite-difference checks over one federated round.
 
-    Returns (loss_fn, grads_fn, params) where params holds the live
-    arrays of every encoder and the head, named the way
-    split_round_grads names run_round's gradients.
+    Replaces `fed.optimizer` with `NoStep`, so each call is the round's
+    forward and backward pass alone. Returns (loss_fn, grads_fn, params):
+    params holds live views of `fed.theta` and grads_fn a copy of the
+    round's `fed.grad`, both named "<model>.<tensor>" by `fed.layout`.
     """
-    params: dict[str, np.ndarray] = {}
-    for name, arr in fed.head.params().items():
-        params[f"head.{name}"] = arr
-    for k, encoder in fed.encoders.items():
-        for name, arr in encoder.params().items():
-            params[f"party{k}.{name}"] = arr
+    fed.optimizer = NoStep()
 
     def loss_fn() -> float:
-        stats, _ = run_round(fed, batch, mode, 0, TransportLog(), apply_updates=False)
-        return stats.loss
+        return run_round(fed, batch, 0, TransportLog()).loss
 
     def grads_fn() -> dict[str, np.ndarray]:
-        _, flat = run_round(fed, batch, mode, 0, TransportLog(), apply_updates=False)
-        return split_round_grads(flat, fed)
+        run_round(fed, batch, 0, TransportLog())
+        return fed.layout.views(fed.grad.copy())
 
-    return loss_fn, grads_fn, params
+    return loss_fn, grads_fn, fed.layout.views(fed.theta)

@@ -147,18 +147,15 @@ def test_criterion_1_analytic_gradients_match_finite_differences():
     worst = 0.0
     for index in range(20):
         encoders, head, batch, enc_anchor, head_anchor = _random_federation(index)
-        variants = [("task loss", TrainMode.VANILLA_VFL, 0.0, False)]
-        variants += [
-            ("full objective", TrainMode.VFLHLP, beta, True)
-            for beta in (0.0, 0.1, 10.0)
-        ]
-        for label, mode, beta, anchored in variants:
+        variants = [("task loss", 0.0, False)]
+        variants += [("full objective", beta, True) for beta in (0.0, 0.1, 10.0)]
+        for label, beta, anchored in variants:
             fed = Federation(
                 encoders, head, beta, eta1=1e-3, eta2=1e-3, optimizer="sgd",
                 encoder_anchor=enc_anchor if anchored else None,
                 head_anchor=head_anchor if anchored else None,
             )
-            loss_fn, grads_fn, params = round_loss_setup(fed, batch, mode)
+            loss_fn, grads_fn, params = round_loss_setup(fed, batch)
             err = grad_check(loss_fn, grads_fn, params)
             worst = max(worst, err)
             assert err < 1e-4, f"model {index}, {label} beta={beta}: rel err {err:.2e}"
@@ -194,7 +191,7 @@ def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
     log = TransportLog()
     worst_loss_gap = 0.0
     for r in range(100):
-        stats, _ = run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
+        stats = run_round(fed, batch, r, log)
         worst_loss_gap = max(worst_loss_gap, abs(stats.loss - mono.step(batch)))
     assert worst_loss_gap < 1e-10
 

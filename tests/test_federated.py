@@ -45,8 +45,7 @@ from vflhlp.ssl_pretrain import SslConfig, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active, train_local
 
 from conftest import (
-    build_federation, fresh_models, round_loss_setup, small_spec, split_round_grads,
-    tiny_synth_config,
+    NoStep, build_federation, fresh_models, round_loss_setup, small_spec, tiny_synth_config,
 )
 from gradcheck import grad_check
 
@@ -121,17 +120,23 @@ def test_constraint_loss_zero_at_anchor():
     assert not grads["w"].any()
 
 
-def test_constraint_loss_validates_names_and_shapes():
-    with pytest.raises(SchemaError):
-        constraint_loss({"a": np.zeros(2)}, {"b": np.zeros(2)})
-    with pytest.raises(SchemaError):
-        constraint_loss({"a": np.zeros(2)}, {"a": np.zeros(3)})
-
-
-def test_total_loss_beta_zero_is_bitwise_identity():
+def test_total_loss_beta_zero_is_bitwise_identity(tiny_bundle, specs3):
     lv = 0.123456789
     assert total_loss(lv, 99.0, 0.0) is lv
     assert total_loss(2.0, 3.0, 0.5) == 3.5
+    # a round is constrained exactly when its Federation holds anchors: without
+    # them, at any beta, it reports no constraint and its loss is the task
+    # loss; with them at beta 0, the constraint is reported but adds nothing
+    train, batch = _round_batch(tiny_bundle, count=16)
+    anchors = {"encoder_anchor": specs3[1].build(stream(42, "anchor")).theta,
+               "head_anchor": {"weight": np.ones((1, 4)), "bias": np.ones(1)}}
+    plain = run_round(build_federation(train, specs3, beta=0.5, seed=42),
+                      batch, 0, TransportLog())
+    assert plain.loss_cons == 0.0 and plain.loss.hex() == plain.loss_vfl.hex()
+    pulled = run_round(build_federation(train, specs3, beta=0.0, seed=42, **anchors),
+                       batch, 0, TransportLog())
+    assert pulled.loss_cons > 1.0  # the anchors are far from the fresh weights
+    assert pulled.loss.hex() == pulled.loss_vfl.hex() == plain.loss_vfl.hex()
 
 
 # ------------------------------------------------------------------ rounds
@@ -146,7 +151,7 @@ def test_round_messages_are_balanced_and_audited(tiny_bundle, specs3):
     fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
     for r in range(4):
-        run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
+        run_round(fed, batch, r, log)
     assert len(log.records) == 4 * 2 * 3
     report = audit_transport(log, train)
     assert report.ok
@@ -167,7 +172,7 @@ def test_log_records_hash_each_payload_in_both_directions(tiny_bundle, specs3):
     log = KeepingLog()
     log.kept = []
     for r in range(2):
-        run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
+        run_round(fed, batch, r, log)
     records = log.records
     assert len(records) == len(log.kept) == 2 * 2 * 3
     for rec, msg in zip(records, log.kept):
@@ -185,7 +190,7 @@ def test_audit_flags_unbalanced_rounds(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle)
     fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
-    run_round(fed, batch, TrainMode.VANILLA_VFL, 0, log)
+    run_round(fed, batch, 0, log)
     assert audit_transport(log, train).balanced_rounds
     log.record(GradientMsg(0, 2, np.zeros((3, 4))))  # a fourth reply in round 0
     report = audit_transport(log, train)
@@ -197,7 +202,7 @@ def test_audit_flags_raw_column_and_label_leaks(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle)
     fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
-    run_round(fed, batch, TrainMode.VANILLA_VFL, 0, log)
+    run_round(fed, batch, 0, log)
     # a payload that is byte-for-byte one party's raw numerical column
     col = train.parties[2].num[:, 1]
     log.record(RepresentationMsg(1, 2, col.reshape(-1, 1)))
@@ -222,11 +227,11 @@ def test_audit_flags_a_raw_column_planted_at_a_late_round(tiny_bundle, specs3):
     fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
     for r in range(100):
-        run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
+        run_round(fed, batch, r, log)
     assert audit_transport(log, train).ok
     col = train.parties[3].num[:, 2]
     log.record(RepresentationMsg(100, 3, col.reshape(-1, 1)))
-    run_round(fed, batch, TrainMode.VANILLA_VFL, 101, log)
+    run_round(fed, batch, 101, log)
     report = audit_transport(log, train)
     assert (report.ok, report.n_messages, report.n_rounds) == (False, 607, 102)
     assert report.violations == [
@@ -390,9 +395,7 @@ def test_a_log_and_its_audit_stay_small(tiny_bundle):
 def test_round_gradients_match_fd_unconstrained(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=12)
     fed = build_federation(train, specs3, beta=0.0, seed=3)
-    loss_fn, grads_fn, params = round_loss_setup(
-        fed, batch, TrainMode.VANILLA_VFL
-    )
+    loss_fn, grads_fn, params = round_loss_setup(fed, batch)
     assert grad_check(loss_fn, grads_fn, params) < 1e-4
 
 
@@ -407,32 +410,21 @@ def test_round_gradients_match_fd_with_constraint(tiny_bundle, specs3, pretraine
         train, specs3, beta=0.7, seed=3,
         encoder_anchor=anchors, head_anchor=head_anchor,
     )
-    loss_fn, grads_fn, params = round_loss_setup(
-        fed, batch, TrainMode.VFLHLP
-    )
+    loss_fn, grads_fn, params = round_loss_setup(fed, batch)
     assert grad_check(loss_fn, grads_fn, params) < 1e-4
 
 
 def test_round_collected_grad_names(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=10)
     fed = build_federation(train, specs3, beta=0.0, seed=4)
-    _, flat = run_round(fed, batch, TrainMode.VANILLA_VFL, 0,
-                        TransportLog(), apply_updates=False)
-    assert set(flat) == {"head", "party1", "party2", "party3"}
-    names = set(split_round_grads(flat, fed))
+    fed.optimizer = NoStep()
+    run_round(fed, batch, 0, TransportLog())
+    assert set(fed.spans) == {"head", "party1", "party2", "party3"}
+    names = set(fed.layout.views(fed.grad))
     assert "head.0.weight" in names and "head.0.bias" in names
     for k in (1, 2, 3):
         assert f"party{k}.mlp.0.weight" in names
         assert f"party{k}.embed.c0" in names
-
-
-def test_round_rejects_local_mode_and_missing_anchors(tiny_bundle, specs3):
-    train, batch = _round_batch(tiny_bundle, count=10)
-    fed = build_federation(train, specs3, beta=0.5, seed=5)
-    with pytest.raises(ConfigError):
-        run_round(fed, batch, TrainMode.LOCAL_A, 0, TransportLog())
-    with pytest.raises(TrainingError):
-        run_round(fed, batch, TrainMode.VFLHLP, 0, TransportLog())
 
 
 @pytest.mark.parametrize("given", ["encoder", "head"])
@@ -450,15 +442,13 @@ def test_one_anchor_without_the_other_gives_no_anchors(tiny_bundle, specs3, give
         "encoder", "head"}
     fed = build_federation(train, specs3, beta=0.5, seed=5)
     assert fed.anchors is None
-    run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog())
-    with pytest.raises(TrainingError, match="needs pre-trained anchors"):
-        run_round(fed, batch, TrainMode.VFLHLP_A, 1, TransportLog())
+    assert run_round(fed, batch, 0, TransportLog()).loss_cons == 0.0
 
 
 @pytest.mark.parametrize("damage, fragment", [
     ("head-input-dim", "head input dim 13 does not match total representation dim 12"),
     ("head-output-dim", "the head must output one logit, got 2"),
-    ("encoder-anchor-size", "constraint shape mismatch for 'encoder'"),
+    ("encoder-anchor-size", "encoder_anchor has 109 entries; party 1's encoder has 110"),
     ("head-anchor-shape", r"parameter 'weight' has shape \(4, 1\), expected \(1, 4\)"),
     ("head-hidden-layer", r"the head must be linear \(one layer\), got dims \[12, 6, 1\]"),
 ], ids=["head-input-dim", "head-output-dim", "encoder-anchor-size", "head-anchor-shape",
@@ -509,7 +499,7 @@ def test_a_federation_copies_the_models_it_is_built_from(tiny_bundle, specs3):
         assert encoder is given[k]
         assert not np.shares_memory(encoder.theta, first.theta)
         assert np.shares_memory(first.encoders[k].theta, first.theta)
-    run_round(first, batch, TrainMode.VANILLA_VFL, 0, TransportLog())
+    run_round(first, batch, 0, TransportLog())
     assert first.theta.tobytes() != built
     second = Federation(encoders, head, 0.0, 1e-3, 1e-3, "sgd")
     assert second.theta.tobytes() == built
@@ -532,8 +522,8 @@ def test_first_round_constraint_is_zero_when_started_at_anchors(
     sl = fed.rep_slices[1]
     fed.head.params()["0.weight"][:, sl] = head_anchor["weight"]
     fed.head.params()["0.bias"][:] = head_anchor["bias"]
-    stats, _ = run_round(fed, batch, TrainMode.VFLHLP, 0,
-                         TransportLog(), apply_updates=False)
+    fed.optimizer = NoStep()
+    stats = run_round(fed, batch, 0, TransportLog())
     assert stats.loss_cons == 0.0
     assert stats.loss == stats.loss_vfl
 
@@ -546,7 +536,7 @@ def test_zero_head_weights_leave_parties_stationary_for_one_round(
     fed.head.params()["0.weight"][:] = 0.0
     before = {k: encoder.params_copy() for k, encoder in fed.encoders.items()}
     bias_before = fed.head.params()["0.bias"].copy()
-    run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog())
+    run_round(fed, batch, 0, TransportLog())
     for k, encoder in fed.encoders.items():
         for name, arr in encoder.params().items():
             np.testing.assert_array_equal(arr, before[k][name])
@@ -576,33 +566,12 @@ def test_each_training_loop_steps_one_optimizer():
     assert steps == OPTIMIZER_STEPS
 
 
-def test_round_gradients_without_updates_survive_the_next_round(tiny_bundle, specs3):
-    # apply_updates=False returns copies of each call's gradients, so those a
-    # finite-difference check holds are not overwritten by its next call
-    train, batch = _round_batch(tiny_bundle, count=12)
-    fed = build_federation(train, specs3, beta=0.0, seed=11)
-    _, first = run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog(),
-                         apply_updates=False)
-    kept = {name: g.copy() for name, g in first.items()}
-    fed.head.theta[:] *= 2.0
-    _, second = run_round(fed, batch, TrainMode.VANILLA_VFL, 0, TransportLog(),
-                          apply_updates=False)
-    for name, g in first.items():
-        assert g.tobytes() == kept[name].tobytes(), name
-        assert not np.shares_memory(g, second[name])
-    assert second["head"].tobytes() != kept["head"].tobytes()
-    # a training round steps from the federation's own buffer, not from theirs
-    run_round(fed, batch, TrainMode.VANILLA_VFL, 1, TransportLog())
-    for name, g in second.items():
-        assert not np.shares_memory(g, fed.grad)
-
-
-@pytest.mark.parametrize("mode, beta", [(TrainMode.VANILLA_VFL, 0.0), (TrainMode.VFLHLP, 0.7)],
+@pytest.mark.parametrize("anchored, beta", [(False, 0.0), (True, 0.7)],
                          ids=["vanilla_vfl", "vflhlp beta 0.7"])
-def test_a_gradient_only_round_leaves_no_trace(tiny_bundle, specs3, pretrained, mode, beta):
-    # a gradient-only round writes through fed.grad, but it takes no step and
-    # the next training round overwrites fed.grad whole: rounds 0 and 2 with
-    # one between them train exactly as rounds 0 and 2 back to back
+def test_a_gradient_only_round_leaves_no_trace(tiny_bundle, specs3, pretrained, anchored, beta):
+    # a round whose step does nothing (the finite-difference checks' NoStep)
+    # writes fed.grad, but the next round overwrites fed.grad whole: rounds 0
+    # and 2 with one between them train exactly as rounds 0 and 2 back to back
     train = tiny_bundle.train
     ids = train.aligned_ids(24)
     batches = [train.gather(ids[i : i + 8]) for i in (0, 8, 16)]
@@ -611,15 +580,17 @@ def test_a_gradient_only_round_leaves_no_trace(tiny_bundle, specs3, pretrained, 
                                "bias": pretrained.active.head_params["0.bias"].copy()}}
 
     def trained(gradient_only_between: bool) -> tuple[bytes, int]:
-        fed = build_federation(train, specs3, beta=beta, seed=14, **anchors)
-        run_round(fed, batches[0], mode, 0, TransportLog())
+        fed = build_federation(train, specs3, beta=beta, seed=14,
+                               **(anchors if anchored else {}))
+        run_round(fed, batches[0], 0, TransportLog())
         if gradient_only_between:
-            theta, kept = fed.theta.copy(), fed.grad.copy()
-            _, grads = run_round(fed, batches[1], mode, 1, TransportLog(), apply_updates=False)
+            theta, kept, optimizer = fed.theta.copy(), fed.grad.copy(), fed.optimizer
+            fed.optimizer = NoStep()
+            run_round(fed, batches[1], 1, TransportLog())
+            fed.optimizer = optimizer
             assert fed.theta.tobytes() == theta.tobytes()
-            assert fed.grad.tobytes() != kept.tobytes()  # it did write through fed.grad
-            assert not any(np.shares_memory(g, fed.grad) for g in grads.values())
-        run_round(fed, batches[2], mode, 2, TransportLog())
+            assert fed.grad.tobytes() != kept.tobytes()  # it did write fed.grad
+        run_round(fed, batches[2], 2, TransportLog())
         return fed.theta.tobytes(), fed.optimizer.t
 
     assert trained(True) == trained(False)
@@ -630,7 +601,7 @@ def test_a_non_finite_round_gradient_names_the_party_and_tensor(tiny_bundle, spe
     fed = build_federation(train, specs3, beta=0.0, seed=12)
     before = fed.theta.copy()
     grad = np.zeros_like(fed.grad)
-    fed.encoders[2].layout.views(fed.split(grad)["party2"])["mlp.1.bias"][0] = np.inf
+    fed.encoders[2].layout.views(grad[fed.spans["party2"]])["mlp.1.bias"][0] = np.inf
     with pytest.raises(TrainingError, match=r"'party2\.mlp\.1\.bias'"):
         fed.optimizer.step(fed.theta, grad, fed.lr, fed.layout)
     assert fed.theta.tobytes() == before.tobytes()
@@ -681,7 +652,7 @@ def test_split_protocol_matches_monolith(tiny_bundle, specs3):
 
     log = TransportLog()
     for r in range(30):
-        stats, _ = run_round(fed, batch, TrainMode.VANILLA_VFL, r, log)
+        stats = run_round(fed, batch, r, log)
         mono_loss = mono.step(batch)
         assert abs(stats.loss - mono_loss) < 1e-10, f"round {r}"
 
@@ -718,6 +689,16 @@ def test_federated_predict_is_batch_invariant(tiny_bundle, specs3):
     with pytest.raises(SchemaError):
         federated_predict(encoders, fed.head,
                           {1: batch.cat[1]}, {1: batch.num[1]})
+
+
+def test_federated_predict_checks_the_head_width(tiny_bundle, specs3):
+    # the head's input width is checked once per call, against the encoders given
+    _, batch = _round_batch(tiny_bundle, count=10)
+    encoders, _ = fresh_models(specs3, 9)
+    head = Mlp.init(stream(9, "head"), [13, 1])
+    with pytest.raises(SchemaError,
+                       match="head input dim 13 does not match total representation dim 12"):
+        federated_predict(encoders, head, batch.cat, batch.num)
 
 
 # ------------------------------------------------------------------ training
@@ -773,9 +754,9 @@ def test_each_epoch_reports_the_row_weighted_mean_of_its_rounds(
     rounds = []  # (stats, batch rows) of every round, in order
 
     def spy(fed, batch, *args):
-        stats, grads = run_round(fed, batch, *args)
+        stats = run_round(fed, batch, *args)
         rounds.append((stats, batch.n))
-        return stats, grads
+        return stats
 
     monkeypatch.setattr(federated, "run_round", spy)
     out = train_downstream(tiny_bundle.train, specs3, mode, pretrained,

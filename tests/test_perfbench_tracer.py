@@ -137,28 +137,28 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
             assert max(tags) == rows, (kind, rows)
 
 
-@pytest.mark.parametrize("apply_updates", [True, False], ids=["train", "gradient-only"])
 @pytest.mark.parametrize("mode", [TrainMode.VANILLA_VFL, TrainMode.VFLHLP])
 @pytest.mark.parametrize("k", [2, 3])
-def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode, apply_updates):
+def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode):
     # the per-layer metrics count and time these calls, so a round makes each
     # one exactly where it is used: K encoder passes each way, a message each
-    # way per party, one loss, the constraint when the mode has it, one step
+    # way per party, one loss, the constraint when the Federation holds
+    # anchors (as a cell's does exactly in a constrained mode), one step
     tracer = _load_tracer()
     train = tiny_bundle.train
     specs = {p: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
              for p in range(1, k + 1)}
-    fed = build_federation(
-        train, specs, beta=0.5, seed=9, optimizer="sgd",
-        encoder_anchor=specs[1].build(stream(9, "anchor")).theta,
-        head_anchor={"weight": np.zeros((1, 4)), "bias": np.zeros(1)},
-    )
+    anchors = {}
+    if mode.uses_constraint:
+        anchors = {"encoder_anchor": specs[1].build(stream(9, "anchor")).theta,
+                   "head_anchor": {"weight": np.zeros((1, 4)), "bias": np.zeros(1)}}
+    fed = build_federation(train, specs, beta=0.5, seed=9, optimizer="sgd", **anchors)
     batch = train.gather(train.aligned_ids(16))
     t = tracer.Tracer("round-calls")
     t.install()
     try:
         for r in range(3):
-            federated.run_round(fed, batch, mode, r, TransportLog(), apply_updates)
+            federated.run_round(fed, batch, r, TransportLog())
     finally:
         t.uninstall()
 
@@ -171,7 +171,7 @@ def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode, app
         "federated.TransportLog.record": 2 * k,
         "nn.bce_with_logits": 1,
         "federated.constraint_loss": int(mode.uses_constraint),
-        "nn.SgdOptimizer.step": int(apply_updates),
+        "nn.SgdOptimizer.step": 1,
     })
     children = {i: Counter() for i in rounds}
     grandchildren = Counter()

@@ -121,9 +121,9 @@ def reference_step(net, optimizer, lr, cat, num, y) -> float:
     step that the local model now takes as a one-party Federation."""
     encoder, head = net.models["enc"], net.models["head"]
     rep, enc_tape = encoder.forward(cat, num)
-    logits, head_tape = head.forward(rep, check=False)
-    loss, dlogits = bce_with_logits(logits[:, 0], y, check=False)
-    _, drep = head.backward(head_tape, dlogits[:, None], check=False)
+    logits, head_tape = head.forward(rep)
+    loss, dlogits = bce_with_logits(logits[:, 0], y)
+    _, drep = head.backward(head_tape, dlogits[:, None])
     encoder.backward(enc_tape, drep)
     optimizer.step(net.theta, net.grad, lr, net.layout)
     return loss
