@@ -137,13 +137,17 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
             assert max(tags) == rows, (kind, rows)
 
 
+@pytest.mark.parametrize("step", [True, False], ids=["train", "gradient-only"])
 @pytest.mark.parametrize("mode", [TrainMode.VANILLA_VFL, TrainMode.VFLHLP])
 @pytest.mark.parametrize("k", [2, 3])
-def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode):
+def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode, step):
     # the per-layer metrics count and time these calls, so a round makes each
     # one exactly where it is used: K encoder passes each way, a message each
     # way per party, one loss, the constraint when the Federation holds
-    # anchors (as a cell's does exactly in a constrained mode), one step
+    # anchors (as a cell's does exactly in a constrained mode), one step.
+    # gradient-only runs Federation.forward_backward alone, the pass that
+    # pretrain_active shares with the round: the same calls at the top level,
+    # without the constraint and the step, whatever anchors it holds
     tracer = _load_tracer()
     train = tiny_bundle.train
     specs = {p: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
@@ -158,21 +162,29 @@ def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode):
     t.install()
     try:
         for r in range(3):
-            federated.run_round(fed, batch, r, TransportLog())
+            if step:
+                federated.run_round(fed, batch, r, TransportLog())
+            else:
+                fed.forward_backward(batch.cat, batch.num, batch.labels,
+                                     TransportLog().record, r)
     finally:
         t.uninstall()
 
     names = [t.names[n] for n in t.name]
     rounds = [i for i, name in enumerate(names) if name == "federated.run_round"]
-    assert len(rounds) == 3
+    assert len(rounds) == 3 * step
+    # each round's calls, or without rounds all three passes' calls at the top level
+    per_caller = 1 if step else 3
     expected = Counter({
-        "nn.TabularEncoder.forward": k,
-        "nn.TabularEncoder.backward": k,
-        "federated.TransportLog.record": 2 * k,
-        "nn.bce_with_logits": 1,
-        "federated.constraint_loss": int(mode.uses_constraint),
-        "nn.SgdOptimizer.step": 1,
+        "nn.TabularEncoder.forward": per_caller * k,
+        "nn.TabularEncoder.backward": per_caller * k,
+        "federated.TransportLog.record": per_caller * 2 * k,
+        "nn.bce_with_logits": per_caller,
+        "federated.constraint_loss": int(mode.uses_constraint and step),
+        "nn.SgdOptimizer.step": int(step),
     })
+    if not step:
+        rounds = [-1]
     children = {i: Counter() for i in rounds}
     grandchildren = Counter()
     for j, name in enumerate(names):
