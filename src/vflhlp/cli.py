@@ -21,7 +21,7 @@ from itertools import groupby
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, config_hash, encoder_specs, load_config
+from .config import RunConfig, config_hash, data_hash, encoder_specs, load_config
 from .data import CACHE_FILE, DatasetBundle, load_bundle, read_json_object, save_bundle
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import (
@@ -59,34 +59,35 @@ def _ckpt_dir(out: Path, seed: int) -> Path:
     return out / "checkpoints" / f"seed{seed}"
 
 
-def _cached_bundle(cache: Path, chash: str, seed: int) -> DatasetBundle | None:
-    """The dataset cached in `cache` if it was built from this config and seed;
-    None if there is none (an older .npy layout counts as none) or it is stale.
-    A cache that cannot be loaded raises DataError naming its file."""
+def _cached_bundle(cache: Path, key: dict) -> DatasetBundle | None:
+    """The dataset cached in `cache` if its meta is `key`, the hash of the
+    config's data section and the seed; None if there is none (an older .npy
+    layout counts as none) or it is stale. A cache that cannot be loaded
+    raises DataError naming its file."""
     if not (cache / CACHE_FILE).exists():
         return None
     bundle, metadata = load_bundle(cache)
-    return bundle if metadata.get("meta") == {"config_hash": chash, "seed": seed} else None
+    return bundle if metadata.get("meta") == key else None
 
 
 def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> DatasetBundle:
     """The cached dataset if it matches this config, else a freshly built one."""
-    cached = _cached_bundle(_cache_dir(out, seed), config_hash(cfg), seed)
+    cached = _cached_bundle(_cache_dir(out, seed), {"data_hash": data_hash(cfg), "seed": seed})
     return cached if cached is not None else build_bundle(cfg, seed)
 
 
 def cmd_prepare(cfg: RunConfig, out: Path, seeds) -> int:
-    chash = config_hash(cfg)
+    dhash = data_hash(cfg)
     for seed in seeds:
-        cache = _cache_dir(out, seed)
+        cache, key = _cache_dir(out, seed), {"data_hash": dhash, "seed": seed}
         try:
-            if _cached_bundle(cache, chash, seed) is not None:
+            if _cached_bundle(cache, key) is not None:
                 print(f"seed {seed}: cache up to date at {cache}")
                 continue
         except DataError as exc:
             print(f"seed {seed}: cache at {cache} is damaged ({exc}); rebuilding it")
         bundle = build_bundle(cfg, seed)
-        save_bundle(cache, bundle, meta={"config_hash": chash, "seed": seed})
+        save_bundle(cache, bundle, meta=key)
         dims = {
             k: (v.cat.shape[1], v.num.shape[1])
             for k, v in bundle.train.parties.items()
@@ -116,7 +117,7 @@ def cmd_pretrain(cfg: RunConfig, out: Path, seeds, passive_only: bool) -> int:
 
 def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
     chash = config_hash(cfg)
-    modes = [TrainMode.parse(m) for m in ([mode_name] if mode_name else cfg.grid.modes)]
+    modes = [TrainMode.parse(m) for m in (cfg.grid.modes if mode_name is None else [mode_name])]
     need_active, need_passive = pretrained_needs(modes, cfg.downstream.warm_start_active)
     loaded = []  # every seed's checkpoints are read before the first cell trains
     for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
@@ -263,8 +264,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--seed must be non-negative")
         # --seed selects the one seed to run; the config, and so its hash, stay
         seeds = cfg.grid.seeds if args.seed is None else (args.seed,)
-        if getattr(args, "mode", None):
-            TrainMode.parse(args.mode)  # fail fast on typos
+        if getattr(args, "mode", None) is not None:
+            TrainMode.parse(args.mode)  # fail fast on typos, an empty name too
         out = _resolve_out(cfg, args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

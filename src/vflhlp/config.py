@@ -257,12 +257,21 @@ def to_dict(cfg: RunConfig) -> dict:
     return out
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(cfg: RunConfig) -> str:
-    return json.dumps(to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    return _canonical(to_dict(cfg))
 
 
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
+
+
+def data_hash(cfg: RunConfig) -> str:
+    """sha256 of the data section's canonical JSON; with the seed, a dataset's cache key."""
+    return hashlib.sha256(_canonical(to_dict(cfg)["data"]).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -484,7 +484,7 @@ def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: st
     """
     active = pre.active
     if active is not None:
-        tensors = _tensors({"encoder": active.build_encoder(), "head": active.build_head()})
+        tensors = _tensors({"encoder": active.encoder, "head": active.head})
         meta = {
             "stage": "active-pretrain",
             "party": 1,

@@ -27,7 +27,7 @@ import functools
 import hashlib
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .errors import ConfigError, SchemaError, TrainingError, UndefinedMetricErro
 from .metrics import auc
 from .nn import (
     Mlp,
-    ParamLayout,
     TabularEncoder,
     bce_with_logits,
     check_labels,
@@ -293,13 +292,12 @@ class Federation(ModelSet):
 
     `anchored` holds the entries of `theta` that the constraint pulls: party
     1's encoder ("encoder"), and the head's weight columns over party 1's
-    block, then its bias ("head"). `anchors` holds their pre-trained values
-    in that order, or None when neither anchor is given (one without the
-    other is a SchemaError): encoder_anchor is the active party's pre-trained
-    encoder as one flat vector (its `theta`, SchemaError unless it has party
-    1's size), head_anchor the pre-trained head's "weight" [1, rep_dim of
-    party 1] and "bias" [1]. A round is constrained exactly when the
-    Federation holds anchors.
+    block, then its bias ("head"). `anchors` holds copies of their
+    pre-trained values in that order, or None without an `anchor`: the
+    `ActivePretrained` model's encoder theta and its head theta, the head's
+    [1, rep_dim] weight and then its bias. The anchor's spec must be party
+    1's (SchemaError). A round is constrained exactly when the Federation
+    holds anchors.
 
     What a round reads is laid out once, here: `parties` lists each party's
     (id, encoder, block of the head input) in id order, and every model
@@ -314,8 +312,7 @@ class Federation(ModelSet):
         eta1: float,
         eta2: float,
         optimizer: str = "adam",
-        encoder_anchor: np.ndarray | None = None,
-        head_anchor: dict[str, np.ndarray] | None = None,
+        anchor: ActivePretrained | None = None,
     ):
         ids = sorted(encoders)
         super().__init__({"head": head, **{f"party{k}": encoders[k] for k in ids}})
@@ -350,21 +347,12 @@ class Federation(ModelSet):
             "head": self.spans["head"].start + np.r_[sl.start : sl.stop, in_dim],
         }
         self.anchors: dict[str, np.ndarray] | None = None
-        if (encoder_anchor is None) != (head_anchor is None):
-            missing = "encoder_anchor" if encoder_anchor is None else "head_anchor"
-            raise SchemaError(f"the constraint needs both anchors; {missing} is missing")
-        if encoder_anchor is not None:
-            encoder_anchor = np.array(encoder_anchor, dtype=np.float64).ravel()
-            size = self.encoders[1].layout.size
-            if encoder_anchor.size != size:
-                raise SchemaError(f"encoder_anchor has {encoder_anchor.size} entries; "
-                                  f"party 1's encoder has {size}")
-            self.anchors = {
-                "encoder": encoder_anchor,
-                "head": ParamLayout(
-                    {"weight": (1, self.encoders[1].rep_dim), "bias": (1,)}
-                ).flatten(head_anchor),
-            }
+        if anchor is not None:
+            if anchor.spec != self.encoders[1].spec:
+                raise SchemaError(f"the anchor's encoder spec {anchor.spec} is not "
+                                  f"party 1's {self.encoders[1].spec}")
+            self.anchors = {"encoder": anchor.encoder.theta.copy(),
+                            "head": anchor.head.theta.copy()}
 
     def forward_backward(self, cat, num, labels, record=None, round_index: int = 0) -> float:
         """One batch through every model and back, the step every trainer takes;
@@ -489,30 +477,26 @@ class DownstreamConfig:
 
 @dataclass
 class ActivePretrained:
-    """Frozen weights from the active party's local run.
-
-    encoder_params and head_params are deep copies taken at the best
-    validation-AUC epoch (or the last epoch when validation AUC was
-    undefined, flagged by degenerate_validation).
-    """
+    """The active party's model from its local run, built once: `encoder` and
+    its linear `head`, [rep_dim, 1], hold copies of encoder_params and
+    head_params, the best validation-AUC epoch's (or the last epoch's when
+    validation AUC was undefined, flagged by degenerate_validation)."""
 
     spec: EncoderSpec
-    encoder_params: dict[str, np.ndarray]
-    head_params: dict[str, np.ndarray]
+    encoder_params: InitVar[dict[str, np.ndarray]]
+    head_params: InitVar[dict[str, np.ndarray]]
     best_epoch: int
     val_auc: float | None
     degenerate_validation: bool
     loss_trace: list[float] = field(default_factory=list)
+    encoder: TabularEncoder = field(init=False)
+    head: Mlp = field(init=False)
 
-    def build_encoder(self) -> TabularEncoder:
-        enc = self.spec.build_empty()
-        enc.set_params(self.encoder_params)
-        return enc
-
-    def build_head(self) -> Mlp:
-        head = Mlp([self.spec.rep_dim, 1])
-        head.set_params(self.head_params)
-        return head
+    def __post_init__(self, encoder_params, head_params):
+        self.encoder = self.spec.build_empty()
+        self.encoder.set_params(encoder_params)
+        self.head = Mlp([self.spec.rep_dim, 1])
+        self.head.set_params(head_params)
 
 
 @dataclass
@@ -574,7 +558,8 @@ def train_downstream(
 
     Every encoder is first drawn fresh from its init stream and then
     overwritten where the mode warm-starts, so two modes that differ only in
-    warm starts see byte-identical randomness everywhere else. A
+    warm starts see byte-identical randomness everywhere else. A constrained
+    mode anchors the Federation to `pretrained.active`. A
     val_fraction slice of the aligned set is held out for the per-epoch AUC
     in the history; final weights are the last epoch's (no early stopping).
     local_a is no split training and is refused (ConfigError): it trains with
@@ -597,22 +582,14 @@ def train_downstream(
         if k > 1 and mode.warm_starts_passive:
             encoder.set_params(pretrained.passive[k].params())
         if k == 1 and cfg.warm_start_active:
-            encoder.set_params(pretrained.active.encoder_params)
+            encoder.set_params(pretrained.active.encoder.params())
         encoders[k] = encoder
     head = Mlp.init(
         stream(seed, "downstream", "init-head"),
         [sum(specs[k].rep_dim for k in party_ids), 1],
     )
-    encoder_anchor = head_anchor = None
-    if mode.uses_constraint:
-        active = pretrained.active
-        encoder_anchor = active.build_encoder().theta
-        head_anchor = {
-            "weight": active.head_params["0.weight"],
-            "bias": active.head_params["0.bias"],
-        }
     fed = Federation(encoders, head, cfg.beta, cfg.eta1, cfg.eta2, cfg.optimizer,
-                     encoder_anchor, head_anchor)
+                     pretrained.active if mode.uses_constraint else None)
 
     check_labels(ds.labels_for(aligned))
     n_val = int(round(cfg.val_fraction * aligned.size))

@@ -120,10 +120,9 @@ def train_local(
         {"epoch": i + 1, "loss": loss, "loss_vfl": loss, "loss_cons": 0.0, "val_auc": None}
         for i, loss in enumerate(model.loss_trace)
     ]
-    return TrainedFederation(TrainMode.LOCAL_A, {1: model.build_encoder()},
-                             model.build_head(), history)
+    return TrainedFederation(TrainMode.LOCAL_A, {1: model.encoder}, model.head, history)
 
 
 def local_predict(model: ActivePretrained, cat: np.ndarray, num: np.ndarray) -> np.ndarray:
     """Scores from the active party's local model alone."""
-    return federated_predict({1: model.build_encoder()}, model.build_head(), {1: cat}, {1: num})
+    return federated_predict({1: model.encoder}, model.head, {1: cat}, {1: num})

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vflhlp.data import AlignedBatch, SynthConfig, VerticalDataset, synth_generate
-from vflhlp.federated import Federation, TransportLog, run_round
+from vflhlp.federated import ActivePretrained, Federation, TransportLog, run_round
 from vflhlp.nn import EncoderSpec, Mlp, TabularEncoder
 from vflhlp.rng import stream
 
@@ -124,14 +124,32 @@ def fresh_models(specs, seed: int, head_seed_path: tuple = ("head",)):
     return encoders, Mlp.init(stream(seed, *head_seed_path), [rep_dim, 1])
 
 
+def anchor_model(spec: EncoderSpec, rng: np.random.Generator | None = None,
+                 encoder=None, head=None) -> ActivePretrained:
+    """An ActivePretrained over `spec` whose encoder theta is `encoder` and
+    head theta `head` (the head's [1, rep_dim] weight, then its bias). What is
+    not given is drawn from `rng`: the encoder as `spec.build` draws it, then
+    the head's weight and its bias, standard normal."""
+    if encoder is None:
+        encoder = spec.build(rng).theta
+    if head is None:
+        weight = rng.standard_normal((1, spec.rep_dim))
+        head = np.concatenate([weight.ravel(), rng.standard_normal(1)])
+    return ActivePretrained(
+        spec=spec,
+        encoder_params=spec.build_empty().layout.views(np.asarray(encoder, np.float64)),
+        head_params=Mlp([spec.rep_dim, 1]).layout.views(np.asarray(head, np.float64)),
+        best_epoch=0, val_auc=None, degenerate_validation=False,
+    )
+
+
 def build_federation(ds: VerticalDataset, specs, beta: float, seed: int,
                      optimizer: str = "adam", eta1: float = 1e-3,
-                     eta2: float = 1e-3, encoder_anchor=None, head_anchor=None,
+                     eta2: float = 1e-3, anchor: ActivePretrained | None = None,
                      head_seed_path: tuple = ("head",)) -> Federation:
-    """A Federation over `fresh_models`."""
+    """A Federation over `fresh_models`, anchored to `anchor` when given."""
     encoders, head = fresh_models(specs, seed, head_seed_path)
-    return Federation(encoders, head, beta, eta1, eta2, optimizer,
-                      encoder_anchor, head_anchor)
+    return Federation(encoders, head, beta, eta1, eta2, optimizer, anchor)
 
 
 class NoStep:

@@ -45,6 +45,7 @@ from vflhlp.ssl_pretrain import SslConfig, info_nce, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active
 
 from conftest import (
+    anchor_model,
     build_federation,
     draw_encoder_inputs,
     encoder_away_from_kinks,
@@ -127,33 +128,27 @@ def _random_federation(index: int):
     }
     rep_dim = sum(spec.rep_dim for spec in specs.values())
     head = Mlp.init(stream(index, "acceptance", "head"), [rep_dim, 1])
-    anchor_rng = stream(index, "acceptance", "anchor")
-    enc_anchor = specs[1].build(anchor_rng).theta
-    head_anchor = {
-        "weight": anchor_rng.standard_normal((1, specs[1].rep_dim)),
-        "bias": anchor_rng.standard_normal(1),
-    }
+    anchor = anchor_model(specs[1], stream(index, "acceptance", "anchor"))
 
     batch = AlignedBatch(ids=np.arange(6), cat=cat, num=num, labels=labels)
     n_params = sum(p.size for encoder in encoders.values()
                    for p in encoder.params().values())
     n_params += sum(p.size for p in head.params().values())
     assert n_params <= 5000, n_params
-    return encoders, head, batch, enc_anchor, head_anchor
+    return encoders, head, batch, anchor
 
 
 def test_criterion_1_analytic_gradients_match_finite_differences():
     started = time.perf_counter()
     worst = 0.0
     for index in range(20):
-        encoders, head, batch, enc_anchor, head_anchor = _random_federation(index)
+        encoders, head, batch, anchor = _random_federation(index)
         variants = [("task loss", 0.0, False)]
         variants += [("full objective", beta, True) for beta in (0.0, 0.1, 10.0)]
         for label, beta, anchored in variants:
             fed = Federation(
                 encoders, head, beta, eta1=1e-3, eta2=1e-3, optimizer="sgd",
-                encoder_anchor=enc_anchor if anchored else None,
-                head_anchor=head_anchor if anchored else None,
+                anchor=anchor if anchored else None,
             )
             loss_fn, grads_fn, params = round_loss_setup(fed, batch)
             err = grad_check(loss_fn, grads_fn, params)

@@ -24,7 +24,7 @@ from vflhlp.nn import Mlp
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import contrastive_batch
 
-from conftest import build_federation, small_spec
+from conftest import anchor_model, build_federation, small_spec
 
 # (Python-level calls, C-level calls) at most, per unit
 BUDGETS = {
@@ -69,11 +69,10 @@ def test_a_round_keeps_its_call_budget(tiny_bundle, mode):
     # the Federation holds anchors exactly in a constrained mode, as in a cell
     train = tiny_bundle.train
     specs = {k: _spec() for k in (1, 2, 3)}
-    anchors = {}
+    anchor = None
     if mode.uses_constraint:
-        anchors = {"encoder_anchor": specs[1].build(stream(3, "anchor")).theta,
-                   "head_anchor": {"weight": np.zeros((1, 4)), "bias": np.zeros(1)}}
-    fed = build_federation(train, specs, beta=0.5, seed=3, optimizer="sgd", **anchors)
+        anchor = anchor_model(specs[1], stream(3, "anchor"), head=np.zeros(5))
+    fed = build_federation(train, specs, beta=0.5, seed=3, optimizer="sgd", anchor=anchor)
     pool = train.gather(train.aligned_ids(40))
     pool.cat = {k: fed.encoders[k].resolve(cat) for k, cat in pool.cat.items()}
     batch = sample_aligned_batches(pool, 8, 3, 1)[0]

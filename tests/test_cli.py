@@ -15,7 +15,7 @@ import pytest
 
 from vflhlp import cli, evaluation, federated
 from vflhlp.cli import main
-from vflhlp.config import config_hash, encoder_specs, load_config
+from vflhlp.config import config_hash, data_hash, encoder_specs, load_config
 from vflhlp.data import load_bundle
 from vflhlp.nn import load_checkpoint, save_checkpoint
 
@@ -88,16 +88,55 @@ def test_prepare_builds_then_reuses_the_cache(cfg_path, out, capsys):
 def test_prepare_rebuilds_when_the_config_changes(cfg_path, out, tmp_path, capsys):
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
     path = out / "cache" / "seed7" / "dataset.ckpt"
-    first_hash = load_checkpoint(path)[1]["meta"]["config_hash"]
-    changed = dict(TINY, model={"embed_dim": 4, "encoder_hidden": [8, 4]})
+    first_hash = load_checkpoint(path)[1]["meta"]["data_hash"]
+    changed = dict(TINY, data={"synth": {**TINY["data"]["synth"], "n_test": 140}})
     cfg2 = tmp_path / "tiny2.json"
     cfg2.write_text(json.dumps(changed))
     capsys.readouterr()
     assert run("prepare", "--config", cfg2, "--out", out) == 0
     assert "up to date" not in capsys.readouterr().out
     meta = load_checkpoint(path)[1]["meta"]
-    assert meta["seed"] == 7  # the rewritten cache still names its seed
-    assert meta["config_hash"] != first_hash
+    assert meta == {"data_hash": data_hash(load_config(cfg2)), "seed": 7}
+    assert meta["data_hash"] != first_hash
+
+
+def _spy_on_build_bundle(monkeypatch) -> list[int]:
+    """The seeds `cli.build_bundle` is called with from now on."""
+    built, build = [], cli.build_bundle
+
+    def spy(c, seed):
+        built.append(seed)
+        return build(c, seed)
+
+    monkeypatch.setattr(cli, "build_bundle", spy)
+    return built
+
+
+def test_a_cache_outlives_changes_outside_the_data_section(cfg_path, out, tmp_path,
+                                                          monkeypatch):
+    # a dataset is built from the data section and the seed alone, so a
+    # training setting or the output_dir leaves its cache current
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    changed = dict(TINY, supervised={**TINY["supervised"], "epochs": 1},
+                   output_dir=str(tmp_path / "elsewhere"))
+    cfg2 = tmp_path / "tiny2.json"
+    cfg2.write_text(json.dumps(changed))
+    built = _spy_on_build_bundle(monkeypatch)
+    assert run("pretrain", "--config", cfg2, "--out", out) == 0
+    assert built == []
+
+
+def test_a_cache_stamped_with_the_config_hash_is_stale(cfg_path, out, capsys):
+    # older versions keyed a cache by the whole config's hash
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    path = out / "cache" / "seed7" / "dataset.ckpt"
+    tensors, metadata = load_checkpoint(path)
+    old_meta = {"config_hash": config_hash(load_config(cfg_path)), "seed": 7}
+    save_checkpoint(path, tensors, {**metadata, "meta": old_meta})
+    capsys.readouterr()
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert load_checkpoint(path)[1] == metadata
 
 
 # ------------------------------------------------------------------ pretrain
@@ -209,13 +248,7 @@ def test_a_seed_flag_keeps_the_config_hash_and_reuses_the_cache(tmp_path, out, m
     cfg = tmp_path / "two-seeds.json"
     cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "seeds": [7, 8]}}))
     assert run("prepare", "--config", cfg, "--out", out) == 0
-    built, build = [], cli.build_bundle
-
-    def spy(c, seed):
-        built.append(seed)
-        return build(c, seed)
-
-    monkeypatch.setattr(cli, "build_bundle", spy)
+    built = _spy_on_build_bundle(monkeypatch)
     assert run("pretrain", "--config", cfg, "--out", out, "--seed", "7", "--passive-only") == 0
     assert built == []  # the cache that prepare wrote is current for --seed 7
     _, meta = load_checkpoint(out / "checkpoints" / "seed7" / "passive2.ckpt")
@@ -714,6 +747,13 @@ def test_usage_and_config_errors_use_exit_code_two(cfg_path, tmp_path, capsys):
     assert run("train", "--config", tmp_path / "missing.json") == 2
     assert run("train", "--config", cfg_path, "--mode", "warp-drive") == 2
     assert run("grid", "--config", cfg_path, "--seed", "-1") == 2
+
+
+def test_an_empty_mode_is_a_usage_error(cfg_path, out, capsys):
+    # an empty --mode names no mode; it does not stand for the config's list
+    assert run("train", "--config", cfg_path, "--out", out, "--mode", "") == 2
+    assert "unknown mode ''" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):

@@ -6,6 +6,7 @@ it to float tolerance. Constraint math is checked against a naive sum,
 and the transport log is audited for raw-column leaks.
 """
 import ast
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -45,7 +46,8 @@ from vflhlp.ssl_pretrain import SslConfig, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active, train_local
 
 from conftest import (
-    NoStep, build_federation, fresh_models, round_loss_setup, small_spec, tiny_synth_config,
+    NoStep, anchor_model, build_federation, fresh_models, round_loss_setup, small_spec,
+    tiny_synth_config,
 )
 from gradcheck import grad_check
 
@@ -128,12 +130,11 @@ def test_total_loss_beta_zero_is_bitwise_identity(tiny_bundle, specs3):
     # them, at any beta, it reports no constraint and its loss is the task
     # loss; with them at beta 0, the constraint is reported but adds nothing
     train, batch = _round_batch(tiny_bundle, count=16)
-    anchors = {"encoder_anchor": specs3[1].build(stream(42, "anchor")).theta,
-               "head_anchor": {"weight": np.ones((1, 4)), "bias": np.ones(1)}}
+    anchor = anchor_model(specs3[1], stream(42, "anchor"), head=np.ones(5))
     plain = run_round(build_federation(train, specs3, beta=0.5, seed=42),
                       batch, 0, TransportLog())
     assert plain.loss_cons == 0.0 and plain.loss.hex() == plain.loss_vfl.hex()
-    pulled = run_round(build_federation(train, specs3, beta=0.0, seed=42, **anchors),
+    pulled = run_round(build_federation(train, specs3, beta=0.0, seed=42, anchor=anchor),
                        batch, 0, TransportLog())
     assert pulled.loss_cons > 1.0  # the anchors are far from the fresh weights
     assert pulled.loss.hex() == pulled.loss_vfl.hex() == plain.loss_vfl.hex()
@@ -401,15 +402,7 @@ def test_round_gradients_match_fd_unconstrained(tiny_bundle, specs3):
 
 def test_round_gradients_match_fd_with_constraint(tiny_bundle, specs3, pretrained):
     train, batch = _round_batch(tiny_bundle, count=12)
-    anchors = pretrained.active.build_encoder().theta
-    head_anchor = {
-        "weight": pretrained.active.head_params["0.weight"].copy(),
-        "bias": pretrained.active.head_params["0.bias"].copy(),
-    }
-    fed = build_federation(
-        train, specs3, beta=0.7, seed=3,
-        encoder_anchor=anchors, head_anchor=head_anchor,
-    )
+    fed = build_federation(train, specs3, beta=0.7, seed=3, anchor=pretrained.active)
     loss_fn, grads_fn, params = round_loss_setup(fed, batch)
     assert grad_check(loss_fn, grads_fn, params) < 1e-4
 
@@ -427,32 +420,18 @@ def test_round_collected_grad_names(tiny_bundle, specs3):
         assert f"party{k}.embed.c0" in names
 
 
-@pytest.mark.parametrize("given", ["encoder", "head"])
-def test_one_anchor_without_the_other_gives_no_anchors(tiny_bundle, specs3, given):
-    # the constraint needs both anchors, so one without the other fails when
-    # the federation is built, naming the missing one; neither gives none
-    train, batch = _round_batch(tiny_bundle, count=10)
-    anchors = {"encoder_anchor": specs3[1].build(stream(5, "anchor")).theta,
-               "head_anchor": {"weight": np.zeros((1, 4)), "bias": np.zeros(1)}}
-    missing = "head" if given == "encoder" else "encoder"
-    with pytest.raises(SchemaError, match=f"both anchors; {missing}_anchor is missing"):
-        build_federation(train, specs3, beta=0.5, seed=5,
-                         **{f"{given}_anchor": anchors[f"{given}_anchor"]})
-    assert set(build_federation(train, specs3, beta=0.5, seed=5, **anchors).anchors) == {
-        "encoder", "head"}
-    fed = build_federation(train, specs3, beta=0.5, seed=5)
-    assert fed.anchors is None
-    assert run_round(fed, batch, 0, TransportLog()).loss_cons == 0.0
+# party 1's spec in specs3, and one with a wider hidden layer: the same rep_dim
+PARTY_SPEC = small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
+OTHER_SPEC = replace(PARTY_SPEC, hidden=(9, 4))
 
 
 @pytest.mark.parametrize("damage, fragment", [
     ("head-input-dim", "head input dim 13 does not match total representation dim 12"),
     ("head-output-dim", "the head must output one logit, got 2"),
-    ("encoder-anchor-size", "encoder_anchor has 109 entries; party 1's encoder has 110"),
-    ("head-anchor-shape", r"parameter 'weight' has shape \(4, 1\), expected \(1, 4\)"),
+    ("anchor-spec",
+     re.escape(f"the anchor's encoder spec {OTHER_SPEC} is not party 1's {PARTY_SPEC}")),
     ("head-hidden-layer", r"the head must be linear \(one layer\), got dims \[12, 6, 1\]"),
-], ids=["head-input-dim", "head-output-dim", "encoder-anchor-size", "head-anchor-shape",
-        "head-hidden-layer"])
+], ids=["head-input-dim", "head-output-dim", "anchor-spec", "head-hidden-layer"])
 def test_a_federation_checks_its_head_and_anchors_when_built(specs3, damage, fragment):
     encoders, head = fresh_models(specs3, 14)
     if damage == "head-input-dim":
@@ -461,14 +440,10 @@ def test_a_federation_checks_its_head_and_anchors_when_built(specs3, damage, fra
         head = Mlp.init(stream(14, "head"), [12, 2])
     if damage == "head-hidden-layer":
         head = Mlp.init(stream(14, "head"), [12, 6, 1])
-    encoder_anchor = encoders[1].theta.copy()
-    head_anchor = {"weight": np.zeros((1, specs3[1].rep_dim)), "bias": np.zeros(1)}
-    if damage == "encoder-anchor-size":
-        encoder_anchor = encoder_anchor[:-1]
-    if damage == "head-anchor-shape":
-        head_anchor["weight"] = head_anchor["weight"].T
+    spec = OTHER_SPEC if damage == "anchor-spec" else specs3[1]
+    anchor = anchor_model(spec, stream(14, "anchor"))
     with pytest.raises(SchemaError, match=fragment):
-        Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", encoder_anchor, head_anchor)
+        Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", anchor)
 
 
 def test_the_head_anchor_is_party_1s_weight_columns_then_the_bias():
@@ -477,14 +452,11 @@ def test_the_head_anchor_is_party_1s_weight_columns_then_the_bias():
     specs = {k: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, d))
              for k, d in ((1, 4), (2, 2), (3, 3))}
     encoders, head = fresh_models(specs, 16)
-    head_anchor = {"weight": np.arange(4.0)[None], "bias": np.array([-1.0])}
-    fed = Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", encoders[1].theta, head_anchor)
+    anchor = anchor_model(specs[1], encoder=encoders[1].theta, head=[0.0, 1.0, 2.0, 3.0, -1.0])
+    fed = Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", anchor)
     start = fed.spans["head"].start
     assert fed.anchored["head"].tolist() == [start + i for i in (0, 1, 2, 3, 9)]
     assert fed.anchors["head"].tolist() == [0.0, 1.0, 2.0, 3.0, -1.0]
-    head_anchor["weight"] = np.zeros((1, 2))
-    with pytest.raises(SchemaError, match=r"'weight' has shape \(1, 2\), expected \(1, 4\)"):
-        Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", encoders[1].theta, head_anchor)
 
 
 def test_a_federation_copies_the_models_it_is_built_from(tiny_bundle, specs3):
@@ -509,19 +481,12 @@ def test_first_round_constraint_is_zero_when_started_at_anchors(
     tiny_bundle, specs3, pretrained
 ):
     train, batch = _round_batch(tiny_bundle, count=20)
-    anchors = pretrained.active.build_encoder().theta
-    head_anchor = {
-        "weight": pretrained.active.head_params["0.weight"].copy(),
-        "bias": pretrained.active.head_params["0.bias"].copy(),
-    }
-    fed = build_federation(
-        train, specs3, beta=2.0, seed=6,
-        encoder_anchor=anchors, head_anchor=head_anchor,
-    )
-    fed.encoders[1].set_params(pretrained.active.encoder_params)
+    active = pretrained.active
+    fed = build_federation(train, specs3, beta=2.0, seed=6, anchor=active)
+    fed.encoders[1].set_params(active.encoder.params())
     sl = fed.rep_slices[1]
-    fed.head.params()["0.weight"][:, sl] = head_anchor["weight"]
-    fed.head.params()["0.bias"][:] = head_anchor["bias"]
+    fed.head.params()["0.weight"][:, sl] = active.head.params()["0.weight"]
+    fed.head.params()["0.bias"][:] = active.head.params()["0.bias"]
     fed.optimizer = NoStep()
     stats = run_round(fed, batch, 0, TransportLog())
     assert stats.loss_cons == 0.0
@@ -575,13 +540,9 @@ def test_a_gradient_only_round_leaves_no_trace(tiny_bundle, specs3, pretrained, 
     train = tiny_bundle.train
     ids = train.aligned_ids(24)
     batches = [train.gather(ids[i : i + 8]) for i in (0, 8, 16)]
-    anchors = {"encoder_anchor": pretrained.active.build_encoder().theta,
-               "head_anchor": {"weight": pretrained.active.head_params["0.weight"].copy(),
-                               "bias": pretrained.active.head_params["0.bias"].copy()}}
-
     def trained(gradient_only_between: bool) -> tuple[bytes, int]:
         fed = build_federation(train, specs3, beta=beta, seed=14,
-                               **(anchors if anchored else {}))
+                               anchor=pretrained.active if anchored else None)
         run_round(fed, batches[0], 0, TransportLog())
         if gradient_only_between:
             theta, kept, optimizer = fed.theta.copy(), fed.grad.copy(), fed.optimizer
@@ -825,7 +786,7 @@ def test_warm_starts_land_where_the_mode_says(tiny_bundle, specs3, pretrained):
     warm = train_downstream(train, specs3, TrainMode.VFLHLP, pretrained,
                             _dcfg(epochs=0, warm_start_active=True), 13, 40)
     for name, arr in warm.encoders[1].params().items():
-        np.testing.assert_array_equal(arr, pretrained.active.encoder_params[name])
+        np.testing.assert_array_equal(arr, pretrained.active.encoder.params()[name])
 
 
 def test_huge_beta_clamps_active_party_to_anchor(tiny_bundle, specs3, pretrained):
@@ -835,7 +796,7 @@ def test_huge_beta_clamps_active_party_to_anchor(tiny_bundle, specs3, pretrained
         _dcfg(beta=1e6, epochs=8, warm_start_active=True), 13, 60,
     )
     for name, arr in out.encoders[1].params().items():
-        drift = np.abs(arr - pretrained.active.encoder_params[name]).max()
+        drift = np.abs(arr - pretrained.active.encoder.params()[name]).max()
         assert drift < 1e-2, f"{name} drifted {drift}"
     # passive parties are unconstrained and must actually move
     moved = max(
@@ -910,7 +871,7 @@ def test_local_mode_returns_local_model(tiny_bundle, specs3):
         SupConfig(epochs=2, batch_size=128, learning_rate=1e-3), seed=13,
     )
     for name, arr in out.encoders[1].params().items():
-        np.testing.assert_array_equal(arr, direct.encoder_params[name])
+        np.testing.assert_array_equal(arr, direct.encoder.params()[name])
     assert out.history == [
         {"epoch": i + 1, "loss": loss, "loss_vfl": loss, "loss_cons": 0.0, "val_auc": None}
         for i, loss in enumerate(direct.loss_trace)

@@ -19,7 +19,7 @@ from vflhlp.config import encoder_specs, parse_config
 from vflhlp.federated import TrainMode, TransportLog
 from vflhlp.rng import stream
 
-from conftest import build_federation, small_spec
+from conftest import anchor_model, build_federation, small_spec
 from test_cli import TINY
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -152,11 +152,10 @@ def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode, ste
     train = tiny_bundle.train
     specs = {p: small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
              for p in range(1, k + 1)}
-    anchors = {}
+    anchor = None
     if mode.uses_constraint:
-        anchors = {"encoder_anchor": specs[1].build(stream(9, "anchor")).theta,
-                   "head_anchor": {"weight": np.zeros((1, 4)), "bias": np.zeros(1)}}
-    fed = build_federation(train, specs, beta=0.5, seed=9, optimizer="sgd", **anchors)
+        anchor = anchor_model(specs[1], stream(9, "anchor"), head=np.zeros(5))
+    fed = build_federation(train, specs, beta=0.5, seed=9, optimizer="sgd", anchor=anchor)
     batch = train.gather(train.aligned_ids(16))
     t = tracer.Tracer("round-calls")
     t.install()

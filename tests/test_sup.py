@@ -28,10 +28,10 @@ def test_pretrain_active_is_deterministic(tiny_bundle):
     assert a.best_epoch == b.best_epoch
     assert a.val_auc == b.val_auc
     assert a.loss_trace == b.loss_trace
-    for name, arr in a.encoder_params.items():
-        np.testing.assert_array_equal(arr, b.encoder_params[name])
-    for name, arr in a.head_params.items():
-        np.testing.assert_array_equal(arr, b.head_params[name])
+    for name, arr in a.encoder.params().items():
+        np.testing.assert_array_equal(arr, b.encoder.params()[name])
+    for name, arr in a.head.params().items():
+        np.testing.assert_array_equal(arr, b.head.params()[name])
 
 
 def test_pretrain_active_learns_its_own_table(tiny_bundle):
@@ -66,7 +66,7 @@ def test_pretrain_active_without_validation_keeps_the_last_epoch(tiny_bundle, mo
     assert model.best_epoch == 3
     (net,) = nets
     encoder, head = net.encoders[1], net.head
-    for final, kept in ((encoder, model.encoder_params), (head, model.head_params)):
+    for final, kept in ((encoder, model.encoder.params()), (head, model.head.params())):
         assert set(kept) == set(final.params())
         for name, arr in final.params().items():
             np.testing.assert_array_equal(kept[name], arr)
@@ -89,10 +89,10 @@ def test_pretrain_active_snapshot_tracks_best_validation_prefix(tiny_bundle):
     if long.best_epoch <= 3:
         assert long.best_epoch == short.best_epoch
         assert long.val_auc == short.val_auc
-        for name, arr in long.encoder_params.items():
-            np.testing.assert_array_equal(arr, short.encoder_params[name])
-        for name, arr in long.head_params.items():
-            np.testing.assert_array_equal(arr, short.head_params[name])
+        for name, arr in long.encoder.params().items():
+            np.testing.assert_array_equal(arr, short.encoder.params()[name])
+        for name, arr in long.head.params().items():
+            np.testing.assert_array_equal(arr, short.head.params()[name])
 
 
 def test_pretrain_active_degenerate_validation_flag():

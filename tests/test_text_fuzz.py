@@ -84,7 +84,8 @@ def test_damaged_csvs_load_or_raise_data_errors(tmp_path):
 def test_damaged_manifests_load_or_raise_data_errors(tmp_path, tiny_bundle):
     # the dataset cache's metadata JSON, spliced back into dataset.ckpt
     cache = tmp_path / "cache"
-    save_bundle(cache, tiny_bundle, meta={"config_hash": "abc", "seed": 7})
+    key = {"data_hash": "abc", "seed": 7}
+    save_bundle(cache, tiny_bundle, meta=key)
     path = cache / "dataset.ckpt"
     raw = path.read_bytes()
     text = json.dumps(load_checkpoint(path)[1], indent=2, sort_keys=True)
@@ -93,7 +94,7 @@ def test_damaged_manifests_load_or_raise_data_errors(tmp_path, tiny_bundle):
         path.write_bytes(raw)
         splice_metadata(path, fuzzed.read_bytes())
         load_bundle(cache)
-        _cached_bundle(cache, "abc", 7)  # the CLI's cache check
+        _cached_bundle(cache, key)  # the CLI's cache check
 
     loaded = _fuzz(tmp_path, text, seed=3, load=load)
     assert 0 < loaded < 300
