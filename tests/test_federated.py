@@ -430,8 +430,11 @@ OTHER_SPEC = replace(PARTY_SPEC, hidden=(9, 4))
     ("head-output-dim", "the head must output one logit, got 2"),
     ("anchor-spec",
      re.escape(f"the anchor's encoder spec {OTHER_SPEC} is not party 1's {PARTY_SPEC}")),
+    ("encoder-anchor-size", r"parameter 'mlp\.1\.bias' has shape \(3,\), expected \(4,\)"),
+    ("head-anchor-shape", r"parameter '0\.weight' has shape \(4, 1\), expected \(1, 4\)"),
     ("head-hidden-layer", r"the head must be linear \(one layer\), got dims \[12, 6, 1\]"),
-], ids=["head-input-dim", "head-output-dim", "anchor-spec", "head-hidden-layer"])
+], ids=["head-input-dim", "head-output-dim", "anchor-spec", "encoder-anchor-size",
+        "head-anchor-shape", "head-hidden-layer"])
 def test_a_federation_checks_its_head_and_anchors_when_built(specs3, damage, fragment):
     encoders, head = fresh_models(specs3, 14)
     if damage == "head-input-dim":
@@ -442,7 +445,14 @@ def test_a_federation_checks_its_head_and_anchors_when_built(specs3, damage, fra
         head = Mlp.init(stream(14, "head"), [12, 6, 1])
     spec = OTHER_SPEC if damage == "anchor-spec" else specs3[1]
     anchor = anchor_model(spec, stream(14, "anchor"))
+    # an anchor's parameters are checked against its spec as it is built
+    encoder_params, head_params = anchor.encoder.params_copy(), anchor.head.params_copy()
+    if damage == "encoder-anchor-size":
+        encoder_params["mlp.1.bias"] = encoder_params["mlp.1.bias"][:-1]
+    if damage == "head-anchor-shape":
+        head_params["0.weight"] = head_params["0.weight"].T
     with pytest.raises(SchemaError, match=fragment):
+        anchor = replace(anchor, encoder_params=encoder_params, head_params=head_params)
         Federation(encoders, head, 0.5, 1e-3, 1e-3, "sgd", anchor)
 
 
