@@ -2,9 +2,9 @@
 
 One JSON file drives every stage. A file may name a preset and override
 any subset of keys; parsing is strict, unknown keys are errors. The config
-hash is the sha256 of the canonical serialized form and is stamped into
-caches, checkpoints and result files so artifacts can be traced back to
-the exact configuration that produced them.
+hash, the sha256 of the canonical serialized form without `output_dir`,
+stamps each checkpoint and result file with what computed it; a dataset
+cache is keyed by the hash of the `data` section.
 """
 from __future__ import annotations
 
@@ -266,7 +266,10 @@ def canonical_json(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
+    """sha256 of the canonical JSON but output_dir: where outputs go is not what makes them."""
+    body = to_dict(cfg)
+    del body["output_dir"]
+    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
 
 
 def data_hash(cfg: RunConfig) -> str:

@@ -23,7 +23,6 @@ baseline) runs the same method over a one-party Federation, without messages.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 from array import array
 from collections import namedtuple
@@ -66,16 +65,15 @@ class TrainMode(enum.Enum):
             f"{[m.value for m in cls]}"
         )
 
-    # cached: a round reads them, and an enum member lookup is slow
-    @functools.cached_property
+    @property
     def warm_starts_passive(self) -> bool:
         return self in (TrainMode.VFLHLP, TrainMode.VFLHLP_P)
 
-    @functools.cached_property
+    @property
     def uses_constraint(self) -> bool:
         return self in (TrainMode.VFLHLP, TrainMode.VFLHLP_A)
 
-    @functools.cached_property
+    @property
     def is_federated(self) -> bool:
         return self is not TrainMode.LOCAL_A
 

@@ -111,9 +111,6 @@ class FlatParams:
         """Live parameter arrays; writing into them writes into the model."""
         return dict(self._views)
 
-    def params_copy(self) -> dict[str, np.ndarray]:
-        return self.layout.views(self.theta.copy())
-
     def set_params(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite parameters in place; names and shapes must match exactly."""
         self.theta[...] = self.layout.flatten(values)

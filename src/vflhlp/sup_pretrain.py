@@ -75,7 +75,7 @@ def pretrain_active(
         raise DataError("no training rows left after validation split")
     val_cat, val_num = {1: cat_rows[val_rows]}, {1: view.num[val_rows]}
 
-    best: tuple[float | None, int, dict, dict] | None = None
+    best_auc, best_epoch, best_theta = None, cfg.epochs, None
     trace: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         order = stream(seed, "sup", "shuffle", epoch).permutation(train_rows.size)
@@ -93,15 +93,15 @@ def pretrain_active(
             raise TrainingError(f"local training loss non-finite at epoch {epoch}")
         if val_rows.size:
             score = validation_auc(fed.encoders, head, val_cat, val_num, labels[val_rows])
-            if score is not None and (best is None or score > best[0]):
-                best = (score, epoch, encoder.params_copy(), head.params_copy())
+            if score is not None and (best_auc is None or score > best_auc):
+                best_auc, best_epoch, best_theta = score, epoch, fed.theta.copy()
 
-    degenerate = best is None and cfg.epochs > 0 and val_rows.size > 0
-    if best is None:  # no usable validation signal: keep the final weights and say so
-        best = (None, cfg.epochs, encoder.params_copy(), head.params_copy())
-    val_score, best_epoch, enc_params, head_params = best
-    return ActivePretrained(spec=spec, encoder_params=enc_params, head_params=head_params,
-                            best_epoch=best_epoch, val_auc=val_score,
+    if best_theta is not None:
+        fed.theta[...] = best_theta
+    # no usable validation signal: the final weights stay, and the flag says so
+    degenerate = best_auc is None and cfg.epochs > 0 and val_rows.size > 0
+    return ActivePretrained(spec=spec, encoder_params=encoder.params(),
+                            head_params=head.params(), best_epoch=best_epoch, val_auc=best_auc,
                             degenerate_validation=degenerate, loss_trace=trace)
 
 

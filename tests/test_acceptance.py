@@ -179,7 +179,7 @@ def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
     clones = {}
     for k, encoder in fed.encoders.items():
         clones[k] = specs[k].build_empty()
-        clones[k].set_params(encoder.params_copy())
+        clones[k].set_params(encoder.params())
     head_clone = fed.head.__class__(fed.head.dims, fed.head.theta.copy())
     mono = Monolith(clones, head_clone, eta1=2e-3, eta2=1e-3)
 

@@ -256,6 +256,22 @@ def test_a_seed_flag_keeps_the_config_hash_and_reuses_the_cache(tmp_path, out, m
     assert not (out / "checkpoints" / "seed8").exists()
 
 
+def test_outputs_do_not_depend_on_the_output_dir(tmp_path, monkeypatch):
+    # the config hash that stamps checkpoints and result.json leaves
+    # output_dir out, so two runs that differ only there write the same bytes
+    monkeypatch.delenv("VFLHLP_OUT", raising=False)
+    trees = []
+    for name in ("a", "b"):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**TINY, "output_dir": str(tmp_path / name)}))
+        for argv in (["prepare"], ["pretrain"], ["train", "--mode", "vflhlp"]):
+            assert run(*argv, "--config", cfg) == 0
+        trees.append(tree_digest(tmp_path / name))
+    names = {Path(p).name for p in trees[0]}
+    assert {"active.ckpt", "passive2.ckpt", "final.ckpt", "result.json"} <= names
+    assert trees[0] == trees[1]
+
+
 def test_run_meta_keeps_one_record_per_command(cfg_path, out):
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
     assert run("train", "--config", cfg_path, "--out", out, "--mode", "vflhlp") == 4

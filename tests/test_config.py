@@ -428,15 +428,20 @@ def test_config_hash_tracks_content():
     assert config_hash(base) == config_hash(fixture_cfg())
     changed = fixture_cfg(downstream={"beta": 9.5})
     assert config_hash(changed) != config_hash(base)
+    # where the outputs go is not what computes them
+    moved = dataclasses.replace(base, output_dir="elsewhere")
+    assert canonical_json(moved) != canonical_json(base)
+    assert config_hash(moved) == config_hash(base)
 
 
-# every cache and checkpoint is stamped with the hash, so a change to the
-# canonical form orphans each one already written
+# the hash stamps each checkpoint, result.json and results.json, so a change
+# to its canonical form changes those outputs; nothing reads the stamp back,
+# and dataset caches are keyed by data_hash instead
 PINNED_HASHES = {
-    "fixture": "4bb122b380741bbf615b4ad7b9b101e136bee6b4c48bbce132f1a89bfe9dcd62",
-    "avazu-like": "f3a432ee601fc6140d7eb9ffebaa54f86000b80c0db5de166618b012c967d7e9",
-    "criteo-like": "a96ff7555faa1f887e99a5b28e22530d0193c1410f5588f0cb142872d7b03dfe",
-    "csv": "bca3ad63d5f5d66aba74717f7de9559af3590cd7a825ff64b36f0767de03b646",
+    "fixture": "2dabd57fd60e950e6af30f98b4baf5634568435279f7d527555ab5f5b331cfdb",
+    "avazu-like": "b5796bf4be1ff6ff02560a510edc09af067361e407710b5645a1074f15e4e1ec",
+    "criteo-like": "3ad2fe9749609eb752aa7442a06076616ad33d5c870ce56bbe3c2ae0d2824a1e",
+    "csv": "b47f3cb9015903fcc2eb4d7c61c75e24ce60c97c83ddf8705a5c8beed8ea7498",
 }
 
 

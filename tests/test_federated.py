@@ -446,7 +446,7 @@ def test_a_federation_checks_its_head_and_anchors_when_built(specs3, damage, fra
     spec = OTHER_SPEC if damage == "anchor-spec" else specs3[1]
     anchor = anchor_model(spec, stream(14, "anchor"))
     # an anchor's parameters are checked against its spec as it is built
-    encoder_params, head_params = anchor.encoder.params_copy(), anchor.head.params_copy()
+    encoder_params, head_params = anchor.encoder.params(), anchor.head.params()
     if damage == "encoder-anchor-size":
         encoder_params["mlp.1.bias"] = encoder_params["mlp.1.bias"][:-1]
     if damage == "head-anchor-shape":
@@ -509,7 +509,8 @@ def test_zero_head_weights_leave_parties_stationary_for_one_round(
     train, batch = _round_batch(tiny_bundle, count=20)
     fed = build_federation(train, specs3, beta=0.0, seed=7)
     fed.head.params()["0.weight"][:] = 0.0
-    before = {k: encoder.params_copy() for k, encoder in fed.encoders.items()}
+    before = {k: encoder.layout.views(encoder.theta.copy())
+              for k, encoder in fed.encoders.items()}
     bias_before = fed.head.params()["0.bias"].copy()
     run_round(fed, batch, 0, TransportLog())
     for k, encoder in fed.encoders.items():
@@ -617,7 +618,7 @@ def test_split_protocol_matches_monolith(tiny_bundle, specs3):
     clones = {}
     for k, encoder in fed.encoders.items():
         clones[k] = specs3[k].build_empty()
-        clones[k].set_params(encoder.params_copy())
+        clones[k].set_params(encoder.params())
     head_clone = fed.head.__class__(fed.head.dims, fed.head.theta.copy())
     mono = Monolith(clones, head_clone, eta1=2e-3, eta2=1e-3)
 

@@ -494,7 +494,7 @@ def test_an_encoder_with_one_wide_embeddings_passes_the_gradient_check():
 def test_encoder_set_params_rejects_bad_names_and_shapes():
     spec = small_spec()
     enc = spec.build(stream(7, "enc-set"))
-    good = enc.params_copy()
+    good = enc.layout.views(enc.theta.copy())
     bad_name = dict(good)
     bad_name["nope"] = bad_name.pop(sorted(bad_name)[0])
     with pytest.raises(SchemaError):
@@ -509,7 +509,7 @@ def test_build_empty_then_set_params_reproduces_encoder():
     spec = small_spec(n_cat=1, n_num=2)
     enc = spec.build(stream(8, "enc-copy"))
     clone = spec.build_empty()
-    clone.set_params(enc.params_copy())
+    clone.set_params(enc.params())
     cat, num = draw_encoder_inputs(stream(8, "inputs"), spec, 5)
     a, _ = enc.forward(cat, num)
     b, _ = clone.forward(cat, num)

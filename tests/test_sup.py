@@ -4,7 +4,7 @@ import pytest
 
 from vflhlp import sup_pretrain
 from vflhlp.data import PartyView
-from vflhlp.errors import ConfigError
+from vflhlp.errors import ConfigError, DataError, TrainingError
 from vflhlp.federated import Federation
 from vflhlp.metrics import auc
 from vflhlp.nn import Mlp, bce_with_logits, make_optimizer
@@ -74,39 +74,118 @@ def test_pretrain_active_without_validation_keeps_the_last_epoch(tiny_bundle, mo
 
 
 def test_pretrain_active_snapshot_tracks_best_validation_prefix(tiny_bundle):
-    # a shorter run with the same seed replays the same epochs, so the
-    # best-so-far AUC must be a running maximum across run lengths, and
-    # whenever the short run already contains the best epoch the long run
-    # must return exactly the same snapshot
+    # a shorter run with the same seed replays the same epochs, so a run that
+    # stops at the long run's best epoch ends on the weights the long run kept
     view = tiny_bundle.train.parties[1]
     labels = tiny_bundle.train.labels
-    short = pretrain_active(view, labels, _spec(),
-                            SupConfig(epochs=3, batch_size=64), seed=2)
     long = pretrain_active(view, labels, _spec(),
-                           SupConfig(epochs=6, batch_size=64), seed=2)
-    assert long.loss_trace[:3] == short.loss_trace
-    assert long.val_auc >= short.val_auc
-    if long.best_epoch <= 3:
-        assert long.best_epoch == short.best_epoch
-        assert long.val_auc == short.val_auc
-        for name, arr in long.encoder.params().items():
-            np.testing.assert_array_equal(arr, short.encoder.params()[name])
-        for name, arr in long.head.params().items():
-            np.testing.assert_array_equal(arr, short.head.params()[name])
+                           SupConfig(epochs=10, batch_size=64), seed=2)
+    assert long.best_epoch < 10  # the kept epoch is not the last one
+    exact = pretrain_active(view, labels, _spec(),
+                            SupConfig(epochs=long.best_epoch, batch_size=64), seed=2)
+    assert long.loss_trace[:long.best_epoch] == exact.loss_trace
+    assert long.best_epoch == exact.best_epoch
+    assert long.val_auc == exact.val_auc
+    assert np.array_equal(long.encoder.theta, exact.encoder.theta)
+    assert np.array_equal(long.head.theta, exact.head.theta)
 
 
-def test_pretrain_active_degenerate_validation_flag():
+def _local_view(n: int) -> PartyView:
+    """An active party's table of n rows that _spec() fits."""
     rng = stream(30, "degenerate")
-    n = 60
     ids = np.arange(n, dtype=np.int64)
     cat = rng.integers(1, 6, size=(n, 1)).astype(np.int64)
     num = rng.uniform(size=(n, 3))
-    view = PartyView(party_id=1, ids=ids, cat=cat, num=num,
+    return PartyView(party_id=1, ids=ids, cat=cat, num=num,
                      cat_fields=(("c0", 6),), num_fields=("n0", "n1", "n2"))
-    labels = np.ones(n)  # single class everywhere, AUC never defined
-    model = pretrain_active(view, labels, _spec(), SupConfig(epochs=2), seed=0)
+
+
+def test_pretrain_active_degenerate_validation_flag():
+    labels = np.ones(60)  # single class everywhere, AUC never defined
+    for epochs in (1, 2):
+        model = pretrain_active(_local_view(60), labels, _spec(), SupConfig(epochs=epochs),
+                                seed=0)
+        assert model.degenerate_validation
+        assert model.val_auc is None
+    # one validation row: both classes are there, but no AUC on the held-out row
+    model = pretrain_active(_local_view(10), np.arange(10) % 2.0, _spec(),
+                            SupConfig(epochs=1, val_fraction=0.1), seed=0)
     assert model.degenerate_validation
-    assert model.val_auc is None
+
+
+def test_pretrain_active_needs_a_training_row():
+    view, labels = _local_view(4), np.array([0.0, 1.0, 0.0, 1.0])
+    # round(0.9 * 4) = 4 rows held out leave nothing to train on
+    with pytest.raises(DataError, match="no training rows"):
+        pretrain_active(view, labels, _spec(), SupConfig(epochs=1, val_fraction=0.9), seed=0)
+    # round(0.7 * 4) = 3 rows held out leave one
+    model = pretrain_active(view, labels, _spec(), SupConfig(epochs=1, val_fraction=0.7),
+                            seed=0)
+    assert len(model.loss_trace) == 1 and np.isfinite(model.loss_trace[0])
+
+
+def test_pretrain_active_without_epochs_keeps_its_initial_weights(tiny_bundle):
+    view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
+    model = pretrain_active(view, labels, _spec(), SupConfig(epochs=0), seed=5)
+    assert (model.best_epoch, model.val_auc, model.loss_trace) == (0, None, [])
+    assert model.degenerate_validation is False  # no epoch was scored
+    encoder = _spec().build(stream(5, "sup", "init-encoder"))
+    head = Mlp.init(stream(5, "sup", "init-head"), [_spec().rep_dim, 1])
+    assert np.array_equal(model.encoder.theta, encoder.theta)
+    assert np.array_equal(model.head.theta, head.theta)
+
+
+def test_pretrain_active_keeps_the_first_of_tied_best_epochs(monkeypatch):
+    scores = []  # each epoch's validation AUC
+    score = sup_pretrain.validation_auc
+
+    def spy(*args):
+        scores.append(score(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(sup_pretrain, "validation_auc", spy)
+    view = _local_view(60)
+    labels = (view.num[:, 0] + 0.3 * view.num[:, 1] > 0.6).astype(np.float64)
+    model = pretrain_active(view, labels, _spec(), SupConfig(
+        epochs=10, batch_size=8, learning_rate=1e-2, val_fraction=0.1), seed=1)
+    assert scores.count(max(scores)) > 1  # six held-out rows: the best AUC recurs
+    assert model.best_epoch == 1 + scores.index(max(scores))
+    assert model.val_auc == max(scores)
+
+
+def test_pretrain_active_stops_at_a_non_finite_epoch_loss(tiny_bundle, monkeypatch):
+    class Spy(sup_pretrain.Federation):
+        calls = 0
+
+        def forward_backward(self, *args):
+            loss = super().forward_backward(*args)
+            Spy.calls += 1
+            return np.inf if Spy.calls == 2 else loss
+
+    monkeypatch.setattr(sup_pretrain, "Federation", Spy)
+    view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
+    with pytest.raises(TrainingError, match="non-finite at epoch 2"):  # one step an epoch
+        pretrain_active(view, labels, _spec(), SupConfig(epochs=3, batch_size=view.n), seed=0)
+
+
+def test_pretrain_active_loss_trace_is_the_row_weighted_mean_of_its_steps(tiny_bundle,
+                                                                          monkeypatch):
+    steps = []  # (loss, rows) of each step
+
+    class Spy(sup_pretrain.Federation):
+        def forward_backward(self, cat, num, labels, *args):
+            loss = super().forward_backward(cat, num, labels, *args)
+            steps.append((loss, labels.size))
+            return loss
+
+    monkeypatch.setattr(sup_pretrain, "Federation", Spy)
+    view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
+    model = pretrain_active(view, labels, _spec(), SupConfig(epochs=1, batch_size=100), seed=3)
+    assert len({rows for _, rows in steps}) == 2  # full batches and a shorter last one
+    total = 0.0
+    for loss, rows in steps:
+        total += loss * rows
+    assert model.loss_trace == [total / sum(rows for _, rows in steps)]
 
 
 def test_pretrain_active_rejects_passive_party(tiny_bundle):
