@@ -242,8 +242,8 @@ def run_cell(
     no longer holds the log. local_a trains alone (`train_local`), sends
     nothing and ignores `count`, so its audit is None. `train` and `grid` both
     run every cell through here. A diverging cell overflows without numpy
-    warnings and fails typed: optimizers refuse non-finite gradients, `auc`
-    non-finite scores.
+    warnings and fails typed: optimizers refuse non-finite gradients, `fit` a
+    non-finite epoch loss, `auc` non-finite scores.
     """
     if not mode.is_federated:
         trained = train_local(bundle.train, specs[1], dcfg, seed)

@@ -19,6 +19,9 @@ or label vector ever leaves its owner.
 The forward and backward pass is `Federation.forward_backward`. Local
 training (`sup_pretrain`: the active party's pre-training and the local_a
 baseline) runs the same method over a one-party Federation, without messages.
+Every trainer's epochs run in `fit`, each with its own batches and step: a
+cell's rounds over `sample_aligned_batches`, local training's steps over the
+party's own shuffled rows.
 """
 from __future__ import annotations
 
@@ -450,6 +453,34 @@ def validation_auc(encoders: dict[int, TabularEncoder], head: Mlp, cat: dict[int
         return None
 
 
+def fit(fed: Federation, epochs: int, batches, step, val) -> tuple[list[dict], tuple]:
+    """The epoch loop of every Federation trainer. Epoch e runs `step`, which
+    returns a RoundStats, on each (batch, rows) of `batches(e)`, and its row
+    holds the stats' row-weighted means and the `validation_auc` of `val`,
+    held-out (cat, num, labels) or None; a non-finite loss is a TrainingError.
+    Returns the rows and the first strictly best epoch as (AUC, epoch, a copy
+    of fed.theta), or (None, epochs, None) when no epoch was scored."""
+    history, best = [], (None, epochs, None)
+    for epoch in range(1, epochs + 1):
+        n, loss, loss_vfl, loss_cons = 0, 0.0, 0.0, 0.0
+        for batch, rows in batches(epoch):
+            stats = step(batch)
+            n += rows
+            loss += stats.loss * rows
+            loss_vfl += stats.loss_vfl * rows
+            loss_cons += stats.loss_cons * rows
+        row = {"epoch": epoch, "loss": loss / n, "loss_vfl": loss_vfl / n,
+               "loss_cons": loss_cons / n, "val_auc": None}
+        if not np.isfinite(row["loss"]):
+            raise TrainingError(f"training loss non-finite at epoch {epoch}")
+        if val is not None:
+            row["val_auc"] = score = validation_auc(fed.encoders, fed.head, *val)
+            if score is not None and (best[0] is None or score > best[0]):
+                best = (score, epoch, fed.theta.copy())
+        history.append(row)
+    return history, best
+
+
 # ---------------------------------------------------------------------------
 # downstream orchestration
 
@@ -478,7 +509,8 @@ class ActivePretrained:
     """The active party's model from its local run, built once: `encoder` and
     its linear `head`, [rep_dim, 1], hold copies of encoder_params and
     head_params, the best validation-AUC epoch's (or the last epoch's when
-    validation AUC was undefined, flagged by degenerate_validation)."""
+    validation AUC was undefined, flagged by degenerate_validation), and
+    `history` its run's `fit` rows."""
 
     spec: EncoderSpec
     encoder_params: InitVar[dict[str, np.ndarray]]
@@ -486,7 +518,7 @@ class ActivePretrained:
     best_epoch: int
     val_auc: float | None
     degenerate_validation: bool
-    loss_trace: list[float] = field(default_factory=list)
+    history: list[dict] = field(default_factory=list)
     encoder: TabularEncoder = field(init=False)
     head: Mlp = field(init=False)
 
@@ -604,38 +636,13 @@ def train_downstream(
     # permutes and slices them
     pool = ds.gather(aligned[perm[n_val:]])
     pool.cat = {k: fed.encoders[k].resolve(cat) for k, cat in pool.cat.items()}
-    val_batch = ds.gather(aligned[perm[:n_val]]) if n_val else None
+    val = ds.gather(aligned[perm[:n_val]]) if n_val else None
 
-    transport = TransportLog()
-    history: list[dict] = []
-    round_index = 0
-    for epoch in range(1, cfg.epochs + 1):
-        batches = sample_aligned_batches(pool, cfg.batch_size, seed, epoch)
-        loss = loss_vfl = loss_cons = 0.0  # every pool row is in one batch an epoch
-        for batch in batches:
-            stats = run_round(fed, batch, round_index, transport)
-            round_index += 1
-            n = batch.n
-            loss += stats.loss * n
-            loss_vfl += stats.loss_vfl * n
-            loss_cons += stats.loss_cons * n
-        val_auc = None
-        if val_batch is not None:
-            val_auc = validation_auc(fed.encoders, fed.head, val_batch.cat, val_batch.num,
-                                     val_batch.labels)
-        history.append(
-            {
-                "epoch": epoch,
-                "loss": loss / pool.n,
-                "loss_vfl": loss_vfl / pool.n,
-                "loss_cons": loss_cons / pool.n,
-                "val_auc": val_auc,
-            }
-        )
-    return TrainedFederation(
-        mode=mode,
-        encoders=fed.encoders,
-        head=fed.head,
-        history=history,
-        transport=transport,
+    transport, rounds = TransportLog(), iter(range(n_rounds))
+    history, _ = fit(
+        fed, cfg.epochs,
+        lambda e: [(b, b.n) for b in sample_aligned_batches(pool, cfg.batch_size, seed, e)],
+        lambda batch: run_round(fed, batch, next(rounds), transport),
+        None if val is None else (val.cat, val.num, val.labels),
     )
+    return TrainedFederation(mode, fed.encoders, fed.head, history, transport)

@@ -21,6 +21,7 @@ the per-seed dataset cache both use this one format.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -57,14 +58,20 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def write_file(path, data: str | bytes) -> None:
-    """Write `data` (text as utf-8) to `path`, creating its directory. An
-    OSError, e.g. a directory where the file should go, is a DataError
-    naming the file."""
+    """Write `data` (text as utf-8) to `path` whole, creating its directory:
+    the bytes go to a sibling temporary file that `os.replace` then moves
+    over `path`, so a reader finds the previous file or the new one, never a
+    cut one. An OSError, e.g. a directory where the file should go, is a
+    DataError naming the file, and leaves no temporary file behind."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 

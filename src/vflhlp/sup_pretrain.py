@@ -6,7 +6,8 @@ weights serve three purposes downstream: warm start, anchor for the
 knowledge-transfer constraint, and the local-only baseline (mode local_a).
 The pair trains as a one-party `Federation` with no constraint and one
 learning rate, through the step that `run_round` takes, without messages:
-the same arithmetic as a round, on the party's own rows.
+the same arithmetic as a round, on the party's own rows. Its epochs run in
+`federated.fit`, the epoch loop of every cell too, and it keeps fit's best epoch.
 """
 from __future__ import annotations
 
@@ -15,15 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PartyView, VerticalDataset
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError
 from .federated import (
     ActivePretrained,
     DownstreamConfig,
     Federation,
+    RoundStats,
     TrainedFederation,
     TrainMode,
     federated_predict,
-    validation_auc,
+    fit,
 )
 from .nn import Mlp, check_labels
 from .nn.layers import EncoderSpec
@@ -65,44 +67,36 @@ def pretrain_active(
     fed = Federation({1: spec.build(stream(seed, "sup", "init-encoder"))},
                      Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1]),
                      0.0, cfg.learning_rate, cfg.learning_rate, cfg.optimizer)
-    encoder, head = fed.encoders[1], fed.head
-    cat_rows = encoder.resolve(view.cat)  # once; each step only gathers
+    cat_rows = fed.encoders[1].resolve(view.cat)  # once; each step only gathers
 
     n_val = int(round(cfg.val_fraction * view.n))
     perm = stream(seed, "sup", "val-split").permutation(view.n)
     val_rows, train_rows = perm[:n_val], perm[n_val:]
     if train_rows.size == 0:
         raise DataError("no training rows left after validation split")
-    val_cat, val_num = {1: cat_rows[val_rows]}, {1: view.num[val_rows]}
 
-    best_auc, best_epoch, best_theta = None, cfg.epochs, None
-    trace: list[float] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = stream(seed, "sup", "shuffle", epoch).permutation(train_rows.size)
-        shuffled = train_rows[order]
+    def batches(epoch):
+        shuffled = train_rows[stream(seed, "sup", "shuffle", epoch).permutation(train_rows.size)]
         cat, num, y = cat_rows[shuffled], view.num[shuffled], labels[shuffled]
-        total = 0.0
         for i in range(0, shuffled.size, cfg.batch_size):
             rows = slice(i, i + cfg.batch_size)
             y_rows = y[rows]
-            loss = fed.forward_backward({1: cat[rows]}, {1: num[rows]}, y_rows)
-            fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
-            total += loss * y_rows.size
-        trace.append(total / shuffled.size)
-        if not np.isfinite(trace[-1]):
-            raise TrainingError(f"local training loss non-finite at epoch {epoch}")
-        if val_rows.size:
-            score = validation_auc(fed.encoders, head, val_cat, val_num, labels[val_rows])
-            if score is not None and (best_auc is None or score > best_auc):
-                best_auc, best_epoch, best_theta = score, epoch, fed.theta.copy()
+            yield ({1: cat[rows]}, {1: num[rows]}, y_rows), y_rows.size
 
+    def step(batch):
+        loss = fed.forward_backward(*batch)
+        fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
+        return RoundStats(loss, loss, 0.0)
+
+    val = ({1: cat_rows[val_rows]}, {1: view.num[val_rows]}, labels[val_rows]) if n_val else None
+    history, (best_auc, best_epoch, best_theta) = fit(fed, cfg.epochs, batches, step, val)
     if best_theta is not None:
         fed.theta[...] = best_theta
     # no usable validation signal: the final weights stay, and the flag says so
-    degenerate = best_auc is None and cfg.epochs > 0 and val_rows.size > 0
-    return ActivePretrained(spec=spec, encoder_params=encoder.params(),
-                            head_params=head.params(), best_epoch=best_epoch, val_auc=best_auc,
-                            degenerate_validation=degenerate, loss_trace=trace)
+    degenerate = best_auc is None and cfg.epochs > 0 and n_val > 0
+    return ActivePretrained(spec=spec, encoder_params=fed.encoders[1].params(),
+                            head_params=fed.head.params(), best_epoch=best_epoch,
+                            val_auc=best_auc, degenerate_validation=degenerate, history=history)
 
 
 def train_local(
@@ -116,10 +110,7 @@ def train_local(
     sup_cfg = SupConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.eta2,
                         optimizer=cfg.optimizer, val_fraction=cfg.val_fraction)
     model = pretrain_active(ds.parties[1], ds.labels, spec, sup_cfg, seed)
-    history = [
-        {"epoch": i + 1, "loss": loss, "loss_vfl": loss, "loss_cons": 0.0, "val_auc": None}
-        for i, loss in enumerate(model.loss_trace)
-    ]
+    history = [{**row, "val_auc": None} for row in model.history]
     return TrainedFederation(TrainMode.LOCAL_A, {1: model.encoder}, model.head, history)
 
 

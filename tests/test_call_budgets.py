@@ -19,10 +19,13 @@ import numpy as np
 import pytest
 
 from vflhlp.data import sample_aligned_batches
-from vflhlp.federated import Federation, TrainMode, TransportLog, run_round
+from vflhlp.federated import (
+    DownstreamConfig, Federation, TrainMode, TransportLog, run_round, train_downstream,
+)
 from vflhlp.nn import Mlp
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import contrastive_batch
+from vflhlp.sup_pretrain import SupConfig, pretrain_active
 
 from conftest import anchor_model, build_federation, small_spec
 
@@ -34,6 +37,8 @@ BUDGETS = {
     "supervised step adam b256": (17, 29),
     "contrastive batch b256": (6, 10),
     "aligned batches epoch b8": (74, 56),
+    "local epoch sgd b8": (1073, 1719),
+    "downstream epoch vanilla_vfl b8": (778, 1293),
 }
 
 
@@ -106,3 +111,18 @@ def test_an_epoch_of_aligned_batches_keeps_its_call_budget(tiny_bundle):
     train = tiny_bundle.train
     pool = train.gather(train.aligned_ids(120))
     _within_budget("aligned batches epoch b8", sample_aligned_batches, pool, 8, 3, 1)
+
+
+def test_an_epoch_of_local_training_keeps_its_call_budget(tiny_bundle):
+    # pretrain_active whole, one epoch: 360 training rows make 45 steps
+    view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
+    cfg = SupConfig(epochs=1, batch_size=8, optimizer="sgd")
+    _within_budget("local epoch sgd b8", pretrain_active, view, labels, _spec(), cfg, 3)
+
+
+def test_an_epoch_of_downstream_training_keeps_its_call_budget(tiny_bundle):
+    # train_downstream whole, one epoch: 36 of 40 aligned rows make 5 rounds
+    specs = {k: _spec() for k in (1, 2, 3)}
+    cfg = DownstreamConfig(beta=0.0, epochs=1, batch_size=8, optimizer="sgd")
+    _within_budget("downstream epoch vanilla_vfl b8", train_downstream, tiny_bundle.train,
+                   specs, TrainMode.VANILLA_VFL, None, cfg, 3, 40)

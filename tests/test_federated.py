@@ -698,6 +698,24 @@ def test_train_downstream_shapes_history_and_audit(tiny_bundle, specs3, pretrain
     assert report.n_rounds == 3 * 4
 
 
+def test_train_downstream_stops_at_a_non_finite_epoch_loss(tiny_bundle, specs3, monkeypatch):
+    # 54 train rows in batches of 16: rounds 4-7 are epoch 2, and report an infinite loss
+    real, seen = federated.run_round, []
+
+    def poisoned(fed, batch, round_index, transport):
+        stats = real(fed, batch, round_index, transport)
+        seen.append(round_index)
+        if round_index // 4 == 1:
+            return federated.RoundStats(np.inf, np.inf, stats.loss_cons)
+        return stats
+
+    monkeypatch.setattr(federated, "run_round", poisoned)
+    with pytest.raises(TrainingError, match="non-finite at epoch 2"):
+        train_downstream(tiny_bundle.train, specs3, TrainMode.VANILLA_VFL, None,
+                         _dcfg(epochs=3), 13, 60)
+    assert seen == list(range(8))  # epoch 3 never ran
+
+
 @pytest.mark.parametrize("mode", [TrainMode.VANILLA_VFL, TrainMode.LOCAL_A])
 def test_a_cell_with_a_non_binary_label_fails_before_its_first_round(
         tiny_bundle, specs3, pretrained, monkeypatch, mode):
@@ -885,7 +903,7 @@ def test_local_mode_returns_local_model(tiny_bundle, specs3):
         np.testing.assert_array_equal(arr, direct.encoder.params()[name])
     assert out.history == [
         {"epoch": i + 1, "loss": loss, "loss_vfl": loss, "loss_cons": 0.0, "val_auc": None}
-        for i, loss in enumerate(direct.loss_trace)
+        for i, loss in enumerate(row["loss"] for row in direct.history)
     ]
     assert [e["epoch"] for e in out.history] == [1, 2]
 

@@ -14,10 +14,11 @@ import os
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vflhlp
-from vflhlp import evaluation
+from vflhlp import evaluation, federated
 from vflhlp.cli import main
 from vflhlp.config import config_hash, encoder_specs, parse_config
 from vflhlp.errors import ConfigError, DataError, TrainingError, UndefinedMetricError
@@ -88,6 +89,28 @@ def test_typed_local_a_failure_is_recorded_for_every_count(tmp_path, monkeypatch
     expected = f"{error.__name__}: local_a of seed 7 went wrong"
     assert all(c["error"] == expected for c in cells[::2])
     assert not (out / "grid" / "seed7" / "local_a.ckpt").exists()
+
+
+def test_a_non_finite_downstream_epoch_fails_its_cell_alone(monkeypatch):
+    # the first cell, vanilla_vfl at count 20, trains 18 rows in batches of 16:
+    # its rounds 2 and 3 are epoch 2, and report an infinite loss
+    real, logs = federated.run_round, []
+
+    def poisoned(fed, batch, round_index, transport):
+        stats = real(fed, batch, round_index, transport)
+        if not logs:
+            logs.append(transport)
+        if transport is logs[0] and round_index >= 2:
+            return federated.RoundStats(np.inf, np.inf, stats.loss_cons)
+        return stats
+
+    monkeypatch.setattr(federated, "run_round", poisoned)
+    result = run_grid(parse_config(_raw(modes=["vanilla_vfl", "vflhlp"])))
+    assert [(c.mode, c.aligned_count, c.status) for c in result.cells] == [
+        ("vanilla_vfl", 20, "failed"), ("vflhlp", 20, "ok"),
+        ("vanilla_vfl", 40, "ok"), ("vflhlp", 40, "ok"),
+    ]
+    assert result.cells[0].error == "TrainingError: training loss non-finite at epoch 2"
 
 
 def test_untyped_local_a_failure_propagates(monkeypatch):

@@ -5,8 +5,11 @@ optimizer steps against hand-unrolled update formulas. Nothing here
 trusts the implementation to check itself.
 """
 import copy
+import errno
 import hashlib
+import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -923,6 +926,32 @@ def test_checkpoint_name_order_does_not_matter(tmp_path):
     save_checkpoint(pa, t1, {})
     save_checkpoint(pb, t2, {})
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_a_cut_write_leaves_the_previous_file_whole(tmp_path, monkeypatch):
+    p = tmp_path / "x.ckpt"
+    save_checkpoint(p, {"a": np.zeros(2)}, {"n": 1})
+    before = p.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def cut(self, data):  # the disk fills halfway through the write
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", cut)
+    with pytest.raises(DataError, match="x.ckpt: cannot write: No space left on device"):
+        save_checkpoint(p, {"a": np.ones(4)}, {"n": 2})
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["x.ckpt"]  # no temporary file remains
+    # a directory where the file should go: refused, and again nothing left over
+    (tmp_path / "d.ckpt").mkdir()
+    with pytest.raises(DataError, match="d.ckpt: cannot write"):
+        save_checkpoint(tmp_path / "d.ckpt", {"a": np.ones(4)}, {})
+    assert sorted(os.listdir(tmp_path)) == ["d.ckpt", "x.ckpt"]
+    save_checkpoint(p, {"a": np.ones(4)}, {"n": 2})  # the happy path replaces it whole
+    assert load_checkpoint(p)[1] == {"n": 2}
+    assert sorted(os.listdir(tmp_path)) == ["d.ckpt", "x.ckpt"]
 
 
 def test_checkpoint_rejects_bad_magic_and_trailing_bytes(tmp_path):

@@ -110,6 +110,25 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
         for name in ("federated.federated_predict", "metrics.auc")
     }
 
+    # the benchmark's checked counts come through the epoch loop: one
+    # run_round span per round of the cell, and under each pretrain_active
+    # span (pre-training, then local_a) one optimizer step per local step
+    def steps_of(rows, epochs, batch_size, val_fraction):
+        return epochs * -(-(rows - int(round(val_fraction * rows))) // batch_size)
+
+    assert t.name.count(t.names.index("federated.run_round")) == steps_of(
+        20, dcfg.epochs, dcfg.batch_size, dcfg.val_fraction)
+    optimizer_steps = Counter(
+        t.parent[i] for i, nid in enumerate(t.name)
+        if t.names[nid] in ("nn.AdamOptimizer.step", "nn.SgdOptimizer.step")
+    )
+    local_rows = bundle.train.parties[1].n
+    assert [optimizer_steps[i] for i, nid in enumerate(t.name)
+            if t.names[nid] == "sup_pretrain.pretrain_active"] == [
+        steps_of(local_rows, c.epochs, c.batch_size, c.val_fraction)
+        for c in (cfg.supervised, dcfg)
+    ]
+
     # the encoder spans carry their batch rows, which the per-layer metrics
     # split into us_b8 and us_b256: each training step's forward and backward
     # has its stage's batch size, or fewer rows on an epoch's last batch

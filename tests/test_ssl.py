@@ -5,6 +5,7 @@ oracles for the cosine similarities, the loss and both views' gradients,
 two hand-derivable pinned values, and finite differences through the full
 cosine-similarity path.
 """
+import dataclasses
 import hashlib
 import math
 
@@ -13,7 +14,7 @@ import pytest
 
 from vflhlp import ssl_pretrain
 from vflhlp.data import PartyView
-from vflhlp.errors import ConfigError, SchemaError
+from vflhlp.errors import ConfigError, SchemaError, TrainingError
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import (
     CorruptionModel,
@@ -514,6 +515,26 @@ def test_pretrain_passive_learns_on_tiny_data(tiny_bundle):
     cfg = SslConfig(epochs=6, batch_size=128, learning_rate=5e-3)
     _, trace = pretrain_passive(view, spec, cfg, seed=1)
     assert trace[-1] < trace[0]
+
+
+def test_pretrain_passive_stops_at_a_non_finite_epoch_loss(tiny_bundle, monkeypatch):
+    # one batch an epoch: the probe's, epoch 1's, then epoch 2's, which reports inf
+    real, results = ssl_pretrain.contrastive_batch, []
+
+    def poisoned(*args):
+        results.append(real(*args))
+        if len(results) == 3:
+            return dataclasses.replace(results[-1], loss=np.inf)
+        return results[-1]
+
+    monkeypatch.setattr(ssl_pretrain, "contrastive_batch", poisoned)
+    view = tiny_bundle.train.parties[2]
+    spec = small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
+    cfg = SslConfig(epochs=3, batch_size=view.n, learning_rate=1e-3)
+    with pytest.raises(TrainingError,
+                       match="party 2: contrastive loss became non-finite at epoch 2"):
+        pretrain_passive(view, spec, cfg, seed=5)
+    assert len(results) == 3  # epoch 3 never ran
 
 
 def test_pretrain_passive_bytes_are_pinned(tiny_bundle):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vflhlp import sup_pretrain
+from vflhlp import federated, sup_pretrain
 from vflhlp.data import PartyView
 from vflhlp.errors import ConfigError, DataError, TrainingError
 from vflhlp.federated import Federation
@@ -19,6 +19,11 @@ def _spec():
     return small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
 
 
+def _loss_trace(model) -> list[float]:
+    """Each epoch's training loss, from the model's history rows."""
+    return [row["loss"] for row in model.history]
+
+
 def test_pretrain_active_is_deterministic(tiny_bundle):
     view = tiny_bundle.train.parties[1]
     labels = tiny_bundle.train.labels
@@ -27,7 +32,7 @@ def test_pretrain_active_is_deterministic(tiny_bundle):
     b = pretrain_active(view, labels, _spec(), cfg, seed=5)
     assert a.best_epoch == b.best_epoch
     assert a.val_auc == b.val_auc
-    assert a.loss_trace == b.loss_trace
+    assert _loss_trace(a) == _loss_trace(b)
     for name, arr in a.encoder.params().items():
         np.testing.assert_array_equal(arr, b.encoder.params()[name])
     for name, arr in a.head.params().items():
@@ -46,7 +51,7 @@ def test_pretrain_active_learns_its_own_table(tiny_bundle):
     assert scores.shape == labels.shape
     assert np.all((scores > 0) & (scores < 1))
     assert auc(labels.astype(np.int64), scores) > 0.6
-    assert model.loss_trace[-1] < model.loss_trace[0]
+    assert _loss_trace(model)[-1] < _loss_trace(model)[0]
 
 
 def test_pretrain_active_without_validation_keeps_the_last_epoch(tiny_bundle, monkeypatch):
@@ -83,7 +88,7 @@ def test_pretrain_active_snapshot_tracks_best_validation_prefix(tiny_bundle):
     assert long.best_epoch < 10  # the kept epoch is not the last one
     exact = pretrain_active(view, labels, _spec(),
                             SupConfig(epochs=long.best_epoch, batch_size=64), seed=2)
-    assert long.loss_trace[:long.best_epoch] == exact.loss_trace
+    assert _loss_trace(long)[:long.best_epoch] == _loss_trace(exact)
     assert long.best_epoch == exact.best_epoch
     assert long.val_auc == exact.val_auc
     assert np.array_equal(long.encoder.theta, exact.encoder.theta)
@@ -121,13 +126,13 @@ def test_pretrain_active_needs_a_training_row():
     # round(0.7 * 4) = 3 rows held out leave one
     model = pretrain_active(view, labels, _spec(), SupConfig(epochs=1, val_fraction=0.7),
                             seed=0)
-    assert len(model.loss_trace) == 1 and np.isfinite(model.loss_trace[0])
+    assert len(_loss_trace(model)) == 1 and np.isfinite(_loss_trace(model)[0])
 
 
 def test_pretrain_active_without_epochs_keeps_its_initial_weights(tiny_bundle):
     view, labels = tiny_bundle.train.parties[1], tiny_bundle.train.labels
     model = pretrain_active(view, labels, _spec(), SupConfig(epochs=0), seed=5)
-    assert (model.best_epoch, model.val_auc, model.loss_trace) == (0, None, [])
+    assert (model.best_epoch, model.val_auc, _loss_trace(model)) == (0, None, [])
     assert model.degenerate_validation is False  # no epoch was scored
     encoder = _spec().build(stream(5, "sup", "init-encoder"))
     head = Mlp.init(stream(5, "sup", "init-head"), [_spec().rep_dim, 1])
@@ -137,13 +142,13 @@ def test_pretrain_active_without_epochs_keeps_its_initial_weights(tiny_bundle):
 
 def test_pretrain_active_keeps_the_first_of_tied_best_epochs(monkeypatch):
     scores = []  # each epoch's validation AUC
-    score = sup_pretrain.validation_auc
+    score = federated.validation_auc
 
     def spy(*args):
         scores.append(score(*args))
         return scores[-1]
 
-    monkeypatch.setattr(sup_pretrain, "validation_auc", spy)
+    monkeypatch.setattr(federated, "validation_auc", spy)
     view = _local_view(60)
     labels = (view.num[:, 0] + 0.3 * view.num[:, 1] > 0.6).astype(np.float64)
     model = pretrain_active(view, labels, _spec(), SupConfig(
@@ -185,7 +190,7 @@ def test_pretrain_active_loss_trace_is_the_row_weighted_mean_of_its_steps(tiny_b
     total = 0.0
     for loss, rows in steps:
         total += loss * rows
-    assert model.loss_trace == [total / sum(rows for _, rows in steps)]
+    assert _loss_trace(model) == [total / sum(rows for _, rows in steps)]
 
 
 def test_pretrain_active_rejects_passive_party(tiny_bundle):
