@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +147,8 @@ class AlignedBatch:
         """The given rows (index array or slice), in order; bayes_scores is dropped."""
         return AlignedBatch(
             ids=self.ids[rows],
-            cat={k: v[rows] for k, v in self.cat.items()},
-            num={k: v[rows] for k, v in self.num.items()},
+            cat={k: self.cat[k][rows] for k in self.cat},
+            num={k: self.num[k][rows] for k in self.num},
             labels=self.labels[rows],
         )
 
@@ -180,19 +181,13 @@ class VerticalDataset:
             )
         return self.aligned_pool[:count]
 
-    def labels_for(self, ids: np.ndarray) -> np.ndarray:
-        rows = self.parties[1].rows_for(ids)
-        return self.labels[rows]
-
     def gather(self, ids: np.ndarray) -> "AlignedBatch":
-        """Per-party feature rows for the given aligned IDs, in the given order."""
+        """Per-party feature rows and the labels of the given aligned IDs, in the given order."""
         ids = np.asarray(ids, dtype=np.int64)
-        cat, num = {}, {}
-        for k, view in self.parties.items():
-            rows = view.rows_for(ids)
-            cat[k] = view.cat[rows]
-            num[k] = view.num[rows]
-        return AlignedBatch(ids=ids, cat=cat, num=num, labels=self.labels_for(ids))
+        rows = {k: view.rows_for(ids) for k, view in self.parties.items()}
+        return AlignedBatch(ids, {k: view.cat[rows[k]] for k, view in self.parties.items()},
+                            {k: view.num[rows[k]] for k, view in self.parties.items()},
+                            self.labels[rows[1]])
 
 
 @dataclass
@@ -203,34 +198,46 @@ class DatasetBundle:
     test: AlignedBatch
 
 
-def sample_aligned_batches(
-    pool: AlignedBatch, batch_size: int, seed: int, epoch: int
-) -> list[AlignedBatch]:
-    """Shuffled mini-batches over a cell's aligned rows, gathered once, for one epoch.
+def hold_out(
+    pool: AlignedBatch, fraction: float, rng: np.random.Generator
+) -> tuple[AlignedBatch, AlignedBatch | None]:
+    """(train, val): the pool's rows in the order of one `rng` permutation, the
+    first round(fraction * n) held out for validation (val None when that is
+    no row). DataError when no training row is left."""
+    n_val = int(round(fraction * pool.n))
+    perm = rng.permutation(pool.n)
+    if n_val == pool.n:
+        raise DataError(f"no training rows left after holding out {n_val} of {pool.n} rows "
+                        f"(val_fraction {fraction})")
+    return pool.take(perm[n_val:]), pool.take(perm[:n_val]) if n_val else None
 
-    The epoch is one fancy index of the pool by the permutation of (seed,
-    epoch), and its batches are row slices of that. The final short batch is
-    kept, so every row appears exactly once per epoch.
+
+def sample_aligned_batches(
+    pool: AlignedBatch, batch_size: int, rng: np.random.Generator
+) -> list[tuple[tuple[dict, dict, np.ndarray], int]]:
+    """One epoch of shuffled mini-batches over a trainer's rows, gathered once:
+    ((cat, num, labels), rows) pairs, the triple as `forward_backward` takes it.
+
+    The epoch is one fancy index of each of the pool's arrays by one `rng`
+    permutation, and its batches are row slices of that. The final short batch
+    is kept, so every row appears exactly once per epoch.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if pool.n == 0:
         raise DataError("aligned set is empty")
-    shuffled = pool.take(stream(seed, "aligned-batches", epoch).permutation(pool.n))
-    whole, short = divmod(pool.n, batch_size)
+    perm = rng.permutation(pool.n)
 
     def cut(arr: np.ndarray) -> list[np.ndarray]:
-        # the whole batches are the rows of one reshape, which iterates in C
-        rows = list(arr[: whole * batch_size].reshape(whole, batch_size, *arr.shape[1:]))
-        return rows + [arr[whole * batch_size :]] if short else rows
+        arr = arr[perm]
+        return [arr[i : i + batch_size] for i in range(0, perm.size, batch_size)]
 
-    cats = {k: cut(v) for k, v in shuffled.cat.items()}
-    nums = {k: cut(v) for k, v in shuffled.num.items()}
-    return [
-        AlignedBatch(ids, {k: c[j] for k, c in cats.items()},
-                     {k: v[j] for k, v in nums.items()}, labels)
-        for j, (ids, labels) in enumerate(zip(cut(shuffled.ids), cut(shuffled.labels)))
-    ]
+    def per_batch(blocks: dict) -> map:
+        # each batch's {party: rows} dict, built by zip and map in C: no call per batch
+        return map(dict, zip(*[zip(repeat(k), cut(blocks[k])) for k in blocks]))
+
+    labels = cut(pool.labels)
+    return list(zip(zip(per_batch(pool.cat), per_batch(pool.num), labels), map(len, labels)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ or label vector ever leaves its owner.
 The forward and backward pass is `Federation.forward_backward`. Local
 training (`sup_pretrain`: the active party's pre-training and the local_a
 baseline) runs the same method over a one-party Federation, without messages.
-Every trainer's epochs run in `fit`, each with its own batches and step: a
-cell's rounds over `sample_aligned_batches`, local training's steps over the
-party's own shuffled rows.
+Every trainer's epochs run in `fit`, each with its own step (a cell's
+`run_round`, local training's step), over one batch source: `data.hold_out`
+splits the trainer's rows once, and `data.sample_aligned_batches` cuts each
+epoch of the rest.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .data import AlignedBatch, VerticalDataset, sample_aligned_batches
+from .data import AlignedBatch, VerticalDataset, hold_out, sample_aligned_batches
 from .errors import ConfigError, SchemaError, TrainingError, UndefinedMetricError
 from .metrics import auc
 from .nn import (
@@ -387,9 +388,10 @@ class RoundStats:
 
 
 def run_round(
-    fed: Federation, batch: AlignedBatch, round_index: int, transport: TransportLog
+    fed: Federation, batch: tuple, round_index: int, transport: TransportLog
 ) -> RoundStats:
-    """One synchronized round of split training; returns its stats.
+    """One synchronized round of split training over `batch`, a (cat, num,
+    labels) triple of `sample_aligned_batches`; returns its stats.
 
     `fed.forward_backward` computes every gradient from the pre-update head
     into `fed.grad`, overwriting it whole, and logs the round's messages in
@@ -400,8 +402,7 @@ def run_round(
     the parties with eta2. `train_downstream` checks the batch labels once
     per cell, and gives the Federation anchors exactly in a constrained mode.
     """
-    loss_vfl = fed.forward_backward(batch.cat, batch.num, batch.labels,
-                                    transport.record, round_index)
+    loss_vfl = fed.forward_backward(*batch, transport.record, round_index)
     loss, loss_cons = loss_vfl, 0.0
     if fed.anchors is not None:
         loss_cons, diffs = constraint_loss(
@@ -443,12 +444,11 @@ def federated_predict(
     return sigmoid(logits[:, 0])
 
 
-def validation_auc(encoders: dict[int, TabularEncoder], head: Mlp, cat: dict[int, np.ndarray],
-                   num: dict[int, np.ndarray], labels: np.ndarray) -> float | None:
+def validation_auc(fed: Federation, val: AlignedBatch) -> float | None:
     """AUC of `federated_predict`'s scores on held-out rows, as a training
     loop scores an epoch; None when single-class labels leave it undefined."""
     try:
-        return auc(labels, federated_predict(encoders, head, cat, num))
+        return auc(val.labels, federated_predict(fed.encoders, fed.head, val.cat, val.num))
     except UndefinedMetricError:
         return None
 
@@ -457,7 +457,7 @@ def fit(fed: Federation, epochs: int, batches, step, val) -> tuple[list[dict], t
     """The epoch loop of every Federation trainer. Epoch e runs `step`, which
     returns a RoundStats, on each (batch, rows) of `batches(e)`, and its row
     holds the stats' row-weighted means and the `validation_auc` of `val`,
-    held-out (cat, num, labels) or None; a non-finite loss is a TrainingError.
+    the held-out AlignedBatch or None; a non-finite loss is a TrainingError.
     Returns the rows and the first strictly best epoch as (AUC, epoch, a copy
     of fed.theta), or (None, epochs, None) when no epoch was scored."""
     history, best = [], (None, epochs, None)
@@ -474,7 +474,7 @@ def fit(fed: Federation, epochs: int, batches, step, val) -> tuple[list[dict], t
         if not np.isfinite(row["loss"]):
             raise TrainingError(f"training loss non-finite at epoch {epoch}")
         if val is not None:
-            row["val_auc"] = score = validation_auc(fed.encoders, fed.head, *val)
+            row["val_auc"] = score = validation_auc(fed, val)
             if score is not None and (best[0] is None or score > best[0]):
                 best = (score, epoch, fed.theta.copy())
         history.append(row)
@@ -591,7 +591,8 @@ def train_downstream(
     warm starts see byte-identical randomness everywhere else. A constrained
     mode anchors the Federation to `pretrained.active`. A
     val_fraction slice of the aligned set is held out for the per-epoch AUC
-    in the history; final weights are the last epoch's (no early stopping).
+    in the history (DataError when it leaves no training row); final weights
+    are the last epoch's (no early stopping).
     local_a is no split training and is refused (ConfigError): it trains with
     `sup_pretrain.train_local`.
     """
@@ -604,7 +605,10 @@ def train_downstream(
             f"parties {party_ids}"
         )
     pretrained = _require_pretrained(mode, cfg.warm_start_active, pretrained, party_ids)
-    aligned = ds.aligned_ids(count)
+    # the cell's rows, validation rows included, gathered and resolved to
+    # embedding rows once; each epoch permutes and slices the training rows
+    aligned = ds.gather(ds.aligned_ids(count))
+    check_labels(aligned.labels)
 
     encoders = {}
     for k in party_ids:
@@ -621,28 +625,19 @@ def train_downstream(
     fed = Federation(encoders, head, cfg.beta, cfg.eta1, cfg.eta2, cfg.optimizer,
                      pretrained.active if mode.uses_constraint else None)
 
-    check_labels(ds.labels_for(aligned))
-    n_val = int(round(cfg.val_fraction * aligned.size))
-    perm = stream(seed, "downstream", "val-split").permutation(aligned.size)
-    if n_val == aligned.size:
-        raise TrainingError("aligned set too small for the validation fraction")
-    n_rounds = cfg.epochs * -(-(aligned.size - n_val) // cfg.batch_size)
+    aligned.cat = {k: fed.encoders[k].resolve(cat) for k, cat in aligned.cat.items()}
+    train, val = hold_out(aligned, cfg.val_fraction, stream(seed, "downstream", "val-split"))
+    n_rounds = cfg.epochs * -(-train.n // cfg.batch_size)
     if n_rounds > MAX_ROUNDS:
         raise ConfigError(
             f"{cfg.epochs} epochs of batch {cfg.batch_size} make {n_rounds} rounds; "
             f"a transport log holds at most {MAX_ROUNDS}"
         )
-    # the cell's rows, gathered and resolved to embedding rows once; each epoch
-    # permutes and slices them
-    pool = ds.gather(aligned[perm[n_val:]])
-    pool.cat = {k: fed.encoders[k].resolve(cat) for k, cat in pool.cat.items()}
-    val = ds.gather(aligned[perm[:n_val]]) if n_val else None
-
     transport, rounds = TransportLog(), iter(range(n_rounds))
     history, _ = fit(
         fed, cfg.epochs,
-        lambda e: [(b, b.n) for b in sample_aligned_batches(pool, cfg.batch_size, seed, e)],
+        lambda e: sample_aligned_batches(train, cfg.batch_size, stream(seed, "aligned-batches", e)),
         lambda batch: run_round(fed, batch, next(rounds), transport),
-        None if val is None else (val.cat, val.num, val.labels),
+        val,
     )
     return TrainedFederation(mode, fed.encoders, fed.head, history, transport)

@@ -7,7 +7,8 @@ knowledge-transfer constraint, and the local-only baseline (mode local_a).
 The pair trains as a one-party `Federation` with no constraint and one
 learning rate, through the step that `run_round` takes, without messages:
 the same arithmetic as a round, on the party's own rows. Its epochs run in
-`federated.fit`, the epoch loop of every cell too, and it keeps fit's best epoch.
+`federated.fit` over a one-party pool's `data.hold_out` and
+`data.sample_aligned_batches`, as a cell's do, and it keeps fit's best epoch.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartyView, VerticalDataset
+from .data import AlignedBatch, PartyView, VerticalDataset, hold_out, sample_aligned_batches
 from .errors import ConfigError, DataError
 from .federated import (
     ActivePretrained,
@@ -53,10 +54,11 @@ def pretrain_active(
     """Train encoder + linear head on the active party's local data, as a
     one-party Federation stepped by `forward_backward` and its optimizer.
 
-    A val_fraction slice of the local rows is held out; the returned weights
-    are the ones with the best held-out AUC. Single-class validation labels
-    make the AUC undefined for an epoch; if that happens for every epoch the
-    last-epoch weights are returned with degenerate_validation set.
+    A val_fraction slice of the local rows is held out (DataError when it
+    leaves no training row); the returned weights are the ones with the best
+    held-out AUC. Single-class validation labels make the AUC undefined for an
+    epoch; if that happens for every epoch the last-epoch weights are returned
+    with degenerate_validation set.
     """
     if view.party_id != 1:
         raise ConfigError("supervised pre-training targets the active party (id 1)")
@@ -67,33 +69,25 @@ def pretrain_active(
     fed = Federation({1: spec.build(stream(seed, "sup", "init-encoder"))},
                      Mlp.init(stream(seed, "sup", "init-head"), [spec.rep_dim, 1]),
                      0.0, cfg.learning_rate, cfg.learning_rate, cfg.optimizer)
-    cat_rows = fed.encoders[1].resolve(view.cat)  # once; each step only gathers
-
-    n_val = int(round(cfg.val_fraction * view.n))
-    perm = stream(seed, "sup", "val-split").permutation(view.n)
-    val_rows, train_rows = perm[:n_val], perm[n_val:]
-    if train_rows.size == 0:
-        raise DataError("no training rows left after validation split")
-
-    def batches(epoch):
-        shuffled = train_rows[stream(seed, "sup", "shuffle", epoch).permutation(train_rows.size)]
-        cat, num, y = cat_rows[shuffled], view.num[shuffled], labels[shuffled]
-        for i in range(0, shuffled.size, cfg.batch_size):
-            rows = slice(i, i + cfg.batch_size)
-            y_rows = y[rows]
-            yield ({1: cat[rows]}, {1: num[rows]}, y_rows), y_rows.size
+    # the party's rows, resolved to embedding rows once; each epoch permutes and
+    # slices the training rows
+    pool = AlignedBatch(view.ids, {1: fed.encoders[1].resolve(view.cat)}, {1: view.num}, labels)
+    train, val = hold_out(pool, cfg.val_fraction, stream(seed, "sup", "val-split"))
 
     def step(batch):
         loss = fed.forward_backward(*batch)
         fed.optimizer.step(fed.theta, fed.grad, fed.lr, fed.layout)
         return RoundStats(loss, loss, 0.0)
 
-    val = ({1: cat_rows[val_rows]}, {1: view.num[val_rows]}, labels[val_rows]) if n_val else None
-    history, (best_auc, best_epoch, best_theta) = fit(fed, cfg.epochs, batches, step, val)
+    history, (best_auc, best_epoch, best_theta) = fit(
+        fed, cfg.epochs,
+        lambda e: sample_aligned_batches(train, cfg.batch_size, stream(seed, "sup", "shuffle", e)),
+        step, val,
+    )
     if best_theta is not None:
         fed.theta[...] = best_theta
     # no usable validation signal: the final weights stay, and the flag says so
-    degenerate = best_auc is None and cfg.epochs > 0 and n_val > 0
+    degenerate = best_auc is None and cfg.epochs > 0 and val is not None
     return ActivePretrained(spec=spec, encoder_params=fed.encoders[1].params(),
                             head_params=fed.head.params(), best_epoch=best_epoch,
                             val_auc=best_auc, degenerate_validation=degenerate, history=history)

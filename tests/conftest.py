@@ -160,6 +160,11 @@ class NoStep:
         pass
 
 
+def arrays(batch: AlignedBatch) -> tuple:
+    """An AlignedBatch as the (cat, num, labels) triple that a round takes."""
+    return batch.cat, batch.num, batch.labels
+
+
 def round_loss_setup(fed: Federation, batch: AlignedBatch):
     """Closures for finite-difference checks over one federated round.
 
@@ -171,10 +176,10 @@ def round_loss_setup(fed: Federation, batch: AlignedBatch):
     fed.optimizer = NoStep()
 
     def loss_fn() -> float:
-        return run_round(fed, batch, 0, TransportLog()).loss
+        return run_round(fed, arrays(batch), 0, TransportLog()).loss
 
     def grads_fn() -> dict[str, np.ndarray]:
-        run_round(fed, batch, 0, TransportLog())
+        run_round(fed, arrays(batch), 0, TransportLog())
         return fed.layout.views(fed.grad.copy())
 
     return loss_fn, grads_fn, fed.layout.views(fed.theta)

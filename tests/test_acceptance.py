@@ -46,6 +46,7 @@ from vflhlp.sup_pretrain import SupConfig, pretrain_active
 
 from conftest import (
     anchor_model,
+    arrays,
     build_federation,
     draw_encoder_inputs,
     encoder_away_from_kinks,
@@ -186,7 +187,7 @@ def test_criterion_2_split_protocol_equals_centralized_training(tiny_bundle):
     log = TransportLog()
     worst_loss_gap = 0.0
     for r in range(100):
-        stats = run_round(fed, batch, r, log)
+        stats = run_round(fed, arrays(batch), r, log)
         worst_loss_gap = max(worst_loss_gap, abs(stats.loss - mono.step(batch)))
     assert worst_loss_gap < 1e-10
 

@@ -36,9 +36,9 @@ BUDGETS = {
     "supervised step sgd b8": (15, 28),
     "supervised step adam b256": (17, 29),
     "contrastive batch b256": (6, 10),
-    "aligned batches epoch b8": (74, 56),
-    "local epoch sgd b8": (1073, 1719),
-    "downstream epoch vanilla_vfl b8": (778, 1293),
+    "aligned batches epoch b8": (22, 0),
+    "local epoch sgd b8": (1052, 1719),
+    "downstream epoch vanilla_vfl b8": (722, 1225),
 }
 
 
@@ -80,7 +80,7 @@ def test_a_round_keeps_its_call_budget(tiny_bundle, mode):
     fed = build_federation(train, specs, beta=0.5, seed=3, optimizer="sgd", anchor=anchor)
     pool = train.gather(train.aligned_ids(40))
     pool.cat = {k: fed.encoders[k].resolve(cat) for k, cat in pool.cat.items()}
-    batch = sample_aligned_batches(pool, 8, 3, 1)[0]
+    (batch, _), *_ = sample_aligned_batches(pool, 8, stream(3, "aligned-batches", 1))
     _within_budget(f"round {mode.value} b8", run_round, fed, batch, 0, TransportLog())
 
 
@@ -110,7 +110,8 @@ def test_a_contrastive_batch_keeps_its_call_budget():
 def test_an_epoch_of_aligned_batches_keeps_its_call_budget(tiny_bundle):
     train = tiny_bundle.train
     pool = train.gather(train.aligned_ids(120))
-    _within_budget("aligned batches epoch b8", sample_aligned_batches, pool, 8, 3, 1)
+    _within_budget("aligned batches epoch b8", sample_aligned_batches, pool, 8,
+                   stream(3, "aligned-batches", 1))
 
 
 def test_an_epoch_of_local_training_keeps_its_call_budget(tiny_bundle):

@@ -755,6 +755,18 @@ def test_a_schedule_past_the_transport_logs_round_limit_exits_two(
     assert "config error" in err and "make 4294967296 rounds" in err
 
 
+def test_a_hold_out_that_leaves_no_training_row_exits_three(tmp_path, out, capsys):
+    # round(0.9 * 2) = 2 of the 2 aligned rows are held out, in a cell as in
+    # pre-training: one data error
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({**TINY, "downstream": {**TINY["downstream"], "val_fraction": 0.9},
+                                 "grid": {**TINY["grid"], "aligned_counts": [2]}}))
+    assert run("train", "--config", short, "--out", out, "--mode", "vanilla_vfl") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "no training rows left after holding out 2 of 2 rows (val_fraction 0.9)" in err
+
+
 def test_usage_and_config_errors_use_exit_code_two(cfg_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**TINY, "bogus": 1}))

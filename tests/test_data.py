@@ -13,6 +13,7 @@ from vflhlp.data import (
     Field,
     FeatureSchema,
     PartyView,
+    hold_out,
     load_bundle,
     load_csv,
     sample_aligned_batches,
@@ -96,7 +97,7 @@ def test_synth_gather_preserves_requested_order(tiny_bundle):
     ids = train.aligned_ids(8)[::-1].copy()
     batch = train.gather(ids)
     np.testing.assert_array_equal(batch.ids, ids)
-    np.testing.assert_array_equal(batch.labels, train.labels_for(ids))
+    np.testing.assert_array_equal(batch.labels, train.labels[train.parties[1].rows_for(ids)])
     one = train.gather(ids[:1])
     np.testing.assert_array_equal(one.num[2][0], batch.num[2][0])
 
@@ -125,22 +126,30 @@ def _pool(ds, count):
     return ds.gather(ds.aligned_ids(count))
 
 
+def _tagged_pool(ds, count):
+    """A pool whose labels are its IDs, so a batch's labels name its rows."""
+    pool = _pool(ds, count)
+    pool.labels = pool.ids.astype(np.float64)
+    return pool
+
+
 def test_sample_aligned_batches_cover_each_row_once(tiny_bundle):
     train = tiny_bundle.train
-    batches = sample_aligned_batches(_pool(train, 50), batch_size=16, seed=5, epoch=2)
-    sizes = [b.n for b in batches]
-    assert sizes == [16, 16, 16, 2]
-    seen = np.concatenate([b.ids for b in batches])
+    batches = sample_aligned_batches(_tagged_pool(train, 50), batch_size=16,
+                                     rng=stream(5, "aligned-batches", 2))
+    sizes = [rows for _, rows in batches]
+    assert sizes == [16, 16, 16, 2] == [labels.size for (_, _, labels), _ in batches]
+    seen = np.concatenate([labels for (_, _, labels), _ in batches])
     assert sorted(seen.tolist()) == sorted(train.aligned_ids(50).tolist())
 
 
 def test_sample_aligned_batches_depend_on_epoch_not_call_order(tiny_bundle):
-    train = tiny_bundle.train
-    a = sample_aligned_batches(_pool(train, 50), 16, seed=5, epoch=1)
-    b = sample_aligned_batches(_pool(train, 50), 16, seed=5, epoch=1)
-    c = sample_aligned_batches(_pool(train, 50), 16, seed=5, epoch=2)
-    np.testing.assert_array_equal(a[0].ids, b[0].ids)
-    assert not np.array_equal(a[0].ids, c[0].ids)
+    pool = _tagged_pool(tiny_bundle.train, 50)
+    a = sample_aligned_batches(pool, 16, stream(5, "aligned-batches", 1))
+    b = sample_aligned_batches(pool, 16, stream(5, "aligned-batches", 1))
+    c = sample_aligned_batches(pool, 16, stream(5, "aligned-batches", 2))
+    np.testing.assert_array_equal(a[0][0][2], b[0][0][2])
+    assert not np.array_equal(a[0][0][2], c[0][0][2])
 
 
 @pytest.mark.parametrize("seed", [1, 5, 29])
@@ -151,16 +160,16 @@ def test_batches_of_the_gathered_pool_equal_per_batch_gathers(tiny_bundle, seed)
         ids = train.aligned_ids(50)
         shuffled = ids[stream(seed, "aligned-batches", epoch).permutation(ids.size)]
         expected = [train.gather(shuffled[i : i + 16]) for i in range(0, ids.size, 16)]
-        batches = sample_aligned_batches(_pool(train, 50), 16, seed, epoch)
-        assert [b.n for b in batches] == [16, 16, 16, 2]
-        for got, want in zip(batches, expected):
-            np.testing.assert_array_equal(got.ids, want.ids)
-            np.testing.assert_array_equal(got.labels, want.labels)
+        batches = sample_aligned_batches(_pool(train, 50), 16,
+                                         stream(seed, "aligned-batches", epoch))
+        assert [rows for _, rows in batches] == [16, 16, 16, 2]
+        for ((cat, num, labels), _), want in zip(batches, expected):
+            np.testing.assert_array_equal(labels, want.labels)
             for k in train.parties:
-                np.testing.assert_array_equal(got.cat[k], want.cat[k])
-                np.testing.assert_array_equal(got.num[k], want.num[k])
-                assert got.num[k].dtype == want.num[k].dtype
-                assert got.num[k].flags.c_contiguous
+                np.testing.assert_array_equal(cat[k], want.cat[k])
+                np.testing.assert_array_equal(num[k], want.num[k])
+                assert num[k].dtype == want.num[k].dtype
+                assert num[k].flags.c_contiguous
 
 
 @pytest.mark.parametrize("count, batch_size", [(48, 16), (10, 16), (7, 1), (50, 16)])
@@ -170,29 +179,46 @@ def test_sample_aligned_batches_are_row_slices_of_the_shuffled_pool(
     # the reference is one slice per batch of the epoch's shuffled pool; the
     # embedding rows a cell resolves once keep their type in every batch
     train = tiny_bundle.train
-    pool = _pool(train, count)
+    pool = _tagged_pool(train, count)
     pool.cat[1] = pool.cat[1].view(BlockRows)
     shuffled = pool.take(stream(3, "aligned-batches", 4).permutation(count))
     expected = [shuffled.take(slice(i, i + batch_size)) for i in range(0, count, batch_size)]
-    batches = sample_aligned_batches(pool, batch_size, seed=3, epoch=4)
+    batches = sample_aligned_batches(pool, batch_size, stream(3, "aligned-batches", 4))
     assert len(batches) == len(expected) == -(-count // batch_size)
-    for got, want in zip(batches, expected):
-        assert got.ids.tobytes() == want.ids.tobytes()
-        assert got.labels.tobytes() == want.labels.tobytes()
-        assert list(got.cat) == list(got.num) == list(train.parties)
+    for ((cat, num, labels), rows), want in zip(batches, expected):
+        assert rows == want.n
+        assert labels.tobytes() == want.labels.tobytes() == want.ids.astype(float).tobytes()
+        assert list(cat) == list(num) == list(train.parties)
         for k in train.parties:
-            for a, b in ((got.cat[k], want.cat[k]), (got.num[k], want.num[k])):
+            for a, b in ((cat[k], want.cat[k]), (num[k], want.num[k])):
                 assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
                 assert type(a) is type(b) and a.flags.c_contiguous
-        assert type(got.cat[1]) is BlockRows
+        assert type(cat[1]) is BlockRows
 
 
 def test_sample_aligned_batches_rejects_bad_input(tiny_bundle):
     with pytest.raises(ConfigError):
-        sample_aligned_batches(_pool(tiny_bundle.train, 120), 0, seed=1, epoch=0)
+        sample_aligned_batches(_pool(tiny_bundle.train, 120), 0, stream(1, "batches"))
     empty = tiny_bundle.train.gather(tiny_bundle.train.aligned_pool[:0])
     with pytest.raises(DataError):
-        sample_aligned_batches(empty, 8, seed=1, epoch=0)
+        sample_aligned_batches(empty, 8, stream(1, "batches"))
+
+
+@pytest.mark.parametrize("count, fraction, n_val", [(50, 0.1, 5), (7, 0.0, 0), (4, 0.7, 3)])
+def test_hold_out_splits_one_permutation(tiny_bundle, count, fraction, n_val):
+    pool = _tagged_pool(tiny_bundle.train, count)
+    perm = stream(2, "val-split").permutation(count)
+    train, val = hold_out(pool, fraction, stream(2, "val-split"))
+    assert train.ids.tolist() == pool.ids[perm[n_val:]].tolist()
+    assert train.labels.tolist() == train.ids.tolist()
+    for k in pool.cat:
+        assert train.cat[k].tobytes() == pool.cat[k][perm[n_val:]].tobytes()
+        assert train.num[k].tobytes() == pool.num[k][perm[n_val:]].tobytes()
+    if n_val:
+        assert val.ids.tolist() == pool.ids[perm[:n_val]].tolist()
+        assert val.num[2].tobytes() == pool.num[2][perm[:n_val]].tobytes()
+    else:
+        assert val is None
 
 
 # ----------------------------------------------------------------- CSV

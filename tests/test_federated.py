@@ -46,8 +46,8 @@ from vflhlp.ssl_pretrain import SslConfig, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active, train_local
 
 from conftest import (
-    NoStep, anchor_model, build_federation, fresh_models, round_loss_setup, small_spec,
-    tiny_synth_config,
+    NoStep, anchor_model, arrays, build_federation, fresh_models, round_loss_setup,
+    small_spec, tiny_synth_config,
 )
 from gradcheck import grad_check
 
@@ -132,10 +132,10 @@ def test_total_loss_beta_zero_is_bitwise_identity(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=16)
     anchor = anchor_model(specs3[1], stream(42, "anchor"), head=np.ones(5))
     plain = run_round(build_federation(train, specs3, beta=0.5, seed=42),
-                      batch, 0, TransportLog())
+                      arrays(batch), 0, TransportLog())
     assert plain.loss_cons == 0.0 and plain.loss.hex() == plain.loss_vfl.hex()
     pulled = run_round(build_federation(train, specs3, beta=0.0, seed=42, anchor=anchor),
-                       batch, 0, TransportLog())
+                       arrays(batch), 0, TransportLog())
     assert pulled.loss_cons > 1.0  # the anchors are far from the fresh weights
     assert pulled.loss.hex() == pulled.loss_vfl.hex() == plain.loss_vfl.hex()
 
@@ -152,7 +152,7 @@ def test_round_messages_are_balanced_and_audited(tiny_bundle, specs3):
     fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
     for r in range(4):
-        run_round(fed, batch, r, log)
+        run_round(fed, arrays(batch), r, log)
     assert len(log.records) == 4 * 2 * 3
     report = audit_transport(log, train)
     assert report.ok
@@ -173,7 +173,7 @@ def test_log_records_hash_each_payload_in_both_directions(tiny_bundle, specs3):
     log = KeepingLog()
     log.kept = []
     for r in range(2):
-        run_round(fed, batch, r, log)
+        run_round(fed, arrays(batch), r, log)
     records = log.records
     assert len(records) == len(log.kept) == 2 * 2 * 3
     for rec, msg in zip(records, log.kept):
@@ -191,7 +191,7 @@ def test_audit_flags_unbalanced_rounds(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle)
     fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
-    run_round(fed, batch, 0, log)
+    run_round(fed, arrays(batch), 0, log)
     assert audit_transport(log, train).balanced_rounds
     log.record(GradientMsg(0, 2, np.zeros((3, 4))))  # a fourth reply in round 0
     report = audit_transport(log, train)
@@ -203,7 +203,7 @@ def test_audit_flags_raw_column_and_label_leaks(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle)
     fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
-    run_round(fed, batch, 0, log)
+    run_round(fed, arrays(batch), 0, log)
     # a payload that is byte-for-byte one party's raw numerical column
     col = train.parties[2].num[:, 1]
     log.record(RepresentationMsg(1, 2, col.reshape(-1, 1)))
@@ -228,11 +228,11 @@ def test_audit_flags_a_raw_column_planted_at_a_late_round(tiny_bundle, specs3):
     fed = build_federation(train, specs3, beta=0.0, seed=1)
     log = TransportLog()
     for r in range(100):
-        run_round(fed, batch, r, log)
+        run_round(fed, arrays(batch), r, log)
     assert audit_transport(log, train).ok
     col = train.parties[3].num[:, 2]
     log.record(RepresentationMsg(100, 3, col.reshape(-1, 1)))
-    run_round(fed, batch, 101, log)
+    run_round(fed, arrays(batch), 101, log)
     report = audit_transport(log, train)
     assert (report.ok, report.n_messages, report.n_rounds) == (False, 607, 102)
     assert report.violations == [
@@ -411,7 +411,7 @@ def test_round_collected_grad_names(tiny_bundle, specs3):
     train, batch = _round_batch(tiny_bundle, count=10)
     fed = build_federation(train, specs3, beta=0.0, seed=4)
     fed.optimizer = NoStep()
-    run_round(fed, batch, 0, TransportLog())
+    run_round(fed, arrays(batch), 0, TransportLog())
     assert set(fed.spans) == {"head", "party1", "party2", "party3"}
     names = set(fed.layout.views(fed.grad))
     assert "head.0.weight" in names and "head.0.bias" in names
@@ -481,7 +481,7 @@ def test_a_federation_copies_the_models_it_is_built_from(tiny_bundle, specs3):
         assert encoder is given[k]
         assert not np.shares_memory(encoder.theta, first.theta)
         assert np.shares_memory(first.encoders[k].theta, first.theta)
-    run_round(first, batch, 0, TransportLog())
+    run_round(first, arrays(batch), 0, TransportLog())
     assert first.theta.tobytes() != built
     second = Federation(encoders, head, 0.0, 1e-3, 1e-3, "sgd")
     assert second.theta.tobytes() == built
@@ -498,7 +498,7 @@ def test_first_round_constraint_is_zero_when_started_at_anchors(
     fed.head.params()["0.weight"][:, sl] = active.head.params()["0.weight"]
     fed.head.params()["0.bias"][:] = active.head.params()["0.bias"]
     fed.optimizer = NoStep()
-    stats = run_round(fed, batch, 0, TransportLog())
+    stats = run_round(fed, arrays(batch), 0, TransportLog())
     assert stats.loss_cons == 0.0
     assert stats.loss == stats.loss_vfl
 
@@ -512,7 +512,7 @@ def test_zero_head_weights_leave_parties_stationary_for_one_round(
     before = {k: encoder.layout.views(encoder.theta.copy())
               for k, encoder in fed.encoders.items()}
     bias_before = fed.head.params()["0.bias"].copy()
-    run_round(fed, batch, 0, TransportLog())
+    run_round(fed, arrays(batch), 0, TransportLog())
     for k, encoder in fed.encoders.items():
         for name, arr in encoder.params().items():
             np.testing.assert_array_equal(arr, before[k][name])
@@ -550,7 +550,7 @@ def test_a_gradient_only_round_leaves_no_trace(tiny_bundle, specs3, pretrained, 
     # and 2 with one between them train exactly as rounds 0 and 2 back to back
     train = tiny_bundle.train
     ids = train.aligned_ids(24)
-    batches = [train.gather(ids[i : i + 8]) for i in (0, 8, 16)]
+    batches = [arrays(train.gather(ids[i : i + 8])) for i in (0, 8, 16)]
     def trained(gradient_only_between: bool) -> tuple[bytes, int]:
         fed = build_federation(train, specs3, beta=beta, seed=14,
                                anchor=pretrained.active if anchored else None)
@@ -624,7 +624,7 @@ def test_split_protocol_matches_monolith(tiny_bundle, specs3):
 
     log = TransportLog()
     for r in range(30):
-        stats = run_round(fed, batch, r, log)
+        stats = run_round(fed, arrays(batch), r, log)
         mono_loss = mono.step(batch)
         assert abs(stats.loss - mono_loss) < 1e-10, f"round {r}"
 
@@ -745,7 +745,7 @@ def test_each_epoch_reports_the_row_weighted_mean_of_its_rounds(
 
     def spy(fed, batch, *args):
         stats = run_round(fed, batch, *args)
-        rounds.append((stats, batch.n))
+        rounds.append((stats, batch[2].size))
         return stats
 
     monkeypatch.setattr(federated, "run_round", spy)

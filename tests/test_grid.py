@@ -113,6 +113,17 @@ def test_a_non_finite_downstream_epoch_fails_its_cell_alone(monkeypatch):
     assert result.cells[0].error == "TrainingError: training loss non-finite at epoch 2"
 
 
+def test_a_cell_whose_hold_out_leaves_no_training_row_fails_alone():
+    # round(0.9 * 2) = 2 of count 2's aligned rows are held out; count 20 keeps 2
+    raw = _raw(modes=["vanilla_vfl"], aligned_counts=[2, 20])
+    result = run_grid(parse_config({**raw, "downstream": {**raw["downstream"],
+                                                          "val_fraction": 0.9}}))
+    assert [(c.aligned_count, c.status) for c in result.cells] == [(2, "failed"), (20, "ok")]
+    assert result.cells[0].error == (
+        "DataError: no training rows left after holding out 2 of 2 rows (val_fraction 0.9)"
+    )
+
+
 def test_untyped_local_a_failure_propagates(monkeypatch):
     monkeypatch.setattr(evaluation, "train_local_a", functools.partial(_raise, KeyError))
     with pytest.raises(KeyError, match="local_a of seed 7 went wrong"):

@@ -19,7 +19,7 @@ from vflhlp.config import encoder_specs, parse_config
 from vflhlp.federated import TrainMode, TransportLog
 from vflhlp.rng import stream
 
-from conftest import anchor_model, build_federation, small_spec
+from conftest import anchor_model, arrays, build_federation, small_spec
 from test_cli import TINY
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -181,7 +181,7 @@ def test_a_round_calls_each_traced_kernel_once_per_use(tiny_bundle, k, mode, ste
     try:
         for r in range(3):
             if step:
-                federated.run_round(fed, batch, r, TransportLog())
+                federated.run_round(fed, arrays(batch), r, TransportLog())
             else:
                 fed.forward_backward(batch.cat, batch.num, batch.labels,
                                      TransportLog().record, r)

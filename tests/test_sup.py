@@ -8,7 +8,7 @@ from vflhlp.errors import ConfigError, DataError, TrainingError
 from vflhlp.federated import Federation
 from vflhlp.metrics import auc
 from vflhlp.nn import Mlp, bce_with_logits, make_optimizer
-from vflhlp.nn.layers import BINCOUNT_ROWS, ModelSet
+from vflhlp.nn.layers import BINCOUNT_ROWS, BlockRows, ModelSet
 from vflhlp.rng import stream
 from vflhlp.sup_pretrain import SupConfig, local_predict, pretrain_active
 
@@ -191,6 +191,51 @@ def test_pretrain_active_loss_trace_is_the_row_weighted_mean_of_its_steps(tiny_b
     for loss, rows in steps:
         total += loss * rows
     assert _loss_trace(model) == [total / sum(rows for _, rows in steps)]
+
+
+def test_pretrain_active_batches_follow_the_hand_written_split_and_shuffle(tiny_bundle,
+                                                                          monkeypatch):
+    # the oracle is the batch order pretrain_active once built by hand: hold out
+    # the first round(0.1 * n) rows of the val-split permutation, then each epoch
+    # slice the rest in the order of its shuffle stream, the last batch short
+    steps, scored = [], []  # each step's (cat, num, labels); each epoch's held-out rows
+
+    class Spy(sup_pretrain.Federation):
+        def forward_backward(self, cat, num, labels, *args):
+            steps.append((cat[1], num[1], labels))
+            return super().forward_backward(cat, num, labels, *args)
+
+    score = federated.validation_auc
+
+    def spy(fed, val):
+        scored.append((val.cat[1], val.num[1], val.labels))
+        return score(fed, val)
+
+    monkeypatch.setattr(sup_pretrain, "Federation", Spy)
+    monkeypatch.setattr(federated, "validation_auc", spy)
+    view, labels, seed = tiny_bundle.train.parties[1], tiny_bundle.train.labels, 6
+    pretrain_active(view, labels, _spec(), SupConfig(epochs=2, batch_size=64), seed)
+
+    cat_rows = _spec().build(stream(0, "any")).resolve(view.cat)  # the weights do not matter
+    perm = stream(seed, "sup", "val-split").permutation(view.n)
+    n_val = int(round(0.1 * view.n))
+    val_rows, train_rows = perm[:n_val], perm[n_val:]
+    expected = []
+    for epoch in (1, 2):
+        shuffled = train_rows[stream(seed, "sup", "shuffle", epoch).permutation(train_rows.size)]
+        expected += [shuffled[i : i + 64] for i in range(0, shuffled.size, 64)]
+    assert [rows.size for rows in expected] == [64] * 5 + [40] + [64] * 5 + [40]
+    assert len(steps) == len(expected)
+    for (cat, num, y), rows in zip(steps, expected):
+        assert type(cat) is BlockRows
+        assert cat.tobytes() == cat_rows[rows].tobytes()
+        assert num.tobytes() == view.num[rows].tobytes()
+        assert y.tobytes() == labels[rows].tobytes()
+    assert len(scored) == 2
+    for cat, num, y in scored:
+        assert (cat.tobytes(), num.tobytes(), y.tobytes()) == (
+            cat_rows[val_rows].tobytes(), view.num[val_rows].tobytes(),
+            labels[val_rows].tobytes())
 
 
 def test_pretrain_active_rejects_passive_party(tiny_bundle):
