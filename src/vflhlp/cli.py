@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
 
@@ -127,13 +126,13 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
         loaded.append((seed, list(cells), bundle, specs, pretrained))
     for seed, cells, bundle, specs, pretrained in loaded:
         local_a = None  # local_a ignores the count: trained once, written at every count
-        for _, count, mode, beta in cells:
+        for cell in cells:
+            _, count, mode, beta = cell
             if mode.is_federated or local_a is None:
-                dcfg = replace(cfg.downstream, beta=beta)
-                cell = run_cell(bundle, specs, mode, pretrained, dcfg, seed, count)
+                done = run_cell(bundle, specs, cell, pretrained, cfg.downstream)
                 if not mode.is_federated:
-                    local_a = cell
-            trained, score, audit = cell if mode.is_federated else local_a
+                    local_a = done
+            trained, score, audit = done if mode.is_federated else local_a
             run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
             write_file(
                 run_dir / "history.jsonl",

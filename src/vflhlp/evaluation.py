@@ -225,17 +225,22 @@ def _csv_text(header: list[str], rows) -> str:
     return out.getvalue()
 
 
+# a cell whose split cannot be scored fails with UndefinedMetricError, a DataError
+_CELL_ERRORS = (ConfigError, DataError, TrainingError)
+
+Cell = tuple[int, int, TrainMode, float]  # (seed, aligned count, mode, beta)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run_cell(
     bundle: DatasetBundle,
     specs: dict[int, EncoderSpec],
-    mode: TrainMode,
+    cell: Cell,
     pretrained: PretrainedWeights | None,
-    dcfg: DownstreamConfig,
-    seed: int,
-    count: int,
+    downstream: DownstreamConfig,
 ) -> tuple[TrainedFederation, float, AuditReport | None]:
-    """Train one cell on the first `count` aligned IDs and score it on bundle.test.
+    """Train one plan cell (seed, count, mode, beta) on the first `count`
+    aligned IDs, with `downstream` at the cell's beta, and score it on bundle.test.
 
     A federated cell's transport log is audited first, and a payload that
     copies a raw column or the labels raises TrainingError; the returned model
@@ -245,6 +250,8 @@ def run_cell(
     warnings and fails typed: optimizers refuse non-finite gradients, `fit` a
     non-finite epoch loss, `auc` non-finite scores.
     """
+    seed, count, mode, beta = cell
+    dcfg = replace(downstream, beta=beta)
     if not mode.is_federated:
         trained = train_local(bundle.train, specs[1], dcfg, seed)
         return trained, evaluate_mode(trained, bundle.test), None
@@ -266,8 +273,8 @@ def train_local_a(cfg: RunConfig, seed: int) -> tuple[TrainedFederation, float]:
     """
     bundle = build_bundle(cfg, seed)
     specs = encoder_specs(bundle.train, cfg.model)
-    trained, score, _ = run_cell(bundle, specs, TrainMode.LOCAL_A, None, cfg.downstream,
-                                 seed, 0)
+    trained, score, _ = run_cell(bundle, specs, (seed, 0, TrainMode.LOCAL_A, 0.0), None,
+                                 cfg.downstream)
     return trained, score
 
 
@@ -278,12 +285,6 @@ def _spare_cpus() -> int:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return max(1, cpus - 1)
-
-
-# a cell whose split cannot be scored fails with UndefinedMetricError, a DataError
-_CELL_ERRORS = (ConfigError, DataError, TrainingError)
-
-Cell = tuple[int, int, TrainMode, float]  # (seed, aligned count, mode, beta)
 
 
 def cell_plan(
@@ -374,8 +375,7 @@ def run_grid(
                 _, count, mode, beta = cell
                 say(f"seed {seed}: n_al={count} mode={mode.value} beta={beta:g}")
                 if mode.is_federated:  # local_a's cell comes back from its worker
-                    dcfg = replace(cfg.downstream, beta=beta)
-                    record(cell, run_cell, bundle, specs, mode, pre, dcfg, seed, count)
+                    record(cell, run_cell, bundle, specs, cell, pre, cfg.downstream)
 
             if seed not in local_a_jobs:
                 continue

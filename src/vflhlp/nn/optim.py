@@ -39,13 +39,12 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8.
-    The moments `m` and `v` are laid out like the vector it first steps."""
+    """Adam with bias correction. The moments `m` and `v` are laid out like
+    the vector it first steps."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None

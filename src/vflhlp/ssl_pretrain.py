@@ -35,6 +35,7 @@ class CorruptionModel:
     Categorical fields keep (values, cdf as `Generator.choice` builds it);
     numerical fields keep `num_table`, one sorted observed column per row. A
     replacement is the feature value of a uniformly random training row.
+    Fit on BlockRows, its values and so its replacements are embedding rows.
     """
 
     rate: float
@@ -43,18 +44,18 @@ class CorruptionModel:
     num_table: np.ndarray  # [n_num, n]
 
     @classmethod
-    def fit(cls, view: PartyView, rate: float) -> "CorruptionModel":
+    def fit(cls, cat: np.ndarray, num: np.ndarray, rate: float) -> "CorruptionModel":
         if not 0.0 <= rate <= 1.0:
             raise ConfigError(f"corruption rate must be in [0, 1], got {rate}")
-        if view.n == 0:
+        if cat.shape[0] == 0:
             raise ConfigError("cannot fit corruption marginals on an empty table")
         cat_values, cat_cdfs = [], []
-        for j in range(view.cat.shape[1]):
-            values, counts = np.unique(view.cat[:, j], return_counts=True)
+        for j in range(cat.shape[1]):
+            values, counts = np.unique(cat[:, j], return_counts=True)
             cdf = (counts / counts.sum()).cumsum()
             cat_values.append(values)
             cat_cdfs.append(cdf / cdf[-1])
-        num_table = view.num.T.copy()
+        num_table = num.T.copy()
         num_table.sort(axis=1)
         return cls(rate, cat_values, cat_cdfs, num_table)
 
@@ -228,16 +229,16 @@ def pretrain_passive(
     encoder, projection = net.models.values()
     # the clean view's gradient, kept here while net.grad takes the corrupted view's
     clean_grad = np.empty_like(net.grad)
-    marginals = CorruptionModel.fit(view, cfg.corruption_rate)
+    table = encoder.resolve(view.cat)  # once: both views and the marginals take its rows
+    marginals = CorruptionModel.fit(table, view.num, cfg.corruption_rate)
     corrupt_rng = stream(seed, "ssl", k, "corruption")
     probe_rng = stream(seed, "ssl", k, "probe")
     optimizer = make_optimizer(cfg.optimizer)
-    clean_cat = encoder.resolve(view.cat)  # once; the corrupted rows per batch
 
     def batch_loss(rows: np.ndarray, rng, update: bool) -> float:
-        num = view.num[rows]
-        ccat, cnum, _ = corrupt(view.cat[rows], num, marginals, rng)
-        r_clean, tape_clean = encoder.forward(clean_cat[rows], num)
+        cat, num = table[rows], view.num[rows]
+        ccat, cnum, _ = corrupt(cat, num, marginals, rng)
+        r_clean, tape_clean = encoder.forward(cat, num)
         z, ptape_clean = projection.forward(r_clean)
         r_corr, tape_corr = encoder.forward(ccat, cnum)
         zt, ptape_corr = projection.forward(r_corr)

@@ -24,7 +24,7 @@ from vflhlp.federated import (
 )
 from vflhlp.nn import Mlp
 from vflhlp.rng import stream
-from vflhlp.ssl_pretrain import contrastive_batch
+from vflhlp.ssl_pretrain import SslConfig, contrastive_batch, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active
 
 from conftest import anchor_model, build_federation, small_spec
@@ -36,6 +36,7 @@ BUDGETS = {
     "supervised step sgd b8": (15, 28),
     "supervised step adam b256": (17, 29),
     "contrastive batch b256": (6, 10),
+    "contrastive epoch b64": (653, 1426),
     "aligned batches epoch b8": (22, 0),
     "local epoch sgd b8": (1052, 1719),
     "downstream epoch vanilla_vfl b8": (722, 1225),
@@ -105,6 +106,13 @@ def test_a_contrastive_batch_keeps_its_call_budget():
     rng = stream(3, "views")
     z, z_tilde = rng.normal(size=(256, 4)), rng.normal(size=(256, 4))
     _within_budget("contrastive batch b256", contrastive_batch, z, z_tilde, 1.0)
+
+
+def test_an_epoch_of_contrastive_training_keeps_its_call_budget(tiny_bundle):
+    # pretrain_passive whole, one epoch: 400 rows make 7 batches, and the probe's 7
+    cfg = SslConfig(epochs=1, batch_size=64)
+    _within_budget("contrastive epoch b64", pretrain_passive, tiny_bundle.train.parties[2],
+                   _spec(), cfg, 3)
 
 
 def test_an_epoch_of_aligned_batches_keeps_its_call_budget(tiny_bundle):

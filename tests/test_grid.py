@@ -258,11 +258,11 @@ def test_a_cell_keeps_no_transport_log_past_its_audit(monkeypatch):
     cfg = parse_config(_raw(modes=["vanilla_vfl", "local_a"]))
     bundle = build_bundle(cfg, 7)
     specs = encoder_specs(bundle.train, cfg.model)
-    trained, _, report = evaluation.run_cell(bundle, specs, TrainMode.VANILLA_VFL, None,
-                                             cfg.downstream, 7, 20)
+    trained, _, report = evaluation.run_cell(bundle, specs, (7, 20, TrainMode.VANILLA_VFL, 0.0),
+                                             None, cfg.downstream)
     assert report.ok and report.n_messages > 0 and trained.transport is None
-    local, _, no_report = evaluation.run_cell(bundle, specs, TrainMode.LOCAL_A, None,
-                                              cfg.downstream, 7, 20)
+    local, _, no_report = evaluation.run_cell(bundle, specs, (7, 20, TrainMode.LOCAL_A, 0.0),
+                                              None, cfg.downstream)
     assert no_report is None and local.transport is None
     assert len(audited) == 1
 

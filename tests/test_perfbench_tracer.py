@@ -77,8 +77,8 @@ def test_tracer_tags_read_the_call_shapes_of_cells_and_pretraining():
     try:
         pre = evaluation.pretrain_for_seed(cfg, bundle, 7, need_active=True,
                                            need_passive=False)
-        evaluation.run_cell(bundle, specs, TrainMode.VANILLA_VFL, pre, dcfg, 7, 20)
-        evaluation.run_cell(bundle, specs, TrainMode.LOCAL_A, None, dcfg, 7, 20)
+        evaluation.run_cell(bundle, specs, (7, 20, TrainMode.VANILLA_VFL, 0.0), pre, dcfg)
+        evaluation.run_cell(bundle, specs, (7, 20, TrainMode.LOCAL_A, 0.0), None, dcfg)
     finally:
         t.uninstall()
 

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from vflhlp import ssl_pretrain
-from vflhlp.data import PartyView
+from vflhlp.data import PartyView, synth_generate
 from vflhlp.errors import ConfigError, SchemaError, TrainingError
+from vflhlp.federated import DownstreamConfig, TrainMode, train_downstream
+from vflhlp.nn.layers import BlockRows, EmbeddingTable
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import (
     CorruptionModel,
@@ -26,8 +28,9 @@ from vflhlp.ssl_pretrain import (
     info_nce,
     pretrain_passive,
 )
+from vflhlp.sup_pretrain import SupConfig, pretrain_active
 
-from conftest import small_spec
+from conftest import small_spec, tiny_synth_config
 from gradcheck import max_relative_error, numeric_grads
 
 
@@ -298,7 +301,7 @@ def _fake_view(n=50, n_cat=2, n_num=3, seed=4):
                                            (0.6, 3), (0.61, 4), (1.0, 5)])
 def test_corrupt_marks_exactly_ceil_rate_d_positions(rate, expected):
     view = _fake_view()
-    model = CorruptionModel.fit(view, rate)
+    model = CorruptionModel.fit(view.cat, view.num, rate)
     cat, num, mask = corrupt(view.cat, view.num, model, stream(1, "c"))
     assert mask.shape == (view.n, 5)
     np.testing.assert_array_equal(mask.sum(axis=1), expected)
@@ -306,7 +309,7 @@ def test_corrupt_marks_exactly_ceil_rate_d_positions(rate, expected):
 
 def test_corrupt_rate_zero_returns_unchanged_copies():
     view = _fake_view()
-    model = CorruptionModel.fit(view, 0.0)
+    model = CorruptionModel.fit(view.cat, view.num, 0.0)
     cat, num, mask = corrupt(view.cat, view.num, model, stream(2, "c"))
     np.testing.assert_array_equal(cat, view.cat)
     np.testing.assert_array_equal(num, view.num)
@@ -316,7 +319,7 @@ def test_corrupt_rate_zero_returns_unchanged_copies():
 
 def test_corrupt_only_touches_masked_positions():
     view = _fake_view()
-    model = CorruptionModel.fit(view, 0.5)
+    model = CorruptionModel.fit(view.cat, view.num, 0.5)
     cat, num, mask = corrupt(view.cat, view.num, model, stream(3, "c"))
     n_cat = view.cat.shape[1]
     same_cat = cat == view.cat
@@ -327,7 +330,7 @@ def test_corrupt_only_touches_masked_positions():
 
 def test_corrupt_replacements_come_from_observed_marginals():
     view = _fake_view(n=30)
-    model = CorruptionModel.fit(view, 1.0)
+    model = CorruptionModel.fit(view.cat, view.num, 1.0)
     cat, num, mask = corrupt(view.cat, view.num, model, stream(5, "c"))
     for j in range(view.cat.shape[1]):
         assert np.isin(cat[:, j], np.unique(view.cat[:, j])).all()
@@ -337,7 +340,7 @@ def test_corrupt_replacements_come_from_observed_marginals():
 
 def test_corrupt_is_deterministic_given_stream():
     view = _fake_view()
-    model = CorruptionModel.fit(view, 0.6)
+    model = CorruptionModel.fit(view.cat, view.num, 0.6)
     a = corrupt(view.cat, view.num, model, stream(7, "c"))
     b = corrupt(view.cat, view.num, model, stream(7, "c"))
     for x, y in zip(a, b):
@@ -347,14 +350,14 @@ def test_corrupt_is_deterministic_given_stream():
 def test_corruption_model_rejects_bad_rate():
     view = _fake_view()
     with pytest.raises(ConfigError):
-        CorruptionModel.fit(view, -0.1)
+        CorruptionModel.fit(view.cat, view.num, -0.1)
     with pytest.raises(ConfigError):
-        CorruptionModel.fit(view, 1.5)
+        CorruptionModel.fit(view.cat, view.num, 1.5)
 
 
 def test_corrupt_rejects_mismatched_batch():
     view = _fake_view()
-    model = CorruptionModel.fit(view, 0.5)
+    model = CorruptionModel.fit(view.cat, view.num, 0.5)
     with pytest.raises(SchemaError):
         corrupt(view.cat[:, :1], view.num, model, stream(8, "c"))
 
@@ -396,7 +399,7 @@ CORRUPT_PINS = {
 @pytest.mark.parametrize("rate", sorted(CORRUPT_PINS))
 def test_corrupt_bytes_and_stream_are_pinned(rate):
     view = _skewed_view()
-    model = CorruptionModel.fit(view, rate)
+    model = CorruptionModel.fit(view.cat, view.num, rate)
     rng = stream(32, "corrupt-pin", int(rate * 10))
     rows = stream(33, "corrupt-rows").permutation(view.n)
     got = [_sha(*corrupt(view.cat[b], view.num[b], model, rng))
@@ -434,7 +437,7 @@ def per_column_corrupt(view, rows, rate, rng):
 @pytest.mark.parametrize("rate", [0.1, 0.5, 1.0])
 def test_corrupt_is_bitwise_the_per_column_loop(n_cat, n_num, rate):
     view = _skewed_view(n=301, n_cat=n_cat, n_num=n_num)
-    model = CorruptionModel.fit(view, rate)
+    model = CorruptionModel.fit(view.cat, view.num, rate)
     rng, ref_rng = stream(35, "loop", n_cat, n_num), stream(35, "loop", n_cat, n_num)
     perm = stream(36, "loop-rows").permutation(view.n)
     for rows in (perm[:128], perm[128:256], perm[256:]):  # two full batches, one odd
@@ -444,6 +447,30 @@ def test_corrupt_is_bitwise_the_per_column_loop(n_cat, n_num, rate):
             assert g.dtype == w.dtype and np.array_equal(g, w)
     assert np.array_equal(rng.random(3), ref_rng.random(3))
     assert np.array_equal(rng.integers(0, 1000, 5), ref_rng.integers(0, 1000, 5))
+
+
+@pytest.mark.parametrize("n_cat,n_num,one_value", [(0, 8, False), (3, 0, False), (2, 5, False),
+                                                   (3, 0, True), (2, 5, True)])
+@pytest.mark.parametrize("rate", [0.1, 0.5, 1.0])
+def test_corrupting_block_rows_is_resolving_the_corrupted_values(n_cat, n_num, one_value, rate):
+    # marginals fit on a table's embedding rows are its raw marginals shifted by
+    # the field offsets, with the same counts, so they draw the same cells
+    view = _skewed_view(n=301, n_cat=n_cat, n_num=n_num)
+    if one_value:
+        view.cat[:, 1] = 4
+    encoder = small_spec(n_cat=n_cat, n_num=n_num, cardinality=7).build(stream(37, "enc"))
+    table = encoder.resolve(view.cat)
+    rows_model = CorruptionModel.fit(table, view.num, rate)
+    raw_model = CorruptionModel.fit(view.cat, view.num, rate)
+    rng, ref_rng = stream(38, "block", n_cat, n_num), stream(38, "block", n_cat, n_num)
+    perm = stream(39, "block-rows").permutation(view.n)
+    for rows in (perm[:128], perm[128:256], perm[256:]):
+        cat, num, mask = corrupt(table[rows], view.num[rows], rows_model, rng)
+        raw_cat, raw_num, raw_mask = corrupt(view.cat[rows], view.num[rows], raw_model, ref_rng)
+        assert type(cat) is (BlockRows if n_cat else np.ndarray) and cat.dtype == table.dtype
+        assert np.array_equal(cat, encoder.resolve(raw_cat))
+        assert np.array_equal(num, raw_num) and np.array_equal(mask, raw_mask)
+    assert rng.random() == ref_rng.random()
 
 
 class _TiedScores:
@@ -472,7 +499,7 @@ def test_corrupt_ties_go_to_the_lower_column():
                        [0.9, 0.3, 0.3, 0.9, 0.3, 0.3, 0.3],
                        [0.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0]])
     rng = _TiedScores(scores, stream(34, "ties"))
-    _, _, mask = corrupt(view.cat, view.num, CorruptionModel.fit(view, 0.4), rng)
+    _, _, mask = corrupt(view.cat, view.num, CorruptionModel.fit(view.cat, view.num, 0.4), rng)
     want = np.zeros((4, 7), dtype=bool)
     want[0, [0, 1, 2]] = want[1, [0, 1, 4]] = want[2, [1, 2, 4]] = want[3, [0, 1, 3]] = True
     np.testing.assert_array_equal(mask, want)
@@ -554,6 +581,25 @@ def test_pretrain_passive_bytes_are_pinned(tiny_bundle):
         "333f452403d538eefe3f965a76dd9686785caeaf79a3e6a00200e524ae38bdcb")
 
 
+def test_pretrain_passive_bytes_are_pinned_over_two_categorical_fields():
+    # the second field's block rows start at 6, so a corrupted view drawn from
+    # marginals that missed the offsets would look up the first field's rows;
+    # recorded from the implementation that resolved each corrupted batch
+    bundle = synth_generate(tiny_synth_config(cat_fields_per_party=(1, 2, 2)), seed=7)
+    view = bundle.train.parties[2]
+    spec = small_spec(n_cat=2, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
+    cfg = SslConfig(epochs=2, batch_size=64, learning_rate=5e-3)
+    encoder, trace = pretrain_passive(view, spec, cfg, seed=11)
+
+    def digest(values) -> str:
+        return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+    assert digest(encoder.theta) == (
+        "aed5f529ac883eaed6fd45a972508c2eb77e1a0b5451406c5ab08744bcbf8ca5")
+    assert digest(trace) == (
+        "970de36efb5d8aec900a0e6ed1ac93b2c9a59b5e398ee9f395ddae60ab2726aa")
+
+
 def test_pretrain_passive_corrupts_and_contrasts_once_per_batch(tiny_bundle, monkeypatch):
     # through the module's globals, the probe epoch included: the benchmark's
     # traced run counts these calls as its contrastive batches
@@ -569,6 +615,32 @@ def test_pretrain_passive_corrupts_and_contrasts_once_per_batch(tiny_bundle, mon
     pretrain_passive(view, spec, cfg, seed=5)
     batches = (cfg.epochs + 1) * math.ceil(view.n / cfg.batch_size)
     assert calls == {"corrupt": batches, "contrastive_batch": batches}
+
+
+@pytest.mark.parametrize("trainer", ["pretrain_passive", "pretrain_active", "train_downstream"])
+def test_each_trainer_resolves_its_categories_once_a_run(tiny_bundle, monkeypatch, trainer):
+    # once per party with embeddings, where the run starts: every batch's
+    # lookups, the corrupted view's included, take rows of that one table
+    calls, resolve = [], EmbeddingTable.resolve
+
+    def counted(table, cat):
+        calls.append(cat.shape)
+        return resolve(table, cat)
+
+    monkeypatch.setattr(EmbeddingTable, "resolve", counted)
+    train, spec = tiny_bundle.train, small_spec(n_cat=1, n_num=3, hidden=(8, 4))
+    if trainer == "pretrain_passive":
+        pretrain_passive(train.parties[2], spec, SslConfig(epochs=2, batch_size=64), seed=5)
+        assert calls == [(train.parties[2].n, 1)]
+    elif trainer == "pretrain_active":
+        pretrain_active(train.parties[1], train.labels, spec,
+                        SupConfig(epochs=2, batch_size=64), seed=5)
+        assert calls == [(train.parties[1].n, 1)]
+    else:
+        cfg = DownstreamConfig(beta=0.0, epochs=2, batch_size=8, optimizer="sgd")
+        train_downstream(train, {k: spec for k in (1, 2, 3)}, TrainMode.VANILLA_VFL,
+                         None, cfg, 5, 40)
+        assert calls == [(40, 1)] * 3
 
 
 def test_pretrain_passive_rejects_active_party(tiny_bundle):
