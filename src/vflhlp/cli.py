@@ -2,11 +2,11 @@
 
 Every command takes one JSON config (--config). Exit codes: 0 success,
 2 config or usage error (a config too large for memory too), 3 data
-error, 4 training error. The output directory comes from --out, then the
-VFLHLP_OUT environment variable, then the config's output_dir. All
-artifacts under it are deterministic functions of (config, seed);
-wall-clock metadata goes only to the run_meta.json sidecar, one record
-per command, so byte comparisons can skip it.
+error, 4 training error, 130 interrupted (SIGINT). The output directory
+comes from --out, then the VFLHLP_OUT environment variable, then the
+config's output_dir. All artifacts under it are deterministic functions
+of (config, seed); wall-clock metadata goes only to the run_meta.json
+sidecar, one record per command, so byte comparisons can skip it.
 """
 from __future__ import annotations
 
@@ -290,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         code = _fail("data error", exc, 3)
     except TrainingError as exc:
         code = _fail("training error", exc, 4)
+    except KeyboardInterrupt:  # Ctrl-C: one line and a run record, not a traceback
+        print("interrupted", file=sys.stderr)
+        code = 130
     if out is not None and out.is_dir():  # a failed run gets its sidecar too
         try:
             _write_run_meta(out, args.command, started, code)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn import check_labels, load_checkpoint, save_checkpoint
 from .rng import stream
 
 CATEGORICAL = "categorical"
@@ -251,7 +251,7 @@ class Table:
     ids: np.ndarray
     cat: np.ndarray  # columns follow schema's categorical fields in order
     num: np.ndarray  # columns follow schema's numerical fields in order
-    labels: np.ndarray | None
+    labels: np.ndarray  # float64, each 0 or 1
     cat_fields: tuple[Field, ...]
     num_fields: tuple[Field, ...]
 
@@ -310,57 +310,31 @@ def _read_rows(path, needed: list[str]) -> list[dict[str, str]]:
     return rows
 
 
-def _parse_ids(path, rows: list[dict[str, str]], id_column: str) -> np.ndarray:
-    ids = np.empty(len(rows), dtype=np.int64)
-    seen: set[int] = set()
-    for i, row in enumerate(rows):
-        raw = row[id_column]
-        try:
-            val = int(raw)
-        except ValueError:
-            raise DataError(f"{path}:{i + 2}: ID {raw!r} is not an integer") from None
-        if val in seen:
-            raise DataError(f"{path}:{i + 2}: duplicate ID {val}")
-        seen.add(val)
-        ids[i] = val
-    return ids
-
-
-def _parse_num_column(path, rows, name: str) -> np.ndarray:
-    out = np.empty(len(rows), dtype=np.float64)
+def _parse_column(path, rows, column: str, dtype, what: str) -> np.ndarray:
+    """One CSV column in `dtype` (int64 by `int`, float64 by `float`), parsed
+    cell by cell; DataError naming the line and cell of the first cell that
+    does not parse or does not fit, `what` naming the column in the message."""
+    parse, kind = (int, "a 64-bit integer") if dtype == np.int64 else (float, "a number")
+    out = np.empty(len(rows), dtype)
     for i, row in enumerate(rows):
         try:
-            out[i] = float(row[name])
-        except ValueError:
-            raise DataError(
-                f"{path}:{i + 2}: field {name!r}: {row[name]!r} is not a number"
-            ) from None
-    bad = np.flatnonzero(~np.isfinite(out))
+            out[i] = parse(row[column])
+        except (ValueError, OverflowError):  # an int outside int64 overflows
+            raise DataError(f"{path}:{i + 2}: {what} {row[column]!r} is not {kind}") from None
+    return out
+
+
+def _first_flagged(path, rows, column: str, flagged: np.ndarray, describe) -> None:
+    """DataError at the line of the first row that the vectorized check
+    `flagged` marks, `describe(cell)` saying what is wrong with its cell."""
+    bad = np.flatnonzero(flagged)
     if bad.size:
-        # one nan or inf would turn the whole min-max scaled column to nan
         i = int(bad[0])
-        raise DataError(
-            f"{path}:{i + 2}: field {name!r}: {rows[i][name]!r} is not a finite number"
-        )
-    return out
-
-
-def _parse_labels(path, rows, label_column: str) -> np.ndarray:
-    out = np.empty(len(rows), dtype=np.float64)
-    for i, row in enumerate(rows):
-        raw = row[label_column]
-        try:
-            val = float(raw)
-        except ValueError:
-            raise DataError(f"{path}:{i + 2}: label {raw!r} is not a number") from None
-        if val not in (0.0, 1.0):
-            raise DataError(f"{path}:{i + 2}: label must be 0 or 1, got {raw!r}")
-        out[i] = val
-    return out
+        raise DataError(f"{path}:{i + 2}: {describe(rows[i][column])}")
 
 
 def load_csv(
-    path, schema: FeatureSchema, id_column: str, label_column: str | None
+    path, schema: FeatureSchema, id_column: str, label_column: str
 ) -> tuple[Table, TableEncoder]:
     """Read a training CSV and fit the encoder on it.
 
@@ -375,24 +349,27 @@ def transform_csv(
     schema: FeatureSchema,
     encoder: TableEncoder,
     id_column: str,
-    label_column: str | None,
+    label_column: str,
 ) -> Table:
     """Read an evaluation CSV with a fitted encoder; unseen categories map to 0."""
     return _read_table(path, schema, encoder, id_column, label_column)[0]
 
 
 def _read_table(
-    path, schema, encoder: TableEncoder | None, id_column, label_column
+    path, schema, encoder: TableEncoder | None, id_column: str, label_column: str
 ) -> tuple[Table, TableEncoder]:
     """The one CSV reader: parse, fit the encoder if none is given, then encode.
-    On the rows it was fitted on, min-max scaling is in [0, 1] and never clamps."""
+    On the rows it was fitted on, min-max scaling is in [0, 1] and never clamps.
+
+    A file's first fault is reported, by stage (IDs, vocabularies, numbers,
+    labels) and, within a column, an unparsable cell before a value out of range."""
     cat_fields = tuple(f for f in schema.fields if f.kind == CATEGORICAL)
     num_fields = tuple(f for f in schema.fields if f.kind == NUMERICAL)
-    needed = [id_column] + [f.name for f in schema.fields]
-    if label_column is not None:
-        needed.append(label_column)
-    rows = _read_rows(path, needed)
-    ids = _parse_ids(path, rows, id_column)
+    rows = _read_rows(path, [id_column] + [f.name for f in schema.fields] + [label_column])
+    ids = _parse_column(path, rows, id_column, np.int64, "ID")
+    repeated = np.ones(len(rows), bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False  # each ID's first row
+    _first_flagged(path, rows, id_column, repeated, lambda cell: f"duplicate ID {cell}")
     cat_values = [[row[f.name] for row in rows] for f in cat_fields]
     if encoder is None:
         vocab = {}
@@ -404,18 +381,25 @@ def _read_table(
                     f"cardinality {len(mapping) + 1} but schema declares {f.cardinality}"
                 )
             vocab[f.name] = mapping
-    # numbers parse after the vocabulary checks, so a file's first fault is the one reported
-    raw_num = [_parse_num_column(path, rows, f.name) for f in num_fields]
+    raw_num = []
+    for f in num_fields:
+        raw_num.append(_parse_column(path, rows, f.name, np.float64, f"field {f.name!r}:"))
+        # one nan or inf would turn the whole min-max scaled column to nan
+        _first_flagged(path, rows, f.name, ~np.isfinite(raw_num[-1]),
+                       lambda cell: f"field {f.name!r}: {cell!r} is not a finite number")
     if encoder is None:
         stats = {f.name: (float(r.min()), float(r.max())) for f, r in zip(num_fields, raw_num)}
         encoder = TableEncoder(vocab=vocab, num_stats=stats)
     cat_cols = [encoder.encode_cat(f.name, v) for f, v in zip(cat_fields, cat_values)]
     num_cols = [encoder.scale_num(f.name, r) for f, r in zip(num_fields, raw_num)]
+    labels = _parse_column(path, rows, label_column, np.float64, "label")
+    _first_flagged(path, rows, label_column, (labels != 0.0) & (labels != 1.0),
+                   lambda cell: f"label must be 0 or 1, got {cell!r}")
     table = Table(
         ids=ids,
         cat=np.stack(cat_cols, axis=1) if cat_cols else np.zeros((len(rows), 0), np.int64),
         num=np.stack(num_cols, axis=1) if num_cols else np.zeros((len(rows), 0)),
-        labels=_parse_labels(path, rows, label_column) if label_column else None,
+        labels=labels,
         cat_fields=cat_fields,
         num_fields=num_fields,
     )
@@ -452,8 +436,6 @@ def vertical_partition(
     intersection of all parties is exactly the aligned pool.
     """
     schema.validate_parties(k_parties)
-    if table.labels is None:
-        raise DataError("partitioning requires labels in the table")
     n = order.shape[0]
     if not 0 < aligned_count <= n:
         raise DataError(f"aligned_count {aligned_count} out of range for {n} rows")
@@ -487,8 +469,6 @@ def split_from_table(
     table: Table, schema: FeatureSchema, k_parties: int, rows: np.ndarray
 ) -> AlignedBatch:
     """The given table rows, in order, as a fully aligned evaluation split."""
-    if table.labels is None:
-        raise DataError("evaluation split requires labels")
     cat, num = {}, {}
     for k in range(1, k_parties + 1):
         cat[k], num[k], _, _ = _party_columns(table, schema, k, rows)
@@ -718,7 +698,7 @@ def _bundle_from_cache(tensors: dict[str, np.ndarray], metadata: dict) -> Datase
     train = VerticalDataset(
         schema=schema,
         parties=parties,
-        labels=tensors["labels"],
+        labels=check_labels(tensors["labels"]),
         aligned_pool=tensors["aligned_pool"],
     )
     if metadata["aligned_count"] != train.aligned_pool.size:
@@ -727,7 +707,14 @@ def _bundle_from_cache(tensors: dict[str, np.ndarray], metadata: dict) -> Datase
         ids=tensors["test_ids"],
         cat={k: tensors[f"test_party{k}_cat"] for k in range(1, k_parties + 1)},
         num={k: tensors[f"test_party{k}_num"] for k in range(1, k_parties + 1)},
-        labels=tensors["test_labels"],
+        labels=check_labels(tensors["test_labels"]),
         bayes_scores=tensors.get("test_bayes"),
     )
+    blocks = {"test_labels": (test.labels, (test.n,))}
+    for k, view in parties.items():
+        blocks[f"test_party{k}_cat"] = (test.cat[k], (test.n, len(view.cat_fields)))
+        blocks[f"test_party{k}_num"] = (test.num[k], (test.n, len(view.num_fields)))
+    for name, (block, shape) in blocks.items():
+        if block.shape != shape:
+            raise DataError(f"{name} has shape {block.shape}, not {shape}: one row per test ID")
     return DatasetBundle(train=train, test=test)

@@ -2,7 +2,8 @@
 
 The CLI maps these to exit codes: ConfigError -> 2, DataError -> 3,
 TrainingError -> 4, and a MemoryError (a config too large for the
-process) -> 2 as well. Everything else is a bug and escapes as-is.
+process) -> 2 as well; an interrupt (SIGINT) exits 130. Everything else
+is a bug and escapes as-is.
 """
 
 

@@ -17,6 +17,16 @@ from vflhlp.federated import ActivePretrained, Federation, TransportLog, run_rou
 from vflhlp.nn import EncoderSpec, Mlp, TabularEncoder
 from vflhlp.rng import stream
 
+try:  # test_properties.py skips itself when hypothesis is not installed
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # every property test draws the same examples on every run, keeps none
+    # between runs, and has no per-example time limit (hosts vary in speed)
+    settings.register_profile("vflhlp", derandomize=True, database=None, deadline=None)
+    settings.load_profile("vflhlp")
+
 
 def tiny_synth_config(**overrides) -> SynthConfig:
     base = dict(

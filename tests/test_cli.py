@@ -5,6 +5,7 @@ import json
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -1096,6 +1097,33 @@ def test_a_damaged_input_fails_typed_naming_the_file(pristine, tmp_path, capsys,
     assert "Traceback" not in captured.out + captured.err
 
 
+CACHE_TENSOR_DAMAGE = {  # case: (tensor, edit); unchecked, each is a ValueError in metrics.auc
+    "test-label-2": ("test_labels", lambda a: np.where(np.arange(a.size) == 0, 2.0, a)),
+    "test-labels-short": ("test_labels", lambda a: a[:-1]),
+    "test-labels-2d": ("test_labels", lambda a: a[:, None]),
+}
+
+
+@pytest.mark.parametrize("case", CACHE_TENSOR_DAMAGE)
+def test_a_cache_with_bad_test_labels_fails_typed_and_is_rebuilt(pristine, tmp_path, capsys,
+                                                                 case):
+    where, name = tmp_path / "run", INPUTS["cache-eval"][0]
+    shutil.copytree(pristine, where)
+    path = where / name
+    tensor, edit = CACHE_TENSOR_DAMAGE[case]
+    tensors, metadata = load_checkpoint(path)
+    tensors[tensor] = edit(tensors[tensor])
+    save_checkpoint(path, tensors, metadata)
+    capsys.readouterr()
+    for command in (("eval",), TRAIN_VFLHLP):
+        assert run(*command, "--config", where / "tiny.json", "--out", where / "out") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err and "Traceback" not in err
+    assert run("prepare", "--config", where / "tiny.json", "--out", where / "out") == 0
+    assert "rebuilding" in capsys.readouterr().out
+    assert path.read_bytes() == (pristine / name).read_bytes()
+
+
 # ------------------------------------------------------------------ unwritable outputs
 
 RUN_DIR = "out/train/seed7/count20/vflhlp"
@@ -1127,3 +1155,33 @@ def test_an_unwritable_output_fails_typed_naming_the_file(pristine, tmp_path, ca
     assert (code, "data error" in captured.err) == (3, True), captured.err
     assert str(path) in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+# ------------------------------------------------------------------ interrupts
+
+
+def test_an_interrupted_grid_exits_130_with_one_line_and_a_run_record(tmp_path):
+    # two seeds and 400 epochs a cell: the grid is still running when the
+    # progress log shows its first cell
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "seeds": [7, 8]},
+                               "downstream": {**TINY["downstream"], "epochs": 400}}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vflhlp.cli", "grid", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        for line in proc.stdout:
+            if "n_al=" in line:
+                break
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (130, "interrupted\n"), err[-2000:]
+    assert "Traceback" not in out
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["grid"]["exit_code"] == 130

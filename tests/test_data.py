@@ -292,6 +292,29 @@ def test_load_csv_error_messages_carry_line_numbers(tmp_path):
         load_csv(missing, _schema(), "id", "label")
 
 
+@pytest.mark.parametrize("raw", ["12345678901234567890", "-12345678901234567890"])
+def test_an_id_outside_int64_is_a_data_error_naming_its_line(tmp_path, raw):
+    path = tmp_path / "wide-id.csv"
+    _write_csv(path, ["1,0,red,0.5,tri,1.0", f"{raw},1,blue,0.25,box,2.0"])
+    with pytest.raises(DataError, match=rf":3: ID '{raw}' is not a 64-bit integer"):
+        load_csv(path, _schema(), "id", "label")
+
+
+@pytest.mark.parametrize("column, rows, message", [
+    ("id", ["1,0,red,0.5,tri,1.0", "1,1,blue,0.25,box,2.0", "x,0,red,0.1,tri,3.0"],
+     ":4: ID 'x' is not a 64-bit integer"),
+    ("label", ["1,7,red,0.5,tri,1.0", "2,y,blue,0.25,box,2.0"],
+     ":3: label 'y' is not a number"),
+], ids=["id", "label"])
+def test_within_a_column_an_unparsable_cell_is_reported_before_a_bad_value(
+        tmp_path, column, rows, message):
+    # the duplicate ID (line 3) and the label 7 (line 2) come first in the file
+    path = tmp_path / f"{column}.csv"
+    _write_csv(path, rows)
+    with pytest.raises(DataError, match=message):
+        load_csv(path, _schema(), "id", "label")
+
+
 def test_load_csv_checks_declared_cardinality(tmp_path):
     p = tmp_path / "wide.csv"
     # shape declares cardinality 4 = 3 observed + unseen; give it 4 observed
@@ -582,6 +605,26 @@ def test_bundle_cache_corruption_is_a_data_error_naming_the_file(tmp_path, tiny_
     schema[0]["kind"] = "ordinal"  # a ConfigError from Field
     _rewrite_metadata(path, schema=schema)
     with pytest.raises(DataError, match="dataset.ckpt"):
+        load_bundle(d)
+
+
+@pytest.mark.parametrize("tensor, edit, message", [
+    ("labels", lambda a: np.where(np.arange(a.size) == 0, 2.0, a), "labels must be 0 or 1"),
+    ("test_labels", lambda a: np.where(np.arange(a.size) == 0, 0.5, a),
+     "labels must be 0 or 1"),
+    ("test_ids", lambda a: a[:-1], r"test_labels has shape \(\d+,\), not"),
+    ("test_party2_num", lambda a: a[:-1], "test_party2_num has shape"),
+    ("test_party1_cat", lambda a: np.hstack([a, a]), "test_party1_cat has shape"),
+], ids=["train-label", "test-label", "test-ids-short", "num-short", "cat-wide"])
+def test_a_cache_with_bad_labels_or_a_misshapen_test_split_is_a_data_error(
+        tmp_path, tiny_bundle, tensor, edit, message):
+    d = tmp_path / "cache"
+    save_bundle(d, tiny_bundle)
+    path = d / "dataset.ckpt"
+    tensors, metadata = load_checkpoint(path)
+    tensors[tensor] = edit(tensors[tensor])
+    save_checkpoint(path, tensors, metadata)
+    with pytest.raises(DataError, match=rf"dataset.ckpt.*{message}"):
         load_bundle(d)
 
 
