@@ -58,6 +58,11 @@ def _ckpt_dir(out: Path, seed: int) -> Path:
     return out / "checkpoints" / f"seed{seed}"
 
 
+def _run_dir(out: Path, cell) -> Path:
+    seed, count, mode, _ = cell
+    return out / "train" / f"seed{seed}" / f"count{count}" / mode.value
+
+
 def _cached_bundle(cache: Path, key: dict) -> DatasetBundle | None:
     """The dataset cached in `cache` if its meta is `key`, the hash of the
     config's data section and the seed; None if there is none (an older .npy
@@ -133,7 +138,7 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
                 if not mode.is_federated:
                     local_a = done
             trained, score, audit = done if mode.is_federated else local_a
-            run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
+            run_dir = _run_dir(out, cell)
             write_file(
                 run_dir / "history.jsonl",
                 "".join(json.dumps(e, sort_keys=True) + "\n" for e in trained.history),
@@ -172,8 +177,9 @@ def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
     for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
         bundle = _bundle_for(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
-        for _, count, mode, _ in cells:
-            run_dir = out / "train" / f"seed{seed}" / f"count{count}" / mode.value
+        for cell in cells:
+            _, count, mode, _ = cell
+            run_dir = _run_dir(out, cell)
             ckpt = run_dir / "final.ckpt"
             if not ckpt.exists():
                 continue

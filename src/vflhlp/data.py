@@ -361,8 +361,8 @@ def _read_table(
     """The one CSV reader: parse, fit the encoder if none is given, then encode.
     On the rows it was fitted on, min-max scaling is in [0, 1] and never clamps.
 
-    A file's first fault is reported, by stage (IDs, vocabularies, numbers,
-    labels) and, within a column, an unparsable cell before a value out of range."""
+    A file's first fault is reported, by stage (IDs, vocabularies, numbers, labels,
+    a number column's range) and, within a column, an unparsable cell first."""
     cat_fields = tuple(f for f in schema.fields if f.kind == CATEGORICAL)
     num_fields = tuple(f for f in schema.fields if f.kind == NUMERICAL)
     rows = _read_rows(path, [id_column] + [f.name for f in schema.fields] + [label_column])
@@ -387,14 +387,17 @@ def _read_table(
         # one nan or inf would turn the whole min-max scaled column to nan
         _first_flagged(path, rows, f.name, ~np.isfinite(raw_num[-1]),
                        lambda cell: f"field {f.name!r}: {cell!r} is not a finite number")
-    if encoder is None:
-        stats = {f.name: (float(r.min()), float(r.max())) for f, r in zip(num_fields, raw_num)}
-        encoder = TableEncoder(vocab=vocab, num_stats=stats)
-    cat_cols = [encoder.encode_cat(f.name, v) for f, v in zip(cat_fields, cat_values)]
-    num_cols = [encoder.scale_num(f.name, r) for f, r in zip(num_fields, raw_num)]
     labels = _parse_column(path, rows, label_column, np.float64, "label")
     _first_flagged(path, rows, label_column, (labels != 0.0) & (labels != 1.0),
                    lambda cell: f"label must be 0 or 1, got {cell!r}")
+    if encoder is None:
+        stats = {f.name: (float(r.min()), float(r.max())) for f, r in zip(num_fields, raw_num)}
+        for name, (lo, hi) in stats.items():  # an inf range scales a column to 0 and nan
+            if np.isinf(hi - lo):
+                raise DataError(f"{path}: field {name!r}: range {lo!r} to {hi!r} overflows")
+        encoder = TableEncoder(vocab=vocab, num_stats=stats)
+    cat_cols = [encoder.encode_cat(f.name, v) for f, v in zip(cat_fields, cat_values)]
+    num_cols = [encoder.scale_num(f.name, r) for f, r in zip(num_fields, raw_num)]
     table = Table(
         ids=ids,
         cat=np.stack(cat_cols, axis=1) if cat_cols else np.zeros((len(rows), 0), np.int64),

@@ -263,21 +263,6 @@ def run_cell(
     return trained, evaluate_mode(trained, bundle.test), audit
 
 
-def train_local_a(cfg: RunConfig, seed: int) -> tuple[TrainedFederation, float]:
-    """Train and score one seed's local_a cell from scratch.
-
-    local_a depends on neither pre-training nor the aligned count, so
-    run_grid runs this in a worker process while it trains the seed's other
-    cells. The job builds its own dataset from the config, so a freshly
-    spawned worker needs nothing else from the parent process.
-    """
-    bundle = build_bundle(cfg, seed)
-    specs = encoder_specs(bundle.train, cfg.model)
-    trained, score, _ = run_cell(bundle, specs, (seed, 0, TrainMode.LOCAL_A, 0.0), None,
-                                 cfg.downstream)
-    return trained, score
-
-
 def _spare_cpus() -> int:
     """CPUs available to this process, less the one the grid itself uses."""
     try:
@@ -313,10 +298,11 @@ def run_grid(
     Returns a GridResult with one cell per entry of cell_plan over `seeds`
     (the config's when None), with grid.beta_sweep as the sweep.
 
-    Each seed's local_a cell trains in a worker process (train_local_a)
-    while this process pre-trains and trains the federated cells; its
-    result is collected at the end of the seed and fills every count's
-    cell, so the outputs do not depend on the number of workers.
+    Once a seed's dataset is built, its local_a cell goes to a worker process
+    as a run_cell job on party 1's rows, labels and test block alone, while
+    this process pre-trains and trains the federated cells; its result is
+    collected at the end of the seed and fills every count's cell, so the
+    outputs do not depend on the number of workers.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -338,18 +324,16 @@ def run_grid(
     oracle: dict[str, float] = {}
 
     def record(cell: Cell, job, *args) -> None:
-        seed, count, mode, beta = cell
         try:
-            trained, score = job(*args)[:2]
+            trained, score, _ = job(*args)
         except _CELL_ERRORS as exc:
             outcomes[cell] = ("failed", None, f"{type(exc).__name__}: {exc}", [])
             return
         outcomes[cell] = ("ok", score, None, trained.history)
         if out_dir is not None:
-            _write_cell_checkpoint(out_dir, seed, count, mode, beta, bool(sweep), trained, chash)
+            _write_cell_checkpoint(out_dir, cell, bool(sweep), trained, chash)
 
     pool = None
-    local_a_jobs = {}
     try:
         if TrainMode.LOCAL_A in modes:
             workers = min(_spare_cpus(), len(seeds))
@@ -358,11 +342,18 @@ def run_grid(
             pool = ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn")
             )
-            local_a_jobs = {seed: pool.submit(train_local_a, cfg, seed) for seed in seeds}
         for seed, cells in groupby(plan, lambda cell: cell[0]):
             say(f"seed {seed}: building dataset")
             bundle = build_bundle(cfg, seed)
             specs = encoder_specs(bundle.train, cfg.model)
+            local_a = (seed, 0, TrainMode.LOCAL_A, 0.0)
+            if pool is not None:  # local_a reads party 1's arrays and no other party's
+                train, test = bundle.train, bundle.test
+                own = DatasetBundle(
+                    replace(train, parties={1: train.parties[1]}),
+                    AlignedBatch(test.ids, {1: test.cat[1]}, {1: test.num[1]}, test.labels),
+                )
+                job = pool.submit(run_cell, own, {1: specs[1]}, local_a, None, cfg.downstream)
             pre = pretrain_for_seed(cfg, bundle, seed, need_active, need_passive)
             for k, trace in pre.ssl_traces.items():
                 ssl_traces[f"seed{seed}/party{k}"] = trace
@@ -377,10 +368,10 @@ def run_grid(
                 if mode.is_federated:  # local_a's cell comes back from its worker
                     record(cell, run_cell, bundle, specs, cell, pre, cfg.downstream)
 
-            if seed not in local_a_jobs:
+            if pool is None:
                 continue
             try:
-                record((seed, 0, TrainMode.LOCAL_A, 0.0), local_a_jobs[seed].result)
+                record(local_a, job.result)
             except BrokenProcessPool as exc:
                 raise TrainingError(
                     f"the worker training local_a for seed {seed} died: {exc}"
@@ -467,9 +458,8 @@ def load_cell_checkpoint(path: Path, specs: dict[int, EncoderSpec]) -> TrainedFe
     return TrainedFederation(mode=mode, encoders=encoders, head=models["head"], history=[])
 
 
-def _write_cell_checkpoint(
-    out_dir: Path, seed, count, mode, beta, sweep, trained, chash
-) -> None:
+def _write_cell_checkpoint(out_dir: Path, cell: Cell, sweep, trained, chash) -> None:
+    seed, count, mode, beta = cell
     cell_dir = Path(out_dir) / "grid" / f"seed{seed}"
     if mode.is_federated:  # local_a has one per seed, written with count 0
         cell_dir = cell_dir / f"count{count}"

@@ -45,7 +45,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     blob += meta_bytes
     blob += struct.pack("<I", len(tensors))
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
+        arr = np.asarray(tensors[name])  # ascontiguousarray would make a 0-d tensor 1-d
         if arr.dtype not in _CODES:
             raise ValueError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
         name_bytes = name.encode("utf-8")

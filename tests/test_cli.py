@@ -931,6 +931,16 @@ def test_unreadable_csv_is_a_data_error(tmp_path, out, capsys, damage):
     assert "data error" in err and str(train_csv) in err
 
 
+def test_a_csv_number_range_past_the_largest_float_is_a_data_error(tmp_path, out, capsys):
+    # scaled, x1 read 0 in every row and nan in its maximum: prepare wrote the
+    # cache, and pretrain failed on a non-finite gradient (exit 4)
+    (tmp_path / "test.csv").write_text(CSV_ROWS)
+    (tmp_path / "train.csv").write_text(CSV_ROWS + "80,0,-1e308,1\n81,1,1e308,2\n")
+    assert run("prepare", "--config", _csv_config(tmp_path), "--out", out) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {tmp_path / 'train.csv'}: field 'x1': range -1e+308 to 1e+308" in err
+
+
 # sha256 of each trained model's tensors (name, then bytes, in name order),
 # recorded before the training loops moved to one parameter vector each
 FINAL_PARAMS_SHA256 = {

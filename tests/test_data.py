@@ -347,6 +347,24 @@ def test_csv_faults_are_reported_in_a_fixed_order(tmp_path):
                 transform_csv(path, _schema(), enc, "id", "label")
 
 
+def test_a_number_range_past_the_largest_float_is_a_data_error_after_every_cell(tmp_path):
+    # x1's max - min is 2e308: min-max scaled, the column read 0 and its maximum nan
+    path = tmp_path / "wide.csv"
+    rows = ["1,0,red,-1e308,tri,1.0", "2,1,blue,1e308,box,2.0"]
+    _write_csv(path, rows)
+    with pytest.raises(DataError, match=r"wide\.csv: field 'x1': range -1e\+308 to 1e\+308 "):
+        load_csv(path, _schema(), "id", "label")
+    _write_csv(path, rows + ["3,7,red,0.5,tri,3.0"])  # a bad cell is named before the range
+    with pytest.raises(DataError, match=":4: label must be 0 or 1"):
+        load_csv(path, _schema(), "id", "label")
+    # a fitted encoder clamps such values like any other
+    train = tmp_path / "train.csv"
+    _write_csv(train, _sample_rows())
+    _, enc = load_csv(train, _schema(), "id", "label")
+    _write_csv(path, rows)
+    assert transform_csv(path, _schema(), enc, "id", "label").num[:, 0].tolist() == [0.0, 1.0]
+
+
 def test_transform_csv_maps_unseen_and_clamps(tmp_path):
     train = tmp_path / "train.csv"
     _write_csv(train, _sample_rows())

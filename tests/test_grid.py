@@ -1,8 +1,9 @@
 """The grid's local_a worker: same results as inline training, typed failures
 recorded per cell, anything else raised, and the pool always shut down.
 
-Failures are injected by swapping `evaluation.train_local_a` for a
-module-level job defined here, which a spawned worker imports by name.
+Failures are injected by swapping `evaluation.run_cell` for a module-level
+stand-in defined here, which a spawned worker imports by name. It fails
+local_a's cell only and runs the real `run_cell` for every other cell.
 """
 import ast
 import concurrent.futures
@@ -31,12 +32,32 @@ from vflhlp.sup_pretrain import train_local
 from test_cli import TINY
 
 
-def _raise(error, cfg, seed):
+_run_cell = evaluation.run_cell  # the real one, which the stand-ins below call
+
+
+def _raise(error, bundle, specs, cell, *args):
+    seed, _, mode, _ = cell
+    if mode is not TrainMode.LOCAL_A:
+        return _run_cell(bundle, specs, cell, *args)
     raise error(f"local_a of seed {seed} went wrong")
 
 
-def _exit_worker(cfg, seed):
+def _exit_worker(bundle, specs, cell, *args):
+    if cell[2] is not TrainMode.LOCAL_A:
+        return _run_cell(bundle, specs, cell, *args)
     os._exit(1)
+
+
+def _report_parties(bundle, specs, cell, *args):
+    """The real cell, whose local_a history instead names the parties it was given."""
+    trained, score, audit = _run_cell(bundle, specs, cell, *args)
+    if cell[2] is TrainMode.LOCAL_A:
+        trained.history = [{
+            "in_worker": multiprocessing.parent_process() is not None,
+            "train": sorted(bundle.train.parties), "test_cat": sorted(bundle.test.cat),
+            "test_num": sorted(bundle.test.num), "specs": sorted(specs),
+        }]
+    return trained, score, audit
 
 
 def _raw(**grid):
@@ -69,11 +90,44 @@ def test_local_a_cell_matches_inline_training(tmp_path):
     assert written.read_bytes() == (tmp_path / "inline.ckpt").read_bytes()
 
 
+def test_local_a_trains_on_the_rows_the_main_process_built(monkeypatch):
+    # the worker gets party 1's arrays from the main process's dataset, so
+    # labels flipped there reach local_a; a worker that rebuilt its own would miss them
+    build = evaluation.build_bundle
+
+    def flipped(cfg, seed):
+        bundle = build(cfg, seed)
+        bundle.train.labels = 1.0 - bundle.train.labels
+        return bundle
+
+    monkeypatch.setattr(evaluation, "build_bundle", flipped)
+    cfg = parse_config(_raw(modes=["local_a", "vanilla_vfl"]))
+    result = run_grid(cfg)
+    _no_workers_left()
+    scores = []
+    for bundle in (flipped(cfg, 7), build(cfg, 7)):
+        spec = encoder_specs(bundle.train, cfg.model)[1]
+        inline = train_local(bundle.train, spec, cfg.downstream, 7)
+        scores.append((evaluate_mode(inline, bundle.test), inline.history))
+    assert scores[0][0] != scores[1][0]
+    cells = [(c.status, c.test_auc, c.history) for c in result.cells if c.mode == "local_a"]
+    assert cells == [("ok", *scores[0])] * 2
+
+
+def test_the_local_a_job_is_given_party_1_arrays_alone(monkeypatch):
+    monkeypatch.setattr(evaluation, "run_cell", _report_parties)
+    result = run_grid(parse_config(_raw(modes=["local_a", "vanilla_vfl"])))
+    _no_workers_left()
+    seen = {"in_worker": True, "train": [1], "test_cat": [1], "test_num": [1], "specs": [1]}
+    assert [c.history for c in result.cells if c.mode == "local_a"] == [[seen]] * 2
+    assert result.all_ok()
+
+
 @pytest.mark.parametrize("error", [ConfigError, DataError, TrainingError,
                                    UndefinedMetricError])
 def test_typed_local_a_failure_is_recorded_for_every_count(tmp_path, monkeypatch,
                                                            capsys, error):
-    monkeypatch.setattr(evaluation, "train_local_a", functools.partial(_raise, error))
+    monkeypatch.setattr(evaluation, "run_cell", functools.partial(_raise, error))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_raw(modes=["local_a", "vanilla_vfl"])))
     out = tmp_path / "g"
@@ -125,14 +179,14 @@ def test_a_cell_whose_hold_out_leaves_no_training_row_fails_alone():
 
 
 def test_untyped_local_a_failure_propagates(monkeypatch):
-    monkeypatch.setattr(evaluation, "train_local_a", functools.partial(_raise, KeyError))
+    monkeypatch.setattr(evaluation, "run_cell", functools.partial(_raise, KeyError))
     with pytest.raises(KeyError, match="local_a of seed 7 went wrong"):
         run_grid(parse_config(_raw(modes=["local_a", "vanilla_vfl"])))
     _no_workers_left()
 
 
 def test_a_dead_worker_raises_instead_of_hanging(monkeypatch):
-    monkeypatch.setattr(evaluation, "train_local_a", _exit_worker)
+    monkeypatch.setattr(evaluation, "run_cell", _exit_worker)
     with pytest.raises(TrainingError, match="local_a for seed 7 died"):
         run_grid(parse_config(_raw(modes=["local_a"], seeds=[7, 8])))
     _no_workers_left()

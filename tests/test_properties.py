@@ -7,9 +7,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
 from vflhlp.data import Field, FeatureSchema, _min_max, load_csv  # noqa: E402
 from vflhlp.errors import DataError  # noqa: E402
 from vflhlp.metrics import auc  # noqa: E402
+from vflhlp.nn import EncoderSpec, Mlp, load_checkpoint, save_checkpoint  # noqa: E402
+from vflhlp.nn.layers import BINCOUNT_ROWS, EmbeddingTable, ModelSet, ParamLayout  # noqa: E402
 
 from test_metrics import pairwise_auc  # noqa: E402
 
@@ -50,9 +54,16 @@ def _write(path, rows) -> None:
 def test_ids_and_finite_numbers_come_back_bit_for_bit(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     _write(path, rows)  # a float's str is its repr, which reads back to the same bits
-    table, encoder = load_csv(path, SCHEMA, "id", "label")
     ids = np.array([i for i, _, _ in rows], dtype=np.int64)
     xs = np.array([x for _, x, _ in rows])
+    with np.errstate(over="ignore"):
+        wide = not np.isfinite(xs.max() - xs.min())
+    if wide:  # such a range would scale the column to 0 and nan
+        with pytest.raises(DataError) as raised:
+            load_csv(path, SCHEMA, "id", "label")
+        assert str(raised.value).startswith(f"{path}: field 'x': range ")
+        return
+    table, encoder = load_csv(path, SCHEMA, "id", "label")
     assert table.ids.tobytes() == ids.tobytes()
     assert np.array(encoder.num_stats["x"]).tobytes() == np.array([xs.min(), xs.max()]).tobytes()
     np.testing.assert_array_equal(table.num[:, 0], _min_max(xs, xs.min(), xs.max()))
@@ -94,3 +105,115 @@ def labelled_scores(draw):
 def test_auc_is_pair_counting(case):
     labels, scores = case
     assert auc(labels, scores) == pairwise_auc(labels, scores)
+
+
+@st.composite
+def scatter_case(draw):
+    """A table, block rows resolved from values in and out of each field's range,
+    and an upstream gradient with signed zeros; rows.size falls on both sides
+    of BINCOUNT_ROWS."""
+    cards = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 2 * BINCOUNT_ROWS // len(cards)))
+    cat = np.array([[draw(st.integers(-1, card)) for card in cards] for _ in range(n)],
+                   dtype=np.int64).reshape(n, len(cards))
+    table = EmbeddingTable([(f"f{i}", c) for i, c in enumerate(cards)], dim,
+                           np.zeros(sum(cards) * dim))
+    grads = st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 0.0])
+    upstream = draw(arrays(np.float64, (n, table.out_dim), elements=grads))
+    return table, table.resolve(cat), upstream
+
+
+@settings(max_examples=150)
+@given(case=scatter_case())
+def test_embedding_backward_is_a_row_loop_bit_for_bit(case):
+    table, rows, upstream = case
+    expected = np.zeros(table.block.shape)
+    for i in range(rows.shape[0]):  # rows in order, each field's slice added to its row
+        for j, row in enumerate(rows[i]):
+            expected[row] += upstream[i, j * table.embed_dim:(j + 1) * table.embed_dim]
+    out = np.full(table.block.shape, np.nan)  # overwritten, not added to
+    assert table.backward(rows, upstream, out) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)  # 0-sized and 1-wide among them
+ANY_FLOAT = st.floats(width=64)  # nan and inf too: every bit pattern must survive
+
+
+@settings(max_examples=150)
+@given(shapes=st.dictionaries(st.text(max_size=4), SHAPES, min_size=1, max_size=5),
+       data=st.data())
+def test_param_layout_flatten_inverts_views(shapes, data):
+    layout = ParamLayout(shapes)
+    vec = data.draw(arrays(np.float64, layout.size, elements=ANY_FLOAT))
+    views = layout.views(vec)
+    assert list(views) == list(shapes) and all(v.shape == shapes[k] for k, v in views.items())
+    assert layout.flatten(views).tobytes() == vec.tobytes()
+    values = {name: data.draw(arrays(np.float64, shape, elements=ANY_FLOAT))
+              for name, shape in shapes.items()}
+    back = layout.views(layout.flatten(values))
+    assert all(back[name].tobytes() == values[name].tobytes() for name in shapes)
+
+
+@st.composite
+def model(draw):
+    """An Mlp or a TabularEncoder of random shape, holding arbitrary bits."""
+    widths = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    if draw(st.booleans()):
+        net = Mlp(draw(widths) + [draw(st.integers(1, 3))])
+    else:
+        cat = draw(st.lists(st.integers(1, 4), max_size=2))
+        spec = EncoderSpec(tuple((f"c{i}", c) for i, c in enumerate(cat)),
+                           draw(st.integers(0 if cat else 1, 2)), draw(st.integers(1, 2)),
+                           tuple(draw(widths)))
+        net = spec.build_empty()
+    net.theta[...] = draw(arrays(np.float64, net.theta.shape, elements=ANY_FLOAT))
+    return net
+
+
+@settings(max_examples=150)
+@given(models=st.dictionaries(st.sampled_from(["a", "b", "head", "party1.encoder"]), model(),
+                              min_size=1))
+def test_a_model_set_gives_each_model_back_its_bits(models):
+    net = ModelSet(models)
+    named = net.layout.views(net.theta)
+    for name, m in models.items():
+        got = net.models[name]
+        assert type(got) is type(m) and got.layout.shapes == m.layout.shapes
+        assert got.theta.tobytes() == m.theta.tobytes()
+        assert np.shares_memory(got.theta, net.theta) and np.shares_memory(got.grad, net.grad)
+        assert net.theta[net.spans[name]].tobytes() == m.theta.tobytes()
+        for t, value in m.params().items():
+            assert named[f"{name}.{t}"].tobytes() == value.tobytes()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+TENSORS = st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(arrays(np.float64, SHAPES, elements=ANY_FLOAT),
+              arrays(np.int64, SHAPES, elements=st.integers(-(2**63), 2**63 - 1))),
+    max_size=4,
+)
+
+
+@settings(max_examples=100)
+@given(tensors=TENSORS, meta=st.dictionaries(st.text(), JSON, max_size=4))
+def test_a_checkpoint_reads_back_equal_and_rewrites_to_the_same_bytes(
+        tmp_path_factory, tensors, meta):
+    where = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(where / "a.ckpt", tensors, meta)
+    read, read_meta = load_checkpoint(where / "a.ckpt")
+    assert read_meta == meta and sorted(read) == sorted(tensors)
+    for name, value in tensors.items():
+        assert read[name].dtype == value.dtype and read[name].shape == value.shape
+        assert read[name].tobytes() == value.tobytes()
+    save_checkpoint(where / "b.ckpt", read, read_meta)
+    # equal tensors and metadata give the same bytes, whatever their order
+    save_checkpoint(where / "c.ckpt", dict(reversed(tensors.items())), meta)
+    for other in ("b.ckpt", "c.ckpt"):
+        assert (where / other).read_bytes() == (where / "a.ckpt").read_bytes()
