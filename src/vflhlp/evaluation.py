@@ -74,6 +74,7 @@ def build_bundle(cfg: RunConfig, seed: int) -> DatasetBundle:
     return DatasetBundle(train=ds, test=test)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pretrain_for_seed(
     cfg: RunConfig,
     bundle: DatasetBundle,
@@ -81,7 +82,8 @@ def pretrain_for_seed(
     need_active: bool,
     need_passive: bool,
 ) -> PretrainedWeights:
-    """One seed's pre-trained weights, with each passive party's loss trace."""
+    """One seed's pre-trained weights, with each passive party's loss trace.
+    A diverging stage overflows without numpy warnings, as a cell does."""
     specs = encoder_specs(bundle.train, cfg.model)
     weights = PretrainedWeights()
     if need_active:
@@ -89,14 +91,9 @@ def pretrain_for_seed(
             bundle.train.parties[1], bundle.train.labels, specs[1], cfg.supervised, seed
         )
     if need_passive:
-        for k in sorted(bundle.train.parties):
-            if k == 1:
-                continue
-            encoder, trace = pretrain_passive(
-                bundle.train.parties[k], specs[k], cfg.ssl, seed
-            )
-            weights.passive[k] = encoder
-            weights.ssl_traces[k] = trace
+        for k in sorted(bundle.train.parties.keys() - {1}):
+            weights.passive[k], weights.ssl_traces[k] = pretrain_passive(
+                bundle.train.parties[k], specs[k], cfg.ssl, seed)
     return weights
 
 

@@ -20,9 +20,9 @@ The forward and backward pass is `Federation.forward_backward`. Local
 training (`sup_pretrain`: the active party's pre-training and the local_a
 baseline) runs the same method over a one-party Federation, without messages.
 Every trainer's epochs run in `fit`, each with its own step (a cell's
-`run_round`, local training's step), over one batch source: `data.hold_out`
-splits the trainer's rows once, and `data.sample_aligned_batches` cuts each
-epoch of the rest.
+`run_round`, local training's step, the contrastive step of `ssl_pretrain`),
+over one batch source: `data.hold_out` splits a supervised trainer's rows
+once, and `data.sample_aligned_batches` cuts each epoch of the rest.
 """
 from __future__ import annotations
 
@@ -454,10 +454,11 @@ def validation_auc(fed: Federation, val: AlignedBatch) -> float | None:
 
 
 def fit(fed: Federation, epochs: int, batches, step, val) -> tuple[list[dict], tuple]:
-    """The epoch loop of every Federation trainer. Epoch e runs `step`, which
-    returns a RoundStats, on each (batch, rows) of `batches(e)`, and its row
-    holds the stats' row-weighted means and the `validation_auc` of `val`,
-    the held-out AlignedBatch or None; a non-finite loss is a TrainingError.
+    """The epoch loop of every trainer. Epoch e runs `step`, which returns a
+    RoundStats, on each (batch, rows) of `batches(e)`, and its row holds the
+    stats' row-weighted means and the `validation_auc` of `val`, the held-out
+    AlignedBatch or None (then `fed` is not read); a non-finite loss is a
+    TrainingError.
     Returns the rows and the first strictly best epoch as (AUC, epoch, a copy
     of fed.theta), or (None, epochs, None) when no epoch was scored."""
     history, best = [], (None, epochs, None)

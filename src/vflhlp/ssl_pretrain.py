@@ -5,7 +5,8 @@ required: every sample is paired with a corrupted copy where a fixed
 fraction of feature positions is resampled from the per-feature empirical
 marginals, and an InfoNCE objective pulls the two views together through a
 projection head. Only the encoder weights survive; the projection head is
-scaffolding.
+scaffolding. The epochs run in `federated.fit`, as every trainer's epochs
+do, over `data.sample_aligned_batches` of a one-party pool.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PartyView
+from .data import AlignedBatch, PartyView, sample_aligned_batches
 from .errors import ConfigError, SchemaError, TrainingError
+from .federated import RoundStats, fit
 from .nn import Mlp, TabularEncoder, make_optimizer
 from .nn.layers import EncoderSpec, ModelSet
 from .nn.optim import check_schedule
@@ -208,6 +210,7 @@ class SslConfig:
             raise ConfigError("projection_hidden widths must be >= 1")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pretrain_passive(
     view: PartyView, spec: EncoderSpec, cfg: SslConfig, seed: int
 ) -> tuple[TabularEncoder, list[float]]:
@@ -216,6 +219,8 @@ def pretrain_passive(
     Returns the encoder and a loss trace of length epochs + 1: entry 0 is a
     no-update pass over the data with the initial weights, each later entry
     is the mean batch loss of one epoch. Deterministic in (view, cfg, seed).
+    A diverging run overflows without numpy warnings and fails with a
+    TrainingError that names the party.
 
     The projection head is trained jointly and then dropped; downstream
     training warm-starts from the encoder weights alone.
@@ -231,12 +236,16 @@ def pretrain_passive(
     clean_grad = np.empty_like(net.grad)
     table = encoder.resolve(view.cat)  # once: both views and the marginals take its rows
     marginals = CorruptionModel.fit(table, view.num, cfg.corruption_rate)
-    corrupt_rng = stream(seed, "ssl", k, "corruption")
-    probe_rng = stream(seed, "ssl", k, "probe")
+    # the party's rows, with zero labels that no step reads
+    pool = AlignedBatch(view.ids, {k: table}, {k: view.num}, np.zeros(view.n))
     optimizer = make_optimizer(cfg.optimizer)
 
-    def batch_loss(rows: np.ndarray, rng, update: bool) -> float:
-        cat, num = table[rows], view.num[rows]
+    def batches(epoch: int) -> list:
+        return sample_aligned_batches(pool, cfg.batch_size,
+                                      stream(seed, "ssl", k, "shuffle", epoch))
+
+    def step(batch, rng=stream(seed, "ssl", k, "corruption"), update=True) -> RoundStats:
+        cat, num = batch[0][k], batch[1][k]
         ccat, cnum, _ = corrupt(cat, num, marginals, rng)
         r_clean, tape_clean = encoder.forward(cat, num)
         z, ptape_clean = projection.forward(r_clean)
@@ -251,20 +260,13 @@ def pretrain_passive(
             encoder.backward(tape_corr, dr)
             net.grad += clean_grad
             optimizer.step(net.theta, net.grad, cfg.learning_rate, net.layout)
-        return result.loss
+        return RoundStats(result.loss, result.loss, 0.0)
 
-    def epoch_pass(epoch: int, rng, update: bool) -> float:
-        perm = stream(seed, "ssl", k, "shuffle", epoch).permutation(view.n)
-        total = 0.0
-        for i in range(0, view.n, cfg.batch_size):
-            rows = perm[i : i + cfg.batch_size]
-            total += batch_loss(rows, rng, update) * rows.size
-        return total / view.n
-
-    trace = [epoch_pass(0, probe_rng, update=False)]
-    for epoch in range(1, cfg.epochs + 1):
-        loss = epoch_pass(epoch, corrupt_rng, update=True)
-        if not np.isfinite(loss):
-            raise TrainingError(f"party {k}: contrastive loss became non-finite at epoch {epoch}")
-        trace.append(loss)
-    return encoder, trace
+    probe_rng, probe = stream(seed, "ssl", k, "probe"), 0.0
+    for batch, rows in batches(0):  # trace entry 0
+        probe += step(batch, probe_rng, update=False).loss * rows
+    try:
+        history, _ = fit(net, cfg.epochs, batches, step, None)
+    except TrainingError as exc:  # fit's loss check and the optimizer's gradient check
+        raise TrainingError(f"party {k}: {exc}") from exc
+    return encoder, [probe / view.n, *(row["loss"] for row in history)]

@@ -36,7 +36,7 @@ BUDGETS = {
     "supervised step sgd b8": (15, 28),
     "supervised step adam b256": (17, 29),
     "contrastive batch b256": (6, 10),
-    "contrastive epoch b64": (653, 1426),
+    "contrastive epoch b64": (694, 1430),
     "aligned batches epoch b8": (22, 0),
     "local epoch sgd b8": (1052, 1719),
     "downstream epoch vanilla_vfl b8": (722, 1225),

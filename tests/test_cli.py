@@ -161,6 +161,23 @@ def test_pretrain_passive_only_skips_the_active_stage(cfg_path, out):
     assert (ckpts / "passive2.ckpt").exists()
 
 
+@pytest.mark.parametrize("stage, error", [
+    ("ssl", "training error: party 2: non-finite gradient for parameter "),
+    ("supervised", "training error: non-finite gradient for parameter 'head.0.weight'"),
+])
+def test_a_diverging_pretrain_stage_exits_4_without_numpy_warnings(tmp_path, capfd, stage,
+                                                                   error):
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({**TINY, stage: {**TINY[stage], "learning_rate": 1e300}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("pretrain", "--config", cfg, "--out", tmp_path / "out") == 4
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capfd.readouterr().err
+    assert err.startswith(error)
+    assert "Warning" not in err
+
+
 # ------------------------------------------------------------------ train / eval
 
 

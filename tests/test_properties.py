@@ -1,4 +1,5 @@
 """Property tests against exact references, with Hypothesis (profile in conftest.py)."""
+import json
 import math
 
 import numpy as np
@@ -9,11 +10,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from vflhlp.config import canonical_json, config_hash, parse_config, to_dict  # noqa: E402
 from vflhlp.data import Field, FeatureSchema, _min_max, load_csv  # noqa: E402
 from vflhlp.errors import DataError  # noqa: E402
+from vflhlp.federated import TrainMode  # noqa: E402
 from vflhlp.metrics import auc  # noqa: E402
 from vflhlp.nn import EncoderSpec, Mlp, load_checkpoint, save_checkpoint  # noqa: E402
 from vflhlp.nn.layers import BINCOUNT_ROWS, EmbeddingTable, ModelSet, ParamLayout  # noqa: E402
+from vflhlp.nn.optim import OPTIMIZERS  # noqa: E402
+from vflhlp.ssl_pretrain import CorruptionModel, corrupt  # noqa: E402
 
 from test_metrics import pairwise_auc  # noqa: E402
 
@@ -217,3 +222,120 @@ def test_a_checkpoint_reads_back_equal_and_rewrites_to_the_same_bytes(
     save_checkpoint(where / "c.ckpt", dict(reversed(tensors.items())), meta)
     for other in ("b.ckpt", "c.ckpt"):
         assert (where / other).read_bytes() == (where / "a.ckpt").read_bytes()
+
+
+@st.composite
+def corruption_case(draw):
+    """A table to fit the marginals on (categorical-only, numerical-only or
+    mixed, with repeated values), a batch of its rows, a rate and a seed."""
+    kind = draw(st.sampled_from(["categorical", "numerical", "mixed"]))
+    n_cat = 0 if kind == "numerical" else draw(st.integers(1, 3))
+    n_num = 0 if kind == "categorical" else draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    cat = draw(arrays(np.int64, (n, n_cat), elements=st.integers(0, 4)))
+    # +0.0 turns -0.0 into 0.0: the two compare equal, so a sort may put either first
+    values = st.sampled_from([-1.5, 0.0, 2.0]) | st.floats(-1e6, 1e6).map(lambda x: x + 0.0)
+    num = draw(arrays(np.float64, (n, n_num), elements=values))
+    size = draw(st.sampled_from([4, 1, 0, 6]))  # Hypothesis leans to the first choice
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
+                    dtype=np.intp)
+    rate = draw(st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([0.0, 1.0]))
+    return cat, num, rows, rate, draw(st.integers(0, 2**32 - 1))
+
+
+def corrupt_by_cell(cat, num, rows, rate, rng):
+    """corrupt(cat[rows], num[rows]) over the marginals of (cat, num), one row
+    and one cell at a time, each draw a scalar draw of `rng`."""
+    out_cat, out_num = cat[rows], num[rows]
+    n, n_cat, d = rows.size, cat.shape[1], cat.shape[1] + num.shape[1]
+    m = math.ceil(rate * d)
+    mask = np.zeros((n, d), dtype=bool)
+    if m == 0 or n == 0:
+        return out_cat, out_num, mask
+    scores = [[rng.random() for _ in range(d)] for _ in range(n)]
+    for r in range(n):  # a row's m lowest scores, a tie to the lower column
+        for c in sorted(range(d), key=lambda c: (scores[r][c], c))[:m]:
+            mask[r, c] = True
+    cells = [(r, c) for c in range(d) for r in range(n) if mask[r, c]]  # column by column
+    for r, c in (cell for cell in cells if cell[1] < n_cat):
+        values, counts = np.unique(cat[:, c], return_counts=True)
+        cdf = (counts / counts.sum()).cumsum()  # as Generator.choice builds it
+        cdf /= cdf[-1]
+        u = rng.random()
+        out_cat[r, c] = values[next(i for i, edge in enumerate(cdf) if edge > u)]
+    for r, c in (cell for cell in cells if cell[1] >= n_cat):
+        column = sorted(num[:, c - n_cat])
+        out_num[r, c - n_cat] = column[rng.integers(0, len(column))]
+    return out_cat, out_num, mask
+
+
+@settings(max_examples=100)
+@given(case=corruption_case())
+def test_corrupt_is_a_cell_by_cell_loop_bit_for_bit(case):
+    cat, num, rows, rate, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = corrupt(cat[rows], num[rows], CorruptionModel.fit(cat, num, rate), rng)
+    for g, w in zip(got, corrupt_by_cell(cat, num, rows, rate, ref_rng), strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+RATES = st.integers(0, 10) | st.floats(0.0, 1e6)  # an int passes for a float
+SCHEDULE = {
+    "learning_rate": RATES, "epochs": st.integers(0, 200), "batch_size": st.integers(1, 4096),
+    "optimizer": st.sampled_from(sorted(OPTIMIZERS)),
+}
+FRACTIONS = st.floats(0.0, 1.0, exclude_max=True)
+OVERRIDES = {  # the path of a preset's entry: its valid values
+    **{("ssl", key): value for key, value in SCHEDULE.items()},
+    **{("supervised", key): value for key, value in SCHEDULE.items()},
+    ("ssl", "corruption_rate"): st.floats(0.0, 1.0),
+    ("ssl", "temperature"): st.floats(1e-6, 1e6),
+    ("ssl", "projection_hidden"): st.lists(st.integers(1, 64), max_size=3),
+    ("supervised", "val_fraction"): FRACTIONS,
+    **{("downstream", key): SCHEDULE[key] for key in ("epochs", "batch_size", "optimizer")},
+    **{("downstream", key): RATES for key in ("beta", "eta1", "eta2")},
+    ("downstream", "val_fraction"): FRACTIONS,
+    ("downstream", "warm_start_active"): st.booleans(),
+    ("model", "embed_dim"): st.integers(1, 32),
+    ("model", "encoder_hidden"): st.lists(st.integers(1, 64), min_size=1, max_size=4),
+    ("data", "synth", "n_test"): st.integers(1, 5000),
+    ("data", "synth", "cardinality"): st.integers(2, 100),
+    ("data", "synth", "feature_noise"): st.floats(0.0, 10.0),
+    ("data", "synth", "label_noise"): st.floats(1e-3, 10.0),
+    ("grid", "modes"): st.lists(st.sampled_from([m.value for m in TrainMode]), min_size=1,
+                                unique=True),
+    ("grid", "aligned_counts"): st.lists(st.integers(1, 800), min_size=1, max_size=5,
+                                         unique=True),
+    ("grid", "seeds"): st.lists(st.integers(0, 2**40), min_size=1, max_size=5, unique=True),
+    ("grid", "beta_sweep"): st.lists(RATES, max_size=3, unique=True),
+    ("grid", "include_oracle"): st.booleans(),
+    ("output_dir",): st.text(),
+}
+
+
+@st.composite
+def run_config(draw):
+    """A preset's name and a random valid subset of overrides of its entries."""
+    raw = {"preset": draw(st.sampled_from(["fixture", "avazu-like", "criteo-like"]))}
+    for path in draw(st.lists(st.sampled_from(list(OVERRIDES)), unique=True)):
+        *sections, key = path
+        where = raw
+        for section in sections:
+            where = where.setdefault(section, {})
+        where[key] = draw(OVERRIDES[path])
+    return raw
+
+
+@settings(max_examples=100)
+@given(raw=run_config())
+def test_a_config_reads_back_from_its_dict_and_json_with_the_same_hash(raw):
+    cfg = parse_config(raw)
+    again = parse_config(to_dict(cfg))
+    assert again == cfg and to_dict(again) == to_dict(cfg)
+    text = canonical_json(cfg)
+    from_json = parse_config(json.loads(text))
+    assert from_json == cfg and canonical_json(from_json) == text
+    assert config_hash(again) == config_hash(from_json) == config_hash(cfg)
+    moved = parse_config({**json.loads(text), "output_dir": cfg.output_dir + "/elsewhere"})
+    assert config_hash(moved) == config_hash(cfg)

@@ -8,6 +8,7 @@ cosine-similarity path.
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -558,10 +559,23 @@ def test_pretrain_passive_stops_at_a_non_finite_epoch_loss(tiny_bundle, monkeypa
     view = tiny_bundle.train.parties[2]
     spec = small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
     cfg = SslConfig(epochs=3, batch_size=view.n, learning_rate=1e-3)
-    with pytest.raises(TrainingError,
-                       match="party 2: contrastive loss became non-finite at epoch 2"):
+    with pytest.raises(TrainingError, match="party 2: training loss non-finite at epoch 2"):
         pretrain_passive(view, spec, cfg, seed=5)
     assert len(results) == 3  # epoch 3 never ran
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_diverging_pretrain_passive_names_its_party_and_warns_nothing(tiny_bundle, capfd, k):
+    # the first step blows the weights up, the next forward pass overflows,
+    # and the optimizer refuses the gradient that comes out of it
+    spec = small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
+    cfg = SslConfig(epochs=2, batch_size=64, learning_rate=1e300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingError, match=rf"^party {k}: non-finite gradient for "):
+            pretrain_passive(tiny_bundle.train.parties[k], spec, cfg, seed=1)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "Warning" not in "".join(capfd.readouterr())
 
 
 def test_pretrain_passive_bytes_are_pinned(tiny_bundle):
