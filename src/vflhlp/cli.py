@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import sys
@@ -24,16 +25,18 @@ from .config import RunConfig, config_hash, data_hash, encoder_specs, load_confi
 from .data import CACHE_FILE, DatasetBundle, load_bundle, read_json_object, save_bundle
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import (
+    CellResult,
     build_bundle,
     cell_plan,
     evaluate_mode,
     load_cell_checkpoint,
     load_pretrained,
     pretrain_for_seed,
-    run_cell,
     run_grid,
+    run_plan,
     save_cell_checkpoint,
     save_pretrained,
+    trained_cell,
 )
 from .federated import TrainMode, pretrained_needs
 from .nn import write_file
@@ -63,11 +66,23 @@ def _run_dir(out: Path, cell) -> Path:
     return out / "train" / f"seed{seed}" / f"count{count}" / mode.value
 
 
+def _cache_key(cfg: RunConfig, seed: int) -> dict:
+    """A dataset cache's meta: the data section's hash and the seed, and a CSV
+    dataset's file bytes, so that a rewritten file makes the cache stale."""
+    key = {"data_hash": data_hash(cfg), "seed": seed}
+    if cfg.data.kind == "csv":
+        for name, path in (("train", cfg.data.csv.train_path), ("test", cfg.data.csv.test_path)):
+            try:
+                key[f"{name}_sha256"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            except OSError as exc:
+                raise DataError(f"{path}: cannot read CSV: {exc.strerror or exc}") from None
+    return key
+
+
 def _cached_bundle(cache: Path, key: dict) -> DatasetBundle | None:
-    """The dataset cached in `cache` if its meta is `key`, the hash of the
-    config's data section and the seed; None if there is none (an older .npy
-    layout counts as none) or it is stale. A cache that cannot be loaded
-    raises DataError naming its file."""
+    """The dataset cached in `cache` if its meta is `key`; None if there is
+    none (an older .npy layout counts as none) or it is stale. A cache that
+    cannot be loaded raises DataError naming its file."""
     if not (cache / CACHE_FILE).exists():
         return None
     bundle, metadata = load_bundle(cache)
@@ -76,14 +91,13 @@ def _cached_bundle(cache: Path, key: dict) -> DatasetBundle | None:
 
 def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> DatasetBundle:
     """The cached dataset if it matches this config, else a freshly built one."""
-    cached = _cached_bundle(_cache_dir(out, seed), {"data_hash": data_hash(cfg), "seed": seed})
+    cached = _cached_bundle(_cache_dir(out, seed), _cache_key(cfg, seed))
     return cached if cached is not None else build_bundle(cfg, seed)
 
 
 def cmd_prepare(cfg: RunConfig, out: Path, seeds) -> int:
-    dhash = data_hash(cfg)
     for seed in seeds:
-        cache, key = _cache_dir(out, seed), {"data_hash": dhash, "seed": seed}
+        cache, key = _cache_dir(out, seed), _cache_key(cfg, seed)
         try:
             if _cached_bundle(cache, key) is not None:
                 print(f"seed {seed}: cache up to date at {cache}")
@@ -120,54 +134,45 @@ def cmd_pretrain(cfg: RunConfig, out: Path, seeds, passive_only: bool) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
+    """Train the plan's cells with run_plan. Failed cells get a FAILED line at
+    the end, and the first one's error is raised, with its own exit code."""
     chash = config_hash(cfg)
     modes = [TrainMode.parse(m) for m in (cfg.grid.modes if mode_name is None else [mode_name])]
-    need_active, need_passive = pretrained_needs(modes, cfg.downstream.warm_start_active)
-    loaded = []  # every seed's checkpoints are read before the first cell trains
-    for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
+    needs = pretrained_needs(modes, cfg.downstream.warm_start_active)
+    plan = cell_plan(cfg, seeds, modes)
+    loaded = {}  # every seed's dataset and checkpoints are read before the first cell trains
+    for seed in seeds:
         bundle = _bundle_for(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
-        pretrained = load_pretrained(_ckpt_dir(out, seed), specs, need_active, need_passive)
-        loaded.append((seed, list(cells), bundle, specs, pretrained))
-    for seed, cells, bundle, specs, pretrained in loaded:
-        local_a = None  # local_a ignores the count: trained once, written at every count
-        for cell in cells:
-            _, count, mode, beta = cell
-            if mode.is_federated or local_a is None:
-                done = run_cell(bundle, specs, cell, pretrained, cfg.downstream)
-                if not mode.is_federated:
-                    local_a = done
-            trained, score, audit = done if mode.is_federated else local_a
-            run_dir = _run_dir(out, cell)
-            write_file(
-                run_dir / "history.jsonl",
-                "".join(json.dumps(e, sort_keys=True) + "\n" for e in trained.history),
-            )
-            save_cell_checkpoint(
-                run_dir / "final.ckpt", trained, seed, count, beta, chash
-            )
-            result = {
-                "mode": mode.value,
-                "seed": seed,
-                "aligned_count": count,
-                "beta": beta,
-                "test_auc": score,
-                "config_hash": chash,
-                "audit": None
-                if audit is None
-                else {
-                    "ok": audit.ok,
-                    "n_messages": audit.n_messages,
-                    "n_rounds": audit.n_rounds,
-                    "balanced_rounds": audit.balanced_rounds,
-                },
-            }
-            write_file(
-                run_dir / "result.json", json.dumps(result, indent=2, sort_keys=True) + "\n"
-            )
-            print(
-                f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}"
-            )
+        loaded[seed] = bundle, load_pretrained(_ckpt_dir(out, seed), specs, *needs)
+
+    def save(trained_as, trained) -> None:  # local_a, trained once, at each of its counts
+        for cell in (c for c in plan if trained_cell(c) == trained_as):
+            seed, count, _, beta = cell
+            path = _run_dir(out, cell) / "final.ckpt"
+            save_cell_checkpoint(path, trained, seed, count, beta, chash)
+
+    failed = []
+    for cell, outcome in run_plan(
+        cfg, plan, lambda seed: loaded[seed][0], lambda seed, _: loaded[seed][1], save
+    ):
+        if isinstance(outcome, Exception):
+            failed.append((cell, outcome))
+            continue
+        seed, count, mode, beta = cell
+        score, audit, history = outcome
+        run_dir = _run_dir(out, cell)
+        write_file(run_dir / "history.jsonl",
+                   "".join(json.dumps(e, sort_keys=True) + "\n" for e in history))
+        summary = None if audit is None else {
+            k: getattr(audit, k) for k in ("ok", "n_messages", "n_rounds", "balanced_rounds")}
+        result = {"mode": mode.value, "seed": seed, "aligned_count": count, "beta": beta,
+                  "test_auc": score, "config_hash": chash, "audit": summary}
+        write_file(run_dir / "result.json", json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}")
+    if failed:
+        _print_failed([CellResult.of(cell, exc) for cell, exc in failed])
+        raise failed[0][1]
     return 0
 
 
@@ -216,14 +221,19 @@ def cmd_grid(cfg: RunConfig, out: Path, seeds) -> int:
     print(result.render_text(), end="")
     if not result.all_ok():
         failed = [c for c in result.cells if c.status == "failed"]
-        for c in failed[:10]:
-            print(
-                f"FAILED: mode={c.mode} n_al={c.aligned_count} seed={c.seed} "
-                f"beta={c.beta:g}: {c.error}",
-                file=sys.stderr,
-            )
+        _print_failed(failed)
         raise TrainingError(f"{len(failed)} grid cells failed")
     return 0
+
+
+def _print_failed(cells: list[CellResult]) -> None:
+    """One stderr line for each of the first ten failed cells, `train`'s and `grid`'s alike."""
+    for c in cells[:10]:
+        print(
+            f"FAILED: mode={c.mode} n_al={c.aligned_count} seed={c.seed} "
+            f"beta={c.beta:g}: {c.error}",
+            file=sys.stderr,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,9 +6,10 @@ count, which is sound because aligned subsets are nested prefixes of one
 pool and local pre-training never looks at alignment. Cell failures are
 recorded, not raised, so one diverging cell cannot take down a sweep.
 
-`run_cell`, which `train` runs too, and the writing and reading of every
-model file the pipeline keeps also live here. A file's tensor names are the
-layout of a ModelSet over its models: "<model>.<tensor>".
+`run_plan`, the one seed loop that `grid` and `train` both run, and the
+writing and reading of every model file the pipeline keeps also live here.
+A file's tensor names are the layout of a ModelSet over its models:
+"<model>.<tensor>".
 """
 from __future__ import annotations
 
@@ -87,9 +88,12 @@ def pretrain_for_seed(
     specs = encoder_specs(bundle.train, cfg.model)
     weights = PretrainedWeights()
     if need_active:
-        weights.active = pretrain_active(
-            bundle.train.parties[1], bundle.train.labels, specs[1], cfg.supervised, seed
-        )
+        try:
+            weights.active = pretrain_active(
+                bundle.train.parties[1], bundle.train.labels, specs[1], cfg.supervised, seed
+            )
+        except TrainingError as exc:  # named as pretrain_passive names its party
+            raise TrainingError(f"party 1: {exc}") from exc
     if need_passive:
         for k in sorted(bundle.train.parties.keys() - {1}):
             weights.passive[k], weights.ssl_traces[k] = pretrain_passive(
@@ -107,6 +111,16 @@ class CellResult:
     test_auc: float | None
     error: str | None
     history: list[dict] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, cell: Cell, outcome) -> CellResult:
+        """The record of one cell's outcome as run_plan yields it."""
+        seed, count, mode, beta = cell
+        if isinstance(outcome, Exception):
+            error = f"{type(outcome).__name__}: {outcome}"
+            return cls(mode.value, count, seed, beta, "failed", None, error)
+        score, _, history = outcome
+        return cls(mode.value, count, seed, beta, "ok", score, None, history)
 
 
 @dataclass
@@ -242,10 +256,10 @@ def run_cell(
     A federated cell's transport log is audited first, and a payload that
     copies a raw column or the labels raises TrainingError; the returned model
     no longer holds the log. local_a trains alone (`train_local`), sends
-    nothing and ignores `count`, so its audit is None. `train` and `grid` both
-    run every cell through here. A diverging cell overflows without numpy
-    warnings and fails typed: optimizers refuse non-finite gradients, `fit` a
-    non-finite epoch loss, `auc` non-finite scores.
+    nothing and ignores `count`, so its audit is None. `run_plan` runs every
+    cell of `train` and `grid` through here. A diverging cell overflows
+    without numpy warnings and fails typed: optimizers refuse non-finite
+    gradients, `fit` a non-finite epoch loss, `auc` non-finite scores.
     """
     seed, count, mode, beta = cell
     dcfg = replace(downstream, beta=beta)
@@ -287,53 +301,44 @@ def cell_plan(
     ]
 
 
-def run_grid(
-    cfg: RunConfig, out_dir: Path | None = None, log=None, seeds=None
-) -> GridResult:
-    """Run the full sweep; optionally write results and final checkpoints.
+def trained_cell(cell: Cell) -> Cell:
+    """The cell whose model serves `cell`: local_a's is trained once, under count 0."""
+    seed, _, mode, beta = cell
+    return cell if mode.is_federated else (seed, 0, mode, beta)
 
-    Returns a GridResult with one cell per entry of cell_plan over `seeds`
-    (the config's when None), with grid.beta_sweep as the sweep.
 
-    Once a seed's dataset is built, its local_a cell goes to a worker process
-    as a run_cell job on party 1's rows, labels and test block alone, while
-    this process pre-trains and trains the federated cells; its result is
-    collected at the end of the seed and fills every count's cell, so the
-    outputs do not depend on the number of workers.
+def _scored(cell: Cell, save, job, *args):
+    """(score, audit, history) of `job(*args)`, its model passed to `save(cell, model)`
+    and dropped; or its typed error, without the traceback that holds the model."""
+    try:
+        trained, score, audit = job(*args)
+    except _CELL_ERRORS as exc:
+        return exc.with_traceback(None)
+    save(cell, trained)
+    return score, audit, trained.history
+
+
+def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, log=None):
+    """Run a cell_plan seed by seed, yielding each (cell, outcome) in plan order.
+
+    Per seed: the dataset is `bundle_for(seed)`. local_a goes to a worker as a
+    run_cell job on party 1's rows, labels and test block alone, and serves
+    every count. `weights_for(seed, bundle)` gives the pre-trained weights, and
+    the federated cells train here in plan order, `log` naming each first.
+    An outcome is (score, audit, history) or the cell's typed error; other
+    errors, and a dead worker as TrainingError, are raised. `save(cell, model)`
+    runs once a cell is scored, local_a's under count 0; no model outlives it.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     say = log or (lambda msg: None)
-    chash = config_hash(cfg)
-    seeds = list(cfg.grid.seeds if seeds is None else seeds)
-    modes = [TrainMode.parse(m) for m in cfg.grid.modes]
-    sweep = tuple(cfg.grid.beta_sweep)
-    plan = cell_plan(cfg, seeds, modes, sweep)
-    need_active, need_passive = pretrained_needs(modes, cfg.downstream.warm_start_active)
-
-    # plan cell -> (status, test_auc, error, history); local_a's under count 0.
-    # No trained model is kept past its cell.
-    outcomes: dict[Cell, tuple] = {}
-    ssl_traces: dict[str, list[float]] = {}
-    active_val: dict[str, float | None] = {}
-    oracle: dict[str, float] = {}
-
-    def record(cell: Cell, job, *args) -> None:
-        try:
-            trained, score, _ = job(*args)
-        except _CELL_ERRORS as exc:
-            outcomes[cell] = ("failed", None, f"{type(exc).__name__}: {exc}", [])
-            return
-        outcomes[cell] = ("ok", score, None, trained.history)
-        if out_dir is not None:
-            _write_cell_checkpoint(out_dir, cell, bool(sweep), trained, chash)
-
     pool = None
     try:
-        if TrainMode.LOCAL_A in modes:
-            workers = min(_spare_cpus(), len(seeds))
+        if any(mode is TrainMode.LOCAL_A for _, _, mode, _ in plan):
+            # imported here, so that a run without local_a does not load them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            workers = min(_spare_cpus(), len({seed for seed, *_ in plan}))
             # spawn, not fork: forking a process that may run threads
             # (BLAS, a caller's) can deadlock the child
             pool = ProcessPoolExecutor(
@@ -341,7 +346,7 @@ def run_grid(
             )
         for seed, cells in groupby(plan, lambda cell: cell[0]):
             say(f"seed {seed}: building dataset")
-            bundle = build_bundle(cfg, seed)
+            bundle = bundle_for(seed)
             specs = encoder_specs(bundle.train, cfg.model)
             local_a = (seed, 0, TrainMode.LOCAL_A, 0.0)
             if pool is not None:  # local_a reads party 1's arrays and no other party's
@@ -351,32 +356,72 @@ def run_grid(
                     AlignedBatch(test.ids, {1: test.cat[1]}, {1: test.num[1]}, test.labels),
                 )
                 job = pool.submit(run_cell, own, {1: specs[1]}, local_a, None, cfg.downstream)
-            pre = pretrain_for_seed(cfg, bundle, seed, need_active, need_passive)
-            for k, trace in pre.ssl_traces.items():
-                ssl_traces[f"seed{seed}/party{k}"] = trace
-            if need_active:
-                active_val[f"seed{seed}"] = pre.active.val_auc
-            if cfg.grid.include_oracle and bundle.test.bayes_scores is not None:
-                oracle[f"seed{seed}"] = auc(bundle.test.labels, bundle.test.bayes_scores)
+            pre = weights_for(seed, bundle)
 
+            cells, outcomes = list(cells), {}
             for cell in cells:
                 _, count, mode, beta = cell
                 say(f"seed {seed}: n_al={count} mode={mode.value} beta={beta:g}")
                 if mode.is_federated:  # local_a's cell comes back from its worker
-                    record(cell, run_cell, bundle, specs, cell, pre, cfg.downstream)
-
-            if pool is None:
-                continue
-            try:
-                record(local_a, job.result)
-            except BrokenProcessPool as exc:
-                raise TrainingError(
-                    f"the worker training local_a for seed {seed} died: {exc}"
-                ) from exc
+                    outcomes[cell] = _scored(
+                        cell, save, run_cell, bundle, specs, cell, pre, cfg.downstream
+                    )
+            if pool is not None:
+                try:
+                    outcomes[local_a] = _scored(local_a, save, job.result)
+                except BrokenProcessPool as exc:
+                    raise TrainingError(
+                        f"the worker training local_a for seed {seed} died: {exc}"
+                    ) from exc
+                del job  # the future holds local_a's model
+            for cell in cells:
+                yield cell, outcomes[trained_cell(cell)]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
+
+def run_grid(
+    cfg: RunConfig, out_dir: Path | None = None, log=None, seeds=None
+) -> GridResult:
+    """Run the full sweep; optionally write results and final checkpoints.
+
+    Returns a GridResult with one cell per entry of cell_plan over `seeds`
+    (the config's when None), with grid.beta_sweep as the sweep, run by
+    run_plan on freshly built and pre-trained seeds.
+    """
+    chash = config_hash(cfg)
+    seeds = list(cfg.grid.seeds if seeds is None else seeds)
+    modes = [TrainMode.parse(m) for m in cfg.grid.modes]
+    sweep = tuple(cfg.grid.beta_sweep)
+    plan = cell_plan(cfg, seeds, modes, sweep)
+    need_active, need_passive = pretrained_needs(modes, cfg.downstream.warm_start_active)
+    ssl_traces: dict[str, list[float]] = {}
+    active_val: dict[str, float | None] = {}
+    oracle: dict[str, float] = {}
+
+    def weights_for(seed: int, bundle: DatasetBundle) -> PretrainedWeights:
+        pre = pretrain_for_seed(cfg, bundle, seed, need_active, need_passive)
+        for k, trace in pre.ssl_traces.items():
+            ssl_traces[f"seed{seed}/party{k}"] = trace
+        if need_active:
+            active_val[f"seed{seed}"] = pre.active.val_auc
+        if cfg.grid.include_oracle and bundle.test.bayes_scores is not None:
+            oracle[f"seed{seed}"] = auc(bundle.test.labels, bundle.test.bayes_scores)
+        return pre
+
+    def save(cell: Cell, trained: TrainedFederation) -> None:
+        seed, count, mode, beta = cell
+        if out_dir is not None:  # local_a's once a seed, beside the count directories
+            cell_dir = Path(out_dir) / "grid" / f"seed{seed}"
+            if mode.is_federated:
+                cell_dir = cell_dir / f"count{count}"
+            tag = f"{mode.value}_b{beta:g}" if sweep else mode.value
+            save_cell_checkpoint(cell_dir / f"{tag}.ckpt", trained, seed, count, beta, chash)
+
+    # build_bundle is looked up per call, so a caller may swap it on the module
+    outcomes = run_plan(cfg, plan, lambda seed: build_bundle(cfg, seed), weights_for, save, log)
+    cells = [CellResult.of(cell, outcome) for cell, outcome in outcomes]
     result = GridResult(
         config_hash=chash,
         version=__version__,
@@ -384,11 +429,7 @@ def run_grid(
         aligned_counts=list(cfg.grid.aligned_counts),
         seeds=seeds,
         default_beta=cfg.downstream.beta,
-        cells=[
-            CellResult(mode.value, count, seed, beta,
-                       *outcomes[(seed, count if mode.is_federated else 0, mode, beta)])
-            for seed, count, mode, beta in plan
-        ],
+        cells=cells,
         ssl_traces=ssl_traces,
         active_val_auc=active_val,
         oracle_auc=oracle,
@@ -453,15 +494,6 @@ def load_cell_checkpoint(path: Path, specs: dict[int, EncoderSpec]) -> TrainedFe
     )
     encoders = {k: models[f"party{k}.encoder"] for k in party_ids}
     return TrainedFederation(mode=mode, encoders=encoders, head=models["head"], history=[])
-
-
-def _write_cell_checkpoint(out_dir: Path, cell: Cell, sweep, trained, chash) -> None:
-    seed, count, mode, beta = cell
-    cell_dir = Path(out_dir) / "grid" / f"seed{seed}"
-    if mode.is_federated:  # local_a has one per seed, written with count 0
-        cell_dir = cell_dir / f"count{count}"
-    tag = f"{mode.value}_b{beta:g}" if sweep else mode.value
-    save_cell_checkpoint(cell_dir / f"{tag}.ckpt", trained, seed, count, beta, chash)
 
 
 def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str) -> None:

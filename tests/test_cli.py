@@ -163,7 +163,7 @@ def test_pretrain_passive_only_skips_the_active_stage(cfg_path, out):
 
 @pytest.mark.parametrize("stage, error", [
     ("ssl", "training error: party 2: non-finite gradient for parameter "),
-    ("supervised", "training error: non-finite gradient for parameter 'head.0.weight'"),
+    ("supervised", "training error: party 1: non-finite gradient for parameter 'head.0.weight'"),
 ])
 def test_a_diverging_pretrain_stage_exits_4_without_numpy_warnings(tmp_path, capfd, stage,
                                                                    error):
@@ -718,6 +718,35 @@ def test_grid_records_a_diverged_cell_and_carries_on(tmp_path, capsys):
     assert json.loads((out / "run_meta.json").read_text())["grid"]["exit_code"] == 4
 
 
+def test_train_records_a_diverged_cell_and_carries_on(tmp_path, capsys):
+    # beta = 1e300 fails vflhlp at both counts, as in the grid above; the
+    # vanilla_vfl cells after the first failure still train, and the first
+    # failed cell's error sets the exit code and the last line
+    raw = {
+        **TINY,
+        "downstream": {**TINY["downstream"], "epochs": 1, "batch_size": 64, "beta": 1e300},
+        "grid": {**TINY["grid"], "modes": ["vanilla_vfl", "vflhlp"]},
+    }
+    cfg, out = tmp_path / "diverge.json", tmp_path / "out"
+    cfg.write_text(json.dumps(raw))
+    assert run("pretrain", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    assert run("train", "--config", cfg, "--out", out) == 4
+    captured = capsys.readouterr()
+    error = "scores must be finite; the model has diverged"
+    assert [line for line in captured.err.splitlines() if line.startswith("FAILED:")] == [
+        f"FAILED: mode=vflhlp n_al={count} seed=7 beta=1e+300: TrainingError: {error}"
+        for count in (20, 40)
+    ]
+    assert captured.err.endswith(f"\ntraining error: {error}\n")
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "seed 7 n_al=20 vanilla_vfl", "seed 7 n_al=40 vanilla_vfl"]
+    runs = out / "train" / "seed7"
+    assert sorted(p.parent.relative_to(runs).as_posix() for p in runs.rglob("result.json")) == [
+        "count20/vanilla_vfl", "count40/vanilla_vfl"]
+    assert not list(runs.rglob("vflhlp"))
+
+
 def test_grid_respects_seed_flag(cfg_path, tmp_path):
     cfg2 = tmp_path / "two-seeds.json"
     cfg2.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "seeds": [7, 8]}}))
@@ -946,6 +975,26 @@ def test_unreadable_csv_is_a_data_error(tmp_path, out, capsys, damage):
     assert run("prepare", "--config", cfg, "--out", out) == 3
     err = capsys.readouterr().err
     assert "data error" in err and str(train_csv) in err
+
+
+@pytest.mark.parametrize("rewritten", ["train.csv", "test.csv"])
+def test_a_rewritten_csv_makes_its_cache_stale(tmp_path, out, capsys, rewritten):
+    for name in ("train.csv", "test.csv"):
+        (tmp_path / name).write_text(CSV_ROWS)
+    cfg = _csv_config(tmp_path)
+    assert run("prepare", "--config", cfg, "--out", out) == 0
+    # the same path with other bytes: every label flipped
+    (tmp_path / rewritten).write_text(
+        "id,label,x1,x2\n" + "".join(f"{i},{(i + 1) % 2},{i},{-i}\n" for i in range(80)))
+    capsys.readouterr()
+    assert run("prepare", "--config", cfg, "--out", out) == 0
+    assert "wrote cache" in capsys.readouterr().out
+    cached, _ = load_bundle(out / "cache" / "seed7")
+    built = evaluation.build_bundle(load_config(cfg), 7)
+    np.testing.assert_array_equal(cached.train.labels, built.train.labels)
+    np.testing.assert_array_equal(cached.test.labels, built.test.labels)
+    assert run("prepare", "--config", cfg, "--out", out) == 0
+    assert "cache up to date" in capsys.readouterr().out
 
 
 def test_a_csv_number_range_past_the_largest_float_is_a_data_error(tmp_path, out, capsys):

@@ -1,5 +1,6 @@
-"""The grid's local_a worker: same results as inline training, typed failures
-recorded per cell, anything else raised, and the pool always shut down.
+"""The plan runner's local_a worker, under `grid` and `train`: same results as
+inline training, typed failures recorded per cell, anything else raised, and
+the pool always shut down.
 
 Failures are injected by swapping `evaluation.run_cell` for a module-level
 stand-in defined here, which a spawned worker imports by name. It fails
@@ -114,13 +115,31 @@ def test_local_a_trains_on_the_rows_the_main_process_built(monkeypatch):
     assert cells == [("ok", *scores[0])] * 2
 
 
-def test_the_local_a_job_is_given_party_1_arrays_alone(monkeypatch):
+def _config(tmp_path, raw) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _local_a_histories(tmp_path, command, raw) -> list:
+    """The history of each count's local_a cell after `command` runs `raw`."""
+    if command == "grid":
+        result = run_grid(parse_config(raw))
+        assert result.all_ok()
+        return [c.history for c in result.cells if c.mode == "local_a"]
+    out = tmp_path / "out"
+    assert main(["train", "--config", _config(tmp_path, raw), "--out", str(out)]) == 0
+    return [[json.loads(line) for line in (run / "history.jsonl").read_text().splitlines()]
+            for run in sorted(out.glob("train/seed7/count*/local_a"))]
+
+
+@pytest.mark.parametrize("command", ["grid", "train"])
+def test_the_local_a_job_is_given_party_1_arrays_alone(tmp_path, monkeypatch, command):
     monkeypatch.setattr(evaluation, "run_cell", _report_parties)
-    result = run_grid(parse_config(_raw(modes=["local_a", "vanilla_vfl"])))
+    histories = _local_a_histories(tmp_path, command, _raw(modes=["local_a", "vanilla_vfl"]))
     _no_workers_left()
     seen = {"in_worker": True, "train": [1], "test_cat": [1], "test_num": [1], "specs": [1]}
-    assert [c.history for c in result.cells if c.mode == "local_a"] == [[seen]] * 2
-    assert result.all_ok()
+    assert histories == [[seen]] * 2
 
 
 @pytest.mark.parametrize("error", [ConfigError, DataError, TrainingError,
@@ -275,9 +294,11 @@ def test_grid_cells_follow_the_cell_plan():
     assert result.all_ok() and len(result.cells) == 8
 
 
-def test_no_trained_model_outlives_its_cell(monkeypatch):
-    # a grid keeps each cell's history and score, never the model, so the
-    # previous cell's weights and transport log are freed before the next trains
+@pytest.mark.parametrize("command", ["grid", "train"])
+def test_no_trained_model_outlives_its_cell(tmp_path, monkeypatch, command):
+    # a run saves each cell's model and keeps its history and score, never the
+    # model, so the previous cell's weights and transport log are freed before
+    # the next trains
     earlier = []
     run_cell = evaluation.run_cell
 
@@ -288,9 +309,13 @@ def test_no_trained_model_outlives_its_cell(monkeypatch):
         earlier.append(weakref.ref(cell[0]))
         return cell
 
+    argv = ["--config", _config(tmp_path, _raw(modes=["vanilla_vfl", "vflhlp"])),
+            "--out", str(tmp_path / "out")]
+    if command == "train":
+        assert main(["pretrain", *argv]) == 0
     monkeypatch.setattr(evaluation, "run_cell", checked)
-    result = run_grid(parse_config(_raw(modes=["vanilla_vfl", "vflhlp"])))
-    assert len(earlier) == 4 and result.all_ok()
+    assert main([command, *argv]) == 0
+    assert len(earlier) == 4
 
 
 def test_a_cell_keeps_no_transport_log_past_its_audit(monkeypatch):
@@ -321,30 +346,46 @@ def test_a_cell_keeps_no_transport_log_past_its_audit(monkeypatch):
     assert len(audited) == 1
 
 
-# where the package may loop over the grid's aligned counts or beta sweep:
-# the one cell plan; config.py's validators read them too and are not scanned
-CELL_LISTINGS = {("evaluation.py", "cell_plan")}
-
-
-def test_only_the_cell_plan_iterates_the_grid_counts_and_sweep():
+def _scopes(matches) -> set[tuple[str, str]]:
+    """(module, enclosing function) of every node in the package that `matches`."""
     package = Path(vflhlp.__file__).parent
     found = set()
     for path in sorted(package.rglob("*.py")):
-        module = path.relative_to(package).as_posix()
-        if module == "config.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
         parent = {child: node for node in ast.walk(tree)
                   for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.For, ast.comprehension)):
-                continue
-            it = node.iter
-            if not (isinstance(it, ast.Attribute) and it.attr in ("aligned_counts", "beta_sweep")
-                    and getattr(it.value, "attr", None) == "grid"):
+            if not matches(node):
                 continue
             scope = node
             while scope in parent and not isinstance(scope, ast.FunctionDef):
                 scope = parent[scope]
-            found.add((module, getattr(scope, "name", "<module>")))
-    assert found == CELL_LISTINGS
+            found.add((path.relative_to(package).as_posix(), getattr(scope, "name", "<module>")))
+    return found
+
+
+def _iterates_the_grid_counts_or_sweep(node) -> bool:
+    if not isinstance(node, (ast.For, ast.comprehension)):
+        return False
+    it = node.iter
+    return (isinstance(it, ast.Attribute) and it.attr in ("aligned_counts", "beta_sweep")
+            and getattr(it.value, "attr", None) == "grid")
+
+
+def test_only_the_cell_plan_iterates_the_grid_counts_and_sweep():
+    # the one cell plan; config.py's validators read them too and are not counted
+    found = _scopes(_iterates_the_grid_counts_or_sweep)
+    assert {(module, scope) for module, scope in found if module != "config.py"} == {
+        ("evaluation.py", "cell_plan")}
+
+
+def _names_run_cell(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "run_cell")
+            or (isinstance(node, ast.Attribute) and node.attr == "run_cell")
+            or (isinstance(node, ast.alias) and node.name == "run_cell"))
+
+
+def test_only_the_plan_runner_runs_cells():
+    # train and grid share one seed loop; a second caller of run_cell, or an
+    # import of it, would be a second loop
+    assert _scopes(_names_run_cell) == {("evaluation.py", "run_plan")}
