@@ -177,6 +177,9 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
+    """Re-score every trained cell's final.ckpt on the test rows. A checkpoint
+    whose config_hash is not this config's is scored too, and flagged."""
+    chash = config_hash(cfg)
     any_found = False
     modes = [TrainMode.parse(m) for m in cfg.grid.modes]
     for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
@@ -189,7 +192,9 @@ def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
             if not ckpt.exists():
                 continue
             any_found = True
-            score = evaluate_mode(load_cell_checkpoint(ckpt, specs), bundle.test)
+            trained, meta = load_cell_checkpoint(ckpt, specs)
+            score = evaluate_mode(trained, bundle.test)
+            same_config = meta.get("config_hash") == chash
             recorded = None
             result_path = run_dir / "result.json"
             if result_path.exists():
@@ -201,6 +206,7 @@ def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
                         "test_auc": score,
                         "recorded_auc": recorded,
                         "matches_recorded": recorded == score,
+                        "config_hash_matches": same_config,
                     },
                     indent=2,
                     sort_keys=True,
@@ -208,6 +214,8 @@ def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
                 + "\n"
             )
             flag = "" if recorded in (None, score) else "  (differs from train!)"
+            if not same_config:
+                flag += "  (trained under another config)"
             print(f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}{flag}")
     if not any_found:
         raise TrainingError(

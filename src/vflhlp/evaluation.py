@@ -477,10 +477,13 @@ def save_cell_checkpoint(
     save_checkpoint(path, _tensors(_cell_models(trained.encoders, trained.head)), meta)
 
 
-def load_cell_checkpoint(path: Path, specs: dict[int, EncoderSpec]) -> TrainedFederation:
+def load_cell_checkpoint(
+    path: Path, specs: dict[int, EncoderSpec]
+) -> tuple[TrainedFederation, dict]:
     """The inverse of save_cell_checkpoint: a scorable model, without history or
-    transport. A file that is not a downstream checkpoint for `specs` (an
-    unknown mode, a missing, extra or misshapen tensor) raises DataError naming it.
+    transport, and the file's metadata. A file that is not a downstream
+    checkpoint for `specs` (an unknown mode, a missing, extra or misshapen
+    tensor) raises DataError naming it.
     """
     tensors, meta = load_checkpoint(path)
     try:
@@ -493,7 +496,7 @@ def load_cell_checkpoint(path: Path, specs: dict[int, EncoderSpec]) -> TrainedFe
         path, tensors, _cell_models({k: specs[k].build_empty() for k in party_ids}, head)
     )
     encoders = {k: models[f"party{k}.encoder"] for k in party_ids}
-    return TrainedFederation(mode=mode, encoders=encoders, head=models["head"], history=[])
+    return TrainedFederation(mode=mode, encoders=encoders, head=models["head"], history=[]), meta
 
 
 def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str) -> None:

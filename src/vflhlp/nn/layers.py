@@ -35,6 +35,10 @@ import numpy as np
 
 from ..errors import SchemaError
 
+# the relu's 0-d float64 operand: a Python 0.0 is made an array on every call
+_ZERO = np.zeros(())
+
+
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(np.float64)
@@ -188,7 +192,7 @@ class Mlp(FlatParams):
         inputs, preacts = [], []
         for _, wt, b in self._layers:
             if preacts:  # relu on every layer but the last
-                x = np.maximum(z, 0.0)
+                x = np.maximum(z, _ZERO)
             inputs.append(x)
             z = x.dot(wt) + b
             preacts.append(z)
@@ -207,7 +211,7 @@ class Mlp(FlatParams):
         d = upstream
         last = len(preacts) - 1
         for i, w, gw, gb in self._steps:
-            dz = d if i == last else d * (preacts[i] > 0.0)
+            dz = d if i == last else d * (preacts[i] > _ZERO)
             dz.T.dot(inputs[i], gw)
             np.add.reduce(dz, 0, None, gb)  # the bias gradient, written in place
             d = dz.dot(w) if i or input_grad else None

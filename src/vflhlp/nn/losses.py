@@ -5,6 +5,10 @@ import numpy as np
 
 from ..errors import SchemaError
 
+# 0-d float64 operands for the per-batch ufuncs: numpy turns a Python float
+# operand into an array on every call, about 0.3 us more at batch 8
+_ZERO, _ONE = np.zeros(()), np.ones(())
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable logistic function, exact for extreme logits."""
@@ -38,6 +42,7 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
     """
     n = logits.size
     e = np.exp(-np.abs(logits))  # once, for the loss and for sigmoid's two branches
-    per = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)
-    grad = (np.where(logits >= 0, 1.0, e) / (1.0 + e) - labels) / n
+    per = np.maximum(logits, _ZERO) - logits * labels + np.log1p(e)
+    # sigmoid's numerator: 1 where logits >= 0, else e; 0 <= e <= 1 and NaN propagates
+    grad = (np.maximum(e, logits >= _ZERO) / (_ONE + e) - labels) / n
     return float(np.add.reduce(per) / n), grad  # == per.mean(), without its wrappers

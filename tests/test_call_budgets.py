@@ -31,15 +31,15 @@ from conftest import anchor_model, build_federation, small_spec
 
 # (Python-level calls, C-level calls) at most, per unit
 BUDGETS = {
-    "round vflhlp b8": (46, 95),
-    "round vanilla_vfl b8": (43, 90),
-    "supervised step sgd b8": (15, 28),
-    "supervised step adam b256": (17, 29),
+    "round vflhlp b8": (45, 95),
+    "round vanilla_vfl b8": (42, 90),
+    "supervised step sgd b8": (14, 28),
+    "supervised step adam b256": (16, 29),
     "contrastive batch b256": (6, 10),
     "contrastive epoch b64": (694, 1430),
     "aligned batches epoch b8": (22, 0),
-    "local epoch sgd b8": (1052, 1719),
-    "downstream epoch vanilla_vfl b8": (722, 1225),
+    "local epoch sgd b8": (1007, 1719),
+    "downstream epoch vanilla_vfl b8": (717, 1225),
 }
 
 

@@ -352,6 +352,22 @@ def test_eval_reproduces_recorded_scores(trained_out, cfg_path, capsys):
         assert payload["matches_recorded"] is True
 
 
+def test_eval_flags_a_checkpoint_trained_under_another_config(cfg_path, out, tmp_path,
+                                                              capsys):
+    assert run("train", "--config", cfg_path, "--out", out, "--mode", "vanilla_vfl") == 0
+    other = tmp_path / "more-epochs.json"
+    other.write_text(json.dumps({**TINY, "downstream": {**TINY["downstream"], "epochs": 3}}))
+    for cfg, same in ((cfg_path, True), (other, False)):
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--out", out) == 0
+        scored = [line for line in capsys.readouterr().out.splitlines() if "test AUC" in line]
+        assert len(scored) == 2, scored  # vanilla_vfl at both counts
+        assert all(line.endswith("  (trained under another config)") != same for line in scored)
+        written = [json.loads(p.read_text()) for p in (out / "train").rglob("eval.json")]
+        assert len(written) == 2
+        assert all(e["config_hash_matches"] is same and e["matches_recorded"] for e in written)
+
+
 def test_eval_without_checkpoints_fails(cfg_path, out):
     assert run("eval", "--config", cfg_path, "--out", out) == 4
 

@@ -15,10 +15,12 @@ from vflhlp.data import Field, FeatureSchema, _min_max, load_csv  # noqa: E402
 from vflhlp.errors import DataError  # noqa: E402
 from vflhlp.federated import TrainMode  # noqa: E402
 from vflhlp.metrics import auc  # noqa: E402
-from vflhlp.nn import EncoderSpec, Mlp, load_checkpoint, save_checkpoint  # noqa: E402
+from vflhlp.nn import (  # noqa: E402
+    EncoderSpec, Mlp, bce_with_logits, load_checkpoint, save_checkpoint,
+)
 from vflhlp.nn.layers import BINCOUNT_ROWS, EmbeddingTable, ModelSet, ParamLayout  # noqa: E402
 from vflhlp.nn.optim import OPTIMIZERS  # noqa: E402
-from vflhlp.ssl_pretrain import CorruptionModel, corrupt  # noqa: E402
+from vflhlp.ssl_pretrain import CorruptionModel, corrupt, info_nce  # noqa: E402
 
 from test_metrics import pairwise_auc  # noqa: E402
 
@@ -339,3 +341,77 @@ def test_a_config_reads_back_from_its_dict_and_json_with_the_same_hash(raw):
     assert config_hash(again) == config_hash(from_json) == config_hash(cfg)
     moved = parse_config({**json.loads(text), "output_dir": cfg.output_dir + "/elsewhere"})
     assert config_hash(moved) == config_hash(cfg)
+
+
+def info_nce_by_division(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
+    """info_nce with both of its N x N divisions written as np.divide."""
+    n = s.shape[0]
+    a = np.divide(s, temperature, out=s)
+    neg_diag = -a.diagonal()
+    shift = np.maximum.reduce(a, axis=1, keepdims=True)
+    a -= shift
+    e = np.exp(a, out=a)
+    sum_e = np.add.reduce(e, axis=1, keepdims=True)
+    lse = np.log(sum_e[:, 0]) + shift[:, 0]
+    loss = float(np.add.reduce(neg_diag + lse - np.log(n)) / n)
+    p = np.divide(e, sum_e, out=e)
+    p.flat[:: n + 1] -= 1.0
+    return loss, np.divide(p, n * temperature, out=p)
+
+
+# zeros of both signs, subnormals, the edge of the normals, overflow to inf, nan
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                            700.0, -700.0, 1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def similarity_case(draw):
+    """tau a power of two on both sides of the exact reciprocals' range or any
+    positive float; an N x N matrix of uniforms in [-1, 1], a few of them
+    extreme, N from 1 to 300."""
+    tau = draw(st.integers(-70, 70).map(lambda k: 2.0**k)
+               | st.floats(min_value=0.0, exclude_min=True))
+    n = draw(st.sampled_from([256, 136, 1, 2, 128]) | st.integers(1, 300))
+    s = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, (n, n))
+    for _ in range(draw(st.integers(0, 3))):
+        s[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(EXTREMES)
+    return s, tau
+
+
+@settings(max_examples=100)
+@given(case=similarity_case())
+def test_info_nce_is_the_divisions_bit_for_bit(case):
+    s, tau = case
+    with np.errstate(all="ignore"):
+        loss, grad = info_nce(s.copy(), tau)
+        want_loss, want_grad = info_nce_by_division(s, tau)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+# the presets' tau and common ones, each of which the draws above may miss
+@pytest.mark.parametrize("tau", [0.5, 1.0, 0.1, 0.07, 0.2, 0.3, 3.0, 10.0, 1e-3])
+def test_info_nce_is_the_divisions_bit_for_bit_at_common_temperatures(tau):
+    for n in (256, 136):  # a full fixture batch and its short last one
+        s = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        loss, grad = info_nce(s.copy(), tau)
+        want_loss, want_grad = info_nce_by_division(s, tau)
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+
+LOGITS = st.floats(width=64) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1000.0, -1000.0])
+
+
+@settings(max_examples=200)
+@given(case=st.lists(st.tuples(LOGITS, st.sampled_from([0.0, 1.0])), min_size=1, max_size=40))
+def test_bce_with_logits_is_the_where_formula_bit_for_bit(case):
+    logits, labels = (np.array(column) for column in zip(*case))
+    n = logits.size
+    with np.errstate(all="ignore"):
+        loss, grad = bce_with_logits(logits, labels)
+        e = np.exp(-np.abs(logits))
+        per = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)
+        want_grad = (np.where(logits >= 0, 1.0, e) / (1.0 + e) - labels) / n
+    assert np.float64(loss).tobytes() == (np.add.reduce(per) / n).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
