@@ -271,13 +271,6 @@ class TableEncoder:
     vocab: dict[str, dict[str, int]]
     num_stats: dict[str, tuple[float, float]]
 
-    def encode_cat(self, field_name: str, values: list[str]) -> np.ndarray:
-        v = self.vocab[field_name]
-        return np.array([v.get(x, 0) for x in values], dtype=np.int64)
-
-    def scale_num(self, field_name: str, values: np.ndarray) -> np.ndarray:
-        return _min_max(values, *self.num_stats[field_name])
-
 
 def _min_max(values: np.ndarray, lo, hi) -> np.ndarray:
     """`values` min-max scaled by `lo` and `hi` (scalars or per-column arrays)
@@ -333,33 +326,17 @@ def _first_flagged(path, rows, column: str, flagged: np.ndarray, describe) -> No
         raise DataError(f"{path}:{i + 2}: {describe(rows[i][column])}")
 
 
-def load_csv(
-    path, schema: FeatureSchema, id_column: str, label_column: str
+def read_csv(
+    path, schema: FeatureSchema, id_column: str, label_column: str,
+    encoder: TableEncoder | None = None,
 ) -> tuple[Table, TableEncoder]:
-    """Read a training CSV and fit the encoder on it.
+    """The one CSV reader: parse, fit an encoder if none is given, then encode.
 
-    Vocabularies index observed values in sorted order starting at 1; the
-    schema's declared cardinalities are checked against the observed counts.
-    """
-    return _read_table(path, schema, None, id_column, label_column)
-
-
-def transform_csv(
-    path,
-    schema: FeatureSchema,
-    encoder: TableEncoder,
-    id_column: str,
-    label_column: str,
-) -> Table:
-    """Read an evaluation CSV with a fitted encoder; unseen categories map to 0."""
-    return _read_table(path, schema, encoder, id_column, label_column)[0]
-
-
-def _read_table(
-    path, schema, encoder: TableEncoder | None, id_column: str, label_column: str
-) -> tuple[Table, TableEncoder]:
-    """The one CSV reader: parse, fit the encoder if none is given, then encode.
-    On the rows it was fitted on, min-max scaling is in [0, 1] and never clamps.
+    A training CSV comes in without an encoder and fits one: vocabularies index
+    observed values in sorted order starting at 1, and the schema's declared
+    cardinalities are checked against the observed counts. An evaluation CSV
+    comes in with the training file's encoder, and its unseen categories map to
+    0. On the rows it was fitted on, min-max scaling is in [0, 1] and never clamps.
 
     A file's first fault is reported, by stage (IDs, vocabularies, numbers, labels,
     a number column's range) and, within a column, an unparsable cell first."""
@@ -396,8 +373,10 @@ def _read_table(
             if np.isinf(hi - lo):
                 raise DataError(f"{path}: field {name!r}: range {lo!r} to {hi!r} overflows")
         encoder = TableEncoder(vocab=vocab, num_stats=stats)
-    cat_cols = [encoder.encode_cat(f.name, v) for f, v in zip(cat_fields, cat_values)]
-    num_cols = [encoder.scale_num(f.name, r) for f, r in zip(num_fields, raw_num)]
+    vocabs = [encoder.vocab[f.name] for f in cat_fields]
+    cat_cols = [np.array([v.get(x, 0) for x in values], dtype=np.int64)
+                for v, values in zip(vocabs, cat_values)]
+    num_cols = [_min_max(r, *encoder.num_stats[f.name]) for f, r in zip(num_fields, raw_num)]
     table = Table(
         ids=ids,
         cat=np.stack(cat_cols, axis=1) if cat_cols else np.zeros((len(rows), 0), np.int64),

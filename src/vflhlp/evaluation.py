@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
@@ -28,10 +27,9 @@ from .config import RunConfig, config_hash, encoder_specs
 from .data import (
     AlignedBatch,
     DatasetBundle,
-    load_csv,
+    read_csv,
     split_from_table,
     synth_generate,
-    transform_csv,
     vertical_partition,
 )
 from .errors import ConfigError, DataError, SchemaError, TrainingError
@@ -67,10 +65,10 @@ def build_bundle(cfg: RunConfig, seed: int) -> DatasetBundle:
         return synth_generate(cfg.data.synth, seed)
     c = cfg.data.csv
     schema = c.schema()
-    train_table, encoder = load_csv(c.train_path, schema, c.id_column, c.label_column)
+    train_table, encoder = read_csv(c.train_path, schema, c.id_column, c.label_column)
     order = stream(seed, "partition").permutation(train_table.n)
     ds = vertical_partition(train_table, schema, c.k_parties, c.aligned_pool, order)
-    test_table = transform_csv(c.test_path, schema, encoder, c.id_column, c.label_column)
+    test_table, _ = read_csv(c.test_path, schema, c.id_column, c.label_column, encoder)
     test = split_from_table(test_table, schema, c.k_parties, np.arange(test_table.n))
     return DatasetBundle(train=ds, test=test)
 
@@ -274,15 +272,6 @@ def run_cell(
     return trained, evaluate_mode(trained, bundle.test), audit
 
 
-def _spare_cpus() -> int:
-    """CPUs available to this process, less the one the grid itself uses."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, cpus - 1)
-
-
 def cell_plan(
     cfg: RunConfig, seeds, modes: list[TrainMode], sweep: tuple[float, ...] = ()
 ) -> list[Cell]:
@@ -338,11 +327,11 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
-            workers = min(_spare_cpus(), len({seed for seed, *_ in plan}))
+            # one worker: a seed's job is collected before the next is submitted.
             # spawn, not fork: forking a process that may run threads
             # (BLAS, a caller's) can deadlock the child
             pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+                max_workers=1, mp_context=multiprocessing.get_context("spawn")
             )
         for seed, cells in groupby(plan, lambda cell: cell[0]):
             say(f"seed {seed}: building dataset")

@@ -15,12 +15,11 @@ from vflhlp.data import (
     PartyView,
     hold_out,
     load_bundle,
-    load_csv,
+    read_csv,
     sample_aligned_batches,
     save_bundle,
     split_from_table,
     synth_generate,
-    transform_csv,
     vertical_partition,
 )
 from vflhlp.errors import ConfigError, DataError
@@ -248,7 +247,7 @@ def _sample_rows(n=24):
 def test_load_csv_roundtrip(tmp_path):
     p = tmp_path / "train.csv"
     _write_csv(p, _sample_rows())
-    table, enc = load_csv(p, _schema(), id_column="id", label_column="label")
+    table, enc = read_csv(p, _schema(), id_column="id", label_column="label")
     assert table.n == 24
     # vocab in sorted value order starting at 1
     assert enc.vocab["color"] == {"blue": 1, "green": 2, "red": 3}
@@ -262,34 +261,34 @@ def test_load_csv_roundtrip(tmp_path):
 def test_load_csv_error_messages_carry_line_numbers(tmp_path):
     good = tmp_path / "good.csv"
     _write_csv(good, _sample_rows())
-    _, enc = load_csv(good, _schema(), "id", "label")
+    _, enc = read_csv(good, _schema(), "id", "label")
     dup = tmp_path / "dup.csv"
     _write_csv(dup, ["1,0,red,0.5,tri,1.0", "1,1,blue,0.25,box,2.0"])
     with pytest.raises(DataError, match=r":3: duplicate"):
-        load_csv(dup, _schema(), "id", "label")
+        read_csv(dup, _schema(), "id", "label")
 
     bad_num = tmp_path / "badnum.csv"
     _write_csv(bad_num, ["1,0,red,0.5,tri,1.0", "2,1,blue,oops,box,2.0"])
     with pytest.raises(DataError, match=r":3:.*x1"):
-        load_csv(bad_num, _schema(), "id", "label")
+        read_csv(bad_num, _schema(), "id", "label")
 
     for raw in ("nan", "inf", "-Infinity"):
         non_finite = tmp_path / "nonfinite.csv"
         _write_csv(non_finite, ["1,0,red,0.5,tri,1.0", f"2,1,blue,{raw},box,2.0"])
         with pytest.raises(DataError, match=r":3:.*x1.*not a finite number"):
-            load_csv(non_finite, _schema(), "id", "label")
+            read_csv(non_finite, _schema(), "id", "label")
         with pytest.raises(DataError, match=r":3:.*x1.*not a finite number"):
-            transform_csv(non_finite, _schema(), enc, "id", "label")
+            read_csv(non_finite, _schema(), "id", "label", enc)[0]
 
     bad_label = tmp_path / "badlabel.csv"
     _write_csv(bad_label, ["1,0,red,0.5,tri,1.0", "2,7,blue,0.2,box,2.0"])
     with pytest.raises(DataError, match=r":3:"):
-        load_csv(bad_label, _schema(), "id", "label")
+        read_csv(bad_label, _schema(), "id", "label")
 
     missing = tmp_path / "missing.csv"
     missing.write_text("id,label,color,x1,x2\n1,0,red,0.5,1.0\n")
     with pytest.raises(DataError, match="shape"):
-        load_csv(missing, _schema(), "id", "label")
+        read_csv(missing, _schema(), "id", "label")
 
 
 @pytest.mark.parametrize("raw", ["12345678901234567890", "-12345678901234567890"])
@@ -297,7 +296,7 @@ def test_an_id_outside_int64_is_a_data_error_naming_its_line(tmp_path, raw):
     path = tmp_path / "wide-id.csv"
     _write_csv(path, ["1,0,red,0.5,tri,1.0", f"{raw},1,blue,0.25,box,2.0"])
     with pytest.raises(DataError, match=rf":3: ID '{raw}' is not a 64-bit integer"):
-        load_csv(path, _schema(), "id", "label")
+        read_csv(path, _schema(), "id", "label")
 
 
 @pytest.mark.parametrize("column, rows, message", [
@@ -312,7 +311,7 @@ def test_within_a_column_an_unparsable_cell_is_reported_before_a_bad_value(
     path = tmp_path / f"{column}.csv"
     _write_csv(path, rows)
     with pytest.raises(DataError, match=message):
-        load_csv(path, _schema(), "id", "label")
+        read_csv(path, _schema(), "id", "label")
 
 
 def test_load_csv_checks_declared_cardinality(tmp_path):
@@ -321,7 +320,7 @@ def test_load_csv_checks_declared_cardinality(tmp_path):
     rows = [f"{i},0,red,0.1,s{i % 4},1.0" for i in range(8)]
     _write_csv(p, rows)
     with pytest.raises(DataError, match="shape"):
-        load_csv(p, _schema(), "id", "label")
+        read_csv(p, _schema(), "id", "label")
 
 
 def test_csv_faults_are_reported_in_a_fixed_order(tmp_path):
@@ -329,7 +328,7 @@ def test_csv_faults_are_reported_in_a_fixed_order(tmp_path):
     # then labels: a file with several faults names the earliest stage's
     good = tmp_path / "good.csv"
     _write_csv(good, _sample_rows())
-    _, enc = load_csv(good, _schema(), "id", "label")
+    _, enc = read_csv(good, _schema(), "id", "label")
     rows = ["1,0,red,0.5,s1,1.0", "5,1,blue,0.1,s2,1.0", "6,0,red,0.3,s3,1.0"]
     faults = [  # (row, message, whether a fitted encoder also reports it)
         ("1,0,red,0.2,s1,2.0", "duplicate ID", True),
@@ -341,10 +340,10 @@ def test_csv_faults_are_reported_in_a_fixed_order(tmp_path):
     for i, (_, message, also_transform) in enumerate(faults):
         _write_csv(path, rows + [row for row, _, _ in reversed(faults[i:])])
         with pytest.raises(DataError, match=message):
-            load_csv(path, _schema(), "id", "label")
+            read_csv(path, _schema(), "id", "label")
         if also_transform:
             with pytest.raises(DataError, match=message):
-                transform_csv(path, _schema(), enc, "id", "label")
+                read_csv(path, _schema(), "id", "label", enc)[0]
 
 
 def test_a_number_range_past_the_largest_float_is_a_data_error_after_every_cell(tmp_path):
@@ -353,25 +352,25 @@ def test_a_number_range_past_the_largest_float_is_a_data_error_after_every_cell(
     rows = ["1,0,red,-1e308,tri,1.0", "2,1,blue,1e308,box,2.0"]
     _write_csv(path, rows)
     with pytest.raises(DataError, match=r"wide\.csv: field 'x1': range -1e\+308 to 1e\+308 "):
-        load_csv(path, _schema(), "id", "label")
+        read_csv(path, _schema(), "id", "label")
     _write_csv(path, rows + ["3,7,red,0.5,tri,3.0"])  # a bad cell is named before the range
     with pytest.raises(DataError, match=":4: label must be 0 or 1"):
-        load_csv(path, _schema(), "id", "label")
+        read_csv(path, _schema(), "id", "label")
     # a fitted encoder clamps such values like any other
     train = tmp_path / "train.csv"
     _write_csv(train, _sample_rows())
-    _, enc = load_csv(train, _schema(), "id", "label")
+    _, enc = read_csv(train, _schema(), "id", "label")
     _write_csv(path, rows)
-    assert transform_csv(path, _schema(), enc, "id", "label").num[:, 0].tolist() == [0.0, 1.0]
+    assert read_csv(path, _schema(), "id", "label", enc)[0].num[:, 0].tolist() == [0.0, 1.0]
 
 
 def test_transform_csv_maps_unseen_and_clamps(tmp_path):
     train = tmp_path / "train.csv"
     _write_csv(train, _sample_rows())
-    _, enc = load_csv(train, _schema(), "id", "label")
+    _, enc = read_csv(train, _schema(), "id", "label")
     test = tmp_path / "test.csv"
     _write_csv(test, ["100,1,purple,99.0,tri,0.5"])
-    table = transform_csv(test, _schema(), enc, "id", "label")
+    table = read_csv(test, _schema(), "id", "label", enc)[0]
     assert table.cat[0, 0] == 0      # unseen color -> reserved bucket
     assert table.num[0, 0] == 1.0    # out-of-range clamps to the train max
     assert table.cat[0, 1] == enc.vocab["shape"]["tri"]
@@ -380,10 +379,10 @@ def test_transform_csv_maps_unseen_and_clamps(tmp_path):
 def test_transform_constant_column_maps_to_zero(tmp_path):
     train = tmp_path / "train.csv"
     _write_csv(train, [f"{i},0,red,3.5,tri,{i}" for i in range(6)])
-    _, enc = load_csv(train, _schema(), "id", "label")
+    _, enc = read_csv(train, _schema(), "id", "label")
     test = tmp_path / "t.csv"
     _write_csv(test, ["50,1,red,7.0,tri,2.0"])
-    table = transform_csv(test, _schema(), enc, "id", "label")
+    table = read_csv(test, _schema(), "id", "label", enc)[0]
     assert table.num[0, 0] == 0.0
 
 
@@ -407,7 +406,7 @@ def _assert_partitioned(ds, table):
 def test_vertical_partition_invariants(tmp_path):
     p = tmp_path / "train.csv"
     _write_csv(p, _sample_rows(30))
-    table, _ = load_csv(p, _schema(), "id", "label")
+    table, _ = read_csv(p, _schema(), "id", "label")
     ds = vertical_partition(table, _schema(), k_parties=2, aligned_count=10,
                             order=stream(9, "partition").permutation(table.n))
     _assert_partitioned(ds, table)
@@ -475,7 +474,7 @@ def test_party_views_are_built_only_by_the_partition_and_the_cache_reader():
 def test_vertical_partition_labels_follow_ids_not_rows(tmp_path):
     p = tmp_path / "train.csv"
     _write_csv(p, _sample_rows(30)[::-1])  # IDs descend down the file
-    table, _ = load_csv(p, _schema(), "id", "label")
+    table, _ = read_csv(p, _schema(), "id", "label")
     ds = vertical_partition(table, _schema(), k_parties=2, aligned_count=10,
                             order=stream(9, "partition").permutation(table.n))
     label_of = dict(zip(table.ids.tolist(), table.labels.tolist()))
@@ -494,7 +493,7 @@ def test_vertical_partition_is_seeded(tmp_path):
 def test_vertical_partition_validates(tmp_path):
     p = tmp_path / "train.csv"
     _write_csv(p, _sample_rows(12))
-    table, _ = load_csv(p, _schema(), "id", "label")
+    table, _ = read_csv(p, _schema(), "id", "label")
     order = stream(1, "partition").permutation(table.n)
     with pytest.raises(DataError):
         vertical_partition(table, _schema(), 2, 0, order)
@@ -509,7 +508,7 @@ def test_vertical_partition_validates(tmp_path):
 def test_split_from_table_keeps_all_rows(tmp_path):
     p = tmp_path / "eval.csv"
     _write_csv(p, _sample_rows(12))
-    table, _ = load_csv(p, _schema(), "id", "label")
+    table, _ = read_csv(p, _schema(), "id", "label")
     split = split_from_table(table, _schema(), 2, np.arange(12))
     assert split.n == 12
     np.testing.assert_array_equal(split.cat[1][:, 0], table.cat[:, 0])

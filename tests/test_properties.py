@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from vflhlp.config import canonical_json, config_hash, parse_config, to_dict  # noqa: E402
-from vflhlp.data import Field, FeatureSchema, _min_max, load_csv  # noqa: E402
+from vflhlp.data import Field, FeatureSchema, _min_max, read_csv  # noqa: E402
 from vflhlp.errors import DataError  # noqa: E402
 from vflhlp.federated import TrainMode  # noqa: E402
 from vflhlp.metrics import auc  # noqa: E402
@@ -67,10 +67,10 @@ def test_ids_and_finite_numbers_come_back_bit_for_bit(tmp_path_factory, rows):
         wide = not np.isfinite(xs.max() - xs.min())
     if wide:  # such a range would scale the column to 0 and nan
         with pytest.raises(DataError) as raised:
-            load_csv(path, SCHEMA, "id", "label")
+            read_csv(path, SCHEMA, "id", "label")
         assert str(raised.value).startswith(f"{path}: field 'x': range ")
         return
-    table, encoder = load_csv(path, SCHEMA, "id", "label")
+    table, encoder = read_csv(path, SCHEMA, "id", "label")
     assert table.ids.tobytes() == ids.tobytes()
     assert np.array(encoder.num_stats["x"]).tobytes() == np.array([xs.min(), xs.max()]).tobytes()
     np.testing.assert_array_equal(table.num[:, 0], _min_max(xs, xs.min(), xs.max()))
@@ -93,7 +93,7 @@ def test_an_unparsable_or_out_of_range_cell_is_a_data_error_naming_its_line(
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     _write(path, rows)
     with pytest.raises(DataError) as raised:
-        load_csv(path, SCHEMA, "id", "label")
+        read_csv(path, SCHEMA, "id", "label")
     assert str(raised.value).startswith(f"{path}:{row + 2}: "), rows[row]
 
 

@@ -14,7 +14,7 @@ import vflhlp
 from vflhlp.cli import _cached_bundle
 from vflhlp.config import load_config, parse_config, to_dict
 from vflhlp.data import (
-    Field, FeatureSchema, load_bundle, load_csv, read_json_object, save_bundle,
+    Field, FeatureSchema, load_bundle, read_csv, read_json_object, save_bundle,
 )
 from vflhlp.errors import ConfigError, DataError
 from vflhlp.nn import load_checkpoint
@@ -77,7 +77,7 @@ def test_damaged_csvs_load_or_raise_data_errors(tmp_path):
             for i in range(24)]
     text = "\n".join(["id,label,color,x1,shape,x2", *rows]) + "\n"
     loaded = _fuzz(tmp_path, text, seed=2,
-                   load=lambda p: load_csv(p, schema, "id", "label"))
+                   load=lambda p: read_csv(p, schema, "id", "label"))
     assert 0 < loaded < 300
 
 
