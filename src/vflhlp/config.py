@@ -108,6 +108,12 @@ class GridConfig:
             raise ConfigError("seeds must be non-negative")
         if not all(b >= 0 for b in self.beta_sweep):  # a NaN fails too
             raise ConfigError(f"beta_sweep values must be >= 0, got {list(self.beta_sweep)}")
+        printed = {}
+        for b in self.beta_sweep:  # a sweep value's name in every output, log and file
+            first = printed.setdefault(f"{b:g}", b)
+            if first != b:
+                raise ConfigError(f"grid beta_sweep values {first!r} and {b!r} both print "
+                                  f"as {b:g}, so their cells' outputs would share a name")
 
 
 @dataclass(frozen=True)

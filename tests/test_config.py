@@ -93,6 +93,8 @@ def test_deep_merge_replaces_non_dict_values():
          "downstream: beta must be >= 0, got -1.0"),
         ({"data": {"kind": "synth"}, "grid": {"beta_sweep": [-0.5, 0.1]}},
          r"grid: beta_sweep values must be >= 0, got \[-0.5, 0.1\]"),
+        ({"data": {"kind": "synth"}, "grid": {"beta_sweep": [0.5, 1.0, 1.0000001]}},
+         r"grid beta_sweep values 1\.0 and 1\.0000001 both print as 1,"),
     ],
 )
 def test_strict_parsing_rejects(raw, fragment):

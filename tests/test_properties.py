@@ -310,7 +310,7 @@ OVERRIDES = {  # the path of a preset's entry: its valid values
     ("grid", "aligned_counts"): st.lists(st.integers(1, 800), min_size=1, max_size=5,
                                          unique=True),
     ("grid", "seeds"): st.lists(st.integers(0, 2**40), min_size=1, max_size=5, unique=True),
-    ("grid", "beta_sweep"): st.lists(RATES, max_size=3, unique=True),
+    ("grid", "beta_sweep"): st.lists(RATES, max_size=3, unique_by=lambda b: f"{b:g}"),
     ("grid", "include_oracle"): st.booleans(),
     ("output_dir",): st.text(),
 }
