@@ -21,7 +21,7 @@ from itertools import groupby
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, config_hash, data_hash, encoder_specs, load_config
+from .config import RunConfig, config_hash, data_hash, encoder_specs, load_config, to_dict
 from .data import CACHE_FILE, DatasetBundle, load_bundle, read_json_object, save_bundle
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import (
@@ -32,6 +32,7 @@ from .evaluation import (
     load_cell_checkpoint,
     load_pretrained,
     pretrain_for_seed,
+    read_current,
     run_grid,
     run_plan,
     save_cell_checkpoint,
@@ -79,20 +80,33 @@ def _cache_key(cfg: RunConfig, seed: int) -> dict:
     return key
 
 
+def _pretrained_keys(cfg: RunConfig, data_key: dict) -> tuple[str, str]:
+    """The keys of a seed's active.ckpt and of its passive{k}.ckpt: the sha256
+    of its dataset's key, the model section and the section that trains the
+    file. So an ssl edit leaves active.ckpt current, a downstream edit both."""
+    sections = to_dict(cfg)
+    made_of = {"data": data_key, "model": sections["model"]}
+    return tuple(
+        hashlib.sha256(json.dumps({**made_of, name: sections[name]}, sort_keys=True)
+                       .encode("utf-8")).hexdigest()
+        for name in ("supervised", "ssl")
+    )
+
+
 def _cached_bundle(cache: Path, key: dict) -> DatasetBundle | None:
     """The dataset cached in `cache` if its meta is `key`; None if there is
     none (an older .npy layout counts as none) or it is stale. A cache that
     cannot be loaded raises DataError naming its file."""
-    if not (cache / CACHE_FILE).exists():
-        return None
-    bundle, metadata = load_bundle(cache)
-    return bundle if metadata.get("meta") == key else None
+    found = read_current(cache / CACHE_FILE, lambda _: load_bundle(cache), "meta", key)
+    return None if found is None else found[0]
 
 
-def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> DatasetBundle:
-    """The cached dataset if it matches this config, else a freshly built one."""
-    cached = _cached_bundle(_cache_dir(out, seed), _cache_key(cfg, seed))
-    return cached if cached is not None else build_bundle(cfg, seed)
+def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> tuple[DatasetBundle, dict]:
+    """The cached dataset if it matches this config, else a freshly built one,
+    and the dataset's key."""
+    key = _cache_key(cfg, seed)
+    cached = _cached_bundle(_cache_dir(out, seed), key)
+    return (cached if cached is not None else build_bundle(cfg, seed)), key
 
 
 def cmd_prepare(cfg: RunConfig, out: Path, seeds) -> int:
@@ -117,11 +131,11 @@ def cmd_prepare(cfg: RunConfig, out: Path, seeds) -> int:
 def cmd_pretrain(cfg: RunConfig, out: Path, seeds, passive_only: bool) -> int:
     chash = config_hash(cfg)
     for seed in seeds:
-        bundle = _bundle_for(cfg, out, seed)
+        bundle, data_key = _bundle_for(cfg, out, seed)
         pre = pretrain_for_seed(
             cfg, bundle, seed, need_active=not passive_only, need_passive=True
         )
-        save_pretrained(_ckpt_dir(out, seed), pre, seed, chash)
+        save_pretrained(_ckpt_dir(out, seed), pre, seed, chash, _pretrained_keys(cfg, data_key))
         if not passive_only:
             val = "n/a" if pre.active.val_auc is None else f"{pre.active.val_auc:.4f}"
             print(f"seed {seed}: active party pre-trained, val AUC {val}")
@@ -142,9 +156,10 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
     plan = cell_plan(cfg, seeds, modes)
     loaded = {}  # every seed's dataset and checkpoints are read before the first cell trains
     for seed in seeds:
-        bundle = _bundle_for(cfg, out, seed)
+        bundle, data_key = _bundle_for(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
-        loaded[seed] = bundle, load_pretrained(_ckpt_dir(out, seed), specs, *needs)
+        keys = _pretrained_keys(cfg, data_key)
+        loaded[seed] = bundle, load_pretrained(_ckpt_dir(out, seed), specs, *needs, keys)
 
     def save(trained_as, trained) -> None:  # local_a, trained once, at each of its counts
         for cell in (c for c in plan if trained_cell(c) == trained_as):
@@ -183,7 +198,7 @@ def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
     any_found = False
     modes = [TrainMode.parse(m) for m in cfg.grid.modes]
     for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
-        bundle = _bundle_for(cfg, out, seed)
+        bundle, _ = _bundle_for(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
         for cell in cells:
             _, count, mode, _ = cell

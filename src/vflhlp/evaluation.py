@@ -488,11 +488,26 @@ def load_cell_checkpoint(
     return TrainedFederation(mode=mode, encoders=encoders, head=models["head"], history=[]), meta
 
 
-def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str) -> None:
+def read_current(path: Path, load, field: str, key):
+    """`load(path)`, an (artifact, metadata) pair, if `path` exists and its
+    metadata[field] is `key`; None if there is no file or it was made under
+    another key. The one check of a stage's file against what would make it
+    now; a file that `load` cannot read raises its DataError."""
+    if not Path(path).exists():
+        return None
+    artifact, metadata = load(path)
+    return (artifact, metadata) if metadata.get(field) == key else None
+
+
+def save_pretrained(
+    ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str, keys: tuple[str, str]
+) -> None:
     """Write one seed's pre-trained weights as the `pretrain` command leaves them.
 
     active.ckpt holds models "encoder" and "head"; passive{k}.ckpt holds "encoder".
+    `keys` is (active.ckpt's key, each passive{k}.ckpt's key), kept as "key".
     """
+    active_key, passive_key = keys
     active = pre.active
     if active is not None:
         tensors = _tensors({"encoder": active.encoder, "head": active.head})
@@ -501,6 +516,7 @@ def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: st
             "party": 1,
             "seed": seed,
             "config_hash": chash,
+            "key": active_key,
             "best_epoch": active.best_epoch,
             "val_auc": active.val_auc,
             "degenerate_validation": active.degenerate_validation,
@@ -512,6 +528,7 @@ def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: st
             "party": k,
             "seed": seed,
             "config_hash": chash,
+            "key": passive_key,
             "loss_trace": pre.ssl_traces[k],
         }
         path = Path(ckpt_dir) / f"passive{k}.ckpt"
@@ -523,24 +540,29 @@ def load_pretrained(
     specs: dict[int, EncoderSpec],
     need_active: bool,
     need_passive: bool,
+    keys: tuple[str, str],
 ) -> PretrainedWeights:
     """Read the pre-trained weights asked for from what save_pretrained wrote.
 
-    Every tensor of a file must fit `specs`: a missing, extra or misshapen one
-    raises DataError naming the file.
+    A file that is missing, or whose key is not its entry of `keys`, raises
+    TrainingError. Every tensor of a file must fit `specs`: a missing, extra
+    or misshapen one raises DataError naming the file.
     """
     parties = [1] if need_active else []
     if need_passive:
         parties += [k for k in sorted(specs) if k != 1]
     weights = PretrainedWeights()
+    active_key, passive_key = keys
     for k in parties:
-        path = Path(ckpt_dir) / ("active.ckpt" if k == 1 else f"passive{k}.ckpt")
-        if not path.exists():
+        name, key = ("active.ckpt", active_key) if k == 1 else (f"passive{k}.ckpt", passive_key)
+        path = Path(ckpt_dir) / name
+        found = read_current(path, load_checkpoint, "key", key)
+        if found is None:
             raise TrainingError(
-                f"the modes to train need {path} for party {k}; "
-                f"run `vflhlp pretrain` first"
+                f"the modes to train need {path} for party {k}, and it is missing "
+                f"or was pre-trained under another config; run `vflhlp pretrain` again"
             )
-        tensors, meta = load_checkpoint(path)
+        tensors, meta = found
         models = {"encoder": specs[k].build_empty()}
         if k == 1:
             models["head"] = Mlp([specs[1].rep_dim, 1])

@@ -431,6 +431,42 @@ def test_train_on_a_bad_pretrained_checkpoint_is_a_data_error(cfg_path, out, cap
     assert "data error" in err and str(ckpt) in err
 
 
+# (edited section, mode trained, the file that goes stale): an ssl edit leaves
+# active.ckpt current, and a downstream edit leaves every pre-trained file current
+@pytest.mark.parametrize("section, mode, stale", [
+    ("ssl", "vflhlp", "passive2.ckpt"),
+    ("supervised", "vflhlp", "active.ckpt"),
+    ("ssl", "vflhlp_a", None),
+    ("downstream", "vflhlp", None),
+])
+def test_train_refuses_a_pretrained_checkpoint_from_another_config(cfg_path, out, tmp_path,
+                                                                   capsys, section, mode, stale):
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({**TINY, section: {**TINY[section], "epochs": 3}}))
+    capsys.readouterr()
+    code = run("train", "--config", edited, "--out", out, "--mode", mode)
+    err = capsys.readouterr().err
+    if stale is None:
+        assert code == 0, err
+        return
+    assert code == 4 and "training error" in err
+    assert str(out / "checkpoints" / "seed7" / stale) in err and "vflhlp pretrain" in err
+    assert not (out / "train").exists()
+
+
+def test_a_pretrained_checkpoint_without_a_key_is_stale(cfg_path, out, capsys):
+    # as a file written before pre-trained checkpoints carried keys
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+    path = out / "checkpoints" / "seed7" / "passive3.ckpt"
+    tensors, meta = load_checkpoint(path)
+    del meta["key"]
+    save_checkpoint(path, tensors, meta)
+    capsys.readouterr()
+    assert run("train", "--config", cfg_path, "--out", out, "--mode", "vflhlp_p") == 4
+    assert str(path) in capsys.readouterr().err
+
+
 def test_pretrained_checkpoints_hold_exactly_the_encoder_and_head_tensors(cfg_path, out):
     # the names and shapes a reader outside the package builds the models from
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
@@ -877,6 +913,7 @@ def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):
     ("downstream", "val_fraction", -0.5, "val_fraction must be in [0, 1)"),
     ("grid", "aligned_counts", [20, 20], "grid aligned_counts contain duplicates"),
     ("grid", "beta_sweep", [0.1, 0.1], "grid beta_sweep contain duplicates"),
+    ("grid", "beta_sweep", [1.0, 1.0000001], "values 1.0 and 1.0000001 both print as 1,"),
     ("downstream", "epochs", -1, "downstream: epochs must be >= 0, got -1"),
     ("downstream", "batch_size", 0, "downstream: batch_size must be >= 1, got 0"),
     ("ssl", "temperature", 0, "ssl: temperature must be > 0, got 0"),
@@ -884,8 +921,9 @@ def test_wrong_typed_config_structure_uses_exit_code_two(tmp_path, out, capsys):
     ("supervised", "learning_rate", -1, "supervised: learning_rate must be >= 0, got -1"),
 ], ids=["projection-item", "projection-width", "num-fields-count", "cat-fields-item",
         "signal-item", "negative-validation", "negative-test", "beta-item", "count-item",
-        "seed-item", "val-fraction", "count-repeated", "beta-repeated", "negative-epochs",
-        "zero-batch", "zero-temperature", "corruption-over-one", "negative-learning-rate"])
+        "seed-item", "val-fraction", "count-repeated", "beta-repeated", "beta-printed-alike",
+        "negative-epochs", "zero-batch", "zero-temperature", "corruption-over-one",
+        "negative-learning-rate"])
 def test_config_lists_and_ranges_are_checked_item_by_item(tmp_path, out, capsys,
                                                           section, key, value, fragment):
     raw = json.loads(json.dumps(TINY))
