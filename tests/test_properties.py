@@ -12,8 +12,12 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from vflhlp.config import canonical_json, config_hash, parse_config, to_dict  # noqa: E402
 from vflhlp.data import Field, FeatureSchema, _min_max, read_csv  # noqa: E402
+from vflhlp import federated  # noqa: E402
 from vflhlp.errors import DataError  # noqa: E402
-from vflhlp.federated import TrainMode  # noqa: E402
+from vflhlp.federated import (  # noqa: E402
+    Federation, GradientMsg, RepresentationMsg, TrainMode, TransportLog, audit_transport,
+    run_round,
+)
 from vflhlp.metrics import auc  # noqa: E402
 from vflhlp.nn import (  # noqa: E402
     EncoderSpec, Mlp, bce_with_logits, load_checkpoint, save_checkpoint,
@@ -22,6 +26,8 @@ from vflhlp.nn.layers import BINCOUNT_ROWS, EmbeddingTable, ModelSet, ParamLayou
 from vflhlp.nn.optim import OPTIMIZERS  # noqa: E402
 from vflhlp.ssl_pretrain import CorruptionModel, corrupt, info_nce  # noqa: E402
 
+from conftest import anchor_model, draw_encoder_inputs  # noqa: E402
+from test_federated import Monolith, reference_audit  # noqa: E402
 from test_metrics import pairwise_auc  # noqa: E402
 
 SCHEMA = FeatureSchema((Field("x", "numerical", party=1),))
@@ -415,3 +421,112 @@ def test_bce_with_logits_is_the_where_formula_bit_for_bit(case):
         want_grad = (np.where(logits >= 0, 1.0, e) / (1.0 + e) - labels) / n
     assert np.float64(loss).tobytes() == (np.add.reduce(per) / n).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
+
+
+@st.composite
+def transport_case(draw):
+    """Logged messages as (up, round, party, leak): K = 3 balanced rounds whose
+    indices repeat or skip far, then messages dropped, added or flipped in
+    direction, some payloads replaced by a leak (an index into the test's
+    leaks, or None), in any order; and (message, forbidden digest) pairs whose
+    message digest becomes the forbidden one's first 8 bytes and 24 zeros."""
+    rounds = draw(st.lists(st.integers(0, 12) | st.integers(0, 2**32 - 1), max_size=5))
+    messages = [[up, r, k, None] for r in rounds for up in (True, False) for k in (1, 2, 3)]
+    for _ in range(draw(st.integers(0, 3))):
+        what = draw(st.sampled_from(["add", "drop", "flip"]))
+        if what == "add" or not messages:
+            messages.append([draw(st.booleans()), draw(st.integers(0, 12)),
+                             draw(st.integers(1, 3)), None])
+            continue
+        i = draw(st.integers(0, len(messages) - 1))
+        if what == "drop":
+            del messages[i]
+        else:
+            messages[i][0] = not messages[i][0]
+    for _ in range(draw(st.integers(0, 2)) if messages else 0):
+        messages[draw(st.integers(0, len(messages) - 1))][3] = draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(messages))))
+    near = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=2))
+    return [messages[i] for i in order], near
+
+
+@settings(max_examples=100)
+@given(case=transport_case())
+def test_audit_transport_is_the_reference_audit(tiny_bundle, case):
+    messages, near_misses = case
+    train = tiny_bundle.train
+    leaks = [train.labels, train.parties[2].num[:, 0],
+             train.parties[3].cat[:, 0].astype(np.float64)]
+    log = TransportLog()
+    for up, r, k, leak in messages:
+        values = np.full((1, 2), r + 0.5 * k) if leak is None else leaks[leak].reshape(-1, 1)
+        log.record((RepresentationMsg if up else GradientMsg)(r, k, values))
+    forbidden = sorted(federated._raw_column_digests(train))
+    for i, j in near_misses if messages else ():
+        i %= len(messages)
+        log.digests[32 * i:32 * i + 32] = forbidden[j % len(forbidden)][:8] + bytes(24)
+    assert audit_transport(log, train) == reference_audit(log, train)
+
+
+@st.composite
+def federation_case(draw):
+    """K parties of random encoder specs, beta (0 among them), SGD rates kept
+    below eta * beta = 0.5, so that the anchored entries do not blow up, the
+    batch size and a seed for the weights, anchors and batches."""
+    specs = {}
+    for k in range(1, draw(st.integers(2, 4)) + 1):
+        cards = draw(st.lists(st.integers(1, 5), max_size=2))
+        specs[k] = EncoderSpec(tuple((f"c{i}", c) for i, c in enumerate(cards)),
+                               draw(st.integers(0 if cards else 1, 3)), draw(st.integers(1, 3)),
+                               tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))))
+    beta = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0))
+    eta1, eta2 = draw(st.floats(1e-3, 0.1)), draw(st.floats(1e-3, 0.1))
+    return specs, beta, eta1, eta2, draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+def constrained_step(mono: Monolith, anchor, beta: float, cat, num, labels) -> float:
+    """Monolith.step with Federation's constraint: beta * (theta - anchor) added
+    to the gradient of party 1's encoder and of the head's weight columns over
+    party 1's block and its bias, and beta * 0.5 * sum((theta - anchor)^2) to
+    the loss; mono.encoders[1] comes first in the head's input."""
+    order = sorted(mono.encoders)
+    reps, tapes = zip(*[mono.encoders[k].forward(cat[k], num[k]) for k in order])
+    logits, head_tape = mono.head.forward(np.concatenate(reps, axis=1))
+    loss, dlogits = bce_with_logits(logits[:, 0], labels)
+    head_grad, dh = mono.head.backward(head_tape, dlogits[:, None])
+    ends = np.cumsum([mono.encoders[k].rep_dim for k in order])
+    grads = [mono.encoders[k].backward(tape, dh[:, end - mono.encoders[k].rep_dim:end])
+             for k, tape, end in zip(order, tapes, ends)]
+    d1 = mono.encoders[1].rep_dim
+    head, pulled = mono.head.params(), anchor.head.params()
+    diffs = [mono.encoders[1].theta - anchor.encoder.theta,
+             head["0.weight"][:, :d1] - pulled["0.weight"], head["0.bias"] - pulled["0.bias"]]
+    head_grads = mono.head.layout.views(head_grad)
+    grads[0] += beta * diffs[0]
+    head_grads["0.weight"][:, :d1] += beta * diffs[1]
+    head_grads["0.bias"] += beta * diffs[2]
+    mono.opt.step(mono.head.theta, head_grad, mono.eta1)
+    for k, grad in zip(order, grads):
+        mono.opt.step(mono.encoders[k].theta, grad, mono.eta2)
+    return loss + beta * 0.5 * sum(float((d * d).sum()) for d in diffs)
+
+
+@settings(max_examples=60)
+@given(case=federation_case())
+def test_run_round_is_the_constrained_centralized_model(case):
+    specs, beta, eta1, eta2, n, seed = case
+    rng = np.random.default_rng(seed)
+    encoders = {k: spec.build(rng) for k, spec in specs.items()}
+    head = Mlp.init(rng, [sum(spec.rep_dim for spec in specs.values()), 1])
+    anchor = anchor_model(specs[1], rng)
+    fed = Federation(encoders, head, beta, eta1, eta2, "sgd", anchor)  # trains copies
+    mono = Monolith(encoders, head, eta1, eta2)
+    for r in range(3):
+        cat, num = zip(*[draw_encoder_inputs(rng, specs[k], n) for k in sorted(specs)])
+        cat, num = dict(zip(sorted(specs), cat)), dict(zip(sorted(specs), num))
+        labels = rng.integers(0, 2, n).astype(np.float64)
+        stats = run_round(fed, (cat, num, labels), r, TransportLog())
+        assert abs(stats.loss - constrained_step(mono, anchor, beta, cat, num, labels)) <= 1e-10
+        for k in specs:
+            assert np.abs(fed.encoders[k].theta - mono.encoders[k].theta).max() <= 1e-10
+        assert np.abs(fed.head.theta - mono.head.theta).max() <= 1e-10
