@@ -80,17 +80,14 @@ def _cache_key(cfg: RunConfig, seed: int) -> dict:
     return key
 
 
-def _pretrained_keys(cfg: RunConfig, data_key: dict) -> tuple[str, str]:
-    """The keys of a seed's active.ckpt and of its passive{k}.ckpt: the sha256
-    of its dataset's key, the model section and the section that trains the
-    file. So an ssl edit leaves active.ckpt current, a downstream edit both."""
+def _pretrained_keys(cfg: RunConfig, data_key: dict) -> dict[str, str]:
+    """The key of each pre-trained file by the section that trains it (supervised
+    active.ckpt, ssl passive{k}.ckpt): the sha256 of the dataset's key, the model
+    section and that section. An ssl edit leaves active.ckpt current."""
     sections = to_dict(cfg)
-    made_of = {"data": data_key, "model": sections["model"]}
-    return tuple(
-        hashlib.sha256(json.dumps({**made_of, name: sections[name]}, sort_keys=True)
-                       .encode("utf-8")).hexdigest()
-        for name in ("supervised", "ssl")
-    )
+    return {name: hashlib.sha256(json.dumps([data_key, sections["model"], sections[name]],
+                                            sort_keys=True).encode("utf-8")).hexdigest()
+            for name in ("supervised", "ssl")}
 
 
 def _cached_bundle(cache: Path, key: dict) -> DatasetBundle | None:
@@ -102,8 +99,7 @@ def _cached_bundle(cache: Path, key: dict) -> DatasetBundle | None:
 
 
 def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> tuple[DatasetBundle, dict]:
-    """The cached dataset if it matches this config, else a freshly built one,
-    and the dataset's key."""
+    """The dataset, cached if the cache matches this config or built afresh, and its key."""
     key = _cache_key(cfg, seed)
     cached = _cached_bundle(_cache_dir(out, seed), key)
     return (cached if cached is not None else build_bundle(cfg, seed)), key

@@ -108,10 +108,9 @@ class GridConfig:
             raise ConfigError("seeds must be non-negative")
         if not all(b >= 0 for b in self.beta_sweep):  # a NaN fails too
             raise ConfigError(f"beta_sweep values must be >= 0, got {list(self.beta_sweep)}")
-        printed = {}
-        for b in self.beta_sweep:  # a sweep value's name in every output, log and file
-            first = printed.setdefault(f"{b:g}", b)
-            if first != b:
+        printed = {}  # every output, log and file names a sweep value by f"{b:g}"
+        for b in self.beta_sweep:
+            if (first := printed.setdefault(f"{b:g}", b)) != b:
                 raise ConfigError(f"grid beta_sweep values {first!r} and {b!r} both print "
                                   f"as {b:g}, so their cells' outputs would share a name")
 

@@ -490,24 +490,20 @@ def load_cell_checkpoint(
 
 def read_current(path: Path, load, field: str, key):
     """`load(path)`, an (artifact, metadata) pair, if `path` exists and its
-    metadata[field] is `key`; None if there is no file or it was made under
-    another key. The one check of a stage's file against what would make it
-    now; a file that `load` cannot read raises its DataError."""
+    metadata[field] is `key`, else None: the one check that a stage's file is
+    current. A file that `load` cannot read raises its DataError."""
     if not Path(path).exists():
         return None
     artifact, metadata = load(path)
     return (artifact, metadata) if metadata.get(field) == key else None
 
 
-def save_pretrained(
-    ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str, keys: tuple[str, str]
-) -> None:
+def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str, keys) -> None:
     """Write one seed's pre-trained weights as the `pretrain` command leaves them.
 
     active.ckpt holds models "encoder" and "head"; passive{k}.ckpt holds "encoder".
-    `keys` is (active.ckpt's key, each passive{k}.ckpt's key), kept as "key".
+    Each file's "key" is keys["supervised"] or keys["ssl"], by the stage that made it.
     """
-    active_key, passive_key = keys
     active = pre.active
     if active is not None:
         tensors = _tensors({"encoder": active.encoder, "head": active.head})
@@ -516,7 +512,7 @@ def save_pretrained(
             "party": 1,
             "seed": seed,
             "config_hash": chash,
-            "key": active_key,
+            "key": keys["supervised"],
             "best_epoch": active.best_epoch,
             "val_auc": active.val_auc,
             "degenerate_validation": active.degenerate_validation,
@@ -528,7 +524,7 @@ def save_pretrained(
             "party": k,
             "seed": seed,
             "config_hash": chash,
-            "key": passive_key,
+            "key": keys["ssl"],
             "loss_trace": pre.ssl_traces[k],
         }
         path = Path(ckpt_dir) / f"passive{k}.ckpt"
@@ -540,28 +536,23 @@ def load_pretrained(
     specs: dict[int, EncoderSpec],
     need_active: bool,
     need_passive: bool,
-    keys: tuple[str, str],
+    keys: dict[str, str],
 ) -> PretrainedWeights:
     """Read the pre-trained weights asked for from what save_pretrained wrote.
 
-    A file that is missing, or whose key is not its entry of `keys`, raises
-    TrainingError. Every tensor of a file must fit `specs`: a missing, extra
-    or misshapen one raises DataError naming the file.
+    A missing file, or one without its key of `keys`, raises TrainingError. Every
+    tensor must fit `specs`: a missing, extra or misshapen one is a DataError.
     """
     parties = [1] if need_active else []
     if need_passive:
         parties += [k for k in sorted(specs) if k != 1]
     weights = PretrainedWeights()
-    active_key, passive_key = keys
     for k in parties:
-        name, key = ("active.ckpt", active_key) if k == 1 else (f"passive{k}.ckpt", passive_key)
-        path = Path(ckpt_dir) / name
-        found = read_current(path, load_checkpoint, "key", key)
+        path = Path(ckpt_dir) / ("active.ckpt" if k == 1 else f"passive{k}.ckpt")
+        found = read_current(path, load_checkpoint, "key", keys["supervised" if k == 1 else "ssl"])
         if found is None:
-            raise TrainingError(
-                f"the modes to train need {path} for party {k}, and it is missing "
-                f"or was pre-trained under another config; run `vflhlp pretrain` again"
-            )
+            raise TrainingError(f"the modes to train need {path} for party {k}, pre-trained "
+                                "under this config; run `vflhlp pretrain` again")
         tensors, meta = found
         models = {"encoder": specs[k].build_empty()}
         if k == 1:
