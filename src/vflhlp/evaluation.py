@@ -492,7 +492,7 @@ def read_current(path: Path, load, field: str, key):
     """`load(path)`, an (artifact, metadata) pair, if `path` exists and its
     metadata[field] is `key`, else None: the one check that a stage's file is
     current. A file that `load` cannot read raises its DataError."""
-    if not Path(path).exists():
+    if not path.exists():
         return None
     artifact, metadata = load(path)
     return (artifact, metadata) if metadata.get(field) == key else None
