@@ -82,20 +82,21 @@ def pretrain_for_seed(
     need_passive: bool,
 ) -> PretrainedWeights:
     """One seed's pre-trained weights, with each passive party's loss trace.
-    A diverging stage overflows without numpy warnings, as a cell does."""
-    specs = encoder_specs(bundle.train, cfg.model)
-    weights = PretrainedWeights()
-    if need_active:
-        try:
-            weights.active = pretrain_active(
-                bundle.train.parties[1], bundle.train.labels, specs[1], cfg.supervised, seed
-            )
-        except TrainingError as exc:  # named as pretrain_passive names its party
-            raise TrainingError(f"party 1: {exc}") from exc
-    if need_passive:
-        for k in sorted(bundle.train.parties.keys() - {1}):
-            weights.passive[k], weights.ssl_traces[k] = pretrain_passive(
-                bundle.train.parties[k], specs[k], cfg.ssl, seed)
+    One loop runs the stages in party order: party 1's supervised one, then each
+    passive party's contrastive one. A diverging stage overflows without numpy
+    warnings, as a cell does, and fails here as "party {k}: <its error>"."""
+    train, weights = bundle.train, PretrainedWeights()
+    specs = encoder_specs(train, cfg.model)
+    try:
+        for k in sorted(specs):
+            if k == 1 and need_active:
+                weights.active = pretrain_active(
+                    train.parties[1], train.labels, specs[1], cfg.supervised, seed)
+            elif k > 1 and need_passive:
+                weights.passive[k], weights.ssl_traces[k] = pretrain_passive(
+                    train.parties[k], specs[k], cfg.ssl, seed)
+    except TrainingError as exc:
+        raise TrainingError(f"party {k}: {exc}") from exc
     return weights
 
 

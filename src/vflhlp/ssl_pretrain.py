@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AlignedBatch, PartyView, sample_aligned_batches
-from .errors import ConfigError, SchemaError, TrainingError
+from .errors import ConfigError, SchemaError
 from .federated import RoundStats, fit
 from .nn import Mlp, TabularEncoder, make_optimizer
 from .nn.layers import EncoderSpec, ModelSet
@@ -233,8 +233,8 @@ def pretrain_passive(
     Returns the encoder and a loss trace of length epochs + 1: entry 0 is a
     no-update pass over the data with the initial weights, each later entry
     is the mean batch loss of one epoch. Deterministic in (view, cfg, seed).
-    A diverging run overflows without numpy warnings and fails with a
-    TrainingError that names the party.
+    A diverging run overflows without numpy warnings and raises fit's or the
+    optimizer's TrainingError as it is; `pretrain_for_seed` names the party.
 
     The projection head is trained jointly and then dropped; downstream
     training warm-starts from the encoder weights alone.
@@ -279,8 +279,5 @@ def pretrain_passive(
     probe_rng, probe = stream(seed, "ssl", k, "probe"), 0.0
     for batch, rows in batches(0):  # trace entry 0
         probe += step(batch, probe_rng, update=False).loss * rows
-    try:
-        history, _ = fit(net, cfg.epochs, batches, step, None)
-    except TrainingError as exc:  # fit's loss check and the optimizer's gradient check
-        raise TrainingError(f"party {k}: {exc}") from exc
+    history, _ = fit(net, cfg.epochs, batches, step, None)
     return encoder, [probe / view.n, *(row["loss"] for row in history)]

@@ -388,3 +388,20 @@ def test_only_the_plan_runner_runs_cells():
     # train and grid share one seed loop; a second caller of run_cell, or an
     # import of it, would be a second loop
     assert _scopes(_names_run_cell) == {("evaluation.py", "run_plan")}
+
+
+def _names_a_diverging_party(node) -> bool:
+    """A `TrainingError(f"party {…}: …")` call: the prefix that names the party."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TrainingError"
+            and node.args and isinstance(node.args[0], ast.JoinedStr)):
+        return False
+    parts = node.args[0].values
+    return (len(parts) > 2 and getattr(parts[0], "value", None) == "party "
+            and isinstance(parts[1], ast.FormattedValue)
+            and str(getattr(parts[2], "value", "")).startswith(": "))
+
+
+def test_only_the_seed_pre_training_names_a_diverging_party():
+    # each stage raises its own words; one loop over the stages adds the
+    # party, so a second prefix would name a party twice or in a second way
+    assert _scopes(_names_a_diverging_party) == {("evaluation.py", "pretrain_for_seed")}

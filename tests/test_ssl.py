@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from vflhlp import ssl_pretrain
+from vflhlp.config import parse_config
 from vflhlp.data import PartyView, synth_generate
 from vflhlp.errors import ConfigError, SchemaError, TrainingError
+from vflhlp.evaluation import pretrain_for_seed
 from vflhlp.federated import DownstreamConfig, TrainMode, train_downstream
 from vflhlp.nn.layers import BlockRows, EmbeddingTable
 from vflhlp.rng import stream
@@ -545,6 +547,18 @@ def test_pretrain_passive_learns_on_tiny_data(tiny_bundle):
     assert trace[-1] < trace[0]
 
 
+def _parties(bundle, *keep):
+    """The bundle with only the parties in `keep`, for pretrain_for_seed."""
+    train = dataclasses.replace(bundle.train, parties={k: bundle.train.parties[k] for k in keep})
+    return dataclasses.replace(bundle, train=train)
+
+
+def _ssl_config(**ssl):
+    """A run config whose encoders are small_spec(1, 3, 6, 3, (8, 4)) on tiny_bundle."""
+    return parse_config({"preset": "fixture", "ssl": ssl,
+                         "model": {"embed_dim": 3, "encoder_hidden": [8, 4]}})
+
+
 def test_pretrain_passive_stops_at_a_non_finite_epoch_loss(tiny_bundle, monkeypatch):
     # one batch an epoch: the probe's, epoch 1's, then epoch 2's, which reports inf
     real, results = ssl_pretrain.contrastive_batch, []
@@ -559,21 +573,33 @@ def test_pretrain_passive_stops_at_a_non_finite_epoch_loss(tiny_bundle, monkeypa
     view = tiny_bundle.train.parties[2]
     spec = small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
     cfg = SslConfig(epochs=3, batch_size=view.n, learning_rate=1e-3)
-    with pytest.raises(TrainingError, match="party 2: training loss non-finite at epoch 2"):
+    with pytest.raises(TrainingError, match="^training loss non-finite at epoch 2$"):
         pretrain_passive(view, spec, cfg, seed=5)
     assert len(results) == 3  # epoch 3 never ran
+    # the seed's pre-training names the party, party 2's stage running first
+    results.clear()
+    with pytest.raises(TrainingError, match="^party 2: training loss non-finite at epoch 2$"):
+        pretrain_for_seed(_ssl_config(epochs=3, batch_size=view.n), tiny_bundle, 5,
+                          need_active=False, need_passive=True)
+    assert len(results) == 3
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_a_diverging_pretrain_passive_names_its_party_and_warns_nothing(tiny_bundle, capfd, k):
     # the first step blows the weights up, the next forward pass overflows,
-    # and the optimizer refuses the gradient that comes out of it
+    # and the optimizer refuses the gradient that comes out of it. Called
+    # alone, pretrain_passive raises the optimizer's words; the seed's
+    # pre-training, here over party 1 and party k, prefixes the party
     spec = small_spec(n_cat=1, n_num=3, cardinality=6, embed_dim=3, hidden=(8, 4))
     cfg = SslConfig(epochs=2, batch_size=64, learning_rate=1e300)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(TrainingError, match=rf"^party {k}: non-finite gradient for "):
+        with pytest.raises(TrainingError, match="^non-finite gradient for "):
             pretrain_passive(tiny_bundle.train.parties[k], spec, cfg, seed=1)
+        with pytest.raises(TrainingError, match=rf"^party {k}: non-finite gradient for "):
+            pretrain_for_seed(_ssl_config(epochs=2, batch_size=64, learning_rate=1e300),
+                              _parties(tiny_bundle, 1, k), 1,
+                              need_active=True, need_passive=True)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert "Warning" not in "".join(capfd.readouterr())
 
