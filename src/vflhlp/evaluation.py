@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import signal
 from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
@@ -345,7 +346,15 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
                     replace(train, parties={1: train.parties[1]}),
                     AlignedBatch(test.ids, {1: test.cat[1]}, {1: test.num[1]}, test.labels),
                 )
-                job = pool.submit(run_cell, own, {1: specs[1]}, local_a, None, cfg.downstream)
+                # SIGINT stays blocked while submit may spawn the worker, which
+                # keeps it blocked for life: Ctrl-C to the process group reaches
+                # this process alone, and one that comes meanwhile is raised here
+                blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    job = pool.submit(run_cell, own, {1: specs[1]}, local_a, None,
+                                      cfg.downstream)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
             pre = weights_for(seed, bundle)
 
             cells, outcomes = list(cells), {}
@@ -366,6 +375,11 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
                 del job  # the future holds local_a's model
             for cell in cells:
                 yield cell, outcomes[trained_cell(cell)]
+    except KeyboardInterrupt:
+        if pool is not None:  # end the worker now, not once its job is done
+            for worker in list(pool._processes.values()):
+                worker.terminate()
+        raise
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

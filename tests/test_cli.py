@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -1290,28 +1291,53 @@ def test_an_unwritable_output_fails_typed_naming_the_file(pristine, tmp_path, ca
 # ------------------------------------------------------------------ interrupts
 
 
-def test_an_interrupted_grid_exits_130_with_one_line_and_a_run_record(tmp_path):
-    # two seeds and 400 epochs a cell: the grid is still running when the
-    # progress log shows its first cell
+def _interrupted_grid(tmp_path, whole_group: bool):
+    """(exit code, stdout, stderr, seconds from the SIGINT to the exit) of a
+    two-seed grid at 4000 epochs a cell, signalled once its progress log shows
+    its first cell: pre-training is done, and seed 7's local_a job, which
+    has seconds of work left, is starting or running in its worker.
+    `whole_group` signals the process group, as Ctrl-C in a terminal does."""
     cfg = tmp_path / "long.json"
     cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "seeds": [7, 8]},
-                               "downstream": {**TINY["downstream"], "epochs": 400}}))
+                               "downstream": {**TINY["downstream"], "epochs": 4000}}))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
            "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "vflhlp.cli", "grid", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
     )
     try:
         for line in proc.stdout:
             if "n_al=" in line:
                 break
-        proc.send_signal(signal.SIGINT)
+        signalled = time.perf_counter()
+        if whole_group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=120)
+        return proc.returncode, out, err, time.perf_counter() - signalled
     finally:
-        proc.kill()
-    assert (proc.returncode, err) == (130, "interrupted\n"), err[-2000:]
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
+def test_an_interrupted_grid_exits_130_with_one_line_and_a_run_record(tmp_path):
+    code, out, err, seconds = _interrupted_grid(tmp_path, whole_group=False)
+    assert (code, err) == (130, "interrupted\n"), err[-2000:]
     assert "Traceback" not in out
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
     assert meta["grid"]["exit_code"] == 130
+    # the worker is ended, not waited for: its job has seconds left to run
+    assert seconds < 1.0
+
+
+def test_ctrl_c_in_a_terminal_stops_the_grid_with_one_line(tmp_path):
+    # the worker has SIGINT blocked from its start, so it prints nothing of
+    # its own, whether it is starting up, idle or training
+    code, out, err, _ = _interrupted_grid(tmp_path, whole_group=True)
+    assert (code, err) == (130, "interrupted\n"), err[-2000:]
+    assert "Traceback" not in out + err
+    assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["grid"]["exit_code"] == 130
