@@ -56,6 +56,10 @@ class CsvDataConfig:
             raise ConfigError("csv data needs train_path and test_path")
         if not self.fields:
             raise ConfigError("csv data needs a fields list")
+        roles = {self.id_column: "id_column", self.label_column: "label_column"}
+        for f in self.fields:  # else the IDs or the labels would be a feature too
+            if f.name in roles:
+                raise ConfigError(f"field {f.name!r} is also the {roles[f.name]}")
         FeatureSchema(self.fields).validate_parties(self.k_parties)
 
     def schema(self) -> FeatureSchema:

@@ -291,6 +291,9 @@ def _read_rows(path, needed: list[str]) -> list[dict[str, str]]:
             missing = [c for c in needed if c not in reader.fieldnames]
             if missing:
                 raise DataError(f"{path}: missing columns {missing}")
+            twice = [c for c in needed if reader.fieldnames.count(c) > 1]
+            if twice:  # DictReader would keep the last of them
+                raise DataError(f"{path}: the header names columns {twice} more than once")
             rows = []
             for line, row in enumerate(reader, start=2):
                 if None in row.values() or None in row:

@@ -13,9 +13,10 @@ _ZERO, _ONE = np.zeros(()), np.ones(())
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable logistic function, exact for extreme logits."""
     x = np.asarray(x, dtype=np.float64)
-    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere; it never overflows
+    # exp(-|x|) never overflows. The numerator is 1 where x >= 0, else e:
+    # 0 <= e <= 1, and a NaN propagates
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, x >= _ZERO) / (_ONE + e)
 
 
 def check_labels(labels) -> np.ndarray:

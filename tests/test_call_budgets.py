@@ -38,8 +38,8 @@ BUDGETS = {
     "contrastive batch b256": (6, 10),
     "contrastive epoch b64": (694, 1430),
     "aligned batches epoch b8": (22, 0),
-    "local epoch sgd b8": (1007, 1719),
-    "downstream epoch vanilla_vfl b8": (717, 1225),
+    "local epoch sgd b8": (1006, 1719),
+    "downstream epoch vanilla_vfl b8": (716, 1225),
 }
 
 

@@ -1062,6 +1062,17 @@ def test_a_csv_number_range_past_the_largest_float_is_a_data_error(tmp_path, out
     assert f"data error: {tmp_path / 'train.csv'}: field 'x1': range -1e+308 to 1e+308" in err
 
 
+def test_a_csv_header_naming_a_read_column_twice_is_a_data_error(tmp_path, out, capsys):
+    # before, the reader kept the last x1 and prepare exited 0
+    (tmp_path / "test.csv").write_text(CSV_ROWS)
+    (tmp_path / "train.csv").write_text(
+        "id,label,x1,x2,x1\n" + "".join(f"{i},{i % 2},{i},{-i},{7 + i}\n" for i in range(80)))
+    assert run("prepare", "--config", _csv_config(tmp_path), "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err == (f"data error: {tmp_path / 'train.csv'}: the header names columns ['x1'] "
+                   "more than once\n")
+
+
 # sha256 of each trained model's tensors (name, then bytes, in name order),
 # recorded before the training loops moved to one parameter vector each
 FINAL_PARAMS_SHA256 = {

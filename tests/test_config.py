@@ -401,6 +401,11 @@ def test_csv_data_config_validation():
         CsvDataConfig(
             train_path="a.csv", test_path="t.csv", k_parties=2, fields=(field,)
         )
+    # a field named as the ID or label column would read that column as a feature
+    for name, role in (("id", "id_column"), ("label", "label_column")):
+        with pytest.raises(ConfigError, match=f"^field '{name}' is also the {role}$"):
+            CsvDataConfig(train_path="a.csv", test_path="t.csv", k_parties=1,
+                          fields=(Field(name=name, kind="numerical", party=1),))
 
 
 def test_synth_defaults_fill_in():

@@ -1,6 +1,7 @@
 """Data layer tests: synthetic generator, CSV ingestion, partitioning, cache."""
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,22 @@ def test_load_csv_error_messages_carry_line_numbers(tmp_path):
     missing.write_text("id,label,color,x1,x2\n1,0,red,0.5,1.0\n")
     with pytest.raises(DataError, match="shape"):
         read_csv(missing, _schema(), "id", "label")
+
+
+def test_a_header_naming_a_read_column_twice_is_a_data_error(tmp_path):
+    # csv.DictReader keeps the last of two equal names: x1 was read from the
+    # second column, 7.0 and 9.0, with no word about the first
+    twice = tmp_path / "twice.csv"
+    _write_csv(twice, ["1,0,red,0.1,tri,1.0,7.0", "2,1,blue,0.5,box,2.0,9.0"],
+               header="id,label,color,x1,shape,x2,x1")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(twice))}: the header names "
+                                        r"columns \['x1'\] more than once$"):
+        read_csv(twice, _schema(), "id", "label")
+    # a repeated column that the run does not read is no fault
+    unread = tmp_path / "unread.csv"
+    _write_csv(unread, ["1,0,red,0.1,tri,1.0,a,b", "2,1,blue,0.5,box,2.0,c,d"],
+               header="id,label,color,x1,shape,x2,note,note")
+    assert read_csv(unread, _schema(), "id", "label")[0].num[:, 0].tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("raw", ["12345678901234567890", "-12345678901234567890"])

@@ -20,7 +20,7 @@ from vflhlp.federated import (  # noqa: E402
 )
 from vflhlp.metrics import auc  # noqa: E402
 from vflhlp.nn import (  # noqa: E402
-    EncoderSpec, Mlp, bce_with_logits, load_checkpoint, save_checkpoint,
+    EncoderSpec, Mlp, bce_with_logits, load_checkpoint, save_checkpoint, sigmoid,
 )
 from vflhlp.nn.layers import BINCOUNT_ROWS, EmbeddingTable, ModelSet, ParamLayout  # noqa: E402
 from vflhlp.nn.optim import OPTIMIZERS  # noqa: E402
@@ -412,15 +412,19 @@ LOGITS = st.floats(width=64) | st.sampled_from(
 @settings(max_examples=200)
 @given(case=st.lists(st.tuples(LOGITS, st.sampled_from([0.0, 1.0])), min_size=1, max_size=40))
 def test_bce_with_logits_is_the_where_formula_bit_for_bit(case):
+    # and sigmoid, which writes the logistic as bce_with_logits does
     logits, labels = (np.array(column) for column in zip(*case))
     n = logits.size
     with np.errstate(all="ignore"):
         loss, grad = bce_with_logits(logits, labels)
+        probabilities = sigmoid(logits)
         e = np.exp(-np.abs(logits))
         per = np.maximum(logits, 0.0) - logits * labels + np.log1p(e)
         want_grad = (np.where(logits >= 0, 1.0, e) / (1.0 + e) - labels) / n
+        want_probabilities = np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     assert np.float64(loss).tobytes() == (np.add.reduce(per) / n).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
+    assert probabilities.tobytes() == want_probabilities.tobytes()
 
 
 @st.composite
