@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import signal
 from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
@@ -326,6 +325,7 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
         if any(mode is TrainMode.LOCAL_A for _, _, mode, _ in plan):
             # imported here, so that a run without local_a does not load them
             import multiprocessing
+            import signal
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
