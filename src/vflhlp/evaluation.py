@@ -318,6 +318,7 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
     An outcome is (score, audit, history) or the cell's typed error; other
     errors, and a dead worker as TrainingError, are raised. `save(cell, model)`
     runs once a cell is scored, local_a's under count 0; no model outlives it.
+    The worker never sees SIGINT, and an interrupt ends it without waiting.
     """
     say = log or (lambda msg: None)
     pool = None
@@ -376,7 +377,7 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
             for cell in cells:
                 yield cell, outcomes[trained_cell(cell)]
     except KeyboardInterrupt:
-        if pool is not None:  # end the worker now, not once its job is done
+        if pool is not None:  # now, not once its job is done (Python 3.14 has terminate_workers)
             for worker in list(pool._processes.values()):
                 worker.terminate()
         raise
