@@ -1,4 +1,5 @@
 """End-to-end CLI pipeline on a miniature synthetic config."""
+import contextlib
 import csv
 import hashlib
 import json
@@ -1330,8 +1331,8 @@ def _interrupted_grid(tmp_path, whole_group: bool):
             proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=120)
         return proc.returncode, out, err, time.perf_counter() - signalled
-    finally:
-        if proc.poll() is None:
+    finally:  # the whole session: a worker that outlived the run goes too
+        with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
 
 
