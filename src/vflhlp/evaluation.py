@@ -308,6 +308,16 @@ def _scored(cell: Cell, save, job, *args):
     return score, audit, trained.history
 
 
+def _terminate_workers(pool) -> None:
+    """End a ProcessPoolExecutor's workers without waiting for their jobs: by its
+    terminate_workers where Python has it (3.14 on), else by each process."""
+    if hasattr(pool, "terminate_workers"):
+        pool.terminate_workers()
+    else:
+        for worker in list(pool._processes.values()):
+            worker.terminate()
+
+
 def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, log=None):
     """Run a cell_plan seed by seed, yielding each (cell, outcome) in plan order.
 
@@ -377,9 +387,8 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
             for cell in cells:
                 yield cell, outcomes[trained_cell(cell)]
     except KeyboardInterrupt:
-        if pool is not None:  # now, not once its job is done (Python 3.14 has terminate_workers)
-            for worker in list(pool._processes.values()):
-                worker.terminate()
+        if pool is not None:  # now, not once its job is done
+            _terminate_workers(pool)
         raise
     finally:
         if pool is not None:
@@ -514,37 +523,33 @@ def read_current(path: Path, load, field: str, key):
     return (artifact, metadata) if metadata.get(field) == key else None
 
 
+def _pretrained_file(ckpt_dir: Path, k: int) -> tuple[Path, str]:
+    """Party k's pre-trained file and the stage whose key it is current under:
+    active.ckpt and "supervised" for party 1, passive{k}.ckpt and "ssl" otherwise."""
+    if k == 1:
+        return Path(ckpt_dir) / "active.ckpt", "supervised"
+    return Path(ckpt_dir) / f"passive{k}.ckpt", "ssl"
+
+
 def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str, keys) -> None:
     """Write one seed's pre-trained weights as the `pretrain` command leaves them.
 
     active.ckpt holds models "encoder" and "head"; passive{k}.ckpt holds "encoder".
-    Each file's "key" is keys["supervised"] or keys["ssl"], by the stage that made it.
+    Each file's meta names its party, seed, config hash and "key", keys["supervised"]
+    or keys["ssl"] by the stage that made it, beside what that stage adds.
     """
-    active = pre.active
-    if active is not None:
-        tensors = _tensors({"encoder": active.encoder, "head": active.head})
-        meta = {
-            "stage": "active-pretrain",
-            "party": 1,
-            "seed": seed,
-            "config_hash": chash,
-            "key": keys["supervised"],
-            "best_epoch": active.best_epoch,
-            "val_auc": active.val_auc,
-            "degenerate_validation": active.degenerate_validation,
-        }
-        save_checkpoint(Path(ckpt_dir) / "active.ckpt", tensors, meta)
+    files = {}
+    if (active := pre.active) is not None:
+        files[1] = ({"encoder": active.encoder, "head": active.head},
+                    {"stage": "active-pretrain", "best_epoch": active.best_epoch,
+                     "val_auc": active.val_auc,
+                     "degenerate_validation": active.degenerate_validation})
     for k, encoder in pre.passive.items():
-        meta = {
-            "stage": "ssl-pretrain",
-            "party": k,
-            "seed": seed,
-            "config_hash": chash,
-            "key": keys["ssl"],
-            "loss_trace": pre.ssl_traces[k],
-        }
-        path = Path(ckpt_dir) / f"passive{k}.ckpt"
-        save_checkpoint(path, _tensors({"encoder": encoder}), meta)
+        files[k] = {"encoder": encoder}, {"stage": "ssl-pretrain", "loss_trace": pre.ssl_traces[k]}
+    for k, (models, meta) in files.items():
+        path, stage = _pretrained_file(ckpt_dir, k)
+        meta.update(party=k, seed=seed, config_hash=chash, key=keys[stage])
+        save_checkpoint(path, _tensors(models), meta)
 
 
 def load_pretrained(
@@ -559,13 +564,10 @@ def load_pretrained(
     A missing file, or one without its key of `keys`, raises TrainingError. Every
     tensor must fit `specs`: a missing, extra or misshapen one is a DataError.
     """
-    parties = [1] if need_active else []
-    if need_passive:
-        parties += [k for k in sorted(specs) if k != 1]
     weights = PretrainedWeights()
-    for k in parties:
-        path = Path(ckpt_dir) / ("active.ckpt" if k == 1 else f"passive{k}.ckpt")
-        found = read_current(path, load_checkpoint, "key", keys["supervised" if k == 1 else "ssl"])
+    for k in [k for k in sorted(specs) if (need_active if k == 1 else need_passive)]:
+        path, stage = _pretrained_file(ckpt_dir, k)
+        found = read_current(path, load_checkpoint, "key", keys[stage])
         if found is None:
             raise TrainingError(f"the modes to train need {path} for party {k}, pre-trained "
                                 "under this config; run `vflhlp pretrain` again")

@@ -553,12 +553,11 @@ class TrainedFederation:
     transport: TransportLog | None = None
 
 
-def _require_pretrained(
-    mode: TrainMode,
-    warm_start_active: bool,
-    pretrained: PretrainedWeights | None,
-    party_ids: list[int],
-) -> PretrainedWeights:
+def _warm_starts(mode: TrainMode, warm_start_active: bool, pretrained: PretrainedWeights | None,
+                 specs: dict[int, EncoderSpec]) -> dict[int, TabularEncoder]:
+    """Each warm-started party's pre-trained encoder: party 1's under warm_start_active,
+    the passives' where the mode warm-starts them. Weights the mode needs (the anchor's
+    too) that are missing raise TrainingError; a spec not the party's, SchemaError."""
     pretrained = pretrained or PretrainedWeights()
     need_active, need_passive = pretrained_needs([mode], warm_start_active)
     if need_active and pretrained.active is None:
@@ -566,14 +565,17 @@ def _require_pretrained(
             f"mode {mode.value} (warm_start_active={warm_start_active}) needs the "
             f"active party's pre-trained weights; run the pretrain stage for party 1 first"
         )
-    if need_passive:
-        for k in party_ids:
-            if k > 1 and k not in pretrained.passive:
-                raise TrainingError(
-                    f"mode {mode.value} needs pre-trained weights for passive "
-                    f"party {k}; run the pretrain stage first"
-                )
-    return pretrained
+    starts = {1: pretrained.active.encoder} if warm_start_active else {}
+    for k in [k for k in sorted(specs) if k > 1] if need_passive else []:
+        if k not in pretrained.passive:
+            raise TrainingError(f"mode {mode.value} needs pre-trained weights for passive "
+                                f"party {k}; run the pretrain stage first")
+        starts[k] = pretrained.passive[k]
+    for k in starts:
+        if starts[k].spec != specs[k]:
+            raise SchemaError(f"party {k}'s pre-trained encoder spec {starts[k].spec} "
+                              f"is not its spec {specs[k]}")
+    return starts
 
 
 def train_downstream(
@@ -587,10 +589,10 @@ def train_downstream(
 ) -> TrainedFederation:
     """Train one mode on the first `count` aligned IDs and return the final weights.
 
-    Every encoder is first drawn fresh from its init stream and then
-    overwritten where the mode warm-starts, so two modes that differ only in
-    warm starts see byte-identical randomness everywhere else. A constrained
-    mode anchors the Federation to `pretrained.active`. A
+    A warm-started party's pre-trained encoder goes to the Federation, which
+    copies it, and only the others are drawn, each from its own init stream: so
+    two modes that differ only in warm starts see byte-identical randomness
+    everywhere else. A constrained mode anchors to `pretrained.active`. A
     val_fraction slice of the aligned set is held out for the per-epoch AUC
     in the history (DataError when it leaves no training row); final weights
     are the last epoch's (no early stopping).
@@ -605,20 +607,15 @@ def train_downstream(
             f"encoder specs for parties {sorted(specs)} do not match dataset "
             f"parties {party_ids}"
         )
-    pretrained = _require_pretrained(mode, cfg.warm_start_active, pretrained, party_ids)
+    starts = _warm_starts(mode, cfg.warm_start_active, pretrained, specs)
     # the cell's rows, validation rows included, gathered and resolved to
     # embedding rows once; each epoch permutes and slices the training rows
     aligned = ds.gather(ds.aligned_ids(count))
     check_labels(aligned.labels)
 
-    encoders = {}
-    for k in party_ids:
-        encoder = specs[k].build(stream(seed, "downstream", "init-party", k))
-        if k > 1 and mode.warm_starts_passive:
-            encoder.set_params(pretrained.passive[k].params())
-        if k == 1 and cfg.warm_start_active:
-            encoder.set_params(pretrained.active.encoder.params())
-        encoders[k] = encoder
+    encoders = {k: starts[k] if k in starts
+                else specs[k].build(stream(seed, "downstream", "init-party", k))
+                for k in party_ids}
     head = Mlp.init(
         stream(seed, "downstream", "init-head"),
         [sum(specs[k].rep_dim for k in party_ids), 1],

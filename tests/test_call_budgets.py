@@ -39,7 +39,7 @@ BUDGETS = {
     "contrastive epoch b64": (694, 1430),
     "aligned batches epoch b8": (22, 0),
     "local epoch sgd b8": (1006, 1719),
-    "downstream epoch vanilla_vfl b8": (716, 1225),
+    "downstream epoch vanilla_vfl b8": (715, 1225),
 }
 
 

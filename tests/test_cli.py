@@ -1135,6 +1135,20 @@ def test_a_vflhlp_history_is_pinned(cfg_path, out):
     assert hashlib.sha256(history.read_bytes()).hexdigest() == VFLHLP_HISTORY_SHA256
 
 
+# sha256 of each whole file that `pretrain` writes for TINY, seed 7, metadata
+# bytes included, recorded before the active and passive writers shared one rule
+PRETRAINED_FILE_SHA256 = {
+    "active.ckpt": "b7f2493fcd1984a7b8e79d9fa0eef3ef361ce70a461611240b602987fab6eaf9",
+    "passive2.ckpt": "c79c244c74f4adff9c849154c7b42e2c4b7ed12fbf0ea7fd7551b75fb99db996",
+    "passive3.ckpt": "067f498a0dd605c632a278792674d6bbe0a557ba87fb7f5c0f48280a88712885",
+}
+
+
+def test_the_pretrained_files_are_pinned(cfg_path, out):
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 0
+    assert tree_digest(out / "checkpoints" / "seed7") == PRETRAINED_FILE_SHA256
+
+
 # sha256 of the transport log of the same cell: the bytes of its fields (round,
 # direction, party, rows, cols of each message, int64) and of its payload
 # digests, in message order

@@ -6,6 +6,7 @@ it to float tolerance. Constraint math is checked against a naive sum,
 and the transport log is audited for raw-column leaks.
 """
 import ast
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -17,6 +18,7 @@ import pytest
 import vflhlp
 
 from vflhlp import federated
+from vflhlp.data import hold_out, sample_aligned_batches
 from vflhlp.errors import ConfigError, DataError, SchemaError, TrainingError
 from vflhlp.federated import (
     DIR_TO_PARTY,
@@ -35,12 +37,13 @@ from vflhlp.federated import (
     constraint_loss,
     content_hash,
     federated_predict,
+    fit,
     pretrained_needs,
     run_round,
     total_loss,
     train_downstream,
 )
-from vflhlp.nn import Mlp, SgdOptimizer, bce_with_logits
+from vflhlp.nn import EncoderSpec, Mlp, SgdOptimizer, bce_with_logits
 from vflhlp.rng import stream
 from vflhlp.ssl_pretrain import SslConfig, pretrain_passive
 from vflhlp.sup_pretrain import SupConfig, pretrain_active, train_local
@@ -846,6 +849,90 @@ def test_missing_pretrained_weights_fail_with_party_names(tiny_bundle, specs3):
     partial = PretrainedWeights()
     with pytest.raises(TrainingError, match="party 2"):
         train_downstream(train, specs3, TrainMode.VFLHLP_P, partial, _dcfg(), 13, 40)
+
+
+# EncoderSpec.build calls a cell makes: one for each party that trains from scratch
+BUILDS = {(TrainMode.VANILLA_VFL, False): 3, (TrainMode.VFLHLP_A, False): 3,
+          (TrainMode.VFLHLP, False): 1, (TrainMode.VFLHLP_P, False): 1,
+          (TrainMode.VFLHLP, True): 0}
+
+
+@pytest.mark.parametrize("mode, warm", BUILDS, ids=[f"{m.value}-{w}" for m, w in BUILDS])
+def test_only_the_parties_trained_from_scratch_are_drawn(tiny_bundle, specs3, pretrained,
+                                                         monkeypatch, mode, warm):
+    calls = []
+    build = EncoderSpec.build
+    monkeypatch.setattr(EncoderSpec, "build",
+                        lambda spec, rng: calls.append(spec) or build(spec, rng))
+    train_downstream(tiny_bundle.train, specs3, mode, pretrained,
+                     _dcfg(epochs=1, warm_start_active=warm), 13, 40)
+    assert len(calls) == BUILDS[mode, warm]
+
+
+def _drawn_then_overwritten(ds, specs, mode, pretrained, cfg, seed, count):
+    """A cell as train_downstream once trained it: every encoder drawn from its
+    init stream, then a warm-started one overwritten with its pre-trained
+    params. Returns its Federation and history."""
+    aligned = ds.gather(ds.aligned_ids(count))
+    encoders = {}
+    for k in sorted(specs):
+        encoders[k] = specs[k].build(stream(seed, "downstream", "init-party", k))
+        if k > 1 and mode.warm_starts_passive:
+            encoders[k].set_params(pretrained.passive[k].params())
+        if k == 1 and cfg.warm_start_active:
+            encoders[k].set_params(pretrained.active.encoder.params())
+    head = Mlp.init(stream(seed, "downstream", "init-head"),
+                    [sum(spec.rep_dim for spec in specs.values()), 1])
+    fed = Federation(encoders, head, cfg.beta, cfg.eta1, cfg.eta2, cfg.optimizer,
+                     pretrained.active if mode.uses_constraint else None)
+    aligned.cat = {k: fed.encoders[k].resolve(cat) for k, cat in aligned.cat.items()}
+    train, val = hold_out(aligned, cfg.val_fraction, stream(seed, "downstream", "val-split"))
+    transport, rounds = TransportLog(), itertools.count()
+    history, _ = fit(
+        fed, cfg.epochs,
+        lambda e: sample_aligned_batches(train, cfg.batch_size, stream(seed, "aligned-batches", e)),
+        lambda batch: run_round(fed, batch, next(rounds), transport),
+        val,
+    )
+    return fed, history
+
+
+@pytest.mark.parametrize("mode", [m for m in TrainMode if m.is_federated],
+                         ids=lambda m: m.value)
+def test_a_warm_started_cell_equals_drawing_then_overwriting(tiny_bundle, specs3, pretrained,
+                                                             mode):
+    cfg = _dcfg(beta=0.3, epochs=3, warm_start_active=True)
+    out = train_downstream(tiny_bundle.train, specs3, mode, pretrained, cfg, 13, 40)
+    fed, history = _drawn_then_overwritten(tiny_bundle.train, specs3, mode, pretrained,
+                                           cfg, 13, 40)
+    assert out.history == history
+    for k in specs3:
+        np.testing.assert_array_equal(out.encoders[k].theta, fed.encoders[k].theta)
+    np.testing.assert_array_equal(out.head.theta, fed.head.theta)
+
+
+def test_a_pretrained_encoder_of_another_spec_is_refused_naming_its_party(
+        tiny_bundle, specs3, pretrained):
+    train = tiny_bundle.train
+    other = replace(specs3[2], embed_dim=2)
+    wrong = PretrainedWeights(active=pretrained.active,
+                              passive={**pretrained.passive, 3: other.build(stream(1, "o"))})
+    with pytest.raises(SchemaError, match=r"^party 3's pre-trained encoder spec "):
+        train_downstream(train, specs3, TrainMode.VFLHLP_P, wrong, _dcfg(), 13, 40)
+    wrong = PretrainedWeights(active=anchor_model(other, stream(1, "a")))
+    with pytest.raises(SchemaError, match=r"^party 1's pre-trained encoder spec "):
+        train_downstream(train, specs3, TrainMode.VANILLA_VFL, wrong,
+                         _dcfg(warm_start_active=True), 13, 40)
+
+
+def test_a_cell_leaves_the_pretrained_models_as_they_were(tiny_bundle, specs3, pretrained):
+    models = [pretrained.active.encoder, pretrained.active.head, *pretrained.passive.values()]
+    before = [m.theta.copy() for m in models]
+    out = train_downstream(tiny_bundle.train, specs3, TrainMode.VFLHLP, pretrained,
+                           _dcfg(beta=0.3, epochs=2, warm_start_active=True), 13, 40)
+    assert all(out.encoders[k] is not pretrained.passive[k] for k in (2, 3))
+    for model, theta in zip(models, before):
+        np.testing.assert_array_equal(model.theta, theta)
 
 
 @pytest.mark.parametrize("batch_size, epochs", [(64, 2**32 - 1), (64, 2**32),

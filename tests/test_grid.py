@@ -231,6 +231,28 @@ def test_one_spawn_worker_whatever_the_cpus_and_seeds(monkeypatch, cpus, seeds):
     assert result.all_ok()
 
 
+def test_an_interrupt_ends_the_worker_through_terminate_workers(monkeypatch):
+    # Python 3.14's public terminate_workers, where the pool has it; this
+    # stand-in ends the workers as the fallback for older Pythons does
+    terminated = []
+
+    class Terminating(concurrent.futures.ProcessPoolExecutor):
+        def terminate_workers(self):
+            terminated.append(len(self._processes))
+            for worker in list(self._processes.values()):
+                worker.terminate()
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Terminating)
+    monkeypatch.setattr(evaluation, "pretrain_for_seed", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(parse_config(_raw(modes=["local_a", "vflhlp"])))
+    assert terminated == [1]
+    _no_workers_left()
+
+
 def test_grid_without_local_a_starts_no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no pool without local_a")

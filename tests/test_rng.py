@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -48,3 +53,34 @@ def test_rejects_negative_ints():
 def test_rejects_other_types():
     with pytest.raises(TypeError):
         stream(1, 2.5)
+
+
+# a finder sends this process SIGINT as numpy.random's Cython generator module
+# starts to import, then steps aside for the real finders
+INTERRUPTED_IMPORT = textwrap.dedent("""
+    import os, signal, sys
+
+    class Interrupting:
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy.random._generator":
+                os.kill(os.getpid(), signal.SIGINT)
+
+    sys.meta_path.insert(0, Interrupting())
+    from vflhlp.rng import stream
+    try:
+        stream(1)
+    except KeyboardInterrupt:
+        print("interrupted; numpy.random imported:",
+              hasattr(sys.modules.get("numpy.random"), "default_rng"))
+    else:
+        print("the interrupt was lost")
+""")
+
+
+def test_a_sigint_during_the_numpy_random_import_is_raised_once_it_is_done():
+    # raised inside the Cython import, a KeyboardInterrupt could be swallowed
+    # there and the run go on; it is held back until the import is done
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", INTERRUPTED_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr) == ("interrupted; numpy.random imported: True\n", "")
