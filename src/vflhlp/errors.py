@@ -5,6 +5,9 @@ TrainingError -> 4, and a MemoryError (a config too large for the
 process) -> 2 as well; an interrupt (SIGINT) exits 130. Everything else
 is a bug and escapes as-is.
 """
+import contextlib
+import signal
+import threading
 
 
 class ConfigError(ValueError):
@@ -26,3 +29,24 @@ class TrainingError(RuntimeError):
 class UndefinedMetricError(DataError):
     """Metric has no defined value, e.g. AUC on single-class labels: the
     split cannot be scored, so it is a data error."""
+
+
+@contextlib.contextmanager
+def sigint_held():
+    """Hold SIGINT back in the block and raise one that came meanwhile once it
+    ends (POSIX). The calling thread blocks it, so a process spawned in the
+    block keeps it blocked for life; in the main thread a stand-in handler
+    records one that the kernel hands to another thread (OpenBLAS's, say)."""
+    handler, caught = signal.getsignal(signal.SIGINT), []
+    swap = callable(handler) and threading.current_thread() is threading.main_thread()
+    if swap:
+        signal.signal(signal.SIGINT, lambda *args: caught.append(args))
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:  # unmasked first, so that a SIGINT pending here is recorded too
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        if swap:
+            signal.signal(signal.SIGINT, handler)
+        if caught:
+            handler(*caught[0])  # a KeyboardInterrupt, for Python's own handler

@@ -32,7 +32,7 @@ from .data import (
     synth_generate,
     vertical_partition,
 )
-from .errors import ConfigError, DataError, SchemaError, TrainingError
+from .errors import ConfigError, DataError, SchemaError, TrainingError, sigint_held
 from .federated import (
     ActivePretrained,
     AuditReport,
@@ -328,7 +328,7 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
     An outcome is (score, audit, history) or the cell's typed error; other
     errors, and a dead worker as TrainingError, are raised. `save(cell, model)`
     runs once a cell is scored, local_a's under count 0; no model outlives it.
-    The worker never sees SIGINT, and an interrupt ends it without waiting.
+    The worker, spawned under `sigint_held`, never sees SIGINT; an interrupt ends it at once.
     """
     say = log or (lambda msg: None)
     pool = None
@@ -336,7 +336,6 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
         if any(mode is TrainMode.LOCAL_A for _, _, mode, _ in plan):
             # imported here, so that a run without local_a does not load them
             import multiprocessing
-            import signal
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
@@ -357,15 +356,9 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
                     replace(train, parties={1: train.parties[1]}),
                     AlignedBatch(test.ids, {1: test.cat[1]}, {1: test.num[1]}, test.labels),
                 )
-                # SIGINT stays blocked while submit may spawn the worker, which
-                # keeps it blocked for life: Ctrl-C to the process group reaches
-                # this process alone, and one that comes meanwhile is raised here
-                blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-                try:
+                with sigint_held():
                     job = pool.submit(run_cell, own, {1: specs[1]}, local_a, None,
                                       cfg.downstream)
-                finally:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
             pre = weights_for(seed, bundle)
 
             cells, outcomes = list(cells), {}

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, sigint_held
 
 MAGIC = b"TBCKPT01"
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8")}
@@ -61,18 +61,19 @@ def write_file(path, data: str | bytes) -> None:
     """Write `data` (text as utf-8) to `path` whole, creating its directory:
     the bytes go to a sibling temporary file that `os.replace` then moves
     over `path`, so a reader finds the previous file or the new one, never a
-    cut one. An OSError, e.g. a directory where the file should go, is a
-    DataError naming the file, and leaves no temporary file behind."""
+    cut one. An OSError (a directory at `path`, say) is a DataError naming it,
+    a SIGINT waits for the write (`sigint_held`): neither leaves a temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
+    with sigint_held():
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -6,6 +6,7 @@ fiddly enough to get wrong twice (finite-difference setups around relu).
 """
 from __future__ import annotations
 
+import signal
 import struct
 from pathlib import Path
 
@@ -65,6 +66,15 @@ PINNED_CSV_CONFIG = {
 @pytest.fixture(scope="session")
 def tiny_bundle():
     return synth_generate(tiny_synth_config(), seed=7)
+
+
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt during the test, as in a Python started
+    from a terminal, even when the suite was started with SIGINT ignored."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
 
 
 def splice_metadata(path, meta: bytes) -> None:

@@ -1322,7 +1322,9 @@ def _interrupted_grid(tmp_path, whole_group: bool):
     two-seed grid at 4000 epochs a cell, signalled once its progress log shows
     its first cell: pre-training is done, and seed 7's local_a job, which
     has seconds of work left, is starting or running in its worker.
-    `whole_group` signals the process group, as Ctrl-C in a terminal does."""
+    `whole_group` signals the process group, as Ctrl-C in a terminal does.
+    The child starts with SIGINT at its default disposition, as from a
+    terminal, even when this process was started with SIGINT ignored."""
     cfg = tmp_path / "long.json"
     cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "seeds": [7, 8]},
                                "downstream": {**TINY["downstream"], "epochs": 4000}}))
@@ -1332,7 +1334,7 @@ def _interrupted_grid(tmp_path, whole_group: bool):
         [sys.executable, "-m", "vflhlp.cli", "grid", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        start_new_session=True,
+        start_new_session=True, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         for line in proc.stdout:

@@ -13,6 +13,8 @@ import gc
 import json
 import multiprocessing
 import os
+import signal
+import threading
 import weakref
 from pathlib import Path
 
@@ -250,6 +252,39 @@ def test_an_interrupt_ends_the_worker_through_terminate_workers(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_grid(parse_config(_raw(modes=["local_a", "vflhlp"])))
     assert terminated == [1]
+    _no_workers_left()
+
+
+def test_a_sigint_during_the_submit_is_raised_once_it_returns(monkeypatch, sigint_raises):
+    # the helper thread starts before the run, so SIGINT is unblocked in its
+    # mask, as in OpenBLAS's thread; it takes the SIGINT while submit runs,
+    # which no mask of the main thread covers
+    go, sent, returned = threading.Event(), threading.Event(), []
+
+    def helper():
+        assert go.wait(60)
+        signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+        sent.set()
+
+    class Interrupted(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            go.set()
+            assert sent.wait(60)
+            job = super().submit(*args, **kwargs)
+            returned.append(job)
+            return job
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Interrupted)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(parse_config(_raw(modes=["local_a"])))
+    finally:
+        go.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert len(returned) == 1  # the real submit returned, and the worker was spawned
     _no_workers_left()
 
 

@@ -9,6 +9,7 @@ import errno
 import hashlib
 import os
 import pickle
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -952,6 +953,30 @@ def test_a_cut_write_leaves_the_previous_file_whole(tmp_path, monkeypatch):
     save_checkpoint(p, {"a": np.ones(4)}, {"n": 2})  # the happy path replaces it whole
     assert load_checkpoint(p)[1] == {"n": 2}
     assert sorted(os.listdir(tmp_path)) == ["d.ckpt", "x.ckpt"]
+
+
+def test_a_sigint_during_a_write_is_raised_once_the_file_is_whole(tmp_path, monkeypatch,
+                                                                  sigint_raises):
+    p, whole = tmp_path / "a.ckpt", tmp_path / "whole" / "a.ckpt"
+    save_checkpoint(p, {"a": np.zeros(2)}, {"n": 1})
+    save_checkpoint(whole, {"a": np.ones(4)}, {"n": 2})
+    write_bytes, written = Path.write_bytes, []
+
+    def interrupted(self, data):  # Ctrl-C halfway through the write
+        write_bytes(self, data[: len(data) // 2])
+        signal.raise_signal(signal.SIGINT)
+        with open(self, "ab") as fh:
+            fh.write(data[len(data) // 2:])
+        written.append(self.name)
+
+    monkeypatch.setattr(Path, "write_bytes", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(p, {"a": np.ones(4)}, {"n": 2})
+    monkeypatch.undo()
+    # the write and its os.replace ran to the end before the interrupt came
+    assert written == [f".a.ckpt.{os.getpid()}.tmp"]
+    assert p.read_bytes() == whole.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["a.ckpt", "whole"]  # no temporary file
 
 
 def test_checkpoint_rejects_bad_magic_and_trailing_bytes(tmp_path):

@@ -1,11 +1,14 @@
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
+from vflhlp.errors import sigint_held
 from vflhlp.rng import stream
 
 
@@ -84,3 +87,36 @@ def test_a_sigint_during_the_numpy_random_import_is_raised_once_it_is_done():
     proc = subprocess.run([sys.executable, "-c", INTERRUPTED_IMPORT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.stdout, proc.stderr) == ("interrupted; numpy.random imported: True\n", "")
+
+
+def test_a_sigint_to_another_thread_in_the_held_block_is_raised_once_after_it(sigint_raises):
+    # the kernel may hand a SIGINT to any thread that has it unblocked, as
+    # OpenBLAS's has, and Python then raises it in the main thread: a mask of
+    # the main thread alone let it cut the block
+    go, sent, finished = threading.Event(), threading.Event(), []
+
+    def helper():
+        assert go.wait(60)
+        for _ in range(2):
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+        sent.set()
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            with sigint_held():
+                go.set()
+                assert sent.wait(60)
+                for _ in range(10_000):  # bytecodes at which Python runs handlers
+                    pass
+                finished.append(True)
+    finally:
+        go.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert finished == [True]
+    for _ in range(10_000):  # nothing is left to raise a second time
+        pass
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
