@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, TrainingError
 from .evaluation import (
     CellResult,
     build_bundle,
+    cell_dir,
     cell_plan,
     evaluate_mode,
     load_cell_checkpoint,
@@ -35,9 +36,7 @@ from .evaluation import (
     read_current,
     run_grid,
     run_plan,
-    save_cell_checkpoint,
     save_pretrained,
-    trained_cell,
 )
 from .federated import TrainMode, pretrained_needs
 from .nn import write_file
@@ -60,11 +59,6 @@ def _cache_dir(out: Path, seed: int) -> Path:
 
 def _ckpt_dir(out: Path, seed: int) -> Path:
     return out / "checkpoints" / f"seed{seed}"
-
-
-def _run_dir(out: Path, cell) -> Path:
-    seed, count, mode, _ = cell
-    return out / "train" / f"seed{seed}" / f"count{count}" / mode.value
 
 
 def _cache_key(cfg: RunConfig, seed: int) -> dict:
@@ -144,9 +138,8 @@ def cmd_pretrain(cfg: RunConfig, out: Path, seeds, passive_only: bool) -> int:
 
 
 def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
-    """Train the plan's cells with run_plan. Failed cells get a FAILED line at
-    the end, and the first one's error is raised, with its own exit code."""
-    chash = config_hash(cfg)
+    """Train the plan's cells with run_plan, which writes them. Failed cells get a
+    FAILED line at the end, and the first one's error is raised, with its own exit code."""
     modes = [TrainMode.parse(m) for m in (cfg.grid.modes if mode_name is None else [mode_name])]
     needs = pretrained_needs(modes, cfg.downstream.warm_start_active)
     plan = cell_plan(cfg, seeds, modes)
@@ -157,30 +150,15 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
         keys = _pretrained_keys(cfg, data_key)
         loaded[seed] = bundle, load_pretrained(_ckpt_dir(out, seed), specs, *needs, keys)
 
-    def save(trained_as, trained) -> None:  # local_a, trained once, at each of its counts
-        for cell in (c for c in plan if trained_cell(c) == trained_as):
-            seed, count, _, beta = cell
-            path = _run_dir(out, cell) / "final.ckpt"
-            save_cell_checkpoint(path, trained, seed, count, beta, chash)
-
     failed = []
     for cell, outcome in run_plan(
-        cfg, plan, lambda seed: loaded[seed][0], lambda seed, _: loaded[seed][1], save
+        cfg, plan, lambda seed: loaded[seed][0], lambda seed, _: loaded[seed][1], out
     ):
         if isinstance(outcome, Exception):
             failed.append((cell, outcome))
             continue
-        seed, count, mode, beta = cell
-        score, audit, history = outcome
-        run_dir = _run_dir(out, cell)
-        write_file(run_dir / "history.jsonl",
-                   "".join(json.dumps(e, sort_keys=True) + "\n" for e in history))
-        summary = None if audit is None else {
-            k: getattr(audit, k) for k in ("ok", "n_messages", "n_rounds", "balanced_rounds")}
-        result = {"mode": mode.value, "seed": seed, "aligned_count": count, "beta": beta,
-                  "test_auc": score, "config_hash": chash, "audit": summary}
-        write_file(run_dir / "result.json", json.dumps(result, indent=2, sort_keys=True) + "\n")
-        print(f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}")
+        seed, count, mode, _ = cell
+        print(f"seed {seed} n_al={count} {mode.value}: test AUC {outcome[0]:.4f}")
     if failed:
         _print_failed([CellResult.of(cell, exc) for cell, exc in failed])
         raise failed[0][1]
@@ -198,7 +176,7 @@ def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
         specs = encoder_specs(bundle.train, cfg.model)
         for cell in cells:
             _, count, mode, _ = cell
-            run_dir = _run_dir(out, cell)
+            run_dir = cell_dir(out, cell)
             ckpt = run_dir / "final.ckpt"
             if not ckpt.exists():
                 continue

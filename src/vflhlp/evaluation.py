@@ -118,7 +118,7 @@ class CellResult:
         if isinstance(outcome, Exception):
             error = f"{type(outcome).__name__}: {outcome}"
             return cls(mode.value, count, seed, beta, "failed", None, error)
-        score, _, history = outcome
+        score, history = outcome
         return cls(mode.value, count, seed, beta, "ok", score, None, history)
 
 
@@ -297,15 +297,20 @@ def trained_cell(cell: Cell) -> Cell:
     return cell if mode.is_federated else (seed, 0, mode, beta)
 
 
-def _scored(cell: Cell, save, job, *args):
-    """(score, audit, history) of `job(*args)`, its model passed to `save(cell, model)`
-    and dropped; or its typed error, without the traceback that holds the model."""
+def cell_dir(out: Path, cell: Cell, sweep: tuple[float, ...] = ()) -> Path:
+    """Where a cell's files go: train/seed{S}/count{N}/{mode}, the mode tagged
+    `_b{beta:g}` under a grid beta sweep. `train`, `grid` and `eval` all use it."""
+    seed, count, mode, beta = cell
+    tag = f"{mode.value}_b{beta:g}" if sweep else mode.value
+    return Path(out) / "train" / f"seed{seed}" / f"count{count}" / tag
+
+
+def _scored(job, *args):
+    """`job(*args)`, or its typed error without the traceback that holds the model."""
     try:
-        trained, score, audit = job(*args)
+        return job(*args)
     except _CELL_ERRORS as exc:
         return exc.with_traceback(None)
-    save(cell, trained)
-    return score, audit, trained.history
 
 
 def _terminate_workers(pool) -> None:
@@ -318,19 +323,23 @@ def _terminate_workers(pool) -> None:
             worker.terminate()
 
 
-def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, log=None):
+def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, out=None,
+             sweep: tuple[float, ...] = (), log=None):
     """Run a cell_plan seed by seed, yielding each (cell, outcome) in plan order.
 
     Per seed: the dataset is `bundle_for(seed)`. local_a goes to a worker as a
     run_cell job on party 1's rows, labels and test block alone, and serves
     every count. `weights_for(seed, bundle)` gives the pre-trained weights, and
     the federated cells train here in plan order, `log` naming each first.
-    An outcome is (score, audit, history) or the cell's typed error; other
-    errors, and a dead worker as TrainingError, are raised. `save(cell, model)`
-    runs once a cell is scored, local_a's under count 0; no model outlives it.
+    An outcome is (score, history) or the cell's typed error; other errors, and
+    a dead worker as TrainingError, are raised. Given `out`, this is the one
+    writer of cells: each cell a scored model serves (local_a's, every count)
+    gets final.ckpt, history.jsonl and result.json in its cell_dir at once, the
+    grid `sweep` tagging it; then the model is dropped.
     The worker, spawned under `sigint_held`, never sees SIGINT; an interrupt ends it at once.
     """
     say = log or (lambda msg: None)
+    chash = config_hash(cfg)
     pool = None
     try:
         if any(mode is TrainMode.LOCAL_A for _, _, mode, _ in plan):
@@ -360,23 +369,41 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
                     job = pool.submit(run_cell, own, {1: specs[1]}, local_a, None,
                                       cfg.downstream)
             pre = weights_for(seed, bundle)
-
             cells, outcomes = list(cells), {}
-            for cell in cells:
-                _, count, mode, beta = cell
-                say(f"seed {seed}: n_al={count} mode={mode.value} beta={beta:g}")
-                if mode.is_federated:  # local_a's cell comes back from its worker
-                    outcomes[cell] = _scored(
-                        cell, save, run_cell, bundle, specs, cell, pre, cfg.downstream
-                    )
-            if pool is not None:
-                try:
-                    outcomes[local_a] = _scored(local_a, save, job.result)
-                except BrokenProcessPool as exc:
-                    raise TrainingError(
-                        f"the worker training local_a for seed {seed} died: {exc}"
-                    ) from exc
-                del job  # the future holds local_a's model
+            for trained_as in [*cells, local_a]:  # local_a's model is collected last
+                _, count, mode, beta = trained_as
+                if trained_as is not local_a:
+                    say(f"seed {seed}: n_al={count} mode={mode.value} beta={beta:g}")
+                if mode.is_federated:
+                    outcome = _scored(run_cell, bundle, specs, trained_as, pre, cfg.downstream)
+                elif trained_as is local_a and pool is not None:
+                    try:
+                        outcome = _scored(job.result)
+                    except BrokenProcessPool as exc:
+                        raise TrainingError(f"the worker training local_a for seed {seed} "
+                                            f"died: {exc}") from exc
+                else:  # a local_a cell, served by the model its worker trains
+                    continue
+                if isinstance(outcome, Exception):
+                    outcomes[trained_as] = outcome
+                    continue
+                trained, score, audit = outcome
+                history = "".join(json.dumps(e, sort_keys=True) + "\n" for e in trained.history)
+                summary = None if audit is None else {
+                    k: v for k, v in asdict(audit).items() if k != "violations"}
+                for cell in (c for c in cells if out is not None and trained_cell(c) == trained_as):
+                    _, count, mode, beta = cell
+                    run_dir = cell_dir(out, cell, sweep)
+                    save_cell_checkpoint(run_dir / "final.ckpt", trained, seed, count, beta, chash)
+                    write_file(run_dir / "history.jsonl", history)
+                    result = {"mode": mode.value, "seed": seed, "aligned_count": count,
+                              "beta": beta, "test_auc": score, "config_hash": chash,
+                              "audit": summary}
+                    write_file(run_dir / "result.json",
+                               json.dumps(result, indent=2, sort_keys=True) + "\n")
+                outcomes[trained_as] = score, trained.history
+                del trained, outcome
+            job = None  # the future holds local_a's model
             for cell in cells:
                 yield cell, outcomes[trained_cell(cell)]
     except KeyboardInterrupt:
@@ -391,7 +418,7 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, save, lo
 def run_grid(
     cfg: RunConfig, out_dir: Path | None = None, log=None, seeds=None
 ) -> GridResult:
-    """Run the full sweep; optionally write results and final checkpoints.
+    """Run the full sweep; with `out_dir`, write its tables and every cell's files.
 
     Returns a GridResult with one cell per entry of cell_plan over `seeds`
     (the config's when None), with grid.beta_sweep as the sweep, run by
@@ -417,17 +444,9 @@ def run_grid(
             oracle[f"seed{seed}"] = auc(bundle.test.labels, bundle.test.bayes_scores)
         return pre
 
-    def save(cell: Cell, trained: TrainedFederation) -> None:
-        seed, count, mode, beta = cell
-        if out_dir is not None:  # local_a's once a seed, beside the count directories
-            cell_dir = Path(out_dir) / "grid" / f"seed{seed}"
-            if mode.is_federated:
-                cell_dir = cell_dir / f"count{count}"
-            tag = f"{mode.value}_b{beta:g}" if sweep else mode.value
-            save_cell_checkpoint(cell_dir / f"{tag}.ckpt", trained, seed, count, beta, chash)
-
     # build_bundle is looked up per call, so a caller may swap it on the module
-    outcomes = run_plan(cfg, plan, lambda seed: build_bundle(cfg, seed), weights_for, save, log)
+    outcomes = run_plan(cfg, plan, lambda seed: build_bundle(cfg, seed), weights_for, out_dir,
+                        sweep, log)
     cells = [CellResult.of(cell, outcome) for cell, outcome in outcomes]
     result = GridResult(
         config_hash=chash,

@@ -420,19 +420,19 @@ def test_criterion_7_grid_runs_are_byte_identical(tmp_path):
         a, b = (out / table for out in outs)
         assert a.read_bytes() == b.read_bytes(), f"{table} differs between runs"
 
-    ckpts = sorted(
-        p.relative_to(outs[0]) for p in (outs[0] / "grid").rglob("*.ckpt")
+    files = sorted(
+        p.relative_to(outs[0]) for p in (outs[0] / "train").rglob("*") if p.is_file()
     )
-    assert ckpts, "grid run wrote no checkpoints"
-    assert ckpts == sorted(
-        p.relative_to(outs[1]) for p in (outs[1] / "grid").rglob("*.ckpt")
+    assert files, "grid run wrote no cell files"
+    assert files == sorted(
+        p.relative_to(outs[1]) for p in (outs[1] / "train").rglob("*") if p.is_file()
     )
-    for rel in ckpts:
+    for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), (
             f"{rel} differs between runs"
         )
     print(
-        f"criterion 7: 4 tables and {len(ckpts)} checkpoints byte-identical "
+        f"criterion 7: 4 tables and {len(files)} cell files byte-identical "
         f"across two grid runs"
     )
 

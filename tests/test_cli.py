@@ -354,6 +354,18 @@ def test_eval_reproduces_recorded_scores(trained_out, cfg_path, capsys):
         assert payload["matches_recorded"] is True
 
 
+def test_eval_scores_a_grid_run(cfg_path, out, capsys):
+    # grid writes its cells where train does, so eval reads a sweep-free grid run
+    assert run("grid", "--config", cfg_path, "--out", out) == 0
+    capsys.readouterr()
+    assert run("eval", "--config", cfg_path, "--out", out) == 0
+    assert "differs" not in capsys.readouterr().out
+    evals = sorted((out / "train").rglob("eval.json"))
+    assert len(evals) == len(ALL_MODES) * 2  # every (mode, count) cell, local_a's too
+    for eval_path in evals:
+        assert json.loads(eval_path.read_text())["matches_recorded"] is True, eval_path
+
+
 def test_eval_flags_a_checkpoint_trained_under_another_config(cfg_path, out, tmp_path,
                                                               capsys):
     assert run("train", "--config", cfg_path, "--out", out, "--mode", "vanilla_vfl") == 0
@@ -486,30 +498,23 @@ def test_pretrained_checkpoints_hold_exactly_the_encoder_and_head_tensors(cfg_pa
 
 
 def test_train_and_grid_give_the_same_cells(trained_out, cfg_path, tmp_path):
+    # both pipelines write cells through run_plan into one layout, so the two
+    # train/ trees are byte-identical, local_a's file at each count included
     grid_out = tmp_path / "g"
     assert run("grid", "--config", cfg_path, "--out", grid_out) == 0
     grid_auc = {
         (c["mode"], c["aligned_count"]): c["test_auc"]
         for c in json.loads((grid_out / "results.json").read_text())["cells"]
     }
-    grid_dir = grid_out / "grid" / "seed7"
-    for count in (20, 40):
-        for mode in ALL_MODES:
-            run_dir = trained_out / "train" / "seed7" / f"count{count}" / mode
-            result = json.loads((run_dir / "result.json").read_text())
-            assert result["test_auc"] == grid_auc[(mode, count)], (mode, count)
-            final = run_dir / "final.ckpt"
-            if mode != "local_a":
-                grid_ckpt = grid_dir / f"count{count}" / f"{mode}.ckpt"
-                assert final.read_bytes() == grid_ckpt.read_bytes(), (mode, count)
-                continue
-            # the grid writes local_a once per seed, with aligned_count 0
-            tensors, meta = load_checkpoint(final)
-            grid_tensors, grid_meta = load_checkpoint(grid_dir / "local_a.ckpt")
-            assert sorted(tensors) == sorted(grid_tensors)
-            for name, t in tensors.items():
-                np.testing.assert_array_equal(t, grid_tensors[name])
-            assert (meta["aligned_count"], grid_meta["aligned_count"]) == (count, 0)
+    trained = tree_digest(trained_out / "train")
+    assert trained == tree_digest(grid_out / "train")
+    assert sorted(trained) == sorted(
+        f"seed7/count{count}/{mode}/{name}" for count in (20, 40) for mode in ALL_MODES
+        for name in ("final.ckpt", "history.jsonl", "result.json")
+    )
+    for (mode, count), score in grid_auc.items():
+        result = trained_out / "train" / "seed7" / f"count{count}" / mode / "result.json"
+        assert json.loads(result.read_text())["test_auc"] == score, (mode, count)
 
 
 # sha256 of each cached array's raw bytes for TINY, seed 7, as the earlier
@@ -722,8 +727,9 @@ def test_grid_writes_tables_and_is_deterministic(cfg_path, tmp_path):
     summary = (out1 / "summary.txt").read_text()
     assert "vflhlp" in summary and "n_al=40" in summary
     assert "bayes oracle ceiling" in summary
-    assert (out1 / "grid" / "seed7" / "count40" / "vflhlp.ckpt").exists()
-    assert (out1 / "grid" / "seed7" / "local_a.ckpt").exists()
+    assert (out1 / "train" / "seed7" / "count40" / "vflhlp" / "final.ckpt").exists()
+    assert (out1 / "train" / "seed7" / "count40" / "local_a" / "final.ckpt").exists()
+    assert not (out1 / "grid").exists()
 
 
 def test_grid_records_a_diverged_cell_and_carries_on(tmp_path, capsys):

@@ -88,9 +88,11 @@ def test_local_a_cell_matches_inline_training(tmp_path):
         assert c.history == inline.history
     assert [c.mode for c in result.cells] == ["local_a", "vanilla_vfl"] * 2
 
-    save_cell_checkpoint(tmp_path / "inline.ckpt", inline, 7, 0, 0.0, config_hash(cfg))
-    written = tmp_path / "g" / "grid" / "seed7" / "local_a.ckpt"
-    assert written.read_bytes() == (tmp_path / "inline.ckpt").read_bytes()
+    # the one model is written at each count it serves, under that count
+    for count in (20, 40):
+        save_cell_checkpoint(tmp_path / "inline.ckpt", inline, 7, count, 0.0, config_hash(cfg))
+        written = tmp_path / "g" / "train" / "seed7" / f"count{count}" / "local_a" / "final.ckpt"
+        assert written.read_bytes() == (tmp_path / "inline.ckpt").read_bytes()
 
 
 def test_local_a_trains_on_the_rows_the_main_process_built(monkeypatch):
@@ -163,7 +165,7 @@ def test_typed_local_a_failure_is_recorded_for_every_count(tmp_path, monkeypatch
     # the text the inline cell loop gives: "<type>: <message>"
     expected = f"{error.__name__}: local_a of seed 7 went wrong"
     assert all(c["error"] == expected for c in cells[::2])
-    assert not (out / "grid" / "seed7" / "local_a.ckpt").exists()
+    assert not list(out.glob("train/seed7/count*/local_a/*"))
 
 
 def test_a_non_finite_downstream_epoch_fails_its_cell_alone(monkeypatch):
@@ -318,8 +320,9 @@ def test_rerun_into_the_same_directory_rewrites_local_a(tmp_path):
     run_grid(parse_config(first), out_dir=out)
     run_grid(parse_config(second), out_dir=out)
     run_grid(parse_config(second), out_dir=fresh)
-    ckpt = "grid/seed7/local_a.ckpt"
-    assert (out / ckpt).read_bytes() == (fresh / ckpt).read_bytes()
+    for name in ("final.ckpt", "history.jsonl", "result.json"):
+        written = f"train/seed7/count20/local_a/{name}"
+        assert (out / written).read_bytes() == (fresh / written).read_bytes()
 
 
 def test_the_cell_plan_lists_seed_count_mode_and_beta_in_output_order():
@@ -435,16 +438,39 @@ def test_only_the_cell_plan_iterates_the_grid_counts_and_sweep():
         ("evaluation.py", "cell_plan")}
 
 
-def _names_run_cell(node) -> bool:
-    return ((isinstance(node, ast.Name) and node.id == "run_cell")
-            or (isinstance(node, ast.Attribute) and node.attr == "run_cell")
-            or (isinstance(node, ast.alias) and node.name == "run_cell"))
+def _names(name: str):
+    """A matcher of every node that names `name`: a use, an attribute or an import."""
+    return lambda node: ((isinstance(node, ast.Name) and node.id == name)
+                         or (isinstance(node, ast.Attribute) and node.attr == name)
+                         or (isinstance(node, ast.alias) and node.name == name))
 
 
 def test_only_the_plan_runner_runs_cells():
     # train and grid share one seed loop; a second caller of run_cell, or an
     # import of it, would be a second loop
-    assert _scopes(_names_run_cell) == {("evaluation.py", "run_plan")}
+    assert _scopes(_names("run_cell")) == {("evaluation.py", "run_plan")}
+
+
+def test_only_the_plan_runner_writes_cells():
+    # train and grid write cells in one layout through one writer; a save
+    # callback or a command's own record loop would be a second writer
+    assert _scopes(_names("save_cell_checkpoint")) == {("evaluation.py", "run_plan")}
+    # nor does a command write a cell's record: no path cli.py writes, or a name
+    # bound anywhere in it that such a path reads, names history.jsonl or result.json
+    tree = ast.parse((Path(vflhlp.__file__).parent / "cli.py").read_text())
+    assigned: dict[str, list] = {}
+    for node in ast.walk(tree):
+        for target in node.targets if isinstance(node, ast.Assign) else ():
+            if isinstance(target, ast.Name):
+                assigned.setdefault(target.id, []).append(node.value)
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and call.args
+                and getattr(call.func, "id", None) == "write_file"):
+            continue
+        paths = [call.args[0]] + [value for n in ast.walk(call.args[0]) if isinstance(n, ast.Name)
+                                  for value in assigned.get(n.id, [])]
+        named = {n.value for path in paths for n in ast.walk(path) if isinstance(n, ast.Constant)}
+        assert not named & {"history.jsonl", "result.json"}, ast.unparse(call)
 
 
 def _names_a_diverging_party(node) -> bool:

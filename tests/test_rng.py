@@ -82,10 +82,13 @@ INTERRUPTED_IMPORT = textwrap.dedent("""
 
 def test_a_sigint_during_the_numpy_random_import_is_raised_once_it_is_done():
     # raised inside the Cython import, a KeyboardInterrupt could be swallowed
-    # there and the run go on; it is held back until the import is done
+    # there and the run go on; it is held back until the import is done. The
+    # child starts with SIGINT at its default disposition, as from a terminal,
+    # even when this process was started with SIGINT ignored
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", INTERRUPTED_IMPORT], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     assert (proc.stdout, proc.stderr) == ("interrupted; numpy.random imported: True\n", "")
 
 
