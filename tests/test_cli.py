@@ -22,7 +22,7 @@ from vflhlp.config import config_hash, data_hash, encoder_specs, load_config
 from vflhlp.data import load_bundle
 from vflhlp.nn import load_checkpoint, save_checkpoint
 
-from conftest import splice_metadata
+from conftest import PINNED_CSV_CONFIG, splice_metadata
 
 ALL_MODES = ["local_a", "vanilla_vfl", "vflhlp", "vflhlp_a", "vflhlp_p"]
 
@@ -1153,6 +1153,46 @@ PRETRAINED_FILE_SHA256 = {
 def test_the_pretrained_files_are_pinned(cfg_path, out):
     assert run("pretrain", "--config", cfg_path, "--out", out) == 0
     assert tree_digest(out / "checkpoints" / "seed7") == PRETRAINED_FILE_SHA256
+
+
+# sha256 of the whole dataset cache that `prepare` writes for TINY, seed 7,
+# recorded before the stage keys and paths moved out of the CLI
+DATASET_FILE_SHA256 = "cff4d90185a949a230f85986bba9f973eef432b7b6e54ed68a18a8f718e46f5d"
+
+
+def test_the_dataset_cache_is_pinned(cfg_path, out):
+    assert run("prepare", "--config", cfg_path, "--out", out) == 0
+    assert tree_digest(out / "cache") == {"seed7/dataset.ckpt": DATASET_FILE_SHA256}
+
+
+def _pinned_csv(ids) -> str:
+    """A CSV of PINNED_CSV_CONFIG's columns with one row per id."""
+    return "id,label,x1,c1,x2\n" + "".join(
+        f"{i},{int(i * 13 % 17 + i * 5 % 11 + i % 4 > 15)},{i * 13 % 17 / 4},{'abcd'[i % 4]},"
+        f"{-(i * 5 % 11)}\n" for i in ids)
+
+
+# sha256 of each whole file that `prepare` and `pretrain` write for
+# PINNED_CSV_CONFIG at seed 7 over _pinned_csv's rows, recorded at the same
+# time; every key in them holds the sha256 of both CSV files
+CSV_STAGE_FILE_SHA256 = {
+    "cache/seed7/dataset.ckpt":
+        "b8c2a1b19588dd9592c72564b70b6ef02e4f2206a7c87c0d594d9c519e2e19eb",
+    "checkpoints/seed7/active.ckpt":
+        "bcf7e0b543259cc11d8e6adca15ec4d3481c553a47cec215939ea557785966fc",
+    "checkpoints/seed7/passive2.ckpt":
+        "f32593be4e4bce566829a0cad385d7ef1db180c6de44c4ae2feba97942b32fef",
+}
+
+
+def test_a_csv_runs_stage_files_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the config's CSV paths are relative
+    Path("train.csv").write_text(_pinned_csv(range(120)))
+    Path("test.csv").write_text(_pinned_csv(range(120, 180)))
+    Path("csv.json").write_text(json.dumps(PINNED_CSV_CONFIG))
+    for command in ("prepare", "pretrain"):
+        assert run(command, "--config", "csv.json", "--out", "out", "--seed", 7) == 0
+    assert tree_digest(Path("out")) == CSV_STAGE_FILE_SHA256
 
 
 # sha256 of the transport log of the same cell: the bytes of its fields (round,
