@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import os
 import sys
@@ -21,22 +20,25 @@ from itertools import groupby
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, config_hash, data_hash, encoder_specs, load_config, to_dict
-from .data import CACHE_FILE, DatasetBundle, load_bundle, read_json_object, save_bundle
+from .config import RunConfig, config_hash, encoder_specs, load_config
+from .data import read_json_object, save_bundle
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import (
     CellResult,
     build_bundle,
+    cached_dataset,
     cell_dir,
     cell_plan,
+    dataset_dir,
     evaluate_mode,
     load_cell_checkpoint,
     load_pretrained,
     pretrain_for_seed,
-    read_current,
+    read_dataset,
     run_grid,
     run_plan,
     save_pretrained,
+    stage_keys,
 )
 from .federated import TrainMode, pretrained_needs
 from .nn import write_file
@@ -53,57 +55,11 @@ def _resolve_out(cfg: RunConfig, cli_out: str | None) -> Path:
     return Path(cfg.output_dir)
 
 
-def _cache_dir(out: Path, seed: int) -> Path:
-    return out / "cache" / f"seed{seed}"
-
-
-def _ckpt_dir(out: Path, seed: int) -> Path:
-    return out / "checkpoints" / f"seed{seed}"
-
-
-def _cache_key(cfg: RunConfig, seed: int) -> dict:
-    """A dataset cache's meta: the data section's hash and the seed, and a CSV
-    dataset's file bytes, so that a rewritten file makes the cache stale."""
-    key = {"data_hash": data_hash(cfg), "seed": seed}
-    if cfg.data.kind == "csv":
-        for name, path in (("train", cfg.data.csv.train_path), ("test", cfg.data.csv.test_path)):
-            try:
-                key[f"{name}_sha256"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            except OSError as exc:
-                raise DataError(f"{path}: cannot read CSV: {exc.strerror or exc}") from None
-    return key
-
-
-def _pretrained_keys(cfg: RunConfig, data_key: dict) -> dict[str, str]:
-    """The key of each pre-trained file by the section that trains it (supervised
-    active.ckpt, ssl passive{k}.ckpt): the sha256 of the dataset's key, the model
-    section and that section. An ssl edit leaves active.ckpt current."""
-    sections = to_dict(cfg)
-    return {name: hashlib.sha256(json.dumps([data_key, sections["model"], sections[name]],
-                                            sort_keys=True).encode("utf-8")).hexdigest()
-            for name in ("supervised", "ssl")}
-
-
-def _cached_bundle(cache: Path, key: dict) -> DatasetBundle | None:
-    """The dataset cached in `cache` if its meta is `key`; None if there is
-    none (an older .npy layout counts as none) or it is stale. A cache that
-    cannot be loaded raises DataError naming its file."""
-    found = read_current(cache / CACHE_FILE, lambda _: load_bundle(cache), "meta", key)
-    return None if found is None else found[0]
-
-
-def _bundle_for(cfg: RunConfig, out: Path, seed: int) -> tuple[DatasetBundle, dict]:
-    """The dataset, cached if the cache matches this config or built afresh, and its key."""
-    key = _cache_key(cfg, seed)
-    cached = _cached_bundle(_cache_dir(out, seed), key)
-    return (cached if cached is not None else build_bundle(cfg, seed)), key
-
-
 def cmd_prepare(cfg: RunConfig, out: Path, seeds) -> int:
     for seed in seeds:
-        cache, key = _cache_dir(out, seed), _cache_key(cfg, seed)
+        cache, key = dataset_dir(out, seed), stage_keys(cfg, seed)["dataset"]
         try:
-            if _cached_bundle(cache, key) is not None:
+            if cached_dataset(out, seed, key) is not None:
                 print(f"seed {seed}: cache up to date at {cache}")
                 continue
         except DataError as exc:
@@ -121,11 +77,11 @@ def cmd_prepare(cfg: RunConfig, out: Path, seeds) -> int:
 def cmd_pretrain(cfg: RunConfig, out: Path, seeds, passive_only: bool) -> int:
     chash = config_hash(cfg)
     for seed in seeds:
-        bundle, data_key = _bundle_for(cfg, out, seed)
+        bundle, keys = read_dataset(cfg, out, seed)
         pre = pretrain_for_seed(
             cfg, bundle, seed, need_active=not passive_only, need_passive=True
         )
-        save_pretrained(_ckpt_dir(out, seed), pre, seed, chash, _pretrained_keys(cfg, data_key))
+        save_pretrained(out, pre, seed, chash, keys)
         if not passive_only:
             val = "n/a" if pre.active.val_auc is None else f"{pre.active.val_auc:.4f}"
             print(f"seed {seed}: active party pre-trained, val AUC {val}")
@@ -145,10 +101,9 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
     plan = cell_plan(cfg, seeds, modes)
     loaded = {}  # every seed's dataset and checkpoints are read before the first cell trains
     for seed in seeds:
-        bundle, data_key = _bundle_for(cfg, out, seed)
+        bundle, keys = read_dataset(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
-        keys = _pretrained_keys(cfg, data_key)
-        loaded[seed] = bundle, load_pretrained(_ckpt_dir(out, seed), specs, *needs, keys)
+        loaded[seed] = bundle, load_pretrained(out, seed, specs, *needs, keys)
 
     failed = []
     for cell, outcome in run_plan(
@@ -172,7 +127,7 @@ def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
     any_found = False
     modes = [TrainMode.parse(m) for m in cfg.grid.modes]
     for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
-        bundle, _ = _bundle_for(cfg, out, seed)
+        bundle, _ = read_dataset(cfg, out, seed)
         specs = encoder_specs(bundle.train, cfg.model)
         for cell in cells:
             _, count, mode, _ = cell
@@ -206,9 +161,13 @@ def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
             if not same_config:
                 flag += "  (trained under another config)"
             print(f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}{flag}")
-    if not any_found:
+    if not any_found:  # a grid's cells under a beta sweep are tagged, and not scored
+        sweep = tuple(cfg.grid.beta_sweep)
+        dirs = [cell_dir(out, c, sweep) for c in cell_plan(cfg, seeds, modes, sweep) if sweep]
+        swept = dict.fromkeys(d.name for d in dirs if (d / "final.ckpt").exists())
+        only = f" that eval scores, only the beta-sweep cells {', '.join(swept)}" if swept else ""
         raise TrainingError(
-            f"no trained checkpoints under {out / 'train'}; run `vflhlp train` first"
+            f"no trained checkpoints under {out / 'train'}{only}; run `vflhlp train` first"
         )
     return 0
 

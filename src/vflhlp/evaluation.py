@@ -6,14 +6,15 @@ count, which is sound because aligned subsets are nested prefixes of one
 pool and local pre-training never looks at alignment. Cell failures are
 recorded, not raised, so one diverging cell cannot take down a sweep.
 
-`run_plan`, the one seed loop that `grid` and `train` both run, and the
-writing and reading of every model file the pipeline keeps also live here.
-A file's tensor names are the layout of a ModelSet over its models:
-"<model>.<tensor>".
+`run_plan`, the one seed loop that `grid` and `train` both run, also lives here,
+and so does every stage file: where a seed's files go, the keys that make each
+current, and the writing and reading of every model file. A model file's tensor
+names are the layout of a ModelSet over its models: "<model>.<tensor>".
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass, field, replace
@@ -23,10 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_hash, encoder_specs
+from .config import RunConfig, config_hash, data_hash, encoder_specs, to_dict
 from .data import (
+    CACHE_FILE,
     AlignedBatch,
     DatasetBundle,
+    load_bundle,
     read_csv,
     split_from_table,
     synth_generate,
@@ -336,7 +339,7 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, out=None
     writer of cells: each cell a scored model serves (local_a's, every count)
     gets final.ckpt, history.jsonl and result.json in its cell_dir at once, the
     grid `sweep` tagging it; then the model is dropped.
-    The worker, spawned under `sigint_held`, never sees SIGINT; an interrupt ends it at once.
+    The worker, spawned under `sigint_held`, never sees SIGINT; any failure ends it at once.
     """
     say = log or (lambda msg: None)
     chash = config_hash(cfg)
@@ -406,7 +409,7 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, out=None
             job = None  # the future holds local_a's model
             for cell in cells:
                 yield cell, outcomes[trained_cell(cell)]
-    except KeyboardInterrupt:
+    except BaseException:
         if pool is not None:  # now, not once its job is done
             _terminate_workers(pool)
         raise
@@ -535,20 +538,62 @@ def read_current(path: Path, load, field: str, key):
     return (artifact, metadata) if metadata.get(field) == key else None
 
 
-def _pretrained_file(ckpt_dir: Path, k: int) -> tuple[Path, str]:
-    """Party k's pre-trained file and the stage whose key it is current under:
-    active.ckpt and "supervised" for party 1, passive{k}.ckpt and "ssl" otherwise."""
+def stage_keys(cfg: RunConfig, seed: int) -> dict:
+    """The keys that make a seed's stage files current. "dataset", its cache's
+    meta: the data section's hash and the seed, and a CSV dataset's file bytes,
+    so that a rewritten file makes the cache stale. "supervised" and "ssl", of
+    the pre-trained file each trains (active.ckpt, passive{k}.ckpt): the sha256 of
+    the dataset's key, the model section and that section."""
+    dataset = {"data_hash": data_hash(cfg), "seed": seed}
+    if cfg.data.kind == "csv":
+        for name, path in (("train", cfg.data.csv.train_path), ("test", cfg.data.csv.test_path)):
+            try:
+                dataset[f"{name}_sha256"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            except OSError as exc:
+                raise DataError(f"{path}: cannot read CSV: {exc.strerror or exc}") from None
+    sections = to_dict(cfg)
+    return {"dataset": dataset, **{
+        name: hashlib.sha256(json.dumps([dataset, sections["model"], sections[name]],
+                                        sort_keys=True).encode("utf-8")).hexdigest()
+        for name in ("supervised", "ssl")}}
+
+
+def dataset_dir(out: Path, seed: int) -> Path:
+    """Where a seed's dataset cache goes: cache/seed{S}, as `prepare` writes it."""
+    return Path(out) / "cache" / f"seed{seed}"
+
+
+def cached_dataset(out: Path, seed: int, key: dict) -> DatasetBundle | None:
+    """The dataset cached for `seed` under `out` if its meta is `key`; None if
+    there is none (an older .npy layout counts as none) or it is stale. A cache
+    that cannot be loaded raises DataError naming its file."""
+    cache = dataset_dir(out, seed)
+    found = read_current(cache / CACHE_FILE, lambda _: load_bundle(cache), "meta", key)
+    return None if found is None else found[0]
+
+
+def read_dataset(cfg: RunConfig, out: Path, seed: int) -> tuple[DatasetBundle, dict]:
+    """A seed's dataset, cached under `out` if current or built afresh, and its stage_keys."""
+    keys = stage_keys(cfg, seed)
+    cached = cached_dataset(out, seed, keys["dataset"])
+    return (cached if cached is not None else build_bundle(cfg, seed)), keys
+
+
+def _pretrained_file(out: Path, seed: int, k: int) -> tuple[Path, str]:
+    """Party k's pre-trained file in checkpoints/seed{S} and the stage whose key makes it
+    current: active.ckpt and "supervised" for party 1, passive{k}.ckpt and "ssl" otherwise."""
+    ckpt_dir = Path(out) / "checkpoints" / f"seed{seed}"
     if k == 1:
-        return Path(ckpt_dir) / "active.ckpt", "supervised"
-    return Path(ckpt_dir) / f"passive{k}.ckpt", "ssl"
+        return ckpt_dir / "active.ckpt", "supervised"
+    return ckpt_dir / f"passive{k}.ckpt", "ssl"
 
 
-def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: str, keys) -> None:
-    """Write one seed's pre-trained weights as the `pretrain` command leaves them.
+def save_pretrained(out: Path, pre: PretrainedWeights, seed: int, chash: str, keys) -> None:
+    """Write one seed's pre-trained weights under `out` as `pretrain` leaves them.
 
     active.ckpt holds models "encoder" and "head"; passive{k}.ckpt holds "encoder".
     Each file's meta names its party, seed, config hash and "key", keys["supervised"]
-    or keys["ssl"] by the stage that made it, beside what that stage adds.
+    or keys["ssl"] (of stage_keys) by the stage that made it, beside what that stage adds.
     """
     files = {}
     if (active := pre.active) is not None:
@@ -559,26 +604,21 @@ def save_pretrained(ckpt_dir: Path, pre: PretrainedWeights, seed: int, chash: st
     for k, encoder in pre.passive.items():
         files[k] = {"encoder": encoder}, {"stage": "ssl-pretrain", "loss_trace": pre.ssl_traces[k]}
     for k, (models, meta) in files.items():
-        path, stage = _pretrained_file(ckpt_dir, k)
+        path, stage = _pretrained_file(out, seed, k)
         meta.update(party=k, seed=seed, config_hash=chash, key=keys[stage])
         save_checkpoint(path, _tensors(models), meta)
 
 
-def load_pretrained(
-    ckpt_dir: Path,
-    specs: dict[int, EncoderSpec],
-    need_active: bool,
-    need_passive: bool,
-    keys: dict[str, str],
-) -> PretrainedWeights:
-    """Read the pre-trained weights asked for from what save_pretrained wrote.
+def load_pretrained(out: Path, seed: int, specs: dict[int, EncoderSpec], need_active: bool,
+                    need_passive: bool, keys: dict) -> PretrainedWeights:
+    """Read the pre-trained weights asked for from what save_pretrained wrote under `out`.
 
     A missing file, or one without its key of `keys`, raises TrainingError. Every
     tensor must fit `specs`: a missing, extra or misshapen one is a DataError.
     """
     weights = PretrainedWeights()
     for k in [k for k in sorted(specs) if (need_active if k == 1 else need_passive)]:
-        path, stage = _pretrained_file(ckpt_dir, k)
+        path, stage = _pretrained_file(out, seed, k)
         found = read_current(path, load_checkpoint, "key", keys[stage])
         if found is None:
             raise TrainingError(f"the modes to train need {path} for party {k}, pre-trained "

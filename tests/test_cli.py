@@ -104,14 +104,14 @@ def test_prepare_rebuilds_when_the_config_changes(cfg_path, out, tmp_path, capsy
 
 
 def _spy_on_build_bundle(monkeypatch) -> list[int]:
-    """The seeds `cli.build_bundle` is called with from now on."""
-    built, build = [], cli.build_bundle
+    """The seeds `evaluation.build_bundle` is called with from now on."""
+    built, build = [], evaluation.build_bundle
 
     def spy(c, seed):
         built.append(seed)
         return build(c, seed)
 
-    monkeypatch.setattr(cli, "build_bundle", spy)
+    monkeypatch.setattr(evaluation, "build_bundle", spy)
     return built
 
 
@@ -382,8 +382,27 @@ def test_eval_flags_a_checkpoint_trained_under_another_config(cfg_path, out, tmp
         assert all(e["config_hash_matches"] is same and e["matches_recorded"] for e in written)
 
 
-def test_eval_without_checkpoints_fails(cfg_path, out):
+def test_eval_without_checkpoints_fails(cfg_path, out, capsys):
     assert run("eval", "--config", cfg_path, "--out", out) == 4
+    assert capsys.readouterr().err == (
+        f"training error: no trained checkpoints under {out / 'train'}; "
+        "run `vflhlp train` first\n")
+
+
+def test_eval_names_the_beta_sweep_cells_it_does_not_score(tmp_path, out, capsys):
+    # a grid under a beta sweep tags every cell with its beta; eval scores none of them
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "aligned_counts": [20],
+                                                "modes": ["vanilla_vfl", "vflhlp"],
+                                                "beta_sweep": [0.5, 10]}}))
+    assert run("grid", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    assert run("eval", "--config", cfg, "--out", out) == 4
+    assert capsys.readouterr().err == (
+        f"training error: no trained checkpoints under {out / 'train'} that eval scores, "
+        "only the beta-sweep cells vanilla_vfl_b0, vflhlp_b0.5, vflhlp_b10; "
+        "run `vflhlp train` first\n")
+    assert not list(out.rglob("eval.json"))
 
 
 def test_truncated_checkpoints_are_data_errors(trained_out, cfg_path, capsys):

@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -49,6 +50,12 @@ def _exit_worker(bundle, specs, cell, *args):
     if cell[2] is not TrainMode.LOCAL_A:
         return _run_cell(bundle, specs, cell, *args)
     os._exit(1)
+
+
+def _slow_local_a(bundle, specs, cell, *args):
+    if cell[2] is TrainMode.LOCAL_A:
+        time.sleep(60)
+    return _run_cell(bundle, specs, cell, *args)
 
 
 def _report_parties(bundle, specs, cell, *args):
@@ -254,6 +261,21 @@ def test_an_interrupt_ends_the_worker_through_terminate_workers(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_grid(parse_config(_raw(modes=["local_a", "vflhlp"])))
     assert terminated == [1]
+    _no_workers_left()
+
+
+def test_a_failing_pre_training_ends_the_worker_at_once(monkeypatch):
+    # the error leaves run_plan while local_a's job still runs; waiting for the
+    # job before the error is reported would take the job's whole minute
+    def diverge(*args):
+        raise TrainingError("party 2: non-finite gradient")
+
+    monkeypatch.setattr(evaluation, "run_cell", _slow_local_a)
+    monkeypatch.setattr(evaluation, "pretrain_for_seed", diverge)
+    started = time.monotonic()
+    with pytest.raises(TrainingError, match="party 2: non-finite gradient"):
+        run_grid(parse_config(_raw(modes=["local_a", "vflhlp"])))
+    assert time.monotonic() - started < 20
     _no_workers_left()
 
 
@@ -471,6 +493,21 @@ def test_only_the_plan_runner_writes_cells():
                                   for value in assigned.get(n.id, [])]
         named = {n.value for path in paths for n in ast.walk(path) if isinstance(n, ast.Constant)}
         assert not named & {"history.jsonl", "result.json"}, ast.unparse(call)
+
+
+def test_the_cli_leaves_stage_files_and_keys_to_evaluation():
+    # where a seed's dataset cache and pre-trained files live, and the keys
+    # that make them current, have one owner; the CLI parses, runs and prints
+    assert {module for module, _ in _scopes(_names("read_current"))} == {"evaluation.py"}
+    tree = ast.parse((Path(vflhlp.__file__).parent / "cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named = set(node.value.split("/")) & {"cache", "checkpoints", "dataset.ckpt",
+                                                   "active.ckpt"}
+            assert not named, node.value
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported = {alias.name for alias in node.names}
+            assert not imported & {"hashlib", "read_current", "CACHE_FILE"}, ast.unparse(node)
 
 
 def _names_a_diverging_party(node) -> bool:

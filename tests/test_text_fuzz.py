@@ -11,16 +11,17 @@ import json
 from pathlib import Path
 
 import vflhlp
-from vflhlp.cli import _cached_bundle
 from vflhlp.config import load_config, parse_config, to_dict
 from vflhlp.data import (
     Field, FeatureSchema, load_bundle, read_csv, read_json_object, save_bundle,
 )
 from vflhlp.errors import ConfigError, DataError
+from vflhlp.evaluation import dataset_dir, read_dataset, stage_keys
 from vflhlp.nn import load_checkpoint
 from vflhlp.rng import stream
 
 from conftest import PINNED_CSV_CONFIG, splice_metadata
+from test_cli import TINY
 
 
 def _damaged(text: str, seed: int, cases: int):
@@ -83,9 +84,9 @@ def test_damaged_csvs_load_or_raise_data_errors(tmp_path):
 
 def test_damaged_manifests_load_or_raise_data_errors(tmp_path, tiny_bundle):
     # the dataset cache's metadata JSON, spliced back into dataset.ckpt
-    cache = tmp_path / "cache"
-    key = {"data_hash": "abc", "seed": 7}
-    save_bundle(cache, tiny_bundle, meta=key)
+    cfg = parse_config(TINY)
+    cache = dataset_dir(tmp_path, 7)
+    save_bundle(cache, tiny_bundle, meta=stage_keys(cfg, 7)["dataset"])
     path = cache / "dataset.ckpt"
     raw = path.read_bytes()
     text = json.dumps(load_checkpoint(path)[1], indent=2, sort_keys=True)
@@ -94,7 +95,7 @@ def test_damaged_manifests_load_or_raise_data_errors(tmp_path, tiny_bundle):
         path.write_bytes(raw)
         splice_metadata(path, fuzzed.read_bytes())
         load_bundle(cache)
-        _cached_bundle(cache, key)  # the CLI's cache check
+        read_dataset(cfg, tmp_path, 7)  # the commands' reader, which rebuilds a stale cache
 
     loaded = _fuzz(tmp_path, text, seed=3, load=load)
     assert 0 < loaded < 300
