@@ -95,7 +95,7 @@ def test_damaged_manifests_load_or_raise_data_errors(tmp_path, tiny_bundle):
         path.write_bytes(raw)
         splice_metadata(path, fuzzed.read_bytes())
         load_bundle(cache)
-        read_dataset(cfg, tmp_path, 7)  # the commands' reader, which rebuilds a stale cache
+        read_dataset(cfg, tmp_path, 7)  # the commands' reader; a stale cache is built afresh
 
     loaded = _fuzz(tmp_path, text, seed=3, load=load)
     assert 0 < loaded < 300
