@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from itertools import groupby
 from pathlib import Path
 
 from . import __version__
@@ -30,11 +29,10 @@ from .evaluation import (
     cell_dir,
     cell_plan,
     dataset_dir,
-    evaluate_mode,
-    load_cell_checkpoint,
     load_pretrained,
     pretrain_for_seed,
     read_dataset,
+    rescore,
     run_grid,
     run_plan,
     save_pretrained,
@@ -112,8 +110,9 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
         if isinstance(outcome, Exception):
             failed.append((cell, outcome))
             continue
-        seed, count, mode, _ = cell
-        print(f"seed {seed} n_al={count} {mode.value}: test AUC {outcome[0]:.4f}")
+        seed, count, _, _ = cell
+        print(f"seed {seed} n_al={count} {cell_dir(cfg, out, cell).name}: "
+              f"test AUC {outcome[0]:.4f}")
     if failed:
         _print_failed([CellResult.of(cell, exc) for cell, exc in failed])
         raise failed[0][1]
@@ -121,53 +120,20 @@ def cmd_train(cfg: RunConfig, out: Path, seeds, mode_name: str | None) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: Path, seeds) -> int:
-    """Re-score every trained cell's final.ckpt on the test rows. A checkpoint
-    whose config_hash is not this config's is scored too, and flagged."""
-    chash = config_hash(cfg)
-    any_found = False
-    modes = [TrainMode.parse(m) for m in cfg.grid.modes]
-    for seed, cells in groupby(cell_plan(cfg, seeds, modes), lambda cell: cell[0]):
-        bundle, _ = read_dataset(cfg, out, seed)
-        specs = encoder_specs(bundle.train, cfg.model)
-        for cell in cells:
-            _, count, mode, _ = cell
-            run_dir = cell_dir(out, cell)
-            ckpt = run_dir / "final.ckpt"
-            if not ckpt.exists():
-                continue
-            any_found = True
-            trained, meta = load_cell_checkpoint(ckpt, specs)
-            score = evaluate_mode(trained, bundle.test)
-            same_config = meta.get("config_hash") == chash
-            recorded = None
-            result_path = run_dir / "result.json"
-            if result_path.exists():
-                recorded = read_json_object(result_path).get("test_auc")
-            write_file(
-                run_dir / "eval.json",
-                json.dumps(
-                    {
-                        "test_auc": score,
-                        "recorded_auc": recorded,
-                        "matches_recorded": recorded == score,
-                        "config_hash_matches": same_config,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            flag = "" if recorded in (None, score) else "  (differs from train!)"
-            if not same_config:
-                flag += "  (trained under another config)"
-            print(f"seed {seed} n_al={count} {mode.value}: test AUC {score:.4f}{flag}")
-    if not any_found:  # a grid's cells under a beta sweep are tagged, and not scored
-        sweep = tuple(cfg.grid.beta_sweep)
-        dirs = [cell_dir(out, c, sweep) for c in cell_plan(cfg, seeds, modes, sweep) if sweep]
-        swept = dict.fromkeys(d.name for d in dirs if (d / "final.ckpt").exists())
-        only = f" that eval scores, only the beta-sweep cells {', '.join(swept)}" if swept else ""
+    """Print each trained cell as evaluation.rescore scores it again on the test
+    rows, flagging a score that differs from train's and a checkpoint trained
+    under another config."""
+    scored = False
+    for (seed, count, _, _), name, record in rescore(cfg, out, seeds):
+        scored = True
+        score, recorded = record["test_auc"], record["recorded_auc"]
+        flag = "" if recorded in (None, score) else "  (differs from train!)"
+        if not record["config_hash_matches"]:
+            flag += "  (trained under another config)"
+        print(f"seed {seed} n_al={count} {name}: test AUC {score:.4f}{flag}")
+    if not scored:
         raise TrainingError(
-            f"no trained checkpoints under {out / 'train'}{only}; run `vflhlp train` first"
+            f"no trained checkpoints under {out / 'train'}; run `vflhlp train` first"
         )
     return 0
 

@@ -6,8 +6,9 @@ count, which is sound because aligned subsets are nested prefixes of one
 pool and local pre-training never looks at alignment. Cell failures are
 recorded, not raised, so one diverging cell cannot take down a sweep.
 
-`run_plan`, the one seed loop that `grid` and `train` both run, also lives here,
-and so does every stage file: where a seed's files go, the keys that make each
+`cell_plan`, every command's one listing of cells, `run_plan`, the one seed loop
+that `grid` and `train` both run, and `eval`'s `rescore` also live here, and so
+does every stage and cell file: where they go, the keys that make a stage's file
 current, and the writing and reading of every model file. A model file's tensor
 names are the layout of a ModelSet over its models: "<model>.<tensor>".
 """
@@ -31,6 +32,7 @@ from .data import (
     DatasetBundle,
     load_bundle,
     read_csv,
+    read_json_object,
     split_from_table,
     synth_generate,
     vertical_partition,
@@ -276,21 +278,20 @@ def run_cell(
     return trained, evaluate_mode(trained, bundle.test), audit
 
 
-def cell_plan(
-    cfg: RunConfig, seeds, modes: list[TrainMode], sweep: tuple[float, ...] = ()
-) -> list[Cell]:
+def cell_plan(cfg: RunConfig, seeds, modes: list[TrainMode]) -> list[Cell]:
     """A run's cells in output order: seed, then aligned count, then mode, then beta.
 
-    A constrained mode runs at each `sweep` value, or at downstream.beta when
-    there is no sweep; every other mode runs at beta = 0. This is the one
-    listing of cells that `grid`, `train` and `eval` all iterate.
+    A constrained mode runs at each grid.beta_sweep value, or at downstream.beta
+    when the config has no sweep; every other mode runs at beta = 0. This is the
+    one listing of cells that `grid`, `train` and `eval` all iterate.
     """
+    sweep = cfg.grid.beta_sweep or (cfg.downstream.beta,)
     return [
         (seed, count, mode, beta)
         for seed in seeds
         for count in cfg.grid.aligned_counts
         for mode in modes
-        for beta in ((sweep or (cfg.downstream.beta,)) if mode.uses_constraint else (0.0,))
+        for beta in (sweep if mode.uses_constraint else (0.0,))
     ]
 
 
@@ -300,12 +301,45 @@ def trained_cell(cell: Cell) -> Cell:
     return cell if mode.is_federated else (seed, 0, mode, beta)
 
 
-def cell_dir(out: Path, cell: Cell, sweep: tuple[float, ...] = ()) -> Path:
+def cell_dir(cfg: RunConfig, out: Path, cell: Cell) -> Path:
     """Where a cell's files go: train/seed{S}/count{N}/{mode}, the mode tagged
-    `_b{beta:g}` under a grid beta sweep. `train`, `grid` and `eval` all use it."""
+    `_b{beta:g}` under a grid.beta_sweep. `train`, `grid` and `eval` all use it."""
     seed, count, mode, beta = cell
-    tag = f"{mode.value}_b{beta:g}" if sweep else mode.value
+    tag = f"{mode.value}_b{beta:g}" if cfg.grid.beta_sweep else mode.value
     return Path(out) / "train" / f"seed{seed}" / f"count{count}" / tag
+
+
+def rescore(cfg: RunConfig, out: Path, seeds):
+    """For each plan cell with a final.ckpt under `out`, score it again on the test
+    rows, write its eval.json and yield (cell, its cell_dir's name, the record).
+
+    The plan holds grid.modes, then every other mode, so a `train --mode` cell
+    outside them is scored too; a seed's dataset is read at its first trained cell.
+    The record holds the score, result.json's test_auc (None without that file),
+    whether the two are equal, and whether the checkpoint's config_hash is this
+    config's: one trained under another config is scored too.
+    """
+    chash = config_hash(cfg)
+    modes = [TrainMode.parse(m) for m in cfg.grid.modes]
+    modes += [mode for mode in TrainMode if mode not in modes]
+    for seed in seeds:
+        bundle = None
+        for cell in cell_plan(cfg, [seed], modes):
+            run_dir = cell_dir(cfg, out, cell)
+            if not (run_dir / "final.ckpt").exists():
+                continue
+            if bundle is None:
+                bundle, _ = read_dataset(cfg, out, seed)
+                specs = encoder_specs(bundle.train, cfg.model)
+            trained, meta = load_cell_checkpoint(run_dir / "final.ckpt", specs)
+            score = evaluate_mode(trained, bundle.test)
+            result = run_dir / "result.json"
+            recorded = read_json_object(result).get("test_auc") if result.exists() else None
+            record = {"test_auc": score, "recorded_auc": recorded,
+                      "matches_recorded": recorded == score,
+                      "config_hash_matches": meta.get("config_hash") == chash}
+            write_file(run_dir / "eval.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
+            yield cell, run_dir.name, record
 
 
 def _scored(job, *args):
@@ -326,8 +360,7 @@ def _terminate_workers(pool) -> None:
             worker.terminate()
 
 
-def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, out=None,
-             sweep: tuple[float, ...] = (), log=None):
+def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, out=None, log=None):
     """Run a cell_plan seed by seed, yielding each (cell, outcome) in plan order.
 
     Per seed: the dataset is `bundle_for(seed)`. local_a goes to a worker as a
@@ -337,8 +370,8 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, out=None
     An outcome is (score, history) or the cell's typed error; other errors, and
     a dead worker as TrainingError, are raised. Given `out`, this is the one
     writer of cells: each cell a scored model serves (local_a's, every count)
-    gets final.ckpt, history.jsonl and result.json in its cell_dir at once, the
-    grid `sweep` tagging it; then the model is dropped.
+    gets final.ckpt, history.jsonl and result.json in its cell_dir at once; then
+    the model is dropped.
     The worker, spawned under `sigint_held`, never sees SIGINT; any failure ends it at once.
     """
     say = log or (lambda msg: None)
@@ -396,7 +429,7 @@ def run_plan(cfg: RunConfig, plan: list[Cell], bundle_for, weights_for, out=None
                     k: v for k, v in asdict(audit).items() if k != "violations"}
                 for cell in (c for c in cells if out is not None and trained_cell(c) == trained_as):
                     _, count, mode, beta = cell
-                    run_dir = cell_dir(out, cell, sweep)
+                    run_dir = cell_dir(cfg, out, cell)
                     save_cell_checkpoint(run_dir / "final.ckpt", trained, seed, count, beta, chash)
                     write_file(run_dir / "history.jsonl", history)
                     result = {"mode": mode.value, "seed": seed, "aligned_count": count,
@@ -424,14 +457,13 @@ def run_grid(
     """Run the full sweep; with `out_dir`, write its tables and every cell's files.
 
     Returns a GridResult with one cell per entry of cell_plan over `seeds`
-    (the config's when None), with grid.beta_sweep as the sweep, run by
-    run_plan on freshly built and pre-trained seeds.
+    (the config's when None), run by run_plan on freshly built and pre-trained
+    seeds.
     """
     chash = config_hash(cfg)
     seeds = list(cfg.grid.seeds if seeds is None else seeds)
     modes = [TrainMode.parse(m) for m in cfg.grid.modes]
-    sweep = tuple(cfg.grid.beta_sweep)
-    plan = cell_plan(cfg, seeds, modes, sweep)
+    plan = cell_plan(cfg, seeds, modes)
     need_active, need_passive = pretrained_needs(modes, cfg.downstream.warm_start_active)
     ssl_traces: dict[str, list[float]] = {}
     active_val: dict[str, float | None] = {}
@@ -449,7 +481,7 @@ def run_grid(
 
     # build_bundle is looked up per call, so a caller may swap it on the module
     outcomes = run_plan(cfg, plan, lambda seed: build_bundle(cfg, seed), weights_for, out_dir,
-                        sweep, log)
+                        log)
     cells = [CellResult.of(cell, outcome) for cell, outcome in outcomes]
     result = GridResult(
         config_hash=chash,

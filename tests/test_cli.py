@@ -389,20 +389,43 @@ def test_eval_without_checkpoints_fails(cfg_path, out, capsys):
         "run `vflhlp train` first\n")
 
 
-def test_eval_names_the_beta_sweep_cells_it_does_not_score(tmp_path, out, capsys):
-    # a grid under a beta sweep tags every cell with its beta; eval scores none of them
+def _scored_cells(text: str) -> list[str]:
+    """The "seed S n_al=N {cell}" part of each line `train` or `eval` printed."""
+    return [line.split(":")[0] for line in text.splitlines()]
+
+
+def test_eval_scores_a_beta_sweep_grid_run(tmp_path, out, capsys):
+    # a grid under a beta sweep tags every cell with its beta, and eval runs the
+    # same config's plan, so it finds and scores each tagged cell
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "aligned_counts": [20],
                                                 "modes": ["vanilla_vfl", "vflhlp"],
                                                 "beta_sweep": [0.5, 10]}}))
     assert run("grid", "--config", cfg, "--out", out) == 0
     capsys.readouterr()
-    assert run("eval", "--config", cfg, "--out", out) == 4
-    assert capsys.readouterr().err == (
-        f"training error: no trained checkpoints under {out / 'train'} that eval scores, "
-        "only the beta-sweep cells vanilla_vfl_b0, vflhlp_b0.5, vflhlp_b10; "
-        "run `vflhlp train` first\n")
-    assert not list(out.rglob("eval.json"))
+    assert run("eval", "--config", cfg, "--out", out) == 0
+    assert _scored_cells(capsys.readouterr().out) == [
+        f"seed 7 n_al=20 {tag}" for tag in ("vanilla_vfl_b0", "vflhlp_b0.5", "vflhlp_b10")]
+    evals = sorted((out / "train").rglob("eval.json"))
+    assert len(evals) == 3
+    for eval_path in evals:
+        assert json.loads(eval_path.read_text())["matches_recorded"] is True, eval_path
+
+
+def test_eval_scores_a_mode_trained_outside_the_configs_modes(tmp_path, out, capsys):
+    # `train --mode` trains any mode; eval's plan lists the config's modes, then the rest
+    cfg = tmp_path / "vanilla-only.json"
+    cfg.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "modes": ["vanilla_vfl"]}}))
+    assert run("pretrain", "--config", cfg, "--out", out, "--passive-only") == 0
+    assert run("train", "--config", cfg, "--out", out, "--mode", "vflhlp_p") == 0
+    capsys.readouterr()
+    assert run("eval", "--config", cfg, "--out", out) == 0
+    assert _scored_cells(capsys.readouterr().out) == [
+        "seed 7 n_al=20 vflhlp_p", "seed 7 n_al=40 vflhlp_p"]
+    evals = sorted((out / "train").rglob("eval.json"))
+    assert len(evals) == 2
+    for eval_path in evals:
+        assert json.loads(eval_path.read_text())["matches_recorded"] is True, eval_path
 
 
 def test_truncated_checkpoints_are_data_errors(trained_out, cfg_path, capsys):
@@ -516,24 +539,35 @@ def test_pretrained_checkpoints_hold_exactly_the_encoder_and_head_tensors(cfg_pa
         assert {n: t.shape for n, t in tensors.items()} == expected, name
 
 
-def test_train_and_grid_give_the_same_cells(trained_out, cfg_path, tmp_path):
+def test_train_and_grid_give_the_same_cells(trained_out, cfg_path, tmp_path, capsys):
     # both pipelines write cells through run_plan into one layout, so the two
-    # train/ trees are byte-identical, local_a's file at each count included
-    grid_out = tmp_path / "g"
-    assert run("grid", "--config", cfg_path, "--out", grid_out) == 0
-    grid_auc = {
-        (c["mode"], c["aligned_count"]): c["test_auc"]
-        for c in json.loads((grid_out / "results.json").read_text())["cells"]
-    }
-    trained = tree_digest(trained_out / "train")
-    assert trained == tree_digest(grid_out / "train")
-    assert sorted(trained) == sorted(
-        f"seed7/count{count}/{mode}/{name}" for count in (20, 40) for mode in ALL_MODES
-        for name in ("final.ckpt", "history.jsonl", "result.json")
-    )
-    for (mode, count), score in grid_auc.items():
-        result = trained_out / "train" / "seed7" / f"count{count}" / mode / "result.json"
-        assert json.loads(result.read_text())["test_auc"] == score, (mode, count)
+    # train/ trees are byte-identical, local_a's file at each count included;
+    # under a beta sweep both run the same plan and tag every mode with its beta
+    sweep, swept_out = tmp_path / "sweep.json", tmp_path / "swept"
+    sweep.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "beta_sweep": [0.5, 10]}}))
+    assert run("pretrain", "--config", sweep, "--out", swept_out) == 0
+    capsys.readouterr()
+    assert run("train", "--config", sweep, "--out", swept_out) == 0
+    swept_tags = ["local_a_b0", "vanilla_vfl_b0", "vflhlp_b0.5", "vflhlp_b10", "vflhlp_a_b0.5",
+                  "vflhlp_a_b10", "vflhlp_p_b0"]
+    assert _scored_cells(capsys.readouterr().out) == [
+        f"seed 7 n_al={count} {tag}" for count in (20, 40) for tag in swept_tags]
+    for cfg, out, tags in ((cfg_path, trained_out, ALL_MODES), (sweep, swept_out, swept_tags)):
+        grid_out = tmp_path / f"grid-{cfg.stem}"
+        assert run("grid", "--config", cfg, "--out", grid_out) == 0
+        grid_auc = {
+            (c["mode"], c["beta"], c["aligned_count"]): c["test_auc"]
+            for c in json.loads((grid_out / "results.json").read_text())["cells"]
+        }
+        trained = tree_digest(out / "train")
+        assert trained == tree_digest(grid_out / "train")
+        assert sorted(trained) == sorted(
+            f"seed7/count{count}/{tag}/{name}" for count in (20, 40) for tag in tags
+            for name in ("final.ckpt", "history.jsonl", "result.json")
+        )
+        results = [json.loads(p.read_text()) for p in (out / "train").rglob("result.json")]
+        assert {(r["mode"], r["beta"], r["aligned_count"]): r["test_auc"]
+                for r in results} == grid_auc
 
 
 # sha256 of each cached array's raw bytes for TINY, seed 7, as the earlier
@@ -681,14 +715,14 @@ def test_a_cache_in_the_older_layout_is_ignored(cfg_path, tmp_path, capsys):
 
 
 def _damage_is_reported_then_rebuilt(cfg_path, out, capsys, damage) -> None:
-    """`eval` on a damaged cache exits 3 naming it; `prepare` rebuilds it."""
+    """`pretrain` on a damaged cache exits 3 naming it; `prepare` rebuilds it."""
     assert run("prepare", "--config", cfg_path, "--out", out) == 0
     cache = out / "cache" / "seed7"
     path = cache / "dataset.ckpt"
     undamaged, fresh = load_bundle(cache)[0], path.read_bytes()
     damage(path)
     capsys.readouterr()
-    assert run("eval", "--config", cfg_path, "--out", out) == 3
+    assert run("pretrain", "--config", cfg_path, "--out", out) == 3
     err = capsys.readouterr().err
     assert "data error" in err and str(path) in err
     assert run("prepare", "--config", cfg_path, "--out", out) == 0

@@ -357,7 +357,9 @@ def test_the_cell_plan_lists_seed_count_mode_and_beta_in_output_order():
         for count in (20, 40)
         for mode, b in ((TrainMode.VFLHLP, beta), (TrainMode.LOCAL_A, 0.0))
     ]
-    assert cell_plan(cfg, [7], modes, (0.5, 0.0))[:3] == [
+    swept = parse_config(_raw(modes=["vflhlp", "local_a"], aligned_counts=[20, 40],
+                              beta_sweep=[0.5, 0.0]))
+    assert cell_plan(swept, [7], modes)[:3] == [
         (7, 20, TrainMode.VFLHLP, 0.5), (7, 20, TrainMode.VFLHLP, 0.0),
         (7, 20, TrainMode.LOCAL_A, 0.0),
     ]
@@ -371,7 +373,7 @@ def test_grid_cells_follow_the_cell_plan():
     _no_workers_left()
     modes = [TrainMode.parse(m) for m in cfg.grid.modes]
     assert [(c.seed, c.aligned_count, TrainMode(c.mode), c.beta) for c in result.cells] == (
-        cell_plan(cfg, cfg.grid.seeds, modes, cfg.grid.beta_sweep))
+        cell_plan(cfg, cfg.grid.seeds, modes))
     assert result.all_ok() and len(result.cells) == 8
 
 
@@ -508,6 +510,24 @@ def test_the_cli_leaves_stage_files_and_keys_to_evaluation():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported = {alias.name for alias in node.names}
             assert not imported & {"hashlib", "read_current", "CACHE_FILE"}, ast.unparse(node)
+
+
+def test_the_cli_leaves_a_cells_plan_and_files_to_evaluation():
+    # evaluation alone knows a cell's plan, path and files: cli.py names no cell
+    # file and scores no checkpoint itself, and no other module reads the beta
+    # sweep (config.py declares the field and its validator checks it)
+    tree = ast.parse((Path(vflhlp.__file__).parent / "cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named = set(node.value.split("/")) & {"final.ckpt", "result.json", "history.jsonl",
+                                                   "eval.json"}
+            assert not named, node.value
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported = {alias.name for alias in node.names}
+            assert not imported & {"load_cell_checkpoint", "evaluate_mode"}, ast.unparse(node)
+    assert {(module, scope) for module, scope in _scopes(_names("beta_sweep"))
+            if module != "evaluation.py"} == {("config.py", "<module>"),
+                                              ("config.py", "__post_init__")}
 
 
 def _names_a_diverging_party(node) -> bool:
